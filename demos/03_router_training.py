@@ -11,18 +11,17 @@ import random
 
 import numpy as np
 
-from querydistill import (RouterTrainConfig, aggregate_ensemble,
-                          compute_metrics, router_forward, select_top_k,
-                          train_router)
+from querydistill import (HashedNgramEmbedder, RouterTrainConfig,
+                          aggregate_ensemble, compute_metrics, router_forward,
+                          select_top_k, train_router)
 from querydistill.personas import ConfidenceMatrix
-from querydistill.router import NgramEmbeddingProvider
 from querydistill.taxonomy import EntityDef, EntityRegistry
 
 rng = np.random.default_rng(7)
 registry = EntityRegistry(entities=tuple(
     EntityDef(id=f"Entity{i}", definition=f"synthetic entity {i}")
     for i in range(6)))
-provider = NgramEmbeddingProvider(dim=64, seed=0)
+encoder = HashedNgramEmbedder(dim=64, seed=0)
 persona_ids = ("oracle", "adversary", "coin_flipper")
 
 WORDS = ["midnight", "harbor", "violet", "stereo", "canyon", "maple"]
@@ -44,7 +43,7 @@ def make_examples(n, seed):
                 3 * (~gold_mask).astype(int),       # adversary
                 gen.integers(0, 4, len(registry)),  # coin flipper
             ]))
-        out.append((provider.embed(text), matrix, gold))
+        out.append((encoder.embed(text), matrix, gold))
     return out
 
 train = make_examples(600, seed=1)

@@ -11,7 +11,7 @@ import os
 import tempfile
 
 from querydistill import (ClassifierTrainConfig, Confidence,
-                          HashedNgramBackend, compute_metrics, lexical_match,
+                          HashedNgramEmbedder, compute_metrics, lexical_match,
                           matched_operating_point, mock_annotate, mock_handle,
                           parse_response, relative_gain, split_dataset,
                           train_classifier, tune_thresholds,
@@ -44,7 +44,7 @@ print(f"split: {len(split.train)} train / {len(split.dev)} dev / "
       f"{len(split.test)} test")
 
 # --- train and tune ---------------------------------------------------------
-backend = HashedNgramBackend(dim=256, seed=0)
+backend = HashedNgramEmbedder(dim=256, seed=0)
 config = ClassifierTrainConfig(epochs=10, seed=0, batch_size=64,
                                learning_rate=3e-3, patience=10)
 model, history = train_classifier(train, dev, config, registry, backend=backend)

@@ -9,16 +9,15 @@ and frequency-weighted evaluation.
 from .annotations import Annotation, Confidence, render_annotation
 from .baseline import (Gazetteer, default_gazetteer, lexical_match,
                        load_gazetteer)
-from .classifier import (ClassifierModel, ClassifierTrainConfig,
-                         HashedNgramBackend, PrecomputedVectorBackend,
-                         WeakLabelSet, apply_thresholds, encode,
-                         load_classifier, predict_probs, save_classifier,
-                         train_classifier, tune_thresholds,
+from .classifier import (ClassifierModel, ClassifierTrainConfig, WeakLabelSet,
+                         apply_thresholds, load_classifier, predict_probs,
+                         save_classifier, train_classifier, tune_thresholds,
                          weak_labels_from_annotations, write_predictions_jsonl)
 from .data import (DatasetSplit, QueryRecord, ingest_queries, normalize_query,
                    query_id, rebalance_by_entity, split_dataset)
 from .evaluation import (EvalReport, MetricCell, compute_metrics,
                          matched_operating_point, relative_gain)
+from .features import HashedNgramEmbedder, PrecomputedEmbedder
 from .llm_client import (AnnotationFailure, AnnotatorHandle, HttpEndpointConfig,
                          MockConfig, ResponseCache, annotate_batch,
                          mock_annotate, mock_handle)
@@ -27,10 +26,9 @@ from .personas import (ConfidenceMatrix, Persona, aggregate_ensemble,
 from .pipeline import RunConfig, load_run_config, run_pipeline
 from .prompting import (PromptConfig, PromptText, PromptVariant, build_prompt,
                         parse_response)
-from .router import (NgramEmbeddingProvider, PrecomputedEmbeddingProvider,
-                     QueryEmbedding, RouterModel, RouterTrainConfig,
-                     embed_query, load_router, predict_entities,
-                     router_forward, save_router, select_top_k, train_router)
+from .router import (RouterModel, RouterTrainConfig, load_router,
+                     predict_entities, router_forward, save_router,
+                     select_top_k, train_router)
 from .taxonomy import (EntityDef, EntityRegistry, NONE_LABEL, default_registry,
                        load_registry, validate_label)
 

@@ -30,11 +30,6 @@ class Confidence(enum.IntEnum):
         except KeyError:
             raise ValueError(f"not a confidence level: {token!r}") from None
 
-    @classmethod
-    def from_score(cls, value):
-        """Map a numeric value in {1, 2, 3} back to a level; 0 has no level."""
-        return cls(int(value))
-
 
 @dataclass(frozen=True)
 class Annotation:

@@ -8,11 +8,11 @@ checkpointing with early stopping, and is bit-deterministic for a fixed
 seed. Decision thresholds are tuned per entity after training: maximize F1,
 or match a reference recall/precision.
 
-The encoder is deliberately abstract: the built-in hashed n-gram backend
-gives a fully self-contained pipeline at desk scale, and the precomputed-
-vector backend plugs in real contextual embeddings computed offline. The
-heads, loss, and threshold machinery do not care which one produced the
-features.
+The encoder comes from ``features``: the built-in ``HashedNgramEmbedder``
+gives a fully self-contained pipeline at desk scale, and
+``PrecomputedEmbedder`` plugs in real contextual embeddings computed
+offline. The heads, loss, and threshold machinery do not care which one
+produced the features; the ``backend`` arguments below take either.
 """
 
 import json
@@ -21,82 +21,9 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .annotations import Confidence
-from .errors import (EmptyDatasetError, MissingEmbeddingError, ModelError,
-                     NanLossError)
-from .features import HashedNgramEmbedder
+from .errors import EmptyDatasetError, ModelError, NanLossError
+from .features import HashedNgramEmbedder, encoder_from_descriptor
 from .optim import AdamW
-
-
-# ---------------------------------------------------------------------------
-# Encoder backends
-# ---------------------------------------------------------------------------
-
-class HashedNgramBackend:
-    """Built-in encoder: signed hashed char 3-5-gram counts, L2-normalized."""
-
-    kind = "hashed_ngram"
-
-    def __init__(self, dim=512, seed=0):
-        self._embedder = HashedNgramEmbedder(dim=dim, seed=seed)
-        self.dim = dim
-        self.seed = seed
-
-    def encode(self, text):
-        return self._embedder.embed(text)
-
-    def descriptor(self):
-        return {"kind": self.kind, "dim": self.dim, "seed": self.seed}
-
-
-class PrecomputedVectorBackend:
-    """Encoder that looks up vectors computed offline, keyed by query id."""
-
-    kind = "precomputed"
-
-    def __init__(self, path):
-        from .data import query_id as make_id
-        self._make_id = make_id
-        self._path = str(path)
-        self._vectors = {}
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                if line.strip():
-                    record = json.loads(line)
-                    self._vectors[record["id"]] = np.asarray(
-                        record["vector"], dtype=float)
-        if not self._vectors:
-            raise MissingEmbeddingError(f"no vectors in {path}")
-        dims = {v.shape[0] for v in self._vectors.values()}
-        if len(dims) != 1:
-            raise ModelError(f"inconsistent vector dims in {path}: {sorted(dims)}")
-        self.dim = dims.pop()
-
-    def encode(self, text):
-        qid = self._make_id(text)
-        try:
-            return self._vectors[qid]
-        except KeyError:
-            raise MissingEmbeddingError(
-                f"no precomputed vector for query {text!r} (id {qid})") from None
-
-    def descriptor(self):
-        return {"kind": self.kind, "dim": self.dim, "path": self._path}
-
-
-def backend_from_descriptor(descriptor):
-    kind = descriptor.get("kind")
-    if kind == HashedNgramBackend.kind:
-        return HashedNgramBackend(dim=descriptor["dim"], seed=descriptor["seed"])
-    if kind == PrecomputedVectorBackend.kind:
-        return PrecomputedVectorBackend(descriptor["path"])
-    raise ModelError(f"unknown encoder backend kind: {kind!r}")
-
-
-def encode(backend, text):
-    """Feature vector for one query text."""
-    if not text.strip():
-        raise ValueError("query text is empty")
-    return backend.encode(text)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +158,7 @@ class ClassifierModel:
         return {"U1": self.U1, "c1": self.c1, "U2": self.U2, "c2": self.c2}
 
     def backend(self):
-        return backend_from_descriptor(self.backend_descriptor)
+        return encoder_from_descriptor(self.backend_descriptor)
 
 
 @dataclass(frozen=True)
@@ -250,7 +177,7 @@ class ClassifierTrainConfig:
     def resolve_learning_rate(self, backend):
         if self.learning_rate is not None:
             return self.learning_rate
-        return 1e-3 if backend.kind == HashedNgramBackend.kind else 1e-5
+        return 1e-3 if backend.kind == HashedNgramEmbedder.kind else 1e-5
 
 
 def stable_bce(logits, targets):
@@ -318,7 +245,7 @@ def _encode_all(backend, texts):
     for i, text in enumerate(texts):
         vec = cache.get(text)
         if vec is None:
-            vec = backend.encode(text)
+            vec = backend.embed(text)
             cache[text] = vec
         X[i] = vec
     return X
@@ -350,7 +277,7 @@ def train_classifier(train, dev, config, registry, backend=None):
         raise ModelError("train labels were built against a different registry")
 
     if backend is None:
-        backend = HashedNgramBackend()
+        backend = HashedNgramEmbedder(dim=512)
     lr = config.resolve_learning_rate(backend)
 
     X_train = _encode_all(backend, train.texts)
@@ -415,7 +342,7 @@ def predict_probs(model, text, backend=None, registry=None):
         raise ModelError("model was trained against a different registry")
     if backend is None:
         backend = model.backend()
-    x = encode(backend, text)
+    x = backend.embed(text)
     logits, _ = heads_forward(model, x[None, :])
     return _sigmoid(logits[0])
 

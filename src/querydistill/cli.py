@@ -20,7 +20,9 @@ from . import synth as synth_mod
 from .annotations import write_annotation_store
 from .baseline import write_gazetteer
 from .errors import QueryDistillError
-from .pipeline import build_annotator, load_run_config, run_pipeline
+from .features import HashedNgramEmbedder
+from .pipeline import (build_annotator, load_run_config, response_annotation,
+                       run_pipeline)
 from .taxonomy import default_registry, load_registry, validate_label
 
 
@@ -119,15 +121,14 @@ def cmd_router_select(args):
     result = run_pipeline(config, until="router")
     model = router_mod.load_router(
         os.path.join(result.output_dir, "router.json"))
-    provider = router_mod.NgramEmbeddingProvider(
-        dim=config.embedding_dim, seed=config.seed)
+    encoder = HashedNgramEmbedder(dim=config.embedding_dim, seed=config.seed)
     records = data_mod.read_queries_jsonl(
         os.path.join(result.output_dir, "queries.jsonl"))
     out_path = args.out or os.path.join(result.output_dir, "selections.jsonl")
     with open(out_path, "w", encoding="utf-8") as fh:
         for record in records:
             chosen = router_mod.select_top_k(
-                model, provider.embed(record.text), config.persona_k)
+                model, encoder.embed(record.text), config.persona_k)
             fh.write(json.dumps({"id": record.id, "personas": chosen}) + "\n")
     print(f"wrote top-{config.persona_k} persona selections -> {out_path}")
     return 0
@@ -154,7 +155,7 @@ def cmd_ablation(args):
                    for r in records]
         responses = annotate_batch(handle, prompts)
         store = {
-            r.id: prompting_mod.parse_response(registry, response)
+            r.id: response_annotation(registry, response)
             for r, response in zip(records, responses)
         }
         report = eval_mod.compute_metrics(
@@ -334,7 +335,12 @@ def build_parser():
     p.add_argument("--weighted", action="store_true")
     p.set_defaults(func=cmd_ablation)
 
-    p = sub.add_parser("serve", help="serve a trained model over stdio or TCP")
+    p = sub.add_parser(
+        "serve", help="serve a trained model over stdio or TCP",
+        description="Serve a trained classifier: one query per line in, one "
+                    "JSON object per line out. A model with a precomputed "
+                    "encoder can only score queries whose vectors are in its "
+                    "file; any other query gets an error object.")
     p.add_argument("--model", required=True)
     p.add_argument("--thresholds", default="")
     p.add_argument("--port", type=int, default=0)

@@ -14,18 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classifier import (MATCH_PRECISION, MATCH_RECALL,
+from .classifier import (MATCH_PRECISION, MATCH_RECALL, _prf,
                          tune_threshold_for_entity)
 from .errors import EvaluationError
 
 MICRO = "micro"
-
-
-def _prf(tp, fp, fn):
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    return precision, recall, f1
 
 
 @dataclass(frozen=True)

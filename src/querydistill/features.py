@@ -1,24 +1,40 @@
-"""Seeded hashed character n-gram text features.
+"""Query encoders shared by the router and the classifier.
 
-Character 3-5-grams of the normalized query (wrapped in boundary markers)
-are hashed with a keyed digest into a fixed number of signed buckets, then
-L2-normalized. Deterministic across processes and platforms: the digest is
+``HashedNgramEmbedder`` is the built-in encoder: character 3-5-grams of the
+normalized query (wrapped in boundary markers) are hashed with a keyed
+digest into a fixed number of signed buckets, then L2-normalized
+(Weinberger et al., "Feature Hashing for Large Scale Multitask Learning",
+ICML 2009). Deterministic across processes and platforms: the digest is
 keyed by the seed, never by Python's per-process string hashing.
+
+``PrecomputedEmbedder`` looks up vectors computed offline, keyed by query
+id, so it can only encode queries whose vectors are in its file.
+
+Both expose ``kind``, ``dim``, ``tag``, ``descriptor()`` and ``embed(text)``;
+``encoder_from_descriptor`` rebuilds either one from its descriptor.
 """
 
 import hashlib
+import json
 
 import numpy as np
 
-from .data import normalize_query
+from .data import normalize_query, query_id
+from .errors import MissingEmbeddingError, ModelError
 
 NGRAM_SIZES = (3, 4, 5)
 _BOUNDARY_OPEN = "<"
 _BOUNDARY_CLOSE = ">"
+# The bucket memo is cleared when it reaches this many n-grams, so a
+# long-running server fed novel tokens stays bounded in memory. It is a pure
+# memo: a race between server threads can at worst clear it twice.
+BUCKET_CACHE_LIMIT = 1 << 16
 
 
 class HashedNgramEmbedder:
     """Projects text to a dense vector of ``dim`` signed hash buckets."""
+
+    kind = "hashed_ngram"
 
     def __init__(self, dim=256, seed=0):
         if dim < 1:
@@ -30,6 +46,13 @@ class HashedNgramEmbedder:
         self._key = int(seed).to_bytes(8, "little")
         self._bucket_cache = {}
 
+    @property
+    def tag(self):
+        return f"ngram:dim={self.dim}:seed={self.seed}"
+
+    def descriptor(self):
+        return {"kind": self.kind, "dim": self.dim, "seed": self.seed}
+
     def _bucket(self, ngram):
         cached = self._bucket_cache.get(ngram)
         if cached is None:
@@ -37,6 +60,8 @@ class HashedNgramEmbedder:
                 ngram.encode("utf-8"), digest_size=8, key=self._key).digest()
             value = int.from_bytes(digest, "little")
             cached = (value % self.dim, 1.0 if value >> 63 == 0 else -1.0)
+            if len(self._bucket_cache) >= BUCKET_CACHE_LIMIT:
+                self._bucket_cache.clear()
             self._bucket_cache[ngram] = cached
         return cached
 
@@ -63,5 +88,58 @@ class HashedNgramEmbedder:
             vec /= norm
         return vec
 
-    def embed_many(self, texts):
-        return np.stack([self.embed(t) for t in texts])
+
+class PrecomputedEmbedder:
+    """Vectors computed offline, looked up by query id.
+
+    File format: JSON Lines {"id": ..., "vector": [...]}. Every vector must
+    be finite, 1-d and of one common dimension; the file is rejected at load
+    time otherwise. Use this to plug in a real contextual embedding service
+    run offline.
+    """
+
+    kind = "precomputed"
+
+    def __init__(self, path):
+        self._path = str(path)
+        self._vectors = {}
+        with open(path, encoding="utf-8") as fh:
+            for line in fh:
+                if line.strip():
+                    record = json.loads(line)
+                    vec = np.asarray(record["vector"], dtype=float)
+                    if vec.ndim != 1 or not np.isfinite(vec).all():
+                        raise ModelError(
+                            f"{path}: vector for id {record['id']!r} is not "
+                            "a finite 1-d vector")
+                    self._vectors[record["id"]] = vec
+        if not self._vectors:
+            raise MissingEmbeddingError(f"no vectors in {path}")
+        dims = {v.shape[0] for v in self._vectors.values()}
+        if len(dims) != 1:
+            raise ModelError(f"inconsistent vector dims in {path}: {sorted(dims)}")
+        self.dim = dims.pop()
+
+    @property
+    def tag(self):
+        return f"precomputed:{self._path}"
+
+    def descriptor(self):
+        return {"kind": self.kind, "dim": self.dim, "path": self._path}
+
+    def embed(self, text):
+        qid = query_id(text)
+        try:
+            return self._vectors[qid]
+        except KeyError:
+            raise MissingEmbeddingError(
+                f"no precomputed vector for query {text!r} (id {qid})") from None
+
+
+def encoder_from_descriptor(descriptor):
+    kind = descriptor.get("kind")
+    if kind == HashedNgramEmbedder.kind:
+        return HashedNgramEmbedder(dim=descriptor["dim"], seed=descriptor["seed"])
+    if kind == PrecomputedEmbedder.kind:
+        return PrecomputedEmbedder(descriptor["path"])
+    raise ModelError(f"unknown encoder kind: {kind!r}")

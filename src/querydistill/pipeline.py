@@ -30,7 +30,8 @@ from . import personas as personas_mod
 from . import prompting as prompting_mod
 from . import router as router_mod
 from .annotations import Annotation, Confidence, read_annotation_store, write_annotation_store
-from .errors import PipelineConfigError
+from .errors import PipelineConfigError, UnparseableResponseError
+from .features import HashedNgramEmbedder
 from .llm_client import (AnnotationFailure, AnnotatorHandle, HttpEndpointConfig,
                          ResponseCache, annotate_batch, mock_handle)
 from .taxonomy import load_registry
@@ -177,6 +178,25 @@ def _gold_store(config, records):
     return store
 
 
+def response_annotation(registry, response, stats=None):
+    """Annotation for one annotator response or ``AnnotationFailure``.
+
+    A failed call or an unparseable response becomes an empty annotation
+    carrying a warning, so one bad response stays that query's failure.
+    Unparseable responses are counted in ``stats["unparseable_responses"]``
+    when ``stats`` is given; failed calls are already counted by the handle.
+    """
+    if isinstance(response, AnnotationFailure):
+        return Annotation(
+            entities={}, warnings=(f"annotator failure: {response.error}",))
+    try:
+        return prompting_mod.parse_response(registry, response)
+    except UnparseableResponseError as exc:
+        if stats is not None:
+            stats["unparseable_responses"] += 1
+        return Annotation(entities={}, warnings=(f"unparseable response: {exc}",))
+
+
 def run_pipeline(config, until="eval"):
     """Execute the pipeline through stage ``until``; returns PipelineResult."""
     if until not in STAGES:
@@ -187,7 +207,8 @@ def run_pipeline(config, until="eval"):
     use_personas = config.persona_mode != "none"
     want_router = config.persona_mode == "router"
     artifacts = []
-    stats = {"annotator_calls": 0, "cache_hits": 0, "annotator_failures": 0}
+    stats = {"annotator_calls": 0, "cache_hits": 0, "annotator_failures": 0,
+             "unparseable_responses": 0}
 
     def emit(name, filename):
         artifacts.append({"name": name, "path": filename,
@@ -251,13 +272,8 @@ def run_pipeline(config, until="eval"):
     stats["cache_hits"] = handle.stats.cache_hits
     stats["annotator_failures"] = handle.stats.failures
 
-    annotations = {}
-    for key, response in zip(keys, responses):
-        if isinstance(response, AnnotationFailure):
-            annotations[key] = Annotation(
-                entities={}, warnings=(f"annotator failure: {response.error}",))
-        else:
-            annotations[key] = prompting_mod.parse_response(registry, response)
+    annotations = {key: response_annotation(registry, response, stats)
+                   for key, response in zip(keys, responses)}
     write_annotation_store(out("annotations.jsonl"), annotations,
                            annotator=handle.model_name)
     emit("annotations", "annotations.jsonl")
@@ -279,8 +295,8 @@ def run_pipeline(config, until="eval"):
 
     # --- router -----------------------------------------------------------
     router_model = None
-    provider = router_mod.NgramEmbeddingProvider(
-        dim=config.embedding_dim, seed=config.seed)
+    router_encoder = HashedNgramEmbedder(dim=config.embedding_dim,
+                                         seed=config.seed)
     if want_router:
         gold = _gold_store(config, records)
         train_records = list(split.train)
@@ -291,11 +307,12 @@ def run_pipeline(config, until="eval"):
         router_config = router_mod.RouterTrainConfig(
             **{"seed": config.seed, **config.router})
         examples = [
-            (provider.embed(r.text), matrices[r.id], gold[r.id].label_set())
+            (router_encoder.embed(r.text), matrices[r.id], gold[r.id].label_set())
             for r in train_records
         ]
         router_model, loss_history = router_mod.train_router(
             examples, router_config, registry)
+        router_model.embedding_provider = router_encoder.tag
         router_mod.save_router(out("router.json"), router_model,
                                loss_history=loss_history)
         emit("router", "router.json")
@@ -311,7 +328,8 @@ def run_pipeline(config, until="eval"):
             matrix = matrices[record.id]
             if want_router:
                 chosen = router_mod.select_top_k(
-                    router_model, provider.embed(record.text), config.persona_k)
+                    router_model, router_encoder.embed(record.text),
+                    config.persona_k)
             elif config.persona_mode == "random":
                 rng = random.Random(f"{config.seed}:{record.id}")
                 chosen = sorted(rng.sample([p.id for p in personas],
@@ -338,8 +356,7 @@ def run_pipeline(config, until="eval"):
         return finish()
 
     # --- classifier train ----------------------------------------------------
-    backend = classifier_mod.HashedNgramBackend(dim=config.encoder_dim,
-                                                seed=config.seed)
+    backend = HashedNgramEmbedder(dim=config.encoder_dim, seed=config.seed)
     train_set = classifier_mod.labeled_queries(split.train, weak)
     dev_set = classifier_mod.labeled_queries(split.dev, weak)
     clf_config = classifier_mod.ClassifierTrainConfig(

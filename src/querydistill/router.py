@@ -20,90 +20,11 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .errors import (EmptyDatasetError, MissingEmbeddingError, ModelError,
-                     NanLossError)
-from .features import HashedNgramEmbedder
+from .errors import EmptyDatasetError, ModelError, NanLossError
 from .optim import AdamW
 
 BCE_EPS = 1e-7
 CONFIDENCE_SCALE = 3.0  # matrix values {0..3} -> [0, 1]
-
-
-# ---------------------------------------------------------------------------
-# Query embeddings
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class QueryEmbedding:
-    vector: np.ndarray
-    provider: str = ""
-
-    def __post_init__(self):
-        vec = np.asarray(self.vector, dtype=float)
-        if vec.ndim != 1 or not np.isfinite(vec).all():
-            raise ModelError("embedding must be a finite 1-d vector")
-        object.__setattr__(self, "vector", vec)
-
-    @property
-    def dim(self):
-        return self.vector.shape[0]
-
-
-class NgramEmbeddingProvider:
-    """Built-in desk-scale provider: hashed char 3-5-gram projection."""
-
-    def __init__(self, dim=64, seed=0):
-        self._embedder = HashedNgramEmbedder(dim=dim, seed=seed)
-        self.tag = f"ngram:dim={dim}:seed={seed}"
-
-    @property
-    def dim(self):
-        return self._embedder.dim
-
-    def embed(self, text):
-        return QueryEmbedding(self._embedder.embed(text), provider=self.tag)
-
-
-class PrecomputedEmbeddingProvider:
-    """Looks up externally computed vectors by query id.
-
-    File format: JSON Lines {"id": ..., "vector": [...]}. Use this to plug
-    in a real contextual embedding service run offline.
-    """
-
-    def __init__(self, path):
-        self._vectors = {}
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                if line.strip():
-                    record = json.loads(line)
-                    self._vectors[record["id"]] = np.asarray(
-                        record["vector"], dtype=float)
-        if not self._vectors:
-            raise MissingEmbeddingError(f"no vectors in {path}")
-        dims = {v.shape[0] for v in self._vectors.values()}
-        if len(dims) != 1:
-            raise ModelError(f"inconsistent vector dims in {path}: {sorted(dims)}")
-        self.dim = dims.pop()
-        self.tag = f"precomputed:{path}"
-
-    def embed_id(self, query_id):
-        try:
-            return QueryEmbedding(self._vectors[query_id], provider=self.tag)
-        except KeyError:
-            raise MissingEmbeddingError(
-                f"no precomputed embedding for query id {query_id!r}") from None
-
-    def embed(self, text):
-        from .data import query_id as make_id
-        return self.embed_id(make_id(text))
-
-
-def embed_query(provider, text):
-    """Embed one query text with the given provider."""
-    if not text.strip():
-        raise ValueError("query text is empty")
-    return provider.embed(text)
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +111,7 @@ def router_forward(model, embedding, train_mode=False, seed=0):
     ReLU hidden layer, inverted-scaling dropout in train mode only, softmax
     output. Inference (train_mode=False) is deterministic and ignores seed.
     """
-    vec = embedding.vector if isinstance(embedding, QueryEmbedding) else np.asarray(embedding, dtype=float)
+    vec = np.asarray(embedding, dtype=float)
     if vec.shape != (model.input_dim,):
         raise ModelError(
             f"embedding dim {vec.shape} does not match model input {model.input_dim}")
@@ -274,7 +195,7 @@ def router_loss_and_grads(model, X, matrices, targets, train_mode=False, seed=0,
     return loss, grads
 
 
-def _init_model(d, P, config, persona_ids, registry_hash, provider_tag):
+def _init_model(d, P, config, persona_ids, registry_hash):
     """Seeded uniform fan-in initialization."""
     rng = np.random.default_rng(config.seed)
     bound1 = 1.0 / np.sqrt(d)
@@ -287,25 +208,25 @@ def _init_model(d, P, config, persona_ids, registry_hash, provider_tag):
         dropout_rate=config.dropout_rate,
         persona_ids=persona_ids,
         registry_hash=registry_hash,
-        embedding_provider=provider_tag,
         train_config=asdict(config),
     )
 
 
 def train_router(examples, config, registry):
-    """Train the router on (QueryEmbedding, ConfidenceMatrix, gold label set)
-    triples.
+    """Train the router on (embedding vector, ConfidenceMatrix, gold label
+    set) triples.
 
     Gold label sets are converted to indicator vectors in registry column
     order. Returns (RouterModel, loss_history) where loss_history is a list
     of (epoch, batch, loss) rows. Mini-batch AdamW; deterministic given
-    config.seed.
+    config.seed. The model's ``embedding_provider`` is metadata: the caller
+    records the encoder's ``tag`` there.
     """
     if not examples:
         raise EmptyDatasetError("train_router got no examples")
 
     first_emb, first_matrix, _ = examples[0]
-    d = first_emb.dim
+    d = len(first_emb)
     persona_ids = first_matrix.persona_ids
     registry_hash = first_matrix.registry_hash
     if registry.hash != registry_hash:
@@ -315,15 +236,14 @@ def train_router(examples, config, registry):
     X = np.zeros((len(examples), d))
     M = np.zeros((len(examples), len(persona_ids), E))
     Y = np.zeros((len(examples), E))
-    provider_tag = first_emb.provider
     for i, (emb, matrix, gold) in enumerate(examples):
-        if emb.dim != d:
-            raise ModelError(f"example {i}: embedding dim {emb.dim} != {d}")
+        if np.shape(emb) != (d,):
+            raise ModelError(f"example {i}: embedding shape {np.shape(emb)} != ({d},)")
         if matrix.persona_ids != persona_ids:
             raise ModelError(f"example {i}: persona order differs")
         if matrix.registry_hash != registry_hash:
             raise ModelError(f"example {i}: registry hash differs")
-        X[i] = emb.vector
+        X[i] = emb
         M[i] = matrix.values
         for entity in gold:
             Y[i, registry.column(entity)] = 1.0
@@ -335,7 +255,7 @@ def train_router(examples, config, registry):
             f"entity_loss_weights length {entity_weights.shape} != {E} entities")
 
     model = _init_model(d, len(persona_ids), config, persona_ids,
-                        registry_hash, provider_tag)
+                        registry_hash)
     optimizer = AdamW(model.params(), config.learning_rate,
                       weight_decay=config.weight_decay,
                       beta1=config.beta1, beta2=config.beta2, eps=config.eps,

@@ -4,6 +4,9 @@ One UTF-8 query per request line; one JSON object per response line:
 {"labels": [{"entity": ..., "prob": ...}], "latency_us": ...}. Malformed
 requests produce an error object and the connection stays open. Works over
 stdio or a TCP socket; requests on one connection are answered in order.
+A request line longer than ``MAX_REQUEST_LINE`` (bytes over TCP, characters
+over stdio) gets an error object, and the rest of it is discarded up to
+its newline.
 """
 
 import json
@@ -11,8 +14,13 @@ import socketserver
 import sys
 import time
 
-from .classifier import apply_thresholds, heads_forward, load_classifier, _sigmoid
+from .classifier import (ThresholdChoice, apply_thresholds, heads_forward,
+                         load_classifier, set_thresholds, _sigmoid)
 from .errors import ModelError
+
+MAX_REQUEST_LINE = 64 * 1024
+_TOO_LONG = json.dumps(
+    {"error": f"request line longer than {MAX_REQUEST_LINE}"})
 
 
 class ServeState:
@@ -26,12 +34,9 @@ class ServeState:
             if payload.get("registry_hash") != self.model.registry_hash:
                 raise ModelError(
                     "thresholds file registry_hash does not match the model")
-            thresholds = self.model.thresholds.copy()
-            for col, entity in enumerate(self.model.entity_ids):
-                if entity in payload["thresholds"]:
-                    t = float(payload["thresholds"][entity])
-                    thresholds[col] = min(max(t, 1e-9), 1.0 - 1e-9)
-            self.model.thresholds = thresholds
+            set_thresholds(self.model, {
+                entity: ThresholdChoice(threshold=float(t), achieved=float("nan"))
+                for entity, t in payload["thresholds"].items()})
         self.backend = self.model.backend()
 
     def respond(self, line):
@@ -41,7 +46,7 @@ class ServeState:
         if not query:
             return json.dumps({"error": "empty query"})
         try:
-            x = self.backend.encode(query)
+            x = self.backend.embed(query)
         except Exception as exc:
             return json.dumps({"error": str(exc)})
         logits, _ = heads_forward(self.model, x[None, :])
@@ -57,21 +62,45 @@ class ServeState:
         return json.dumps({"labels": labels, "latency_us": latency_us})
 
 
+def _serve_lines(state, stream, newline, write):
+    """Answer each line of ``stream`` through ``write`` until end of input.
+
+    Lines are read at most ``MAX_REQUEST_LINE`` units at a time, so an
+    over-long request never sits whole in memory.
+    """
+    while True:
+        line = stream.readline(MAX_REQUEST_LINE + 1)
+        if not line:
+            return
+        if len(line) > MAX_REQUEST_LINE and not line.endswith(newline):
+            while line and not line.endswith(newline):
+                line = stream.readline(MAX_REQUEST_LINE + 1)
+            write(_TOO_LONG)
+            continue
+        if isinstance(line, bytes):
+            line = line.decode("utf-8", errors="replace")
+        write(state.respond(line))
+
+
 def serve_stdio(state, stdin=None, stdout=None):
     stdin = stdin if stdin is not None else sys.stdin
     stdout = stdout if stdout is not None else sys.stdout
-    for line in stdin:
-        stdout.write(state.respond(line) + "\n")
+
+    def write(response):
+        stdout.write(response + "\n")
         stdout.flush()
+
+    _serve_lines(state, stdin, "\n", write)
 
 
 def serve_tcp(state, port, host="127.0.0.1"):
     class Handler(socketserver.StreamRequestHandler):
         def handle(self):
-            for raw in self.rfile:
-                response = state.respond(raw.decode("utf-8", errors="replace"))
+            def write(response):
                 self.wfile.write(response.encode("utf-8") + b"\n")
                 self.wfile.flush()
+
+            _serve_lines(state, self.rfile, b"\n", write)
 
     class Server(socketserver.ThreadingTCPServer):
         allow_reuse_address = True

@@ -3,7 +3,7 @@
 import numpy as np
 
 from querydistill.personas import ConfidenceMatrix
-from querydistill.router import NgramEmbeddingProvider
+from querydistill.features import HashedNgramEmbedder
 from querydistill.taxonomy import EntityDef, EntityRegistry
 
 WORDS = ["alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf",
@@ -24,7 +24,7 @@ def router_dataset(n, registry, persona_kinds, seed, embed_dim=32):
     marks exactly the non-gold entities High, "random" answers uniformly.
     """
     rng = np.random.default_rng(seed)
-    provider = NgramEmbeddingProvider(dim=embed_dim, seed=0)
+    encoder = HashedNgramEmbedder(dim=embed_dim, seed=0)
     E = len(registry)
     persona_ids = tuple(f"{kind}_{i}" for i, kind in enumerate(persona_kinds))
     examples = []
@@ -49,5 +49,5 @@ def router_dataset(n, registry, persona_kinds, seed, embed_dim=32):
             registry_hash=registry.hash,
             values=np.stack(rows),
         )
-        examples.append((provider.embed(text), matrix, gold))
+        examples.append((encoder.embed(text), matrix, gold))
     return examples, persona_ids

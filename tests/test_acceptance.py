@@ -17,14 +17,14 @@ from test_pipeline_cli import build_workspace
 from querydistill.annotations import Confidence
 from querydistill.baseline import lexical_match
 from querydistill.classifier import (ClassifierModel, ClassifierTrainConfig,
-                                     HashedNgramBackend, MATCH_PRECISION,
-                                     MATCH_RECALL, MAX_F1,
+                                     MATCH_PRECISION, MATCH_RECALL, MAX_F1,
                                      classifier_loss_and_grads, labeled_queries,
                                      predict_probs_batch, train_classifier,
                                      tune_threshold_for_entity,
                                      weak_labels_from_annotations)
 from querydistill.data import split_dataset
 from querydistill.evaluation import compute_metrics, matched_operating_point
+from querydistill.features import HashedNgramEmbedder
 from querydistill.llm_client import annotate_batch, mock_annotate, mock_handle
 from querydistill.personas import ConfidenceMatrix, aggregate_ensemble
 from querydistill.pipeline import load_run_config, run_pipeline
@@ -221,7 +221,7 @@ def test_criterion_5_distillation_beats_weak_baseline():
         split = split_dataset(records, (0.7, 0.1, 0.2), seed=seed)
         train = labeled_queries(split.train, weak)
         dev = labeled_queries(split.dev, weak)
-        backend = HashedNgramBackend(dim=256, seed=0)
+        backend = HashedNgramEmbedder(dim=256, seed=0)
         config = ClassifierTrainConfig(epochs=10, seed=seed, batch_size=64,
                                        learning_rate=3e-3, patience=10)
         model, _ = train_classifier(train, dev, config, registry,

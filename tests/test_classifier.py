@@ -5,11 +5,9 @@ import oracles
 from conftest import ann
 from querydistill.annotations import Annotation, Confidence
 from querydistill.classifier import (ClassifierModel, ClassifierTrainConfig,
-                                     HashedNgramBackend, LabeledQueries,
-                                     MATCH_PRECISION, MATCH_RECALL, MAX_F1,
-                                     PrecomputedVectorBackend,
-                                     apply_thresholds, classifier_loss_and_grads,
-                                     encode, labeled_queries,
+                                     LabeledQueries, MATCH_PRECISION,
+                                     MATCH_RECALL, MAX_F1, apply_thresholds,
+                                     classifier_loss_and_grads, labeled_queries,
                                      load_classifier, predict_probs,
                                      predict_probs_batch, save_classifier,
                                      set_thresholds, stable_bce,
@@ -17,6 +15,7 @@ from querydistill.classifier import (ClassifierModel, ClassifierTrainConfig,
                                      tune_thresholds, weak_labels_from_annotations)
 from querydistill.errors import (EmptyDatasetError, MissingEmbeddingError,
                                  ModelError)
+from querydistill.features import HashedNgramEmbedder, PrecomputedEmbedder
 from querydistill.synth import synth_gazetteer, synth_queries, synth_registry
 
 
@@ -35,22 +34,22 @@ def random_model(D=16, m=8, E=3, seed=0, backend_seed=0):
 
 class TestEncode:
     def test_deterministic(self):
-        backend = HashedNgramBackend(dim=128, seed=0)
-        assert np.array_equal(encode(backend, "comedy movies"),
-                              encode(backend, "comedy movies"))
+        backend = HashedNgramEmbedder(dim=128, seed=0)
+        assert np.array_equal(backend.embed("comedy movies"),
+                              backend.embed("comedy movies"))
 
     def test_distinct_texts_differ_under_shipped_seed(self):
-        backend = HashedNgramBackend()  # the shipped default seed
-        assert not np.array_equal(encode(backend, "a"), encode(backend, "b"))
+        backend = HashedNgramEmbedder(dim=512)  # the shipped default seed
+        assert not np.array_equal(backend.embed("a"), backend.embed("b"))
 
     def test_empty_text_rejected(self):
-        backend = HashedNgramBackend(dim=32, seed=0)
+        backend = HashedNgramEmbedder(dim=32, seed=0)
         with pytest.raises(ValueError):
-            encode(backend, "   ")
+            backend.embed("   ")
 
     def test_unit_norm(self):
-        backend = HashedNgramBackend(dim=64, seed=1)
-        assert abs(np.linalg.norm(encode(backend, "tom hanks")) - 1.0) < 1e-12
+        backend = HashedNgramEmbedder(dim=64, seed=1)
+        assert abs(np.linalg.norm(backend.embed("tom hanks")) - 1.0) < 1e-12
 
     def test_precomputed_backend_missing_vector(self, tmp_path):
         import json
@@ -58,10 +57,10 @@ class TestEncode:
         path = tmp_path / "vecs.jsonl"
         path.write_text(json.dumps(
             {"id": query_id("known"), "vector": [1.0, 0.0]}) + "\n")
-        backend = PrecomputedVectorBackend(path)
-        assert encode(backend, "known").tolist() == [1.0, 0.0]
+        backend = PrecomputedEmbedder(path)
+        assert backend.embed("known").tolist() == [1.0, 0.0]
         with pytest.raises(MissingEmbeddingError):
-            encode(backend, "unknown")
+            backend.embed("unknown")
 
 
 class TestWeakLabels:
@@ -138,7 +137,7 @@ class TestTrainClassifier:
         split = int(len(records) * 0.8)
         train = labeled_queries(records[:split], labels)
         dev = labeled_queries(records[split:], labels)
-        backend = HashedNgramBackend(dim=512, seed=0)
+        backend = HashedNgramEmbedder(dim=512, seed=0)
         config = ClassifierTrainConfig(epochs=30, seed=0, patience=30,
                                        learning_rate=3e-3)
         model, history = train_classifier(train, dev, config, registry,
@@ -151,7 +150,7 @@ class TestTrainClassifier:
         registry, records, labels = make_corpus(40, seed=3)
         train = labeled_queries(records[:30], labels)
         dev = labeled_queries(records[30:], labels)
-        backend = HashedNgramBackend(dim=64, seed=0)
+        backend = HashedNgramEmbedder(dim=64, seed=0)
         config = ClassifierTrainConfig(epochs=1, learning_rate=0.0, seed=5)
         model, _ = train_classifier(train, dev, config, registry, backend=backend)
         from querydistill.classifier import _init_classifier
@@ -169,7 +168,7 @@ class TestTrainClassifier:
                 zeroed[list(labels.query_ids).index(r.id)] for r in records
             ]),
             registry_hash=registry.hash)
-        backend = HashedNgramBackend(dim=128, seed=0)
+        backend = HashedNgramEmbedder(dim=128, seed=0)
         config = ClassifierTrainConfig(epochs=8, seed=1)
         model, _ = train_classifier(train, LabeledQueries((), np.zeros((0, len(registry)))),
                                     config, registry, backend=backend)
@@ -185,7 +184,7 @@ class TestTrainClassifier:
         registry, records, labels = make_corpus(80, seed=9)
         train = labeled_queries(records[:60], labels)
         dev = labeled_queries(records[60:], labels)
-        backend = HashedNgramBackend(dim=64, seed=0)
+        backend = HashedNgramEmbedder(dim=64, seed=0)
         config = ClassifierTrainConfig(epochs=3, seed=2)
         for name in ("a", "b"):
             model, history = train_classifier(train, dev, config, registry,
@@ -195,9 +194,9 @@ class TestTrainClassifier:
 
     def test_learning_rate_resolution(self):
         config = ClassifierTrainConfig()
-        assert config.resolve_learning_rate(HashedNgramBackend()) == 1e-3
+        assert config.resolve_learning_rate(HashedNgramEmbedder()) == 1e-3
         explicit = ClassifierTrainConfig(learning_rate=1e-5)
-        assert explicit.resolve_learning_rate(HashedNgramBackend()) == 1e-5
+        assert explicit.resolve_learning_rate(HashedNgramEmbedder()) == 1e-5
 
 
 class TestPredict:
@@ -205,13 +204,13 @@ class TestPredict:
         model = random_model(D=8, m=4, E=3, seed=0)
         for key, value in model.params().items():
             value[...] = 0.0
-        backend = HashedNgramBackend(dim=8, seed=0)
+        backend = HashedNgramEmbedder(dim=8, seed=0)
         probs = predict_probs(model, "anything", backend=backend)
         assert np.allclose(probs, 0.5)
 
     def test_probabilities_in_unit_interval(self):
         model = random_model(D=16, m=8, E=4, seed=3)
-        backend = HashedNgramBackend(dim=16, seed=0)
+        backend = HashedNgramEmbedder(dim=16, seed=0)
         for text in ("comedy", "french movies", "a"):
             probs = predict_probs(model, text, backend=backend)
             assert ((probs > 0) & (probs < 1)).all()
@@ -219,7 +218,7 @@ class TestPredict:
     def test_overfit_single_batch_ranks_gold_first(self):
         registry, records, labels = make_corpus(8, seed=12)
         train = labeled_queries(records, labels)
-        backend = HashedNgramBackend(dim=128, seed=0)
+        backend = HashedNgramEmbedder(dim=128, seed=0)
         config = ClassifierTrainConfig(epochs=120, seed=0, batch_size=8,
                                        weight_decay=0.0)
         model, _ = train_classifier(
@@ -233,14 +232,14 @@ class TestPredict:
 
     def test_registry_hash_guard(self, tiny_registry):
         model = random_model()
-        backend = HashedNgramBackend(dim=16, seed=0)
+        backend = HashedNgramEmbedder(dim=16, seed=0)
         with pytest.raises(ModelError):
             predict_probs(model, "q", backend=backend, registry=tiny_registry)
 
     def test_monotone_in_output_bias(self):
         rng = np.random.default_rng(14)
         model = random_model(D=16, m=8, E=3, seed=7)
-        backend = HashedNgramBackend(dim=16, seed=0)
+        backend = HashedNgramEmbedder(dim=16, seed=0)
         texts = ["comedy movies", "football games", "french films"]
         base = predict_probs_batch(model, texts, backend=backend)
         model.c2 = model.c2 + np.array([0.5, 1.0, 2.0])
@@ -330,7 +329,7 @@ class TestTuneThresholds:
         registry, records, labels = make_corpus(120, seed=15)
         train = labeled_queries(records[:90], labels)
         dev = labeled_queries(records[90:], labels)
-        backend = HashedNgramBackend(dim=128, seed=0)
+        backend = HashedNgramEmbedder(dim=128, seed=0)
         config = ClassifierTrainConfig(epochs=10, seed=4)
         model, _ = train_classifier(train, dev, config, registry, backend=backend)
         choices = tune_thresholds(model, dev, MAX_F1, backend=backend)
@@ -350,7 +349,7 @@ def test_classifier_file_round_trip(tmp_path):
     loaded = load_classifier(tmp_path / "clf.json")
     assert np.array_equal(loaded.U1, model.U1)
     assert loaded.entity_ids == model.entity_ids
-    backend = HashedNgramBackend(dim=8, seed=0)
+    backend = HashedNgramEmbedder(dim=8, seed=0)
     assert np.array_equal(predict_probs(loaded, "q", backend=backend),
                           predict_probs(model, "q", backend=backend))
 
@@ -361,7 +360,7 @@ def test_tune_thresholds_matching_modes_with_targets():
     split = int(len(records) * 0.8)
     train = labeled_queries(records[:split], labels)
     dev = labeled_queries(records[split:], labels)
-    backend = HashedNgramBackend(dim=128, seed=0)
+    backend = HashedNgramEmbedder(dim=128, seed=0)
     model, _ = train_classifier(train, dev,
                                 ClassifierTrainConfig(epochs=8, seed=0),
                                 registry, backend=backend)
@@ -387,7 +386,7 @@ def test_write_predictions_jsonl(tmp_path):
     from querydistill.classifier import write_predictions_jsonl
     from querydistill.data import QueryRecord, query_id
     model = random_model(D=16, m=4, E=3, seed=2)
-    backend = HashedNgramBackend(dim=16, seed=0)
+    backend = HashedNgramEmbedder(dim=16, seed=0)
     records = [QueryRecord(id=query_id(t), text=t, frequency=1)
                for t in ("comedy movies", "football match")]
     path = tmp_path / "predictions.jsonl"

@@ -1,7 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 
-from querydistill.features import HashedNgramEmbedder
+from querydistill import features
+from querydistill.data import query_id
+from querydistill.errors import MissingEmbeddingError, ModelError
+from querydistill.features import (HashedNgramEmbedder, PrecomputedEmbedder,
+                                   encoder_from_descriptor)
 
 
 class TestHashedNgramEmbedder:
@@ -43,3 +49,54 @@ class TestHashedNgramEmbedder:
         grams = embedder.ngrams("ab")
         # padded to "<ab>": 3-grams "<ab", "ab>", 4-gram "<ab>"
         assert grams == ["<ab", "ab>", "<ab>"]
+
+    def test_bucket_cache_stays_bounded(self):
+        embedder = HashedNgramEmbedder(dim=64, seed=0)
+        rng = np.random.default_rng(0)
+        letters = np.array(list("abcdefghijklmnopqrstuvwxyz"))
+        texts = ["".join(rng.choice(letters, size=60)) for _ in range(600)]
+        vectors = [embedder.embed(t) for t in texts]
+        distinct = {g for t in texts for g in embedder.ngrams(t)}
+        assert len(distinct) > features.BUCKET_CACHE_LIMIT
+        assert len(embedder._bucket_cache) <= features.BUCKET_CACHE_LIMIT
+        fresh = HashedNgramEmbedder(dim=64, seed=0)
+        for text, vec in zip(texts, vectors):
+            assert np.array_equal(vec, fresh.embed(text))
+
+    def test_tag_and_descriptor_round_trip(self):
+        embedder = HashedNgramEmbedder(dim=64, seed=7)
+        assert embedder.tag == "ngram:dim=64:seed=7"
+        assert embedder.descriptor() == {"kind": "hashed_ngram", "dim": 64,
+                                         "seed": 7}
+        rebuilt = encoder_from_descriptor(embedder.descriptor())
+        assert np.array_equal(rebuilt.embed("comedy"), embedder.embed("comedy"))
+        with pytest.raises(ModelError):
+            encoder_from_descriptor({"kind": "unknown"})
+
+
+def write_vectors(path, rows):
+    with open(path, "w") as fh:
+        for text, vector in rows:
+            fh.write(json.dumps({"id": query_id(text), "vector": vector}) + "\n")
+
+
+class TestPrecomputedEmbedder:
+    def test_descriptor_round_trip(self, tmp_path):
+        path = tmp_path / "vectors.jsonl"
+        write_vectors(path, [("known", [1.0, 0.0])])
+        rebuilt = encoder_from_descriptor(PrecomputedEmbedder(path).descriptor())
+        assert rebuilt.embed("known").tolist() == [1.0, 0.0]
+        with pytest.raises(MissingEmbeddingError):
+            rebuilt.embed("unknown")
+
+    @pytest.mark.parametrize("rows", [
+        [("a", [1.0, float("nan")])],
+        [("a", [1.0, float("inf")])],
+        [("a", [[1.0, 0.0]])],
+        [("a", [1.0, 0.0]), ("b", [1.0, 0.0, 0.0])],
+    ])
+    def test_bad_vectors_rejected_at_load(self, tmp_path, rows):
+        path = tmp_path / "vectors.jsonl"
+        write_vectors(path, rows)
+        with pytest.raises(ModelError):
+            PrecomputedEmbedder(path)

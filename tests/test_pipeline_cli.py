@@ -5,11 +5,11 @@ import socket
 import pytest
 
 from querydistill import cli
-from querydistill.classifier import (ClassifierTrainConfig, HashedNgramBackend,
-                                     labeled_queries, save_classifier,
-                                     train_classifier,
+from querydistill.classifier import (ClassifierTrainConfig, labeled_queries,
+                                     save_classifier, train_classifier,
                                      weak_labels_from_annotations)
 from querydistill.errors import PipelineConfigError
+from querydistill.features import HashedNgramEmbedder
 from querydistill.pipeline import RunConfig, load_run_config, run_pipeline
 from querydistill.serving import ServeState, serve_tcp
 from querydistill.synth import (impoverished_gazetteer, synth_gazetteer,
@@ -159,6 +159,48 @@ class TestRunPipeline:
         assert len(micro) == 1
         assert 0.0 <= micro[0]["f1"] <= 1.0
 
+    def test_unparseable_cached_response_stays_local(self, tmp_path):
+        assert cli.main(["synth", "--out", str(tmp_path), "--count", "200",
+                         "--seed", "7"]) == 0
+        config_path = str(tmp_path / "config.json")
+        run_pipeline(load_run_config(config_path), until="annotate")
+        cache_dir = tmp_path / "cache"
+        victim = sorted(os.listdir(cache_dir))[0]
+        (cache_dir / victim).write_text("Sorry, I cannot help with that.")
+        manifests = []
+        for name in ("out_a", "out_b"):
+            result = run_pipeline(load_run_config(
+                config_path, {"output_dir": str(tmp_path / name)}))
+            assert result.stats["unparseable_responses"] == 1
+            assert result.stats["annotator_failures"] == 0
+            manifests.append(open(result.manifest_path, "rb").read())
+        assert manifests[0] == manifests[1]
+        with open(os.path.join(result.output_dir, "annotations.jsonl")) as fh:
+            warned = [line for line in fh if "unparseable response" in line]
+        assert len(warned) == 1
+
+    def test_manifest_identical_across_blas_thread_counts(self, tmp_path):
+        import subprocess
+        import sys
+        import querydistill
+        assert cli.main(["synth", "--out", str(tmp_path), "--count", "200",
+                         "--seed", "7"]) == 0
+        src = os.path.dirname(os.path.dirname(querydistill.__file__))
+        manifests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=src)
+            proc = subprocess.run(
+                [sys.executable, "-m", "querydistill.cli", "pipeline",
+                 "-c", str(tmp_path / "config.json"),
+                 "--output-dir", str(tmp_path / f"out{threads}"),
+                 "--cache-dir", str(tmp_path / f"cache{threads}")],
+                env=env, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            manifests.append(
+                (tmp_path / f"out{threads}" / "manifest.json").read_bytes())
+        assert manifests[0] == manifests[1]
+
 
 class TestCli:
     def test_taxonomy_default(self, capsys):
@@ -229,7 +271,7 @@ def served_model(tmp_path_factory):
     split = int(len(records) * 0.85)
     train = labeled_queries(records[:split], labels)
     dev = labeled_queries(records[split:], labels)
-    backend = HashedNgramBackend(dim=256, seed=0)
+    backend = HashedNgramEmbedder(dim=256, seed=0)
     config = ClassifierTrainConfig(epochs=12, seed=0, learning_rate=3e-3)
     model, _ = train_classifier(train, dev, config, registry, backend=backend)
     path = tmp / "classifier.json"
@@ -293,6 +335,43 @@ class TestServe:
         finally:
             server.shutdown()
             server.server_close()
+
+    def test_tcp_over_long_line_keeps_connection(self, served_model):
+        state = ServeState(served_model[0])
+        server = serve_tcp(state, port=0)
+        import threading
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            host, port = server.server_address
+            with socket.create_connection((host, port), timeout=5) as conn:
+                conn.sendall(b"x" * (1 << 20) + b"\ncomedy movies\n")
+                data = b""
+                while data.count(b"\n") < 2:
+                    chunk = conn.recv(4096)
+                    assert chunk, "server closed the connection"
+                    data += chunk
+            lines = data.decode().strip().splitlines()
+            assert len(lines) == 2
+            assert "error" in json.loads(lines[0])
+            assert "Genre" in {l["entity"] for l in json.loads(lines[1])["labels"]}
+        finally:
+            server.shutdown()
+            server.server_close()
+
+    def test_stdio_over_long_line_then_query(self, served_model):
+        import io
+        from querydistill.serving import MAX_REQUEST_LINE, serve_stdio
+        state = ServeState(served_model[0])
+        stdin = io.StringIO("y" * (MAX_REQUEST_LINE + 1) + "\n"
+                            + "z" * MAX_REQUEST_LINE + "\ncomedy movies\n")
+        stdout = io.StringIO()
+        serve_stdio(state, stdin=stdin, stdout=stdout)
+        lines = [json.loads(l) for l in stdout.getvalue().splitlines()]
+        assert len(lines) == 3
+        assert "error" in lines[0]
+        assert "labels" in lines[1]
+        assert "Genre" in {l["entity"] for l in lines[2]["labels"]}
 
 
 class TestConfigSurfaces:

@@ -8,11 +8,10 @@ import oracles
 import synthetic_helpers as synth
 from querydistill.errors import (EmptyDatasetError, MissingEmbeddingError,
                                  ModelError)
+from querydistill.features import HashedNgramEmbedder, PrecomputedEmbedder
 from querydistill.personas import ConfidenceMatrix
-from querydistill.router import (NgramEmbeddingProvider,
-                                 PrecomputedEmbeddingProvider, QueryEmbedding,
-                                 RouterModel, RouterTrainConfig, embed_query,
-                                 load_router, predict_entities, router_forward,
+from querydistill.router import (RouterModel, RouterTrainConfig, load_router,
+                                 predict_entities, router_forward,
                                  router_loss_and_grads, save_router,
                                  select_top_k, train_router)
 
@@ -27,15 +26,15 @@ def zero_model(d=4, h=3, personas=("a", "b"), dropout=0.0, registry_hash="rh"):
 
 class TestEmbedQuery:
     def test_builtin_deterministic(self):
-        provider = NgramEmbeddingProvider(dim=64, seed=3)
-        a = embed_query(provider, "french comedy movies")
-        b = embed_query(provider, "french comedy movies")
-        assert np.array_equal(a.vector, b.vector)
+        encoder = HashedNgramEmbedder(dim=64, seed=3)
+        a = encoder.embed("french comedy movies")
+        b = encoder.embed("french comedy movies")
+        assert np.array_equal(a, b)
 
     def test_builtin_unit_norm(self):
-        provider = NgramEmbeddingProvider(dim=64, seed=0)
+        encoder = HashedNgramEmbedder(dim=64, seed=0)
         for text in ("a", "tom hanks", "a very long query about movies"):
-            vec = embed_query(provider, text).vector
+            vec = encoder.embed(text)
             assert abs(np.linalg.norm(vec) - 1.0) < 1e-6
 
     def test_precomputed_lookup_and_missing(self, tmp_path):
@@ -44,16 +43,16 @@ class TestEmbedQuery:
         with open(path, "w") as fh:
             fh.write(json.dumps({"id": query_id("known query"),
                                  "vector": [0.5, 0.5]}) + "\n")
-        provider = PrecomputedEmbeddingProvider(path)
-        assert embed_query(provider, "known query").vector.tolist() == [0.5, 0.5]
+        encoder = PrecomputedEmbedder(path)
+        assert encoder.embed("known query").tolist() == [0.5, 0.5]
         with pytest.raises(MissingEmbeddingError):
-            embed_query(provider, "unknown query")
+            encoder.embed("unknown query")
 
 
 class TestRouterForward:
     def test_zero_weights_give_uniform(self):
         model = zero_model(personas=("a", "b", "c", "d"))
-        relevance = router_forward(model, QueryEmbedding(np.ones(4)))
+        relevance = router_forward(model, np.ones(4))
         assert np.allclose(relevance, 0.25)
 
     def test_softmax_simplex(self):
@@ -62,7 +61,7 @@ class TestRouterForward:
             W1=rng.normal(size=(6, 5)), b1=rng.normal(size=5),
             W2=rng.normal(size=(5, 3)), b2=rng.normal(size=3),
             dropout_rate=0.0, persona_ids=("a", "b", "c"), registry_hash="rh")
-        relevance = router_forward(model, QueryEmbedding(rng.normal(size=6)))
+        relevance = router_forward(model, rng.normal(size=6))
         assert abs(relevance.sum() - 1.0) < 1e-12
         assert ((relevance > 0) & (relevance < 1)).all()
 
@@ -70,7 +69,7 @@ class TestRouterForward:
         # logits forced to (ln 3, 0) via b2; e^ln3/(e^ln3+1) = 3/4
         model = zero_model(personas=("a", "b"))
         model.b2 = np.array([math.log(3.0), 0.0])
-        relevance = router_forward(model, QueryEmbedding(np.zeros(4)))
+        relevance = router_forward(model, np.zeros(4))
         assert np.allclose(relevance, [0.75, 0.25], atol=1e-12)
 
     def test_inference_ignores_seed_and_dropout(self):
@@ -79,7 +78,7 @@ class TestRouterForward:
             W1=rng.normal(size=(6, 5)), b1=rng.normal(size=5),
             W2=rng.normal(size=(5, 3)), b2=rng.normal(size=3),
             dropout_rate=0.5, persona_ids=("a", "b", "c"), registry_hash="rh")
-        emb = QueryEmbedding(rng.normal(size=6))
+        emb = rng.normal(size=6)
         a = router_forward(model, emb, train_mode=False, seed=1)
         b = router_forward(model, emb, train_mode=False, seed=99)
         assert np.array_equal(a, b)
@@ -89,7 +88,7 @@ class TestRouterForward:
     def test_shape_mismatch(self):
         model = zero_model(d=4)
         with pytest.raises(ModelError):
-            router_forward(model, QueryEmbedding(np.ones(5)))
+            router_forward(model, np.ones(5))
 
 
 class TestPredictEntities:
@@ -239,22 +238,22 @@ class TestSelectTopK:
 
     def test_argmax_ordering(self):
         model = self.model_with_relevance([0.2, 0.5, 0.3], ("p0", "p1", "p2"))
-        emb = QueryEmbedding(np.zeros(4))
+        emb = np.zeros(4)
         assert select_top_k(model, emb, 2) == ["p1", "p2"]
 
     def test_full_selection_sorted(self):
         model = self.model_with_relevance([0.1, 0.9, 0.5], ("p0", "p1", "p2"))
-        emb = QueryEmbedding(np.zeros(4))
+        emb = np.zeros(4)
         assert select_top_k(model, emb, 3) == ["p1", "p2", "p0"]
 
     def test_tie_breaks_lexicographically(self):
         model = self.model_with_relevance([1.0, 1.0], ("zeta", "alpha"))
-        emb = QueryEmbedding(np.zeros(4))
+        emb = np.zeros(4)
         assert select_top_k(model, emb, 1) == ["alpha"]
 
     def test_k_out_of_range(self):
         model = self.model_with_relevance([0.0, 0.0], ("a", "b"))
-        emb = QueryEmbedding(np.zeros(4))
+        emb = np.zeros(4)
         with pytest.raises(ModelError):
             select_top_k(model, emb, 0)
         with pytest.raises(ModelError):
@@ -269,7 +268,7 @@ class TestSelectTopK:
             logits = rng.normal(size=4)
             base = self.model_with_relevance(logits, personas)
             transformed = self.model_with_relevance(transform(logits), personas)
-            emb = QueryEmbedding(np.zeros(4))
+            emb = np.zeros(4)
             for k in (1, 2, 4):
                 assert select_top_k(base, emb, k) == \
                     select_top_k(transformed, emb, k)
