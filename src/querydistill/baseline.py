@@ -16,6 +16,14 @@ from .annotations import Annotation, Confidence
 from .data import normalize_query
 
 
+def phrase_windows(text):
+    """Every run of 1-5 tokens in the normalized text, as token tuples."""
+    tokens = normalize_query(text).split()
+    return {tuple(tokens[start:start + size])
+            for size in range(1, 6)
+            for start in range(len(tokens) - size + 1)}
+
+
 @dataclass(frozen=True)
 class Gazetteer:
     """Per-entity sets of normalized phrases (1-5 tokens each)."""
@@ -41,11 +49,7 @@ class Gazetteer:
 
     def match(self, text):
         """Entity ids whose phrases occur as contiguous token runs in text."""
-        tokens = normalize_query(text).split()
-        windows = set()
-        for size in range(1, 6):
-            for start in range(len(tokens) - size + 1):
-                windows.add(tuple(tokens[start:start + size]))
+        windows = phrase_windows(text)
         return {
             entity
             for entity, phrase_set in self.phrases.items()

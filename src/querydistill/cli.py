@@ -11,18 +11,18 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 from . import data as data_mod
 from . import evaluation as eval_mod
 from . import prompting as prompting_mod
 from . import router as router_mod
 from . import synth as synth_mod
-from .annotations import write_annotation_store
+from .annotations import read_annotation_store, write_annotation_store
 from .baseline import write_gazetteer
 from .errors import QueryDistillError
 from .features import HashedNgramEmbedder
-from .pipeline import (build_annotator, load_run_config, response_annotation,
-                       run_pipeline)
+from .pipeline import load_run_config, run_pipeline
 from .taxonomy import default_registry, load_registry, validate_label
 
 
@@ -80,14 +80,20 @@ def cmd_split(args):
     return 0
 
 
+def _print_stats(stats):
+    print(f"annotator calls: {stats['annotator_calls']}, "
+          f"cache hits: {stats['cache_hits']}, "
+          f"failures: {stats['annotator_failures']}, "
+          f"unparseable responses: {stats['unparseable_responses']}")
+
+
 def _stage_command(stage):
     def run(args):
         config = _config_from_args(args)
         result = run_pipeline(config, until=stage)
         print(f"stage {stage} complete; {len(result.manifest['artifacts'])} "
               f"artifact(s) in {result.output_dir}")
-        print(f"annotator calls: {result.stats['annotator_calls']}, "
-              f"cache hits: {result.stats['cache_hits']}")
+        _print_stats(result.stats)
         return 0
     return run
 
@@ -98,8 +104,7 @@ def cmd_pipeline(args):
     for artifact in result.manifest["artifacts"]:
         print(f"{artifact['sha256'][:12]}  {artifact['path']}")
     print(f"manifest: {result.manifest_path}")
-    print(f"annotator calls: {result.stats['annotator_calls']}, "
-          f"cache hits: {result.stats['cache_hits']}")
+    _print_stats(result.stats)
     return 0
 
 
@@ -134,60 +139,53 @@ def cmd_router_select(args):
     return 0
 
 
+def _ablation_arm(config, arm, until, filename, **changes):
+    """Run one ablation arm into ``<output_dir>/ablation-<arm>/`` and read
+    back the annotation store its last stage wrote."""
+    arm_config = replace(config, **changes, output_dir=os.path.join(
+        config.output_dir, f"ablation-{arm}"))
+    result = run_pipeline(arm_config, until=until)
+    return read_annotation_store(os.path.join(result.output_dir, filename))
+
+
 def cmd_ablation(args):
     """Prompt-variant grid and persona-selection comparison on one corpus."""
     config = _config_from_args(args)
     registry = load_registry(config.registry_path)
     records = data_mod.read_queries(config.queries_path)
-    handle = build_annotator(config)
-    from .annotations import read_annotation_store
     gold = read_annotation_store(config.gold_path)
     frequencies = {r.id: r.frequency for r in records}
 
-    print("== prompt variant grid ==")
-    from .llm_client import annotate_batch
-    variant_reports = {}
-    for variant in prompting_mod.PromptVariant:
-        prompt_config = prompting_mod.PromptConfig(
-            variant=variant, registry_hash=registry.hash,
-            max_icl_examples_per_entity=config.max_icl_examples)
-        prompts = [prompting_mod.build_prompt(prompt_config, registry, r.text)
-                   for r in records]
-        responses = annotate_batch(handle, prompts)
-        store = {
-            r.id: response_annotation(registry, response)
-            for r, response in zip(records, responses)
-        }
-        report = eval_mod.compute_metrics(
+    def report(label, store, candidate):
+        scored = eval_mod.compute_metrics(
             {r.id: gold[r.id] for r in records}, store,
             frequencies=frequencies, weighted=args.weighted,
-            registry=registry, candidate=variant.name.lower())
-        variant_reports[variant] = report
-        print(f"{variant.name:<22} micro F1={report.micro.f1:.4f} "
-              f"P={report.micro.precision:.4f} R={report.micro.recall:.4f}")
+            registry=registry, candidate=candidate)
+        print(f"{label} micro F1={scored.micro.f1:.4f} "
+              f"P={scored.micro.precision:.4f} R={scored.micro.recall:.4f}")
+        return scored
+
+    print("== prompt variant grid ==")
+    variant_reports = {}
+    for variant in prompting_mod.PromptVariant:
+        arm = variant.name.lower()
+        store = _ablation_arm(config, arm, "annotate", "annotations.jsonl",
+                              persona_mode="none", prompt_variant=arm)
+        variant_reports[variant] = report(f"{variant.name:<22}", store, arm)
     base = variant_reports[prompting_mod.PromptVariant.BASELINE]
-    for variant, report in variant_reports.items():
+    for variant, scored in variant_reports.items():
         if variant is prompting_mod.PromptVariant.BASELINE:
             continue
-        gains = eval_mod.relative_gain(report, base)["micro"]
+        gains = eval_mod.relative_gain(scored, base)["micro"]
         shown = {k: (f"{v:+.2f}%" if v is not None else "undefined")
                  for k, v in gains.items()}
         print(f"{variant.name:<22} vs BASELINE prompt: {shown}")
 
     print("== persona selection comparison ==")
     for mode in ("none", "random", "router"):
-        run_config = _config_from_args(args)
-        run_config.persona_mode = mode
-        run_config.output_dir = os.path.join(config.output_dir, f"ablation-{mode}")
-        result = run_pipeline(run_config, until="aggregate")
-        store = read_annotation_store(
-            os.path.join(result.output_dir, "aggregated.jsonl"))
-        report = eval_mod.compute_metrics(
-            {r.id: gold[r.id] for r in records}, store,
-            frequencies=frequencies, weighted=args.weighted,
-            registry=registry, candidate=f"ensemble-{mode}")
-        print(f"{mode:<8} micro F1={report.micro.f1:.4f} "
-              f"P={report.micro.precision:.4f} R={report.micro.recall:.4f}")
+        store = _ablation_arm(config, mode, "aggregate", "aggregated.jsonl",
+                              persona_mode=mode)
+        report(f"{mode:<8}", store, f"ensemble-{mode}")
     return 0
 
 

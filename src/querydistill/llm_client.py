@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 import requests
 
 from .annotations import Annotation, Confidence, render_annotation
+from .baseline import phrase_windows
 from .data import normalize_query
 from .errors import AnnotatorConfigError
 from .personas import Persona
@@ -192,11 +193,7 @@ _LEVELS = (Confidence.LOW, Confidence.MEDIUM, Confidence.HIGH)
 
 def _matched_phrases(gazetteer, text):
     """(phrase string, entity) pairs whose phrase occurs in the text."""
-    tokens = normalize_query(text).split()
-    windows = set()
-    for size in range(1, 6):
-        for start in range(len(tokens) - size + 1):
-            windows.add(tuple(tokens[start:start + size]))
+    windows = phrase_windows(text)
     pairs = []
     for entity in sorted(gazetteer.phrases):
         for phrase in gazetteer.phrases[entity]:

@@ -4,8 +4,9 @@ Stage order: ingest -> split -> annotate (persona fan-out or single
 annotator) -> confidence matrices -> router training and per-query persona
 selection (router mode) -> ensemble aggregation -> weak labels ->
 classifier training -> threshold tuning -> evaluation against the lexical
-baseline. Every produced file is listed in ``manifest.json`` with a sha256
-digest.
+baseline. Each stage is one function in a table that ``run_pipeline``
+walks in order, stopping after stage ``until``. Every produced file is
+listed in ``manifest.json`` with a sha256 digest.
 
 Reruns are cheap: the annotate stage reads the response cache, so a
 completed pipeline re-executed with the same configuration performs zero
@@ -40,6 +41,21 @@ PERSONA_MODES = ("none", "random", "router")
 
 STAGES = ("ingest", "split", "annotate", "matrix", "router", "aggregate",
           "labels", "train", "tune", "eval")
+
+# The input files a config names, "section.key" for a nested one. Each is
+# resolved against the config file's directory, counts in the config digest
+# by basename only, and must exist when set.
+_INPUT_PATHS = ("registry_path", "queries_path", "gazetteer_path",
+               "personas_path", "gold_path", "annotator.gazetteer")
+
+
+def _input_paths(raw):
+    """(name, dict, key) of each input path present in config dict ``raw``."""
+    for name in _INPUT_PATHS:
+        section, _, key = name.rpartition(".")
+        owner = (raw.get(section) or {}) if section else raw
+        if key in owner:
+            yield name, owner, key
 
 
 @dataclass
@@ -82,11 +98,9 @@ class RunConfig:
         """Digest of everything that shapes results; output locations and
         the cache directory are irrelevant to the artifacts' content."""
         echo = asdict(self)
-        for key in ("output_dir", "cache_dir"):
-            echo.pop(key, None)
-        for key in ("registry_path", "queries_path", "gazetteer_path",
-                    "personas_path", "gold_path"):
-            echo[key] = os.path.basename(str(echo[key]))
+        del echo["output_dir"], echo["cache_dir"]
+        for _, section, key in _input_paths(echo):
+            section[key] = os.path.basename(str(section[key]))
         blob = json.dumps(echo, sort_keys=True).encode("utf-8")
         return hashlib.sha256(blob).hexdigest()
 
@@ -102,13 +116,11 @@ def load_run_config(path, overrides=None):
             return ""
         return p if os.path.isabs(p) else os.path.normpath(os.path.join(base, p))
 
-    for key in ("registry_path", "queries_path", "gazetteer_path",
-                "personas_path", "gold_path", "output_dir", "cache_dir"):
+    for _, section, key in _input_paths(raw):
+        section[key] = resolve(section[key])
+    for key in ("output_dir", "cache_dir"):
         if key in raw:
             raw[key] = resolve(raw[key])
-    annotator = raw.get("annotator", {})
-    if annotator.get("gazetteer"):
-        annotator["gazetteer"] = resolve(annotator["gazetteer"])
     return RunConfig(**raw)
 
 
@@ -128,19 +140,10 @@ def build_annotator(config):
 
 
 def _check_paths(config):
-    required = [("registry_path", config.registry_path),
-                ("queries_path", config.queries_path)]
-    if config.gazetteer_path:
-        required.append(("gazetteer_path", config.gazetteer_path))
-    if config.personas_path:
-        required.append(("personas_path", config.personas_path))
-    if config.gold_path:
-        required.append(("gold_path", config.gold_path))
-    gaz = config.annotator.get("gazetteer") if config.annotator else None
-    if gaz:
-        required.append(("annotator.gazetteer", gaz))
-    for name, path in required:
-        if not path or not os.path.exists(path):
+    for name, section, key in _input_paths(asdict(config)):
+        path = section[key]
+        if (path or name in ("registry_path", "queries_path")) \
+                and not os.path.exists(path):
             raise PipelineConfigError(f"{name} does not resolve: {path!r}")
     if config.persona_mode != "none" and not config.personas_path:
         raise PipelineConfigError(
@@ -178,13 +181,13 @@ def _gold_store(config, records):
     return store
 
 
-def response_annotation(registry, response, stats=None):
+def response_annotation(registry, response, stats):
     """Annotation for one annotator response or ``AnnotationFailure``.
 
     A failed call or an unparseable response becomes an empty annotation
     carrying a warning, so one bad response stays that query's failure.
-    Unparseable responses are counted in ``stats["unparseable_responses"]``
-    when ``stats`` is given; failed calls are already counted by the handle.
+    Unparseable responses are counted in ``stats["unparseable_responses"]``;
+    failed calls are already counted by the handle.
     """
     if isinstance(response, AnnotationFailure):
         return Annotation(
@@ -192,9 +195,221 @@ def response_annotation(registry, response, stats=None):
     try:
         return prompting_mod.parse_response(registry, response)
     except UnparseableResponseError as exc:
-        if stats is not None:
-            stats["unparseable_responses"] += 1
+        stats["unparseable_responses"] += 1
         return Annotation(entities={}, warnings=(f"unparseable response: {exc}",))
+
+
+class _Run:
+    """State of one pipeline run: the config, registry, annotator stats and
+    manifest artifacts, plus what each stage stores for later stages."""
+
+    def __init__(self, config, until):
+        self.config = config
+        self.until = until
+        self.registry = load_registry(config.registry_path)
+        self.stats = {"annotator_calls": 0, "cache_hits": 0,
+                      "annotator_failures": 0, "unparseable_responses": 0}
+        self.artifacts = {}
+
+    def write(self, name, filename, writer, *args, **kwargs):
+        """Write one artifact with ``writer(path, *args, **kwargs)`` and list
+        it in the manifest under ``name``; a rewritten artifact keeps its
+        place."""
+        path = os.path.join(self.config.output_dir, filename)
+        writer(path, *args, **kwargs)
+        self.artifacts[name] = {"name": name, "path": filename,
+                                "sha256": _digest_file(path)}
+
+
+def _ingest(run):
+    run.records = data_mod.read_queries(run.config.queries_path)
+    run.write("queries", "queries.jsonl", data_mod.write_queries_jsonl,
+              run.records)
+
+
+def _split(run):
+    run.split = data_mod.split_dataset(run.records, run.config.ratios,
+                                       run.config.seed)
+    run.write("split", "split.jsonl", data_mod.write_split_manifest, run.split)
+
+
+def _annotate(run):
+    config, registry = run.config, run.registry
+    run.handle = build_annotator(config)
+    use_personas = config.persona_mode != "none"
+    run.personas = (personas_mod.load_personas(config.personas_path)
+                    if use_personas else None)
+    prompt_config = prompting_mod.PromptConfig(
+        variant=prompting_mod.PromptVariant.from_string(config.prompt_variant),
+        registry_hash=registry.hash,
+        max_icl_examples_per_entity=config.max_icl_examples,
+    )
+    prompts = []
+    keys = []
+    for record in run.records:
+        for persona in (run.personas if use_personas else [None]):
+            prompts.append(prompting_mod.build_prompt(
+                prompt_config, registry, record.text, persona))
+            keys.append((record.id, persona.id if persona else None))
+    responses = annotate_batch(run.handle, prompts,
+                               cache=ResponseCache(config.cache_dir))
+    run.stats["annotator_calls"] = run.handle.stats.calls
+    run.stats["cache_hits"] = run.handle.stats.cache_hits
+    run.stats["annotator_failures"] = run.handle.stats.failures
+    run.annotations = {key: response_annotation(registry, response, run.stats)
+                       for key, response in zip(keys, responses)}
+    run.write("annotations", "annotations.jsonl", write_annotation_store,
+              run.annotations, annotator=run.handle.model_name)
+
+
+def _matrix(run):
+    if run.config.persona_mode == "none":
+        return
+    run.matrices = {}
+    for record in run.records:
+        per_persona = {p.id: run.annotations[(record.id, p.id)]
+                       for p in run.personas}
+        run.matrices[record.id] = personas_mod.build_confidence_matrix(
+            record, per_persona, run.personas, run.registry)
+    run.write("matrices", "matrices.csv", personas_mod.write_matrices,
+              list(run.matrices.values()), run.registry)
+
+
+def _router(run):
+    config = run.config
+    if config.persona_mode != "router":
+        return
+    gold = _gold_store(config, run.records)
+    train_records = list(run.split.train)
+    if config.rebalance_cap:
+        train_records = data_mod.rebalance_by_entity(
+            train_records, gold, cap_fraction=config.rebalance_cap,
+            seed=config.seed)
+    router_config = router_mod.RouterTrainConfig(
+        **{"seed": config.seed, **config.router})
+    run.router_encoder = HashedNgramEmbedder(dim=config.embedding_dim,
+                                             seed=config.seed)
+    examples = [
+        (run.router_encoder.embed(r.text), run.matrices[r.id],
+         gold[r.id].label_set())
+        for r in train_records
+    ]
+    run.router_model, loss_history = router_mod.train_router(
+        examples, router_config, run.registry)
+    run.router_model.embedding_provider = run.router_encoder.tag
+    run.write("router", "router.json", router_mod.save_router,
+              run.router_model, loss_history=loss_history)
+
+
+def _aggregate(run):
+    config = run.config
+    if config.persona_mode == "none":
+        run.aggregated = {r.id: run.annotations[(r.id, None)]
+                          for r in run.records}
+    else:
+        run.aggregated = {}
+        for record in run.records:
+            if config.persona_mode == "router":
+                chosen = router_mod.select_top_k(
+                    run.router_model, run.router_encoder.embed(record.text),
+                    config.persona_k)
+            else:
+                rng = random.Random(f"{config.seed}:{record.id}")
+                chosen = sorted(rng.sample([p.id for p in run.personas],
+                                           min(config.persona_k,
+                                               len(run.personas))))
+            run.aggregated[record.id] = personas_mod.aggregate_ensemble(
+                run.matrices[record.id].subset(chosen), run.registry,
+                threshold=config.aggregation_threshold)
+    run.write("aggregated", "aggregated.jsonl", write_annotation_store,
+              run.aggregated, annotator=f"ensemble-{config.persona_mode}")
+
+
+def _labels(run):
+    run.weak = classifier_mod.weak_labels_from_annotations(
+        run.registry, run.aggregated,
+        min_confidence=Confidence.from_label(run.config.min_confidence),
+        provenance=run.handle.model_name)
+    run.write("labels", "labels.jsonl", _write_labels, run.weak, run.registry)
+
+
+def _train(run):
+    config = run.config
+    run.backend = HashedNgramEmbedder(dim=config.encoder_dim, seed=config.seed)
+    train_set = classifier_mod.labeled_queries(run.split.train, run.weak)
+    run.dev_set = classifier_mod.labeled_queries(run.split.dev, run.weak)
+    clf_config = classifier_mod.ClassifierTrainConfig(
+        **{"seed": config.seed, **config.classifier})
+    run.model, run.history = classifier_mod.train_classifier(
+        train_set, run.dev_set, clf_config, run.registry, backend=run.backend)
+    # The tune stage writes the tuned model; writing the untuned one first
+    # would cost a second full serialization of the weights.
+    if run.until == "train":
+        run.write("classifier", "classifier.json",
+                  classifier_mod.save_classifier, run.model,
+                  history=run.history)
+
+
+def _tune(run):
+    choices = classifier_mod.tune_thresholds(run.model, run.dev_set,
+                                             classifier_mod.MAX_F1,
+                                             backend=run.backend)
+    classifier_mod.set_thresholds(run.model, choices)
+    run.write("classifier", "classifier.json", classifier_mod.save_classifier,
+              run.model, history=run.history)
+
+
+def _eval(run):
+    config, registry = run.config, run.registry
+    test_records = list(run.split.test)
+    if config.eval_reference == "teacher":
+        reference = {r.id: run.aggregated[r.id] for r in test_records}
+    else:
+        gold = _gold_store(config, run.records)
+        reference = {r.id: gold[r.id] for r in test_records}
+
+    probs_matrix = classifier_mod.predict_probs_batch(
+        run.model, [r.text for r in test_records], backend=run.backend)
+    test_probs = {r.id: probs_matrix[row] for row, r in enumerate(test_records)}
+    pred_store = {r.id: classifier_mod.apply_thresholds(run.model, probs)
+                  for r, probs in zip(test_records, probs_matrix)}
+
+    baseline_store = None
+    if config.gazetteer_path:
+        lexicon = baseline_mod.load_gazetteer(config.gazetteer_path)
+        baseline_store = {r.id: baseline_mod.lexical_match(lexicon, r.text)
+                          for r in test_records}
+    frequencies = {r.id: r.frequency for r in run.records}
+
+    def score(store, weighted, candidate):
+        return eval_mod.compute_metrics(
+            reference, store, frequencies=frequencies, weighted=weighted,
+            registry=registry, reference=config.eval_reference,
+            candidate=candidate)
+
+    reports = []
+    for weighted in (False, True):
+        if baseline_store is not None:
+            base_report = score(baseline_store, weighted, "baseline")
+            reports.append((base_report, "baseline"))
+        reports.append((score(pred_store, weighted, "classifier"),
+                        "classifier"))
+        if baseline_store is not None and not weighted:
+            for mode, tag in ((classifier_mod.MATCH_PRECISION,
+                               "classifier@matching_precision"),
+                              (classifier_mod.MATCH_RECALL,
+                               "classifier@matching_recall")):
+                reports.append((eval_mod.matched_operating_point(
+                    test_probs, reference, base_report, mode, registry,
+                    frequencies=frequencies, weighted=weighted,
+                    candidate=tag), tag))
+    run.write("eval", "eval.jsonl", eval_mod.write_report_jsonl, reports)
+
+
+# One function per entry of STAGES, in the same order; ``until`` runs a
+# prefix of this table.
+_STAGE_TABLE = (_ingest, _split, _annotate, _matrix, _router, _aggregate,
+                _labels, _train, _tune, _eval)
 
 
 def run_pipeline(config, until="eval"):
@@ -203,239 +418,20 @@ def run_pipeline(config, until="eval"):
         raise PipelineConfigError(f"unknown stage {until!r}")
     _check_paths(config)
     os.makedirs(config.output_dir, exist_ok=True)
-    reached = STAGES.index(until)
-    use_personas = config.persona_mode != "none"
-    want_router = config.persona_mode == "router"
-    artifacts = []
-    stats = {"annotator_calls": 0, "cache_hits": 0, "annotator_failures": 0,
-             "unparseable_responses": 0}
-
-    def emit(name, filename):
-        artifacts.append({"name": name, "path": filename,
-                          "sha256": _digest_file(os.path.join(config.output_dir, filename))})
-
-    def out(filename):
-        return os.path.join(config.output_dir, filename)
-
-    registry = load_registry(config.registry_path)
-
-    # --- ingest -----------------------------------------------------------
-    records = data_mod.read_queries(config.queries_path)
-    data_mod.write_queries_jsonl(out("queries.jsonl"), records)
-    emit("queries", "queries.jsonl")
-    frequencies = {r.id: r.frequency for r in records}
-
-    def finish():
-        manifest = {
-            "config_digest": config.semantic_digest(),
-            "seed": config.seed,
-            "artifacts": artifacts,
-        }
-        manifest_path = out("manifest.json")
-        with open(manifest_path, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-        return PipelineResult(manifest=manifest, manifest_path=manifest_path,
-                              stats=stats, output_dir=config.output_dir)
-
-    if reached < STAGES.index("split"):
-        return finish()
-
-    # --- split ------------------------------------------------------------
-    split = data_mod.split_dataset(records, config.ratios, config.seed)
-    data_mod.write_split_manifest(out("split.jsonl"), split)
-    emit("split", "split.jsonl")
-    if reached < STAGES.index("annotate"):
-        return finish()
-
-    # --- annotate ---------------------------------------------------------
-    handle = build_annotator(config)
-    cache = ResponseCache(config.cache_dir)
-    personas = (personas_mod.load_personas(config.personas_path)
-                if use_personas else None)
-    prompt_config = prompting_mod.PromptConfig(
-        variant=prompting_mod.PromptVariant.from_string(config.prompt_variant),
-        registry_hash=registry.hash,
-        max_icl_examples_per_entity=config.max_icl_examples,
-    )
-
-    prompts = []
-    keys = []
-    persona_list = personas if use_personas else [None]
-    for record in records:
-        for persona in persona_list:
-            prompts.append(prompting_mod.build_prompt(
-                prompt_config, registry, record.text, persona))
-            keys.append((record.id, persona.id if persona else None))
-    responses = annotate_batch(handle, prompts, cache=cache)
-    stats["annotator_calls"] = handle.stats.calls
-    stats["cache_hits"] = handle.stats.cache_hits
-    stats["annotator_failures"] = handle.stats.failures
-
-    annotations = {key: response_annotation(registry, response, stats)
-                   for key, response in zip(keys, responses)}
-    write_annotation_store(out("annotations.jsonl"), annotations,
-                           annotator=handle.model_name)
-    emit("annotations", "annotations.jsonl")
-    if reached < STAGES.index("matrix"):
-        return finish()
-
-    # --- confidence matrices ----------------------------------------------
-    matrices = {}
-    if use_personas:
-        for record in records:
-            per_persona = {p.id: annotations[(record.id, p.id)] for p in personas}
-            matrices[record.id] = personas_mod.build_confidence_matrix(
-                record, per_persona, personas, registry)
-        personas_mod.write_matrices(out("matrices.csv"),
-                                    [matrices[r.id] for r in records], registry)
-        emit("matrices", "matrices.csv")
-    if reached < STAGES.index("router"):
-        return finish()
-
-    # --- router -----------------------------------------------------------
-    router_model = None
-    router_encoder = HashedNgramEmbedder(dim=config.embedding_dim,
-                                         seed=config.seed)
-    if want_router:
-        gold = _gold_store(config, records)
-        train_records = list(split.train)
-        if config.rebalance_cap:
-            train_records = data_mod.rebalance_by_entity(
-                train_records, gold, cap_fraction=config.rebalance_cap,
-                seed=config.seed)
-        router_config = router_mod.RouterTrainConfig(
-            **{"seed": config.seed, **config.router})
-        examples = [
-            (router_encoder.embed(r.text), matrices[r.id], gold[r.id].label_set())
-            for r in train_records
-        ]
-        router_model, loss_history = router_mod.train_router(
-            examples, router_config, registry)
-        router_model.embedding_provider = router_encoder.tag
-        router_mod.save_router(out("router.json"), router_model,
-                               loss_history=loss_history)
-        emit("router", "router.json")
-    if reached < STAGES.index("aggregate"):
-        return finish()
-
-    # --- aggregate ---------------------------------------------------------
-    aggregated = {}
-    if not use_personas:
-        aggregated = {r.id: annotations[(r.id, None)] for r in records}
-    else:
-        for record in records:
-            matrix = matrices[record.id]
-            if want_router:
-                chosen = router_mod.select_top_k(
-                    router_model, router_encoder.embed(record.text),
-                    config.persona_k)
-            elif config.persona_mode == "random":
-                rng = random.Random(f"{config.seed}:{record.id}")
-                chosen = sorted(rng.sample([p.id for p in personas],
-                                           min(config.persona_k, len(personas))))
-            else:
-                chosen = list(matrix.persona_ids)
-            aggregated[record.id] = personas_mod.aggregate_ensemble(
-                matrix.subset(chosen), registry,
-                threshold=config.aggregation_threshold)
-    write_annotation_store(out("aggregated.jsonl"), aggregated,
-                           annotator=f"ensemble-{config.persona_mode}")
-    emit("aggregated", "aggregated.jsonl")
-    if reached < STAGES.index("labels"):
-        return finish()
-
-    # --- weak labels --------------------------------------------------------
-    min_conf = Confidence.from_label(config.min_confidence)
-    weak = classifier_mod.weak_labels_from_annotations(
-        registry, aggregated, min_confidence=min_conf,
-        provenance=handle.model_name)
-    _write_labels(out("labels.jsonl"), weak, registry)
-    emit("labels", "labels.jsonl")
-    if reached < STAGES.index("train"):
-        return finish()
-
-    # --- classifier train ----------------------------------------------------
-    backend = HashedNgramEmbedder(dim=config.encoder_dim, seed=config.seed)
-    train_set = classifier_mod.labeled_queries(split.train, weak)
-    dev_set = classifier_mod.labeled_queries(split.dev, weak)
-    clf_config = classifier_mod.ClassifierTrainConfig(
-        **{"seed": config.seed, **config.classifier})
-    model, history = classifier_mod.train_classifier(
-        train_set, dev_set, clf_config, registry, backend=backend)
-    if reached < STAGES.index("tune"):
-        classifier_mod.save_classifier(out("classifier.json"), model,
-                                       history=history)
-        emit("classifier", "classifier.json")
-        return finish()
-
-    # --- threshold tune -------------------------------------------------------
-    choices = classifier_mod.tune_thresholds(model, dev_set,
-                                             classifier_mod.MAX_F1,
-                                             backend=backend)
-    classifier_mod.set_thresholds(model, choices)
-    classifier_mod.save_classifier(out("classifier.json"), model, history=history)
-    emit("classifier", "classifier.json")
-    if reached < STAGES.index("eval"):
-        return finish()
-
-    # --- evaluate -------------------------------------------------------------
-    test_records = list(split.test)
-    if config.eval_reference == "teacher":
-        reference = {r.id: aggregated[r.id] for r in test_records}
-        reference_tag = "teacher"
-    else:
-        gold = _gold_store(config, records)
-        reference = {r.id: gold[r.id] for r in test_records}
-        reference_tag = "gold"
-
-    test_probs = {}
-    pred_store = {}
-    probs_matrix = classifier_mod.predict_probs_batch(
-        model, [r.text for r in test_records], backend=backend)
-    for row, record in enumerate(test_records):
-        test_probs[record.id] = probs_matrix[row]
-        pred_store[record.id] = classifier_mod.apply_thresholds(
-            model, probs_matrix[row])
-
-    reports = []
-    if config.gazetteer_path:
-        lexicon = baseline_mod.load_gazetteer(config.gazetteer_path)
-        baseline_store = {
-            r.id: baseline_mod.lexical_match(lexicon, r.text)
-            for r in test_records
-        }
-        for weighted in (False, True):
-            base_report = eval_mod.compute_metrics(
-                reference, baseline_store, frequencies=frequencies,
-                weighted=weighted, registry=registry,
-                reference=reference_tag, candidate="baseline")
-            clf_report = eval_mod.compute_metrics(
-                reference, pred_store, frequencies=frequencies,
-                weighted=weighted, registry=registry,
-                reference=reference_tag, candidate="classifier")
-            reports.append((base_report, "baseline"))
-            reports.append((clf_report, "classifier"))
-            if not weighted:
-                for mode, tag in ((classifier_mod.MATCH_PRECISION,
-                                   "classifier@matching_precision"),
-                                  (classifier_mod.MATCH_RECALL,
-                                   "classifier@matching_recall")):
-                    matched = eval_mod.matched_operating_point(
-                        test_probs, reference, base_report, mode, registry,
-                        frequencies=frequencies, weighted=weighted,
-                        candidate=tag)
-                    reports.append((matched, tag))
-    else:
-        for weighted in (False, True):
-            reports.append((eval_mod.compute_metrics(
-                reference, pred_store, frequencies=frequencies,
-                weighted=weighted, registry=registry,
-                reference=reference_tag, candidate="classifier"), "classifier"))
-
-    eval_mod.write_report_jsonl(out("eval.jsonl"), reports)
-    emit("eval", "eval.jsonl")
-    return finish()
+    run = _Run(config, until)
+    for stage in _STAGE_TABLE[:STAGES.index(until) + 1]:
+        stage(run)
+    manifest = {
+        "config_digest": config.semantic_digest(),
+        "seed": config.seed,
+        "artifacts": list(run.artifacts.values()),
+    }
+    manifest_path = os.path.join(config.output_dir, "manifest.json")
+    with open(manifest_path, "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+    return PipelineResult(manifest=manifest, manifest_path=manifest_path,
+                          stats=run.stats, output_dir=config.output_dir)
 
 
 def _write_labels(path, weak, registry):

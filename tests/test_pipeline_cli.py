@@ -1,16 +1,18 @@
 import json
 import os
+import shutil
 import socket
 
 import pytest
 
-from querydistill import cli
+from querydistill import cli, llm_client
 from querydistill.classifier import (ClassifierTrainConfig, labeled_queries,
                                      save_classifier, train_classifier,
                                      weak_labels_from_annotations)
 from querydistill.errors import PipelineConfigError
 from querydistill.features import HashedNgramEmbedder
-from querydistill.pipeline import RunConfig, load_run_config, run_pipeline
+from querydistill.pipeline import (STAGES, RunConfig, load_run_config,
+                                   run_pipeline)
 from querydistill.serving import ServeState, serve_tcp
 from querydistill.synth import (impoverished_gazetteer, synth_gazetteer,
                                 synth_queries, synth_registry)
@@ -82,6 +84,12 @@ def build_workspace(root, count=150, persona_mode="router", noise_rate=0.05,
     return config_path
 
 
+@pytest.fixture(scope="module")
+def stage_workspace(tmp_path_factory):
+    """A small workspace whose config is shared by the per-stage runs."""
+    return build_workspace(tmp_path_factory.mktemp("stages"), count=60)
+
+
 class TestRunPipeline:
     def test_router_mode_smoke_nine_artifacts(self, tmp_path):
         config_path = build_workspace(tmp_path)
@@ -146,6 +154,42 @@ class TestRunPipeline:
         names = [a["name"] for a in result.manifest["artifacts"]]
         assert names == ["queries", "split"]
 
+    @pytest.mark.parametrize("until", [s for s in STAGES if s != "split"])
+    def test_until_lists_artifacts_of_stages_run(self, stage_workspace,
+                                                 tmp_path, until):
+        # The artifact each stage writes. Train writes classifier.json only
+        # when the run ends there; otherwise tune writes the tuned model.
+        written = {"ingest": "queries", "split": "split",
+                   "annotate": "annotations", "matrix": "matrices",
+                   "router": "router", "aggregate": "aggregated",
+                   "labels": "labels", "train": "classifier",
+                   "tune": "classifier", "eval": "eval"}
+        expected = list(dict.fromkeys(
+            written[s] for s in STAGES[:STAGES.index(until) + 1]))
+        out = tmp_path / "out"
+        result = run_pipeline(load_run_config(
+            stage_workspace, {"output_dir": str(out)}), until=until)
+        artifacts = result.manifest["artifacts"]
+        assert [a["name"] for a in artifacts] == expected
+        assert sorted(os.listdir(out)) == sorted(
+            [a["path"] for a in artifacts] + ["manifest.json"])
+        if until in ("train", "tune"):
+            with open(out / "classifier.json") as fh:
+                thresholds = json.load(fh)["thresholds"]
+            if until == "train":
+                assert all(t == 0.5 for t in thresholds)
+            else:
+                assert any(t != 0.5 for t in thresholds)
+
+    def test_same_corpus_in_two_directories_same_manifest(self, tmp_path):
+        assert cli.main(["synth", "--out", str(tmp_path / "a"), "--count",
+                         "200", "--seed", "7"]) == 0
+        shutil.copytree(tmp_path / "a", tmp_path / "b")
+        for corpus in ("a", "b"):
+            run_pipeline(load_run_config(str(tmp_path / corpus / "config.json")))
+        assert ((tmp_path / "a" / "out" / "manifest.json").read_bytes()
+                == (tmp_path / "b" / "out" / "manifest.json").read_bytes())
+
     def test_eval_report_contents(self, tmp_path):
         config_path = build_workspace(tmp_path, count=200)
         result = run_pipeline(load_run_config(config_path))
@@ -159,7 +203,7 @@ class TestRunPipeline:
         assert len(micro) == 1
         assert 0.0 <= micro[0]["f1"] <= 1.0
 
-    def test_unparseable_cached_response_stays_local(self, tmp_path):
+    def test_unparseable_cached_response_stays_local(self, tmp_path, capsys):
         assert cli.main(["synth", "--out", str(tmp_path), "--count", "200",
                          "--seed", "7"]) == 0
         config_path = str(tmp_path / "config.json")
@@ -167,15 +211,18 @@ class TestRunPipeline:
         cache_dir = tmp_path / "cache"
         victim = sorted(os.listdir(cache_dir))[0]
         (cache_dir / victim).write_text("Sorry, I cannot help with that.")
-        manifests = []
-        for name in ("out_a", "out_b"):
-            result = run_pipeline(load_run_config(
-                config_path, {"output_dir": str(tmp_path / name)}))
-            assert result.stats["unparseable_responses"] == 1
-            assert result.stats["annotator_failures"] == 0
-            manifests.append(open(result.manifest_path, "rb").read())
+        result = run_pipeline(load_run_config(
+            config_path, {"output_dir": str(tmp_path / "out_a")}))
+        assert result.stats["unparseable_responses"] == 1
+        assert result.stats["annotator_failures"] == 0
+        capsys.readouterr()
+        assert cli.main(["pipeline", "-c", config_path, "--output-dir",
+                         str(tmp_path / "out_b")]) == 0
+        assert "failures: 0, unparseable responses: 1" in capsys.readouterr().out
+        manifests = [(tmp_path / name / "manifest.json").read_bytes()
+                     for name in ("out_a", "out_b")]
         assert manifests[0] == manifests[1]
-        with open(os.path.join(result.output_dir, "annotations.jsonl")) as fh:
+        with open(tmp_path / "out_b" / "annotations.jsonl") as fh:
             warned = [line for line in fh if "unparseable response" in line]
         assert len(warned) == 1
 
@@ -250,13 +297,22 @@ class TestCli:
             rows = [json.loads(line) for line in fh]
         assert rows and all(len(r["personas"]) == 2 for r in rows)
 
-    def test_ablation_command(self, tmp_path, capsys):
+    def test_ablation_command(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        real = llm_client.mock_annotate
+        monkeypatch.setattr(llm_client, "mock_annotate",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
         config_path = build_workspace(tmp_path, count=40, noise_rate=0.0)
         assert cli.main(["ablation", "-c", config_path]) == 0
         out = capsys.readouterr().out
         assert "prompt variant grid" in out
         assert "persona selection comparison" in out
         assert "CONFIDENCE_COT_ICL" in out
+        assert calls
+        calls.clear()
+        assert cli.main(["ablation", "-c", config_path]) == 0
+        assert capsys.readouterr().out == out
+        assert calls == []
 
 
 @pytest.fixture(scope="module")
