@@ -82,9 +82,9 @@ print(f"\nbaseline recall:                 {baseline_report.micro.recall:.3f}")
 print(f"recall at matching precision:    {matched.micro.recall:.3f}")
 
 # --- the batch prediction file --------------------------------------------
-out_dir = tempfile.mkdtemp(prefix="querydistill-demo-")
-path = os.path.join(out_dir, "predictions.jsonl")
-write_predictions_jsonl(path, model, test_records[:50], backend=backend)
-print(f"\nwrote {path}")
-with open(path) as fh:
-    print("first line:", fh.readline()[:110], "...")
+with tempfile.TemporaryDirectory(prefix="querydistill-demo-") as out_dir:
+    path = os.path.join(out_dir, "predictions.jsonl")
+    write_predictions_jsonl(path, model, test_records[:50], backend=backend)
+    print(f"\nwrote {path}")
+    with open(path) as fh:
+        print("first line:", fh.readline()[:110], "...")

@@ -21,7 +21,9 @@ from querydistill.serving import ServeState
 from querydistill.synth import (impoverished_gazetteer, synth_gazetteer,
                                 synth_queries, synth_registry)
 
-root = tempfile.mkdtemp(prefix="querydistill-pipeline-")
+# The workspace is removed when the demo exits, on error too.
+workspace = tempfile.TemporaryDirectory(prefix="querydistill-pipeline-")
+root = workspace.name
 print(f"workspace: {root}")
 
 # --- synthesize the corpus --------------------------------------------------
@@ -105,3 +107,4 @@ for i in range(1000):
 latencies.sort()
 print(f"\nlatency over 1000 requests: p50={latencies[500]}us "
       f"p99={latencies[989]}us (built-in encoder)")
+workspace.cleanup()

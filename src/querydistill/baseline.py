@@ -56,14 +56,6 @@ class Gazetteer:
             if phrase_set & windows
         }
 
-    def phrase_map(self):
-        """{phrase string: entity} over all entries (phrases joined by spaces)."""
-        return {
-            " ".join(tokens): entity
-            for entity, phrase_set in self.phrases.items()
-            for tokens in phrase_set
-        }
-
 
 def load_gazetteer(path):
     """Read a JSON Lines gazetteer: {"entity": ..., "phrases": [...]} per line.

@@ -146,14 +146,6 @@ class ClassifierModel:
         if ((self.thresholds <= 0) | (self.thresholds >= 1)).any():
             raise ModelError("thresholds must lie in (0, 1)")
 
-    @property
-    def feature_dim(self):
-        return self.U1.shape[1]
-
-    @property
-    def head_dim(self):
-        return self.U1.shape[2]
-
     def params(self):
         return {"U1": self.U1, "c1": self.c1, "U2": self.U2, "c2": self.c2}
 
@@ -389,79 +381,57 @@ class ThresholdChoice:
     attained: bool = True
 
 
-def _confusion_at(probs, labels, threshold):
-    pred = probs >= threshold
-    tp = int((pred & labels).sum())
-    fp = int((pred & ~labels).sum())
-    fn = int((~pred & labels).sum())
-    return tp, fp, fn
-
-
 def _prf(tp, fp, fn):
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    """Precision, recall and F1 from confusion counts, scalar or elementwise
+    over arrays; a ratio with a zero denominator is 0."""
+    tp, fp, fn = (np.asarray(count, dtype=float) for count in (tp, fp, fn))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        precision = np.nan_to_num(tp / (tp + fp))
+        recall = np.nan_to_num(tp / (tp + fn))
+        f1 = np.nan_to_num(2 * precision * recall / (precision + recall))
     return precision, recall, f1
 
 
-def _candidates(probs):
-    return sorted(set(np.asarray(probs, dtype=float).tolist()) | {0.0, 1.0})
+def _sweep(probs, labels):
+    """Every candidate threshold, ascending, with the precision, recall and
+    F1 of ``prob >= threshold`` at each; one sort per class, O(n log n)."""
+    candidates = np.union1d(probs, (0.0, 1.0))
+    positives, negatives = np.sort(probs[labels]), np.sort(probs[~labels])
+    tp = positives.size - np.searchsorted(positives, candidates)
+    fp = negatives.size - np.searchsorted(negatives, candidates)
+    return (candidates, *_prf(tp, fp, positives.size - tp))
 
 
 def tune_threshold_for_entity(probs, labels, mode, target=None):
-    """Pick one entity's threshold by sweeping the candidate set.
+    """Pick one entity's threshold from the candidate sweep.
 
     Candidates are the entity's unique dev probabilities plus {0, 1}; the
     decision rule is ``prob >= threshold`` everywhere. MAX_F1 maximizes F1
     (ties to the larger threshold). MATCH_RECALL takes the largest threshold
     whose recall >= target; MATCH_PRECISION the smallest threshold whose
     precision >= target. Unreachable targets yield attained=False with the
-    closest achievable value.
+    closest achievable value: the largest threshold of best recall, or the
+    smallest of best precision.
     """
-    probs = np.asarray(probs, dtype=float)
-    labels = np.asarray(labels) > 0.5
-    candidates = _candidates(probs)
-
+    candidates, precision, recall, f1 = _sweep(
+        np.asarray(probs, dtype=float), np.asarray(labels) > 0.5)
     if mode == MAX_F1:
-        best_t, best_f1 = 0.0, -1.0
-        for t in candidates:
-            _, _, f1 = _prf(*_confusion_at(probs, labels, t))
-            if f1 > best_f1 or (f1 == best_f1 and t > best_t):
-                best_t, best_f1 = t, f1
-        return ThresholdChoice(threshold=best_t, achieved=best_f1)
-
-    if mode == MATCH_RECALL:
+        values, feasible, largest = f1, f1 == f1.max(), True
+    elif mode == MATCH_RECALL:
         if target is None:
             raise ModelError("MATCH_RECALL needs a target recall")
-        feasible = []
-        closest = (None, -1.0)
-        for t in candidates:
-            _, recall, _ = _prf(*_confusion_at(probs, labels, t))
-            if recall >= target:
-                feasible.append((t, recall))
-            if recall > closest[1] or (recall == closest[1] and
-                                       (closest[0] is None or t > closest[0])):
-                closest = (t, recall)
-        if feasible:
-            t, recall = max(feasible)
-            return ThresholdChoice(threshold=t, achieved=recall)
-        return ThresholdChoice(threshold=closest[0], achieved=closest[1],
-                               attained=False)
-
-    if mode == MATCH_PRECISION:
+        values, feasible, largest = recall, recall >= target, True
+    elif mode == MATCH_PRECISION:
         if target is None:
             raise ModelError("MATCH_PRECISION needs a target precision")
-        closest = (None, -1.0)
-        for t in candidates:
-            precision, _, _ = _prf(*_confusion_at(probs, labels, t))
-            if precision >= target:
-                return ThresholdChoice(threshold=t, achieved=precision)
-            if precision > closest[1]:
-                closest = (t, precision)
-        return ThresholdChoice(threshold=closest[0], achieved=closest[1],
-                               attained=False)
-
-    raise ModelError(f"unknown threshold mode: {mode!r}")
+        values, feasible, largest = precision, precision >= target, False
+    else:
+        raise ModelError(f"unknown threshold mode: {mode!r}")
+    attained = bool(feasible.any())
+    picks = np.flatnonzero(feasible if attained else values == values.max())
+    pick = picks[-1] if largest else picks[0]
+    return ThresholdChoice(threshold=float(candidates[pick]),
+                           achieved=float(values[pick]), attained=attained)
 
 
 def tune_thresholds(model, dev, mode, targets=None, backend=None):

@@ -29,18 +29,15 @@ class MetricCell:
 
     @property
     def precision(self):
-        return _prf(self.tp, self.fp, self.fn)[0]
+        return float(_prf(self.tp, self.fp, self.fn)[0])
 
     @property
     def recall(self):
-        return _prf(self.tp, self.fp, self.fn)[1]
+        return float(_prf(self.tp, self.fp, self.fn)[1])
 
     @property
     def f1(self):
-        return _prf(self.tp, self.fp, self.fn)[2]
-
-    def merged(self, other):
-        return MetricCell(self.tp + other.tp, self.fp + other.fp, self.fn + other.fn)
+        return float(_prf(self.tp, self.fp, self.fn)[2])
 
 
 @dataclass(frozen=True)

@@ -108,10 +108,6 @@ class ConfidenceMatrix:
     def persona_count(self):
         return self.values.shape[0]
 
-    @property
-    def entity_count(self):
-        return self.values.shape[1]
-
     def subset(self, persona_ids):
         """Rows restricted to the given personas, in the given order."""
         index = {pid: i for i, pid in enumerate(self.persona_ids)}

@@ -17,6 +17,7 @@ same configuration produce byte-identical manifests regardless of where
 their outputs live.
 """
 
+import functools
 import hashlib
 import json
 import os
@@ -170,17 +171,6 @@ def _digest_file(path):
     return h.hexdigest()
 
 
-def _gold_store(config, records):
-    store = read_annotation_store(config.gold_path)
-    if store and isinstance(next(iter(store)), tuple):
-        store = {qid: ann for (qid, _), ann in store.items()}
-    missing = [r.id for r in records if r.id not in store]
-    if missing:
-        raise PipelineConfigError(
-            f"gold annotations missing for {len(missing)} ingested queries")
-    return store
-
-
 def response_annotation(registry, response, stats):
     """Annotation for one annotator response or ``AnnotationFailure``.
 
@@ -210,6 +200,18 @@ class _Run:
         self.stats = {"annotator_calls": 0, "cache_hits": 0,
                       "annotator_failures": 0, "unparseable_responses": 0}
         self.artifacts = {}
+
+    @functools.cached_property
+    def gold(self):
+        """The gold store, read on first use and shared by later stages."""
+        store = read_annotation_store(self.config.gold_path)
+        if store and isinstance(next(iter(store)), tuple):
+            store = {qid: ann for (qid, _), ann in store.items()}
+        missing = [r.id for r in self.records if r.id not in store]
+        if missing:
+            raise PipelineConfigError(
+                f"gold annotations missing for {len(missing)} ingested queries")
+        return store
 
     def write(self, name, filename, writer, *args, **kwargs):
         """Write one artifact with ``writer(path, *args, **kwargs)`` and list
@@ -279,7 +281,7 @@ def _router(run):
     config = run.config
     if config.persona_mode != "router":
         return
-    gold = _gold_store(config, run.records)
+    gold = run.gold
     train_records = list(run.split.train)
     if config.rebalance_cap:
         train_records = data_mod.rebalance_by_entity(
@@ -365,8 +367,7 @@ def _eval(run):
     if config.eval_reference == "teacher":
         reference = {r.id: run.aggregated[r.id] for r in test_records}
     else:
-        gold = _gold_store(config, run.records)
-        reference = {r.id: gold[r.id] for r in test_records}
+        reference = {r.id: run.gold[r.id] for r in test_records}
 
     probs_matrix = classifier_mod.predict_probs_batch(
         run.model, [r.text for r in test_records], backend=run.backend)

@@ -13,6 +13,7 @@ code.
 """
 
 import enum
+import functools
 from dataclasses import dataclass
 from importlib import resources
 
@@ -57,6 +58,7 @@ class PromptText:
     persona_id: str = ""
 
 
+@functools.cache
 def _default_template():
     ref = resources.files("querydistill.templates") / "prompt_default.txt"
     return ref.read_text(encoding="utf-8")

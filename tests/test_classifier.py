@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from conftest import ann
@@ -316,6 +317,49 @@ class TestTuneThresholds:
                 assert choice.attained
                 assert oracles.confusion_at(probs, labels, choice.threshold) == \
                     feasible[1]
+
+    @settings(derandomize=True, deadline=None)
+    @given(cells=st.lists(st.tuples(st.sampled_from([0.0, 0.1, 0.25, 0.5,
+                                                     0.75, 0.9, 1.0]),
+                                    st.booleans()),
+                          min_size=1, max_size=60),
+           target=st.floats(0.0, 1.0))
+    def test_sweep_agrees_with_oracle(self, cells, target):
+        probs = np.array([p for p, _ in cells])
+        labels = np.array([y for _, y in cells])
+        candidates = sorted(set(probs.tolist()) | {0.0, 1.0})
+
+        def metric_at(t, index):
+            return oracles.prf(*oracles.confusion_at(probs, labels, t))[index]
+
+        best_f1, _ = oracles.sweep_max_f1(probs, labels)
+        choice = tune_threshold_for_entity(probs, labels, MAX_F1)
+        assert choice.threshold in candidates
+        assert choice.achieved == pytest.approx(best_f1, abs=1e-12)
+        assert metric_at(choice.threshold, 2) == pytest.approx(best_f1,
+                                                                abs=1e-12)
+        assert all(metric_at(t, 2) != metric_at(choice.threshold, 2)
+                   for t in candidates if t > choice.threshold)
+
+        for mode, index, sweep, beyond in (
+                (MATCH_RECALL, 1, oracles.sweep_match_recall,
+                 lambda t, chosen: t > chosen),
+                (MATCH_PRECISION, 0, oracles.sweep_match_precision,
+                 lambda t, chosen: t < chosen)):
+            expected = sweep(probs, labels, target)
+            choice = tune_threshold_for_entity(probs, labels, mode,
+                                               target=target)
+            assert choice.threshold in candidates
+            assert not any(metric_at(t, index) >= target for t in candidates
+                           if beyond(t, choice.threshold))
+            if expected is None:
+                assert not choice.attained
+                assert choice.achieved == max(metric_at(t, index)
+                                              for t in candidates)
+            else:
+                assert choice.attained
+                assert oracles.confusion_at(probs, labels, choice.threshold) \
+                    == expected[1]
 
     def test_unattainable_reports_closest(self):
         probs = np.array([0.6, 0.4])

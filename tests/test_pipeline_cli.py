@@ -190,6 +190,23 @@ class TestRunPipeline:
         assert ((tmp_path / "a" / "out" / "manifest.json").read_bytes()
                 == (tmp_path / "b" / "out" / "manifest.json").read_bytes())
 
+    def test_router_mode_reads_gold_once(self, stage_workspace, tmp_path,
+                                         monkeypatch):
+        from querydistill import pipeline
+        read_annotation_store = pipeline.read_annotation_store
+        paths = []
+
+        def counting_read(path):
+            paths.append(path)
+            return read_annotation_store(path)
+
+        monkeypatch.setattr(pipeline, "read_annotation_store", counting_read)
+        config = load_run_config(stage_workspace, {
+            "output_dir": str(tmp_path / "out"), "eval_reference": "gold"})
+        assert config.persona_mode == "router"
+        run_pipeline(config)
+        assert paths == [config.gold_path]
+
     def test_eval_report_contents(self, tmp_path):
         config_path = build_workspace(tmp_path, count=200)
         result = run_pipeline(load_run_config(config_path))
