@@ -139,8 +139,16 @@ class ClassifierModel:
         self.thresholds = np.asarray(self.thresholds, dtype=float)
         self.entity_ids = tuple(self.entity_ids)
         E = len(self.entity_ids)
-        if self.U1.shape[0] != E or self.U2.shape[0] != E or self.c2.shape != (E,):
-            raise ModelError("head parameter shapes do not match entity count")
+        if self.U1.ndim != 3 or self.U1.shape[0] != E:
+            raise ModelError(f"U1 has shape {self.U1.shape}, expected (E={E}, D, m)")
+        _, D, m = self.U1.shape
+        for name, shape in (("c1", (E, m)), ("U2", (E, m)), ("c2", (E,))):
+            actual = getattr(self, name).shape
+            if actual != shape:
+                raise ModelError(f"{name} has shape {actual}, expected {shape}")
+        dim = self.backend_descriptor.get("dim")
+        if dim is not None and D != dim:
+            raise ModelError(f"U1 takes {D}-dim features but the encoder gives {dim}")
         if self.thresholds.shape != (E,):
             raise ModelError("need exactly one threshold per entity")
         if ((self.thresholds <= 0) | (self.thresholds >= 1)).any():
@@ -189,10 +197,14 @@ def _sigmoid(z):
 
 
 def heads_forward(model, X):
-    """Logits for a feature batch: (B, D) -> (B, E)."""
-    A = np.einsum("bd,edm->bem", X, model.U1) + model.c1
+    """Logits for a feature batch: (B, D) -> (B, E).
+
+    Every product is a matmul stacked over the entity axis, so each head's
+    (B, D) @ (D, m) runs through BLAS; the hidden layer is kept (E, B, m).
+    """
+    A = np.matmul(X, model.U1) + model.c1[:, None, :]
     G = np.maximum(A, 0.0)
-    Z = np.einsum("bem,em->be", G, model.U2) + model.c2
+    Z = np.matmul(G, model.U2[:, :, None])[:, :, 0].T + model.c2
     return Z, {"A": A, "G": G, "X": X}
 
 
@@ -202,14 +214,13 @@ def classifier_loss_and_grads(model, X, Y):
     Z, cache = heads_forward(model, X)
     loss = float(stable_bce(Z, Y).mean())
     dZ = (_sigmoid(Z) - Y) / (B * E)
+    dA = dZ.T[:, :, None] * model.U2[:, None, :] * (cache["A"] > 0)
     grads = {
         "c2": dZ.sum(axis=0),
-        "U2": np.einsum("bem,be->em", cache["G"], dZ),
+        "U2": np.matmul(dZ.T[:, None, :], cache["G"])[:, 0, :],
+        "c1": dA.sum(axis=1),
+        "U1": np.matmul(cache["X"].T, dA),
     }
-    dG = np.einsum("be,em->bem", dZ, model.U2)
-    dA = dG * (cache["A"] > 0)
-    grads["c1"] = dA.sum(axis=(0,))
-    grads["U1"] = np.einsum("bd,bem->edm", cache["X"], dA)
     return loss, grads
 
 
@@ -453,12 +464,19 @@ def tune_thresholds(model, dev, mode, targets=None, backend=None):
 
 
 def set_thresholds(model, choices):
-    """Write tuned thresholds into the model (clamped inside (0, 1))."""
+    """Write tuned thresholds into the model (clamped inside (0, 1)).
+
+    Raises ModelError for an entity the model does not have or a threshold
+    that is not finite; the model is left unchanged then.
+    """
     thresholds = model.thresholds.copy()
-    for col, entity in enumerate(model.entity_ids):
-        if entity in choices:
-            t = choices[entity].threshold
-            thresholds[col] = min(max(t, 1e-9), 1.0 - 1e-9)
+    for entity, choice in choices.items():
+        if entity not in model.entity_ids:
+            raise ModelError(f"threshold for unknown entity {entity!r}")
+        t = choice.threshold
+        if not np.isfinite(t):
+            raise ModelError(f"threshold for {entity!r} is not finite: {t!r}")
+        thresholds[model.entity_ids.index(entity)] = min(max(t, 1e-9), 1.0 - 1e-9)
     model.thresholds = thresholds
     return model
 
@@ -503,8 +521,7 @@ def save_classifier(path, model, history=None):
     if history is not None:
         payload["history"] = [[e, l, f] for e, l, f in history]
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
 def load_classifier(path):

@@ -25,8 +25,6 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-import requests
-
 from .annotations import Annotation, Confidence, render_annotation
 from .baseline import phrase_windows
 from .data import normalize_query
@@ -259,6 +257,8 @@ def _prompt_fields(prompt):
 # ---------------------------------------------------------------------------
 
 def _http_call(handle, prompt_text, limiter, session):
+    import requests  # only the HTTP path pays for importing requests
+
     config = handle.config
     headers = {}
     if config.auth_env:
@@ -328,6 +328,8 @@ def annotate_batch(handle, prompts, cache=None):
                 cache.put(key, response)
             results[index] = response
         return results
+
+    import requests
 
     limiter = RateLimiter(handle.config.requests_per_second)
     session = requests.Session()

@@ -323,8 +323,7 @@ def save_router(path, model, loss_history=None):
     if loss_history is not None:
         payload["loss_history"] = [[e, b, l] for e, b, l in loss_history]
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
 def load_router(path):

@@ -30,13 +30,21 @@ class ServeState:
         self.model = load_classifier(model_path)
         if thresholds_path:
             with open(thresholds_path, encoding="utf-8") as fh:
-                payload = json.load(fh)
-            if payload.get("registry_hash") != self.model.registry_hash:
+                try:
+                    payload = json.load(fh)
+                    registry_hash = payload.get("registry_hash")
+                    choices = {
+                        entity: ThresholdChoice(threshold=float(t),
+                                                achieved=float("nan"))
+                        for entity, t in payload["thresholds"].items()}
+                except (KeyError, AttributeError, TypeError, ValueError) as exc:
+                    raise ModelError(
+                        f"{thresholds_path} is not a JSON object with a "
+                        f"\"thresholds\" object of numbers: {exc}") from exc
+            if registry_hash != self.model.registry_hash:
                 raise ModelError(
                     "thresholds file registry_hash does not match the model")
-            set_thresholds(self.model, {
-                entity: ThresholdChoice(threshold=float(t), achieved=float("nan"))
-                for entity, t in payload["thresholds"].items()})
+            set_thresholds(self.model, choices)
         self.backend = self.model.backend()
 
     def respond(self, line):

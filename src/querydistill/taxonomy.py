@@ -36,6 +36,8 @@ class EntityDef:
 class EntityRegistry:
     entities: tuple = ()
     _index: dict = field(default_factory=dict, repr=False, compare=False)
+    _ids: tuple = field(init=False, repr=False, compare=False)
+    _hash: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.entities:
@@ -45,7 +47,11 @@ class EntityRegistry:
             if entity.id in index:
                 raise RegistryError(f"duplicate entity id: {entity.id!r}")
             index[entity.id] = pos
+        ids = tuple(index)
         object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_ids", ids)
+        object.__setattr__(self, "_hash", hashlib.sha256(
+            "\n".join(ids).encode("utf-8")).hexdigest())
 
     def __len__(self):
         return len(self.entities)
@@ -58,7 +64,7 @@ class EntityRegistry:
 
     @property
     def ids(self):
-        return tuple(e.id for e in self.entities)
+        return self._ids
 
     def column(self, entity_id):
         """Column index of an entity; raises UnknownLabelError."""
@@ -73,8 +79,7 @@ class EntityRegistry:
     @property
     def hash(self):
         """Stable digest over the ordered entity ids (newline-joined)."""
-        joined = "\n".join(self.ids).encode("utf-8")
-        return hashlib.sha256(joined).hexdigest()
+        return self._hash
 
 
 def load_registry(path):

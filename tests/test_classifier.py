@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,9 +10,11 @@ from conftest import ann
 from querydistill.annotations import Annotation, Confidence
 from querydistill.classifier import (ClassifierModel, ClassifierTrainConfig,
                                      LabeledQueries, MATCH_PRECISION,
-                                     MATCH_RECALL, MAX_F1, apply_thresholds,
-                                     classifier_loss_and_grads, labeled_queries,
-                                     load_classifier, predict_probs,
+                                     MATCH_RECALL, MAX_F1, ThresholdChoice,
+                                     apply_thresholds,
+                                     classifier_loss_and_grads, heads_forward,
+                                     labeled_queries, load_classifier,
+                                     predict_probs,
                                      predict_probs_batch, save_classifier,
                                      set_thresholds, stable_bce,
                                      train_classifier, tune_threshold_for_entity,
@@ -120,6 +125,26 @@ class TestGradients:
             lambda: classifier_loss_and_grads(model, X, Y)[0],
             step=1e-4)
         assert oracles.max_relative_error(analytic, numeric) <= 1e-3
+
+    @settings(derandomize=True, deadline=None)
+    @given(B=st.integers(1, 40), E=st.integers(1, 12), D=st.integers(1, 12),
+           m=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+    def test_heads_match_einsum_oracle(self, B, E, D, m, seed):
+        model = random_model(D=D, m=m, E=E, seed=seed)
+        rng = np.random.default_rng(seed + 1)
+        X = rng.normal(size=(B, D))
+        Y = (rng.random((B, E)) < 0.5).astype(float)
+        logits, _ = heads_forward(model, X)
+        np.testing.assert_allclose(
+            logits, oracles.einsum_heads_forward(model.params(), X),
+            rtol=1e-12, atol=1e-15)
+        _, grads = classifier_loss_and_grads(model, X, Y)
+        expected = oracles.einsum_heads_grads(model.params(), X, Y)
+        assert grads.keys() == expected.keys()
+        for name in expected:
+            assert grads[name].shape == expected[name].shape
+            np.testing.assert_allclose(grads[name], expected[name],
+                                       rtol=1e-12, atol=1e-15, err_msg=name)
 
 
 def make_corpus(n, seed, entities=None):
@@ -396,6 +421,37 @@ def test_classifier_file_round_trip(tmp_path):
     backend = HashedNgramEmbedder(dim=8, seed=0)
     assert np.array_equal(predict_probs(loaded, "q", backend=backend),
                           predict_probs(model, "q", backend=backend))
+
+
+class TestLoadTimeChecks:
+    def test_head_shapes_must_match_exactly(self):
+        model = random_model(D=8, m=4, E=2)
+        for name, bad in (("c1", model.c1[:1]), ("U2", model.U2[:, :3]),
+                          ("c2", model.c2[:, None]), ("U1", model.U1[0])):
+            with pytest.raises(ModelError, match=name):
+                dataclasses.replace(model, **{name: bad})
+
+    def test_feature_dim_must_match_encoder(self, tmp_path):
+        path = tmp_path / "clf.json"
+        save_classifier(path, random_model(D=8, m=4, E=2))
+        payload = json.loads(path.read_text())
+        payload["backend"]["dim"] = 9
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ModelError, match="9"):
+            load_classifier(path)
+
+    def test_non_finite_threshold_rejected(self):
+        model = random_model(E=2)
+        with pytest.raises(ModelError, match="E1"):
+            set_thresholds(model, {"E0": ThresholdChoice(0.3, 1.0),
+                                   "E1": ThresholdChoice(float("nan"), 1.0)})
+        assert model.thresholds.tolist() == [0.5, 0.5]
+
+    def test_unknown_entity_threshold_rejected(self):
+        model = random_model(E=2)
+        with pytest.raises(ModelError, match="Nope"):
+            set_thresholds(model, {"Nope": ThresholdChoice(0.2, 1.0)})
+        assert model.thresholds.tolist() == [0.5, 0.5]
 
 
 def test_tune_thresholds_matching_modes_with_targets():

@@ -261,3 +261,19 @@ class TestResponseCache:
         cache.put("k" * 64, "first")
         cache.put("k" * 64, "second")
         assert cache.get("k" * 64) == "first"
+
+
+def test_requests_is_imported_only_on_the_http_path():
+    import os
+    import subprocess
+    import sys
+    import querydistill
+    src = os.path.dirname(os.path.dirname(querydistill.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, querydistill, querydistill.cli, querydistill.serving; "
+         "print('requests' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

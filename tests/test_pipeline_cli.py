@@ -387,6 +387,23 @@ class TestServe:
         with pytest.raises(ModelError):
             ServeState(path, thresholds_path=str(thresholds_path))
 
+    def test_thresholds_file_bad_values_rejected(self, served_model, tmp_path):
+        from querydistill.errors import ModelError
+        path, registry = served_model
+        thresholds_path = tmp_path / "thresholds.json"
+        for thresholds in ({"Genre": float("nan"), "Nope": 0.2},
+                           {"Genre": float("nan")}, {"Nope": 0.2},
+                           {"Genre": "high"}, [0.2]):
+            thresholds_path.write_text(json.dumps(
+                {"registry_hash": registry.hash, "thresholds": thresholds}))
+            with pytest.raises(ModelError):
+                ServeState(path, thresholds_path=str(thresholds_path))
+        for text in (json.dumps({"registry_hash": registry.hash}), "[0.2]",
+                     '{"registry_hash": "'):
+            thresholds_path.write_text(text)
+            with pytest.raises(ModelError):
+                ServeState(path, thresholds_path=str(thresholds_path))
+
     def test_tcp_round_trip(self, served_model):
         state = ServeState(served_model[0])
         server = serve_tcp(state, port=0)

@@ -106,3 +106,12 @@ class TestRegistryHash:
         rev = EntityRegistry(entities=(
             EntityDef(id="B", definition="d"), EntityDef(id="A", definition="d")))
         assert fwd.hash != rev.hash
+
+    def test_digest_of_newline_joined_ids_computed_once(self):
+        import hashlib
+        registry = EntityRegistry(entities=(
+            EntityDef(id="A", definition="d"), EntityDef(id="B", definition="d")))
+        assert registry.ids == ("A", "B")
+        assert registry.hash == hashlib.sha256(b"A\nB").hexdigest()
+        assert registry.hash is registry.hash
+        assert registry.ids is registry.ids
