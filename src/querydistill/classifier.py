@@ -153,6 +153,9 @@ class ClassifierModel:
             raise ModelError("need exactly one threshold per entity")
         if ((self.thresholds <= 0) | (self.thresholds >= 1)).any():
             raise ModelError("thresholds must lie in (0, 1)")
+        for name, weights in self.params().items():
+            if not np.isfinite(weights).all():
+                raise ModelError(f"{name} holds a NaN or infinite weight")
 
     def params(self):
         return {"U1": self.U1, "c1": self.c1, "U2": self.U2, "c2": self.c2}
@@ -242,18 +245,6 @@ def _init_classifier(backend, entity_ids, registry_hash, config):
     )
 
 
-def _encode_all(backend, texts):
-    cache = {}
-    X = np.zeros((len(texts), backend.dim))
-    for i, text in enumerate(texts):
-        vec = cache.get(text)
-        if vec is None:
-            vec = backend.embed(text)
-            cache[text] = vec
-        X[i] = vec
-    return X
-
-
 def _micro_f1_at_half(probs, labels):
     pred = probs >= 0.5
     gold = labels > 0.5
@@ -283,9 +274,9 @@ def train_classifier(train, dev, config, registry, backend=None):
         backend = HashedNgramEmbedder(dim=512)
     lr = config.resolve_learning_rate(backend)
 
-    X_train = _encode_all(backend, train.texts)
+    X_train = backend.encode_batch(train.texts)
     Y_train = train.labels
-    X_dev = _encode_all(backend, dev.texts) if len(dev) else None
+    X_dev = backend.encode_batch(dev.texts) if len(dev) else None
     Y_dev = dev.labels if len(dev) else None
 
     model = _init_classifier(backend, registry.ids, registry.hash, config)
@@ -353,8 +344,7 @@ def predict_probs(model, text, backend=None, registry=None):
 def predict_probs_batch(model, texts, backend=None):
     if backend is None:
         backend = model.backend()
-    X = _encode_all(backend, texts)
-    logits, _ = heads_forward(model, X)
+    logits, _ = heads_forward(model, backend.encode_batch(texts))
     return _sigmoid(logits)
 
 
@@ -525,19 +515,25 @@ def save_classifier(path, model, history=None):
 
 
 def load_classifier(path):
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("kind") != "classifier":
-        raise ModelError(f"{path} is not a classifier model file")
-    weights = payload["weights"]
-    return ClassifierModel(
-        backend_descriptor=payload["backend"],
-        entity_ids=tuple(payload["entity_ids"]),
-        U1=np.array(weights["U1"], dtype=float),
-        c1=np.array(weights["c1"], dtype=float),
-        U2=np.array(weights["U2"], dtype=float),
-        c2=np.array(weights["c2"], dtype=float),
-        thresholds=np.array(payload["thresholds"], dtype=float),
-        registry_hash=payload["registry_hash"],
-        train_config=payload.get("train_config", {}),
-    )
+    """The model saved at ``path``; raises ModelError for a file that is not
+    a complete, well-formed classifier model."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+        if payload.get("kind") != "classifier":
+            raise ModelError(f"{path} is not a classifier model file")
+        weights = payload["weights"]
+        return ClassifierModel(
+            backend_descriptor=payload["backend"],
+            entity_ids=tuple(payload["entity_ids"]),
+            U1=np.array(weights["U1"], dtype=float),
+            c1=np.array(weights["c1"], dtype=float),
+            U2=np.array(weights["U2"], dtype=float),
+            c2=np.array(weights["c2"], dtype=float),
+            thresholds=np.array(payload["thresholds"], dtype=float),
+            registry_hash=payload["registry_hash"],
+            train_config=payload.get("train_config", {}),
+        )
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ModelError(f"{path} is not a valid classifier model file: "
+                         f"{exc!r}") from exc

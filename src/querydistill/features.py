@@ -10,12 +10,16 @@ keyed by the seed, never by Python's per-process string hashing.
 ``PrecomputedEmbedder`` looks up vectors computed offline, keyed by query
 id, so it can only encode queries whose vectors are in its file.
 
-Both expose ``kind``, ``dim``, ``tag``, ``descriptor()`` and ``embed(text)``;
-``encoder_from_descriptor`` rebuilds either one from its descriptor.
+Both expose ``kind``, ``dim``, ``tag``, ``descriptor()``, ``embed(text)``
+for one query and ``encode_batch(texts)`` for an ``(n, dim)`` matrix whose
+rows equal ``embed``'s; ``encoder_from_descriptor`` rebuilds either one from
+its descriptor. ``EncodedTexts`` holds one encoder's matrix for a fixed list
+of texts, so a pipeline run encodes each text once per encoder.
 """
 
 import hashlib
 import json
+from array import array
 
 import numpy as np
 
@@ -88,6 +92,37 @@ class HashedNgramEmbedder:
             vec /= norm
         return vec
 
+    def encode_batch(self, texts):
+        """One ``embed(text)`` row per text, built in one pass: each text's
+        n-grams are extracted once, each distinct n-gram is looked up in the
+        bucket memo once, and the signed counts of every row come from one
+        ``np.bincount``. Every entry is a sum of +-1.0, so the sums and the
+        norms are exact and each row is bit-identical to ``embed``'s.
+        """
+        # ``codes`` gives each n-gram occurrence the index of its distinct
+        # n-gram, in order of first sight; ``table`` holds their (bucket,
+        # sign).
+        position, codes, lengths = {}, array("q"), []
+        for text in texts:
+            if not text.strip():
+                raise ValueError("cannot embed empty text")
+            text_grams = self.ngrams(text)
+            codes.extend([position.setdefault(ngram, len(position))
+                          for ngram in text_grams])
+            lengths.append(len(text_grams))
+        table = np.array([self._bucket(ngram) for ngram in position])
+        pairs = table.reshape(-1, 2)[np.frombuffer(codes, dtype=np.int64)]
+        cells = (np.repeat(np.arange(len(texts)) * self.dim, lengths)
+                 + pairs[:, 0].astype(np.intp))
+        # With no texts at all, bincount returns integers.
+        matrix = np.bincount(cells, weights=pairs[:, 1],
+                             minlength=len(texts) * self.dim)
+        matrix = matrix.astype(float, copy=False).reshape(len(texts), self.dim)
+        norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
+        norms[norms == 0] = 1.0
+        matrix /= norms[:, None]
+        return matrix
+
 
 class PrecomputedEmbedder:
     """Vectors computed offline, looked up by query id.
@@ -134,6 +169,46 @@ class PrecomputedEmbedder:
         except KeyError:
             raise MissingEmbeddingError(
                 f"no precomputed vector for query {text!r} (id {qid})") from None
+
+    def encode_batch(self, texts):
+        return np.array([self.embed(text) for text in texts],
+                        dtype=float).reshape(len(texts), self.dim)
+
+
+class EncodedTexts:
+    """One encoder's ``encode_batch`` matrix for a fixed list of texts.
+
+    Stands in for the encoder where only those texts are encoded, as in one
+    pipeline run: ``encode_batch`` and ``embed`` return stored rows, and
+    ``kind``, ``dim``, ``tag`` and ``descriptor()`` are the encoder's. A text
+    outside the list raises KeyError.
+    """
+
+    def __init__(self, encoder, texts):
+        self.encoder = encoder
+        self.matrix = encoder.encode_batch(texts)
+        self._rows = {text: row for row, text in enumerate(texts)}
+
+    @property
+    def kind(self):
+        return self.encoder.kind
+
+    @property
+    def dim(self):
+        return self.encoder.dim
+
+    @property
+    def tag(self):
+        return self.encoder.tag
+
+    def descriptor(self):
+        return self.encoder.descriptor()
+
+    def embed(self, text):
+        return self.matrix[self._rows[text]]
+
+    def encode_batch(self, texts):
+        return self.matrix[[self._rows[text] for text in texts]]
 
 
 def encoder_from_descriptor(descriptor):

@@ -23,6 +23,9 @@ class AdamW:
         self.step_count = 0
         self._m = {k: np.zeros_like(v) for k, v in params.items()}
         self._v = {k: np.zeros_like(v) for k, v in params.items()}
+        # Two scratch arrays per parameter, so a step allocates nothing.
+        self._scratch = {k: (np.empty_like(v), np.empty_like(v))
+                         for k, v in params.items()}
 
     def step(self, grads):
         self.step_count += 1
@@ -33,11 +36,19 @@ class AdamW:
             g = grads[name]
             m = self._m[name]
             v = self._v[name]
+            a, b = self._scratch[name]
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += np.multiply(1.0 - self.beta1, g, out=a)
             v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            update = (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+            np.multiply(1.0 - self.beta2, g, out=a)
+            v += np.multiply(a, g, out=a)
+            # update = (m / bias1) / (sqrt(v / bias2) + eps), in a
+            np.divide(m, bias1, out=a)
+            np.divide(v, bias2, out=b)
+            np.sqrt(b, out=b)
+            b += self.eps
+            a /= b
             if name in self.decay_params and self.weight_decay:
-                update = update + self.weight_decay * param
-            param -= self.learning_rate * update
+                a += np.multiply(self.weight_decay, param, out=b)
+            a *= self.learning_rate
+            param -= a

@@ -33,7 +33,7 @@ from . import prompting as prompting_mod
 from . import router as router_mod
 from .annotations import Annotation, Confidence, read_annotation_store, write_annotation_store
 from .errors import PipelineConfigError, UnparseableResponseError
-from .features import HashedNgramEmbedder
+from .features import EncodedTexts, HashedNgramEmbedder
 from .llm_client import (AnnotationFailure, AnnotatorHandle, HttpEndpointConfig,
                          ResponseCache, annotate_batch, mock_handle)
 from .taxonomy import load_registry
@@ -213,6 +213,20 @@ class _Run:
                 f"gold annotations missing for {len(missing)} ingested queries")
         return store
 
+    @functools.cached_property
+    def router_encoder(self):
+        """The router's encoder with every ingested text encoded once."""
+        return self._encoded(self.config.embedding_dim)
+
+    @functools.cached_property
+    def backend(self):
+        """The classifier's encoder with every ingested text encoded once."""
+        return self._encoded(self.config.encoder_dim)
+
+    def _encoded(self, dim):
+        return EncodedTexts(HashedNgramEmbedder(dim=dim, seed=self.config.seed),
+                            [r.text for r in self.records])
+
     def write(self, name, filename, writer, *args, **kwargs):
         """Write one artifact with ``writer(path, *args, **kwargs)`` and list
         it in the manifest under ``name``; a rewritten artifact keeps its
@@ -289,8 +303,6 @@ def _router(run):
             seed=config.seed)
     router_config = router_mod.RouterTrainConfig(
         **{"seed": config.seed, **config.router})
-    run.router_encoder = HashedNgramEmbedder(dim=config.embedding_dim,
-                                             seed=config.seed)
     examples = [
         (run.router_encoder.embed(r.text), run.matrices[r.id],
          gold[r.id].label_set())
@@ -337,7 +349,6 @@ def _labels(run):
 
 def _train(run):
     config = run.config
-    run.backend = HashedNgramEmbedder(dim=config.encoder_dim, seed=config.seed)
     train_set = classifier_mod.labeled_queries(run.split.train, run.weak)
     run.dev_set = classifier_mod.labeled_queries(run.split.dev, run.weak)
     clf_config = classifier_mod.ClassifierTrainConfig(

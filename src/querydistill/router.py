@@ -327,22 +327,28 @@ def save_router(path, model, loss_history=None):
 
 
 def load_router(path):
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("kind") != "router":
-        raise ModelError(f"{path} is not a router model file")
-    weights = payload["weights"]
-    return RouterModel(
-        W1=np.array(weights["W1"], dtype=float),
-        b1=np.array(weights["b1"], dtype=float),
-        W2=np.array(weights["W2"], dtype=float),
-        b2=np.array(weights["b2"], dtype=float),
-        dropout_rate=payload["dropout_rate"],
-        persona_ids=tuple(payload["persona_ids"]),
-        registry_hash=payload["registry_hash"],
-        embedding_provider=payload.get("embedding_provider", ""),
-        train_config=payload.get("train_config", {}),
-    )
+    """The model saved at ``path``; raises ModelError for a file that is not
+    a complete, well-formed router model."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+        if payload.get("kind") != "router":
+            raise ModelError(f"{path} is not a router model file")
+        weights = payload["weights"]
+        return RouterModel(
+            W1=np.array(weights["W1"], dtype=float),
+            b1=np.array(weights["b1"], dtype=float),
+            W2=np.array(weights["W2"], dtype=float),
+            b2=np.array(weights["b2"], dtype=float),
+            dropout_rate=payload["dropout_rate"],
+            persona_ids=tuple(payload["persona_ids"]),
+            registry_hash=payload["registry_hash"],
+            embedding_provider=payload.get("embedding_provider", ""),
+            train_config=payload.get("train_config", {}),
+        )
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ModelError(f"{path} is not a valid router model file: "
+                         f"{exc!r}") from exc
 
 
 def write_loss_history(path, history):

@@ -53,6 +53,12 @@ class EntityRegistry:
         object.__setattr__(self, "_hash", hashlib.sha256(
             "\n".join(ids).encode("utf-8")).hexdigest())
 
+    def __hash__(self):
+        # Equal registries have equal ids, so hashing the id digest is
+        # consistent with __eq__ and cheaper than hashing every entity;
+        # prompting caches its registry-derived sections by registry.
+        return hash(self._hash)
+
     def __len__(self):
         return len(self.entities)
 

@@ -132,3 +132,24 @@ def einsum_heads_grads(params, X, Y):
         "U2": np.einsum("bem,be->em", G, dZ),
         "c2": dZ.sum(axis=0),
     }
+
+
+def allocating_adamw_step(state, params, grads, learning_rate, weight_decay,
+                          beta1, beta2, eps, decay_params):
+    """One AdamW step written with a temporary per operation, in the order
+    ``optim.AdamW.step`` applies them; ``state`` holds "t", "m" and "v"."""
+    state["t"] += 1
+    bias1 = 1.0 - beta1 ** state["t"]
+    bias2 = 1.0 - beta2 ** state["t"]
+    for name, param in params.items():
+        g = grads[name]
+        m = state["m"][name]
+        v = state["v"][name]
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * g * g
+        update = (m / bias1) / (np.sqrt(v / bias2) + eps)
+        if name in decay_params and weight_decay:
+            update = update + weight_decay * param
+        param -= learning_rate * update

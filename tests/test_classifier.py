@@ -440,6 +440,37 @@ class TestLoadTimeChecks:
         with pytest.raises(ModelError, match="9"):
             load_classifier(path)
 
+    @pytest.mark.parametrize("name", ["U1", "c1", "U2", "c2"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_non_finite_weight_rejected(self, tmp_path, name, value):
+        model = random_model(D=8, m=4, E=2)
+        bad = getattr(model, name).copy()
+        bad.flat[-1] = value
+        with pytest.raises(ModelError, match=name):
+            dataclasses.replace(model, **{name: bad})
+        path = tmp_path / "clf.json"
+        save_classifier(path, model)
+        payload = json.loads(path.read_text())
+        payload["weights"][name] = bad.tolist()
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ModelError, match=name):
+            load_classifier(path)
+
+    def test_malformed_file_raises_model_error(self, tmp_path):
+        path = tmp_path / "clf.json"
+        save_classifier(path, random_model(D=8, m=4, E=2))
+        text = path.read_text()
+        payload = json.loads(text)
+        for content in (text[:len(text) // 2], "", "[1, 2]",
+                        json.dumps({"kind": "classifier"}),
+                        json.dumps(dict(payload, weights=[])),
+                        json.dumps(dict(payload, backend=[])),
+                        json.dumps(dict(payload, thresholds="high"))):
+            path.write_text(content)
+            with pytest.raises(ModelError):
+                load_classifier(path)
+
     def test_non_finite_threshold_rejected(self):
         model = random_model(E=2)
         with pytest.raises(ModelError, match="E1"):

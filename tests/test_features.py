@@ -1,13 +1,16 @@
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from querydistill import features
 from querydistill.data import query_id
 from querydistill.errors import MissingEmbeddingError, ModelError
-from querydistill.features import (HashedNgramEmbedder, PrecomputedEmbedder,
-                                   encoder_from_descriptor)
+from querydistill.features import (EncodedTexts, HashedNgramEmbedder,
+                                   PrecomputedEmbedder, encoder_from_descriptor)
 
 
 class TestHashedNgramEmbedder:
@@ -100,3 +103,69 @@ class TestPrecomputedEmbedder:
         write_vectors(path, rows)
         with pytest.raises(ModelError):
             PrecomputedEmbedder(path)
+
+
+# Texts of 1-12 characters from ASCII, accented and CJK letters, digits and
+# whitespace; lists are drawn from a small pool, so duplicates are common.
+_TEXTS = st.text(alphabet=st.sampled_from(list("ab z9Éßé中文 \t")),
+                 min_size=1, max_size=12).filter(str.strip)
+
+
+@st.composite
+def _batches(draw):
+    pool = draw(st.lists(_TEXTS, min_size=1, max_size=6))
+    return draw(st.lists(st.sampled_from(pool), min_size=0, max_size=12))
+
+
+class TestEncodeBatch:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(texts=_batches(), dim=st.integers(1, 300), seed=st.integers(0, 50))
+    # At dim=1 the n-gram signs of "q12" cancel: a zero row, left unscaled.
+    @example(texts=["a", "é", "a", "中文", "ab", "q12"], dim=1, seed=0)
+    @example(texts=[], dim=300, seed=0)
+    def test_hashed_rows_equal_embed_bit_for_bit(self, texts, dim, seed):
+        encoder = HashedNgramEmbedder(dim=dim, seed=seed)
+        matrix = encoder.encode_batch(texts)
+        expected = np.array([encoder.embed(t) for t in texts]).reshape(
+            len(texts), dim)
+        assert matrix.shape == (len(texts), dim)
+        assert matrix.dtype == np.float64
+        assert matrix.tobytes() == expected.tobytes()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(texts=_batches(), dim=st.integers(1, 300), seed=st.integers(0, 50))
+    def test_precomputed_rows_equal_embed_bit_for_bit(self, texts, dim, seed):
+        rng = np.random.default_rng(seed)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "vectors.jsonl")
+            write_vectors(path, [(t, rng.normal(size=dim).tolist())
+                                 for t in set(texts) or {"x"}])
+            encoder = PrecomputedEmbedder(path)
+        matrix = encoder.encode_batch(texts)
+        expected = np.array([encoder.embed(t) for t in texts]).reshape(
+            len(texts), dim)
+        assert matrix.shape == (len(texts), dim)
+        assert matrix.tobytes() == expected.tobytes()
+
+    def test_blank_text_raises_like_embed(self):
+        encoder = HashedNgramEmbedder(dim=16, seed=0)
+        for texts in (["  "], ["comedy", "", "sport"], ["ok", " \t\n"]):
+            with pytest.raises(ValueError, match="empty text"):
+                encoder.encode_batch(texts)
+
+
+class TestEncodedTexts:
+    def test_stored_rows_and_encoder_identity(self):
+        encoder = HashedNgramEmbedder(dim=32, seed=3)
+        texts = ["comedy movies", "sport", "Ünïcode"]
+        encoded = EncodedTexts(encoder, texts)
+        assert (encoded.kind, encoded.dim, encoded.tag) == (
+            encoder.kind, encoder.dim, encoder.tag)
+        assert encoded.descriptor() == encoder.descriptor()
+        assert encoded.embed("sport").tobytes() == encoder.embed("sport").tobytes()
+        assert (encoded.encode_batch(["Ünïcode", "comedy movies", "Ünïcode"])
+                .tobytes() == encoder.encode_batch(
+                    ["Ünïcode", "comedy movies", "Ünïcode"]).tobytes())
+        assert encoded.encode_batch([]).shape == (0, 32)
+        with pytest.raises(KeyError):
+            encoded.embed("never encoded")

@@ -1,0 +1,30 @@
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+import oracles
+from querydistill.optim import AdamW
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), steps=st.integers(1, 30),
+       weight_decay=st.sampled_from([0.0, 0.01, 0.3]),
+       learning_rate=st.sampled_from([1e-5, 1e-3, 0.5]))
+def test_step_matches_allocating_oracle_bit_for_bit(seed, steps, weight_decay,
+                                                    learning_rate):
+    rng = np.random.default_rng(seed)
+    shapes = {"W": (3, 5, 4), "b": (4,)}
+    ours = {k: rng.normal(size=s) for k, s in shapes.items()}
+    reference = {k: v.copy() for k, v in ours.items()}
+    optimizer = AdamW(ours, learning_rate, weight_decay=weight_decay,
+                      decay_params=("W",))
+    state = {"t": 0, "m": {k: np.zeros(s) for k, s in shapes.items()},
+             "v": {k: np.zeros(s) for k, s in shapes.items()}}
+    for _ in range(steps):
+        grads = {k: rng.normal(size=s) * 10.0 ** rng.integers(-9, 4)
+                 for k, s in shapes.items()}
+        optimizer.step(grads)
+        oracles.allocating_adamw_step(
+            state, reference, grads, learning_rate, weight_decay,
+            0.9, 0.999, 1e-8, ("W",))
+    for name in shapes:
+        assert ours[name].tobytes() == reference[name].tobytes()

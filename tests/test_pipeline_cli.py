@@ -9,6 +9,7 @@ from querydistill import cli, llm_client
 from querydistill.classifier import (ClassifierTrainConfig, labeled_queries,
                                      save_classifier, train_classifier,
                                      weak_labels_from_annotations)
+from querydistill.data import read_queries
 from querydistill.errors import PipelineConfigError
 from querydistill.features import HashedNgramEmbedder
 from querydistill.pipeline import (STAGES, RunConfig, load_run_config,
@@ -207,6 +208,29 @@ class TestRunPipeline:
         run_pipeline(config)
         assert paths == [config.gold_path]
 
+    def test_router_mode_encodes_each_text_once_per_encoder(
+            self, stage_workspace, tmp_path, monkeypatch):
+        encode_batch = HashedNgramEmbedder.encode_batch
+        batches, embeds = [], []
+
+        def counting_encode_batch(self, texts):
+            batches.append((self.dim, list(texts)))
+            return encode_batch(self, texts)
+
+        monkeypatch.setattr(HashedNgramEmbedder, "encode_batch",
+                            counting_encode_batch)
+        monkeypatch.setattr(HashedNgramEmbedder, "embed",
+                            lambda self, text: embeds.append(text))
+        config = load_run_config(stage_workspace, {
+            "output_dir": str(tmp_path / "out")})
+        assert config.persona_mode == "router"
+        run_pipeline(config)
+        texts = [r.text for r in read_queries(config.queries_path)]
+        assert sorted(dim for dim, _ in batches) == sorted(
+            [config.embedding_dim, config.encoder_dim])
+        assert all(batch == texts for _, batch in batches)
+        assert embeds == []
+
     def test_eval_report_contents(self, tmp_path):
         config_path = build_workspace(tmp_path, count=200)
         result = run_pipeline(load_run_config(config_path))
@@ -403,6 +427,18 @@ class TestServe:
             thresholds_path.write_text(text)
             with pytest.raises(ModelError):
                 ServeState(path, thresholds_path=str(thresholds_path))
+
+    def test_malformed_model_file_is_an_error_not_a_traceback(
+            self, served_model, tmp_path, capsys):
+        text = open(served_model[0], encoding="utf-8").read()
+        bad = tmp_path / "classifier.json"
+        for content in (json.dumps({"kind": "classifier"}),
+                        text[:len(text) // 2]):
+            bad.write_text(content)
+            assert cli.main(["serve", "--model", str(bad)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {bad}")
+            assert "Traceback" not in err
 
     def test_tcp_round_trip(self, served_model):
         state = ServeState(served_model[0])

@@ -1,5 +1,6 @@
 import random
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -9,6 +10,7 @@ from querydistill.errors import UnparseableResponseError
 from querydistill.personas import default_personas
 from querydistill.prompting import (PromptConfig, PromptVariant, build_prompt,
                                     parse_response)
+from querydistill.taxonomy import EntityRegistry
 
 
 def config(variant, **kwargs):
@@ -77,6 +79,24 @@ class TestBuildPrompt:
     def test_empty_query_rejected(self, registry):
         with pytest.raises(ValueError):
             build_prompt(config(PromptVariant.BASELINE), registry, "  ")
+
+    def test_registries_with_same_ids_get_their_own_sections(self,
+                                                              tiny_registry):
+        # The registry-derived sections are cached by registry: registries
+        # that share ids (and so a hash) but not definitions or examples
+        # must not share them, and equal registries render equal prompts.
+        genre = tiny_registry.entities[0]
+        other = EntityRegistry(entities=(
+            replace(genre, definition="a different genre text",
+                    icl_examples=("western",)),) + tiny_registry.entities[1:])
+        copy = EntityRegistry(entities=tiny_registry.entities)
+        assert other.hash == tiny_registry.hash
+        full = config(PromptVariant.CONFIDENCE_COT_ICL)
+        first = build_prompt(full, tiny_registry, "q").text
+        second = build_prompt(full, other, "q").text
+        assert "a different genre text" in second and "western" in second
+        assert "a different genre text" not in first and "western" not in first
+        assert build_prompt(full, copy, "q").text == first
 
     def test_registry_hash_pinning(self, registry, tiny_registry):
         pinned = config(PromptVariant.BASELINE, registry_hash=registry.hash)

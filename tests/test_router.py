@@ -230,6 +230,21 @@ class TestTrainRouter:
                               router_forward(model, emb))
 
 
+    def test_malformed_file_raises_model_error(self, tmp_path):
+        path = tmp_path / "router.json"
+        save_router(path, zero_model())
+        text = path.read_text()
+        payload = json.loads(text)
+        ragged = dict(payload, weights=dict(payload["weights"], W1=[[0.0], []]))
+        for content in (text[:len(text) // 2], "", "[1, 2]",
+                        json.dumps({"kind": "router"}),
+                        json.dumps(dict(payload, weights=[])),
+                        json.dumps(ragged)):
+            path.write_text(content)
+            with pytest.raises(ModelError):
+                load_router(path)
+
+
 class TestSelectTopK:
     def model_with_relevance(self, logits, personas):
         model = zero_model(personas=personas)
