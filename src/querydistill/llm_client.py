@@ -3,9 +3,9 @@
 Both annotator kinds sit behind ``annotate_batch``: responses come back
 positionally aligned with the prompts, transient failures are retried with
 exponential backoff, permanent failures become failure records instead of
-aborting the batch, and every successful response lands in a content-
-addressed on-disk cache keyed by digest(prompt text + model name). A
-completed batch re-run against the same cache performs zero annotator calls.
+aborting the batch, and every successful response is appended to an
+on-disk response log keyed by digest(prompt text + model name). A completed
+batch re-run against the same cache performs zero annotator calls.
 
 The mock annotator is a gazetteer lookup with optional persona biases,
 seeded confidence noise, and prompt-section awareness (entries marked
@@ -22,6 +22,7 @@ import re
 import tempfile
 import threading
 import time
+import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -128,38 +129,161 @@ class AnnotationFailure:
     attempts: int = 0
 
 
+# The response log's file name inside a cache directory.
+LOG_NAME = "responses.log"
+_KEY = re.compile(r"\S+")
+
+
+def _record(key, payload):
+    """One log line: the key, the CRC32 of key and payload, the payload."""
+    if not isinstance(key, str) or not _KEY.fullmatch(key):
+        raise ValueError(f"cache key must be non-empty without whitespace: {key!r}")
+    key = key.encode("utf-8")
+    return b"%s %08x %s\n" % (key, zlib.crc32(payload, zlib.crc32(key)), payload)
+
+
+def _replay(data):
+    """(index, torn) from the bytes of a response log.
+
+    Records apply in file order: a response sets its key only when the key
+    is absent, so the first one wins, and a tombstone (payload ``null``)
+    removes the key. A line whose checksum fails is skipped, and so is a
+    last line without a newline; ``torn`` says the file ends in one.
+    """
+    index = {}
+    offset = 0
+    lines = data.split(b"\n")
+    for line in lines[:-1]:
+        key, _, rest = line.partition(b" ")
+        crc, _, payload = rest.partition(b" ")
+        if crc == b"%08x" % zlib.crc32(payload, zlib.crc32(key)):
+            key = key.decode("utf-8")
+            if payload == b"null":
+                index.pop(key, None)
+            elif key not in index:
+                index[key] = (offset + len(line) - len(payload), len(payload))
+        offset += len(line) + 1
+    return index, bool(lines[-1])
+
+
 class ResponseCache:
-    """Append-only content-addressed cache: one file per response digest."""
+    """Append-only response store: one log file and an in-memory index.
+
+    Each line of ``responses.log`` is one record, ``<key> <crc32> <payload>``:
+    the cache key, the CRC32 of key and payload in 8 hex digits, and the
+    response as a JSON string, or ``null`` for a tombstone. Opening the
+    cache reads the log once and indexes each key to the offset and length
+    of its payload (see ``_replay``); ``get`` reads one payload back with
+    ``os.pread`` on a read-only descriptor, so a warm replay needs no write
+    access. ``put`` and ``discard`` append one record with a single
+    ``write`` on an ``O_APPEND`` descriptor, so records from concurrent
+    writers never interleave, and a log that ends in a torn line gets a
+    newline first. This is the Bitcask design (Sheehy & Smith, 2010). Each
+    descriptor opens on first use; ``close``, or leaving a ``with`` block,
+    releases them.
+
+    A directory in the old layout, one ``<key>.txt`` file per response and
+    no log, is imported into the log once, in sorted key order. The old
+    files are left in place.
+    """
 
     def __init__(self, directory):
         self.directory = str(directory)
         os.makedirs(self.directory, exist_ok=True)
+        self.path = os.path.join(self.directory, LOG_NAME)
         self._lock = threading.Lock()
+        self._fds = {}
+        if not os.path.exists(self.path):
+            self._import_legacy()
+        try:
+            with open(self.path, "rb") as fh:
+                self._index, self._torn = _replay(fh.read())
+        except FileNotFoundError:
+            self._index, self._torn = {}, False
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
+
+    def close(self):
+        with self._lock:
+            for fd in self._fds.values():
+                os.close(fd)
+            self._fds.clear()
 
     @staticmethod
     def key(prompt_text, model_name):
         data = model_name.encode("utf-8") + b"\x00" + prompt_text.encode("utf-8")
         return hashlib.sha256(data).hexdigest()
 
-    def _path(self, key):
-        return os.path.join(self.directory, key + ".txt")
-
     def get(self, key):
-        try:
-            with open(self._path(key), encoding="utf-8") as fh:
-                return fh.read()
-        except FileNotFoundError:
+        entry = self._index.get(key)
+        if entry is None:
             return None
+        offset, length = entry
+        with self._lock:
+            payload = os.pread(self._descriptor(os.O_RDONLY), length, offset)
+        return json.loads(payload)
 
     def put(self, key, text):
-        path = self._path(key)
+        payload = json.dumps(text).encode("ascii")
         with self._lock:
-            if os.path.exists(path):
-                return
-            fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".part")
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            os.replace(tmp, path)
+            if key not in self._index:
+                self._index[key] = self._append(key, payload)
+
+    def discard(self, key):
+        """Drop ``key``'s response with a tombstone, so that later runs
+        ask the annotator again."""
+        with self._lock:
+            if self._index.pop(key, None) is not None:
+                self._append(key, b"null")
+
+    def _descriptor(self, flags):
+        """The descriptor opened with ``flags``, opened on first use."""
+        if flags not in self._fds:
+            self._fds[flags] = os.open(self.path, flags, 0o666)
+        return self._fds[flags]
+
+    def _append(self, key, payload):
+        """Append one record (lock held); returns its payload's (offset,
+        length)."""
+        record = _record(key, payload)
+        if self._torn:
+            record = b"\n" + record
+        fd = self._descriptor(os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+        written = os.write(fd, record)
+        if written != len(record):
+            self._torn = True
+            raise OSError(f"short write to {self.path}: "
+                          f"{written} of {len(record)} bytes")
+        self._torn = False
+        # After an O_APPEND write the file position is the record's end.
+        end = os.lseek(fd, 0, os.SEEK_CUR)
+        return end - 1 - len(payload), len(payload)
+
+    def _import_legacy(self):
+        keys = sorted(name[:-4] for name in os.listdir(self.directory)
+                      if name.endswith(".txt") and _KEY.fullmatch(name[:-4]))
+        records = []
+        for key in keys:
+            with open(os.path.join(self.directory, key + ".txt"),
+                      encoding="utf-8") as fh:
+                records.append(_record(key, json.dumps(fh.read()).encode("ascii")))
+        if not records:
+            return
+        # Build the log aside and link it in, so that a concurrent opener
+        # sees either no log or the whole import.
+        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".part")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.writelines(records)
+            os.link(tmp, self.path)
+        except FileExistsError:
+            pass  # another process imported first
+        finally:
+            os.unlink(tmp)
 
 
 class RateLimiter:
@@ -282,7 +406,16 @@ def _http_call(handle, prompt_text, limiter, session):
             last_error = f"request failed: {exc}"
             continue
         if response.status_code == 200:
-            return response.text, attempts, None
+            # An empty or undecodable body is a failed call, never cached.
+            try:
+                text = response.content.decode("utf-8")
+            except UnicodeDecodeError:
+                last_error = "response body is not valid UTF-8"
+                continue
+            if text:
+                return text, attempts, None
+            last_error = "empty response body"
+            continue
         last_error = f"status {response.status_code}"
         if response.status_code not in RETRYABLE_STATUSES:
             return None, attempts, last_error

@@ -10,7 +10,8 @@ listed in ``manifest.json`` with a sha256 digest.
 
 Reruns are cheap: the annotate stage reads the response cache, so a
 completed pipeline re-executed with the same configuration performs zero
-annotator calls, and every other stage is a fast deterministic
+annotator calls (bar responses that did not parse, which are dropped from
+the cache and asked again), and every other stage is a fast deterministic
 recomputation. The manifest echoes a digest of the semantic configuration
 (paths under the output and cache directories excluded), so two runs of the
 same configuration produce byte-identical manifests regardless of where
@@ -171,13 +172,15 @@ def _digest_file(path):
     return h.hexdigest()
 
 
-def response_annotation(registry, response, stats):
+def response_annotation(registry, response, stats, discard=None):
     """Annotation for one annotator response or ``AnnotationFailure``.
 
     A failed call or an unparseable response becomes an empty annotation
     carrying a warning, so one bad response stays that query's failure.
-    Unparseable responses are counted in ``stats["unparseable_responses"]``;
-    failed calls are already counted by the handle.
+    Unparseable responses are counted in ``stats["unparseable_responses"]``
+    and passed to ``discard()`` (the annotate stage drops them from the
+    response cache, so the next run asks again); failed calls are already
+    counted by the handle.
     """
     if isinstance(response, AnnotationFailure):
         return Annotation(
@@ -186,6 +189,8 @@ def response_annotation(registry, response, stats):
         return prompting_mod.parse_response(registry, response)
     except UnparseableResponseError as exc:
         stats["unparseable_responses"] += 1
+        if discard is not None:
+            discard()
         return Annotation(entities={}, warnings=(f"unparseable response: {exc}",))
 
 
@@ -267,15 +272,20 @@ def _annotate(run):
             prompts.append(prompting_mod.build_prompt(
                 prompt_config, registry, record.text, persona))
             keys.append((record.id, persona.id if persona else None))
-    responses = annotate_batch(run.handle, prompts,
-                               cache=ResponseCache(config.cache_dir))
+    model_name = run.handle.model_name
+    with ResponseCache(config.cache_dir) as cache:
+        responses = annotate_batch(run.handle, prompts, cache=cache)
+        run.annotations = {
+            key: response_annotation(
+                registry, response, run.stats,
+                discard=lambda: cache.discard(
+                    ResponseCache.key(prompt.text, model_name)))
+            for key, prompt, response in zip(keys, prompts, responses)}
     run.stats["annotator_calls"] = run.handle.stats.calls
     run.stats["cache_hits"] = run.handle.stats.cache_hits
     run.stats["annotator_failures"] = run.handle.stats.failures
-    run.annotations = {key: response_annotation(registry, response, run.stats)
-                       for key, response in zip(keys, responses)}
     run.write("annotations", "annotations.jsonl", write_annotation_store,
-              run.annotations, annotator=run.handle.model_name)
+              run.annotations, annotator=model_name)
 
 
 def _matrix(run):

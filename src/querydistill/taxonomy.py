@@ -7,7 +7,7 @@ misaligned columns are caught at load time instead of producing silent junk.
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import resources
 
 from .errors import RegistryError, UnknownLabelError
@@ -38,6 +38,7 @@ class EntityRegistry:
     _index: dict = field(default_factory=dict, repr=False, compare=False)
     _ids: tuple = field(init=False, repr=False, compare=False)
     _hash: str = field(init=False, repr=False, compare=False)
+    _digest: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.entities:
@@ -52,12 +53,20 @@ class EntityRegistry:
         object.__setattr__(self, "_ids", ids)
         object.__setattr__(self, "_hash", hashlib.sha256(
             "\n".join(ids).encode("utf-8")).hexdigest())
+        content = [[getattr(e, f.name) for f in fields(e)] for e in self.entities]
+        object.__setattr__(self, "_digest", hashlib.sha256(
+            json.dumps(content).encode("utf-8")).hexdigest())
+
+    # Equality and hashing use a digest of every field of every entity, so
+    # the registry-keyed caches in prompting compare two strings, not the
+    # entities one by one, when a run loads an equal registry anew.
+    def __eq__(self, other):
+        if not isinstance(other, EntityRegistry):
+            return NotImplemented
+        return self._digest == other._digest
 
     def __hash__(self):
-        # Equal registries have equal ids, so hashing the id digest is
-        # consistent with __eq__ and cheaper than hashing every entity;
-        # prompting caches its registry-derived sections by registry.
-        return hash(self._hash)
+        return hash(self._digest)
 
     def __len__(self):
         return len(self.entities)

@@ -7,9 +7,10 @@ import pytest
 
 from querydistill.annotations import Confidence
 from querydistill.errors import AnnotatorConfigError
-from querydistill.llm_client import (AnnotationFailure, AnnotatorHandle,
-                                     HttpEndpointConfig, ResponseCache,
-                                     annotate_batch, mock_annotate, mock_handle)
+from querydistill.llm_client import (LOG_NAME, AnnotationFailure,
+                                     AnnotatorHandle, HttpEndpointConfig,
+                                     ResponseCache, _record, annotate_batch,
+                                     mock_annotate, mock_handle)
 from querydistill.prompting import parse_response
 
 
@@ -25,7 +26,9 @@ class ScriptedServer:
     """HTTP server answering from a per-prompt script of status codes."""
 
     def __init__(self, script):
-        self.script = dict(script)      # prompt -> list of statuses; empty = 200
+        # prompt -> list of statuses, or of bytes answered as a 200 body;
+        # once the list is empty, 200 with an echo of the prompt
+        self.script = dict(script)
         self.requests = []
         self._lock = threading.Lock()
         outer = self
@@ -39,8 +42,9 @@ class ScriptedServer:
                     outer.requests.append(prompt)
                     statuses = outer.script.get(prompt, [])
                     status = statuses.pop(0) if statuses else 200
-                if status == 200:
-                    payload = f"echo:{prompt}".encode("utf-8")
+                if status == 200 or isinstance(status, bytes):
+                    payload = (status if isinstance(status, bytes)
+                               else f"echo:{prompt}".encode("utf-8"))
                     self.send_response(200)
                     self.send_header("Content-Length", str(len(payload)))
                     self.end_headers()
@@ -235,6 +239,32 @@ class TestAnnotateBatchHttp:
         finally:
             server.stop()
 
+    def test_empty_or_undecodable_body_is_a_failure_not_cached(
+            self, http_config, tmp_path):
+        server = ScriptedServer({"empty": [b""] * 2,
+                                 "latin": ["caf\u00e9".encode("latin-1")] * 2,
+                                 "utf8": ["caf\u00e9".encode("utf-8")]})
+        cache = ResponseCache(tmp_path / "cache")
+        try:
+            handle = AnnotatorHandle(http_config(server.url, max_retries=1))
+            prompts = [FakePrompt(text=t) for t in ("empty", "latin", "utf8")]
+            results = annotate_batch(handle, prompts, cache=cache)
+            assert isinstance(results[0], AnnotationFailure)
+            assert results[0].error == "empty response body"
+            assert results[0].attempts == 2
+            assert isinstance(results[1], AnnotationFailure)
+            assert "UTF-8" in results[1].error
+            assert results[2] == "caf\u00e9"
+            assert handle.stats.failures == 2
+            # the failures were not cached: the next batch asks again and
+            # gets the echo the script now answers with
+            again = annotate_batch(handle, prompts, cache=cache)
+            assert again == ["echo:empty", "echo:latin", "caf\u00e9"]
+            assert server.requests.count("utf8") == 1
+        finally:
+            server.stop()
+            cache.close()
+
     def test_http_responses_cached(self, http_config, tmp_path):
         server = ScriptedServer({})
         cache = ResponseCache(tmp_path / "cache")
@@ -261,6 +291,166 @@ class TestResponseCache:
         cache.put("k" * 64, "first")
         cache.put("k" * 64, "second")
         assert cache.get("k" * 64) == "first"
+
+    def test_responses_survive_reload(self, tmp_path):
+        texts = {"a" * 64: "Genre|High\nSport|Low", "b" * 64: "",
+                 "c" * 64: "caf\u00e9 \u6620\u753b\r\n\"quoted\" \\ \ud800"}
+        with ResponseCache(tmp_path) as cache:
+            for key, text in texts.items():
+                cache.put(key, text)
+        reloaded = ResponseCache(tmp_path)
+        assert {key: reloaded.get(key) for key in texts} == texts
+        assert reloaded.get("d" * 64) is None
+        with open(tmp_path / LOG_NAME, "rb") as fh:
+            assert len(fh.read().splitlines()) == 3
+
+    def test_first_record_wins_on_replay(self, tmp_path):
+        with open(tmp_path / LOG_NAME, "wb") as fh:
+            fh.write(_record("k", b'"first"') + _record("k", b'"second"'))
+        assert ResponseCache(tmp_path).get("k") == "first"
+
+    def test_torn_tail_skipped_and_next_put_survives_reload(self, tmp_path):
+        with ResponseCache(tmp_path) as cache:
+            cache.put("good", "kept")
+            cache.put("torn", "cut short")
+        with open(tmp_path / LOG_NAME, "r+b") as fh:
+            fh.truncate(len(fh.read()) - 4)
+        with ResponseCache(tmp_path) as cache:
+            assert cache.get("good") == "kept"
+            assert cache.get("torn") is None
+            cache.put("torn", "asked again")
+            cache.put("after", "appended")
+        reloaded = ResponseCache(tmp_path)
+        assert reloaded.get("good") == "kept"
+        assert reloaded.get("torn") == "asked again"
+        assert reloaded.get("after") == "appended"
+
+    def test_flipped_byte_skips_only_that_record(self, tmp_path):
+        with ResponseCache(tmp_path) as cache:
+            for key in ("one", "two", "three"):
+                cache.put(key, f"response {key}")
+        data = bytearray((tmp_path / LOG_NAME).read_bytes())
+        middle = data.index(b"response two")
+        data[middle] ^= 0x01
+        (tmp_path / LOG_NAME).write_bytes(bytes(data))
+        with ResponseCache(tmp_path) as cache:
+            assert cache.get("one") == "response one"
+            assert cache.get("two") is None
+            assert cache.get("three") == "response three"
+            cache.put("two", "asked again")
+        assert ResponseCache(tmp_path).get("two") == "asked again"
+
+    def test_tombstone_survives_reload(self, tmp_path):
+        with ResponseCache(tmp_path) as cache:
+            cache.put("refusal", "Sorry, I cannot help with that.")
+            cache.put("kept", "Genre|High")
+            cache.discard("refusal")
+            cache.discard("never-stored")
+            assert cache.get("refusal") is None
+        reloaded = ResponseCache(tmp_path)
+        assert reloaded.get("refusal") is None
+        assert reloaded.get("kept") == "Genre|High"
+        with reloaded:
+            reloaded.put("refusal", "Genre|Low")
+        assert ResponseCache(tmp_path).get("refusal") == "Genre|Low"
+        with open(tmp_path / LOG_NAME, "rb") as fh:
+            assert len(fh.read().splitlines()) == 4
+
+    def test_key_with_whitespace_rejected(self, tmp_path):
+        cache = ResponseCache(tmp_path)
+        for key in ("", "two words", "line\nbreak"):
+            with pytest.raises(ValueError):
+                cache.put(key, "text")
+
+    def test_close_releases_the_descriptors(self, tmp_path):
+        import os
+        with ResponseCache(tmp_path) as cache:
+            cache.put("k", "v")
+            assert cache.get("k") == "v"
+            fds = list(cache._fds.values())
+            assert len(fds) == 2
+            for fd in fds:
+                os.fstat(fd)
+        assert not cache._fds
+        for fd in fds:
+            with pytest.raises(OSError):
+                os.fstat(fd)
+        assert cache.get("k") == "v"  # reopens on use
+        cache.close()
+
+    def test_replay_needs_no_write_access(self, tmp_path, monkeypatch):
+        import os
+        with ResponseCache(tmp_path) as cache:
+            cache.put("k", "v")
+        real_open = os.open
+
+        def read_only_open(path, flags, *args):
+            if flags & (os.O_WRONLY | os.O_RDWR):
+                raise PermissionError(13, "read-only", path)
+            return real_open(path, flags, *args)
+
+        monkeypatch.setattr(os, "open", read_only_open)
+        with ResponseCache(tmp_path) as cache:
+            assert cache.get("k") == "v"
+            assert cache.get("missing") is None
+            with pytest.raises(PermissionError):
+                cache.put("other", "text")
+
+    def test_legacy_files_imported_once_in_key_order(self, tmp_path):
+        (tmp_path / ("b" * 64 + ".txt")).write_text("second", encoding="utf-8")
+        (tmp_path / ("a" * 64 + ".txt")).write_text("first", encoding="utf-8")
+        # by file name "k-.txt" sorts before "k.txt"; by key "k" comes first
+        (tmp_path / "k-.txt").write_text("dash", encoding="utf-8")
+        (tmp_path / "k.txt").write_text("plain\r\n", encoding="utf-8")
+        (tmp_path / "leftover.part").write_text("partial write")
+        cache = ResponseCache(tmp_path)
+        assert cache.get("a" * 64) == "first"
+        assert cache.get("b" * 64) == "second"
+        assert cache.get("k") == "plain\n"  # read as the old layout read it
+        lines = (tmp_path / LOG_NAME).read_bytes().splitlines()
+        assert [line.split(b" ")[0] for line in lines] == [
+            b"a" * 64, b"b" * 64, b"k", b"k-"]
+        assert len(list(tmp_path.glob("*.txt"))) == 4
+        # once the log exists, new legacy files are not read again
+        (tmp_path / ("c" * 64 + ".txt")).write_text("late", encoding="utf-8")
+        assert ResponseCache(tmp_path).get("c" * 64) is None
+
+    def test_two_processes_append_concurrently(self, tmp_path):
+        import os
+        import subprocess
+        import sys
+        import time
+        import querydistill
+        src = os.path.dirname(os.path.dirname(querydistill.__file__))
+        go = tmp_path / "go"
+        script = (
+            "import os, sys, time\n"
+            "from querydistill.llm_client import ResponseCache\n"
+            "cache_dir, tag, go = sys.argv[1:]\n"
+            "deadline = time.monotonic() + 60\n"
+            "while not os.path.exists(go) and time.monotonic() < deadline:\n"
+            "    time.sleep(0.001)\n"
+            "with ResponseCache(cache_dir) as cache:\n"
+            "    for i in range(500):\n"
+            "        cache.put(f'{tag}-{i}', f'response {i} from {tag} ' * 8)\n")
+        procs = [subprocess.Popen(
+            [sys.executable, "-c", script, str(tmp_path / "cache"), tag,
+             str(go)], env=dict(os.environ, PYTHONPATH=src))
+            for tag in ("left", "right")]
+        try:
+            time.sleep(0.5)
+            go.touch()
+            codes = [proc.wait(timeout=60) for proc in procs]
+        finally:
+            for proc in procs:
+                proc.kill()
+        assert codes == [0, 0]
+        cache = ResponseCache(tmp_path / "cache")
+        assert len(cache._index) == 1000
+        for tag in ("left", "right"):
+            for i in range(500):
+                assert cache.get(f"{tag}-{i}") == f"response {i} from {tag} " * 8
+        cache.close()
 
 
 def test_requests_is_imported_only_on_the_http_path():

@@ -245,27 +245,73 @@ class TestRunPipeline:
         assert 0.0 <= micro[0]["f1"] <= 1.0
 
     def test_unparseable_cached_response_stays_local(self, tmp_path, capsys):
+        # A cached response that does not parse is counted on the run that
+        # replays it and dropped from the cache; the next run asks the
+        # annotator again, and the run after that replays its answer.
         assert cli.main(["synth", "--out", str(tmp_path), "--count", "200",
                          "--seed", "7"]) == 0
         config_path = str(tmp_path / "config.json")
         run_pipeline(load_run_config(config_path), until="annotate")
-        cache_dir = tmp_path / "cache"
-        victim = sorted(os.listdir(cache_dir))[0]
-        (cache_dir / victim).write_text("Sorry, I cannot help with that.")
-        result = run_pipeline(load_run_config(
-            config_path, {"output_dir": str(tmp_path / "out_a")}))
-        assert result.stats["unparseable_responses"] == 1
-        assert result.stats["annotator_failures"] == 0
+        cache_dir = str(tmp_path / "cache")
+        with open(os.path.join(cache_dir, llm_client.LOG_NAME)) as fh:
+            victim = fh.readline().split(" ", 1)[0]
+        with llm_client.ResponseCache(cache_dir) as cache:
+            cache.discard(victim)
+            cache.put(victim, "Sorry, I cannot help with that.")
+
+        def run(name):
+            return run_pipeline(load_run_config(
+                config_path, {"output_dir": str(tmp_path / name)}))
+
+        refused = run("out_a")
+        prompts = refused.stats["cache_hits"]
+        assert refused.stats["unparseable_responses"] == 1
+        assert refused.stats["annotator_calls"] == 0
+        assert refused.stats["annotator_failures"] == 0
+        with open(tmp_path / "out_a" / "annotations.jsonl") as fh:
+            warned = [line for line in fh if "unparseable response" in line]
+        assert len(warned) == 1
         capsys.readouterr()
         assert cli.main(["pipeline", "-c", config_path, "--output-dir",
                          str(tmp_path / "out_b")]) == 0
-        assert "failures: 0, unparseable responses: 1" in capsys.readouterr().out
+        assert (f"annotator calls: 1, cache hits: {prompts - 1}, failures: 0, "
+                "unparseable responses: 0") in capsys.readouterr().out
+        replay = run("out_c")
+        assert replay.stats["annotator_calls"] == 0
+        assert replay.stats["cache_hits"] == prompts
+        assert replay.stats["unparseable_responses"] == 0
         manifests = [(tmp_path / name / "manifest.json").read_bytes()
-                     for name in ("out_a", "out_b")]
-        assert manifests[0] == manifests[1]
+                     for name in ("out_a", "out_b", "out_c")]
+        assert manifests[0] != manifests[1] == manifests[2]
         with open(tmp_path / "out_b" / "annotations.jsonl") as fh:
-            warned = [line for line in fh if "unparseable response" in line]
-        assert len(warned) == 1
+            assert not any("unparseable response" in line for line in fh)
+
+    def test_legacy_cache_directory_replays_warm(self, tmp_path):
+        # A cache in the one-file-per-response layout (<key>.txt, no log)
+        # is imported once and replays the run without annotator calls.
+        assert cli.main(["synth", "--out", str(tmp_path), "--count", "200",
+                         "--seed", "7"]) == 0
+        config_path = str(tmp_path / "config.json")
+        cold = run_pipeline(load_run_config(config_path))
+        cache_dir = tmp_path / "cache"
+        legacy_dir = tmp_path / "legacy"
+        legacy_dir.mkdir()
+        cache = llm_client.ResponseCache(cache_dir)
+        with open(cache_dir / llm_client.LOG_NAME) as fh:
+            keys = [line.split(" ", 1)[0] for line in fh]
+        with cache:
+            for key in keys:
+                (legacy_dir / f"{key}.txt").write_text(cache.get(key))
+        warm = run_pipeline(load_run_config(
+            config_path, {"output_dir": str(tmp_path / "warm"),
+                          "cache_dir": str(legacy_dir)}))
+        assert cold.stats["annotator_calls"] == len(keys)
+        assert warm.stats["annotator_calls"] == 0
+        assert warm.stats["cache_hits"] == len(keys)
+        assert ((tmp_path / "warm" / "manifest.json").read_bytes()
+                == (tmp_path / "out" / "manifest.json").read_bytes())
+        assert (legacy_dir / llm_client.LOG_NAME).exists()
+        assert len(list(legacy_dir.glob("*.txt"))) == len(keys)
 
     def test_manifest_identical_across_blas_thread_counts(self, tmp_path):
         import subprocess

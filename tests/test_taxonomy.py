@@ -115,3 +115,36 @@ class TestRegistryHash:
         assert registry.hash == hashlib.sha256(b"A\nB").hexdigest()
         assert registry.hash is registry.hash
         assert registry.ids is registry.ids
+
+
+class TestRegistryEquality:
+    def test_equal_by_content_without_comparing_entities(self, tmp_path,
+                                                         monkeypatch):
+        records = [{"id": f"E{i}", "definition": f"d{i}",
+                    "icl_examples": [f"x{i}"]} for i in range(5)]
+        write_registry(tmp_path / "r.jsonl", records)
+        a, b = load_registry(tmp_path / "r.jsonl"), load_registry(tmp_path / "r.jsonl")
+
+        def no_entity_compare(self, other):
+            raise AssertionError("entities compared one by one")
+
+        monkeypatch.setattr(EntityDef, "__eq__", no_entity_compare)
+        assert a == b and hash(a) == hash(b)
+        assert {a: 1}[b] == 1
+
+    @pytest.mark.parametrize("change", [
+        {"definition": "another definition"},
+        {"icl_examples": ("another example",)},
+        {"icl_examples": ()},
+    ])
+    def test_every_entity_field_counts(self, change):
+        from dataclasses import replace
+        entities = (EntityDef(id="A", definition="d", icl_examples=("x",)),
+                    EntityDef(id="B", definition="d"))
+        base = EntityRegistry(entities=entities)
+        other = EntityRegistry(entities=(replace(entities[0], **change),
+                                         entities[1]))
+        assert other.hash == base.hash
+        assert other != base
+        assert base == EntityRegistry(entities=entities)
+        assert base != entities
