@@ -1,10 +1,12 @@
-"""Command-line surface: one subcommand per pipeline stage, plus ablation
-grids, synthetic-corpus generation, and a serving mode.
+"""Command-line surface. ``pipeline`` runs the stage table end to end, or
+through ``--until STAGE``; the other subcommands print the registry,
+ingest and split a log on their own, write the router's extra outputs, run
+the ablation grids, generate a synthetic corpus and serve a model.
 
-Stage subcommands are config-driven (a JSON run configuration plus flag
-overrides) and execute the pipeline up to their stage; earlier stages are
-cheap deterministic recomputations and annotator responses come from the
-response cache, so iterating on a late stage never re-pays for LLM calls.
+Config-driven commands take a JSON run configuration plus flag overrides.
+Earlier stages are cheap deterministic recomputations and annotator
+responses come from the response cache, so iterating on a late stage never
+re-pays for LLM calls.
 """
 
 import argparse
@@ -20,9 +22,9 @@ from . import router as router_mod
 from . import synth as synth_mod
 from .annotations import read_annotation_store, write_annotation_store
 from .baseline import write_gazetteer
-from .errors import QueryDistillError
+from .errors import PipelineConfigError, QueryDistillError
 from .features import HashedNgramEmbedder
-from .pipeline import load_run_config, run_pipeline
+from .pipeline import STAGES, load_run_config, run_pipeline
 from .taxonomy import default_registry, load_registry, validate_label
 
 
@@ -87,30 +89,38 @@ def _print_stats(stats):
           f"unparseable responses: {stats['unparseable_responses']}")
 
 
-def _stage_command(stage):
-    def run(args):
-        config = _config_from_args(args)
-        result = run_pipeline(config, until=stage)
-        print(f"stage {stage} complete; {len(result.manifest['artifacts'])} "
-              f"artifact(s) in {result.output_dir}")
-        _print_stats(result.stats)
-        return 0
-    return run
-
-
 def cmd_pipeline(args):
     config = _config_from_args(args)
-    result = run_pipeline(config)
+    result = run_pipeline(config, until=args.until)
     for artifact in result.manifest["artifacts"]:
         print(f"{artifact['sha256'][:12]}  {artifact['path']}")
     print(f"manifest: {result.manifest_path}")
     _print_stats(result.stats)
+    if args.until == "eval":
+        with open(os.path.join(result.output_dir, "eval.jsonl"),
+                  encoding="utf-8") as fh:
+            micro = [json.loads(line) for line in fh if '"micro"' in line]
+        for record in micro:
+            print(f"{record['system']:<32} weighted={record['weighted']} "
+                  f"P={record['precision']:.4f} R={record['recall']:.4f} "
+                  f"F1={record['f1']:.4f}")
     return 0
 
 
-def cmd_router_train(args):
+def _router_run(args):
+    """Run the pipeline through the router stage, which trains a router only
+    in router persona mode; any other mode is a config error, not a read of
+    whatever ``router.json`` an earlier run left behind."""
     config = _config_from_args(args)
-    result = run_pipeline(config, until="router")
+    if config.persona_mode != "router":
+        raise PipelineConfigError(
+            f"{args.command} needs persona_mode 'router', "
+            f"not {config.persona_mode!r}")
+    return config, run_pipeline(config, until="router")
+
+
+def cmd_router_train(args):
+    _, result = _router_run(args)
     model_path = os.path.join(result.output_dir, "router.json")
     with open(model_path, encoding="utf-8") as fh:
         payload = json.load(fh)
@@ -122,8 +132,7 @@ def cmd_router_train(args):
 
 
 def cmd_router_select(args):
-    config = _config_from_args(args)
-    result = run_pipeline(config, until="router")
+    config, result = _router_run(args)
     model = router_mod.load_router(
         os.path.join(result.output_dir, "router.json"))
     encoder = HashedNgramEmbedder(dim=config.embedding_dim, seed=config.seed)
@@ -186,19 +195,6 @@ def cmd_ablation(args):
         store = _ablation_arm(config, mode, "aggregate", "aggregated.jsonl",
                               persona_mode=mode)
         report(f"{mode:<8}", store, f"ensemble-{mode}")
-    return 0
-
-
-def cmd_eval(args):
-    config = _config_from_args(args)
-    result = run_pipeline(config, until="eval")
-    print(f"evaluation written to {os.path.join(result.output_dir, 'eval.jsonl')}")
-    with open(os.path.join(result.output_dir, "eval.jsonl"), encoding="utf-8") as fh:
-        micro = [json.loads(line) for line in fh if '"micro"' in line]
-    for record in micro:
-        print(f"{record['system']:<32} weighted={record['weighted']} "
-              f"P={record['precision']:.4f} R={record['recall']:.4f} "
-              f"F1={record['f1']:.4f}")
     return 0
 
 
@@ -297,18 +293,6 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_split)
 
-    for stage, help_text in (
-            ("annotate", "annotate queries (fan out over personas)"),
-            ("matrix", "build persona x entity confidence matrices"),
-            ("aggregate", "aggregate persona responses per query"),
-            ("labels", "derive weak indicator labels"),
-            ("train", "train the distilled classifier"),
-            ("tune", "tune per-entity decision thresholds"),
-    ):
-        p = sub.add_parser(stage, help=help_text)
-        _add_config_flags(p)
-        p.set_defaults(func=_stage_command(stage))
-
     p = sub.add_parser("router-train", help="train the persona-selection router")
     _add_config_flags(p)
     p.add_argument("--loss-csv", dest="loss_csv", default="")
@@ -319,12 +303,11 @@ def build_parser():
     p.add_argument("--out", default="")
     p.set_defaults(func=cmd_router_select)
 
-    p = sub.add_parser("eval", help="run the pipeline and report metrics")
+    p = sub.add_parser("pipeline", help="run the stages in order, end to end "
+                                        "or through --until")
     _add_config_flags(p)
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("pipeline", help="run every stage end to end")
-    _add_config_flags(p)
+    p.add_argument("--until", choices=STAGES, default="eval",
+                   help="last stage to run (default: %(default)s)")
     p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("ablation",

@@ -30,7 +30,6 @@ from .annotations import Annotation, Confidence, render_annotation
 from .baseline import phrase_windows
 from .data import normalize_query
 from .errors import AnnotatorConfigError
-from .personas import Persona
 
 RETRYABLE_STATUSES = frozenset({429, 500, 502, 503, 504})
 
@@ -325,7 +324,7 @@ def _matched_phrases(gazetteer, text):
 
 
 def mock_annotate(handle, query, persona=None, sections=()):
-    """Deterministic fake response for one query.
+    """Deterministic fake response for one query; ``persona`` is a persona id.
 
     Labels come from gazetteer lookup over the normalized query; entries in
     the ambiguity table are mislabeled unless the prompt included an "icl"
@@ -335,7 +334,7 @@ def mock_annotate(handle, query, persona=None, sections=()):
     result is rendered in the standard response line format.
     """
     config = handle.config
-    persona_id = persona.id if isinstance(persona, Persona) else (persona or "")
+    persona_id = persona or ""
     icl_present = "icl" in sections
 
     labels = {}
@@ -360,20 +359,6 @@ def mock_annotate(handle, query, persona=None, sections=()):
             labels[victim] = rng.choice(others)
 
     return render_annotation(Annotation(entities=labels))
-
-
-_QUERY_LINE = re.compile(r"^Query:\s*(.*\S)\s*$", re.MULTILINE)
-
-
-def _prompt_fields(prompt):
-    """Query/persona/sections from a PromptText, or best effort from text."""
-    if hasattr(prompt, "query"):
-        return prompt.query, prompt.persona_id, tuple(prompt.sections)
-    text = str(prompt)
-    match = None
-    for match in _QUERY_LINE.finditer(text):
-        pass
-    return (match.group(1) if match else text), "", ()
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +408,8 @@ def _http_call(handle, prompt_text, limiter, session):
 
 
 def annotate_batch(handle, prompts, cache=None):
-    """Annotate prompts; returns responses aligned with the prompt order.
+    """Annotate ``PromptText`` prompts; returns responses aligned with the
+    prompt order.
 
     Each element is either the raw response string or an AnnotationFailure.
     Successful responses are written to ``cache`` (when given) and served
@@ -440,23 +426,22 @@ def annotate_batch(handle, prompts, cache=None):
     results = [None] * len(prompts)
     pending = []
     for index, prompt in enumerate(prompts):
-        text = prompt.text if hasattr(prompt, "text") else str(prompt)
-        key = ResponseCache.key(text, model_name)
+        key = ResponseCache.key(prompt.text, model_name)
         cached = cache.get(key) if cache is not None else None
         if cached is not None:
             handle.stats.count("cache_hits")
             results[index] = cached
         else:
-            pending.append((index, prompt, text, key))
+            pending.append((index, prompt, key))
 
     if not pending:
         return results
 
     if handle.kind == "mock":
-        for index, prompt, text, key in pending:
-            query, persona_id, sections = _prompt_fields(prompt)
+        for index, prompt, key in pending:
             handle.stats.count("calls")
-            response = mock_annotate(handle, query, persona_id, sections)
+            response = mock_annotate(handle, prompt.query, prompt.persona_id,
+                                     prompt.sections)
             if cache is not None:
                 cache.put(key, response)
             results[index] = response
@@ -468,8 +453,9 @@ def annotate_batch(handle, prompts, cache=None):
     session = requests.Session()
 
     def worker(item):
-        index, _, text, key = item
-        response, attempts, error = _http_call(handle, text, limiter, session)
+        index, prompt, key = item
+        response, attempts, error = _http_call(handle, prompt.text, limiter,
+                                               session)
         if error is not None:
             handle.stats.count("failures")
             return index, AnnotationFailure(index=index, error=error, attempts=attempts)

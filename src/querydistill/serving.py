@@ -14,8 +14,8 @@ import socketserver
 import sys
 import time
 
-from .classifier import (ThresholdChoice, apply_thresholds, heads_forward,
-                         load_classifier, set_thresholds, _sigmoid)
+from .classifier import (ThresholdChoice, apply_thresholds, load_classifier,
+                         predict_probs, set_thresholds)
 from .errors import ModelError
 
 MAX_REQUEST_LINE = 64 * 1024
@@ -54,11 +54,9 @@ class ServeState:
         if not query:
             return json.dumps({"error": "empty query"})
         try:
-            x = self.backend.embed(query)
+            probs = predict_probs(self.model, query, backend=self.backend)
         except Exception as exc:
             return json.dumps({"error": str(exc)})
-        logits, _ = heads_forward(self.model, x[None, :])
-        probs = _sigmoid(logits[0])
         selected = apply_thresholds(self.model, probs)
         labels = [
             {"entity": entity, "prob": float(prob)}

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shutil
 import socket
 
@@ -371,10 +372,64 @@ class TestCli:
 
     def test_stage_command_annotate(self, tmp_path, capsys):
         config_path = build_workspace(tmp_path, count=60)
-        assert cli.main(["annotate", "-c", config_path]) == 0
+        assert cli.main(["pipeline", "-c", config_path,
+                         "--until", "annotate"]) == 0
         out_dir = os.path.join(os.path.dirname(config_path), "out")
         assert os.path.exists(os.path.join(out_dir, "annotations.jsonl"))
         assert not os.path.exists(os.path.join(out_dir, "classifier.json"))
+
+    @pytest.mark.parametrize("until", STAGES)
+    def test_pipeline_until_matches_run_pipeline(self, stage_workspace,
+                                                 tmp_path, capsys, until):
+        by_cli, by_api = tmp_path / "cli", tmp_path / "api"
+        assert cli.main(["pipeline", "-c", stage_workspace, "--until", until,
+                         "--output-dir", str(by_cli)]) == 0
+        printed = capsys.readouterr().out
+        expected = run_pipeline(load_run_config(
+            stage_workspace, {"output_dir": str(by_api)}), until=until)
+        assert sorted(os.listdir(by_cli)) == sorted(os.listdir(by_api))
+        for name in os.listdir(by_api):
+            assert (by_cli / name).read_bytes() == (by_api / name).read_bytes()
+        for artifact in expected.manifest["artifacts"]:
+            assert f"{artifact['sha256'][:12]}  {artifact['path']}" in printed
+
+    def test_pipeline_prints_eval_micro_lines(self, tmp_path, capsys):
+        config_path = build_workspace(tmp_path, count=60)
+        out_dir = os.path.join(os.path.dirname(config_path), "out")
+        assert cli.main(["pipeline", "-c", config_path,
+                         "--until", "tune"]) == 0
+        assert " F1=" not in capsys.readouterr().out
+        assert cli.main(["pipeline", "-c", config_path]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        with open(os.path.join(out_dir, "eval.jsonl")) as fh:
+            micro = [r for r in map(json.loads, fh) if r["entity"] == "micro"]
+        assert micro
+        printed = [line for line in lines if " F1=" in line]
+        assert len(printed) == len(micro)
+        for line, record in zip(printed, micro):
+            assert line.split()[0] == record["system"]
+            assert f"weighted={record['weighted']}" in line
+            assert f"F1={record['f1']:.4f}" in line
+        assert "annotator calls: 0, cache hits:" in lines[lines.index(
+            printed[0]) - 1]
+
+    def test_help_lists_the_nine_commands(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["--help"])
+        assert exit_info.value.code == 0
+        listed = re.search(r"\{([^}]*)\}", capsys.readouterr().out).group(1)
+        assert listed.split(",") == [
+            "taxonomy", "ingest", "split", "router-train", "router-select",
+            "pipeline", "ablation", "serve", "synth"]
+
+    def test_readme_cli_block_names_every_command(self):
+        readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            section = fh.read().split("\n## CLI\n", 1)[1]
+        block = section.split("```\n", 2)[1]
+        named = [line.split()[0] for line in block.splitlines() if line.strip()]
+        usage = cli.build_parser().format_usage()
+        assert named == re.search(r"\{([^}]*)\}", usage).group(1).split(",")
 
     def test_router_select_writes_selections(self, tmp_path, capsys):
         config_path = build_workspace(tmp_path, count=60)
@@ -573,6 +628,31 @@ class TestConfigSurfaces:
         with pytest.raises(PipelineConfigError):
             RunConfig(registry_path="r", queries_path="q", output_dir="o",
                       cache_dir="c", persona_mode="psychic")
+
+    def test_router_train_outside_router_mode_is_an_error(self, tmp_path,
+                                                          capsys):
+        config_path = build_workspace(tmp_path, count=60)
+        assert cli.main(["router-train", "-c", config_path,
+                         "--persona-mode", "random"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: router-train needs persona_mode 'router'")
+        out_dir = os.path.join(os.path.dirname(config_path), "out")
+        assert not os.path.exists(os.path.join(out_dir, "router_loss.csv"))
+
+    def test_router_select_ignores_stale_router_file(self, tmp_path, capsys):
+        config_path = build_workspace(tmp_path, count=60)
+        out_dir = os.path.join(os.path.dirname(config_path), "out")
+        assert cli.main(["pipeline", "-c", config_path,
+                         "--until", "router"]) == 0
+        assert os.path.exists(os.path.join(out_dir, "router.json"))
+        capsys.readouterr()
+        assert cli.main(["router-select", "-c", config_path, "--persona-mode",
+                         "random", "--persona-k", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            "error: router-select needs persona_mode 'router'")
+        assert "persona selections" not in captured.out
+        assert not os.path.exists(os.path.join(out_dir, "selections.jsonl"))
 
     def test_router_train_command_writes_loss_csv(self, tmp_path, capsys):
         config_path = build_workspace(tmp_path, count=60)
