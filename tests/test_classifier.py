@@ -19,8 +19,9 @@ from querydistill.classifier import (ClassifierModel, ClassifierTrainConfig,
                                      set_thresholds, stable_bce,
                                      train_classifier, tune_threshold_for_entity,
                                      tune_thresholds, weak_labels_from_annotations)
-from querydistill.errors import EmptyDatasetError, ModelError
-from querydistill.features import HashedNgramEmbedder
+from querydistill.errors import (EmptyDatasetError, MissingEmbeddingError,
+                                 ModelError)
+from querydistill.features import HashedNgramEmbedder, PrecomputedEmbedder
 from querydistill.synth import synth_gazetteer, synth_queries, synth_registry
 
 
@@ -35,6 +36,33 @@ def random_model(D=16, m=8, E=3, seed=0, backend_seed=0):
         c2=rng.normal(scale=0.4, size=E),
         thresholds=np.full(E, 0.5),
         registry_hash="rh")
+
+
+class TestEncode:
+    def test_deterministic(self):
+        backend = HashedNgramEmbedder(dim=128, seed=0)
+        assert np.array_equal(backend.embed("comedy movies"),
+                              backend.embed("comedy movies"))
+
+    def test_empty_text_rejected(self):
+        backend = HashedNgramEmbedder(dim=32, seed=0)
+        with pytest.raises(ValueError):
+            backend.embed("   ")
+
+    def test_unit_norm(self):
+        backend = HashedNgramEmbedder(dim=64, seed=1)
+        assert abs(np.linalg.norm(backend.embed("tom hanks")) - 1.0) < 1e-12
+
+    def test_precomputed_backend_missing_vector(self, tmp_path):
+        import json
+        from querydistill.data import query_id
+        path = tmp_path / "vecs.jsonl"
+        path.write_text(json.dumps(
+            {"id": query_id("known"), "vector": [1.0, 0.0]}) + "\n")
+        backend = PrecomputedEmbedder(path)
+        assert backend.embed("known").tolist() == [1.0, 0.0]
+        with pytest.raises(MissingEmbeddingError):
+            backend.embed("unknown")
 
 
 class TestWeakLabels:

@@ -6,7 +6,9 @@ import pytest
 
 import oracles
 import synthetic_helpers as synth
-from querydistill.errors import EmptyDatasetError, ModelError
+from querydistill.errors import (EmptyDatasetError, MissingEmbeddingError,
+                                 ModelError)
+from querydistill.features import HashedNgramEmbedder, PrecomputedEmbedder
 from querydistill.personas import ConfidenceMatrix
 from querydistill.router import (RouterModel, RouterTrainConfig, load_router,
                                  predict_entities, router_forward,
@@ -20,6 +22,31 @@ def zero_model(d=4, h=3, personas=("a", "b"), dropout=0.0, registry_hash="rh"):
         W1=np.zeros((d, h)), b1=np.zeros(h),
         W2=np.zeros((h, P)), b2=np.zeros(P),
         dropout_rate=dropout, persona_ids=personas, registry_hash=registry_hash)
+
+
+class TestEmbedQuery:
+    def test_builtin_deterministic(self):
+        encoder = HashedNgramEmbedder(dim=64, seed=3)
+        a = encoder.embed("french comedy movies")
+        b = encoder.embed("french comedy movies")
+        assert np.array_equal(a, b)
+
+    def test_builtin_unit_norm(self):
+        encoder = HashedNgramEmbedder(dim=64, seed=0)
+        for text in ("a", "tom hanks", "a very long query about movies"):
+            vec = encoder.embed(text)
+            assert abs(np.linalg.norm(vec) - 1.0) < 1e-6
+
+    def test_precomputed_lookup_and_missing(self, tmp_path):
+        from querydistill.data import query_id
+        path = tmp_path / "vectors.jsonl"
+        with open(path, "w") as fh:
+            fh.write(json.dumps({"id": query_id("known query"),
+                                 "vector": [0.5, 0.5]}) + "\n")
+        encoder = PrecomputedEmbedder(path)
+        assert encoder.embed("known query").tolist() == [0.5, 0.5]
+        with pytest.raises(MissingEmbeddingError):
+            encoder.embed("unknown query")
 
 
 class TestRouterForward:
