@@ -9,6 +9,9 @@ import enum
 import json
 from dataclasses import dataclass, field
 
+# ``json.dumps(record, sort_keys=True)`` without building an encoder per call.
+_SORTED_JSON = json.JSONEncoder(sort_keys=True)
+
 
 class Confidence(enum.IntEnum):
     """Annotator confidence level. Integer values feed confidence matrices."""
@@ -86,15 +89,13 @@ def annotation_from_json(record):
 
 def write_annotation_store(path, store, annotator=""):
     """Write {query_id: Annotation} (or {(query_id, persona_id): ...}) as JSONL."""
+    lines = []
+    for key in sorted(store, key=_store_key):
+        qid, pid = key if isinstance(key, tuple) else (key, None)
+        lines.append(_SORTED_JSON.encode(
+            annotation_to_json(store[key], qid, annotator, pid)) + "\n")
     with open(path, "w", encoding="utf-8") as fh:
-        for key in sorted(store, key=_store_key):
-            ann = store[key]
-            if isinstance(key, tuple):
-                qid, pid = key
-            else:
-                qid, pid = key, None
-            fh.write(json.dumps(annotation_to_json(ann, qid, annotator, pid),
-                                sort_keys=True) + "\n")
+        fh.writelines(lines)
 
 
 def read_annotation_store(path):

@@ -24,6 +24,7 @@ from .annotations import Confidence
 from .errors import EmptyDatasetError, ModelError, NanLossError
 from .features import HashedNgramEmbedder, encoder_from_descriptor
 from .optim import AdamW
+from .personas import annotation_levels
 
 
 # ---------------------------------------------------------------------------
@@ -52,26 +53,28 @@ class WeakLabelSet:
         object.__setattr__(self, "query_ids", tuple(self.query_ids))
 
 
-def weak_labels_from_annotations(registry, annotations, min_confidence=Confidence.HIGH,
-                                 provenance=""):
-    """Indicator labels: entity set iff annotated confidence >= the filter.
-
-    ``annotations`` maps query_id -> Annotation; rows are sorted by query id
-    for determinism. The empty annotation ("None") yields an all-zero row.
-    """
-    query_ids = tuple(sorted(annotations))
-    indicators = np.zeros((len(query_ids), len(registry)), dtype=np.int8)
-    for row, qid in enumerate(query_ids):
-        for entity, conf in annotations[qid].entities.items():
-            if conf >= min_confidence:
-                indicators[row, registry.column(entity)] = 1
+def weak_labels(registry, query_ids, levels, min_confidence=Confidence.HIGH,
+                provenance=""):
+    """Indicator labels from an (n, E) array of confidence levels, one row
+    per query id: entity set iff its level >= the filter. Rows are sorted by
+    query id for determinism."""
+    order = sorted(range(len(query_ids)), key=query_ids.__getitem__)
     return WeakLabelSet(
         registry_hash=registry.hash,
-        query_ids=query_ids,
-        indicators=indicators,
+        query_ids=[query_ids[row] for row in order],
+        indicators=np.asarray(levels)[order] >= min_confidence,
         provenance=provenance,
         min_confidence=min_confidence,
     )
+
+
+def weak_labels_from_annotations(registry, annotations, min_confidence=Confidence.HIGH,
+                                 provenance=""):
+    """``weak_labels`` of a {query_id: Annotation} store. The empty
+    annotation ("None") yields an all-zero row."""
+    return weak_labels(registry, list(annotations),
+                       annotation_levels(list(annotations.values()), registry),
+                       min_confidence=min_confidence, provenance=provenance)
 
 
 @dataclass(frozen=True)

@@ -138,12 +138,14 @@ def cmd_router_select(args):
     encoder = HashedNgramEmbedder(dim=config.embedding_dim, seed=config.seed)
     records = data_mod.read_queries_jsonl(
         os.path.join(result.output_dir, "queries.jsonl"))
+    chosen = router_mod.top_k_personas(
+        model, encoder.encode_batch([r.text for r in records]),
+        config.persona_k)
     out_path = args.out or os.path.join(result.output_dir, "selections.jsonl")
     with open(out_path, "w", encoding="utf-8") as fh:
-        for record in records:
-            chosen = router_mod.select_top_k(
-                model, encoder.embed(record.text), config.persona_k)
-            fh.write(json.dumps({"id": record.id, "personas": chosen}) + "\n")
+        for record, rows in zip(records, chosen.tolist()):
+            fh.write(json.dumps({"id": record.id, "personas": [
+                model.persona_ids[row] for row in rows]}) + "\n")
     print(f"wrote top-{config.persona_k} persona selections -> {out_path}")
     return 0
 

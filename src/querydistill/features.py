@@ -14,12 +14,13 @@ Both expose ``kind``, ``dim``, ``tag``, ``descriptor()``, ``embed(text)``
 for one query and ``encode_batch(texts)`` for an ``(n, dim)`` matrix whose
 rows equal ``embed``'s; ``encoder_from_descriptor`` rebuilds either one from
 its descriptor. ``EncodedTexts`` holds one encoder's matrix for a fixed list
-of texts, so a pipeline run encodes each text once per encoder.
+of texts, and ``hashed_ngram_matrices`` builds the matrices of several
+hashed dims of one seed from one n-gram pass, so a pipeline run extracts
+each text's n-grams once for both of its encoders.
 """
 
 import hashlib
 import json
-from array import array
 
 import numpy as np
 
@@ -33,6 +34,12 @@ _BOUNDARY_CLOSE = ">"
 # long-running server fed novel tokens stays bounded in memory. It is a pure
 # memo: a race between server threads can at worst clear it twice.
 BUCKET_CACHE_LIMIT = 1 << 16
+
+
+def _digest(ngram, key):
+    """The n-gram's 8-byte blake2b digest keyed by ``key``."""
+    return hashlib.blake2b(ngram.encode("utf-8"), digest_size=8,
+                           key=key).digest()
 
 
 class HashedNgramEmbedder:
@@ -60,24 +67,19 @@ class HashedNgramEmbedder:
     def _bucket(self, ngram):
         cached = self._bucket_cache.get(ngram)
         if cached is None:
-            digest = hashlib.blake2b(
-                ngram.encode("utf-8"), digest_size=8, key=self._key).digest()
-            value = int.from_bytes(digest, "little")
+            value = int.from_bytes(_digest(ngram, self._key), "little")
             cached = (value % self.dim, 1.0 if value >> 63 == 0 else -1.0)
             if len(self._bucket_cache) >= BUCKET_CACHE_LIMIT:
                 self._bucket_cache.clear()
             self._bucket_cache[ngram] = cached
         return cached
 
-    def ngrams(self, text):
+    @staticmethod
+    def ngrams(text):
         padded = _BOUNDARY_OPEN + normalize_query(text) + _BOUNDARY_CLOSE
-        out = []
-        for size in NGRAM_SIZES:
-            for start in range(len(padded) - size + 1):
-                out.append(padded[start:start + size])
-        if not out:
-            out.append(padded)
-        return out
+        out = [padded[start:start + size] for size in NGRAM_SIZES
+               for start in range(len(padded) - size + 1)]
+        return out or [padded]
 
     def embed(self, text):
         """Signed bucket counts of the text's n-grams, L2-normalized."""
@@ -93,35 +95,45 @@ class HashedNgramEmbedder:
         return vec
 
     def encode_batch(self, texts):
-        """One ``embed(text)`` row per text, built in one pass: each text's
-        n-grams are extracted once, each distinct n-gram is looked up in the
-        bucket memo once, and the signed counts of every row come from one
-        ``np.bincount``. Every entry is a sum of +-1.0, so the sums and the
-        norms are exact and each row is bit-identical to ``embed``'s.
-        """
-        # ``codes`` gives each n-gram occurrence the index of its distinct
-        # n-gram, in order of first sight; ``table`` holds their (bucket,
-        # sign).
-        position, codes, lengths = {}, array("q"), []
-        for text in texts:
-            if not text.strip():
-                raise ValueError("cannot embed empty text")
-            text_grams = self.ngrams(text)
-            codes.extend([position.setdefault(ngram, len(position))
-                          for ngram in text_grams])
-            lengths.append(len(text_grams))
-        table = np.array([self._bucket(ngram) for ngram in position])
-        pairs = table.reshape(-1, 2)[np.frombuffer(codes, dtype=np.int64)]
-        cells = (np.repeat(np.arange(len(texts)) * self.dim, lengths)
-                 + pairs[:, 0].astype(np.intp))
+        """One ``embed(text)`` row per text; see ``hashed_ngram_matrices``."""
+        return hashed_ngram_matrices(texts, self.seed, (self.dim,))[0]
+
+
+def hashed_ngram_matrices(texts, seed, dims):
+    """``HashedNgramEmbedder(dim, seed).encode_batch(texts)`` for each dim in
+    ``dims``, from one pass: an n-gram's keyed digest depends on the seed
+    only (the bucket is the digest modulo the dim, the sign its top bit), so
+    each distinct n-gram is digested once and each dim costs one
+    ``np.bincount``. Every entry is a sum of +-1.0, so the sums and norms
+    are exact and each row is bit-identical to ``embed``'s."""
+    grams, lengths = [], []
+    for text in texts:
+        if not text.strip():
+            raise ValueError("cannot embed empty text")
+        text_grams = HashedNgramEmbedder.ngrams(text)
+        grams += text_grams
+        lengths.append(len(text_grams))
+    # ``codes`` gives each n-gram occurrence the index of its distinct
+    # n-gram, in order of first sight.
+    index = {gram: code for code, gram in enumerate(dict.fromkeys(grams))}
+    codes = np.fromiter(map(index.__getitem__, grams), dtype=np.intp,
+                        count=len(grams))
+    key = int(seed).to_bytes(8, "little")
+    digests = np.frombuffer(b"".join(_digest(gram, key) for gram in index),
+                            dtype="<u8")
+    signs = np.where(digests >> np.uint64(63) == 0, 1.0, -1.0)[codes]
+    rows = np.repeat(np.arange(len(texts)), lengths)
+    matrices = []
+    for dim in dims:
+        cells = rows * dim + (digests % np.uint64(dim)).astype(np.intp)[codes]
         # With no texts at all, bincount returns integers.
-        matrix = np.bincount(cells, weights=pairs[:, 1],
-                             minlength=len(texts) * self.dim)
-        matrix = matrix.astype(float, copy=False).reshape(len(texts), self.dim)
+        matrix = np.bincount(cells, weights=signs, minlength=len(texts) * dim)
+        matrix = matrix.astype(float, copy=False).reshape(len(texts), dim)
         norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
         norms[norms == 0] = 1.0
         matrix /= norms[:, None]
-        return matrix
+        matrices.append(matrix)
+    return matrices
 
 
 class PrecomputedEmbedder:
@@ -181,12 +193,13 @@ class EncodedTexts:
     Stands in for the encoder where only those texts are encoded, as in one
     pipeline run: ``encode_batch`` and ``embed`` return stored rows, and
     ``kind``, ``dim``, ``tag`` and ``descriptor()`` are the encoder's. A text
-    outside the list raises KeyError.
+    outside the list raises KeyError. ``matrix``, when given, is the
+    encoder's ``encode_batch(texts)``, computed elsewhere.
     """
 
-    def __init__(self, encoder, texts):
+    def __init__(self, encoder, texts, matrix=None):
         self.encoder = encoder
-        self.matrix = encoder.encode_batch(texts)
+        self.matrix = encoder.encode_batch(texts) if matrix is None else matrix
         self._rows = {text: row for row, text in enumerate(texts)}
 
     @property

@@ -2,7 +2,8 @@
 
 Both annotator kinds sit behind ``annotate_batch``: responses come back
 positionally aligned with the prompts, transient failures are retried with
-exponential backoff, permanent failures become failure records instead of
+exponential backoff (or after a 429 or 503's ``Retry-After`` seconds, up to
+``RETRY_AFTER_CAP``), permanent failures become failure records instead of
 aborting the batch, and every successful response is appended to an
 on-disk response log keyed by digest(prompt text + model name). A completed
 batch re-run against the same cache performs zero annotator calls.
@@ -32,6 +33,8 @@ from .data import normalize_query
 from .errors import AnnotatorConfigError
 
 RETRYABLE_STATUSES = frozenset({429, 500, 502, 503, 504})
+# The longest wait a 429 or 503 response's Retry-After header can ask for.
+RETRY_AFTER_CAP = 60.0
 
 
 @dataclass(frozen=True)
@@ -374,9 +377,12 @@ def _http_call(handle, prompt_text, limiter, session):
         headers["Authorization"] = f"Bearer {os.environ[config.auth_env]}"
     last_error = "no attempt made"
     attempts = 0
+    retry_after = None
     for attempt in range(config.max_retries + 1):
         if attempt:
-            time.sleep(config.backoff * (2 ** (attempt - 1)))
+            time.sleep(config.backoff * (2 ** (attempt - 1))
+                       if retry_after is None else retry_after)
+            retry_after = None
         limiter.wait()
         attempts += 1
         handle.stats.count("calls")
@@ -404,7 +410,20 @@ def _http_call(handle, prompt_text, limiter, session):
         last_error = f"status {response.status_code}"
         if response.status_code not in RETRYABLE_STATUSES:
             return None, attempts, last_error
+        retry_after = _retry_after(response)
     return None, attempts, last_error
+
+
+def _retry_after(response):
+    """Seconds a 429 or 503 response's delta-seconds ``Retry-After`` asks
+    to wait, capped at ``RETRY_AFTER_CAP``; None for any other status, a
+    missing header or one in another form (such as an HTTP date)."""
+    if response.status_code not in (429, 503):
+        return None
+    value = response.headers.get("Retry-After", "").strip()
+    if not (value.isascii() and value.isdigit()):
+        return None
+    return min(float(value), RETRY_AFTER_CAP)
 
 
 def annotate_batch(handle, prompts, cache=None):

@@ -4,10 +4,13 @@ Each persona is a role description prepended to the annotation prompt so the
 model answers from a distinct perspective. One query annotated by P personas
 yields a P x E integer matrix: confidence levels map to 1-3 and unselected
 entities to 0. The matrix is both the input to ensemble aggregation and the
-training signal for the persona-selection router.
+training signal for the persona-selection router. A pipeline run holds the
+matrices of its N queries as one (N, P, E) array, which ``annotation_levels``
+fills and ``aggregate_chosen`` aggregates.
 """
 
 import json
+import random
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -123,6 +126,21 @@ class ConfidenceMatrix:
         )
 
 
+def annotation_levels(annotations, registry):
+    """(n, E) integer array of n annotations' confidence levels (1-3), in
+    registry column order; 0 where an annotation did not select the entity.
+    """
+    width = len(registry)
+    cells, values = [], []
+    for row, annotation in enumerate(annotations):
+        for entity, conf in annotation.entities.items():
+            cells.append(row * width + registry.column(entity))
+            values.append(int(conf))
+    levels = np.zeros(len(annotations) * width, dtype=np.int64)
+    levels[cells] = values
+    return levels.reshape(len(annotations), width)
+
+
 def build_confidence_matrix(query, annotations, personas, registry):
     """Assemble the Persona x Entity matrix for one query.
 
@@ -132,17 +150,33 @@ def build_confidence_matrix(query, annotations, personas, registry):
     missing = [p.id for p in personas if p.id not in annotations]
     if missing:
         raise MissingPersonaError(f"annotations missing for personas: {missing}")
-    values = np.zeros((len(personas), len(registry)), dtype=np.int64)
-    for row, persona in enumerate(personas):
-        for entity, conf in annotations[persona.id].entities.items():
-            values[row, registry.column(entity)] = int(conf)
     query_id = query if isinstance(query, str) else query.id
     return ConfidenceMatrix(
         query_id=query_id,
         persona_ids=tuple(p.id for p in personas),
         registry_hash=registry.hash,
-        values=values,
+        values=annotation_levels([annotations[p.id] for p in personas],
+                                 registry),
     )
+
+
+def ensemble_levels(scores, threshold=DEFAULT_SELECT_THRESHOLD):
+    """Level of each ensemble score: 0 (not selected) below ``threshold``,
+    else 3 (High) from 2.5, 2 (Medium) from 1.5 and 1 (Low) below that."""
+    levels = (1 + (scores >= MEDIUM_CUTOFF).astype(np.int64)
+              + (scores >= HIGH_CUTOFF))
+    return np.where(scores >= threshold, levels, 0)
+
+
+def level_annotations(levels, registry):
+    """One Annotation per row of an (n, E) array of levels 0-3."""
+    confidences = (None, *Confidence)
+    entities = [{} for _ in range(len(levels))]
+    rows, columns = np.nonzero(levels)
+    for row, column, level in zip(rows.tolist(), columns.tolist(),
+                                  levels[rows, columns].tolist()):
+        entities[row][registry.ids[column]] = confidences[level]
+    return [Annotation(entities=chosen) for chosen in entities]
 
 
 def aggregate_ensemble(matrix, registry, weights=None,
@@ -151,8 +185,8 @@ def aggregate_ensemble(matrix, registry, weights=None,
 
     Per entity, score = weighted mean of the persona values (uniform weights
     when none given; any positive rescaling of the weights is equivalent).
-    An entity is selected iff its score >= threshold; the selected entity's
-    level is High for score >= 2.5, Medium for >= 1.5, else Low.
+    An entity is selected iff its score >= threshold; its level is given by
+    ``ensemble_levels``.
     """
     if registry.hash != matrix.registry_hash:
         raise ModelError("registry does not match the matrix registry_hash")
@@ -167,30 +201,49 @@ def aggregate_ensemble(matrix, registry, weights=None,
         if (w < 0).any() or w.sum() <= 0:
             raise ModelError("weights must be non-negative with positive sum")
     scores = w @ matrix.values / w.sum()
-    entities = {}
-    for entity_id, score in zip(registry.ids, scores):
-        if score >= threshold:
-            if score >= HIGH_CUTOFF:
-                entities[entity_id] = Confidence.HIGH
-            elif score >= MEDIUM_CUTOFF:
-                entities[entity_id] = Confidence.MEDIUM
-            else:
-                entities[entity_id] = Confidence.LOW
-    return Annotation(entities=entities)
+    return level_annotations(ensemble_levels(scores, threshold)[None],
+                             registry)[0]
 
 
-def write_matrices(path, matrices, registry):
-    """Matrix file: per matrix, a header row "query_id,registry_hash,entity
-    ids...", then one CSV row per persona; blank line between matrices."""
-    entity_header = ",".join(registry.ids)
-    blocks = []
-    for m in matrices:
-        if m.registry_hash != registry.hash:
-            raise ModelError(f"matrix {m.query_id} was built against a "
-                             "different registry")
-        lines = [f"{m.query_id},{m.registry_hash},{entity_header}"]
-        for pid, row in zip(m.persona_ids, m.values):
-            lines.append(",".join([pid] + [str(int(v)) for v in row]))
+def sample_personas(query_ids, persona_count, k, seed):
+    """(N, min(k, P)) persona rows drawn per query by its own seeded
+    ``random.Random``: the rows of the ids that ``sample`` would draw from
+    the persona ids, since it picks positions by length alone."""
+    count = min(k, persona_count)
+    return np.array([
+        random.Random(f"{seed}:{query_id}").sample(range(persona_count), count)
+        for query_id in query_ids], dtype=np.intp).reshape(len(query_ids), count)
+
+
+def aggregate_chosen(values, chosen, threshold=DEFAULT_SELECT_THRESHOLD):
+    """(N, E) levels of ``aggregate_ensemble`` over the rows that each row of
+    ``chosen`` (N, k) picks from the (N, P, E) ``values``, to the same bits:
+    each mean is a sum of small integers divided by k."""
+    picked = np.take_along_axis(values, chosen[:, :, None], axis=1)
+    return ensemble_levels(picked.sum(axis=1) / chosen.shape[1], threshold)
+
+
+def write_matrices(path, query_ids, persona_ids, values, registry):
+    """Matrix file of the (N, P, E) ``values`` of N queries: per query, a
+    header row "query_id,registry_hash,entity ids...", then one CSV row per
+    persona; blank line between matrices."""
+    width = 2 * len(registry)
+    if values.shape[1:] != (len(persona_ids), len(registry)) or (
+            values.size and (values.min() < 0 or values.max() > 3)):
+        raise ModelError("matrix values must be {0, 1, 2, 3}, one row per "
+                         "persona and one column per registry entity")
+    # ",v,v,...,v" of every persona row back to back, one ASCII digit a value.
+    cells = np.full((len(values) * len(persona_ids), width), ord(","),
+                    dtype=np.uint8)
+    cells[:, 1::2] = values.reshape(len(cells), len(registry)) + ord("0")
+    rows = cells.tobytes().decode("ascii")
+    header = f",{registry.hash},{','.join(registry.ids)}"
+    blocks, start = [], 0
+    for query_id in query_ids:
+        lines = [query_id + header]
+        for pid in persona_ids:
+            lines.append(pid + rows[start:start + width])
+            start += width
         blocks.append("\n".join(lines))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n\n".join(blocks) + "\n")

@@ -22,7 +22,6 @@ import functools
 import hashlib
 import json
 import os
-import random
 from dataclasses import dataclass, field, asdict
 
 from . import baseline as baseline_mod
@@ -34,7 +33,8 @@ from . import prompting as prompting_mod
 from . import router as router_mod
 from .annotations import Annotation, Confidence, read_annotation_store, write_annotation_store
 from .errors import PipelineConfigError, UnparseableResponseError
-from .features import EncodedTexts, HashedNgramEmbedder
+from .features import (EncodedTexts, HashedNgramEmbedder,
+                       hashed_ngram_matrices)
 from .llm_client import (AnnotationFailure, AnnotatorHandle, HttpEndpointConfig,
                          ResponseCache, annotate_batch, mock_handle)
 from .taxonomy import load_registry
@@ -219,18 +219,18 @@ class _Run:
         return store
 
     @functools.cached_property
-    def router_encoder(self):
-        """The router's encoder with every ingested text encoded once."""
-        return self._encoded(self.config.embedding_dim)
+    def _encoders(self):
+        """The router's and the classifier's encoders, with every ingested
+        text encoded in one n-gram pass."""
+        texts = [r.text for r in self.records]
+        dims = (self.config.embedding_dim, self.config.encoder_dim)
+        matrices = hashed_ngram_matrices(texts, self.config.seed, dims)
+        return [EncodedTexts(HashedNgramEmbedder(dim=dim, seed=self.config.seed),
+                             texts, matrix)
+                for dim, matrix in zip(dims, matrices)]
 
-    @functools.cached_property
-    def backend(self):
-        """The classifier's encoder with every ingested text encoded once."""
-        return self._encoded(self.config.encoder_dim)
-
-    def _encoded(self, dim):
-        return EncodedTexts(HashedNgramEmbedder(dim=dim, seed=self.config.seed),
-                            [r.text for r in self.records])
+    router_encoder = property(lambda self: self._encoders[0])
+    backend = property(lambda self: self._encoders[1])
 
     def write(self, name, filename, writer, *args, **kwargs):
         """Write one artifact with ``writer(path, *args, **kwargs)`` and list
@@ -289,20 +289,21 @@ def _annotate(run):
 
 
 def _matrix(run):
-    if run.config.persona_mode == "none":
-        return
-    run.matrices = {}
-    for record in run.records:
-        per_persona = {p.id: run.annotations[(record.id, p.id)]
-                       for p in run.personas}
-        run.matrices[record.id] = personas_mod.build_confidence_matrix(
-            record, per_persona, run.personas, run.registry)
-    run.write("matrices", "matrices.csv", personas_mod.write_matrices,
-              list(run.matrices.values()), run.registry)
+    """Fill ``run.levels``, the (N, P, E) confidence levels of every
+    annotation (P = 1 without personas), and write the persona matrices."""
+    personas = run.personas or [None]
+    # ``run.annotations`` is keyed record by record, persona by persona.
+    run.levels = personas_mod.annotation_levels(
+        list(run.annotations.values()), run.registry).reshape(
+            len(run.records), len(personas), len(run.registry))
+    if run.personas:
+        run.write("matrices", "matrices.csv", personas_mod.write_matrices,
+                  [r.id for r in run.records], [p.id for p in run.personas],
+                  run.levels, run.registry)
 
 
 def _router(run):
-    config = run.config
+    config, registry = run.config, run.registry
     if config.persona_mode != "router":
         return
     gold = run.gold
@@ -313,45 +314,46 @@ def _router(run):
             seed=config.seed)
     router_config = router_mod.RouterTrainConfig(
         **{"seed": config.seed, **config.router})
-    examples = [
-        (run.router_encoder.embed(r.text), run.matrices[r.id],
-         gold[r.id].label_set())
-        for r in train_records
-    ]
-    run.router_model, loss_history = router_mod.train_router(
-        examples, router_config, run.registry)
+    row = {r.id: i for i, r in enumerate(run.records)}
+    rows = [row[r.id] for r in train_records]
+    gold_levels = personas_mod.annotation_levels(
+        [gold[r.id] for r in train_records], registry)
+    run.router_model, loss_history = router_mod.fit_router(
+        run.router_encoder.matrix[rows], run.levels[rows], gold_levels > 0,
+        tuple(p.id for p in run.personas), router_config, registry)
     run.router_model.embedding_provider = run.router_encoder.tag
     run.write("router", "router.json", router_mod.save_router,
               run.router_model, loss_history=loss_history)
 
 
 def _aggregate(run):
-    config = run.config
+    """Aggregate each query's chosen personas into ``run.teacher`` (N, E
+    levels) and the ``run.aggregated`` store; without personas, both are
+    the single annotation."""
+    config, records = run.config, run.records
     if config.persona_mode == "none":
-        run.aggregated = {r.id: run.annotations[(r.id, None)]
-                          for r in run.records}
+        run.teacher = run.levels[:, 0]
+        run.aggregated = {r.id: run.annotations[(r.id, None)] for r in records}
     else:
-        run.aggregated = {}
-        for record in run.records:
-            if config.persona_mode == "router":
-                chosen = router_mod.select_top_k(
-                    run.router_model, run.router_encoder.embed(record.text),
-                    config.persona_k)
-            else:
-                rng = random.Random(f"{config.seed}:{record.id}")
-                chosen = sorted(rng.sample([p.id for p in run.personas],
-                                           min(config.persona_k,
-                                               len(run.personas))))
-            run.aggregated[record.id] = personas_mod.aggregate_ensemble(
-                run.matrices[record.id].subset(chosen), run.registry,
-                threshold=config.aggregation_threshold)
+        if config.persona_mode == "router":
+            chosen = router_mod.top_k_personas(
+                run.router_model, run.router_encoder.matrix, config.persona_k)
+        else:
+            chosen = personas_mod.sample_personas(
+                [r.id for r in records], len(run.personas), config.persona_k,
+                config.seed)
+        run.teacher = personas_mod.aggregate_chosen(
+            run.levels, chosen, threshold=config.aggregation_threshold)
+        run.aggregated = dict(zip(
+            (r.id for r in records),
+            personas_mod.level_annotations(run.teacher, run.registry)))
     run.write("aggregated", "aggregated.jsonl", write_annotation_store,
               run.aggregated, annotator=f"ensemble-{config.persona_mode}")
 
 
 def _labels(run):
-    run.weak = classifier_mod.weak_labels_from_annotations(
-        run.registry, run.aggregated,
+    run.weak = classifier_mod.weak_labels(
+        run.registry, [r.id for r in run.records], run.teacher,
         min_confidence=Confidence.from_label(run.config.min_confidence),
         provenance=run.handle.model_name)
     run.write("labels", "labels.jsonl", _write_labels, run.weak, run.registry)
@@ -463,7 +465,6 @@ def _write_labels(path, weak, registry):
             "min_confidence": weak.min_confidence.label,
             "provenance": weak.provenance,
         }, sort_keys=True) + "\n")
-        for row, qid in enumerate(weak.query_ids):
-            labels = [e for e, flag in zip(registry.ids, weak.indicators[row])
-                      if flag]
+        for qid, flags in zip(weak.query_ids, weak.indicators.tolist()):
+            labels = [e for e, flag in zip(registry.ids, flags) if flag]
             fh.write(json.dumps({"id": qid, "labels": labels}) + "\n")

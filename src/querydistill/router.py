@@ -213,49 +213,47 @@ def _init_model(d, P, config, persona_ids, registry_hash):
 
 
 def train_router(examples, config, registry):
-    """Train the router on (embedding vector, ConfidenceMatrix, gold label
-    set) triples.
-
-    Gold label sets are converted to indicator vectors in registry column
-    order. Returns (RouterModel, loss_history) where loss_history is a list
-    of (epoch, batch, loss) rows. Mini-batch AdamW; deterministic given
-    config.seed. The model's ``embedding_provider`` is metadata: the caller
-    records the encoder's ``tag`` there.
+    """``fit_router`` on (embedding vector, ConfidenceMatrix, gold label set)
+    triples; gold label sets become indicator rows in registry column order.
     """
     if not examples:
         raise EmptyDatasetError("train_router got no examples")
-
-    first_emb, first_matrix, _ = examples[0]
-    d = len(first_emb)
-    persona_ids = first_matrix.persona_ids
-    registry_hash = first_matrix.registry_hash
-    if registry.hash != registry_hash:
-        raise ModelError("examples were built against a different registry")
-    E = len(registry)
-
-    X = np.zeros((len(examples), d))
-    M = np.zeros((len(examples), len(persona_ids), E))
-    Y = np.zeros((len(examples), E))
+    d, persona_ids = len(examples[0][0]), examples[0][1].persona_ids
+    Y = np.zeros((len(examples), len(registry)))
     for i, (emb, matrix, gold) in enumerate(examples):
         if np.shape(emb) != (d,):
             raise ModelError(f"example {i}: embedding shape {np.shape(emb)} != ({d},)")
         if matrix.persona_ids != persona_ids:
             raise ModelError(f"example {i}: persona order differs")
-        if matrix.registry_hash != registry_hash:
-            raise ModelError(f"example {i}: registry hash differs")
-        X[i] = emb
-        M[i] = matrix.values
-        for entity in gold:
-            Y[i, registry.column(entity)] = 1.0
+        if matrix.registry_hash != registry.hash:
+            raise ModelError(f"example {i}: built against a different registry")
+        Y[i, [registry.column(entity) for entity in gold]] = 1.0
+    return fit_router([emb for emb, _, _ in examples],
+                      [matrix.values for _, matrix, _ in examples], Y,
+                      persona_ids, config, registry)
 
+
+def fit_router(X, M, Y, persona_ids, config, registry):
+    """Train the router on X (n, d) embeddings, M (n, P, E) confidence
+    matrices (rows in ``persona_ids`` order) and Y (n, E) gold indicators.
+
+    Returns (RouterModel, loss_history) where loss_history is a list of
+    (epoch, batch, loss) rows. Mini-batch AdamW; deterministic given
+    config.seed. The model's ``embedding_provider`` is metadata: the caller
+    records the encoder's ``tag`` there.
+    """
+    if not len(X):
+        raise EmptyDatasetError("fit_router got no examples")
+    X, M, Y = (np.asarray(a, dtype=float) for a in (X, M, Y))
+    E = len(registry)
     entity_weights = (np.asarray(config.entity_loss_weights, dtype=float)
                       if config.entity_loss_weights else None)
     if entity_weights is not None and entity_weights.shape != (E,):
         raise ModelError(
             f"entity_loss_weights length {entity_weights.shape} != {E} entities")
 
-    model = _init_model(d, len(persona_ids), config, persona_ids,
-                        registry_hash)
+    model = _init_model(X.shape[1], len(persona_ids), config, persona_ids,
+                        registry.hash)
     optimizer = AdamW(model.params(), config.learning_rate,
                       weight_decay=config.weight_decay,
                       beta1=config.beta1, beta2=config.beta2, eps=config.eps,
@@ -264,7 +262,7 @@ def train_router(examples, config, registry):
     order_rng = np.random.default_rng(config.seed + 1)
     dropout_seed = np.random.SeedSequence(config.seed + 2)
     history = []
-    n = len(examples)
+    n = len(X)
     for epoch in range(config.epochs):
         order = order_rng.permutation(n)
         for batch_index, start in enumerate(range(0, n, config.batch_size)):
@@ -283,18 +281,32 @@ def train_router(examples, config, registry):
     return model, history
 
 
+def top_k_personas(model, X, k):
+    """(n, k) persona row indices of each embedding in X (n, d): its k most
+    relevant personas, by descending relevance; exact ties go to the
+    lexicographically smaller persona id. One batched forward pass, whose
+    relevance may differ from ``router_forward``'s in the last bits."""
+    if not 1 <= k <= model.persona_count:
+        raise ModelError(
+            f"k must be in [1, {model.persona_count}], got {k}")
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != model.input_dim:
+        raise ModelError(f"embeddings of shape {X.shape} do not match model "
+                         f"input {model.input_dim}")
+    relevance, _ = _forward_batch(model, X, train_mode=False, seed=0)
+    id_rank = np.argsort(np.argsort(model.persona_ids))
+    ranked = np.lexsort((np.broadcast_to(id_rank, relevance.shape),
+                         -relevance), axis=-1)
+    return ranked[:, :k]
+
+
 def select_top_k(model, embedding, k):
     """Ids of the k most relevant personas, by descending relevance.
 
     Exact relevance ties go to the lexicographically smaller persona id.
     """
-    if not 1 <= k <= model.persona_count:
-        raise ModelError(
-            f"k must be in [1, {model.persona_count}], got {k}")
-    relevance = router_forward(model, embedding, train_mode=False)
-    ranked = sorted(zip(model.persona_ids, relevance),
-                    key=lambda item: (-item[1], item[0]))
-    return [pid for pid, _ in ranked[:k]]
+    rows = top_k_personas(model, np.asarray(embedding, dtype=float)[None], k)
+    return [model.persona_ids[row] for row in rows[0]]
 
 
 # ---------------------------------------------------------------------------

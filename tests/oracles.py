@@ -1,10 +1,17 @@
 """Independent reference implementations used as test oracles.
 
 These stay deliberately naive (triple loops, exhaustive grids, central
-finite differences) and share no code with the library paths they check.
+finite differences) and share no code with the library paths they check,
+bar the per-query persona selection references, which are the per-query
+library calls that the batched selection replaces.
 """
 
+import random
+
 import numpy as np
+
+from querydistill.personas import aggregate_ensemble
+from querydistill.router import select_top_k
 
 
 def brute_force_counts(gold_sets, pred_sets, freqs, weighted, entities):
@@ -153,3 +160,24 @@ def allocating_adamw_step(state, params, grads, learning_rate, weight_decay,
         if name in decay_params and weight_decay:
             update = update + weight_decay * param
         param -= learning_rate * update
+
+
+def per_query_router_ensemble(model, embeddings, matrices, k, registry,
+                              threshold):
+    """Per query: ``select_top_k`` on its own embedding, then
+    ``aggregate_ensemble`` of ``matrix.subset(chosen)``. Returns the chosen
+    id lists and the ensemble annotations."""
+    chosen = [select_top_k(model, emb, k) for emb in embeddings]
+    return chosen, [aggregate_ensemble(matrix.subset(ids), registry,
+                                       threshold=threshold)
+                    for matrix, ids in zip(matrices, chosen)]
+
+
+def per_query_random_ensemble(matrices, k, seed, registry, threshold):
+    """Per query: ``k`` persona ids sampled by the query's own seeded
+    ``random.Random``, then ``aggregate_ensemble`` of ``matrix.subset``."""
+    chosen = [sorted(random.Random(f"{seed}:{m.query_id}").sample(
+        list(m.persona_ids), min(k, m.persona_count))) for m in matrices]
+    return chosen, [aggregate_ensemble(matrix.subset(ids), registry,
+                                       threshold=threshold)
+                    for matrix, ids in zip(matrices, chosen)]

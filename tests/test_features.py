@@ -10,7 +10,8 @@ from querydistill import features
 from querydistill.data import query_id
 from querydistill.errors import MissingEmbeddingError, ModelError
 from querydistill.features import (EncodedTexts, HashedNgramEmbedder,
-                                   PrecomputedEmbedder, encoder_from_descriptor)
+                                   PrecomputedEmbedder, encoder_from_descriptor,
+                                   hashed_ngram_matrices)
 
 
 class TestHashedNgramEmbedder:
@@ -156,6 +157,30 @@ class TestEncodeBatch:
         for texts in (["  "], ["comedy", "", "sport"], ["ok", " \t\n"]):
             with pytest.raises(ValueError, match="empty text"):
                 encoder.encode_batch(texts)
+
+
+class TestSharedNgramPass:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(texts=_batches(), dims=st.lists(st.integers(1, 300), min_size=2,
+                                           max_size=2, unique=True),
+           seed=st.integers(0, 50))
+    @example(texts=["a", "é", "a", "中文", "Ünïcode ß", "ab", "a"],
+             dims=[64, 256], seed=7)
+    def test_each_dim_equals_its_encoder_bit_for_bit(self, texts, dims, seed):
+        matrices = hashed_ngram_matrices(texts, seed, dims)
+        assert len(matrices) == len(dims)
+        for dim, matrix in zip(dims, matrices):
+            encoder = HashedNgramEmbedder(dim=dim, seed=seed)
+            expected = np.array([encoder.embed(t) for t in texts]).reshape(
+                len(texts), dim)
+            assert matrix.dtype == np.float64
+            assert matrix.tobytes() == expected.tobytes()
+            assert matrix.tobytes() == encoder.encode_batch(texts).tobytes()
+
+    def test_blank_text_raises_like_embed(self):
+        for texts in (["  "], ["comedy", "", "sport"], ["ok", " \t\n"]):
+            with pytest.raises(ValueError, match="empty text"):
+                hashed_ngram_matrices(texts, 0, (16, 64))
 
 
 class TestEncodedTexts:

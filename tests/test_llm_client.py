@@ -7,10 +7,12 @@ import pytest
 
 from querydistill.annotations import Confidence
 from querydistill.errors import AnnotatorConfigError
-from querydistill.llm_client import (LOG_NAME, AnnotationFailure,
-                                     AnnotatorHandle, HttpEndpointConfig,
-                                     ResponseCache, _record, annotate_batch,
-                                     mock_annotate, mock_handle)
+from querydistill import llm_client
+from querydistill.llm_client import (LOG_NAME, RETRY_AFTER_CAP,
+                                     AnnotationFailure, AnnotatorHandle,
+                                     HttpEndpointConfig, RateLimiter,
+                                     ResponseCache, _http_call, _record,
+                                     annotate_batch, mock_annotate, mock_handle)
 from querydistill.prompting import parse_response
 
 
@@ -277,6 +279,66 @@ class TestAnnotateBatchHttp:
             assert len(server.requests) == 2
         finally:
             server.stop()
+
+
+@dataclass
+class FakeResponse:
+    status_code: int
+    headers: dict
+    content: bytes = b""
+
+
+class FakeSession:
+    """Answers each post with the next scripted (status, headers) pair, then
+    with 200 "ok"."""
+
+    def __init__(self, script):
+        self.script = list(script)
+
+    def post(self, url, **kwargs):
+        if not self.script:
+            return FakeResponse(200, {}, b"ok")
+        return FakeResponse(*self.script.pop(0))
+
+
+class TestRetryAfter:
+    @pytest.mark.parametrize("script, waits", [
+        ([(429, {"Retry-After": "7"})], [7.0]),
+        ([(503, {"Retry-After": " 0 "})], [0.0]),
+        ([(503, {"Retry-After": "100000"})], [RETRY_AFTER_CAP]),
+        # Only 429 and 503 carry a usable Retry-After here.
+        ([(500, {"Retry-After": "7"})], [0.5]),
+        # An HTTP date, a fraction or garbage falls back to the backoff.
+        ([(429, {"Retry-After": "Wed, 21 Oct 2026 07:28:00 GMT"})], [0.5]),
+        ([(429, {"Retry-After": "1.5"})], [0.5]),
+        ([(429, {"Retry-After": "-3"})], [0.5]),
+        ([(429, {})], [0.5]),
+        # The header only replaces the wait that follows its own response.
+        ([(429, {"Retry-After": "2"}), (500, {}), (503, {"Retry-After": "3"})],
+         [2.0, 1.0, 3.0]),
+    ])
+    def test_wait_before_each_retry(self, monkeypatch, script, waits):
+        slept = []
+        monkeypatch.setattr(llm_client.time, "sleep", slept.append)
+        handle = AnnotatorHandle(HttpEndpointConfig(
+            url="http://annotator.invalid/annotate", model="fake-model",
+            backoff=0.5, max_retries=len(script)))
+        text, attempts, error = _http_call(handle, "prompt", RateLimiter(0.0),
+                                           FakeSession(script))
+        assert (text, attempts, error) == ("ok", len(script) + 1, None)
+        assert slept == waits
+
+    def test_retries_exhausted_after_retry_after(self, monkeypatch):
+        slept = []
+        monkeypatch.setattr(llm_client.time, "sleep", slept.append)
+        handle = AnnotatorHandle(HttpEndpointConfig(
+            url="http://annotator.invalid/annotate", model="fake-model",
+            max_retries=1))
+        text, attempts, error = _http_call(
+            handle, "prompt", RateLimiter(0.0),
+            FakeSession([(429, {"Retry-After": "4"})] * 2))
+        assert (text, attempts, error) == (None, 2, "status 429")
+        assert slept == [4.0]
 
 
 class TestResponseCache:

@@ -189,7 +189,9 @@ class TestMatrixFile:
             "q2", {"p1": ann(Sport="High"), "p2": Annotation()},
             two_personas, two_registry)
         path = tmp_path / "matrices.csv"
-        write_matrices(path, [example_matrix, other], two_registry)
+        write_matrices(path, ["q1", "q2"], example_matrix.persona_ids,
+                       np.stack([example_matrix.values, other.values]),
+                       two_registry)
         loaded = read_matrices(path, two_registry)
         assert [m.query_id for m in loaded] == ["q1", "q2"]
         assert loaded[0].values.tolist() == example_matrix.values.tolist()

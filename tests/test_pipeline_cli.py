@@ -211,15 +211,17 @@ class TestRunPipeline:
 
     def test_router_mode_encodes_each_text_once_per_encoder(
             self, stage_workspace, tmp_path, monkeypatch):
-        encode_batch = HashedNgramEmbedder.encode_batch
-        batches, embeds = [], []
+        from querydistill import pipeline
+        shared_pass = pipeline.hashed_ngram_matrices
+        passes, batches, embeds = [], [], []
 
-        def counting_encode_batch(self, texts):
-            batches.append((self.dim, list(texts)))
-            return encode_batch(self, texts)
+        def counting_pass(texts, seed, dims):
+            passes.append((sorted(dims), list(texts)))
+            return shared_pass(texts, seed, dims)
 
+        monkeypatch.setattr(pipeline, "hashed_ngram_matrices", counting_pass)
         monkeypatch.setattr(HashedNgramEmbedder, "encode_batch",
-                            counting_encode_batch)
+                            lambda self, texts: batches.append(texts))
         monkeypatch.setattr(HashedNgramEmbedder, "embed",
                             lambda self, text: embeds.append(text))
         config = load_run_config(stage_workspace, {
@@ -227,9 +229,10 @@ class TestRunPipeline:
         assert config.persona_mode == "router"
         run_pipeline(config)
         texts = [r.text for r in read_queries(config.queries_path)]
-        assert sorted(dim for dim, _ in batches) == sorted(
-            [config.embedding_dim, config.encoder_dim])
-        assert all(batch == texts for _, batch in batches)
+        # Both encoders come from one n-gram pass over every text.
+        assert passes == [(sorted([config.embedding_dim, config.encoder_dim]),
+                           texts)]
+        assert batches == []
         assert embeds == []
 
     def test_eval_report_contents(self, tmp_path):

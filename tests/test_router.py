@@ -3,17 +3,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 import synthetic_helpers as synth
 from querydistill.errors import (EmptyDatasetError, MissingEmbeddingError,
                                  ModelError)
 from querydistill.features import HashedNgramEmbedder, PrecomputedEmbedder
-from querydistill.personas import ConfidenceMatrix
+from querydistill.personas import (ConfidenceMatrix, aggregate_chosen,
+                                   level_annotations, sample_personas)
 from querydistill.router import (RouterModel, RouterTrainConfig, load_router,
                                  predict_entities, router_forward,
                                  router_loss_and_grads, save_router,
-                                 select_top_k, train_router)
+                                 select_top_k, top_k_personas, train_router)
 
 
 def zero_model(d=4, h=3, personas=("a", "b"), dropout=0.0, registry_hash="rh"):
@@ -287,3 +289,94 @@ class TestSelectTopK:
             for k in (1, 2, 4):
                 assert select_top_k(base, emb, k) == \
                     select_top_k(transformed, emb, k)
+
+
+# Persona ids whose sorted order differs from their column order.
+_PERSONA_IDS = ("zeta", "alpha", "mu", "beta", "omega")
+
+
+@st.composite
+def _routed_batches(draw):
+    """A router, embeddings and (N, P, E) matrices. Weights are quarters and
+    embeddings small integers, so every relevance logit is exact and exact
+    ties survive both the batched and the per-row forward pass. ``ties``
+    zeroes the output layer (every persona ties) or copies one persona's
+    output column onto another."""
+    P = draw(st.integers(1, len(_PERSONA_IDS)))
+    N, E = draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    d, h = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+
+    def quarters(*shape):
+        return rng.integers(-4, 5, size=shape) / 4.0
+
+    W2, b2 = quarters(h, P), quarters(P)
+    ties = draw(st.sampled_from(["none", "all", "copy"]))
+    if ties == "all":
+        W2[:], b2[:] = 0.0, 0.0
+    elif ties == "copy" and P > 1:
+        src, dst = draw(st.lists(st.integers(0, P - 1), min_size=2,
+                                 max_size=2, unique=True))
+        W2[:, dst], b2[dst] = W2[:, src], b2[src]
+    registry = synth.entity_registry(E)
+    model = RouterModel(W1=quarters(d, h), b1=quarters(h), W2=W2, b2=b2,
+                        dropout_rate=0.0, persona_ids=_PERSONA_IDS[:P],
+                        registry_hash=registry.hash)
+    values = rng.integers(0, 4, size=(N, P, E))
+    if draw(st.booleans()):
+        values[:] = 0
+    k = draw(st.sampled_from(sorted({1, P, draw(st.integers(1, P))})))
+    threshold = draw(st.sampled_from([0.5, 1.0, 1.5, 2.0, 2.5, 3.0]))
+    return (model, rng.integers(-3, 4, size=(N, d)).astype(float), values, k,
+            registry, threshold)
+
+
+def _matrices(model, values, registry):
+    return [ConfidenceMatrix(query_id=f"q{i}", persona_ids=model.persona_ids,
+                             registry_hash=registry.hash, values=matrix)
+            for i, matrix in enumerate(values)]
+
+
+class TestBatchedSelection:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(batch=_routed_batches())
+    def test_router_selection_and_aggregation_match_per_query(self, batch):
+        model, X, values, k, registry, threshold = batch
+        chosen = top_k_personas(model, X, k)
+        annotations = level_annotations(
+            aggregate_chosen(values, chosen, threshold), registry)
+        ids, expected = oracles.per_query_router_ensemble(
+            model, X, _matrices(model, values, registry), k, registry,
+            threshold)
+        assert [[model.persona_ids[j] for j in row]
+                for row in chosen.tolist()] == ids
+        assert [a.entities for a in annotations] == [
+            a.entities for a in expected]
+        # The tie rule: descending relevance, then ascending persona id.
+        for emb, row in zip(X, ids):
+            relevance = router_forward(model, emb)
+            ranked = sorted(zip(model.persona_ids, relevance),
+                            key=lambda item: (-item[1], item[0]))
+            assert row == [pid for pid, _ in ranked[:k]]
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(batch=_routed_batches(), extra=st.integers(0, 1),
+           seed=st.integers(0, 99))
+    def test_random_selection_and_aggregation_match_per_query(
+            self, batch, extra, seed):
+        model, _, values, k, registry, threshold = batch
+        matrices = _matrices(model, values, registry)
+        chosen = sample_personas([m.query_id for m in matrices],
+                                 model.persona_count, k + extra, seed)
+        annotations = level_annotations(
+            aggregate_chosen(values, chosen, threshold), registry)
+        ids, expected = oracles.per_query_random_ensemble(
+            matrices, k + extra, seed, registry, threshold)
+        assert [sorted(model.persona_ids[j] for j in row)
+                for row in chosen.tolist()] == ids
+        assert [a.entities for a in annotations] == [
+            a.entities for a in expected]
+
+    def test_embedding_width_checked(self):
+        with pytest.raises(ModelError):
+            top_k_personas(zero_model(d=4), np.zeros((2, 5)), 1)
