@@ -1,7 +1,6 @@
 """Command-line surface. ``pipeline`` runs the stage table end to end, or
-through ``--until STAGE``; the other subcommands print the registry,
-ingest and split a log on their own, write the router's extra outputs, run
-the ablation grids, generate a synthetic corpus and serve a model.
+through ``--until STAGE``; the other subcommands print the registry, run
+the ablation grids, serve a model and generate a synthetic corpus.
 
 Config-driven commands take a JSON run configuration plus flag overrides.
 Earlier stages are cheap deterministic recomputations and annotator
@@ -12,19 +11,18 @@ re-pays for LLM calls.
 import argparse
 import json
 import os
+import signal
 import sys
 from dataclasses import replace
 
 from . import data as data_mod
 from . import evaluation as eval_mod
 from . import prompting as prompting_mod
-from . import router as router_mod
 from . import synth as synth_mod
 from .annotations import read_annotation_store, write_annotation_store
 from .baseline import write_gazetteer
-from .errors import PipelineConfigError, QueryDistillError
-from .features import HashedNgramEmbedder
-from .pipeline import STAGES, load_run_config, run_pipeline
+from .errors import QueryDistillError
+from .pipeline import STAGES, load_gold, load_run_config, run_pipeline
 from .taxonomy import default_registry, load_registry, validate_label
 
 
@@ -64,24 +62,6 @@ def cmd_taxonomy(args):
     return 0
 
 
-def cmd_ingest(args):
-    records = data_mod.read_queries(args.queries)
-    data_mod.write_queries_jsonl(args.out, records)
-    total = sum(r.frequency for r in records)
-    print(f"{len(records)} unique queries ({total} occurrences) -> {args.out}")
-    return 0
-
-
-def cmd_split(args):
-    records = data_mod.read_queries_jsonl(args.queries)
-    ratios = tuple(float(x) for x in args.ratios.split(","))
-    split = data_mod.split_dataset(records, ratios, args.seed)
-    data_mod.write_split_manifest(args.out, split)
-    print(f"train={len(split.train)} dev={len(split.dev)} "
-          f"test={len(split.test)} -> {args.out}")
-    return 0
-
-
 def _print_stats(stats):
     print(f"annotator calls: {stats['annotator_calls']}, "
           f"cache hits: {stats['cache_hits']}, "
@@ -107,49 +87,6 @@ def cmd_pipeline(args):
     return 0
 
 
-def _router_run(args):
-    """Run the pipeline through the router stage, which trains a router only
-    in router persona mode; any other mode is a config error, not a read of
-    whatever ``router.json`` an earlier run left behind."""
-    config = _config_from_args(args)
-    if config.persona_mode != "router":
-        raise PipelineConfigError(
-            f"{args.command} needs persona_mode 'router', "
-            f"not {config.persona_mode!r}")
-    return config, run_pipeline(config, until="router")
-
-
-def cmd_router_train(args):
-    _, result = _router_run(args)
-    model_path = os.path.join(result.output_dir, "router.json")
-    with open(model_path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    csv_path = args.loss_csv or os.path.join(result.output_dir, "router_loss.csv")
-    router_mod.write_loss_history(csv_path, payload.get("loss_history", ()))
-    print(f"router model -> {model_path}")
-    print(f"loss history -> {csv_path}")
-    return 0
-
-
-def cmd_router_select(args):
-    config, result = _router_run(args)
-    model = router_mod.load_router(
-        os.path.join(result.output_dir, "router.json"))
-    encoder = HashedNgramEmbedder(dim=config.embedding_dim, seed=config.seed)
-    records = data_mod.read_queries_jsonl(
-        os.path.join(result.output_dir, "queries.jsonl"))
-    chosen = router_mod.top_k_personas(
-        model, encoder.encode_batch([r.text for r in records]),
-        config.persona_k)
-    out_path = args.out or os.path.join(result.output_dir, "selections.jsonl")
-    with open(out_path, "w", encoding="utf-8") as fh:
-        for record, rows in zip(records, chosen.tolist()):
-            fh.write(json.dumps({"id": record.id, "personas": [
-                model.persona_ids[row] for row in rows]}) + "\n")
-    print(f"wrote top-{config.persona_k} persona selections -> {out_path}")
-    return 0
-
-
 def _ablation_arm(config, arm, until, filename, **changes):
     """Run one ablation arm into ``<output_dir>/ablation-<arm>/`` and read
     back the annotation store its last stage wrote."""
@@ -164,7 +101,7 @@ def cmd_ablation(args):
     config = _config_from_args(args)
     registry = load_registry(config.registry_path)
     records = data_mod.read_queries(config.queries_path)
-    gold = read_annotation_store(config.gold_path)
+    gold = load_gold(config.gold_path, records)
     frequencies = {r.id: r.frequency for r in records}
 
     def report(label, store, candidate):
@@ -203,15 +140,18 @@ def cmd_ablation(args):
 def cmd_serve(args):
     from .serving import ServeState, serve_stdio, serve_tcp
     state = ServeState(args.model, thresholds_path=args.thresholds)
-    if args.port:
-        server = serve_tcp(state, args.port)
+    if not args.port:
+        serve_stdio(state)
+        return 0
+    # A process started with SIGINT ignored, as a background job of a
+    # non-interactive shell is, would never see KeyboardInterrupt.
+    signal.signal(signal.SIGINT, signal.default_int_handler)
+    with serve_tcp(state, args.port) as server:
         print(f"serving on 127.0.0.1:{args.port}", file=sys.stderr)
         try:
             server.serve_forever()
         except KeyboardInterrupt:
-            server.shutdown()
-        return 0
-    serve_stdio(state)
+            pass
     return 0
 
 
@@ -282,28 +222,6 @@ def build_parser():
     p.add_argument("--registry", default="", help="registry JSONL (default: shipped)")
     p.add_argument("--validate", default="", help="label to validate")
     p.set_defaults(func=cmd_taxonomy)
-
-    p = sub.add_parser("ingest", help="deduplicate a query log")
-    p.add_argument("--queries", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_ingest)
-
-    p = sub.add_parser("split", help="deterministic train/dev/test split")
-    p.add_argument("--queries", required=True, help="ingested queries JSONL")
-    p.add_argument("--ratios", default="0.7,0.1,0.2")
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_split)
-
-    p = sub.add_parser("router-train", help="train the persona-selection router")
-    _add_config_flags(p)
-    p.add_argument("--loss-csv", dest="loss_csv", default="")
-    p.set_defaults(func=cmd_router_train)
-
-    p = sub.add_parser("router-select", help="write per-query top-k personas")
-    _add_config_flags(p)
-    p.add_argument("--out", default="")
-    p.set_defaults(func=cmd_router_select)
 
     p = sub.add_parser("pipeline", help="run the stages in order, end to end "
                                         "or through --until")

@@ -120,16 +120,6 @@ def write_queries_jsonl(path, records):
                                 sort_keys=True) + "\n")
 
 
-def read_queries_jsonl(path):
-    records = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                rec = json.loads(line)
-                records.append(QueryRecord(rec["id"], rec["text"], rec["frequency"]))
-    return records
-
-
 def split_dataset(records, ratios, seed):
     """Deterministic train/dev/test partition of records.
 

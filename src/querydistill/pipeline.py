@@ -1,12 +1,14 @@
 """End-to-end orchestration: ingest through evaluation, with a manifest.
 
 Stage order: ingest -> split -> annotate (persona fan-out or single
-annotator) -> confidence matrices -> router training and per-query persona
-selection (router mode) -> ensemble aggregation -> weak labels ->
+annotator) -> confidence matrices -> router training (router mode) ->
+per-query persona selection and ensemble aggregation -> weak labels ->
 classifier training -> threshold tuning -> evaluation against the lexical
 baseline. Each stage is one function in a table that ``run_pipeline``
 walks in order, stopping after stage ``until``. Every produced file is
-listed in ``manifest.json`` with a sha256 digest.
+listed in ``manifest.json`` with a sha256 digest. With personas, the
+aggregate stage also writes ``selections.jsonl``: each ingested query's
+chosen persona ids, in record order.
 
 Reruns are cheap: the annotate stage reads the response cache, so a
 completed pipeline re-executed with the same configuration performs zero
@@ -194,6 +196,22 @@ def response_annotation(registry, response, stats, discard=None):
         return Annotation(entities={}, warnings=(f"unparseable response: {exc}",))
 
 
+def load_gold(path, records):
+    """The gold store at ``path``, keyed by query id. An unset or missing
+    file, or a record without gold, is a PipelineConfigError."""
+    if not path or not os.path.exists(path):
+        raise PipelineConfigError(
+            f"gold annotations need an existing gold_path, got {path!r}")
+    store = read_annotation_store(path)
+    if store and isinstance(next(iter(store)), tuple):
+        store = {qid: ann for (qid, _), ann in store.items()}
+    missing = [r.id for r in records if r.id not in store]
+    if missing:
+        raise PipelineConfigError(
+            f"gold annotations missing for {len(missing)} ingested queries")
+    return store
+
+
 class _Run:
     """State of one pipeline run: the config, registry, annotator stats and
     manifest artifacts, plus what each stage stores for later stages."""
@@ -209,14 +227,7 @@ class _Run:
     @functools.cached_property
     def gold(self):
         """The gold store, read on first use and shared by later stages."""
-        store = read_annotation_store(self.config.gold_path)
-        if store and isinstance(next(iter(store)), tuple):
-            store = {qid: ann for (qid, _), ann in store.items()}
-        missing = [r.id for r in self.records if r.id not in store]
-        if missing:
-            raise PipelineConfigError(
-                f"gold annotations missing for {len(missing)} ingested queries")
-        return store
+        return load_gold(self.config.gold_path, self.records)
 
     @functools.cached_property
     def _encoders(self):
@@ -328,9 +339,10 @@ def _router(run):
 
 def _aggregate(run):
     """Aggregate each query's chosen personas into ``run.teacher`` (N, E
-    levels) and the ``run.aggregated`` store; without personas, both are
-    the single annotation."""
+    levels) and the ``run.aggregated`` store, and write the choice; without
+    personas, both are the single annotation."""
     config, records = run.config, run.records
+    chosen = None
     if config.persona_mode == "none":
         run.teacher = run.levels[:, 0]
         run.aggregated = {r.id: run.annotations[(r.id, None)] for r in records}
@@ -349,6 +361,10 @@ def _aggregate(run):
             personas_mod.level_annotations(run.teacher, run.registry)))
     run.write("aggregated", "aggregated.jsonl", write_annotation_store,
               run.aggregated, annotator=f"ensemble-{config.persona_mode}")
+    if chosen is not None:
+        run.write("selections", "selections.jsonl", _write_selections,
+                  [r.id for r in records], [p.id for p in run.personas],
+                  chosen)
 
 
 def _labels(run):
@@ -468,3 +484,10 @@ def _write_labels(path, weak, registry):
         for qid, flags in zip(weak.query_ids, weak.indicators.tolist()):
             labels = [e for e, flag in zip(registry.ids, flags) if flag]
             fh.write(json.dumps({"id": qid, "labels": labels}) + "\n")
+
+
+def _write_selections(path, query_ids, persona_ids, chosen):
+    with open(path, "w", encoding="utf-8") as fh:
+        for qid, rows in zip(query_ids, chosen.tolist()):
+            fh.write(json.dumps({"id": qid, "personas": [
+                persona_ids[row] for row in rows]}) + "\n")

@@ -14,7 +14,6 @@ All numerics are float64 numpy; training is single-threaded and bit-
 deterministic for a fixed seed.
 """
 
-import csv
 import json
 from dataclasses import dataclass, field, asdict
 
@@ -361,11 +360,3 @@ def load_router(path):
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ModelError(f"{path} is not a valid router model file: "
                          f"{exc!r}") from exc
-
-
-def write_loss_history(path, history):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "batch", "loss"])
-        for epoch, batch, loss in history:
-            writer.writerow([epoch, batch, repr(loss)])

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import shutil
@@ -13,8 +14,10 @@ from querydistill.classifier import (ClassifierTrainConfig, labeled_queries,
 from querydistill.data import read_queries
 from querydistill.errors import PipelineConfigError
 from querydistill.features import HashedNgramEmbedder
+from querydistill.personas import load_personas, sample_personas
 from querydistill.pipeline import (STAGES, RunConfig, load_run_config,
                                    run_pipeline)
+from querydistill.router import RouterTrainConfig
 from querydistill.serving import ServeState, serve_tcp
 from querydistill.synth import (impoverished_gazetteer, synth_gazetteer,
                                 synth_queries, synth_registry)
@@ -98,8 +101,9 @@ class TestRunPipeline:
         result = run_pipeline(load_run_config(config_path))
         names = [a["name"] for a in result.manifest["artifacts"]]
         assert names == ["queries", "split", "annotations", "matrices",
-                         "router", "aggregated", "labels", "classifier", "eval"]
-        assert len(names) == 9
+                         "router", "aggregated", "selections", "labels",
+                         "classifier", "eval"]
+        assert len(names) == 10
         for artifact in result.manifest["artifacts"]:
             assert os.path.exists(os.path.join(result.output_dir,
                                                artifact["path"]))
@@ -144,11 +148,15 @@ class TestRunPipeline:
         result = run_pipeline(load_run_config(config_path))
         names = [a["name"] for a in result.manifest["artifacts"]]
         assert "matrices" not in names and "router" not in names
+        assert "selections" not in names
+        assert not os.path.exists(os.path.join(result.output_dir,
+                                               "selections.jsonl"))
 
         config_path = build_workspace(tmp_path / "w2", persona_mode="random")
         result = run_pipeline(load_run_config(config_path))
         names = [a["name"] for a in result.manifest["artifacts"]]
         assert "matrices" in names and "router" not in names
+        assert names.index("selections") == names.index("aggregated") + 1
 
     def test_until_stops_early(self, tmp_path):
         config_path = build_workspace(tmp_path)
@@ -159,15 +167,17 @@ class TestRunPipeline:
     @pytest.mark.parametrize("until", [s for s in STAGES if s != "split"])
     def test_until_lists_artifacts_of_stages_run(self, stage_workspace,
                                                  tmp_path, until):
-        # The artifact each stage writes. Train writes classifier.json only
+        # The artifacts each stage writes. Train writes classifier.json only
         # when the run ends there; otherwise tune writes the tuned model.
-        written = {"ingest": "queries", "split": "split",
-                   "annotate": "annotations", "matrix": "matrices",
-                   "router": "router", "aggregate": "aggregated",
-                   "labels": "labels", "train": "classifier",
-                   "tune": "classifier", "eval": "eval"}
+        written = {"ingest": ["queries"], "split": ["split"],
+                   "annotate": ["annotations"], "matrix": ["matrices"],
+                   "router": ["router"],
+                   "aggregate": ["aggregated", "selections"],
+                   "labels": ["labels"], "train": ["classifier"],
+                   "tune": ["classifier"], "eval": ["eval"]}
         expected = list(dict.fromkeys(
-            written[s] for s in STAGES[:STAGES.index(until) + 1]))
+            name for s in STAGES[:STAGES.index(until) + 1]
+            for name in written[s]))
         out = tmp_path / "out"
         result = run_pipeline(load_run_config(
             stage_workspace, {"output_dir": str(out)}), until=until)
@@ -356,16 +366,17 @@ class TestCli:
         out = tmp_path / "corpus"
         assert cli.main(["synth", "--out", str(out), "--count", "50",
                          "--seed", "3"]) == 0
-        assert cli.main(["ingest", "--queries", str(out / "queries.tsv"),
-                         "--out", str(tmp_path / "q.jsonl")]) == 0
-        assert cli.main(["split", "--queries", str(tmp_path / "q.jsonl"),
-                         "--seed", "3",
-                         "--out", str(tmp_path / "split.jsonl")]) == 0
-        lines = (tmp_path / "split.jsonl").read_text().splitlines()
+        assert cli.main(["pipeline", "-c", str(out / "config.json"),
+                         "--until", "split", "--seed", "3"]) == 0
+        queries = (out / "out" / "queries.jsonl").read_text().splitlines()
+        assert ([json.loads(l)["id"] for l in queries]
+                == [r.id for r in read_queries(out / "queries.tsv")])
+        lines = (out / "out" / "split.jsonl").read_text().splitlines()
         header = json.loads(lines[0])
         assert header["seed"] == 3
         parts = {json.loads(l)["part"] for l in lines[1:]}
         assert parts == {"train", "dev", "test"}
+        assert len(lines) - 1 == len(queries)
 
     def test_pipeline_command(self, tmp_path, capsys):
         config_path = build_workspace(tmp_path, count=120)
@@ -422,8 +433,7 @@ class TestCli:
         assert exit_info.value.code == 0
         listed = re.search(r"\{([^}]*)\}", capsys.readouterr().out).group(1)
         assert listed.split(",") == [
-            "taxonomy", "ingest", "split", "router-train", "router-select",
-            "pipeline", "ablation", "serve", "synth"]
+            "taxonomy", "pipeline", "ablation", "serve", "synth"]
 
     def test_readme_cli_block_names_every_command(self):
         readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
@@ -435,12 +445,25 @@ class TestCli:
         assert named == re.search(r"\{([^}]*)\}", usage).group(1).split(",")
 
     def test_router_select_writes_selections(self, tmp_path, capsys):
+        from querydistill.router import load_router, top_k_personas
         config_path = build_workspace(tmp_path, count=60)
-        assert cli.main(["router-select", "-c", config_path]) == 0
-        out_dir = os.path.join(os.path.dirname(config_path), "out")
-        with open(os.path.join(out_dir, "selections.jsonl")) as fh:
+        assert cli.main(["pipeline", "-c", config_path,
+                         "--until", "aggregate"]) == 0
+        config = load_run_config(config_path)
+        with open(os.path.join(config.output_dir, "selections.jsonl")) as fh:
             rows = [json.loads(line) for line in fh]
-        assert rows and all(len(r["personas"]) == 2 for r in rows)
+        records = read_queries(config.queries_path)
+        assert [r["id"] for r in rows] == [r.id for r in records]
+        assert all(len(r["personas"]) == config.persona_k == 2 for r in rows)
+        # The rows are the top-k of a fresh encoding through the saved router.
+        model = load_router(os.path.join(config.output_dir, "router.json"))
+        encoder = HashedNgramEmbedder(dim=config.embedding_dim,
+                                      seed=config.seed)
+        chosen = top_k_personas(
+            model, encoder.encode_batch([r.text for r in records]),
+            config.persona_k)
+        assert [r["personas"] for r in rows] == [
+            [model.persona_ids[i] for i in row] for row in chosen.tolist()]
 
     def test_ablation_command(self, tmp_path, capsys, monkeypatch):
         calls = []
@@ -458,6 +481,23 @@ class TestCli:
         assert cli.main(["ablation", "-c", config_path]) == 0
         assert capsys.readouterr().out == out
         assert calls == []
+
+    def test_ablation_checks_gold_before_any_arm(self, tmp_path, capsys):
+        config_path = build_workspace(tmp_path, count=60)
+        with open(config_path) as fh:
+            raw = json.load(fh)
+        gold = (tmp_path / "gold.jsonl").read_text().splitlines(keepends=True)
+        (tmp_path / "short_gold.jsonl").write_text("".join(gold[3:]))
+        for gold_path, message in (
+                ("", "error: gold annotations need an existing gold_path"),
+                ("short_gold.jsonl",
+                 "error: gold annotations missing for 3 ingested queries")):
+            raw["gold_path"] = gold_path
+            with open(config_path, "w") as fh:
+                json.dump(raw, fh)
+            assert cli.main(["ablation", "-c", config_path]) == 2
+            assert capsys.readouterr().err.startswith(message)
+            assert list(tmp_path.glob("out/ablation-*")) == []
 
 
 @pytest.fixture(scope="module")
@@ -589,6 +629,50 @@ class TestServe:
             server.shutdown()
             server.server_close()
 
+    def test_serve_started_with_sigint_ignored_ends_on_sigint(
+            self, served_model):
+        # A background job of a non-interactive shell starts with SIGINT
+        # ignored; the server still ends on SIGINT with a client connected.
+        import signal
+        import subprocess
+        import sys
+        import time
+        import querydistill
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        src = os.path.dirname(os.path.dirname(querydistill.__file__))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "querydistill.cli", "serve",
+             "--model", served_model[0], "--port", str(port)],
+            env=dict(os.environ, PYTHONPATH=src),
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN),
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+        try:
+            deadline = time.monotonic() + 60
+            while True:
+                try:
+                    conn = socket.create_connection(("127.0.0.1", port),
+                                                    timeout=5)
+                    break
+                except OSError:
+                    assert proc.poll() is None, proc.stderr.read()
+                    assert time.monotonic() < deadline
+                    time.sleep(0.05)
+            with conn:
+                conn.sendall(b"comedy movies\n")
+                data = b""
+                while not data.endswith(b"\n"):
+                    data += conn.recv(4096)
+                assert "labels" in json.loads(data)
+                proc.send_signal(signal.SIGINT)
+                assert proc.wait(timeout=10) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stderr.close()
+
     def test_stdio_over_long_line_then_query(self, served_model):
         import io
         from querydistill.serving import MAX_REQUEST_LINE, serve_stdio
@@ -634,35 +718,53 @@ class TestConfigSurfaces:
 
     def test_router_train_outside_router_mode_is_an_error(self, tmp_path,
                                                           capsys):
+        # Only router mode trains a router: in random mode the router stage
+        # writes and lists nothing.
         config_path = build_workspace(tmp_path, count=60)
-        assert cli.main(["router-train", "-c", config_path,
-                         "--persona-mode", "random"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: router-train needs persona_mode 'router'")
+        assert cli.main(["pipeline", "-c", config_path, "--until", "router",
+                         "--persona-mode", "random"]) == 0
         out_dir = os.path.join(os.path.dirname(config_path), "out")
-        assert not os.path.exists(os.path.join(out_dir, "router_loss.csv"))
+        assert not os.path.exists(os.path.join(out_dir, "router.json"))
+        with open(os.path.join(out_dir, "manifest.json")) as fh:
+            names = [a["name"] for a in json.load(fh)["artifacts"]]
+        assert names == ["queries", "split", "annotations", "matrices"]
 
     def test_router_select_ignores_stale_router_file(self, tmp_path, capsys):
         config_path = build_workspace(tmp_path, count=60)
         out_dir = os.path.join(os.path.dirname(config_path), "out")
         assert cli.main(["pipeline", "-c", config_path,
-                         "--until", "router"]) == 0
+                         "--until", "aggregate"]) == 0
         assert os.path.exists(os.path.join(out_dir, "router.json"))
-        capsys.readouterr()
-        assert cli.main(["router-select", "-c", config_path, "--persona-mode",
-                         "random", "--persona-k", "1"]) == 2
-        captured = capsys.readouterr()
-        assert captured.err.startswith(
-            "error: router-select needs persona_mode 'router'")
-        assert "persona selections" not in captured.out
-        assert not os.path.exists(os.path.join(out_dir, "selections.jsonl"))
+        assert cli.main(["pipeline", "-c", config_path, "--until", "aggregate",
+                         "--persona-mode", "random", "--persona-k", "1"]) == 0
+        config = load_run_config(config_path)
+        records = read_queries(config.queries_path)
+        persona_ids = [p.id for p in load_personas(config.personas_path)]
+        chosen = sample_personas([r.id for r in records], len(persona_ids), 1,
+                                 config.seed)
+        with open(os.path.join(out_dir, "selections.jsonl")) as fh:
+            rows = [json.loads(line) for line in fh]
+        assert rows == [{"id": r.id, "personas": [persona_ids[i] for i in row]}
+                        for r, row in zip(records, chosen.tolist())]
+        with open(os.path.join(out_dir, "manifest.json")) as fh:
+            names = [a["name"] for a in json.load(fh)["artifacts"]]
+        assert "router" not in names
 
     def test_router_train_command_writes_loss_csv(self, tmp_path, capsys):
+        # router.json holds the loss history: one [epoch, batch, loss] row
+        # per batch of every epoch.
         config_path = build_workspace(tmp_path, count=60)
-        assert cli.main(["router-train", "-c", config_path]) == 0
-        out_dir = os.path.join(os.path.dirname(config_path), "out")
-        lines = open(os.path.join(out_dir, "router_loss.csv")).read().splitlines()
-        assert lines[0] == "epoch,batch,loss"
-        assert len(lines) > 1
-        epoch, batch, loss = lines[1].split(",")
-        assert float(loss) > 0
+        assert cli.main(["pipeline", "-c", config_path,
+                         "--until", "router"]) == 0
+        config = load_run_config(config_path)
+        with open(os.path.join(config.output_dir, "router.json")) as fh:
+            history = json.load(fh)["loss_history"]
+        with open(os.path.join(config.output_dir, "split.jsonl")) as fh:
+            n_train = sum(json.loads(line).get("part") == "train"
+                          for line in fh)
+        batches = math.ceil(n_train / RouterTrainConfig().batch_size)
+        assert batches > 1
+        assert [row[:2] for row in history] == [
+            [epoch, batch] for epoch in range(config.router["epochs"])
+            for batch in range(batches)]
+        assert all(len(row) == 3 and row[2] > 0 for row in history)
