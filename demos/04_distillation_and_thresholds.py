@@ -19,6 +19,7 @@ from querydistill import (ClassifierTrainConfig, Confidence,
 from querydistill.classifier import (MATCH_PRECISION, MAX_F1, labeled_queries,
                                      predict_probs_batch, set_thresholds)
 from querydistill.evaluation import render_table
+from querydistill.personas import annotation_levels
 from querydistill.synth import (impoverished_gazetteer, synth_gazetteer,
                                 synth_queries, synth_registry)
 
@@ -76,8 +77,13 @@ print("\nclassifier vs impoverished lexical baseline (gains vs baseline):")
 print(render_table(classifier_report, gains))
 
 # --- matched operating point: recall at the baseline's precision ----------
-matched = matched_operating_point(test_probs, gold_test, baseline_report,
-                                  MATCH_PRECISION, registry)
+# Arrays over the test queries, rows in sorted-id order, columns in registry
+# order.
+order = sorted(range(len(test_records)), key=lambda i: test_records[i].id)
+gold_labels = annotation_levels(
+    [gold_test[test_records[i].id] for i in order], registry) > 0
+matched = matched_operating_point(probs[order], gold_labels, baseline_report,
+                                  MATCH_PRECISION, registry.ids)
 print(f"\nbaseline recall:                 {baseline_report.micro.recall:.3f}")
 print(f"recall at matching precision:    {matched.micro.recall:.3f}")
 

@@ -22,7 +22,8 @@ from . import synth as synth_mod
 from .annotations import read_annotation_store, write_annotation_store
 from .baseline import write_gazetteer
 from .errors import QueryDistillError
-from .pipeline import STAGES, load_gold, load_run_config, run_pipeline
+from .pipeline import (STAGES, check_paths, load_gold, load_run_config,
+                       run_pipeline)
 from .taxonomy import default_registry, load_registry, validate_label
 
 
@@ -99,6 +100,7 @@ def _ablation_arm(config, arm, until, filename, **changes):
 def cmd_ablation(args):
     """Prompt-variant grid and persona-selection comparison on one corpus."""
     config = _config_from_args(args)
+    check_paths(config)
     registry = load_registry(config.registry_path)
     records = data_mod.read_queries(config.queries_path)
     gold = load_gold(config.gold_path, records)

@@ -104,8 +104,12 @@ def ingest_queries(source):
 
 
 def render_queries(records):
-    """Render records back to the tab-separated line format."""
-    return "".join(f"{r.text}\t{r.frequency}\n" for r in records)
+    """Render records in the line format ``ingest_queries`` reads: tab-
+    separated, or a JSON object for a text that would read as one."""
+    return "".join(
+        json.dumps({"text": r.text, "frequency": r.frequency}) + "\n"
+        if r.text.startswith("{") else f"{r.text}\t{r.frequency}\n"
+        for r in records)
 
 
 def read_queries(path):

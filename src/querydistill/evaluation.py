@@ -1,16 +1,16 @@
 """Precision/recall/F1 harness: unweighted and frequency-weighted.
 
-Metrics compare label sets per query (confidence levels are ignored for set
-membership), accumulate TP/FP/FN per entity, and pool the same cells for
-the micro average. In weighted mode every count is multiplied by the
-query's search frequency, so the numbers reflect what fraction of user
-traffic is handled correctly rather than what fraction of distinct query
+``score`` counts TP/FP/FN per entity on boolean (n, E) label arrays and
+pools them for the micro average; ``compute_metrics`` scores stores of
+per-query label sets (confidence levels ignored) through it. Weighted mode
+multiplies every count by the query's search frequency, so the numbers
+reflect the share of user traffic handled correctly, not of distinct query
 strings. Relative-gain and matched-operating-point reports express a
 candidate against the lexical baseline.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -27,17 +27,9 @@ class MetricCell:
     fp: int = 0
     fn: int = 0
 
-    @property
-    def precision(self):
-        return float(_prf(self.tp, self.fp, self.fn)[0])
-
-    @property
-    def recall(self):
-        return float(_prf(self.tp, self.fp, self.fn)[1])
-
-    @property
-    def f1(self):
-        return float(_prf(self.tp, self.fp, self.fn)[2])
+    precision = property(lambda self: float(_prf(self.tp, self.fp, self.fn)[0]))
+    recall = property(lambda self: float(_prf(self.tp, self.fp, self.fn)[1]))
+    f1 = property(lambda self: float(_prf(self.tp, self.fp, self.fn)[2]))
 
 
 @dataclass(frozen=True)
@@ -60,6 +52,27 @@ def _label_set(annotation):
     return set(annotation)
 
 
+def score(gold, pred, entity_ids, weights=None, reference="gold",
+          candidate="pred"):
+    """Score boolean (n, E) label arrays, rows the same queries and columns
+    in ``entity_ids`` order. ``weights`` holds each row's integer search
+    frequency; None counts every row once and reports unweighted."""
+    gold, pred = np.asarray(gold, dtype=bool), np.asarray(pred, dtype=bool)
+    if gold.shape != pred.shape or gold.shape[1:] != (len(entity_ids),):
+        raise EvaluationError(f"label arrays {gold.shape} and {pred.shape} "
+                              f"do not fit {len(entity_ids)} entities")
+    w = np.ones(len(gold), dtype=np.int64) if weights is None \
+        else np.asarray(weights, dtype=np.int64)
+    tp, fp, fn = (w @ cells for cells in (gold & pred, ~gold & pred,
+                                          gold & ~pred))
+    per_entity = {e: MetricCell(*cell) for e, *cell in
+                  zip(entity_ids, tp.tolist(), fp.tolist(), fn.tolist())}
+    micro = MetricCell(*(int(counts.sum()) for counts in (tp, fp, fn)))
+    return EvalReport(per_entity=per_entity, micro=micro,
+                      weighted=weights is not None, reference=reference,
+                      candidate=candidate)
+
+
 def compute_metrics(gold, pred, frequencies=None, weighted=False,
                     registry=None, reference="gold", candidate="pred"):
     """Score a prediction store against a gold store.
@@ -79,28 +92,19 @@ def compute_metrics(gold, pred, frequencies=None, weighted=False,
             missing_in_pred=gold_ids - pred_ids,
             missing_in_gold=pred_ids - gold_ids)
 
+    ids = sorted(gold_ids)
+    gold_sets, pred_sets = ([_label_set(store[qid]) for qid in ids]
+                            for store in (gold, pred))
     entities = (list(registry.ids) if registry is not None
-                else sorted({e for store in (gold, pred)
-                             for ann in store.values()
-                             for e in _label_set(ann)}))
-    tp = {e: 0 for e in entities}
-    fp = {e: 0 for e in entities}
-    fn = {e: 0 for e in entities}
-    for qid in gold_ids:
-        weight = int(frequencies.get(qid, 1)) if (weighted and frequencies) else 1
-        gold_set = _label_set(gold[qid])
-        pred_set = _label_set(pred[qid])
-        for entity in gold_set & pred_set:
-            tp[entity] += weight
-        for entity in pred_set - gold_set:
-            fp[entity] += weight
-        for entity in gold_set - pred_set:
-            fn[entity] += weight
-
-    per_entity = {e: MetricCell(tp[e], fp[e], fn[e]) for e in entities}
-    micro = MetricCell(sum(tp.values()), sum(fp.values()), sum(fn.values()))
-    return EvalReport(per_entity=per_entity, micro=micro, weighted=weighted,
-                      reference=reference, candidate=candidate)
+                else sorted(set().union(*gold_sets, *pred_sets)))
+    column = {e: col for col, e in enumerate(entities)}
+    labels = np.zeros((2, len(ids), len(entities)), dtype=bool)
+    for side, label_sets in enumerate((gold_sets, pred_sets)):
+        for row, entity_set in enumerate(label_sets):
+            labels[side, row, [column[e] for e in entity_set]] = True
+    weights = ([int((frequencies or {}).get(qid, 1)) for qid in ids]
+               if weighted else None)
+    return score(*labels, entities, weights, reference, candidate)
 
 
 def relative_gain(candidate, baseline):
@@ -125,59 +129,37 @@ def relative_gain(candidate, baseline):
     return {MICRO: gains(candidate.micro, baseline.micro), "per_entity": per_entity}
 
 
-def matched_operating_point(pred_probs, gold, baseline_report, mode, registry,
-                            frequencies=None, weighted=False,
+def matched_operating_point(probs, gold, baseline_report, mode, entity_ids,
                             candidate="classifier"):
     """Evaluate a probabilistic candidate at baseline-matched thresholds.
 
-    ``pred_probs`` maps query_id -> probability vector in registry column
-    order and must cover every gold query. Per entity, the threshold is
-    chosen to match the baseline's recall (MATCH_RECALL mode) or precision
-    (MATCH_PRECISION mode) for that entity; the report then carries the
-    confusion cells at those thresholds, so the complementary metric is the
-    one to read. Entities whose target is unattainable sit at their closest
+    ``probs`` and boolean ``gold`` are (n, E) arrays over the same rows, in
+    ``entity_ids`` column order. Per entity, the threshold is chosen to match
+    the baseline's recall (MATCH_RECALL mode) or precision (MATCH_PRECISION
+    mode) for that entity; the report then carries the unweighted confusion
+    cells at those thresholds, so the complementary metric is the one to
+    read. Entities whose target is unattainable sit at their closest
     achievable operating point, flagged in ``operating_points``.
     """
-    if not gold:
-        raise EvaluationError("matched_operating_point got an empty gold store")
-    missing = set(gold) - set(pred_probs)
-    if missing:
-        raise EvaluationError(
-            f"probabilities missing for {len(missing)} gold queries",
-            missing_in_pred=missing)
+    if len(gold) == 0:
+        raise EvaluationError("matched_operating_point got no gold rows")
     if mode not in (MATCH_RECALL, MATCH_PRECISION):
         raise EvaluationError(f"mode must be match_recall or match_precision, got {mode!r}")
-
-    qids = sorted(gold)
-    probs = np.stack([np.asarray(pred_probs[qid], dtype=float) for qid in qids])
-    if probs.shape[1] != len(registry):
-        raise EvaluationError("probability vectors do not match the registry")
-    labels = np.zeros_like(probs)
-    for row, qid in enumerate(qids):
-        for entity in _label_set(gold[qid]):
-            labels[row, registry.column(entity)] = 1.0
+    probs, gold = np.asarray(probs, dtype=float), np.asarray(gold, dtype=bool)
+    if probs.shape != gold.shape or probs.shape[1] != len(entity_ids):
+        raise EvaluationError("probabilities do not fit the gold labels")
 
     target_name = "recall" if mode == MATCH_RECALL else "precision"
-    pred_store = {qid: set() for qid in qids}
     operating_points = {}
-    for col, entity in enumerate(registry.ids):
+    for col, entity in enumerate(entity_ids):
         base_cell = baseline_report.per_entity.get(entity, MetricCell())
-        target = getattr(base_cell, target_name)
-        choice = tune_threshold_for_entity(
-            probs[:, col], labels[:, col], mode, target=target)
-        operating_points[entity] = choice
-        selected = probs[:, col] >= choice.threshold
-        for row, qid in enumerate(qids):
-            if selected[row]:
-                pred_store[qid].add(entity)
-
-    report = compute_metrics(gold, pred_store, frequencies=frequencies,
-                             weighted=weighted, registry=registry,
-                             reference=baseline_report.reference,
-                             candidate=candidate)
-    return EvalReport(per_entity=report.per_entity, micro=report.micro,
-                      weighted=weighted, reference=report.reference,
-                      candidate=candidate, operating_points=operating_points)
+        operating_points[entity] = tune_threshold_for_entity(
+            probs[:, col], gold[:, col], mode,
+            target=getattr(base_cell, target_name))
+    thresholds = np.array([p.threshold for p in operating_points.values()])
+    report = score(gold, probs >= thresholds, entity_ids,
+                   reference=baseline_report.reference, candidate=candidate)
+    return replace(report, operating_points=operating_points)
 
 
 # ---------------------------------------------------------------------------
@@ -208,18 +190,14 @@ def render_table(report, gains=None):
         rows.append(row_for(entity, cell, entity_gain))
     rows.append(row_for(MICRO, report.micro, (gains or {}).get(MICRO)))
 
-    widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
-    lines = ["  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row))
-             for row in rows]
-    return "\n".join(lines)
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return "\n".join("  ".join(map(str.ljust, row, widths)) for row in rows)
 
 
 def report_records(report, system=""):
     """One JSON-ready record per entity plus a micro record."""
     records = []
-    names = list(report.per_entity) + [MICRO]
-    for name in names:
-        cell = report.micro if name == MICRO else report.per_entity[name]
+    for name, cell in [*report.per_entity.items(), (MICRO, report.micro)]:
         record = {
             "entity": name,
             "system": system or report.candidate,
@@ -239,8 +217,8 @@ def report_records(report, system=""):
     return records
 
 
-def write_report_jsonl(path, reports_with_tags, mode="w"):
-    with open(path, mode, encoding="utf-8") as fh:
-        for report, tag in reports_with_tags:
-            for record in report_records(report, system=tag):
+def write_report_jsonl(path, reports):
+    with open(path, "w", encoding="utf-8") as fh:
+        for report in reports:
+            for record in report_records(report):
                 fh.write(json.dumps(record, sort_keys=True) + "\n")

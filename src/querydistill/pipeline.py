@@ -22,6 +22,7 @@ their outputs live.
 
 import functools
 import hashlib
+import inspect
 import json
 import os
 from dataclasses import dataclass, field, asdict
@@ -62,6 +63,14 @@ def _input_paths(raw):
             yield name, owner, key
 
 
+def _reject_unknown(keys, target, what):
+    """PipelineConfigError for the ``keys`` that name no parameter of
+    ``target``, so a typo fails before any stage runs."""
+    unknown = sorted(set(keys) - set(inspect.signature(target).parameters))
+    if unknown:
+        raise PipelineConfigError(f"unknown {what}: {', '.join(unknown)}")
+
+
 @dataclass
 class RunConfig:
     registry_path: str
@@ -97,6 +106,14 @@ class RunConfig:
             raise PipelineConfigError(
                 f"eval_reference must be 'gold' or 'teacher', "
                 f"got {self.eval_reference!r}")
+        kind = self.annotator.get("kind", "mock")
+        annotator = {"mock": mock_handle, "http": HttpEndpointConfig}.get(kind)
+        if annotator is None:
+            raise PipelineConfigError(f"unknown annotator kind: {kind!r}")
+        _reject_unknown(set(self.annotator) - {"kind"}, annotator, "annotator key")
+        _reject_unknown(self.router, router_mod.RouterTrainConfig, "router key")
+        _reject_unknown(self.classifier, classifier_mod.ClassifierTrainConfig,
+                        "classifier key")
 
     def semantic_digest(self):
         """Digest of everything that shapes results; output locations and
@@ -113,6 +130,7 @@ def load_run_config(path, overrides=None):
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
     raw.update(overrides or {})
+    _reject_unknown(raw, RunConfig, "config key")
     base = os.path.dirname(os.path.abspath(path))
 
     def resolve(p):
@@ -143,19 +161,13 @@ def build_annotator(config):
     raise PipelineConfigError(f"unknown annotator kind: {kind!r}")
 
 
-def _check_paths(config):
+def check_paths(config):
+    """PipelineConfigError for an input file that does not resolve."""
     for name, section, key in _input_paths(asdict(config)):
         path = section[key]
         if (path or name in ("registry_path", "queries_path")) \
                 and not os.path.exists(path):
             raise PipelineConfigError(f"{name} does not resolve: {path!r}")
-    if config.persona_mode != "none" and not config.personas_path:
-        raise PipelineConfigError(
-            f"persona_mode {config.persona_mode!r} needs personas_path")
-    if config.persona_mode == "router" and not config.gold_path:
-        raise PipelineConfigError("router mode needs gold_path for training")
-    if config.eval_reference == "gold" and not config.gold_path:
-        raise PipelineConfigError("eval_reference 'gold' needs gold_path")
 
 
 @dataclass
@@ -220,6 +232,10 @@ class _Run:
         self.config = config
         self.until = until
         self.registry = load_registry(config.registry_path)
+        self.router_config = router_mod.RouterTrainConfig(
+            **{"seed": config.seed, **config.router})
+        self.classifier_config = classifier_mod.ClassifierTrainConfig(
+            **{"seed": config.seed, **config.classifier})
         self.stats = {"annotator_calls": 0, "cache_hits": 0,
                       "annotator_failures": 0, "unparseable_responses": 0}
         self.artifacts = {}
@@ -242,6 +258,11 @@ class _Run:
 
     router_encoder = property(lambda self: self._encoders[0])
     backend = property(lambda self: self._encoders[1])
+
+    def rows(self, records):
+        """Row of each of ``records`` in ingest order."""
+        index = {r.id: row for row, r in enumerate(self.records)}
+        return [index[r.id] for r in records]
 
     def write(self, name, filename, writer, *args, **kwargs):
         """Write one artifact with ``writer(path, *args, **kwargs)`` and list
@@ -323,15 +344,12 @@ def _router(run):
         train_records = data_mod.rebalance_by_entity(
             train_records, gold, cap_fraction=config.rebalance_cap,
             seed=config.seed)
-    router_config = router_mod.RouterTrainConfig(
-        **{"seed": config.seed, **config.router})
-    row = {r.id: i for i, r in enumerate(run.records)}
-    rows = [row[r.id] for r in train_records]
+    rows = run.rows(train_records)
     gold_levels = personas_mod.annotation_levels(
         [gold[r.id] for r in train_records], registry)
     run.router_model, loss_history = router_mod.fit_router(
         run.router_encoder.matrix[rows], run.levels[rows], gold_levels > 0,
-        tuple(p.id for p in run.personas), router_config, registry)
+        tuple(p.id for p in run.personas), run.router_config, registry)
     run.router_model.embedding_provider = run.router_encoder.tag
     run.write("router", "router.json", router_mod.save_router,
               run.router_model, loss_history=loss_history)
@@ -376,13 +394,11 @@ def _labels(run):
 
 
 def _train(run):
-    config = run.config
     train_set = classifier_mod.labeled_queries(run.split.train, run.weak)
     run.dev_set = classifier_mod.labeled_queries(run.split.dev, run.weak)
-    clf_config = classifier_mod.ClassifierTrainConfig(
-        **{"seed": config.seed, **config.classifier})
     run.model, run.history = classifier_mod.train_classifier(
-        train_set, run.dev_set, clf_config, run.registry, backend=run.backend)
+        train_set, run.dev_set, run.classifier_config, run.registry,
+        backend=run.backend)
     # The tune stage writes the tuned model; writing the untuned one first
     # would cost a second full serialization of the weights.
     if run.until == "train":
@@ -401,48 +417,35 @@ def _tune(run):
 
 
 def _eval(run):
+    """Score the lexical baseline and the classifier on (n, E) label arrays."""
     config, registry = run.config, run.registry
     test_records = list(run.split.test)
-    if config.eval_reference == "teacher":
-        reference = {r.id: run.aggregated[r.id] for r in test_records}
-    else:
-        reference = {r.id: run.gold[r.id] for r in test_records}
-
-    probs_matrix = classifier_mod.predict_probs_batch(
+    probs = classifier_mod.predict_probs_batch(
         run.model, [r.text for r in test_records], backend=run.backend)
-    test_probs = {r.id: probs_matrix[row] for row, r in enumerate(test_records)}
-    pred_store = {r.id: classifier_mod.apply_thresholds(run.model, probs)
-                  for r, probs in zip(test_records, probs_matrix)}
-
-    baseline_store = None
+    if config.eval_reference == "teacher":
+        reference = run.teacher[run.rows(test_records)] > 0
+    else:
+        reference = personas_mod.annotation_levels(
+            [run.gold[r.id] for r in test_records], registry) > 0
+    systems = {}
     if config.gazetteer_path:
         lexicon = baseline_mod.load_gazetteer(config.gazetteer_path)
-        baseline_store = {r.id: baseline_mod.lexical_match(lexicon, r.text)
-                          for r in test_records}
-    frequencies = {r.id: r.frequency for r in run.records}
-
-    def score(store, weighted, candidate):
-        return eval_mod.compute_metrics(
-            reference, store, frequencies=frequencies, weighted=weighted,
-            registry=registry, reference=config.eval_reference,
-            candidate=candidate)
-
+        systems["baseline"] = personas_mod.annotation_levels(
+            [baseline_mod.lexical_match(lexicon, r.text)
+             for r in test_records], registry) > 0
+    systems["classifier"] = probs >= run.model.thresholds
     reports = []
-    for weighted in (False, True):
-        if baseline_store is not None:
-            base_report = score(baseline_store, weighted, "baseline")
-            reports.append((base_report, "baseline"))
-        reports.append((score(pred_store, weighted, "classifier"),
-                        "classifier"))
-        if baseline_store is not None and not weighted:
-            for mode, tag in ((classifier_mod.MATCH_PRECISION,
-                               "classifier@matching_precision"),
-                              (classifier_mod.MATCH_RECALL,
-                               "classifier@matching_recall")):
-                reports.append((eval_mod.matched_operating_point(
-                    test_probs, reference, base_report, mode, registry,
-                    frequencies=frequencies, weighted=weighted,
-                    candidate=tag), tag))
+    for weights in (None, [r.frequency for r in test_records]):
+        scored = {name: eval_mod.score(reference, pred, registry.ids, weights,
+                                       config.eval_reference, name)
+                  for name, pred in systems.items()}
+        reports += scored.values()
+        if "baseline" in scored and weights is None:
+            for mode, target in ((classifier_mod.MATCH_PRECISION, "precision"),
+                                 (classifier_mod.MATCH_RECALL, "recall")):
+                reports.append(eval_mod.matched_operating_point(
+                    probs, reference, scored["baseline"], mode, registry.ids,
+                    candidate=f"classifier@matching_{target}"))
     run.write("eval", "eval.jsonl", eval_mod.write_report_jsonl, reports)
 
 
@@ -456,7 +459,14 @@ def run_pipeline(config, until="eval"):
     """Execute the pipeline through stage ``until``; returns PipelineResult."""
     if until not in STAGES:
         raise PipelineConfigError(f"unknown stage {until!r}")
-    _check_paths(config)
+    check_paths(config)
+    if config.persona_mode != "none" and not config.personas_path:
+        raise PipelineConfigError(
+            f"persona_mode {config.persona_mode!r} needs personas_path")
+    if config.persona_mode == "router" and not config.gold_path:
+        raise PipelineConfigError("router mode needs gold_path for training")
+    if config.eval_reference == "gold" and not config.gold_path:
+        raise PipelineConfigError("eval_reference 'gold' needs gold_path")
     os.makedirs(config.output_dir, exist_ok=True)
     run = _Run(config, until)
     for stage in _STAGE_TABLE[:STAGES.index(until) + 1]:

@@ -26,7 +26,8 @@ from querydistill.data import split_dataset
 from querydistill.evaluation import compute_metrics, matched_operating_point
 from querydistill.features import HashedNgramEmbedder
 from querydistill.llm_client import annotate_batch, mock_annotate, mock_handle
-from querydistill.personas import ConfidenceMatrix, aggregate_ensemble
+from querydistill.personas import (ConfidenceMatrix, aggregate_ensemble,
+                                  annotation_levels)
 from querydistill.pipeline import load_run_config, run_pipeline
 from querydistill.prompting import (PromptConfig, PromptVariant, build_prompt,
                                     parse_response)
@@ -231,13 +232,17 @@ def test_criterion_5_distillation_beats_weak_baseline():
         gold_test = {r.id: gold[r.id] for r in test_records}
         probs = predict_probs_batch(model, [r.text for r in test_records],
                                     backend=backend)
-        test_probs = {r.id: probs[i] for i, r in enumerate(test_records)}
         baseline_store = {r.id: lexical_match(baseline_gaz, r.text)
                           for r in test_records}
         base_report = compute_metrics(gold_test, baseline_store,
                                       registry=registry)
-        matched = matched_operating_point(test_probs, gold_test, base_report,
-                                          MATCH_PRECISION, registry)
+        order = sorted(range(len(test_records)),
+                       key=lambda i: test_records[i].id)
+        gold_labels = annotation_levels(
+            [gold_test[test_records[i].id] for i in order], registry) > 0
+        matched = matched_operating_point(probs[order], gold_labels,
+                                          base_report, MATCH_PRECISION,
+                                          registry.ids)
         assert base_report.micro.recall > 0
         gains.append((matched.micro.recall - base_report.micro.recall)
                      / base_report.micro.recall)

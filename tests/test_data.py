@@ -1,6 +1,8 @@
+import io
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import ann
 from querydistill.annotations import Annotation
@@ -53,6 +55,21 @@ class TestIngest:
         once = ingest_queries(lines)
         twice = ingest_queries(render_queries(once).splitlines())
         assert once == twice
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(lines=st.lists(st.tuples(st.text(min_size=1, max_size=20),
+                                    st.integers(1, 10 ** 6)), max_size=12))
+    def test_rendered_records_round_trip(self, lines):
+        texts = {}
+        for text, frequency in lines:
+            if normalize_query(text):
+                texts.setdefault(normalize_query(text), frequency)
+        records = [QueryRecord(id=query_id(text), text=text,
+                               frequency=frequency)
+                   for text, frequency in texts.items()]
+        if records:
+            assert ingest_queries(io.StringIO(render_queries(records))) == \
+                records
 
 
 class TestSplit:

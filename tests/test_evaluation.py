@@ -2,6 +2,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from conftest import ann
@@ -9,7 +10,7 @@ from querydistill.classifier import MATCH_PRECISION, MATCH_RECALL
 from querydistill.errors import EvaluationError
 from querydistill.evaluation import (MICRO, MetricCell, compute_metrics,
                                      matched_operating_point, relative_gain,
-                                     render_table, report_records)
+                                     render_table, report_records, score)
 from querydistill.taxonomy import EntityDef, EntityRegistry
 
 
@@ -123,6 +124,57 @@ class TestComputeMetrics:
                     expected_micro
 
 
+@st.composite
+def _label_arrays(draw):
+    """Gold and predicted (n, E) boolean arrays, n in 0-8 and E in 1-4, and
+    an integer search frequency per row."""
+    n, width = draw(st.integers(0, 8)), draw(st.integers(1, 4))
+    cells = st.lists(st.booleans(), min_size=n * width, max_size=n * width)
+    gold, pred = (np.array(draw(cells), dtype=bool).reshape(n, width)
+                  for _ in range(2))
+    weights = draw(st.lists(st.integers(1, 50), min_size=n, max_size=n))
+    return gold, pred, weights
+
+
+class TestScore:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(arrays=_label_arrays())
+    def test_matches_brute_force_and_dict_stores(self, arrays):
+        gold, pred, weights = arrays
+        entities = [f"E{col}" for col in range(gold.shape[1])]
+        registry = EntityRegistry(entities=tuple(
+            EntityDef(id=e, definition=e) for e in entities))
+        qids = [f"q{row}" for row in range(len(gold))]
+
+        def store(labels):
+            return {qid: {e for e, flag in zip(entities, row) if flag}
+                    for qid, row in zip(qids, labels)}
+
+        freqs = dict(zip(qids, weights))
+        for weighted in (False, True):
+            report = score(gold, pred, entities,
+                           weights if weighted else None)
+            expected_cells, expected_micro = oracles.brute_force_counts(
+                store(gold), store(pred), freqs, weighted, entities)
+            assert report.weighted == weighted
+            assert list(report.per_entity) == entities
+            for entity, cell in report.per_entity.items():
+                assert (cell.tp, cell.fp, cell.fn) == expected_cells[entity]
+            assert (report.micro.tp, report.micro.fp, report.micro.fn) == \
+                expected_micro
+            from_stores = compute_metrics(store(gold), store(pred),
+                                          frequencies=freqs,
+                                          weighted=weighted,
+                                          registry=registry)
+            assert from_stores == report
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(EvaluationError):
+            score(np.zeros((2, 3), bool), np.zeros((3, 3), bool), "ABC")
+        with pytest.raises(EvaluationError):
+            score(np.zeros((2, 3), bool), np.zeros((2, 3), bool), "AB")
+
+
 class TestRelativeGain:
     def test_arithmetic(self):
         baseline = compute_metrics({"q": {"A", "B", "C", "D", "E"}},
@@ -177,6 +229,15 @@ class TestMatchedOperatingPoint:
             probs[qid] = vec
         return probs
 
+    @staticmethod
+    def arrays(probs, gold, registry):
+        """The probability and gold stores as (n, E) arrays, rows in sorted
+        query-id order."""
+        qids = sorted(gold)
+        return (np.array([probs[qid] for qid in qids]),
+                np.array([[e in gold[qid] for e in registry.ids]
+                          for qid in qids]))
+
     def test_perfect_ranker_full_precision_at_matched_recall(self, four_registry):
         rng = random.Random(3)
         gold = {f"q{i}": set(rng.sample(four_registry.ids, rng.randint(1, 2)))
@@ -192,8 +253,9 @@ class TestMatchedOperatingPoint:
                     pred[qid].add(e)
         baseline = compute_metrics(gold, pred, registry=four_registry)
         probs = self.perfect_probs(gold, four_registry, random.Random(5))
-        report = matched_operating_point(probs, gold, baseline, MATCH_RECALL,
-                                         four_registry)
+        report = matched_operating_point(
+            *self.arrays(probs, gold, four_registry), baseline, MATCH_RECALL,
+            four_registry.ids)
         assert report.micro.precision == 1.0
         for entity, cell in report.per_entity.items():
             target = baseline.per_entity[entity].recall
@@ -211,8 +273,9 @@ class TestMatchedOperatingPoint:
         baseline = compute_metrics(gold, pred, registry=four_registry)
         for mode, sweep in ((MATCH_RECALL, oracles.sweep_match_recall),
                             (MATCH_PRECISION, oracles.sweep_match_precision)):
-            report = matched_operating_point(probs, gold, baseline, mode,
-                                             four_registry)
+            report = matched_operating_point(
+                *self.arrays(probs, gold, four_registry), baseline, mode,
+                four_registry.ids)
             target_name = "recall" if mode == MATCH_RECALL else "precision"
             for col, entity in enumerate(four_registry.ids):
                 target = getattr(baseline.per_entity[entity], target_name)
@@ -235,8 +298,9 @@ class TestMatchedOperatingPoint:
                  "q2": np.array([0.9, 0.0, 0.0, 0.0])}
         pred = {"q1": {"E0"}, "q2": set()}     # baseline precision 1.0 on E0
         baseline = compute_metrics(gold, pred, registry=four_registry)
-        report = matched_operating_point(probs, gold, baseline, MATCH_PRECISION,
-                                         four_registry)
+        report = matched_operating_point(
+            *self.arrays(probs, gold, four_registry), baseline,
+            MATCH_PRECISION, four_registry.ids)
         point = report.operating_points["E0"]
         assert not point.attained
         assert point.achieved == 0.5

@@ -8,19 +8,24 @@ import socket
 import pytest
 
 from querydistill import cli, llm_client
-from querydistill.classifier import (ClassifierTrainConfig, labeled_queries,
-                                     save_classifier, train_classifier,
+from querydistill.baseline import lexical_match, load_gazetteer
+from querydistill.classifier import (ClassifierTrainConfig, apply_thresholds,
+                                     labeled_queries, load_classifier,
+                                     predict_probs_batch, save_classifier,
+                                     train_classifier,
                                      weak_labels_from_annotations)
-from querydistill.data import read_queries
+from querydistill.data import read_queries, split_dataset
 from querydistill.errors import PipelineConfigError
+from querydistill.evaluation import compute_metrics, report_records
 from querydistill.features import HashedNgramEmbedder
 from querydistill.personas import load_personas, sample_personas
-from querydistill.pipeline import (STAGES, RunConfig, load_run_config,
-                                   run_pipeline)
+from querydistill.pipeline import (STAGES, RunConfig, load_gold,
+                                   load_run_config, run_pipeline)
 from querydistill.router import RouterTrainConfig
 from querydistill.serving import ServeState, serve_tcp
 from querydistill.synth import (impoverished_gazetteer, synth_gazetteer,
                                 synth_queries, synth_registry)
+from querydistill.taxonomy import load_registry
 
 
 ENTITIES = ["Genre", "Sport", "Holiday", "AudioLanguage", "StreamingService"]
@@ -257,6 +262,40 @@ class TestRunPipeline:
                  and r["system"] == "classifier" and not r["weighted"]]
         assert len(micro) == 1
         assert 0.0 <= micro[0]["f1"] <= 1.0
+
+    @pytest.mark.parametrize("reference", ["gold", "teacher"])
+    def test_eval_records_match_per_query_scoring(self, tmp_path, reference):
+        # eval.jsonl's baseline and classifier records, unweighted and
+        # weighted, equal compute_metrics on per-query dict stores: the
+        # reference, lexical_match, and apply_thresholds of
+        # predict_probs_batch.
+        config = load_run_config(build_workspace(tmp_path, count=150),
+                                 {"eval_reference": reference})
+        out = run_pipeline(config).output_dir
+        records = read_queries(config.queries_path)
+        test = split_dataset(records, config.ratios, config.seed).test
+        ref = load_gold(config.gold_path if reference == "gold" else
+                        os.path.join(out, "aggregated.jsonl"), records)
+        model = load_classifier(os.path.join(out, "classifier.json"))
+        lexicon = load_gazetteer(config.gazetteer_path)
+        probs = predict_probs_batch(model, [r.text for r in test])
+        stores = {
+            "baseline": {r.id: lexical_match(lexicon, r.text) for r in test},
+            "classifier": {r.id: apply_thresholds(model, p)
+                           for r, p in zip(test, probs)}}
+        with open(os.path.join(out, "eval.jsonl")) as fh:
+            written = [json.loads(line) for line in fh]
+        for weighted in (False, True):
+            for system, store in stores.items():
+                expected = report_records(compute_metrics(
+                    {r.id: ref[r.id] for r in test}, store,
+                    frequencies={r.id: r.frequency for r in records},
+                    weighted=weighted, registry=load_registry(
+                        config.registry_path),
+                    reference=reference, candidate=system))
+                assert [r for r in written if r["system"] == system
+                        and r["weighted"] == weighted] == \
+                    json.loads(json.dumps(expected))
 
     def test_unparseable_cached_response_stays_local(self, tmp_path, capsys):
         # A cached response that does not parse is counted on the run that
@@ -499,6 +538,18 @@ class TestCli:
             assert capsys.readouterr().err.startswith(message)
             assert list(tmp_path.glob("out/ablation-*")) == []
 
+    def test_ablation_checks_paths_before_any_arm(self, tmp_path, capsys):
+        config_path = build_workspace(tmp_path, count=60)
+        with open(config_path) as fh:
+            raw = json.load(fh)
+        raw["registry_path"] = "nope.jsonl"
+        with open(config_path, "w") as fh:
+            json.dump(raw, fh)
+        assert cli.main(["ablation", "-c", config_path]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: registry_path does not resolve")
+        assert list(tmp_path.glob("out/ablation-*")) == []
+
 
 @pytest.fixture(scope="module")
 def served_model(tmp_path_factory):
@@ -710,6 +761,24 @@ class TestConfigSurfaces:
         config.annotator = {"kind": "carrier-pigeon"}
         with pytest.raises(PipelineConfigError):
             build_annotator(config)
+
+    @pytest.mark.parametrize("section, key, message", [
+        (None, "persona_modes", "error: unknown config key: persona_modes"),
+        ("annotator", "nosie_rate", "error: unknown annotator key: nosie_rate"),
+        ("router", "hiden_dim", "error: unknown router key: hiden_dim"),
+        ("classifier", "epoch", "error: unknown classifier key: epoch"),
+    ], ids=["top-level", "annotator", "router", "classifier"])
+    def test_config_typo_fails_before_any_stage(self, tmp_path, capsys,
+                                                section, key, message):
+        config_path = build_workspace(tmp_path, count=60)
+        with open(config_path) as fh:
+            raw = json.load(fh)
+        (raw[section] if section else raw)[key] = 1
+        with open(config_path, "w") as fh:
+            json.dump(raw, fh)
+        assert cli.main(["pipeline", "-c", config_path]) == 2
+        assert capsys.readouterr().err.startswith(message)
+        assert not (tmp_path / "out").exists()
 
     def test_bad_persona_mode_rejected(self):
         with pytest.raises(PipelineConfigError):

@@ -3,14 +3,15 @@ import re
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import ann
-from querydistill.annotations import Confidence, render_annotation
+from querydistill.annotations import Annotation, Confidence, render_annotation
 from querydistill.errors import UnparseableResponseError
 from querydistill.personas import default_personas
 from querydistill.prompting import (PromptConfig, PromptVariant, build_prompt,
                                     parse_response)
-from querydistill.taxonomy import EntityRegistry
+from querydistill.taxonomy import EntityRegistry, default_registry
 
 
 def config(variant, **kwargs):
@@ -107,6 +108,15 @@ class TestBuildPrompt:
 
 
 class TestParseResponse:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(entities=st.dictionaries(st.sampled_from(default_registry().ids),
+                                    st.sampled_from(list(Confidence))))
+    def test_rendered_annotation_round_trips(self, entities):
+        parsed = parse_response(default_registry(),
+                                render_annotation(Annotation(entities)))
+        assert parsed.entities == entities
+        assert parsed.warnings == ()
+
     def test_happy_path(self, registry):
         parsed = parse_response(registry, "Genre|High\nIntentMovie|Medium")
         assert parsed.entities == {"Genre": Confidence.HIGH,
