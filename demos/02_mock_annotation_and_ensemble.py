@@ -2,8 +2,8 @@
 
 Each persona annotates the same query; the responses become a
 Persona x Entity confidence matrix (High/Medium/Low -> 3/2/1, unselected
--> 0), which the ensemble collapses into one annotation by thresholded
-weighted mean.
+-> 0), which the ensemble collapses into one annotation by the thresholded
+mean of the chosen persona rows.
 """
 
 import numpy as np
@@ -12,6 +12,7 @@ from querydistill import (aggregate_ensemble, build_confidence_matrix,
                           default_gazetteer, default_personas,
                           default_registry, mock_annotate, mock_handle,
                           parse_response)
+from querydistill.personas import level_annotations
 
 registry = default_registry()
 personas = default_personas()[:4]
@@ -31,26 +32,29 @@ handle = mock_handle(
 annotations = {}
 for persona in personas:
     raw = mock_annotate(handle, query, persona=persona.id)
-    annotations[persona.id] = parse_response(registry, raw)
+    annotations[(query, persona.id)] = parse_response(registry, raw)
     print(f"{persona.name:<16} -> {raw.replace(chr(10), '  ')}")
 print()
 
-matrix = build_confidence_matrix(query, annotations, personas, registry)
-active = [c for c in range(len(registry)) if matrix.values[:, c].any()]
+persona_ids = [p.id for p in personas]
+values = build_confidence_matrix(annotations, [query], persona_ids, registry)
+matrix = values[0]  # one query: (P, E)
+active = [c for c in range(len(registry)) if matrix[:, c].any()]
 print("confidence matrix (columns with any signal):")
 print("  " + "  ".join(f"{registry.ids[c]:>14}" for c in active))
-for row, pid in enumerate(matrix.persona_ids):
-    cells = "  ".join(f"{matrix.values[row, c]:>14}" for c in active)
+for row, pid in enumerate(persona_ids):
+    cells = "  ".join(f"{matrix[row, c]:>14}" for c in active)
     print(f"  {cells}    {pid}")
 print()
 
-# aggregate: uniform weights, select at mean score >= 1.5
-ensemble = aggregate_ensemble(matrix, registry)
+# aggregate all four rows: select at mean score >= 1.5
+ensemble, = level_annotations(
+    aggregate_ensemble(values, np.array([[0, 1, 2, 3]])), registry)
 print("ensemble annotation:",
       {e: c.label for e, c in sorted(ensemble.entities.items())})
 
-# dominant weight on one persona reduces to that persona's view
-weights = np.array([10.0, 0.1, 0.1, 0.1])
-solo = aggregate_ensemble(matrix, registry, weights=weights, threshold=0.5)
-print("merchandiser-dominated:",
+# choosing one persona's row reduces to that persona's view
+solo, = level_annotations(
+    aggregate_ensemble(values, np.array([[0]]), threshold=0.5), registry)
+print("merchandiser only:",
       {e: c.label for e, c in sorted(solo.entities.items())})

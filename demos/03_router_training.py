@@ -12,9 +12,9 @@ import random
 import numpy as np
 
 from querydistill import (HashedNgramEmbedder, RouterTrainConfig,
-                          aggregate_ensemble, compute_metrics, router_forward,
-                          select_top_k, train_router)
-from querydistill.personas import ConfidenceMatrix
+                          aggregate_ensemble, router_forward, select_top_k,
+                          train_router)
+from querydistill.evaluation import score
 from querydistill.taxonomy import EntityDef, EntityRegistry
 
 rng = np.random.default_rng(7)
@@ -27,55 +27,49 @@ persona_ids = ("oracle", "adversary", "coin_flipper")
 WORDS = ["midnight", "harbor", "violet", "stereo", "canyon", "maple"]
 
 def make_examples(n, seed):
+    """Embeddings (n, d), confidence matrices (n, P, E), gold (n, E)."""
     gen = np.random.default_rng(seed)
-    out = []
+    X, M, Y = [], [], []
     for i in range(n):
         text = " ".join(gen.choice(WORDS, size=3).tolist()) + f" {i}"
         gold_mask = gen.random(len(registry)) < 0.35
         if not gold_mask.any():
             gold_mask[gen.integers(len(registry))] = True
-        gold = {registry.ids[j] for j in np.where(gold_mask)[0]}
-        matrix = ConfidenceMatrix(
-            query_id=f"q{i}", persona_ids=persona_ids,
-            registry_hash=registry.hash,
-            values=np.stack([
-                3 * gold_mask.astype(int),          # oracle
-                3 * (~gold_mask).astype(int),       # adversary
-                gen.integers(0, 4, len(registry)),  # coin flipper
-            ]))
-        out.append((encoder.embed(text), matrix, gold))
-    return out
+        X.append(encoder.embed(text))
+        M.append(np.stack([
+            3 * gold_mask.astype(int),          # oracle
+            3 * (~gold_mask).astype(int),       # adversary
+            gen.integers(0, 4, len(registry)),  # coin flipper
+        ]))
+        Y.append(gold_mask)
+    return np.array(X), np.array(M), np.array(Y)
 
-train = make_examples(600, seed=1)
-held_out = make_examples(150, seed=2)
+X, M, Y = make_examples(600, seed=1)
+X_held, M_held, Y_held = make_examples(150, seed=2)
 
-model, history = train_router(train, RouterTrainConfig(seed=7), registry)
-print(f"trained on {len(train)} queries; "
+model, history = train_router(X, M, Y, persona_ids, RouterTrainConfig(seed=7),
+                              registry)
+print(f"trained on {len(X)} queries; "
       f"loss {history[0][2]:.4f} -> {history[-1][2]:.4f}")
 
-relevance = np.stack([router_forward(model, emb) for emb, _, _ in held_out])
+relevance = router_forward(model, X_held)
 print("mean held-out relevance per persona:")
 for pid, value in zip(persona_ids, relevance.mean(axis=0)):
     print(f"  {pid:<14} {value:.4f}")
 
-emb, matrix, gold = held_out[0]
-print("top-2 for one query:", select_top_k(model, emb, 2))
+top2 = select_top_k(model, X_held[:1], 2)[0]
+print("top-2 for one query:", [persona_ids[row] for row in top2])
 print()
 
 # routed top-1 aggregation vs picking a persona at random
-gold_store = {m.query_id: g for _, m, g in held_out}
-routed = {}
-for emb, matrix, _ in held_out:
-    top = select_top_k(model, emb, 1)
-    routed[matrix.query_id] = aggregate_ensemble(matrix.subset(top), registry)
-routed_f1 = compute_metrics(gold_store, routed).micro.f1
+def micro_f1(chosen):
+    levels = aggregate_ensemble(M_held, chosen)
+    return score(Y_held, levels > 0, registry.ids).micro.f1
 
+routed_f1 = micro_f1(select_top_k(model, X_held, 1))
 picker = random.Random(0)
-randomly = {}
-for _, matrix, _ in held_out:
-    pick = [picker.choice(list(persona_ids))]
-    randomly[matrix.query_id] = aggregate_ensemble(matrix.subset(pick), registry)
-random_f1 = compute_metrics(gold_store, randomly).micro.f1
+random_f1 = micro_f1(np.array(
+    [[picker.choice(range(len(persona_ids)))] for _ in Y_held]))
 
 print(f"micro-F1, routed top-1: {routed_f1:.3f}")
 print(f"micro-F1, random pick:  {random_f1:.3f}")

@@ -21,8 +21,8 @@ from .features import HashedNgramEmbedder, PrecomputedEmbedder
 from .llm_client import (AnnotationFailure, AnnotatorHandle, HttpEndpointConfig,
                          MockConfig, ResponseCache, annotate_batch,
                          mock_annotate, mock_handle)
-from .personas import (ConfidenceMatrix, Persona, aggregate_ensemble,
-                       build_confidence_matrix, default_personas, load_personas)
+from .personas import (Persona, aggregate_ensemble, build_confidence_matrix,
+                       default_personas, load_personas)
 from .pipeline import RunConfig, load_run_config, run_pipeline
 from .prompting import (PromptConfig, PromptText, PromptVariant, build_prompt,
                         parse_response)

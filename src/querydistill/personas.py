@@ -4,14 +4,15 @@ Each persona is a role description prepended to the annotation prompt so the
 model answers from a distinct perspective. One query annotated by P personas
 yields a P x E integer matrix: confidence levels map to 1-3 and unselected
 entities to 0. The matrix is both the input to ensemble aggregation and the
-training signal for the persona-selection router. A pipeline run holds the
-matrices of its N queries as one (N, P, E) array, which ``annotation_levels``
-fills and ``aggregate_chosen`` aggregates.
+training signal for the persona-selection router. The functions here work on
+the matrices of N queries at once, as one (N, P, E) array:
+``build_confidence_matrix`` fills it and ``aggregate_ensemble`` aggregates
+the persona rows chosen for each query.
 """
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -21,7 +22,7 @@ from .errors import MissingPersonaError, ModelError, QueryDistillError
 
 PERSONA_CATEGORIES = ("Expert", "NonDomainExpert", "NicheExpert")
 
-# Aggregation defaults: select an entity when its weighted mean score is at
+# Aggregation defaults: select an entity when its mean score is at
 # least "medium-ish"; map scores back to levels at scale midpoints.
 DEFAULT_SELECT_THRESHOLD = 1.5
 HIGH_CUTOFF = 2.5
@@ -82,50 +83,6 @@ def default_personas():
         return load_personas(path)
 
 
-@dataclass(frozen=True)
-class ConfidenceMatrix:
-    """Persona x Entity integer matrix for one query.
-
-    values[p][e] is 3/2/1 for High/Medium/Low and 0 when persona p did not
-    select entity e. Rows follow ``persona_ids``; columns follow the
-    registry order pinned by ``registry_hash``.
-    """
-
-    query_id: str
-    persona_ids: tuple
-    registry_hash: str
-    values: np.ndarray = field(compare=False)
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.int64)
-        if values.ndim != 2 or values.shape[0] != len(self.persona_ids):
-            raise ModelError(
-                f"matrix shape {values.shape} does not match "
-                f"{len(self.persona_ids)} personas")
-        if values.size and (values.min() < 0 or values.max() > 3):
-            raise ModelError("matrix values must lie in {0, 1, 2, 3}")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "persona_ids", tuple(self.persona_ids))
-
-    @property
-    def persona_count(self):
-        return self.values.shape[0]
-
-    def subset(self, persona_ids):
-        """Rows restricted to the given personas, in the given order."""
-        index = {pid: i for i, pid in enumerate(self.persona_ids)}
-        missing = [pid for pid in persona_ids if pid not in index]
-        if missing:
-            raise MissingPersonaError(f"personas not in matrix: {missing}")
-        rows = [index[pid] for pid in persona_ids]
-        return ConfidenceMatrix(
-            query_id=self.query_id,
-            persona_ids=tuple(persona_ids),
-            registry_hash=self.registry_hash,
-            values=self.values[rows],
-        )
-
-
 def annotation_levels(annotations, registry):
     """(n, E) integer array of n annotations' confidence levels (1-3), in
     registry column order; 0 where an annotation did not select the entity.
@@ -141,23 +98,19 @@ def annotation_levels(annotations, registry):
     return levels.reshape(len(annotations), width)
 
 
-def build_confidence_matrix(query, annotations, personas, registry):
-    """Assemble the Persona x Entity matrix for one query.
-
-    ``annotations`` maps persona_id -> Annotation and must cover every
-    persona in ``personas``.
-    """
-    missing = [p.id for p in personas if p.id not in annotations]
-    if missing:
-        raise MissingPersonaError(f"annotations missing for personas: {missing}")
-    query_id = query if isinstance(query, str) else query.id
-    return ConfidenceMatrix(
-        query_id=query_id,
-        persona_ids=tuple(p.id for p in personas),
-        registry_hash=registry.hash,
-        values=annotation_levels([annotations[p.id] for p in personas],
-                                 registry),
-    )
+def build_confidence_matrix(annotations, query_ids, persona_ids, registry):
+    """(N, P, E) confidence levels of N queries by P personas, from
+    ``annotations`` keyed (query_id, persona_id); ``persona_ids`` is
+    ``(None,)`` for a run without personas. A missing pair raises
+    MissingPersonaError."""
+    try:
+        rows = [annotations[(qid, pid)] for qid in query_ids
+                for pid in persona_ids]
+    except KeyError as exc:
+        raise MissingPersonaError(
+            f"no annotation for (query, persona) {exc.args[0]!r}") from None
+    return annotation_levels(rows, registry).reshape(
+        len(query_ids), len(persona_ids), len(registry))
 
 
 def ensemble_levels(scores, threshold=DEFAULT_SELECT_THRESHOLD):
@@ -179,32 +132,6 @@ def level_annotations(levels, registry):
     return [Annotation(entities=chosen) for chosen in entities]
 
 
-def aggregate_ensemble(matrix, registry, weights=None,
-                       threshold=DEFAULT_SELECT_THRESHOLD):
-    """Collapse a confidence matrix into one ensemble annotation.
-
-    Per entity, score = weighted mean of the persona values (uniform weights
-    when none given; any positive rescaling of the weights is equivalent).
-    An entity is selected iff its score >= threshold; its level is given by
-    ``ensemble_levels``.
-    """
-    if registry.hash != matrix.registry_hash:
-        raise ModelError("registry does not match the matrix registry_hash")
-    if weights is None:
-        w = np.ones(matrix.persona_count)
-    else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (matrix.persona_count,):
-            raise ModelError(
-                f"weights length {w.shape} does not match "
-                f"{matrix.persona_count} personas")
-        if (w < 0).any() or w.sum() <= 0:
-            raise ModelError("weights must be non-negative with positive sum")
-    scores = w @ matrix.values / w.sum()
-    return level_annotations(ensemble_levels(scores, threshold)[None],
-                             registry)[0]
-
-
 def sample_personas(query_ids, persona_count, k, seed):
     """(N, min(k, P)) persona rows drawn per query by its own seeded
     ``random.Random``: the rows of the ids that ``sample`` would draw from
@@ -215,10 +142,12 @@ def sample_personas(query_ids, persona_count, k, seed):
         for query_id in query_ids], dtype=np.intp).reshape(len(query_ids), count)
 
 
-def aggregate_chosen(values, chosen, threshold=DEFAULT_SELECT_THRESHOLD):
-    """(N, E) levels of ``aggregate_ensemble`` over the rows that each row of
-    ``chosen`` (N, k) picks from the (N, P, E) ``values``, to the same bits:
-    each mean is a sum of small integers divided by k."""
+def aggregate_ensemble(values, chosen, threshold=DEFAULT_SELECT_THRESHOLD):
+    """(N, E) ensemble levels of N queries: per query, the uniform mean of
+    the k persona rows that its row of ``chosen`` (N, k) picks from the
+    (N, P, E) ``values``, leveled by ``ensemble_levels``. Each mean is a sum
+    of small integers divided by k, so the result does not depend on the
+    order of the chosen rows."""
     picked = np.take_along_axis(values, chosen[:, :, None], axis=1)
     return ensemble_levels(picked.sum(axis=1) / chosen.shape[1], threshold)
 
@@ -247,33 +176,3 @@ def write_matrices(path, query_ids, persona_ids, values, registry):
         blocks.append("\n".join(lines))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n\n".join(blocks) + "\n")
-
-
-def read_matrices(path, registry):
-    matrices = []
-    with open(path, encoding="utf-8") as fh:
-        content = fh.read()
-    for block in content.split("\n\n"):
-        block = block.strip()
-        if not block:
-            continue
-        lines = block.splitlines()
-        header = lines[0].split(",")
-        query_id, registry_hash = header[0], header[1]
-        if tuple(header[2:]) != registry.ids:
-            raise ModelError(
-                f"matrix {query_id}: entity columns do not match the registry")
-        persona_ids = []
-        rows = []
-        for line in lines[1:]:
-            cells = line.split(",")
-            persona_ids.append(cells[0])
-            rows.append([int(v) for v in cells[1:]])
-        values = np.array(rows, dtype=np.int64).reshape(len(persona_ids), len(registry))
-        matrices.append(ConfidenceMatrix(
-            query_id=query_id,
-            persona_ids=tuple(persona_ids),
-            registry_hash=registry_hash,
-            values=values,
-        ))
-    return matrices

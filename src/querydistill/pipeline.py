@@ -39,7 +39,8 @@ from .errors import PipelineConfigError, UnparseableResponseError
 from .features import (EncodedTexts, HashedNgramEmbedder,
                        hashed_ngram_matrices)
 from .llm_client import (AnnotationFailure, AnnotatorHandle, HttpEndpointConfig,
-                         ResponseCache, annotate_batch, mock_handle)
+                         MockConfig, ResponseCache, annotate_batch,
+                         mock_handle)
 from .taxonomy import load_registry
 
 PERSONA_MODES = ("none", "random", "router")
@@ -106,11 +107,26 @@ class RunConfig:
             raise PipelineConfigError(
                 f"eval_reference must be 'gold' or 'teacher', "
                 f"got {self.eval_reference!r}")
-        kind = self.annotator.get("kind", "mock")
-        annotator = {"mock": mock_handle, "http": HttpEndpointConfig}.get(kind)
+        if not isinstance(self.persona_k, int) or self.persona_k < 1:
+            raise PipelineConfigError(
+                f"persona_k must be an integer >= 1, got {self.persona_k!r}")
+        for name, parse in (
+                ("prompt_variant", prompting_mod.PromptVariant.from_string),
+                ("min_confidence", Confidence.from_label)):
+            try:
+                parse(getattr(self, name))
+            except (AttributeError, ValueError) as exc:
+                raise PipelineConfigError(f"{name}: {exc}") from None
+        spec = dict(self.annotator)
+        kind = spec.pop("kind", "mock")
+        annotator = {"mock": MockConfig, "http": HttpEndpointConfig}.get(kind)
         if annotator is None:
             raise PipelineConfigError(f"unknown annotator kind: {kind!r}")
-        _reject_unknown(set(self.annotator) - {"kind"}, annotator, "annotator key")
+        _reject_unknown(spec, annotator, "annotator key")
+        try:
+            annotator(**spec)  # its value checks, such as an http timeout > 0
+        except TypeError as exc:
+            raise PipelineConfigError(f"annotator: {exc}") from None
         _reject_unknown(self.router, router_mod.RouterTrainConfig, "router key")
         _reject_unknown(self.classifier, classifier_mod.ClassifierTrainConfig,
                         "classifier key")
@@ -323,15 +339,14 @@ def _annotate(run):
 def _matrix(run):
     """Fill ``run.levels``, the (N, P, E) confidence levels of every
     annotation (P = 1 without personas), and write the persona matrices."""
-    personas = run.personas or [None]
-    # ``run.annotations`` is keyed record by record, persona by persona.
-    run.levels = personas_mod.annotation_levels(
-        list(run.annotations.values()), run.registry).reshape(
-            len(run.records), len(personas), len(run.registry))
+    persona_ids = [p.id for p in run.personas] if run.personas else [None]
+    run.levels = personas_mod.build_confidence_matrix(
+        run.annotations, [r.id for r in run.records], persona_ids,
+        run.registry)
     if run.personas:
         run.write("matrices", "matrices.csv", personas_mod.write_matrices,
-                  [r.id for r in run.records], [p.id for p in run.personas],
-                  run.levels, run.registry)
+                  [r.id for r in run.records], persona_ids, run.levels,
+                  run.registry)
 
 
 def _router(run):
@@ -347,7 +362,7 @@ def _router(run):
     rows = run.rows(train_records)
     gold_levels = personas_mod.annotation_levels(
         [gold[r.id] for r in train_records], registry)
-    run.router_model, loss_history = router_mod.fit_router(
+    run.router_model, loss_history = router_mod.train_router(
         run.router_encoder.matrix[rows], run.levels[rows], gold_levels > 0,
         tuple(p.id for p in run.personas), run.router_config, registry)
     run.router_model.embedding_provider = run.router_encoder.tag
@@ -366,13 +381,13 @@ def _aggregate(run):
         run.aggregated = {r.id: run.annotations[(r.id, None)] for r in records}
     else:
         if config.persona_mode == "router":
-            chosen = router_mod.top_k_personas(
+            chosen = router_mod.select_top_k(
                 run.router_model, run.router_encoder.matrix, config.persona_k)
         else:
             chosen = personas_mod.sample_personas(
                 [r.id for r in records], len(run.personas), config.persona_k,
                 config.seed)
-        run.teacher = personas_mod.aggregate_chosen(
+        run.teacher = personas_mod.aggregate_ensemble(
             run.levels, chosen, threshold=config.aggregation_threshold)
         run.aggregated = dict(zip(
             (r.id for r in records),

@@ -104,22 +104,21 @@ def _dropout_mask(rng, shape, rate):
     return (rng.random(shape) >= rate).astype(float) / (1.0 - rate)
 
 
-def router_forward(model, embedding, train_mode=False, seed=0):
-    """Relevance distribution over personas for one query.
-
-    ReLU hidden layer, inverted-scaling dropout in train mode only, softmax
-    output. Inference (train_mode=False) is deterministic and ignores seed.
+def router_forward(model, X, train_mode=False, seed=0):
+    """(n, P) relevance distributions over personas of the embeddings X
+    (n, d). Inference (train_mode=False) is deterministic and ignores seed.
     """
-    vec = np.asarray(embedding, dtype=float)
-    if vec.shape != (model.input_dim,):
-        raise ModelError(
-            f"embedding dim {vec.shape} does not match model input {model.input_dim}")
-    relevance, _ = _forward_batch(model, vec[None, :], train_mode=train_mode, seed=seed)
-    return relevance[0]
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != model.input_dim:
+        raise ModelError(f"embeddings of shape {X.shape} do not match model "
+                         f"input {model.input_dim}")
+    return _forward_batch(model, X, train_mode=train_mode, seed=seed)[0]
 
 
 def _forward_batch(model, X, train_mode, seed):
-    """Batched forward pass; returns (relevance B x P, cache for backward)."""
+    """Forward pass: ReLU hidden layer, inverted-scaling dropout in train
+    mode only, softmax output. Returns (relevance B x P, cache for
+    backward)."""
     A1 = X @ model.W1 + model.b1
     H = np.maximum(A1, 0.0)
     if train_mode and model.dropout_rate > 0:
@@ -136,20 +135,17 @@ def _forward_batch(model, X, train_mode, seed):
     return R, cache
 
 
-def predict_entities(relevance, matrix, registry_hash=None):
-    """Entity scores: relevance-weighted mean of the scaled matrix rows.
-
-    Matrix values are divided by 3 so scores land in [0, 1]; with softmax
-    relevance the result is a convex combination of persona rows.
+def predict_entities(relevance, values):
+    """(n, E) entity scores: per query, the relevance-weighted mean of its
+    (P, E) matrix rows in ``values`` (n, P, E), scaled by 1/3 so scores land
+    in [0, 1]; with softmax relevance each is a convex combination of rows.
     """
-    r = np.asarray(relevance, dtype=float)
-    if r.shape != (matrix.persona_count,):
-        raise ModelError(
-            f"relevance length {r.shape} does not match "
-            f"{matrix.persona_count} matrix rows")
-    if registry_hash is not None and registry_hash != matrix.registry_hash:
-        raise ModelError("matrix registry_hash does not match")
-    return r @ (matrix.values / CONFIDENCE_SCALE)
+    relevance = np.asarray(relevance, dtype=float)
+    if relevance.shape != np.shape(values)[:2]:
+        raise ModelError(f"relevance of shape {relevance.shape} does not "
+                         f"match matrices of shape {np.shape(values)}")
+    return np.einsum("bp,bpe->be", relevance,
+                     np.asarray(values, dtype=float) / CONFIDENCE_SCALE)
 
 
 def router_loss_and_grads(model, X, matrices, targets, train_mode=False, seed=0,
@@ -162,9 +158,8 @@ def router_loss_and_grads(model, X, matrices, targets, train_mode=False, seed=0,
     (clamped away from {0, 1}) and the gold indicators.
     """
     B, E = targets.shape
-    Mt = np.asarray(matrices, dtype=float) / CONFIDENCE_SCALE
     R, cache = _forward_batch(model, X, train_mode=train_mode, seed=seed)
-    S = np.einsum("bp,bpe->be", R, Mt)
+    S = predict_entities(R, matrices)
 
     clipped = np.clip(S, BCE_EPS, 1.0 - BCE_EPS)
     if entity_weights is None:
@@ -179,6 +174,7 @@ def router_loss_and_grads(model, X, matrices, targets, train_mode=False, seed=0,
     dS = (-(targets / clipped) + (1.0 - targets) / (1.0 - clipped)) * w / B
     dS[(S < BCE_EPS) | (S > 1.0 - BCE_EPS)] = 0.0
 
+    Mt = np.asarray(matrices, dtype=float) / CONFIDENCE_SCALE
     dR = np.einsum("be,bpe->bp", dS, Mt)
     # softmax backward: dZ = R * (dR - <dR, R>)
     dZ = cache["R"] * (dR - (dR * cache["R"]).sum(axis=1, keepdims=True))
@@ -211,28 +207,7 @@ def _init_model(d, P, config, persona_ids, registry_hash):
     )
 
 
-def train_router(examples, config, registry):
-    """``fit_router`` on (embedding vector, ConfidenceMatrix, gold label set)
-    triples; gold label sets become indicator rows in registry column order.
-    """
-    if not examples:
-        raise EmptyDatasetError("train_router got no examples")
-    d, persona_ids = len(examples[0][0]), examples[0][1].persona_ids
-    Y = np.zeros((len(examples), len(registry)))
-    for i, (emb, matrix, gold) in enumerate(examples):
-        if np.shape(emb) != (d,):
-            raise ModelError(f"example {i}: embedding shape {np.shape(emb)} != ({d},)")
-        if matrix.persona_ids != persona_ids:
-            raise ModelError(f"example {i}: persona order differs")
-        if matrix.registry_hash != registry.hash:
-            raise ModelError(f"example {i}: built against a different registry")
-        Y[i, [registry.column(entity) for entity in gold]] = 1.0
-    return fit_router([emb for emb, _, _ in examples],
-                      [matrix.values for _, matrix, _ in examples], Y,
-                      persona_ids, config, registry)
-
-
-def fit_router(X, M, Y, persona_ids, config, registry):
+def train_router(X, M, Y, persona_ids, config, registry):
     """Train the router on X (n, d) embeddings, M (n, P, E) confidence
     matrices (rows in ``persona_ids`` order) and Y (n, E) gold indicators.
 
@@ -242,7 +217,7 @@ def fit_router(X, M, Y, persona_ids, config, registry):
     records the encoder's ``tag`` there.
     """
     if not len(X):
-        raise EmptyDatasetError("fit_router got no examples")
+        raise EmptyDatasetError("train_router got no examples")
     X, M, Y = (np.asarray(a, dtype=float) for a in (X, M, Y))
     E = len(registry)
     entity_weights = (np.asarray(config.entity_loss_weights, dtype=float)
@@ -280,32 +255,18 @@ def fit_router(X, M, Y, persona_ids, config, registry):
     return model, history
 
 
-def top_k_personas(model, X, k):
+def select_top_k(model, X, k):
     """(n, k) persona row indices of each embedding in X (n, d): its k most
-    relevant personas, by descending relevance; exact ties go to the
-    lexicographically smaller persona id. One batched forward pass, whose
-    relevance may differ from ``router_forward``'s in the last bits."""
+    relevant personas by ``router_forward``, by descending relevance; exact
+    ties go to the lexicographically smaller persona id."""
     if not 1 <= k <= model.persona_count:
         raise ModelError(
             f"k must be in [1, {model.persona_count}], got {k}")
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != model.input_dim:
-        raise ModelError(f"embeddings of shape {X.shape} do not match model "
-                         f"input {model.input_dim}")
-    relevance, _ = _forward_batch(model, X, train_mode=False, seed=0)
+    relevance = router_forward(model, X)
     id_rank = np.argsort(np.argsort(model.persona_ids))
     ranked = np.lexsort((np.broadcast_to(id_rank, relevance.shape),
                          -relevance), axis=-1)
     return ranked[:, :k]
-
-
-def select_top_k(model, embedding, k):
-    """Ids of the k most relevant personas, by descending relevance.
-
-    Exact relevance ties go to the lexicographically smaller persona id.
-    """
-    rows = top_k_personas(model, np.asarray(embedding, dtype=float)[None], k)
-    return [model.persona_ids[row] for row in rows[0]]
 
 
 # ---------------------------------------------------------------------------

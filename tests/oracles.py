@@ -1,17 +1,12 @@
 """Independent reference implementations used as test oracles.
 
 These stay deliberately naive (triple loops, exhaustive grids, central
-finite differences) and share no code with the library paths they check,
-bar the per-query persona selection references, which are the per-query
-library calls that the batched selection replaces.
+finite differences) and share no code with the library paths they check.
 """
 
 import random
 
 import numpy as np
-
-from querydistill.personas import aggregate_ensemble
-from querydistill.router import select_top_k
 
 
 def brute_force_counts(gold_sets, pred_sets, freqs, weighted, entities):
@@ -162,22 +157,45 @@ def allocating_adamw_step(state, params, grads, learning_rate, weight_decay,
         param -= learning_rate * update
 
 
-def per_query_router_ensemble(model, embeddings, matrices, k, registry,
+def ensemble_levels(values, rows, threshold):
+    """Per entity: the mean of the chosen persona rows of one query's (P, E)
+    ``values``; 0 below ``threshold``, else 3 from 2.5, 2 from 1.5, 1 below."""
+    levels = []
+    for e in range(values.shape[1]):
+        mean = sum(int(values[row, e]) for row in rows) / len(rows)
+        if mean < threshold:
+            levels.append(0)
+        else:
+            levels.append(3 if mean >= 2.5 else 2 if mean >= 1.5 else 1)
+    return levels
+
+
+def per_query_router_ensemble(model, embeddings, values, k, threshold):
+    """Per query: a forward pass of its own embedding (logits only, which
+    softmax ranks alike), its k top personas by descending logit then
+    ascending id, and the mean of their rows. Returns the chosen id lists
+    and the (N, E) ensemble levels."""
+    chosen, levels = [], []
+    for emb, matrix in zip(embeddings, values):
+        hidden = np.maximum(emb @ model.W1 + model.b1, 0.0)
+        logits = hidden @ model.W2 + model.b2
+        rows = sorted(range(len(logits)),
+                      key=lambda j: (-logits[j], model.persona_ids[j]))[:k]
+        chosen.append([model.persona_ids[j] for j in rows])
+        levels.append(ensemble_levels(matrix, rows, threshold))
+    return chosen, np.array(levels)
+
+
+def per_query_random_ensemble(query_ids, persona_ids, values, k, seed,
                               threshold):
-    """Per query: ``select_top_k`` on its own embedding, then
-    ``aggregate_ensemble`` of ``matrix.subset(chosen)``. Returns the chosen
-    id lists and the ensemble annotations."""
-    chosen = [select_top_k(model, emb, k) for emb in embeddings]
-    return chosen, [aggregate_ensemble(matrix.subset(ids), registry,
-                                       threshold=threshold)
-                    for matrix, ids in zip(matrices, chosen)]
-
-
-def per_query_random_ensemble(matrices, k, seed, registry, threshold):
     """Per query: ``k`` persona ids sampled by the query's own seeded
-    ``random.Random``, then ``aggregate_ensemble`` of ``matrix.subset``."""
-    chosen = [sorted(random.Random(f"{seed}:{m.query_id}").sample(
-        list(m.persona_ids), min(k, m.persona_count))) for m in matrices]
-    return chosen, [aggregate_ensemble(matrix.subset(ids), registry,
-                                       threshold=threshold)
-                    for matrix, ids in zip(matrices, chosen)]
+    ``random.Random``, and the mean of their rows. Returns the sorted
+    chosen id lists and the (N, E) ensemble levels."""
+    chosen, levels = [], []
+    for qid, matrix in zip(query_ids, values):
+        ids = random.Random(f"{seed}:{qid}").sample(
+            list(persona_ids), min(k, len(persona_ids)))
+        chosen.append(sorted(ids))
+        levels.append(ensemble_levels(
+            matrix, [persona_ids.index(pid) for pid in ids], threshold))
+    return chosen, np.array(levels)

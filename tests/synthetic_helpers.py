@@ -2,7 +2,6 @@
 
 import numpy as np
 
-from querydistill.personas import ConfidenceMatrix
 from querydistill.features import HashedNgramEmbedder
 from querydistill.taxonomy import EntityDef, EntityRegistry
 
@@ -18,7 +17,8 @@ def entity_registry(n):
 
 
 def router_dataset(n, registry, persona_kinds, seed, embed_dim=32):
-    """(embedding, matrix, gold) triples with scripted persona behaviors.
+    """((X, M, Y), persona_ids): n embeddings X (n, d), confidence matrices
+    M (n, P, E) with scripted persona behaviors, and gold indicators Y (n, E).
 
     Persona kinds: "oracle" copies gold at High confidence, "adversarial"
     marks exactly the non-gold entities High, "random" answers uniformly.
@@ -27,14 +27,13 @@ def router_dataset(n, registry, persona_kinds, seed, embed_dim=32):
     encoder = HashedNgramEmbedder(dim=embed_dim, seed=0)
     E = len(registry)
     persona_ids = tuple(f"{kind}_{i}" for i, kind in enumerate(persona_kinds))
-    examples = []
+    X, M, Y = [], [], []
     for qi in range(n):
         words = rng.choice(WORDS, size=rng.integers(2, 5), replace=True)
         text = " ".join(words.tolist()) + f" {qi}"
         gold_mask = rng.random(E) < 0.35
         if not gold_mask.any():
             gold_mask[rng.integers(0, E)] = True
-        gold = {registry.ids[i] for i in range(E) if gold_mask[i]}
         rows = []
         for kind in persona_kinds:
             if kind == "oracle":
@@ -43,11 +42,7 @@ def router_dataset(n, registry, persona_kinds, seed, embed_dim=32):
                 rows.append(3 * (~gold_mask).astype(int))
             else:
                 rows.append(rng.integers(0, 4, size=E))
-        matrix = ConfidenceMatrix(
-            query_id=f"q{qi:05d}",
-            persona_ids=persona_ids,
-            registry_hash=registry.hash,
-            values=np.stack(rows),
-        )
-        examples.append((encoder.embed(text), matrix, gold))
-    return examples, persona_ids
+        X.append(encoder.embed(text))
+        M.append(np.stack(rows))
+        Y.append(gold_mask)
+    return (np.array(X), np.array(M), np.array(Y)), persona_ids

@@ -23,11 +23,12 @@ from querydistill.classifier import (ClassifierModel, ClassifierTrainConfig,
                                      tune_threshold_for_entity,
                                      weak_labels_from_annotations)
 from querydistill.data import split_dataset
-from querydistill.evaluation import compute_metrics, matched_operating_point
+from querydistill.evaluation import (compute_metrics, matched_operating_point,
+                                     score)
 from querydistill.features import HashedNgramEmbedder
 from querydistill.llm_client import annotate_batch, mock_annotate, mock_handle
-from querydistill.personas import (ConfidenceMatrix, aggregate_ensemble,
-                                  annotation_levels)
+from querydistill.personas import (aggregate_ensemble, annotation_levels,
+                                   level_annotations)
 from querydistill.pipeline import load_run_config, run_pipeline
 from querydistill.prompting import (PromptConfig, PromptVariant, build_prompt,
                                     parse_response)
@@ -161,35 +162,27 @@ def test_criterion_4_router_learning():
     """Router learns to prefer the oracle persona and beats random selection."""
     started = time.perf_counter()
     registry = synth_h.entity_registry(6)
-    examples, persona_ids = synth_h.router_dataset(
+    (X, M, Y), persona_ids = synth_h.router_dataset(
         750, registry, ("oracle", "adversarial", "random"),
         seed=101, embed_dim=64)
-    train, held_out = examples[:600], examples[600:]
+    train, held_out = slice(None, 600), slice(600, None)
+    model, _ = train_router(X[train], M[train], Y[train], persona_ids,
+                            RouterTrainConfig(seed=7), registry)
 
-    model, _ = train_router(train, RouterTrainConfig(seed=7), registry)
-
-    relevance = np.stack([router_forward(model, emb) for emb, _, _ in held_out])
-    mean = relevance.mean(axis=0)
+    mean = router_forward(model, X[held_out]).mean(axis=0)
     oracle_mean, others_best = mean[0], max(mean[1], mean[2])
     assert oracle_mean >= others_best + 0.2
 
-    gold_store = {matrix.query_id: gold for _, matrix, gold in held_out}
-    router_store = {}
-    for emb, matrix, _ in held_out:
-        top = select_top_k(model, emb, 1)
-        router_store[matrix.query_id] = aggregate_ensemble(
-            matrix.subset(top), registry)
-    router_f1 = compute_metrics(gold_store, router_store).micro.f1
+    def f1(chosen):
+        levels = aggregate_ensemble(M[held_out], chosen)
+        return score(Y[held_out], levels > 0, registry.ids).micro.f1
 
+    router_f1 = f1(select_top_k(model, X[held_out], 1))
     random_f1s = []
     for seed in range(5):
         rng = random.Random(seed)
-        store = {}
-        for _, matrix, _ in held_out:
-            pick = [rng.choice(list(persona_ids))]
-            store[matrix.query_id] = aggregate_ensemble(
-                matrix.subset(pick), registry)
-        random_f1s.append(compute_metrics(gold_store, store).micro.f1)
+        random_f1s.append(f1(np.array(
+            [[rng.choice(range(len(persona_ids)))] for _ in Y[held_out]])))
     random_mean = float(np.mean(random_f1s))
     assert router_f1 > random_mean
 
@@ -300,32 +293,31 @@ def test_criterion_7_pipeline_determinism(tmp_path):
 
 
 def test_criterion_8_matrix_algebra_properties():
-    """predict_entities is linear in relevance and the confidence mapping is
-    the {absent, Low, Medium, High} -> {0, 1, 2, 3} bijection, over 1,000
-    random matrices."""
+    """predict_entities, which gives router training its entity scores, is
+    linear in relevance, and the confidence mapping is the {absent, Low,
+    Medium, High} -> {0, 1, 2, 3} bijection, over 1,000 random matrices."""
     rng = np.random.default_rng(8008)
-    levels = {0: None, 1: Confidence.LOW, 2: Confidence.MEDIUM,
-              3: Confidence.HIGH}
     for trial in range(1000):
         P = int(rng.integers(1, 6))
         E = int(rng.integers(1, 8))
-        values = rng.integers(0, 4, size=(P, E))
-        matrix = ConfidenceMatrix(
-            query_id="q", persona_ids=tuple(f"p{i}" for i in range(P)),
-            registry_hash="rh", values=values)
+        values = rng.integers(0, 4, size=(1, P, E))
 
-        r1 = rng.dirichlet(np.ones(P))
-        r2 = rng.dirichlet(np.ones(P))
+        r1 = rng.dirichlet(np.ones(P), size=1)
+        r2 = rng.dirichlet(np.ones(P), size=1)
         alpha = float(rng.random())
-        mixed = predict_entities(alpha * r1 + (1 - alpha) * r2, matrix)
-        split_sum = (alpha * predict_entities(r1, matrix)
-                     + (1 - alpha) * predict_entities(r2, matrix))
+        mixed = predict_entities(alpha * r1 + (1 - alpha) * r2, values)
+        split_sum = (alpha * predict_entities(r1, values)
+                     + (1 - alpha) * predict_entities(r2, values))
         assert np.allclose(mixed, split_sum, atol=1e-12)
 
-        # numeric values -> levels -> numeric values round-trips
-        for p in range(P):
-            for e in range(E):
-                level = levels[int(values[p, e])]
-                back = 0 if level is None else int(level)
-                assert back == values[p, e]
+        # levels -> annotations -> levels round-trips, and each selected
+        # entity carries the Confidence of its level
+        registry = synth_h.entity_registry(E)
+        annotations = level_annotations(values[0], registry)
+        assert np.array_equal(annotation_levels(annotations, registry),
+                              values[0])
+        for row, annotation in zip(values[0], annotations):
+            assert {registry.column(e): int(c)
+                    for e, c in annotation.entities.items()} == {
+                e: int(v) for e, v in enumerate(row) if v}
     passed(8, "linearity and confidence-mapping bijection on 1,000 matrices")

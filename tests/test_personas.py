@@ -6,12 +6,10 @@ import pytest
 
 from conftest import ann
 from querydistill.annotations import Annotation, Confidence
-from querydistill.data import QueryRecord
 from querydistill.errors import MissingPersonaError, ModelError, QueryDistillError
-from querydistill.personas import (ConfidenceMatrix, Persona,
-                                   aggregate_ensemble, build_confidence_matrix,
-                                   default_personas, load_personas,
-                                   read_matrices, write_matrices)
+from querydistill.personas import (Persona, aggregate_ensemble,
+                                   build_confidence_matrix, default_personas,
+                                   load_personas, write_matrices)
 from querydistill.taxonomy import EntityDef, EntityRegistry
 
 
@@ -35,12 +33,27 @@ def two_personas():
 
 @pytest.fixture
 def example_matrix(two_registry, two_personas):
+    """(1, 2, 2) levels of query q1 by personas p1 and p2."""
     annotations = {
-        "p1": ann(Genre="High"),
-        "p2": ann(Genre="Low", Sport="Medium"),
+        ("q1", "p1"): ann(Genre="High"),
+        ("q1", "p2"): ann(Genre="Low", Sport="Medium"),
     }
-    record = QueryRecord(id="q1", text="some query", frequency=1)
-    return build_confidence_matrix(record, annotations, two_personas, two_registry)
+    return build_confidence_matrix(annotations, ["q1"],
+                                   [p.id for p in two_personas], two_registry)
+
+
+def read_matrix_file(path):
+    """(query ids, header registry hashes, entity ids, persona ids, levels)
+    of a matrix file, parsed by plain string splitting."""
+    query_ids, hashes, entities, persona_ids, levels = [], [], [], [], []
+    for block in path.read_text().strip().split("\n\n"):
+        header, *rows = block.split("\n")
+        query_id, registry_hash, *entities = header.split(",")
+        query_ids.append(query_id)
+        hashes.append(registry_hash)
+        persona_ids = [row.split(",")[0] for row in rows]
+        levels.append([[int(v) for v in row.split(",")[1:]] for row in rows])
+    return query_ids, hashes, entities, persona_ids, levels
 
 
 class TestLoadPersonas:
@@ -83,123 +96,103 @@ class TestLoadPersonas:
 
 class TestBuildConfidenceMatrix:
     def test_direct_mapping(self, example_matrix):
-        assert example_matrix.values.tolist() == [[3, 0], [1, 2]]
-        assert example_matrix.persona_ids == ("p1", "p2")
+        assert example_matrix.tolist() == [[[3, 0], [1, 2]]]
 
-    def test_all_empty_gives_zero_matrix(self, two_registry, two_personas):
-        annotations = {"p1": Annotation(), "p2": Annotation()}
-        matrix = build_confidence_matrix("q", annotations, two_personas, two_registry)
-        assert matrix.values.tolist() == [[0, 0], [0, 0]]
+    def test_all_empty_gives_zero_matrix(self, two_registry):
+        annotations = {("q", "p1"): Annotation(), ("q", "p2"): Annotation(),
+                       ("r", "p1"): Annotation(), ("r", "p2"): Annotation()}
+        values = build_confidence_matrix(annotations, ["q", "r"],
+                                         ["p1", "p2"], two_registry)
+        assert values.tolist() == [[[0, 0], [0, 0]]] * 2
 
-    def test_missing_persona_rejected(self, two_registry, two_personas):
+    def test_missing_persona_rejected(self, two_registry):
         with pytest.raises(MissingPersonaError):
-            build_confidence_matrix("q", {"p1": Annotation()}, two_personas,
-                                    two_registry)
+            build_confidence_matrix({("q", "p1"): Annotation()}, ["q"],
+                                    ["p1", "p2"], two_registry)
 
-    def test_confidence_alphabet_bijection(self, two_registry, two_personas):
+    def test_confidence_alphabet_bijection(self, two_registry):
         rng = random.Random(17)
         levels = [None, Confidence.LOW, Confidence.MEDIUM, Confidence.HIGH]
-        for _ in range(50):
-            chosen = {
-                pid: {
-                    e: lv for e, lv in
-                    ((e, rng.choice(levels)) for e in two_registry.ids)
-                    if lv is not None
-                }
-                for pid in ("p1", "p2")
+        query_ids, persona_ids = [f"q{i}" for i in range(50)], ["p1", "p2"]
+        chosen = {
+            (qid, pid): {
+                e: lv for e, lv in
+                ((e, rng.choice(levels)) for e in two_registry.ids)
+                if lv is not None
             }
-            annotations = {pid: Annotation(entities=dict(v))
-                           for pid, v in chosen.items()}
-            matrix = build_confidence_matrix("q", annotations, two_personas,
-                                             two_registry)
-            for row, pid in enumerate(matrix.persona_ids):
-                for col, entity in enumerate(two_registry.ids):
-                    value = matrix.values[row, col]
-                    if entity in chosen[pid]:
-                        assert value == int(chosen[pid][entity])
-                    else:
-                        assert value == 0
+            for qid in query_ids for pid in persona_ids
+        }
+        # Filled in reverse, so the rows cannot follow insertion order.
+        annotations = {key: Annotation(entities=dict(chosen[key]))
+                       for key in reversed(list(chosen))}
+        values = build_confidence_matrix(annotations, query_ids, persona_ids,
+                                         two_registry)
+        for (qid, pid), selected in chosen.items():
+            row = values[query_ids.index(qid), persona_ids.index(pid)]
+            for col, entity in enumerate(two_registry.ids):
+                assert row[col] == (int(selected[entity])
+                                    if entity in selected else 0)
 
-    def test_value_range_enforced(self, two_registry):
+    def test_value_range_enforced(self, two_registry, tmp_path):
+        # The matrix file accepts only the levels {0, 1, 2, 3}.
         with pytest.raises(ModelError):
-            ConfidenceMatrix(query_id="q", persona_ids=("p1",),
-                             registry_hash=two_registry.hash,
-                             values=np.array([[4, 0]]))
+            write_matrices(tmp_path / "m.csv", ["q"], ["p1"],
+                           np.array([[[4, 0]]]), two_registry)
 
 
 class TestAggregateEnsemble:
-    def test_uniform_weights(self, example_matrix, two_registry):
-        result = aggregate_ensemble(example_matrix, two_registry, threshold=1.5)
+    def test_uniform_weights(self, example_matrix):
+        levels = aggregate_ensemble(example_matrix, np.array([[0, 1]]),
+                                    threshold=1.5)
         # scores: Genre (3+1)/2 = 2.0 -> Medium; Sport (0+2)/2 = 1.0 -> out
-        assert result.entities == {"Genre": Confidence.MEDIUM}
+        assert levels.tolist() == [[int(Confidence.MEDIUM), 0]]
 
     def test_single_persona_identity(self, two_registry):
-        p = [persona("solo")]
         for level in (Confidence.LOW, Confidence.MEDIUM, Confidence.HIGH):
-            annotations = {"solo": Annotation(entities={"Genre": level})}
-            matrix = build_confidence_matrix("q", annotations, p, two_registry)
-            result = aggregate_ensemble(matrix, two_registry, threshold=0.5)
-            assert result.entities == {"Genre": level}
-
-    def test_degenerate_weights(self, example_matrix, two_registry):
-        result = aggregate_ensemble(example_matrix, two_registry,
-                                    weights=(1.0, 0.0), threshold=1.5)
-        assert result.entities == {"Genre": Confidence.HIGH}
-
-    def test_weight_length_mismatch(self, example_matrix, two_registry):
-        with pytest.raises(ModelError):
-            aggregate_ensemble(example_matrix, two_registry, weights=(1.0,))
-
-    def test_rescaling_invariance(self, example_matrix, two_registry):
-        rng = random.Random(23)
-        for _ in range(20):
-            w = [rng.uniform(0.1, 5.0), rng.uniform(0.1, 5.0)]
-            scale = rng.uniform(0.01, 100.0)
-            a = aggregate_ensemble(example_matrix, two_registry, weights=w)
-            b = aggregate_ensemble(example_matrix, two_registry,
-                                   weights=[scale * x for x in w])
-            assert a.entities == b.entities
+            annotations = {("q", "solo"): Annotation(entities={"Genre": level})}
+            values = build_confidence_matrix(annotations, ["q"], ["solo"],
+                                             two_registry)
+            levels = aggregate_ensemble(values, np.array([[0]]),
+                                        threshold=0.5)
+            assert levels.tolist() == [[int(level), 0]]
 
     def test_row_permutation_invariance(self, two_registry):
         rng = random.Random(31)
-        personas = [persona(f"p{i}") for i in range(4)]
+        persona_ids = [f"p{i}" for i in range(4)]
         annotations = {
-            p.id: Annotation(entities={
+            ("q", pid): Annotation(entities={
                 e: Confidence(rng.randint(1, 3))
                 for e in two_registry.ids if rng.random() < 0.6
             })
-            for p in personas
+            for pid in persona_ids
         }
-        matrix = build_confidence_matrix("q", annotations, personas, two_registry)
-        weights = [rng.uniform(0.1, 2.0) for _ in personas]
-        base = aggregate_ensemble(matrix, two_registry, weights=weights)
+        values = build_confidence_matrix(annotations, ["q"], persona_ids,
+                                         two_registry)
+        base = aggregate_ensemble(values, np.array([[0, 1, 2]]))
         for _ in range(5):
             order = list(range(4))
             rng.shuffle(order)
             shuffled = build_confidence_matrix(
-                "q", annotations, [personas[i] for i in order], two_registry)
-            permuted = aggregate_ensemble(
-                shuffled, two_registry, weights=[weights[i] for i in order])
-            assert permuted.entities == base.entities
+                annotations, ["q"], [persona_ids[i] for i in order],
+                two_registry)
+            # The same three personas, at their rows in the shuffled order.
+            chosen = [order.index(i) for i in (2, 0, 1)]
+            permuted = aggregate_ensemble(shuffled, np.array([chosen]))
+            assert permuted.tolist() == base.tolist()
 
 
 class TestMatrixFile:
     def test_round_trip(self, example_matrix, two_registry, two_personas, tmp_path):
         other = build_confidence_matrix(
-            "q2", {"p1": ann(Sport="High"), "p2": Annotation()},
-            two_personas, two_registry)
+            {("q2", "p1"): ann(Sport="High"), ("q2", "p2"): Annotation()},
+            ["q2"], ["p1", "p2"], two_registry)
         path = tmp_path / "matrices.csv"
-        write_matrices(path, ["q1", "q2"], example_matrix.persona_ids,
-                       np.stack([example_matrix.values, other.values]),
-                       two_registry)
-        loaded = read_matrices(path, two_registry)
-        assert [m.query_id for m in loaded] == ["q1", "q2"]
-        assert loaded[0].values.tolist() == example_matrix.values.tolist()
-        assert loaded[1].values.tolist() == other.values.tolist()
-        assert loaded[0].registry_hash == two_registry.hash
-
-    def test_subset_rows(self, example_matrix):
-        sub = example_matrix.subset(["p2"])
-        assert sub.values.tolist() == [[1, 2]]
-        with pytest.raises(MissingPersonaError):
-            example_matrix.subset(["p3"])
+        write_matrices(path, ["q1", "q2"], [p.id for p in two_personas],
+                       np.concatenate([example_matrix, other]), two_registry)
+        query_ids, hashes, entities, persona_ids, levels = \
+            read_matrix_file(path)
+        assert query_ids == ["q1", "q2"]
+        assert hashes == [two_registry.hash] * 2
+        assert entities == list(two_registry.ids)
+        assert persona_ids == ["p1", "p2"]
+        assert levels == example_matrix.tolist() + other.tolist()

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -92,6 +93,17 @@ def build_workspace(root, count=150, persona_mode="router", noise_rate=0.05,
     with open(config_path, "w") as fh:
         json.dump(config, fh, indent=2)
     return config_path
+
+
+def perfbench_spans():
+    """perfbench/spans.py loaded as a plain module, without installing its
+    tracer."""
+    path = os.path.join(os.path.dirname(__file__), "..", "perfbench",
+                        "spans.py")
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
@@ -249,6 +261,44 @@ class TestRunPipeline:
                            texts)]
         assert batches == []
         assert embeds == []
+
+    def test_tracer_targets_resolve(self):
+        # perfbench/spans.py traces these names with getattr; a rename in
+        # src/ would otherwise leave a traced run reading 0 calls.
+        spans = perfbench_spans()
+        for module_name, qualname in spans.TARGETS:
+            owner = importlib.import_module(f"querydistill.{module_name}")
+            for attr in qualname.split("."):
+                owner = getattr(owner, attr)
+            assert callable(owner), (module_name, qualname)
+        targets = {spans.span_name(*target) for target in spans.TARGETS}
+        for openers in spans.STAGE_OPENERS.values():
+            assert set(openers) <= targets
+
+    def test_router_mode_calls_each_teacher_opener_once(
+            self, stage_workspace, tmp_path, monkeypatch):
+        from querydistill import personas, router
+        calls = []
+
+        def counting(name, real):
+            def call(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return call
+
+        for module, name in ((personas, "build_confidence_matrix"),
+                             (router, "train_router"),
+                             (router, "select_top_k"),
+                             (personas, "aggregate_ensemble")):
+            monkeypatch.setattr(module, name,
+                                counting(name, getattr(module, name)))
+        config = load_run_config(stage_workspace, {
+            "output_dir": str(tmp_path / "out")})
+        assert config.persona_mode == "router"
+        run_pipeline(config)
+        # The matrix, router and aggregate stages open on these calls.
+        assert calls == ["build_confidence_matrix", "train_router",
+                         "select_top_k", "aggregate_ensemble"]
 
     def test_eval_report_contents(self, tmp_path):
         config_path = build_workspace(tmp_path, count=200)
@@ -484,7 +534,7 @@ class TestCli:
         assert named == re.search(r"\{([^}]*)\}", usage).group(1).split(",")
 
     def test_router_select_writes_selections(self, tmp_path, capsys):
-        from querydistill.router import load_router, top_k_personas
+        from querydistill.router import load_router, select_top_k
         config_path = build_workspace(tmp_path, count=60)
         assert cli.main(["pipeline", "-c", config_path,
                          "--until", "aggregate"]) == 0
@@ -498,7 +548,7 @@ class TestCli:
         model = load_router(os.path.join(config.output_dir, "router.json"))
         encoder = HashedNgramEmbedder(dim=config.embedding_dim,
                                       seed=config.seed)
-        chosen = top_k_personas(
+        chosen = select_top_k(
             model, encoder.encode_batch([r.text for r in records]),
             config.persona_k)
         assert [r["personas"] for r in rows] == [
@@ -774,6 +824,35 @@ class TestConfigSurfaces:
         with open(config_path) as fh:
             raw = json.load(fh)
         (raw[section] if section else raw)[key] = 1
+        with open(config_path, "w") as fh:
+            json.dump(raw, fh)
+        assert cli.main(["pipeline", "-c", config_path]) == 2
+        assert capsys.readouterr().err.startswith(message)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("prompt_variant", "cot",
+         "error: prompt_variant: unknown prompt variant: 'cot'"),
+        ("min_confidence", "Hgh",
+         "error: min_confidence: not a confidence level: 'Hgh'"),
+        ("persona_k", 0, "error: persona_k must be an integer >= 1, got 0"),
+        ("persona_k", "2",
+         "error: persona_k must be an integer >= 1, got '2'"),
+        ("annotator", {"kind": "http", "url": "http://127.0.0.1:9/generate",
+                       "model": "m", "timeout": 0},
+         "error: timeout must be > 0, got 0"),
+        ("annotator", {"kind": "http", "model": "m"},
+         "error: annotator: "),
+        ("annotator", {"kind": "mock", "noise_rate": 1.5},
+         "error: noise_rate must be in [0, 1), got 1.5"),
+    ], ids=["prompt_variant", "min_confidence", "persona_k", "persona_k-str",
+            "http-timeout", "http-without-url", "mock-noise-rate"])
+    def test_config_value_fails_before_any_stage(self, tmp_path, capsys,
+                                                 key, value, message):
+        config_path = build_workspace(tmp_path, count=60)
+        with open(config_path) as fh:
+            raw = json.load(fh)
+        raw[key] = value
         with open(config_path, "w") as fh:
             json.dump(raw, fh)
         assert cli.main(["pipeline", "-c", config_path]) == 2

@@ -107,7 +107,40 @@ class TestBuildPrompt:
             build_prompt(pinned, tiny_registry, "q")
 
 
+# Response lines: entity lines with valid and invalid labels and tokens,
+# "None" lines and near misses, and arbitrary text.
+_RESPONSE_LINES = st.one_of(
+    st.builds("{}|{}".format,
+              st.sampled_from(default_registry().ids + ("genre", "Nonsense",
+                                                       " Genre ", "")),
+              st.sampled_from(["High", " medium ", "LOW", "Huge", "", "|"])),
+    st.sampled_from(["None", " none ", "NONE", "None.", "N one", ""]),
+    st.text(max_size=24),
+)
+
+
+def _usable_line(registry, line):
+    """True for a line that is "None" or "EntityId|Level", after stripping
+    and case-insensitively for "None" and the level."""
+    line = line.strip()
+    label, bar, token = line.partition("|")
+    return line.casefold() == "none" or (
+        bool(bar) and label.strip() in registry.ids
+        and token.strip().casefold() in ("low", "medium", "high"))
+
+
 class TestParseResponse:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(lines=st.lists(_RESPONSE_LINES, max_size=6))
+    def test_raises_iff_no_entity_line_and_no_none_line(self, lines):
+        registry = default_registry()
+        raw = "\n".join(lines)
+        if any(_usable_line(registry, line) for line in raw.splitlines()):
+            parse_response(registry, raw)
+        else:
+            with pytest.raises(UnparseableResponseError):
+                parse_response(registry, raw)
+
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(entities=st.dictionaries(st.sampled_from(default_registry().ids),
                                     st.sampled_from(list(Confidence))))

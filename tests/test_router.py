@@ -7,15 +7,15 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 import synthetic_helpers as synth
+from querydistill import router as router_mod
 from querydistill.errors import (EmptyDatasetError, MissingEmbeddingError,
                                  ModelError)
 from querydistill.features import HashedNgramEmbedder, PrecomputedEmbedder
-from querydistill.personas import (ConfidenceMatrix, aggregate_chosen,
-                                   level_annotations, sample_personas)
+from querydistill.personas import aggregate_ensemble, sample_personas
 from querydistill.router import (RouterModel, RouterTrainConfig, load_router,
                                  predict_entities, router_forward,
                                  router_loss_and_grads, save_router,
-                                 select_top_k, top_k_personas, train_router)
+                                 select_top_k, train_router)
 
 
 def zero_model(d=4, h=3, personas=("a", "b"), dropout=0.0, registry_hash="rh"):
@@ -54,7 +54,7 @@ class TestEmbedQuery:
 class TestRouterForward:
     def test_zero_weights_give_uniform(self):
         model = zero_model(personas=("a", "b", "c", "d"))
-        relevance = router_forward(model, np.ones(4))
+        relevance = router_forward(model, np.ones((2, 4)))
         assert np.allclose(relevance, 0.25)
 
     def test_softmax_simplex(self):
@@ -63,16 +63,16 @@ class TestRouterForward:
             W1=rng.normal(size=(6, 5)), b1=rng.normal(size=5),
             W2=rng.normal(size=(5, 3)), b2=rng.normal(size=3),
             dropout_rate=0.0, persona_ids=("a", "b", "c"), registry_hash="rh")
-        relevance = router_forward(model, rng.normal(size=6))
-        assert abs(relevance.sum() - 1.0) < 1e-12
+        relevance = router_forward(model, rng.normal(size=(5, 6)))
+        assert np.allclose(relevance.sum(axis=1), 1.0, atol=1e-12)
         assert ((relevance > 0) & (relevance < 1)).all()
 
     def test_hand_evaluated_softmax(self):
         # logits forced to (ln 3, 0) via b2; e^ln3/(e^ln3+1) = 3/4
         model = zero_model(personas=("a", "b"))
         model.b2 = np.array([math.log(3.0), 0.0])
-        relevance = router_forward(model, np.zeros(4))
-        assert np.allclose(relevance, [0.75, 0.25], atol=1e-12)
+        relevance = router_forward(model, np.zeros((1, 4)))
+        assert np.allclose(relevance, [[0.75, 0.25]], atol=1e-12)
 
     def test_inference_ignores_seed_and_dropout(self):
         rng = np.random.default_rng(1)
@@ -80,7 +80,7 @@ class TestRouterForward:
             W1=rng.normal(size=(6, 5)), b1=rng.normal(size=5),
             W2=rng.normal(size=(5, 3)), b2=rng.normal(size=3),
             dropout_rate=0.5, persona_ids=("a", "b", "c"), registry_hash="rh")
-        emb = rng.normal(size=6)
+        emb = rng.normal(size=(3, 6))
         a = router_forward(model, emb, train_mode=False, seed=1)
         b = router_forward(model, emb, train_mode=False, seed=99)
         assert np.array_equal(a, b)
@@ -89,54 +89,60 @@ class TestRouterForward:
 
     def test_shape_mismatch(self):
         model = zero_model(d=4)
-        with pytest.raises(ModelError):
-            router_forward(model, np.ones(5))
+        for X in (np.ones((2, 5)), np.ones(4)):
+            with pytest.raises(ModelError):
+                router_forward(model, X)
 
 
 class TestPredictEntities:
-    def matrix(self, values, personas=("p1", "p2")):
-        return ConfidenceMatrix(query_id="q", persona_ids=personas,
-                                registry_hash="rh", values=np.array(values))
-
     def test_hand_arithmetic(self):
-        scores = predict_entities([0.5, 0.5], self.matrix([[3, 0], [1, 2]]))
-        assert np.allclose(scores, [2 / 3, 1 / 3])
+        scores = predict_entities([[0.5, 0.5]], [[[3, 0], [1, 2]]])
+        assert np.allclose(scores, [[2 / 3, 1 / 3]])
 
     def test_one_hot_selects_row(self):
-        matrix = self.matrix([[3, 0], [1, 2]])
-        scores = predict_entities([0.0, 1.0], matrix)
-        assert np.allclose(scores, np.array([1, 2]) / 3.0)
+        values = np.array([[[3, 0], [1, 2]], [[3, 0], [1, 2]]])
+        scores = predict_entities([[0.0, 1.0], [1.0, 0.0]], values)
+        assert np.allclose(scores, np.array([[1, 2], [3, 0]]) / 3.0)
 
     def test_zero_matrix_zero_scores(self):
-        scores = predict_entities([0.3, 0.7], self.matrix([[0, 0], [0, 0]]))
-        assert np.array_equal(scores, [0.0, 0.0])
+        scores = predict_entities([[0.3, 0.7]], np.zeros((1, 2, 2)))
+        assert np.array_equal(scores, [[0.0, 0.0]])
 
     def test_linearity(self):
         rng = np.random.default_rng(7)
-        for _ in range(25):
-            matrix = self.matrix(rng.integers(0, 4, size=(2, 3)))
-            r1 = rng.dirichlet(np.ones(2))
-            r2 = rng.dirichlet(np.ones(2))
-            alpha = rng.random()
-            mixed = predict_entities(alpha * r1 + (1 - alpha) * r2, matrix)
-            parts = (alpha * predict_entities(r1, matrix)
-                     + (1 - alpha) * predict_entities(r2, matrix))
-            assert np.allclose(mixed, parts, atol=1e-12)
+        values = rng.integers(0, 4, size=(25, 2, 3))
+        r1 = rng.dirichlet(np.ones(2), size=25)
+        r2 = rng.dirichlet(np.ones(2), size=25)
+        alpha = rng.random((25, 1))
+        mixed = predict_entities(alpha * r1 + (1 - alpha) * r2, values)
+        parts = (alpha * predict_entities(r1, values)
+                 + (1 - alpha) * predict_entities(r2, values))
+        assert np.allclose(mixed, parts, atol=1e-12)
 
     def test_shape_and_hash_guards(self):
-        matrix = self.matrix([[3, 0], [1, 2]])
-        with pytest.raises(ModelError):
-            predict_entities([1.0], matrix)
-        with pytest.raises(ModelError):
-            predict_entities([0.5, 0.5], matrix, registry_hash="other")
+        values = np.array([[[3, 0], [1, 2]]])
+        for relevance in ([[1.0]], [0.5, 0.5], [[0.5, 0.5]] * 2):
+            with pytest.raises(ModelError):
+                predict_entities(relevance, values)
 
     def test_scores_stay_in_unit_interval(self):
         rng = np.random.default_rng(11)
-        for _ in range(25):
-            matrix = self.matrix(rng.integers(0, 4, size=(2, 4)))
-            relevance = rng.dirichlet(np.ones(2))
-            scores = predict_entities(relevance, matrix)
-            assert (scores >= -1e-12).all() and (scores <= 1 + 1e-12).all()
+        values = rng.integers(0, 4, size=(25, 2, 4))
+        scores = predict_entities(rng.dirichlet(np.ones(2), size=25), values)
+        assert (scores >= -1e-12).all() and (scores <= 1 + 1e-12).all()
+
+    def test_loss_scores_go_through_predict_entities(self, monkeypatch):
+        # router_loss_and_grads routes its entity scores through this
+        # function, so the checks above cover the scores training uses.
+        model = zero_model(d=4, personas=("a", "b"))
+        values = np.arange(12).reshape(2, 2, 3) % 4
+        calls = []
+        real = router_mod.predict_entities
+        monkeypatch.setattr(router_mod, "predict_entities",
+                            lambda *args: calls.append(args) or real(*args))
+        router_loss_and_grads(model, np.ones((2, 4)), values,
+                              np.zeros((2, 3)))
+        assert len(calls) == 1 and calls[0][1] is values
 
 
 class TestGradients:
@@ -179,39 +185,39 @@ class TestGradients:
 class TestTrainRouter:
     def test_oracle_persona_wins_relevance(self):
         registry = synth.entity_registry(4)
-        examples, _ = synth.router_dataset(
+        (X, M, Y), persona_ids = synth.router_dataset(
             240, registry, ("oracle", "random"), seed=13)
-        train, held_out = examples[:200], examples[200:]
         config = RouterTrainConfig(hidden_dim=16, epochs=12, seed=7,
                                    dropout_rate=0.1)
-        model, history = train_router(train, config, registry)
-        relevance = np.stack([
-            router_forward(model, emb) for emb, _, _ in held_out])
-        mean = relevance.mean(axis=0)
+        model, history = train_router(X[:200], M[:200], Y[:200], persona_ids,
+                                      config, registry)
+        mean = router_forward(model, X[200:]).mean(axis=0)
         assert mean[0] > mean[1]
 
     def test_loss_decreases_on_repeated_example(self):
         registry = synth.entity_registry(3)
-        examples, _ = synth.router_dataset(1, registry, ("oracle", "random"),
-                                           seed=3)
-        repeated = examples * 8
+        (X, M, Y), persona_ids = synth.router_dataset(
+            1, registry, ("oracle", "random"), seed=3)
+        repeated = [np.repeat(a, 8, axis=0) for a in (X, M, Y)]
         config = RouterTrainConfig(hidden_dim=8, epochs=10, seed=0,
                                    learning_rate=1e-3, dropout_rate=0.0)
-        _, history = train_router(repeated, config, registry)
+        _, history = train_router(*repeated, persona_ids, config, registry)
         assert history[-1][2] < history[0][2]
 
     def test_empty_dataset_rejected(self):
         registry = synth.entity_registry(3)
         with pytest.raises(EmptyDatasetError):
-            train_router([], RouterTrainConfig(), registry)
+            train_router(np.zeros((0, 4)), np.zeros((0, 2, 3)),
+                         np.zeros((0, 3)), ("a", "b"), RouterTrainConfig(),
+                         registry)
 
     def test_training_is_deterministic_and_files_identical(self, tmp_path):
         registry = synth.entity_registry(3)
-        examples, _ = synth.router_dataset(40, registry, ("oracle", "random"),
-                                           seed=2)
+        data, persona_ids = synth.router_dataset(
+            40, registry, ("oracle", "random"), seed=2)
         config = RouterTrainConfig(hidden_dim=8, epochs=3, seed=11)
-        model_a, hist_a = train_router(examples, config, registry)
-        model_b, hist_b = train_router(examples, config, registry)
+        model_a, hist_a = train_router(*data, persona_ids, config, registry)
+        model_b, hist_b = train_router(*data, persona_ids, config, registry)
         assert hist_a == hist_b
         save_router(tmp_path / "a.json", model_a, loss_history=hist_a)
         save_router(tmp_path / "b.json", model_b, loss_history=hist_b)
@@ -219,18 +225,17 @@ class TestTrainRouter:
 
     def test_save_load_round_trip(self, tmp_path):
         registry = synth.entity_registry(3)
-        examples, _ = synth.router_dataset(20, registry, ("oracle", "random"),
-                                           seed=5)
+        data, persona_ids = synth.router_dataset(
+            20, registry, ("oracle", "random"), seed=5)
         config = RouterTrainConfig(hidden_dim=8, epochs=2, seed=1)
-        model, _ = train_router(examples, config, registry)
+        model, _ = train_router(*data, persona_ids, config, registry)
         save_router(tmp_path / "router.json", model)
         loaded = load_router(tmp_path / "router.json")
         assert np.array_equal(loaded.W1, model.W1)
         assert loaded.persona_ids == model.persona_ids
-        emb = examples[0][0]
-        assert np.array_equal(router_forward(loaded, emb),
-                              router_forward(model, emb))
-
+        X = data[0]
+        assert np.array_equal(router_forward(loaded, X),
+                              router_forward(model, X))
 
     def test_malformed_file_raises_model_error(self, tmp_path):
         path = tmp_path / "router.json"
@@ -253,28 +258,30 @@ class TestSelectTopK:
         model.b2 = np.array(logits, dtype=float)
         return model
 
+    def top_ids(self, model, k):
+        """Persona ids that select_top_k picks for one zero embedding."""
+        rows = select_top_k(model, np.zeros((1, 4)), k)
+        assert rows.shape == (1, k)
+        return [model.persona_ids[row] for row in rows[0]]
+
     def test_argmax_ordering(self):
         model = self.model_with_relevance([0.2, 0.5, 0.3], ("p0", "p1", "p2"))
-        emb = np.zeros(4)
-        assert select_top_k(model, emb, 2) == ["p1", "p2"]
+        assert self.top_ids(model, 2) == ["p1", "p2"]
 
     def test_full_selection_sorted(self):
         model = self.model_with_relevance([0.1, 0.9, 0.5], ("p0", "p1", "p2"))
-        emb = np.zeros(4)
-        assert select_top_k(model, emb, 3) == ["p1", "p2", "p0"]
+        assert self.top_ids(model, 3) == ["p1", "p2", "p0"]
 
     def test_tie_breaks_lexicographically(self):
         model = self.model_with_relevance([1.0, 1.0], ("zeta", "alpha"))
-        emb = np.zeros(4)
-        assert select_top_k(model, emb, 1) == ["alpha"]
+        assert self.top_ids(model, 1) == ["alpha"]
 
     def test_k_out_of_range(self):
         model = self.model_with_relevance([0.0, 0.0], ("a", "b"))
-        emb = np.zeros(4)
         with pytest.raises(ModelError):
-            select_top_k(model, emb, 0)
+            select_top_k(model, np.zeros((1, 4)), 0)
         with pytest.raises(ModelError):
-            select_top_k(model, emb, 3)
+            select_top_k(model, np.zeros((1, 4)), 3)
 
     def test_invariant_under_increasing_logit_transform(self):
         rng = np.random.default_rng(9)
@@ -285,10 +292,8 @@ class TestSelectTopK:
             logits = rng.normal(size=4)
             base = self.model_with_relevance(logits, personas)
             transformed = self.model_with_relevance(transform(logits), personas)
-            emb = np.zeros(4)
             for k in (1, 2, 4):
-                assert select_top_k(base, emb, k) == \
-                    select_top_k(transformed, emb, k)
+                assert self.top_ids(base, k) == self.top_ids(transformed, k)
 
 
 # Persona ids whose sorted order differs from their column order.
@@ -331,30 +336,20 @@ def _routed_batches(draw):
             registry, threshold)
 
 
-def _matrices(model, values, registry):
-    return [ConfidenceMatrix(query_id=f"q{i}", persona_ids=model.persona_ids,
-                             registry_hash=registry.hash, values=matrix)
-            for i, matrix in enumerate(values)]
-
-
 class TestBatchedSelection:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(batch=_routed_batches())
     def test_router_selection_and_aggregation_match_per_query(self, batch):
         model, X, values, k, registry, threshold = batch
-        chosen = top_k_personas(model, X, k)
-        annotations = level_annotations(
-            aggregate_chosen(values, chosen, threshold), registry)
+        chosen = select_top_k(model, X, k)
+        levels = aggregate_ensemble(values, chosen, threshold)
         ids, expected = oracles.per_query_router_ensemble(
-            model, X, _matrices(model, values, registry), k, registry,
-            threshold)
+            model, X, values, k, threshold)
         assert [[model.persona_ids[j] for j in row]
                 for row in chosen.tolist()] == ids
-        assert [a.entities for a in annotations] == [
-            a.entities for a in expected]
+        assert levels.tolist() == expected.tolist()
         # The tie rule: descending relevance, then ascending persona id.
-        for emb, row in zip(X, ids):
-            relevance = router_forward(model, emb)
+        for relevance, row in zip(router_forward(model, X), ids):
             ranked = sorted(zip(model.persona_ids, relevance),
                             key=lambda item: (-item[1], item[0]))
             assert row == [pid for pid, _ in ranked[:k]]
@@ -365,18 +360,16 @@ class TestBatchedSelection:
     def test_random_selection_and_aggregation_match_per_query(
             self, batch, extra, seed):
         model, _, values, k, registry, threshold = batch
-        matrices = _matrices(model, values, registry)
-        chosen = sample_personas([m.query_id for m in matrices],
-                                 model.persona_count, k + extra, seed)
-        annotations = level_annotations(
-            aggregate_chosen(values, chosen, threshold), registry)
+        query_ids = [f"q{i}" for i in range(len(values))]
+        chosen = sample_personas(query_ids, model.persona_count, k + extra,
+                                 seed)
+        levels = aggregate_ensemble(values, chosen, threshold)
         ids, expected = oracles.per_query_random_ensemble(
-            matrices, k + extra, seed, registry, threshold)
+            query_ids, model.persona_ids, values, k + extra, seed, threshold)
         assert [sorted(model.persona_ids[j] for j in row)
                 for row in chosen.tolist()] == ids
-        assert [a.entities for a in annotations] == [
-            a.entities for a in expected]
+        assert levels.tolist() == expected.tolist()
 
     def test_embedding_width_checked(self):
         with pytest.raises(ModelError):
-            top_k_personas(zero_model(d=4), np.zeros((2, 5)), 1)
+            select_top_k(zero_model(d=4), np.zeros((2, 5)), 1)
