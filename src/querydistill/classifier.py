@@ -21,9 +21,10 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .annotations import Confidence
-from .errors import EmptyDatasetError, ModelError, NanLossError
+from .errors import EmptyDatasetError, ModelError
 from .features import HashedNgramEmbedder, encoder_from_descriptor
-from .optim import AdamW
+from .optim import (TrainConfig, check_weights, fan_in_uniform, load_weights,
+                    minibatch_epochs, save_weights)
 from .personas import annotation_levels
 
 
@@ -135,10 +136,7 @@ class ClassifierModel:
     train_config: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.U1 = np.asarray(self.U1, dtype=float)
-        self.c1 = np.asarray(self.c1, dtype=float)
-        self.U2 = np.asarray(self.U2, dtype=float)
-        self.c2 = np.asarray(self.c2, dtype=float)
+        check_weights(self)
         self.thresholds = np.asarray(self.thresholds, dtype=float)
         self.entity_ids = tuple(self.entity_ids)
         E = len(self.entity_ids)
@@ -156,9 +154,6 @@ class ClassifierModel:
             raise ModelError("need exactly one threshold per entity")
         if ((self.thresholds <= 0) | (self.thresholds >= 1)).any():
             raise ModelError("thresholds must lie in (0, 1)")
-        for name, weights in self.params().items():
-            if not np.isfinite(weights).all():
-                raise ModelError(f"{name} holds a NaN or infinite weight")
 
     def params(self):
         return {"U1": self.U1, "c1": self.c1, "U2": self.U2, "c2": self.c2}
@@ -168,17 +163,10 @@ class ClassifierModel:
 
 
 @dataclass(frozen=True)
-class ClassifierTrainConfig:
+class ClassifierTrainConfig(TrainConfig):
     head_dim: int = 32
     learning_rate: float = None  # resolved per backend: 1e-3 built-in, 1e-5 otherwise
-    epochs: int = 20
-    batch_size: int = 32
     patience: int = 5
-    seed: int = 0
-    weight_decay: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def resolve_learning_rate(self, backend):
         if self.learning_rate is not None:
@@ -231,17 +219,13 @@ def classifier_loss_and_grads(model, X, Y):
 
 
 def _init_classifier(backend, entity_ids, registry_hash, config):
-    rng = np.random.default_rng(config.seed)
     D, m, E = backend.dim, config.head_dim, len(entity_ids)
-    bound1 = 1.0 / np.sqrt(D)
-    bound2 = 1.0 / np.sqrt(m)
+    U1, c1, U2, c2 = fan_in_uniform(config.seed, (D, (E, D, m)), (D, (E, m)),
+                                    (m, (E, m)), (m, E))
     return ClassifierModel(
         backend_descriptor=backend.descriptor(),
         entity_ids=tuple(entity_ids),
-        U1=rng.uniform(-bound1, bound1, size=(E, D, m)),
-        c1=rng.uniform(-bound1, bound1, size=(E, m)),
-        U2=rng.uniform(-bound2, bound2, size=(E, m)),
-        c2=rng.uniform(-bound2, bound2, size=E),
+        U1=U1, c1=c1, U2=U2, c2=c2,
         thresholds=np.full(E, 0.5),
         registry_hash=registry_hash,
         train_config=asdict(config),
@@ -283,47 +267,29 @@ def train_classifier(train, dev, config, registry, backend=None):
     Y_dev = dev.labels if len(dev) else None
 
     model = _init_classifier(backend, registry.ids, registry.hash, config)
-    optimizer = AdamW(model.params(), lr, weight_decay=config.weight_decay,
-                      beta1=config.beta1, beta2=config.beta2, eps=config.eps,
-                      decay_params=("U1", "U2"))
-
-    order_rng = np.random.default_rng(config.seed + 1)
-    n = len(train)
-    best = {k: v.copy() for k, v in model.params().items()}
+    best = None
     best_f1 = -1.0
     stale = 0
     history = []
-    for epoch in range(config.epochs):
-        order = order_rng.permutation(n)
-        epoch_losses = []
-        for batch_index, start in enumerate(range(0, n, config.batch_size)):
-            rows = order[start:start + config.batch_size]
-            loss, grads = classifier_loss_and_grads(model, X_train[rows], Y_train[rows])
-            if not np.isfinite(loss):
-                raise NanLossError(
-                    f"classifier loss is not finite at epoch {epoch} "
-                    f"batch {batch_index}", epoch=epoch, batch=batch_index)
-            optimizer.step(grads)
-            epoch_losses.append(loss)
-
-        if X_dev is not None:
-            dev_probs = _sigmoid(heads_forward(model, X_dev)[0])
-            dev_f1 = _micro_f1_at_half(dev_probs, Y_dev)
-        else:
-            dev_f1 = float("nan")
+    for epoch, epoch_losses in minibatch_epochs(
+            model.params(), len(train),
+            lambda rows: classifier_loss_and_grads(model, X_train[rows], Y_train[rows]),
+            config, lr, ("U1", "U2"), "classifier"):
+        if X_dev is None:
+            history.append((epoch, float(np.mean(epoch_losses)), float("nan")))
+            continue
+        dev_f1 = _micro_f1_at_half(_sigmoid(heads_forward(model, X_dev)[0]), Y_dev)
         history.append((epoch, float(np.mean(epoch_losses)), dev_f1))
+        if dev_f1 > best_f1:
+            best_f1 = dev_f1
+            best = {k: v.copy() for k, v in model.params().items()}
+            stale = 0
+        else:
+            stale += 1
+            if stale >= config.patience:
+                break
 
-        if X_dev is not None:
-            if dev_f1 > best_f1:
-                best_f1 = dev_f1
-                best = {k: v.copy() for k, v in model.params().items()}
-                stale = 0
-            else:
-                stale += 1
-                if stale >= config.patience:
-                    break
-
-    if X_dev is not None:
+    if best is not None:
         for key, value in best.items():
             getattr(model, key)[...] = value
     return model, history
@@ -497,46 +463,20 @@ def write_predictions_jsonl(path, model, records, backend=None):
 # ---------------------------------------------------------------------------
 
 def save_classifier(path, model, history=None):
-    payload = {
-        "kind": "classifier",
-        "backend": model.backend_descriptor,
-        "entity_ids": list(model.entity_ids),
-        "registry_hash": model.registry_hash,
-        "train_config": model.train_config,
-        "thresholds": model.thresholds.tolist(),
-        "weights": {
-            "U1": model.U1.tolist(),
-            "c1": model.c1.tolist(),
-            "U2": model.U2.tolist(),
-            "c2": model.c2.tolist(),
-        },
-    }
-    if history is not None:
-        payload["history"] = [[e, l, f] for e, l, f in history]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, sort_keys=True) + "\n")
+    save_weights(path, "classifier", model, backend=model.backend_descriptor,
+                 entity_ids=model.entity_ids,
+                 registry_hash=model.registry_hash,
+                 train_config=model.train_config,
+                 thresholds=model.thresholds.tolist(), history=history)
 
 
 def load_classifier(path):
     """The model saved at ``path``; raises ModelError for a file that is not
     a complete, well-formed classifier model."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        if payload.get("kind") != "classifier":
-            raise ModelError(f"{path} is not a classifier model file")
-        weights = payload["weights"]
-        return ClassifierModel(
-            backend_descriptor=payload["backend"],
-            entity_ids=tuple(payload["entity_ids"]),
-            U1=np.array(weights["U1"], dtype=float),
-            c1=np.array(weights["c1"], dtype=float),
-            U2=np.array(weights["U2"], dtype=float),
-            c2=np.array(weights["c2"], dtype=float),
-            thresholds=np.array(payload["thresholds"], dtype=float),
-            registry_hash=payload["registry_hash"],
-            train_config=payload.get("train_config", {}),
-        )
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise ModelError(f"{path} is not a valid classifier model file: "
-                         f"{exc!r}") from exc
+    return load_weights(path, "classifier", lambda payload: ClassifierModel(
+        **payload["weights"],
+        backend_descriptor=payload["backend"],
+        entity_ids=payload["entity_ids"],
+        thresholds=payload["thresholds"],
+        registry_hash=payload["registry_hash"],
+        train_config=payload.get("train_config", {})))

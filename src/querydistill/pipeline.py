@@ -55,6 +55,13 @@ _INPUT_PATHS = ("registry_path", "queries_path", "gazetteer_path",
                "personas_path", "gold_path", "annotator.gazetteer")
 
 
+# The config fields that must be JSON numbers, with their exact Python types
+# (so a bool is none).
+_NUMBER_FIELDS = {"seed": (int,), "embedding_dim": (int,), "encoder_dim": (int,),
+                  "max_icl_examples": (int,), "aggregation_threshold": (int, float),
+                  "rebalance_cap": (int, float)}
+
+
 def _input_paths(raw):
     """(name, dict, key) of each input path present in config dict ``raw``."""
     for name in _INPUT_PATHS:
@@ -98,6 +105,15 @@ class RunConfig:
     max_icl_examples: int = 4
 
     def __post_init__(self):
+        for name, types in _NUMBER_FIELDS.items():
+            value = getattr(self, name)
+            if type(value) not in types:
+                what = "an integer" if types == (int,) else "a number"
+                raise PipelineConfigError(f"{name} must be {what}, got {value!r}")
+        if not (isinstance(self.ratios, (list, tuple)) and len(self.ratios) == 3
+                and all(type(r) in (int, float) for r in self.ratios)):
+            raise PipelineConfigError(
+                f"ratios must be three numbers, got {self.ratios!r}")
         self.ratios = tuple(self.ratios)
         if self.persona_mode not in PERSONA_MODES:
             raise PipelineConfigError(
@@ -252,6 +268,8 @@ class _Run:
             **{"seed": config.seed, **config.router})
         self.classifier_config = classifier_mod.ClassifierTrainConfig(
             **{"seed": config.seed, **config.classifier})
+        self.personas = (personas_mod.load_personas(config.personas_path)
+                         if config.persona_mode != "none" else None)
         self.stats = {"annotator_calls": 0, "cache_hits": 0,
                       "annotator_failures": 0, "unparseable_responses": 0}
         self.artifacts = {}
@@ -305,9 +323,6 @@ def _split(run):
 def _annotate(run):
     config, registry = run.config, run.registry
     run.handle = build_annotator(config)
-    use_personas = config.persona_mode != "none"
-    run.personas = (personas_mod.load_personas(config.personas_path)
-                    if use_personas else None)
     prompt_config = prompting_mod.PromptConfig(
         variant=prompting_mod.PromptVariant.from_string(config.prompt_variant),
         registry_hash=registry.hash,
@@ -316,7 +331,7 @@ def _annotate(run):
     prompts = []
     keys = []
     for record in run.records:
-        for persona in (run.personas if use_personas else [None]):
+        for persona in (run.personas or [None]):
             prompts.append(prompting_mod.build_prompt(
                 prompt_config, registry, record.text, persona))
             keys.append((record.id, persona.id if persona else None))
@@ -482,8 +497,11 @@ def run_pipeline(config, until="eval"):
         raise PipelineConfigError("router mode needs gold_path for training")
     if config.eval_reference == "gold" and not config.gold_path:
         raise PipelineConfigError("eval_reference 'gold' needs gold_path")
-    os.makedirs(config.output_dir, exist_ok=True)
     run = _Run(config, until)
+    if config.persona_mode == "router" and config.persona_k > len(run.personas):
+        raise PipelineConfigError(
+            f"k must be in [1, {len(run.personas)}], got {config.persona_k}")
+    os.makedirs(config.output_dir, exist_ok=True)
     for stage in _STAGE_TABLE[:STAGES.index(until) + 1]:
         stage(run)
     manifest = {

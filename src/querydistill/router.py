@@ -14,13 +14,13 @@ All numerics are float64 numpy; training is single-threaded and bit-
 deterministic for a fixed seed.
 """
 
-import json
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .errors import EmptyDatasetError, ModelError, NanLossError
-from .optim import AdamW
+from .errors import EmptyDatasetError, ModelError
+from .optim import (TrainConfig, check_weights, fan_in_uniform, load_weights,
+                    minibatch_epochs, save_weights)
 
 BCE_EPS = 1e-7
 CONFIDENCE_SCALE = 3.0  # matrix values {0..3} -> [0, 1]
@@ -50,10 +50,7 @@ class RouterModel:
     train_config: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.W1 = np.asarray(self.W1, dtype=float)
-        self.b1 = np.asarray(self.b1, dtype=float)
-        self.W2 = np.asarray(self.W2, dtype=float)
-        self.b2 = np.asarray(self.b2, dtype=float)
+        check_weights(self)
         self.persona_ids = tuple(self.persona_ids)
         d, h = self.W1.shape
         if self.b1.shape != (h,) or self.W2.shape[0] != h:
@@ -80,24 +77,11 @@ class RouterModel:
 
 
 @dataclass(frozen=True)
-class RouterTrainConfig:
+class RouterTrainConfig(TrainConfig):
     hidden_dim: int = 64
     dropout_rate: float = 0.1
     learning_rate: float = 1e-3
-    epochs: int = 20
-    batch_size: int = 32
-    seed: int = 0
-    weight_decay: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     entity_loss_weights: tuple = ()  # optional per-entity weights in the BCE mean
-
-    def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ModelError(f"learning_rate must be >= 0, got {self.learning_rate}")
-        if self.epochs < 1:
-            raise ModelError(f"epochs must be >= 1, got {self.epochs}")
 
 
 def _dropout_mask(rng, shape, rate):
@@ -191,15 +175,11 @@ def router_loss_and_grads(model, X, matrices, targets, train_mode=False, seed=0,
 
 
 def _init_model(d, P, config, persona_ids, registry_hash):
-    """Seeded uniform fan-in initialization."""
-    rng = np.random.default_rng(config.seed)
-    bound1 = 1.0 / np.sqrt(d)
-    bound2 = 1.0 / np.sqrt(config.hidden_dim)
+    h = config.hidden_dim
+    W1, b1, W2, b2 = fan_in_uniform(config.seed, (d, (d, h)), (d, h),
+                                    (h, (h, P)), (h, P))
     return RouterModel(
-        W1=rng.uniform(-bound1, bound1, size=(d, config.hidden_dim)),
-        b1=rng.uniform(-bound1, bound1, size=config.hidden_dim),
-        W2=rng.uniform(-bound2, bound2, size=(config.hidden_dim, P)),
-        b2=rng.uniform(-bound2, bound2, size=P),
+        W1=W1, b1=b1, W2=W2, b2=b2,
         dropout_rate=config.dropout_rate,
         persona_ids=persona_ids,
         registry_hash=registry_hash,
@@ -228,30 +208,18 @@ def train_router(X, M, Y, persona_ids, config, registry):
 
     model = _init_model(X.shape[1], len(persona_ids), config, persona_ids,
                         registry.hash)
-    optimizer = AdamW(model.params(), config.learning_rate,
-                      weight_decay=config.weight_decay,
-                      beta1=config.beta1, beta2=config.beta2, eps=config.eps,
-                      decay_params=("W1", "W2"))
-
-    order_rng = np.random.default_rng(config.seed + 1)
     dropout_seed = np.random.SeedSequence(config.seed + 2)
+
+    def batch_loss(rows):
+        return router_loss_and_grads(
+            model, X[rows], M[rows], Y[rows], train_mode=True,
+            seed=dropout_seed.spawn(1)[0], entity_weights=entity_weights)
+
     history = []
-    n = len(X)
-    for epoch in range(config.epochs):
-        order = order_rng.permutation(n)
-        for batch_index, start in enumerate(range(0, n, config.batch_size)):
-            rows = order[start:start + config.batch_size]
-            step_seed = dropout_seed.spawn(1)[0]
-            loss, grads = router_loss_and_grads(
-                model, X[rows], M[rows], Y[rows],
-                train_mode=True, seed=step_seed,
-                entity_weights=entity_weights)
-            if not np.isfinite(loss):
-                raise NanLossError(
-                    f"router loss is not finite at epoch {epoch} batch {batch_index}",
-                    epoch=epoch, batch=batch_index)
-            optimizer.step(grads)
-            history.append((epoch, batch_index, loss))
+    for epoch, losses in minibatch_epochs(
+            model.params(), len(X), batch_loss, config, config.learning_rate,
+            ("W1", "W2"), "router"):
+        history += [(epoch, batch, loss) for batch, loss in enumerate(losses)]
     return model, history
 
 
@@ -275,49 +243,21 @@ def select_top_k(model, X, k):
 
 def save_router(path, model, loss_history=None):
     """Self-describing JSON container; weights as row-major float64 lists."""
-    payload = {
-        "kind": "router",
-        "d": model.input_dim,
-        "h": model.hidden_dim,
-        "P": model.persona_count,
-        "persona_ids": list(model.persona_ids),
-        "registry_hash": model.registry_hash,
-        "dropout_rate": model.dropout_rate,
-        "embedding_provider": model.embedding_provider,
-        "train_config": model.train_config,
-        "weights": {
-            "W1": model.W1.tolist(),
-            "b1": model.b1.tolist(),
-            "W2": model.W2.tolist(),
-            "b2": model.b2.tolist(),
-        },
-    }
-    if loss_history is not None:
-        payload["loss_history"] = [[e, b, l] for e, b, l in loss_history]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, sort_keys=True) + "\n")
+    save_weights(path, "router", model, d=model.input_dim, h=model.hidden_dim,
+                 P=model.persona_count, persona_ids=model.persona_ids,
+                 registry_hash=model.registry_hash,
+                 dropout_rate=model.dropout_rate,
+                 embedding_provider=model.embedding_provider,
+                 train_config=model.train_config, loss_history=loss_history)
 
 
 def load_router(path):
     """The model saved at ``path``; raises ModelError for a file that is not
     a complete, well-formed router model."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        if payload.get("kind") != "router":
-            raise ModelError(f"{path} is not a router model file")
-        weights = payload["weights"]
-        return RouterModel(
-            W1=np.array(weights["W1"], dtype=float),
-            b1=np.array(weights["b1"], dtype=float),
-            W2=np.array(weights["W2"], dtype=float),
-            b2=np.array(weights["b2"], dtype=float),
-            dropout_rate=payload["dropout_rate"],
-            persona_ids=tuple(payload["persona_ids"]),
-            registry_hash=payload["registry_hash"],
-            embedding_provider=payload.get("embedding_provider", ""),
-            train_config=payload.get("train_config", {}),
-        )
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise ModelError(f"{path} is not a valid router model file: "
-                         f"{exc!r}") from exc
+    return load_weights(path, "router", lambda payload: RouterModel(
+        **payload["weights"],
+        dropout_rate=payload["dropout_rate"],
+        persona_ids=payload["persona_ids"],
+        registry_hash=payload["registry_hash"],
+        embedding_provider=payload.get("embedding_provider", ""),
+        train_config=payload.get("train_config", {})))

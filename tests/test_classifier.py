@@ -20,7 +20,7 @@ from querydistill.classifier import (ClassifierModel, ClassifierTrainConfig,
                                      train_classifier, tune_threshold_for_entity,
                                      tune_thresholds, weak_labels_from_annotations)
 from querydistill.errors import (EmptyDatasetError, MissingEmbeddingError,
-                                 ModelError)
+                                 ModelError, NanLossError)
 from querydistill.features import HashedNgramEmbedder, PrecomputedEmbedder
 from querydistill.synth import synth_gazetteer, synth_queries, synth_registry
 
@@ -213,6 +213,39 @@ class TestTrainClassifier:
                                               backend=backend)
             save_classifier(tmp_path / f"{name}.json", model, history=history)
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    def test_nan_target_raises_at_first_batch(self):
+        registry, records, labels = make_corpus(40, seed=3)
+        train = labeled_queries(records[:30], labels)
+        nan_labels = train.labels.copy()
+        nan_labels[0, 0] = np.nan
+        train = LabeledQueries(train.texts, nan_labels, registry.hash)
+        config = ClassifierTrainConfig(epochs=2, batch_size=len(train), seed=1)
+        with pytest.raises(NanLossError, match="classifier") as info:
+            train_classifier(train, labeled_queries(records[30:], labels),
+                             config, registry,
+                             backend=HashedNgramEmbedder(dim=64, seed=0))
+        assert (info.value.epoch, info.value.batch) == (0, 0)
+
+    def test_early_stop_returns_best_dev_epoch(self):
+        registry, records, labels = make_corpus(
+            200, seed=10, entities=["Genre", "Sport", "Holiday", "AudioLanguage"])
+        train = labeled_queries(records[:160], labels)
+        dev = labeled_queries(records[160:], labels)
+        backend = HashedNgramEmbedder(dim=128, seed=0)
+        config = ClassifierTrainConfig(epochs=40, patience=2, seed=0,
+                                       learning_rate=1e-2)
+        model, history = train_classifier(train, dev, config, registry,
+                                          backend=backend)
+        dev_f1 = [row[2] for row in history]
+        best_epoch = dev_f1.index(max(dev_f1))
+        assert 0 < best_epoch and len(history) < config.epochs
+        assert len(history) == best_epoch + 1 + config.patience
+        pred = predict_probs_batch(model, dev.texts, backend=backend) >= 0.5
+        gold = dev.labels > 0.5
+        tp, fp, fn = ((pred & gold).sum(), (pred & ~gold).sum(),
+                      (~pred & gold).sum())
+        assert 2 * tp / (2 * tp + fp + fn) == max(dev_f1)
 
     def test_learning_rate_resolution(self):
         config = ClassifierTrainConfig()

@@ -845,8 +845,19 @@ class TestConfigSurfaces:
          "error: annotator: "),
         ("annotator", {"kind": "mock", "noise_rate": 1.5},
          "error: noise_rate must be in [0, 1), got 1.5"),
+        ("embedding_dim", "64",
+         "error: embedding_dim must be an integer, got '64'"),
+        ("aggregation_threshold", True,
+         "error: aggregation_threshold must be a number, got True"),
+        ("ratios", [0.7, 0.3], "error: ratios must be three numbers"),
+        ("router", {"epochs": 0}, "error: epochs must be >= 1, got 0"),
+        ("classifier", {"epochs": 0}, "error: epochs must be >= 1, got 0"),
+        ("classifier", {"learning_rate": -1e-3},
+         "error: learning_rate must be >= 0, got -0.001"),
     ], ids=["prompt_variant", "min_confidence", "persona_k", "persona_k-str",
-            "http-timeout", "http-without-url", "mock-noise-rate"])
+            "http-timeout", "http-without-url", "mock-noise-rate",
+            "embedding_dim-str", "aggregation_threshold-bool", "ratios-two",
+            "router-epochs", "classifier-epochs", "classifier-learning_rate"])
     def test_config_value_fails_before_any_stage(self, tmp_path, capsys,
                                                  key, value, message):
         config_path = build_workspace(tmp_path, count=60)
@@ -858,6 +869,19 @@ class TestConfigSurfaces:
         assert cli.main(["pipeline", "-c", config_path]) == 2
         assert capsys.readouterr().err.startswith(message)
         assert not (tmp_path / "out").exists()
+
+    def test_router_persona_k_above_persona_count_fails_first(self, tmp_path,
+                                                             capsys):
+        # The workspace has 3 personas; random mode draws min(k, P) instead.
+        config_path = build_workspace(tmp_path, count=60)
+        assert cli.main(["pipeline", "-c", config_path,
+                         "--persona-k", "5"]) == 2
+        assert capsys.readouterr().err == "error: k must be in [1, 3], got 5\n"
+        assert not (tmp_path / "out").exists()
+        assert cli.main(["pipeline", "-c", config_path, "--until", "aggregate",
+                         "--persona-mode", "random", "--persona-k", "5"]) == 0
+        with open(tmp_path / "out" / "selections.jsonl") as fh:
+            assert all(len(json.loads(line)["personas"]) == 3 for line in fh)
 
     def test_bad_persona_mode_rejected(self):
         with pytest.raises(PipelineConfigError):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -9,7 +10,7 @@ import oracles
 import synthetic_helpers as synth
 from querydistill import router as router_mod
 from querydistill.errors import (EmptyDatasetError, MissingEmbeddingError,
-                                 ModelError)
+                                 ModelError, NanLossError)
 from querydistill.features import HashedNgramEmbedder, PrecomputedEmbedder
 from querydistill.personas import aggregate_ensemble, sample_personas
 from querydistill.router import (RouterModel, RouterTrainConfig, load_router,
@@ -211,6 +212,17 @@ class TestTrainRouter:
                          np.zeros((0, 3)), ("a", "b"), RouterTrainConfig(),
                          registry)
 
+    def test_nan_target_raises_at_first_batch(self):
+        registry = synth.entity_registry(3)
+        (X, M, Y), persona_ids = synth.router_dataset(
+            20, registry, ("oracle", "random"), seed=4)
+        Y = Y.astype(float)
+        Y[0, 0] = np.nan
+        config = RouterTrainConfig(hidden_dim=8, epochs=2, batch_size=20)
+        with pytest.raises(NanLossError, match="router") as info:
+            train_router(X, M, Y, persona_ids, config, registry)
+        assert (info.value.epoch, info.value.batch) == (0, 0)
+
     def test_training_is_deterministic_and_files_identical(self, tmp_path):
         registry = synth.entity_registry(3)
         data, persona_ids = synth.router_dataset(
@@ -250,6 +262,25 @@ class TestTrainRouter:
             path.write_text(content)
             with pytest.raises(ModelError):
                 load_router(path)
+
+
+class TestLoadTimeChecks:
+    @pytest.mark.parametrize("name", ["W1", "b1", "W2", "b2"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_non_finite_weight_rejected(self, tmp_path, name, value):
+        model = zero_model()
+        bad = getattr(model, name).copy()
+        bad.flat[-1] = value
+        with pytest.raises(ModelError, match=name):
+            dataclasses.replace(model, **{name: bad})
+        path = tmp_path / "router.json"
+        save_router(path, model)
+        payload = json.loads(path.read_text())
+        payload["weights"][name] = bad.tolist()
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ModelError, match=name):
+            load_router(path)
 
 
 class TestSelectTopK:
