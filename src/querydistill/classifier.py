@@ -13,6 +13,12 @@ gives a fully self-contained pipeline at desk scale, and
 ``PrecomputedEmbedder`` plugs in real contextual embeddings computed
 offline. The heads, loss, and threshold machinery do not care which one
 produced the features; the ``backend`` arguments below take either.
+
+The heads train, are stored and serve in float32: the dense AdamW update
+of the stacked first layer and the head matmuls are most of the cost of a
+training run, and float32 halves their memory traffic. A model built from
+float64 arrays stays float64 throughout (``heads_forward`` computes in the
+weights' dtype).
 """
 
 import json
@@ -23,8 +29,8 @@ import numpy as np
 from .annotations import Confidence
 from .errors import EmptyDatasetError, ModelError
 from .features import HashedNgramEmbedder, encoder_from_descriptor
-from .optim import (TrainConfig, check_weights, fan_in_uniform, load_weights,
-                    minibatch_epochs, save_weights)
+from .optim import (COUNT, TrainConfig, check_weights, fan_in_uniform,
+                    load_weights, minibatch_epochs, save_weights)
 from .personas import annotation_levels
 
 
@@ -121,8 +127,9 @@ class ClassifierModel:
     """Per-entity heads over a shared encoder.
 
     Head parameters are stacked across entities: U1 (E, D, m), c1 (E, m),
-    U2 (E, m), c2 (E,). ``thresholds`` holds the per-entity decision cut;
-    an entity is predicted iff its probability >= threshold.
+    U2 (E, m), c2 (E,); each is float32 or float64 (``check_weights``).
+    ``thresholds`` holds the per-entity decision cut; an entity is
+    predicted iff its probability >= threshold.
     """
 
     backend_descriptor: dict
@@ -168,6 +175,9 @@ class ClassifierTrainConfig(TrainConfig):
     learning_rate: float = None  # resolved per backend: 1e-3 built-in, 1e-5 otherwise
     patience: int = 5
 
+    def rules(self):
+        return {**super().rules(), "head_dim": COUNT, "patience": COUNT}
+
     def resolve_learning_rate(self, backend):
         if self.learning_rate is not None:
             return self.learning_rate
@@ -182,7 +192,8 @@ def stable_bce(logits, targets):
 
 
 def _sigmoid(z):
-    out = np.empty_like(z, dtype=float)
+    """Elementwise logistic in the dtype of ``z``, overflow-free."""
+    out = np.empty_like(z)
     pos = z >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
     ez = np.exp(z[~pos])
@@ -191,11 +202,13 @@ def _sigmoid(z):
 
 
 def heads_forward(model, X):
-    """Logits for a feature batch: (B, D) -> (B, E).
+    """Logits for a feature batch: (B, D) -> (B, E), in the dtype of the
+    weights (the features are cast to it).
 
     Every product is a matmul stacked over the entity axis, so each head's
     (B, D) @ (D, m) runs through BLAS; the hidden layer is kept (E, B, m).
     """
+    X = np.asarray(X, dtype=model.U1.dtype)
     A = np.matmul(X, model.U1) + model.c1[:, None, :]
     G = np.maximum(A, 0.0)
     Z = np.matmul(G, model.U2[:, :, None])[:, :, 0].T + model.c2
@@ -203,9 +216,11 @@ def heads_forward(model, X):
 
 
 def classifier_loss_and_grads(model, X, Y):
-    """Mean logistic BCE over (query, entity) cells, with analytic grads."""
+    """Mean logistic BCE over (query, entity) cells, with analytic grads in
+    the dtype of the weights."""
     B, E = Y.shape
     Z, cache = heads_forward(model, X)
+    Y = np.asarray(Y, dtype=Z.dtype)
     loss = float(stable_bce(Z, Y).mean())
     dZ = (_sigmoid(Z) - Y) / (B * E)
     dA = dZ.T[:, :, None] * model.U2[:, None, :] * (cache["A"] > 0)
@@ -219,9 +234,10 @@ def classifier_loss_and_grads(model, X, Y):
 
 
 def _init_classifier(backend, entity_ids, registry_hash, config):
+    """Float32 heads from the float64 fan-in draws of ``config.seed``."""
     D, m, E = backend.dim, config.head_dim, len(entity_ids)
-    U1, c1, U2, c2 = fan_in_uniform(config.seed, (D, (E, D, m)), (D, (E, m)),
-                                    (m, (E, m)), (m, E))
+    U1, c1, U2, c2 = (draw.astype(np.float32) for draw in fan_in_uniform(
+        config.seed, (D, (E, D, m)), (D, (E, m)), (m, (E, m)), (m, E)))
     return ClassifierModel(
         backend_descriptor=backend.descriptor(),
         entity_ids=tuple(entity_ids),
@@ -248,7 +264,8 @@ def train_classifier(train, dev, config, registry, backend=None):
     Checkpoints on dev micro-F1 (decisions at probability 0.5) each epoch
     and early-stops after ``config.patience`` epochs without improvement;
     the returned model is the best checkpoint. Also returns a history of
-    (epoch, train_loss, dev_micro_f1) rows. Deterministic given config.seed.
+    (epoch, train_loss, dev_micro_f1) rows. The heads are float32.
+    Deterministic given config.seed.
     """
     if len(train) == 0:
         raise EmptyDatasetError("train_classifier got an empty train set")
@@ -261,9 +278,11 @@ def train_classifier(train, dev, config, registry, backend=None):
         backend = HashedNgramEmbedder(dim=512)
     lr = config.resolve_learning_rate(backend)
 
-    X_train = backend.encode_batch(train.texts)
-    Y_train = train.labels
-    X_dev = backend.encode_batch(dev.texts) if len(dev) else None
+    # Features and labels are cast to the heads' float32 once, not per batch.
+    X_train = backend.encode_batch(train.texts).astype(np.float32)
+    Y_train = train.labels.astype(np.float32)
+    X_dev = (backend.encode_batch(dev.texts).astype(np.float32)
+             if len(dev) else None)
     Y_dev = dev.labels if len(dev) else None
 
     model = _init_classifier(backend, registry.ids, registry.hash, config)

@@ -2,7 +2,10 @@
 arrays, the train-config base, the minibatch epoch loop, the fan-in
 initializer, the finite-weights check and the JSON weight file."""
 
+import base64
 import json
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,7 +18,8 @@ class AdamW:
 
     Decay applies only to parameters named in ``decay_params`` (weight
     matrices; biases are conventionally exempt). Updates are in-place and
-    deterministic.
+    deterministic; the moments and every step's arithmetic keep each
+    parameter's dtype.
     """
 
     def __init__(self, params, learning_rate, weight_decay=0.0,
@@ -61,10 +65,44 @@ class AdamW:
             param -= a
 
 
+def is_integer(value):
+    """True for an integer that is not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_number(value):
+    """True for a finite real number that is not a bool."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def check_fields(config, rules):
+    """ModelError for the first field of ``config`` that breaks its rule.
+
+    ``rules`` maps a field name to (kind, test, what): ``kind`` is "integer"
+    or "number" (finite, never a bool), ``test(value)`` is the range check
+    and ``what`` describes the range in the message.
+    """
+    for name, (kind, test, what) in rules.items():
+        value = getattr(config, name)
+        if not (is_integer if kind == "integer" else is_number)(value):
+            article = "an" if kind == "integer" else "a finite"
+            raise ModelError(f"{name} must be {article} {kind}, got {value!r}")
+        if not test(value):
+            raise ModelError(f"{name} must be {what}, got {value!r}")
+
+
+# Rules that several train-config fields share.
+COUNT = ("integer", lambda v: v >= 1, ">= 1")
+NON_NEGATIVE = ("number", lambda v: v >= 0, ">= 0")
+FRACTION = ("number", lambda v: 0 <= v < 1, "in [0, 1)")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Batching and AdamW settings of both networks. Each subclass adds its
-    own fields; ``learning_rate`` None lets the network resolve it."""
+    own fields and their rules; ``learning_rate`` None lets the network
+    resolve it."""
 
     learning_rate: float = None
     epochs: int = 20
@@ -75,11 +113,18 @@ class TrainConfig:
     beta2: float = 0.999
     eps: float = 1e-8
 
+    def rules(self):
+        """{field: (kind, test, what)} for ``check_fields``."""
+        rules = {"epochs": COUNT, "batch_size": COUNT,
+                 "seed": ("integer", lambda v: v >= 0, ">= 0"),
+                 "weight_decay": NON_NEGATIVE, "beta1": FRACTION,
+                 "beta2": FRACTION, "eps": ("number", lambda v: v > 0, "> 0")}
+        if self.learning_rate is not None:
+            rules["learning_rate"] = NON_NEGATIVE
+        return rules
+
     def __post_init__(self):
-        if self.learning_rate is not None and self.learning_rate < 0:
-            raise ModelError(f"learning_rate must be >= 0, got {self.learning_rate}")
-        if self.epochs < 1:
-            raise ModelError(f"epochs must be >= 1, got {self.epochs}")
+        check_fields(self, self.rules())
 
 
 def minibatch_epochs(params, n, loss_and_grads, config, learning_rate,
@@ -118,36 +163,80 @@ def fan_in_uniform(seed, *layers):
             for fan_in, shape in layers]
 
 
+# The dtypes a weight file may hold, little-endian: the classifier trains
+# in float32 and the router in float64.
+WEIGHT_DTYPES = ("<f4", "<f8")
+
+
 def check_weights(model):
-    """Store each of ``model.params()`` back on the model as a float64
-    array; ModelError names one holding a NaN or infinite value."""
+    """Store each of ``model.params()`` back on the model as an array,
+    float32 if it is float32 and float64 otherwise; ModelError names one
+    holding a NaN or infinite value."""
     for name, value in model.params().items():
-        value = np.asarray(value, dtype=float)
+        value = np.asarray(value)
+        if value.dtype != np.float32:
+            value = np.asarray(value, dtype=np.float64)
         if not np.isfinite(value).all():
             raise ModelError(f"{name} holds a NaN or infinite weight")
         setattr(model, name, value)
 
 
+def encode_array(value):
+    """JSON form of a float32 or float64 array: its dtype, shape and
+    little-endian row-major bytes in base64."""
+    dtype = "<f4" if value.dtype == np.float32 else "<f8"
+    data = np.ascontiguousarray(value, dtype=dtype).tobytes()
+    return {"dtype": dtype, "shape": list(value.shape),
+            "data": base64.b64encode(data).decode("ascii")}
+
+
+def decode_array(name, entry):
+    """The array ``encode_array`` gave ``entry``, in native byte order;
+    ModelError names ``name`` for another dtype, a bad shape or base64
+    string, or a byte count that does not match the shape."""
+    dtype = entry["dtype"]
+    if dtype not in WEIGHT_DTYPES:
+        raise ModelError(
+            f"{name} has dtype {dtype!r}, not one of {WEIGHT_DTYPES}")
+    shape = entry["shape"]
+    if not (isinstance(shape, list)
+            and all(is_integer(n) and n >= 0 for n in shape)):
+        raise ModelError(f"{name} has shape {shape!r}, not a list of sizes")
+    try:
+        data = base64.b64decode(entry["data"], validate=True)
+    except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
+        raise ModelError(f"{name} data is not a base64 string: {exc}") from None
+    dtype = np.dtype(dtype)
+    expected = math.prod(shape) * dtype.itemsize
+    if len(data) != expected:
+        raise ModelError(f"{name} holds {len(data)} bytes, its shape {shape} "
+                         f"needs {expected}")
+    return np.frombuffer(data, dtype=dtype).reshape(shape).astype(
+        dtype.newbyteorder("="))
+
+
 def save_weights(path, kind, model, **fields):
     """Write a self-describing JSON model file: ``kind``, the ``fields`` that
-    are not None, and ``model.params()`` under "weights" as row-major
-    float64 lists."""
+    are not None, and ``model.params()`` under "weights" in the form of
+    ``encode_array``."""
     payload = {name: value for name, value in fields.items() if value is not None}
-    payload.update(kind=kind, weights={name: value.tolist() for name, value
+    payload.update(kind=kind, weights={name: encode_array(value) for name, value
                                        in model.params().items()})
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
 def load_weights(path, kind, build):
-    """``build(payload)`` of the JSON model file of ``kind`` at ``path``;
-    raises ModelError for a file that is not a complete, well-formed model
-    of that kind."""
+    """``build(payload)`` of the JSON model file of ``kind`` at ``path``, with
+    "weights" decoded to arrays; raises ModelError for a file that is not a
+    complete, well-formed model of that kind."""
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
         if payload.get("kind") != kind:
             raise ModelError(f"{path} is not a {kind} model file")
+        payload["weights"] = {name: decode_array(name, entry) for name, entry
+                              in payload["weights"].items()}
         return build(payload)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ModelError(f"{path} is not a valid {kind} model file: "

@@ -19,8 +19,9 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .errors import EmptyDatasetError, ModelError
-from .optim import (TrainConfig, check_weights, fan_in_uniform, load_weights,
-                    minibatch_epochs, save_weights)
+from .optim import (COUNT, FRACTION, NON_NEGATIVE, TrainConfig, check_weights,
+                    fan_in_uniform, is_number, load_weights, minibatch_epochs,
+                    save_weights)
 
 BCE_EPS = 1e-7
 CONFIDENCE_SCALE = 3.0  # matrix values {0..3} -> [0, 1]
@@ -82,6 +83,20 @@ class RouterTrainConfig(TrainConfig):
     dropout_rate: float = 0.1
     learning_rate: float = 1e-3
     entity_loss_weights: tuple = ()  # optional per-entity weights in the BCE mean
+
+    def rules(self):
+        # The router has no per-backend default, so learning_rate is required.
+        return {**super().rules(), "learning_rate": NON_NEGATIVE,
+                "hidden_dim": COUNT, "dropout_rate": FRACTION}
+
+    def __post_init__(self):
+        super().__post_init__()
+        weights = self.entity_loss_weights
+        if not (isinstance(weights, (list, tuple))
+                and all(is_number(w) and w >= 0 for w in weights)
+                and (not weights or sum(weights) > 0)):
+            raise ModelError("entity_loss_weights must be numbers >= 0 with a "
+                             f"positive sum, got {weights!r}")
 
 
 def _dropout_mask(rng, shape, rate):
@@ -242,7 +257,8 @@ def select_top_k(model, X, k):
 # ---------------------------------------------------------------------------
 
 def save_router(path, model, loss_history=None):
-    """Self-describing JSON container; weights as row-major float64 lists."""
+    """Self-describing JSON container; weights in ``optim.encode_array``
+    form."""
     save_weights(path, "router", model, d=model.input_dim, h=model.hidden_dim,
                  P=model.persona_count, persona_ids=model.persona_ids,
                  registry_hash=model.registry_hash,

@@ -22,6 +22,7 @@ from querydistill.classifier import (ClassifierModel, ClassifierTrainConfig,
 from querydistill.errors import (EmptyDatasetError, MissingEmbeddingError,
                                  ModelError, NanLossError)
 from querydistill.features import HashedNgramEmbedder, PrecomputedEmbedder
+from querydistill.optim import AdamW, encode_array
 from querydistill.synth import synth_gazetteer, synth_queries, synth_registry
 
 
@@ -452,6 +453,54 @@ def test_classifier_file_round_trip(tmp_path):
                           predict_probs(model, "q", backend=backend))
 
 
+class TestFloat32Heads:
+    def trained(self):
+        registry, records, labels = make_corpus(60, seed=4)
+        train = labeled_queries(records[:45], labels)
+        dev = labeled_queries(records[45:], labels)
+        backend = HashedNgramEmbedder(dim=32, seed=0)
+        model, _ = train_classifier(train, dev, ClassifierTrainConfig(
+            epochs=2, seed=3), registry, backend=backend)
+        return model, train, backend
+
+    def test_training_keeps_parameters_grads_and_moments_float32(self):
+        model, train, backend = self.trained()
+        assert {v.dtype for v in model.params().values()} == {np.dtype(np.float32)}
+        X = backend.encode_batch(train.texts[:8])
+        assert X.dtype == np.float64  # heads_forward casts it, not the weights
+        _, grads = classifier_loss_and_grads(
+            model, X, train.labels[:8].astype(np.float32))
+        assert {g.dtype for g in grads.values()} == {np.dtype(np.float32)}
+        optimizer = AdamW(model.params(), 1e-3, weight_decay=0.01,
+                          decay_params=("U1", "U2"))
+        optimizer.step(grads)
+        for name, param in model.params().items():
+            assert param.dtype == np.float32
+            assert optimizer._m[name].dtype == np.float32
+            assert optimizer._v[name].dtype == np.float32
+        assert predict_probs(model, train.texts[0], backend=backend).dtype \
+            == np.float32
+
+    def test_float64_model_stays_float64(self):
+        model = random_model(D=8, m=4, E=2)
+        X = np.random.default_rng(0).normal(size=(3, 8)).astype(np.float32)
+        logits, _ = heads_forward(model, X)
+        assert logits.dtype == np.float64
+        assert model.U1.dtype == np.float64
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_file_round_trip_is_bit_identical(self, tmp_path, dtype):
+        model = random_model(D=8, m=4, E=2, seed=31)
+        model = dataclasses.replace(model, **{
+            name: value.astype(dtype) for name, value in model.params().items()})
+        save_classifier(tmp_path / "clf.json", model)
+        loaded = load_classifier(tmp_path / "clf.json")
+        for name, value in model.params().items():
+            assert getattr(loaded, name).dtype == dtype
+            assert getattr(loaded, name).tobytes() == value.tobytes()
+        assert loaded.thresholds.tobytes() == model.thresholds.tobytes()
+
+
 class TestLoadTimeChecks:
     def test_head_shapes_must_match_exactly(self):
         model = random_model(D=8, m=4, E=2)
@@ -481,7 +530,7 @@ class TestLoadTimeChecks:
         path = tmp_path / "clf.json"
         save_classifier(path, model)
         payload = json.loads(path.read_text())
-        payload["weights"][name] = bad.tolist()
+        payload["weights"][name] = encode_array(bad)
         path.write_text(json.dumps(payload))
         with pytest.raises(ModelError, match=name):
             load_classifier(path)
@@ -491,11 +540,20 @@ class TestLoadTimeChecks:
         save_classifier(path, random_model(D=8, m=4, E=2))
         text = path.read_text()
         payload = json.loads(text)
+        c1 = payload["weights"]["c1"]
+
+        def with_c1(**entry):
+            return json.dumps(dict(payload, weights=dict(
+                payload["weights"], c1=dict(c1, **entry))))
+
         for content in (text[:len(text) // 2], "", "[1, 2]",
                         json.dumps({"kind": "classifier"}),
                         json.dumps(dict(payload, weights=[])),
                         json.dumps(dict(payload, backend=[])),
-                        json.dumps(dict(payload, thresholds="high"))):
+                        json.dumps(dict(payload, thresholds="high")),
+                        with_c1(data="not base64!"),
+                        with_c1(data=c1["data"][:-8]),
+                        with_c1(dtype="|O")):
             path.write_text(content)
             with pytest.raises(ModelError):
                 load_classifier(path)

@@ -1,8 +1,10 @@
+import types
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from querydistill.optim import AdamW
+from querydistill.optim import AdamW, check_weights
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -28,3 +30,14 @@ def test_step_matches_allocating_oracle_bit_for_bit(seed, steps, weight_decay,
             0.9, 0.999, 1e-8, ("W",))
     for name in shapes:
         assert ours[name].tobytes() == reference[name].tobytes()
+
+
+def test_check_weights_keeps_float32_and_makes_the_rest_float64():
+    model = types.SimpleNamespace(
+        a=np.ones(2, dtype=np.float32), b=np.ones(2, dtype=np.float16),
+        c=[[1, 2]], d=np.ones(2, dtype=np.int64))
+    model.params = lambda: {k: getattr(model, k) for k in "abcd"}
+    check_weights(model)
+    assert [model.params()[k].dtype for k in "abcd"] == [
+        np.float32, np.float64, np.float64, np.float64]
+

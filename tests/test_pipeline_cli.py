@@ -6,6 +6,7 @@ import re
 import shutil
 import socket
 
+import numpy as np
 import pytest
 
 from querydistill import cli, llm_client
@@ -730,6 +731,68 @@ class TestServe:
             server.shutdown()
             server.server_close()
 
+    def test_tcp_garbage_lines_keep_connection(self, served_model):
+        state = ServeState(served_model[0])
+        server = serve_tcp(state, port=0)
+        import threading
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            host, port = server.server_address
+            with socket.create_connection((host, port), timeout=5) as conn:
+                conn.sendall(b"\xff\xfe\xc3(\n\x00\ncomedy movies\n")
+                data = b""
+                while data.count(b"\n") < 3:
+                    chunk = conn.recv(4096)
+                    assert chunk, "server closed the connection"
+                    data += chunk
+            replies = [json.loads(line) for line in data.decode().splitlines()]
+            assert len(replies) == 3
+            assert all(isinstance(reply, dict) for reply in replies)
+            expected = json.loads(state.respond("comedy movies"))
+            del replies[-1]["latency_us"], expected["latency_us"]
+            assert replies[-1] == expected
+        finally:
+            server.shutdown()
+            server.server_close()
+
+    def test_served_labels_match_the_eval_stage(self, tmp_path):
+        # Serving scores one query at a time, the eval stage a batch; both
+        # must pick the same labels from the float32 heads.
+        from querydistill.personas import annotation_levels
+        workspace = tmp_path / "c"
+        assert cli.main(["synth", "--out", str(workspace), "--count", "200"]) == 0
+        assert cli.main(["pipeline", "-c", str(workspace / "config.json")]) == 0
+        out = workspace / "out"
+        with open(out / "split.jsonl") as fh:
+            test_ids = {r["id"] for r in map(json.loads, list(fh)[1:])
+                        if r["part"] == "test"}
+        records = [r for r in read_queries(str(workspace / "queries.tsv"))
+                   if r.id in test_ids]
+        assert len(records) == len(test_ids) > 0
+        texts = [r.text for r in records]
+        state = ServeState(str(out / "classifier.json"))
+        model = state.model
+        served = [{label["entity"] for label in
+                   json.loads(state.respond(text))["labels"]} for text in texts]
+        batch = predict_probs_batch(model, texts) >= model.thresholds
+        assert served == [{e for e, on in zip(model.entity_ids, row) if on}
+                          for row in batch]
+        # The served labels also give the eval stage's confusion counts.
+        registry = load_registry(str(workspace / "registry.jsonl"))
+        gold = load_gold(str(workspace / "gold.jsonl"), records)
+        reference = annotation_levels([gold[r.id] for r in records],
+                                      registry) > 0
+        with open(out / "eval.jsonl") as fh:
+            rows = {r["entity"]: r for r in map(json.loads, fh)
+                    if r["system"] == "classifier" and not r["weighted"]}
+        for col, entity in enumerate(registry.ids):
+            pred = np.array([entity in labels for labels in served])
+            gold_col = reference[:, col]
+            assert (rows[entity]["tp"], rows[entity]["fp"], rows[entity]["fn"]) \
+                == ((pred & gold_col).sum(), (pred & ~gold_col).sum(),
+                    (~pred & gold_col).sum())
+
     def test_serve_started_with_sigint_ignored_ends_on_sigint(
             self, served_model):
         # A background job of a non-interactive shell starts with SIGINT
@@ -854,10 +917,23 @@ class TestConfigSurfaces:
         ("classifier", {"epochs": 0}, "error: epochs must be >= 1, got 0"),
         ("classifier", {"learning_rate": -1e-3},
          "error: learning_rate must be >= 0, got -0.001"),
+        ("classifier", {"batch_size": 0},
+         "error: batch_size must be >= 1, got 0"),
+        ("classifier", {"head_dim": 0}, "error: head_dim must be >= 1, got 0"),
+        ("classifier", {"beta1": 1.0},
+         "error: beta1 must be in [0, 1), got 1.0"),
+        ("router", {"dropout_rate": 1.0},
+         "error: dropout_rate must be in [0, 1), got 1.0"),
+        ("classifier", {"patience": -1},
+         "error: patience must be >= 1, got -1"),
+        ("router", {"epochs": "5"},
+         "error: epochs must be an integer, got '5'"),
     ], ids=["prompt_variant", "min_confidence", "persona_k", "persona_k-str",
             "http-timeout", "http-without-url", "mock-noise-rate",
             "embedding_dim-str", "aggregation_threshold-bool", "ratios-two",
-            "router-epochs", "classifier-epochs", "classifier-learning_rate"])
+            "router-epochs", "classifier-epochs", "classifier-learning_rate",
+            "classifier-batch_size", "classifier-head_dim", "classifier-beta1",
+            "router-dropout_rate", "classifier-patience", "router-epochs-str"])
     def test_config_value_fails_before_any_stage(self, tmp_path, capsys,
                                                  key, value, message):
         config_path = build_workspace(tmp_path, count=60)

@@ -12,6 +12,7 @@ from querydistill import router as router_mod
 from querydistill.errors import (EmptyDatasetError, MissingEmbeddingError,
                                  ModelError, NanLossError)
 from querydistill.features import HashedNgramEmbedder, PrecomputedEmbedder
+from querydistill.optim import encode_array
 from querydistill.personas import aggregate_ensemble, sample_personas
 from querydistill.router import (RouterModel, RouterTrainConfig, load_router,
                                  predict_entities, router_forward,
@@ -254,11 +255,22 @@ class TestTrainRouter:
         save_router(path, zero_model())
         text = path.read_text()
         payload = json.loads(text)
-        ragged = dict(payload, weights=dict(payload["weights"], W1=[[0.0], []]))
+        W1 = payload["weights"]["W1"]
+
+        def with_W1(value):
+            return json.dumps(dict(payload, weights=dict(payload["weights"],
+                                                         W1=value)))
+
         for content in (text[:len(text) // 2], "", "[1, 2]",
                         json.dumps({"kind": "router"}),
                         json.dumps(dict(payload, weights=[])),
-                        json.dumps(ragged)):
+                        with_W1([[0.0], []]),  # the list form is not read
+                        with_W1(dict(W1, data="not base64!")),
+                        with_W1(dict(W1, data=W1["data"][:-8])),
+                        with_W1(dict(W1, dtype="|O")),
+                        with_W1(dict(W1, dtype=">f8")),
+                        with_W1(dict(W1, shape=[4, -3])),
+                        with_W1(dict(W1, data=None))):
             path.write_text(content)
             with pytest.raises(ModelError):
                 load_router(path)
@@ -277,7 +289,7 @@ class TestLoadTimeChecks:
         path = tmp_path / "router.json"
         save_router(path, model)
         payload = json.loads(path.read_text())
-        payload["weights"][name] = bad.tolist()
+        payload["weights"][name] = encode_array(bad)
         path.write_text(json.dumps(payload))
         with pytest.raises(ModelError, match=name):
             load_router(path)
