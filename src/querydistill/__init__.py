@@ -20,12 +20,12 @@ from .evaluation import (EvalReport, MetricCell, compute_metrics,
 from .features import HashedNgramEmbedder, PrecomputedEmbedder
 from .llm_client import (AnnotationFailure, AnnotatorHandle, HttpEndpointConfig,
                          MockConfig, ResponseCache, annotate_batch,
-                         mock_annotate, mock_handle)
+                         mock_annotate, mock_handle, prompt_keys)
 from .personas import (Persona, aggregate_ensemble, build_confidence_matrix,
                        default_personas, load_personas)
 from .pipeline import RunConfig, load_run_config, run_pipeline
-from .prompting import (PromptConfig, PromptText, PromptVariant, build_prompt,
-                        parse_response)
+from .prompting import (PromptConfig, PromptFrame, PromptText, PromptVariant,
+                        build_prompt, parse_response)
 from .router import (RouterModel, RouterTrainConfig, load_router,
                      predict_entities, router_forward, save_router,
                      select_top_k, train_router)

@@ -88,14 +88,31 @@ def annotation_from_json(record):
 
 
 def write_annotation_store(path, store, annotator=""):
-    """Write {query_id: Annotation} (or {(query_id, persona_id): ...}) as JSONL."""
-    lines = []
-    for key in sorted(store, key=_store_key):
-        qid, pid = key if isinstance(key, tuple) else (key, None)
-        lines.append(_SORTED_JSON.encode(
-            annotation_to_json(store[key], qid, annotator, pid)) + "\n")
+    """Write {query_id: Annotation} (or {(query_id, persona_id): ...}) as JSONL.
+
+    Each line is ``json.dumps(annotation_to_json(...), sort_keys=True)``,
+    assembled from parts: the entities and warnings are encoded once per
+    distinct annotation body, since many queries share one. The parts follow
+    the sorted key order annotator, entities, id, persona, warnings.
+    """
+    encode = _SORTED_JSON.encode
+    head = '{"annotator": ' + encode(annotator) + ', "entities": '
+    bodies = {}
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(lines)
+        for key in sorted(store, key=_store_key):
+            qid, pid = key if isinstance(key, tuple) else (key, None)
+            annotation = store[key]
+            body_key = (tuple(annotation.entities.items()), annotation.warnings)
+            body = bodies.get(body_key)
+            if body is None:
+                record = annotation_to_json(annotation, qid)
+                body = bodies[body_key] = (
+                    encode(record["entities"]),
+                    ', "warnings": ' + encode(record["warnings"])
+                    if "warnings" in record else "")
+            entities, warnings = body
+            fh.write(f'{head}{entities}, "id": {encode(qid)}, '
+                     f'"persona": {encode(pid)}{warnings}}}\n')
 
 
 def read_annotation_store(path):

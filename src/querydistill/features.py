@@ -106,18 +106,16 @@ def hashed_ngram_matrices(texts, seed, dims):
     each distinct n-gram is digested once and each dim costs one
     ``np.bincount``. Every entry is a sum of +-1.0, so the sums and norms
     are exact and each row is bit-identical to ``embed``'s."""
-    grams, lengths = [], []
+    # ``codes`` gives each n-gram occurrence the index of its distinct
+    # n-gram, in order of first sight.
+    index, codes, lengths = {}, [], []
     for text in texts:
         if not text.strip():
             raise ValueError("cannot embed empty text")
         text_grams = HashedNgramEmbedder.ngrams(text)
-        grams += text_grams
+        codes += [index.setdefault(gram, len(index)) for gram in text_grams]
         lengths.append(len(text_grams))
-    # ``codes`` gives each n-gram occurrence the index of its distinct
-    # n-gram, in order of first sight.
-    index = {gram: code for code, gram in enumerate(dict.fromkeys(grams))}
-    codes = np.fromiter(map(index.__getitem__, grams), dtype=np.intp,
-                        count=len(grams))
+    codes = np.array(codes, dtype=np.intp)
     key = int(seed).to_bytes(8, "little")
     digests = np.frombuffer(b"".join(_digest(gram, key) for gram in index),
                             dtype="<u8")

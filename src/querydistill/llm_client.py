@@ -5,8 +5,10 @@ positionally aligned with the prompts, transient failures are retried with
 exponential backoff (or after a 429 or 503's ``Retry-After`` seconds, up to
 ``RETRY_AFTER_CAP``), permanent failures become failure records instead of
 aborting the batch, and every successful response is appended to an
-on-disk response log keyed by digest(prompt text + model name). A completed
-batch re-run against the same cache performs zero annotator calls.
+on-disk response log keyed by digest(model name + prompt text). Prompts come
+as (``PromptFrame``, query) pairs and the keys from each frame's hash state,
+so only an HTTP request renders a prompt's text. A completed batch re-run
+against the same cache performs zero annotator calls.
 
 The mock annotator is a gazetteer lookup with optional persona biases,
 seeded confidence noise, and prompt-section awareness (entries marked
@@ -426,13 +428,36 @@ def _retry_after(response):
     return min(float(value), RETRY_AFTER_CAP)
 
 
+def prompt_keys(prompts, model_name):
+    """``ResponseCache.key(frame.render(query).text, model_name)`` of each
+    ``(PromptFrame, query)`` pair, without rendering the text: each frame's
+    hash state after the model name and its text up to the first query is
+    made once, and a copy of it absorbs the query and the later pieces."""
+    prefixes = {}
+    for frame, query in prompts:
+        if frame not in prefixes:
+            prefixes[frame] = (
+                hashlib.sha256(model_name.encode("utf-8") + b"\x00"
+                               + frame.pieces[0].encode("utf-8")),
+                [piece.encode("utf-8") for piece in frame.pieces[1:]])
+        prefix, rest = prefixes[frame]
+        state = prefix.copy()
+        query = query.encode("utf-8")
+        for piece in rest:
+            state.update(query)
+            state.update(piece)
+        yield state.hexdigest()
+
+
 def annotate_batch(handle, prompts, cache=None):
-    """Annotate ``PromptText`` prompts; returns responses aligned with the
-    prompt order.
+    """Annotate ``(PromptFrame, query)`` pairs; returns responses aligned
+    with the pair order.
 
     Each element is either the raw response string or an AnnotationFailure.
     Successful responses are written to ``cache`` (when given) and served
-    from it on re-runs without touching the annotator.
+    from it on re-runs without touching the annotator. Cache keys come from
+    ``prompt_keys`` and the mock reads only the query, persona and sections,
+    so a prompt's text is rendered only when an HTTP request sends it.
     """
     if not prompts:
         raise ValueError("annotate_batch got no prompts")
@@ -444,23 +469,23 @@ def annotate_batch(handle, prompts, cache=None):
     model_name = handle.model_name
     results = [None] * len(prompts)
     pending = []
-    for index, prompt in enumerate(prompts):
-        key = ResponseCache.key(prompt.text, model_name)
+    keys = prompt_keys(prompts, model_name)
+    for index, ((frame, query), key) in enumerate(zip(prompts, keys)):
         cached = cache.get(key) if cache is not None else None
         if cached is not None:
             handle.stats.count("cache_hits")
             results[index] = cached
         else:
-            pending.append((index, prompt, key))
+            pending.append((index, frame, query, key))
 
     if not pending:
         return results
 
     if handle.kind == "mock":
-        for index, prompt, key in pending:
+        for index, frame, query, key in pending:
             handle.stats.count("calls")
-            response = mock_annotate(handle, prompt.query, prompt.persona_id,
-                                     prompt.sections)
+            response = mock_annotate(handle, query, frame.persona_id,
+                                     frame.sections)
             if cache is not None:
                 cache.put(key, response)
             results[index] = response
@@ -472,9 +497,9 @@ def annotate_batch(handle, prompts, cache=None):
     session = requests.Session()
 
     def worker(item):
-        index, prompt, key = item
-        response, attempts, error = _http_call(handle, prompt.text, limiter,
-                                               session)
+        index, frame, query, key = item
+        response, attempts, error = _http_call(
+            handle, frame.render(query).text, limiter, session)
         if error is not None:
             handle.stats.count("failures")
             return index, AnnotationFailure(index=index, error=error, attempts=attempts)

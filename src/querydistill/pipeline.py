@@ -40,7 +40,7 @@ from .features import (EncodedTexts, HashedNgramEmbedder,
                        hashed_ngram_matrices)
 from .llm_client import (AnnotationFailure, AnnotatorHandle, HttpEndpointConfig,
                          MockConfig, ResponseCache, annotate_batch,
-                         mock_handle)
+                         mock_handle, prompt_keys)
 from .taxonomy import load_registry
 
 PERSONA_MODES = ("none", "random", "router")
@@ -218,26 +218,36 @@ def _digest_file(path):
     return h.hexdigest()
 
 
-def response_annotation(registry, response, stats, discard=None):
-    """Annotation for one annotator response or ``AnnotationFailure``.
+def response_annotations(registry, responses):
+    """Annotation for each annotator response or ``AnnotationFailure``, and
+    the indices of the unparseable responses.
 
-    A failed call or an unparseable response becomes an empty annotation
-    carrying a warning, so one bad response stays that query's failure.
-    Unparseable responses are counted in ``stats["unparseable_responses"]``
-    and passed to ``discard()`` (the annotate stage drops them from the
-    response cache, so the next run asks again); failed calls are already
-    counted by the handle.
+    Each distinct response text is parsed once, and equal texts share one
+    Annotation. A failed call or an unparseable response becomes an empty
+    annotation carrying a warning, so one bad response stays that prompt's
+    failure. The annotate stage counts the unparseable ones and drops them
+    from the response cache, so the next run asks again; failed calls are
+    already counted by the handle.
     """
-    if isinstance(response, AnnotationFailure):
-        return Annotation(
-            entities={}, warnings=(f"annotator failure: {response.error}",))
-    try:
-        return prompting_mod.parse_response(registry, response)
-    except UnparseableResponseError as exc:
-        stats["unparseable_responses"] += 1
-        if discard is not None:
-            discard()
-        return Annotation(entities={}, warnings=(f"unparseable response: {exc}",))
+    parsed = {}
+    annotations, unparseable = [], []
+    for index, response in enumerate(responses):
+        if isinstance(response, AnnotationFailure):
+            annotations.append(Annotation(
+                entities={}, warnings=(f"annotator failure: {response.error}",)))
+            continue
+        if response not in parsed:
+            try:
+                parsed[response] = (
+                    prompting_mod.parse_response(registry, response), False)
+            except UnparseableResponseError as exc:
+                parsed[response] = (Annotation(
+                    entities={}, warnings=(f"unparseable response: {exc}",)), True)
+        annotation, failed = parsed[response]
+        annotations.append(annotation)
+        if failed:
+            unparseable.append(index)
+    return annotations, unparseable
 
 
 def load_gold(path, records):
@@ -266,6 +276,11 @@ class _Run:
         self.registry = load_registry(config.registry_path)
         self.router_config = router_mod.RouterTrainConfig(
             **{"seed": config.seed, **config.router})
+        weights = self.router_config.entity_loss_weights
+        if weights and len(weights) != len(self.registry):
+            raise PipelineConfigError(
+                f"entity_loss_weights length {len(weights)} != "
+                f"{len(self.registry)} entities")
         self.classifier_config = classifier_mod.ClassifierTrainConfig(
             **{"seed": config.seed, **config.classifier})
         self.personas = (personas_mod.load_personas(config.personas_path)
@@ -328,22 +343,20 @@ def _annotate(run):
         registry_hash=registry.hash,
         max_icl_examples_per_entity=config.max_icl_examples,
     )
-    prompts = []
-    keys = []
-    for record in run.records:
-        for persona in (run.personas or [None]):
-            prompts.append(prompting_mod.build_prompt(
-                prompt_config, registry, record.text, persona))
-            keys.append((record.id, persona.id if persona else None))
+    frames = [prompting_mod.PromptFrame(prompt_config, registry, persona)
+              for persona in (run.personas or [None])]
+    prompts = [(frame, record.text) for record in run.records
+               for frame in frames]
     model_name = run.handle.model_name
     with ResponseCache(config.cache_dir) as cache:
-        responses = annotate_batch(run.handle, prompts, cache=cache)
-        run.annotations = {
-            key: response_annotation(
-                registry, response, run.stats,
-                discard=lambda: cache.discard(
-                    ResponseCache.key(prompt.text, model_name)))
-            for key, prompt, response in zip(keys, prompts, responses)}
+        annotations, unparseable = response_annotations(
+            registry, annotate_batch(run.handle, prompts, cache=cache))
+        for key in prompt_keys([prompts[i] for i in unparseable], model_name):
+            cache.discard(key)
+    run.annotations = dict(zip(
+        ((record.id, frame.persona_id or None)
+         for record in run.records for frame in frames), annotations))
+    run.stats["unparseable_responses"] = len(unparseable)
     run.stats["annotator_calls"] = run.handle.stats.calls
     run.stats["cache_hits"] = run.handle.stats.cache_hits
     run.stats["annotator_failures"] = run.handle.stats.failures

@@ -9,11 +9,14 @@ front any variant.
 Prompt prose lives in a versioned template file with named placeholders
 ({query}, {persona}, {entity_definitions}, {cot_steps}, {icl_block},
 {confidence_instruction}); swap the file to change wording without touching
-code.
+code. A ``PromptFrame`` fills in every field but ``{query}`` once per persona,
+so a run renders a prompt's text only when it sends it.
 """
 
 import enum
 import functools
+import re
+import string
 from dataclasses import dataclass
 from importlib import resources
 
@@ -46,16 +49,10 @@ class PromptConfig:
 
 @dataclass(frozen=True)
 class PromptText:
-    """A fully rendered prompt plus the section tags it actually contains.
-
-    ``query`` and ``persona_id`` echo the inputs so downstream consumers
-    (cache keys, the mock annotator) need not re-parse the text.
-    """
+    """A fully rendered prompt plus the section tags it actually contains."""
 
     text: str
     sections: tuple
-    query: str = ""
-    persona_id: str = ""
 
 
 @functools.cache
@@ -102,59 +99,97 @@ _CONFIDENCE_INSTRUCTION = (
 )
 
 
-def build_prompt(config, registry, query, persona=None, template=None):
-    """Render the prompt for one query. Pure: identical inputs give
-    byte-identical text.
+class PromptFrame:
+    """One persona's prompt with every template field but ``{query}`` filled
+    in, so the prompts of a run share one frame per persona.
+
+    ``pieces`` is the filled-in template split at its ``{query}`` fields (one
+    more piece than fields): a prompt's text is the pieces joined by the
+    query. The split comes from ``string.Formatter().parse``, not from a
+    sentinel, so a field value that contains the text ``{query}`` stays
+    literal. A ``{query}`` field with a conversion, a format spec, an
+    attribute or an index is rejected here with ValueError.
 
     Section order: persona preamble (if any), task instruction, entity
     definitions, reasoning steps (variant >= CONFIDENCE_COT), in-context
     examples (variant == CONFIDENCE_COT_ICL), confidence instruction
     (variant >= CONFIDENCE), output format, query.
     """
-    if not query.strip():
-        raise ValueError("query is empty")
-    if config.registry_hash and config.registry_hash != registry.hash:
-        raise ModelError(
-            f"prompt config pinned to registry {config.registry_hash[:12]}..., "
-            f"got {registry.hash[:12]}...")
 
-    variant = config.variant
-    sections = []
-    parts = {"query": query, "entity_definitions": _entity_definitions(registry)}
+    def __init__(self, config, registry, persona=None, template=None):
+        if config.registry_hash and config.registry_hash != registry.hash:
+            raise ModelError(
+                f"prompt config pinned to registry {config.registry_hash[:12]}..., "
+                f"got {registry.hash[:12]}...")
+        variant = config.variant
+        sections = []
+        parts = {"entity_definitions": _entity_definitions(registry)}
 
-    if persona is not None:
-        parts["persona"] = persona.description.rstrip() + "\n\n"
-        sections.append("persona")
-    else:
-        parts["persona"] = ""
-    sections.extend(["instruction", "entity_definitions"])
+        if persona is not None:
+            parts["persona"] = persona.description.rstrip() + "\n\n"
+            sections.append("persona")
+        else:
+            parts["persona"] = ""
+        sections.extend(["instruction", "entity_definitions"])
 
-    if variant >= PromptVariant.CONFIDENCE_COT:
-        parts["cot_steps"] = _cot_steps(registry) + "\n\n"
-        sections.append("cot")
-    else:
-        parts["cot_steps"] = ""
+        if variant >= PromptVariant.CONFIDENCE_COT:
+            parts["cot_steps"] = _cot_steps(registry) + "\n\n"
+            sections.append("cot")
+        else:
+            parts["cot_steps"] = ""
 
-    if variant >= PromptVariant.CONFIDENCE_COT_ICL:
-        parts["icl_block"] = _icl_block(registry, config.max_icl_examples_per_entity) + "\n\n"
-        sections.append("icl")
-    else:
-        parts["icl_block"] = ""
+        if variant >= PromptVariant.CONFIDENCE_COT_ICL:
+            parts["icl_block"] = _icl_block(registry, config.max_icl_examples_per_entity) + "\n\n"
+            sections.append("icl")
+        else:
+            parts["icl_block"] = ""
 
-    if variant >= PromptVariant.CONFIDENCE:
-        parts["confidence_instruction"] = _CONFIDENCE_INSTRUCTION + "\n\n"
-        sections.append("confidence")
-    else:
-        parts["confidence_instruction"] = ""
+        if variant >= PromptVariant.CONFIDENCE:
+            parts["confidence_instruction"] = _CONFIDENCE_INSTRUCTION + "\n\n"
+            sections.append("confidence")
+        else:
+            parts["confidence_instruction"] = ""
 
-    sections.extend(["output_format", "query"])
-    text = (template if template is not None else _default_template()).format(**parts)
-    return PromptText(
-        text=text,
-        sections=tuple(sections),
-        query=query,
-        persona_id=persona.id if persona is not None else "",
-    )
+        sections.extend(["output_format", "query"])
+        self.sections = tuple(sections)
+        self.persona_id = persona.id if persona is not None else ""
+        self.pieces = _fill_around_query(
+            template if template is not None else _default_template(), parts)
+
+    def render(self, query):
+        """The prompt for one query. Pure: identical inputs give
+        byte-identical text."""
+        if not query.strip():
+            raise ValueError("query is empty")
+        return PromptText(text=query.join(self.pieces), sections=self.sections)
+
+
+def _fill_around_query(template, parts):
+    """``template.format(query=..., **parts)`` split at its ``{query}``
+    fields: each stretch between them, its literals re-escaped and its other
+    fields rebuilt as written, is formatted on its own."""
+    pieces, stretch = [], []
+    for literal, name, spec, conversion in string.Formatter().parse(template):
+        stretch.append(literal.replace("{", "{{").replace("}", "}}"))
+        if name is None:
+            continue
+        field = ("{" + name + ("!" + conversion if conversion else "")
+                 + (":" + spec if spec else "") + "}")
+        if re.match(r"query(?![^.\[])", name) is None:
+            stretch.append(field)
+        elif field != "{query}":
+            raise ValueError(f"template field {field}: only a bare {{query}} "
+                             "field is supported")
+        else:
+            pieces.append("".join(stretch).format(**parts))
+            stretch = []
+    pieces.append("".join(stretch).format(**parts))
+    return tuple(pieces)
+
+
+def build_prompt(config, registry, query, persona=None, template=None):
+    """Render the prompt for one query: ``PromptFrame(...).render(query)``."""
+    return PromptFrame(config, registry, persona, template).render(query)
 
 
 def parse_response(registry, raw):

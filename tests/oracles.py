@@ -2,11 +2,20 @@
 
 These stay deliberately naive (triple loops, exhaustive grids, central
 finite differences) and share no code with the library paths they check.
+The two former library forms at the end (one ``str.format`` per prompt,
+one ``json.dumps`` per annotation record) reuse the library's section
+builders and record dict, because what they check is the splitting and
+joining around those parts.
 """
 
+import json
 import random
 
 import numpy as np
+
+from querydistill import prompting
+from querydistill.annotations import annotation_to_json
+from querydistill.prompting import PromptVariant
 
 
 def brute_force_counts(gold_sets, pred_sets, freqs, weighted, entities):
@@ -199,3 +208,41 @@ def per_query_random_ensemble(query_ids, persona_ids, values, k, seed,
         levels.append(ensemble_levels(
             matrix, [persona_ids.index(pid) for pid in ids], threshold))
     return chosen, np.array(levels)
+
+
+def build_prompt_text(config, registry, query, persona=None, template=None):
+    """The prompt text as one ``template.format`` over every field,
+    ``{query}`` included: the renderer before per-persona frames."""
+    variant = config.variant
+    parts = {"query": query,
+             "entity_definitions": prompting._entity_definitions(registry),
+             "persona": "", "cot_steps": "", "icl_block": "",
+             "confidence_instruction": ""}
+    if persona is not None:
+        parts["persona"] = persona.description.rstrip() + "\n\n"
+    if variant >= PromptVariant.CONFIDENCE_COT:
+        parts["cot_steps"] = prompting._cot_steps(registry) + "\n\n"
+    if variant >= PromptVariant.CONFIDENCE_COT_ICL:
+        parts["icl_block"] = prompting._icl_block(
+            registry, config.max_icl_examples_per_entity) + "\n\n"
+    if variant >= PromptVariant.CONFIDENCE:
+        parts["confidence_instruction"] = (
+            prompting._CONFIDENCE_INSTRUCTION + "\n\n")
+    if template is None:
+        template = prompting._default_template()
+    return template.format(**parts)
+
+
+def annotation_store_text(store, annotator=""):
+    """An annotation store's JSONL text with one ``json.dumps`` per record:
+    the writer before per-body encoding."""
+    def sort_key(key):
+        qid, pid = key if isinstance(key, tuple) else (key, None)
+        return qid, pid or ""
+
+    lines = []
+    for key in sorted(store, key=sort_key):
+        qid, pid = key if isinstance(key, tuple) else (key, None)
+        lines.append(json.dumps(annotation_to_json(store[key], qid, annotator,
+                                                   pid), sort_keys=True) + "\n")
+    return "".join(lines)

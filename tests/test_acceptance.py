@@ -30,7 +30,7 @@ from querydistill.llm_client import annotate_batch, mock_annotate, mock_handle
 from querydistill.personas import (aggregate_ensemble, annotation_levels,
                                    level_annotations)
 from querydistill.pipeline import load_run_config, run_pipeline
-from querydistill.prompting import (PromptConfig, PromptVariant, build_prompt,
+from querydistill.prompting import (PromptConfig, PromptFrame, PromptVariant,
                                     parse_response)
 from querydistill.router import (RouterModel, RouterTrainConfig,
                                  router_forward, router_loss_and_grads,
@@ -261,8 +261,8 @@ def test_criterion_6_icl_variant_not_worse_than_baseline_prompt():
     scores = {}
     for variant in (PromptVariant.BASELINE, PromptVariant.CONFIDENCE_COT_ICL):
         config = PromptConfig(variant=variant, registry_hash=registry.hash)
-        prompts = [build_prompt(config, registry, r.text) for r in records]
-        responses = annotate_batch(handle, prompts)
+        frame = PromptFrame(config, registry)
+        responses = annotate_batch(handle, [(frame, r.text) for r in records])
         store = {r.id: parse_response(registry, response)
                  for r, response in zip(records, responses)}
         scores[variant] = compute_metrics(gold_store, store,

@@ -13,15 +13,17 @@ from querydistill.llm_client import (LOG_NAME, RETRY_AFTER_CAP,
                                      HttpEndpointConfig, RateLimiter,
                                      ResponseCache, _http_call, _record,
                                      annotate_batch, mock_annotate, mock_handle)
-from querydistill.prompting import parse_response
+from querydistill.prompting import PromptConfig, PromptFrame, parse_response
+from querydistill.taxonomy import default_registry
 
 
-@dataclass(frozen=True)
-class FakePrompt:
-    text: str
-    sections: tuple = ()
-    query: str = ""
-    persona_id: str = ""
+# A frame whose prompt text is the query itself, so a scripted server
+# answers each prompt by its query.
+BARE_FRAME = PromptFrame(PromptConfig(), default_registry(), template="{query}")
+
+
+def bare_prompts(*queries):
+    return [(BARE_FRAME, query) for query in queries]
 
 
 class ScriptedServer:
@@ -146,8 +148,7 @@ class TestMockAnnotator:
 class TestAnnotateBatchMock:
     def test_three_prompts_three_responses(self, tiny_gazetteer):
         handle = mock_handle(tiny_gazetteer)
-        prompts = [FakePrompt(text=f"p{i}", query=q) for i, q in
-                   enumerate(["comedy movies", "football", "nothing here"])]
+        prompts = bare_prompts("comedy movies", "football", "nothing here")
         results = annotate_batch(handle, prompts)
         assert len(results) == 3
         assert not any(isinstance(r, AnnotationFailure) for r in results)
@@ -157,7 +158,7 @@ class TestAnnotateBatchMock:
     def test_cache_serves_second_run(self, tiny_gazetteer, tmp_path):
         cache = ResponseCache(tmp_path / "cache")
         handle = mock_handle(tiny_gazetteer)
-        prompts = [FakePrompt(text="the prompt", query="comedy movies")]
+        prompts = bare_prompts("comedy movies")
         first = annotate_batch(handle, prompts, cache=cache)
         assert handle.stats.calls == 1
 
@@ -177,7 +178,7 @@ class TestAnnotateBatchHttp:
         server = ScriptedServer({"flaky": [500, 500]})
         try:
             handle = AnnotatorHandle(http_config(server.url, max_retries=3))
-            results = annotate_batch(handle, [FakePrompt(text="flaky")])
+            results = annotate_batch(handle, bare_prompts("flaky"))
             assert results == ["echo:flaky"]
             assert server.requests == ["flaky", "flaky", "flaky"]
             assert handle.stats.calls == 3
@@ -188,7 +189,7 @@ class TestAnnotateBatchHttp:
         server = ScriptedServer({"dead": [500] * 10})
         try:
             handle = AnnotatorHandle(http_config(server.url, max_retries=2))
-            results = annotate_batch(handle, [FakePrompt(text="dead")])
+            results = annotate_batch(handle, bare_prompts("dead"))
             failure = results[0]
             assert isinstance(failure, AnnotationFailure)
             assert failure.attempts == 3
@@ -200,7 +201,7 @@ class TestAnnotateBatchHttp:
         server = ScriptedServer({"bad": [400]})
         try:
             handle = AnnotatorHandle(http_config(server.url, max_retries=5))
-            results = annotate_batch(handle, [FakePrompt(text="bad")])
+            results = annotate_batch(handle, bare_prompts("bad"))
             assert isinstance(results[0], AnnotationFailure)
             assert server.requests == ["bad"]
         finally:
@@ -211,7 +212,7 @@ class TestAnnotateBatchHttp:
         try:
             handle = AnnotatorHandle(http_config(server.url, max_retries=1))
             results = annotate_batch(
-                handle, [FakePrompt(text=t) for t in ("a", "b", "c")])
+                handle, bare_prompts("a", "b", "c"))
             assert results[0] == "echo:a"
             assert isinstance(results[1], AnnotationFailure)
             assert results[1].index == 1
@@ -225,7 +226,7 @@ class TestAnnotateBatchHttp:
             handle = AnnotatorHandle(
                 http_config(server.url, auth_env="QD_TEST_TOKEN_NOT_SET"))
             with pytest.raises(AnnotatorConfigError):
-                annotate_batch(handle, [FakePrompt(text="x")])
+                annotate_batch(handle, bare_prompts("x"))
             assert server.requests == []
         finally:
             server.stop()
@@ -236,7 +237,7 @@ class TestAnnotateBatchHttp:
         server = ScriptedServer({})
         try:
             handle = AnnotatorHandle(http_config(server.url, auth_env="QD_TEST_TOKEN"))
-            results = annotate_batch(handle, [FakePrompt(text="x")])
+            results = annotate_batch(handle, bare_prompts("x"))
             assert results == ["echo:x"]
         finally:
             server.stop()
@@ -249,7 +250,7 @@ class TestAnnotateBatchHttp:
         cache = ResponseCache(tmp_path / "cache")
         try:
             handle = AnnotatorHandle(http_config(server.url, max_retries=1))
-            prompts = [FakePrompt(text=t) for t in ("empty", "latin", "utf8")]
+            prompts = bare_prompts("empty", "latin", "utf8")
             results = annotate_batch(handle, prompts, cache=cache)
             assert isinstance(results[0], AnnotationFailure)
             assert results[0].error == "empty response body"
@@ -272,7 +273,7 @@ class TestAnnotateBatchHttp:
         cache = ResponseCache(tmp_path / "cache")
         try:
             handle = AnnotatorHandle(http_config(server.url))
-            prompts = [FakePrompt(text="one"), FakePrompt(text="two")]
+            prompts = bare_prompts("one", "two")
             annotate_batch(handle, prompts, cache=cache)
             assert len(server.requests) == 2
             annotate_batch(handle, prompts, cache=cache)

@@ -9,7 +9,7 @@ import socket
 import numpy as np
 import pytest
 
-from querydistill import cli, llm_client
+from querydistill import cli, llm_client, prompting
 from querydistill.baseline import lexical_match, load_gazetteer
 from querydistill.classifier import (ClassifierTrainConfig, apply_thresholds,
                                      labeled_queries, load_classifier,
@@ -389,6 +389,79 @@ class TestRunPipeline:
         assert manifests[0] != manifests[1] == manifests[2]
         with open(tmp_path / "out_b" / "annotations.jsonl") as fh:
             assert not any("unparseable response" in line for line in fh)
+
+    def test_one_unparseable_text_under_two_keys_counts_twice(
+            self, tmp_path, monkeypatch):
+        # Each distinct response text is parsed once per run, but every
+        # prompt that got an unparseable one is counted and tombstoned.
+        assert cli.main(["synth", "--out", str(tmp_path), "--count", "200",
+                         "--seed", "7"]) == 0
+        config_path = str(tmp_path / "config.json")
+        run_pipeline(load_run_config(config_path), until="annotate")
+        cache_dir = str(tmp_path / "cache")
+        with open(os.path.join(cache_dir, llm_client.LOG_NAME)) as fh:
+            victims = [fh.readline().split(" ", 1)[0] for _ in range(2)]
+        with llm_client.ResponseCache(cache_dir) as cache:
+            for key in victims:
+                cache.discard(key)
+                cache.put(key, "Sorry, I cannot help with that.")
+        parsed = []
+        parse_response = prompting.parse_response
+
+        def counting_parse(registry, raw):
+            parsed.append(raw)
+            return parse_response(registry, raw)
+
+        monkeypatch.setattr(prompting, "parse_response", counting_parse)
+        result = run_pipeline(load_run_config(config_path), until="annotate")
+        assert result.stats["unparseable_responses"] == 2
+        assert result.stats["annotator_calls"] == 0
+        assert len(parsed) == len(set(parsed)) < result.stats["cache_hits"]
+        assert parsed.count("Sorry, I cannot help with that.") == 1
+        with llm_client.ResponseCache(cache_dir) as cache:
+            assert [cache.get(key) for key in victims] == [None, None]
+        with open(os.path.join(cache_dir, llm_client.LOG_NAME)) as fh:
+            tail = [line.split(" ") for line in fh.read().splitlines()[-2:]]
+        assert [(key, payload) for key, _, payload in tail] == [
+            (victims[0], "null"), (victims[1], "null")]
+
+    def test_annotate_renders_no_prompt_text(self, tmp_path, monkeypatch):
+        # The mock annotator and a warm replay need only each prompt's cache
+        # key, query, persona and sections; perfbench still reads one cache
+        # get per prompt and traces the prompt functions by name.
+        spans = perfbench_spans()
+        for name in ("prompting.build_prompt", "prompting.parse_response",
+                     "llm_client.ResponseCache.get"):
+            assert name in {spans.span_name(*t) for t in spans.TARGETS}
+        assert callable(prompting.build_prompt)
+        assert callable(prompting.parse_response)
+        assert callable(llm_client.ResponseCache.get)
+
+        def no_render(frame, query):
+            raise AssertionError("a prompt's text was rendered")
+
+        gets = []
+        get = llm_client.ResponseCache.get
+
+        def counting_get(cache, key):
+            gets.append(key)
+            return get(cache, key)
+
+        monkeypatch.setattr(prompting.PromptFrame, "render", no_render)
+        monkeypatch.setattr(llm_client.ResponseCache, "get", counting_get)
+        config_path = build_workspace(tmp_path, count=60)
+        cold = run_pipeline(load_run_config(config_path))
+        prompts = cold.stats["annotator_calls"]
+        assert prompts == 3 * len(read_queries(tmp_path / "queries.tsv"))
+        assert len(gets) == prompts
+        gets.clear()
+        warm = run_pipeline(load_run_config(
+            config_path, {"output_dir": str(tmp_path / "warm")}))
+        assert warm.stats["annotator_calls"] == 0
+        assert warm.stats["cache_hits"] == prompts
+        assert len(gets) == prompts
+        assert ((tmp_path / "warm" / "manifest.json").read_bytes()
+                == (tmp_path / "out" / "manifest.json").read_bytes())
 
     def test_legacy_cache_directory_replays_warm(self, tmp_path):
         # A cache in the one-file-per-response layout (<key>.txt, no log)
@@ -928,12 +1001,15 @@ class TestConfigSurfaces:
          "error: patience must be >= 1, got -1"),
         ("router", {"epochs": "5"},
          "error: epochs must be an integer, got '5'"),
+        ("router", {"entity_loss_weights": [1.0]},
+         "error: entity_loss_weights length 1 != 5 entities"),
     ], ids=["prompt_variant", "min_confidence", "persona_k", "persona_k-str",
             "http-timeout", "http-without-url", "mock-noise-rate",
             "embedding_dim-str", "aggregation_threshold-bool", "ratios-two",
             "router-epochs", "classifier-epochs", "classifier-learning_rate",
             "classifier-batch_size", "classifier-head_dim", "classifier-beta1",
-            "router-dropout_rate", "classifier-patience", "router-epochs-str"])
+            "router-dropout_rate", "classifier-patience", "router-epochs-str",
+            "router-entity_loss_weights"])
     def test_config_value_fails_before_any_stage(self, tmp_path, capsys,
                                                  key, value, message):
         config_path = build_workspace(tmp_path, count=60)

@@ -6,11 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import ann
+from oracles import build_prompt_text
 from querydistill.annotations import Annotation, Confidence, render_annotation
 from querydistill.errors import UnparseableResponseError
-from querydistill.personas import default_personas
-from querydistill.prompting import (PromptConfig, PromptVariant, build_prompt,
-                                    parse_response)
+from querydistill.llm_client import ResponseCache, prompt_keys
+from querydistill.personas import Persona, default_personas
+from querydistill.prompting import (PromptConfig, PromptFrame, PromptVariant,
+                                    build_prompt, parse_response)
+from querydistill.synth import synth_registry
 from querydistill.taxonomy import EntityRegistry, default_registry
 
 
@@ -45,7 +48,8 @@ class TestBuildPrompt:
         assert prompt.text.startswith(merchandiser.description)
         assert merchandiser.description.startswith("You are a merchandiser")
         assert prompt.sections[0] == "persona"
-        assert prompt.persona_id == "merchandiser"
+        assert PromptFrame(config(PromptVariant.CONFIDENCE_COT), registry,
+                           merchandiser).persona_id == "merchandiser"
 
     def test_cot_block_one_step_per_entity_plus_none(self, registry):
         prompt = build_prompt(config(PromptVariant.CONFIDENCE_COT), registry,
@@ -105,6 +109,80 @@ class TestBuildPrompt:
         from querydistill.errors import ModelError
         with pytest.raises(ModelError):
             build_prompt(pinned, tiny_registry, "q")
+
+
+# The personas ``querydistill synth`` writes, one whose description holds
+# template syntax that must stay literal, and no persona at all.
+_PERSONAS = [None] + [
+    Persona(id=pid, name=pid.title(), category=category,
+            description=f"You are a {pid} who annotates search queries.")
+    for pid, category in (("generalist", "Expert"),
+                          ("enthusiast", "NicheExpert"),
+                          ("skeptic", "NonDomainExpert"))] + [
+    Persona(id="literal", name="Literal", category="Expert",
+            description="Echo {query} and {{query}} and {persona} verbatim.")]
+
+# The shipped template (None) and custom ones: {query} in the middle,
+# twice, absent, next to escaped braces, and beside other fields' specs.
+_TEMPLATES = [
+    None,
+    "{persona}Query: {query}\n{entity_definitions}\nAnswer:",
+    "{query} | {query}{icl_block}",
+    "{persona}{cot_steps}no query here{confidence_instruction}",
+    "{{{query}}} {{query}} {{{{{query}}}}}{persona!s:>3}",
+    "{query}",
+]
+
+# Queries with non-ASCII text and braces, which must reach the prompt as
+# written. Surrogates are left out: no UTF-8 input decodes to one.
+_QUERIES = st.text(
+    alphabet=st.one_of(st.sampled_from("{}qé漢 \n!:"),
+                       st.characters(blacklist_categories=("Cs",))),
+    min_size=1, max_size=30).filter(str.strip)
+
+
+_SYNTH_REGISTRY = synth_registry()
+
+
+class TestPromptFrame:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(variant=st.sampled_from(list(PromptVariant)),
+           persona=st.sampled_from(_PERSONAS),
+           template=st.sampled_from(_TEMPLATES),
+           query=_QUERIES,
+           model=st.sampled_from(["mock-0123456789ab", "m\u00e9\u6f22", ""]))
+    def test_render_and_key_match_one_format_per_prompt(
+            self, variant, persona, template, query, model):
+        registry = _SYNTH_REGISTRY
+        config = PromptConfig(variant=variant, registry_hash=registry.hash)
+        frame = PromptFrame(config, registry, persona, template)
+        expected = build_prompt_text(config, registry, query, persona,
+                                     template)
+        prompt = frame.render(query)
+        assert prompt.text == expected
+        assert prompt == build_prompt(config, registry, query, persona,
+                                      template)
+        assert frame.persona_id == (persona.id if persona else "")
+        assert list(prompt_keys([(frame, query)] * 2, model)) == [
+            ResponseCache.key(expected, model)] * 2
+
+    @pytest.mark.parametrize("field", ["{query!r}", "{query:>9}",
+                                       "{query!s:}", "{query.upper}",
+                                       "{query[0]}"])
+    def test_query_field_with_conversion_or_spec_is_rejected(self, registry,
+                                                             field):
+        with pytest.raises(ValueError, match="only a bare"):
+            PromptFrame(config(PromptVariant.BASELINE), registry,
+                        template=f"Query: {field}\n")
+
+    def test_field_value_holding_query_text_stays_literal(self, registry):
+        persona = _PERSONAS[-1]
+        frame = PromptFrame(config(PromptVariant.BASELINE), registry, persona)
+        text = frame.render("kids shows").text
+        assert text.startswith("Echo {query} and {{query}} and {persona} "
+                               "verbatim.\n\n")
+        assert text.endswith("Query: kids shows\n")
+        assert len(frame.pieces) == 2
 
 
 # Response lines: entity lines with valid and invalid labels and tokens,
