@@ -192,13 +192,11 @@ def stable_bce(logits, targets):
 
 
 def _sigmoid(z):
-    """Elementwise logistic in the dtype of ``z``, overflow-free."""
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """Elementwise logistic in the dtype of ``z``, overflow-free: with
+    ``e = exp(-|z|)``, ``1 / (1 + e)`` where ``z >= 0``, else ``e / (1 + e)``."""
+    # min(z, -z) is -|z|, but keeps the sign bit of a NaN, as exp(z) does.
+    e = np.exp(np.minimum(z, -z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def heads_forward(model, X):
@@ -279,9 +277,9 @@ def train_classifier(train, dev, config, registry, backend=None):
     lr = config.resolve_learning_rate(backend)
 
     # Features and labels are cast to the heads' float32 once, not per batch.
-    X_train = backend.encode_batch(train.texts).astype(np.float32)
-    Y_train = train.labels.astype(np.float32)
-    X_dev = (backend.encode_batch(dev.texts).astype(np.float32)
+    X_train = np.asarray(backend.encode_batch(train.texts), dtype=np.float32)
+    Y_train = np.asarray(train.labels, dtype=np.float32)
+    X_dev = (np.asarray(backend.encode_batch(dev.texts), dtype=np.float32)
              if len(dev) else None)
     Y_dev = dev.labels if len(dev) else None
 
@@ -384,7 +382,12 @@ def _prf(tp, fp, fn):
 def _sweep(probs, labels):
     """Every candidate threshold, ascending, with the precision, recall and
     F1 of ``prob >= threshold`` at each; one sort per class, O(n log n)."""
-    candidates = np.union1d(probs, (0.0, 1.0))
+    # np.union1d(probs, (0, 1)) for NaN-free probabilities, by its own sort
+    # and adjacent-duplicate mask, without the numpy.ma import it costs.
+    candidates = np.concatenate((probs, (0.0, 1.0)))
+    candidates.sort()
+    candidates = candidates[np.concatenate(
+        ([True], candidates[1:] != candidates[:-1]))]
     positives, negatives = np.sort(probs[labels]), np.sort(probs[~labels])
     tp = positives.size - np.searchsorted(positives, candidates)
     fp = negatives.size - np.searchsorted(negatives, candidates)

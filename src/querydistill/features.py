@@ -17,10 +17,17 @@ its descriptor. ``EncodedTexts`` holds one encoder's matrix for a fixed list
 of texts, and ``hashed_ngram_matrices`` builds the matrices of several
 hashed dims of one seed from one n-gram pass, so a pipeline run extracts
 each text's n-grams once for both of its encoders.
+
+Both hashed paths digest a query window by window (``_windows``) and keep
+each window's joined digests in a ``_WindowMemo``: the embedder's memo is
+bounded and lives as long as the embedder, a batch's memo only for that
+batch.
 """
 
+import functools
 import hashlib
 import json
+import threading
 
 import numpy as np
 
@@ -30,16 +37,116 @@ from .errors import MissingEmbeddingError, ModelError
 NGRAM_SIZES = (3, 4, 5)
 _BOUNDARY_OPEN = "<"
 _BOUNDARY_CLOSE = ">"
-# The bucket memo is cleared when it reaches this many n-grams, so a
-# long-running server fed novel tokens stays bounded in memory. It is a pure
-# memo: a race between server threads can at worst clear it twice.
+# The embedder's window memo is cleared when its size would pass this
+# limit, so a long-running server fed novel tokens stays bounded in memory.
+# A window counts as its n-gram count plus WINDOW_KEY_CHARGE, so that
+# windows of few n-grams cannot pile up: a window's key string, bytes
+# header and dict slot take about 130 bytes, so even a window of one
+# n-gram holds at most about 26 bytes per counted unit. A window counting
+# more than the limit is encoded but not kept.
 BUCKET_CACHE_LIMIT = 1 << 16
+WINDOW_KEY_CHARGE = 4
 
 
 def _digest(ngram, key):
     """The n-gram's 8-byte blake2b digest keyed by ``key``."""
     return hashlib.blake2b(ngram.encode("utf-8"), digest_size=8,
                            key=key).digest()
+
+
+def _windows(text):
+    """Each token window of the padded, normalized text, with the length
+    of its head.
+
+    A head is one separator (the opening marker for the first token, a
+    space for the others) and one token; its window adds the next <= 4
+    characters of the padded text. Every 3-5-gram starts in exactly one
+    head and ends inside its window. The head ends before the window's
+    first space after its first character or, with none, before its last
+    character (the closing marker), so a window's n-grams depend on the
+    window string alone, and the string keys the memo.
+    """
+    if not text.strip():
+        raise ValueError("cannot embed empty text")
+    padded = _BOUNDARY_OPEN + normalize_query(text) + _BOUNDARY_CLOSE
+    start = 0
+    for token in padded[1:-1].split(" "):
+        end = start + 1 + len(token)
+        yield padded[start:end + 4], end - start
+        start = end
+
+
+def _window_ngrams(window, head):
+    """The 3-5-grams that start in the window's first ``head`` characters."""
+    return [window[start:start + size] for size in NGRAM_SIZES
+            for start in range(min(head, len(window) - size + 1))]
+
+
+class _WindowMemo:
+    """Each window's n-gram digests, from ``digest(ngram)``, joined in one
+    bytes object and kept by window string.
+
+    The memo is cleared whenever keeping a window would take its size past
+    ``limit`` (see ``BUCKET_CACHE_LIMIT``); the lock keeps the size equal
+    to the sum over the kept windows when server threads share the memo.
+    """
+
+    def __init__(self, digest, limit):
+        self._digest = digest
+        self._limit = limit
+        self._lock = threading.Lock()
+        self.windows = {}
+        self.size = 0
+
+    @staticmethod
+    def cost(digests):
+        return len(digests) // 8 + WINDOW_KEY_CHARGE
+
+    def text_digests(self, text):
+        """The joined digests of each of the text's windows, in order."""
+        parts = []
+        for window, head in _windows(text):
+            digests = self.windows.get(window)
+            if digests is None:
+                digests = b"".join(map(self._digest,
+                                       _window_ngrams(window, head)))
+                self._keep(window, digests)
+            parts.append(digests)
+        return parts
+
+    def _keep(self, window, digests):
+        cost = self.cost(digests)
+        if cost > self._limit:
+            return
+        with self._lock:
+            if window in self.windows:
+                return
+            if self.size + cost > self._limit:
+                self.windows.clear()
+                self.size = 0
+            self.windows[window] = digests
+            self.size += cost
+
+
+def _unit_rows(values, rows, n, dim):
+    """The ``(n, dim)`` float64 matrix in which each digest value adds
+    +1.0 (top bit clear) or -1.0 (set) to bucket ``value % dim`` of its
+    row (``rows``, or row 0 when None), each row then scaled to unit L2
+    norm. Every entry is a sum of +-1.0, so the sums and norms are exact
+    whatever the order of the values."""
+    # As an int64 a value is negative iff its top bit is set, and then its
+    # arithmetic shift by 63 is -1, else 0.
+    signs = (values.view(np.int64) >> 63) | 1
+    cells = (values % np.uint64(dim)).astype(np.intp)
+    if rows is not None:
+        cells += rows * dim
+    # With no values at all, bincount returns integers.
+    matrix = np.bincount(cells, weights=signs, minlength=n * dim)
+    matrix = matrix.astype(float, copy=False).reshape(n, dim)
+    norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
+    # A row of integers is zero or has a norm >= 1: a zero row stays zero.
+    matrix /= np.maximum(norms, 1.0, out=norms)[:, None]
+    return matrix
 
 
 class HashedNgramEmbedder:
@@ -54,8 +161,9 @@ class HashedNgramEmbedder:
             raise ValueError(f"seed must be >= 0, got {seed}")
         self.dim = dim
         self.seed = seed
-        self._key = int(seed).to_bytes(8, "little")
-        self._bucket_cache = {}
+        self._memo = _WindowMemo(
+            functools.partial(_digest, key=int(seed).to_bytes(8, "little")),
+            BUCKET_CACHE_LIMIT)
 
     @property
     def tag(self):
@@ -64,74 +172,47 @@ class HashedNgramEmbedder:
     def descriptor(self):
         return {"kind": self.kind, "dim": self.dim, "seed": self.seed}
 
-    def _bucket(self, ngram):
-        cached = self._bucket_cache.get(ngram)
-        if cached is None:
-            value = int.from_bytes(_digest(ngram, self._key), "little")
-            cached = (value % self.dim, 1.0 if value >> 63 == 0 else -1.0)
-            if len(self._bucket_cache) >= BUCKET_CACHE_LIMIT:
-                self._bucket_cache.clear()
-            self._bucket_cache[ngram] = cached
-        return cached
-
-    @staticmethod
-    def ngrams(text):
-        padded = _BOUNDARY_OPEN + normalize_query(text) + _BOUNDARY_CLOSE
-        out = [padded[start:start + size] for size in NGRAM_SIZES
-               for start in range(len(padded) - size + 1)]
-        return out or [padded]
-
     def embed(self, text):
         """Signed bucket counts of the text's n-grams, L2-normalized."""
-        if not text.strip():
-            raise ValueError("cannot embed empty text")
-        vec = np.zeros(self.dim)
-        for ngram in self.ngrams(text):
-            idx, sign = self._bucket(ngram)
-            vec[idx] += sign
-        norm = np.linalg.norm(vec)
-        if norm > 0:
-            vec /= norm
-        return vec
+        values = np.frombuffer(b"".join(self._memo.text_digests(text)),
+                               dtype="<u8")
+        return _unit_rows(values, None, 1, self.dim)[0]
 
     def encode_batch(self, texts):
         """One ``embed(text)`` row per text; see ``hashed_ngram_matrices``."""
         return hashed_ngram_matrices(texts, self.seed, (self.dim,))[0]
 
 
+class _KnownDigests(dict):
+    """n-gram -> its digest keyed by ``key``, digested on first lookup."""
+
+    def __init__(self, key):
+        super().__init__()
+        self.key = key
+
+    def __missing__(self, ngram):
+        value = self[ngram] = _digest(ngram, self.key)
+        return value
+
+
 def hashed_ngram_matrices(texts, seed, dims):
     """``HashedNgramEmbedder(dim, seed).encode_batch(texts)`` for each dim in
     ``dims``, from one pass: an n-gram's keyed digest depends on the seed
     only (the bucket is the digest modulo the dim, the sign its top bit), so
-    each distinct n-gram is digested once and each dim costs one
-    ``np.bincount``. Every entry is a sum of +-1.0, so the sums and norms
-    are exact and each row is bit-identical to ``embed``'s."""
-    # ``codes`` gives each n-gram occurrence the index of its distinct
-    # n-gram, in order of first sight.
-    index, codes, lengths = {}, [], []
-    for text in texts:
-        if not text.strip():
-            raise ValueError("cannot embed empty text")
-        text_grams = HashedNgramEmbedder.ngrams(text)
-        codes += [index.setdefault(gram, len(index)) for gram in text_grams]
-        lengths.append(len(text_grams))
-    codes = np.array(codes, dtype=np.intp)
+    each distinct window and each distinct n-gram is digested once, and
+    each dim costs one ``np.bincount``. Each row is bit-identical to
+    ``embed``'s."""
     key = int(seed).to_bytes(8, "little")
-    digests = np.frombuffer(b"".join(_digest(gram, key) for gram in index),
-                            dtype="<u8")
-    signs = np.where(digests >> np.uint64(63) == 0, 1.0, -1.0)[codes]
+    # This memo lives for one call only, so it keeps every window.
+    memo = _WindowMemo(_KnownDigests(key).__getitem__, float("inf"))
+    parts, lengths = [], []
+    for text in texts:
+        text_parts = memo.text_digests(text)
+        parts += text_parts
+        lengths.append(sum(map(len, text_parts)) // 8)
+    values = np.frombuffer(b"".join(parts), dtype="<u8")
     rows = np.repeat(np.arange(len(texts)), lengths)
-    matrices = []
-    for dim in dims:
-        cells = rows * dim + (digests % np.uint64(dim)).astype(np.intp)[codes]
-        # With no texts at all, bincount returns integers.
-        matrix = np.bincount(cells, weights=signs, minlength=len(texts) * dim)
-        matrix = matrix.astype(float, copy=False).reshape(len(texts), dim)
-        norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
-        norms[norms == 0] = 1.0
-        matrix /= norms[:, None]
-        matrices.append(matrix)
-    return matrices
+    return [_unit_rows(values, rows, len(texts), dim) for dim in dims]
 
 
 class PrecomputedEmbedder:
@@ -192,7 +273,9 @@ class EncodedTexts:
     pipeline run: ``encode_batch`` and ``embed`` return stored rows, and
     ``kind``, ``dim``, ``tag`` and ``descriptor()`` are the encoder's. A text
     outside the list raises KeyError. ``matrix``, when given, is the
-    encoder's ``encode_batch(texts)``, computed elsewhere.
+    encoder's ``encode_batch(texts)`` computed elsewhere, possibly cast to
+    the dtype its reader computes in: a pipeline run keeps the classifier's
+    matrix in float32, the dtype of the heads.
     """
 
     def __init__(self, encoder, texts, matrix=None):

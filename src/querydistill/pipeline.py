@@ -27,6 +27,8 @@ import json
 import os
 from dataclasses import dataclass, field, asdict
 
+import numpy as np
+
 from . import baseline as baseline_mod
 from . import classifier as classifier_mod
 from . import data as data_mod
@@ -297,10 +299,12 @@ class _Run:
     @functools.cached_property
     def _encoders(self):
         """The router's and the classifier's encoders, with every ingested
-        text encoded in one n-gram pass."""
+        text encoded in one n-gram pass. The classifier's matrix is kept in
+        its heads' float32, the router's in float64."""
         texts = [r.text for r in self.records]
         dims = (self.config.embedding_dim, self.config.encoder_dim)
         matrices = hashed_ngram_matrices(texts, self.config.seed, dims)
+        matrices[1] = matrices[1].astype(np.float32)
         return [EncodedTexts(HashedNgramEmbedder(dim=dim, seed=self.config.seed),
                              texts, matrix)
                 for dim, matrix in zip(dims, matrices)]

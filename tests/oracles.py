@@ -2,12 +2,15 @@
 
 These stay deliberately naive (triple loops, exhaustive grids, central
 finite differences) and share no code with the library paths they check.
-The two former library forms at the end (one ``str.format`` per prompt,
-one ``json.dumps`` per annotation record) reuse the library's section
-builders and record dict, because what they check is the splitting and
-joining around those parts.
+The two former library forms near the end (one ``str.format`` per
+prompt, one ``json.dumps`` per annotation record) reuse the library's
+section builders and record dict, because what they check is the
+splitting and joining around those parts. The former per-n-gram encoder
+reuses the library's query normalization, because what it
+checks is the window split and the bucket sums around them.
 """
 
+import hashlib
 import json
 import random
 
@@ -15,6 +18,7 @@ import numpy as np
 
 from querydistill import prompting
 from querydistill.annotations import annotation_to_json
+from querydistill.data import normalize_query
 from querydistill.prompting import PromptVariant
 
 
@@ -246,3 +250,42 @@ def annotation_store_text(store, annotator=""):
         lines.append(json.dumps(annotation_to_json(store[key], qid, annotator,
                                                    pid), sort_keys=True) + "\n")
     return "".join(lines)
+
+
+def ngrams(text):
+    """Every character 3-5-gram of the normalized text wrapped in ``<``
+    and ``>``, by size then position; the padded text itself when shorter."""
+    padded = "<" + normalize_query(text) + ">"
+    out = [padded[start:start + size] for size in (3, 4, 5)
+           for start in range(len(padded) - size + 1)]
+    return out or [padded]
+
+
+def hashed_ngram_embed(text, dim, seed):
+    """The hashed n-gram vector one n-gram at a time: each n-gram's keyed
+    blake2b digest adds +1.0 (top bit clear) or -1.0 to bucket
+    ``digest % dim``, then the vector is scaled to unit L2 norm."""
+    if not text.strip():
+        raise ValueError("cannot embed empty text")
+    key = int(seed).to_bytes(8, "little")
+    vec = np.zeros(dim)
+    for gram in ngrams(text):
+        value = int.from_bytes(hashlib.blake2b(
+            gram.encode("utf-8"), digest_size=8, key=key).digest(), "little")
+        vec[value % dim] += 1.0 if value >> 63 == 0 else -1.0
+    norm = np.linalg.norm(vec)
+    if norm > 0:
+        vec /= norm
+    return vec
+
+
+def masked_sigmoid(z):
+    """The logistic in the dtype of ``z``: ``1 / (1 + exp(-z))`` on the
+    entries >= 0 and ``exp(z) / (1 + exp(z))`` on the rest, by boolean
+    masks."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out

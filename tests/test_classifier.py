@@ -1,13 +1,18 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import oracles
 from conftest import ann
 from querydistill.annotations import Annotation, Confidence
+import querydistill
 from querydistill.classifier import (ClassifierModel, ClassifierTrainConfig,
                                      LabeledQueries, MATCH_PRECISION,
                                      MATCH_RECALL, MAX_F1, ThresholdChoice,
@@ -16,7 +21,8 @@ from querydistill.classifier import (ClassifierModel, ClassifierTrainConfig,
                                      labeled_queries, load_classifier,
                                      predict_probs,
                                      predict_probs_batch, save_classifier,
-                                     set_thresholds, stable_bce,
+                                     set_thresholds, stable_bce, _sigmoid,
+                                     _sweep,
                                      train_classifier, tune_threshold_for_entity,
                                      tune_thresholds, weak_labels_from_annotations)
 from querydistill.errors import (EmptyDatasetError, MissingEmbeddingError,
@@ -107,6 +113,24 @@ class TestStableBce:
         extreme = stable_bce(np.array([1e4, -1e4]), np.array([0.0, 1.0]))
         assert np.isfinite(extreme).all()
         assert np.allclose(extreme, [1e4, 1e4])
+
+
+_EDGE_LOGITS = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 1e-45, -1e-45,
+                88.7, -88.7, 3e38, -3e38]
+
+
+class TestSigmoid:
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(z=st.sampled_from([np.float32, np.float64]).flatmap(
+        lambda dtype: hnp.arrays(dtype, hnp.array_shapes(max_dims=2,
+                                                         max_side=12))))
+    @example(z=np.array(_EDGE_LOGITS, dtype=np.float32))
+    @example(z=np.array(_EDGE_LOGITS, dtype=np.float64))
+    @example(z=np.linspace(-120, 120, 100001, dtype=np.float32))
+    def test_equals_masked_form_bit_for_bit(self, z):
+        out = _sigmoid(z)
+        assert out.dtype == z.dtype and out.shape == z.shape
+        assert out.tobytes() == oracles.masked_sigmoid(z).tobytes()
 
 
 class TestGradients:
@@ -416,6 +440,18 @@ class TestTuneThresholds:
                 assert oracles.confusion_at(probs, labels, choice.threshold) \
                     == expected[1]
 
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(cells=st.lists(st.tuples(
+        st.one_of(st.sampled_from([0.0, -0.0, 1.0, 0.5]), st.floats(0.0, 1.0)),
+        st.booleans()), max_size=40))
+    @example(cells=[(-0.0, True), (0.0, False), (1.0, True), (0.5, False),
+                    (0.5, True), (-0.0, False)])
+    def test_sweep_candidates_equal_union1d(self, cells):
+        probs = np.array([p for p, _ in cells], dtype=float)
+        labels = np.array([y for _, y in cells], dtype=bool)
+        assert (_sweep(probs, labels)[0].tobytes()
+                == np.union1d(probs, (0.0, 1.0)).tobytes())
+
     def test_unattainable_reports_closest(self):
         probs = np.array([0.6, 0.4])
         labels = np.array([0, 1])  # the positive is ranked below the negative
@@ -440,6 +476,40 @@ class TestTuneThresholds:
         model = random_model()
         with pytest.raises(EmptyDatasetError):
             tune_thresholds(model, LabeledQueries((), np.zeros((0, 3))), MAX_F1)
+
+
+def test_tune_thresholds_leaves_numpy_ma_unimported():
+    """In a fresh interpreter: numpy.ma costs its import on first use of
+    np.union1d, and the threshold sweep does not use it."""
+    script = "\n".join([
+        "import sys",
+        "import numpy as np",
+        "from querydistill.classifier import (ClassifierModel,",
+        "    LabeledQueries, MAX_F1, tune_thresholds)",
+        "eager = 'numpy.ma' in sys.modules",
+        "rng = np.random.default_rng(0)",
+        "model = ClassifierModel(",
+        "    backend_descriptor={'kind': 'hashed_ngram', 'dim': 16, 'seed': 0},",
+        "    entity_ids=('A', 'B'),",
+        "    U1=rng.normal(size=(2, 16, 4)).astype(np.float32),",
+        "    c1=np.zeros((2, 4), np.float32),",
+        "    U2=rng.normal(size=(2, 4)).astype(np.float32),",
+        "    c2=np.zeros(2, np.float32), thresholds=np.full(2, 0.5),",
+        "    registry_hash='rh')",
+        "dev = LabeledQueries(('comedy movies', 'football', 'horror', 'tennis'),",
+        "                     [[1, 0], [0, 1], [1, 0], [0, 1]])",
+        "assert len(tune_thresholds(model, dev, MAX_F1)) == 2",
+        "print(eager, 'numpy.ma' in sys.modules)",
+    ])
+    src = os.path.dirname(os.path.dirname(querydistill.__file__))
+    proc = subprocess.run([sys.executable, "-c", script],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    eager, after = proc.stdout.split()
+    if eager == "True":
+        pytest.skip("this numpy imports numpy.ma with numpy itself")
+    assert after == "False"
 
 
 def test_classifier_file_round_trip(tmp_path):

@@ -1,11 +1,16 @@
 import json
 import os
+import sys
 import tempfile
+import threading
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import oracles
 from querydistill import features
 from querydistill.data import query_id
 from querydistill.errors import MissingEmbeddingError, ModelError
@@ -53,10 +58,11 @@ class TestHashedNgramEmbedder:
             HashedNgramEmbedder().embed("  ")
 
     def test_ngram_sizes_three_to_five(self):
-        embedder = HashedNgramEmbedder(dim=32, seed=0)
-        grams = embedder.ngrams("ab")
-        # padded to "<ab>": 3-grams "<ab", "ab>", 4-gram "<ab>"
-        assert grams == ["<ab", "ab>", "<ab>"]
+        # padded to "<ab>": one window, "<ab>" with a head of 3 characters,
+        # holding 3-grams "<ab", "ab>" and 4-gram "<ab>"
+        grams = [gram for window, head in features._windows("ab")
+                 for gram in features._window_ngrams(window, head)]
+        assert grams == ["<ab", "ab>", "<ab>"] == oracles.ngrams("ab")
 
     def test_bucket_cache_stays_bounded(self):
         embedder = HashedNgramEmbedder(dim=64, seed=0)
@@ -64,9 +70,13 @@ class TestHashedNgramEmbedder:
         letters = np.array(list("abcdefghijklmnopqrstuvwxyz"))
         texts = ["".join(rng.choice(letters, size=60)) for _ in range(600)]
         vectors = [embedder.embed(t) for t in texts]
-        distinct = {g for t in texts for g in embedder.ngrams(t)}
+        distinct = {g for t in texts for g in oracles.ngrams(t)}
         assert len(distinct) > features.BUCKET_CACHE_LIMIT
-        assert len(embedder._bucket_cache) <= features.BUCKET_CACHE_LIMIT
+        # The bound, restated over the window memo: its size (n-gram
+        # counts plus key charges) stays within the limit. TestWindowMemo
+        # checks the memo in bytes.
+        assert_memo_consistent(embedder)
+        assert len(embedder._memo.windows) < len(texts)  # it was cleared
         fresh = HashedNgramEmbedder(dim=64, seed=0)
         for text, vec in zip(texts, vectors):
             assert np.array_equal(vec, fresh.embed(text))
@@ -80,6 +90,128 @@ class TestHashedNgramEmbedder:
         assert np.array_equal(rebuilt.embed("comedy"), embedder.embed("comedy"))
         with pytest.raises(ModelError):
             encoder_from_descriptor({"kind": "unknown"})
+
+
+def assert_memo_consistent(embedder):
+    """The memo's size is the sum of its windows' costs, within the limit."""
+    memo = embedder._memo
+    assert memo.size == sum(map(memo.cost, memo.windows.values()))
+    assert memo.size <= features.BUCKET_CACHE_LIMIT
+
+
+def traced_growth(work):
+    """Bytes that ``work()`` leaves allocated, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        work()
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+def former_memo_bytes_at_limit():
+    """What the former per-n-gram memo held at its limit:
+    ``BUCKET_CACHE_LIMIT`` distinct 4-character n-grams, each keyed to a
+    (bucket, sign) tuple."""
+    kept = []
+    return traced_growth(lambda: kept.append(
+        {f"{i:04x}": (i % 64, 1.0)
+         for i in range(features.BUCKET_CACHE_LIMIT)}))
+
+
+class MeasuredWindows(dict):
+    """A memo dict that measures itself before each clear, when it is at
+    its largest: ``peak`` is the most bytes that tracemalloc counts for
+    an equal dict of equal, newly made window strings and digest bytes.
+    Embedding untraced and measuring copies keeps the test fast."""
+
+    peak = 0
+
+    def measure(self):
+        kept = []
+        self.peak = max(self.peak, traced_growth(lambda: kept.append(
+            {window.encode().decode(): bytes(bytearray(digests))
+             for window, digests in self.items()})))
+        return self.peak
+
+    def clear(self):
+        self.measure()
+        super().clear()
+
+
+class TestWindowMemo:
+    """Adversarial inputs keep the embedder's memo within its limit and
+    within what the former per-n-gram memo held at its limit."""
+
+    @pytest.fixture(scope="class")
+    def former_bytes(self):
+        return former_memo_bytes_at_limit()
+
+    @staticmethod
+    def measured_embedder(dim, seed):
+        embedder = HashedNgramEmbedder(dim=dim, seed=seed)
+        embedder._memo.windows = MeasuredWindows()
+        return embedder
+
+    def test_one_character_tokens(self, former_bytes):
+        # ASCII letters and CJK ideographs: the CJK ones make many distinct
+        # windows of one n-gram, such as " 中>", the smallest there are.
+        rng = np.random.default_rng(1)
+        letters = np.array(list("abcdefghijklmnopqrstuvwxyz")
+                           + [chr(0x4E00 + i) for i in range(2000)])
+        texts = [" ".join(rng.choice(letters, size=5)) for _ in range(20000)]
+        embedder = self.measured_embedder(64, 0)
+        for text in texts:
+            embedder.embed(text)
+        assert embedder._memo.windows.measure() <= former_bytes
+        assert_memo_consistent(embedder)
+        for text in texts[-50:]:
+            assert embedder.embed(text).tobytes() == oracles.hashed_ngram_embed(
+                text, 64, 0).tobytes()
+
+    def test_one_token_longer_than_the_limit(self, former_bytes):
+        text = "".join(np.random.default_rng(2).choice(
+            np.array(list("abcdefghijklmnopqrstuvwxyz")), size=60000))
+        embedder = self.measured_embedder(256, 7)
+        vector = embedder.embed(text)
+        assert embedder._memo.windows.measure() <= former_bytes
+        assert embedder._memo.windows == {} and embedder._memo.size == 0
+        assert vector.tobytes() == oracles.hashed_ngram_embed(
+            text, 256, 7).tobytes()
+
+    def test_threads_embedding_at_once(self, former_bytes):
+        rng = np.random.default_rng(3)
+        letters = np.array(list("abcdefghijklmnopqrstuvwxyz"))
+        texts = [" ".join("".join(rng.choice(letters, size=6))
+                          for _ in range(3)) for _ in range(2000)]
+        embedder = self.measured_embedder(64, 0)
+        errors = []
+
+        def embed_all():
+            try:
+                for text in texts:
+                    embedder.embed(text)
+            except Exception as exc:  # reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=embed_all) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert embedder._memo.windows.measure() <= former_bytes
+        assert_memo_consistent(embedder)
+        for text in texts[::100]:
+            assert embedder.embed(text).tobytes() == oracles.hashed_ngram_embed(
+                text, 64, 0).tobytes()
 
 
 def write_vectors(path, rows):
@@ -181,6 +313,74 @@ class TestSharedNgramPass:
         for texts in (["  "], ["comedy", "", "sport"], ["ok", " \t\n"]):
             with pytest.raises(ValueError, match="empty text"):
                 hashed_ngram_matrices(texts, 0, (16, 64))
+
+
+# Queries of 1-5 tokens of 1-8 characters (ASCII, "<" and ">", accented
+# letters, "ß" and "İ", whose case folds are longer, and CJK), between and
+# around runs of spaces and tabs.
+_TOKENS = st.text(alphabet=st.sampled_from(list("ab9<>ÉéßİÅ中文")),
+                  min_size=1, max_size=8)
+_GAPS = st.text(alphabet=st.sampled_from([" ", "\t"]), min_size=1,
+                max_size=3)
+
+
+@st.composite
+def _queries(draw):
+    parts = [draw(_GAPS) if draw(st.booleans()) else ""]
+    for token in draw(st.lists(_TOKENS, min_size=1, max_size=5)):
+        parts += [token, draw(_GAPS)]
+    if draw(st.booleans()):
+        parts.pop()
+    return "".join(parts)
+
+
+@st.composite
+def _query_batches(draw):
+    pool = draw(st.lists(_queries(), min_size=1, max_size=5))
+    return draw(st.lists(st.sampled_from(pool), min_size=0, max_size=10))
+
+
+_EDGE_QUERIES = ["<", ">", "x>y <z", "a\t\t b  \t c", "中文 查询", "ß İ",
+                 "a" * 600, "a b c d e f", "ab", "q12", "<<<< >>>>"]
+
+
+class TestPerNgramOracle:
+    """Every hashed path equals ``oracles.hashed_ngram_embed``, the former
+    encoder, which digests every n-gram of the text one at a time."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(texts=_query_batches(), dim=st.integers(1, 300),
+           seed=st.integers(0, 50))
+    @example(texts=_EDGE_QUERIES, dim=256, seed=7)
+    @example(texts=_EDGE_QUERIES, dim=1, seed=0)
+    def test_embed_bit_for_bit(self, texts, dim, seed):
+        embedder = HashedNgramEmbedder(dim=dim, seed=seed)
+        # A memo that keeps only windows of at most 16 n-grams, and is
+        # cleared at nearly every one it keeps.
+        with mock.patch.object(features, "BUCKET_CACHE_LIMIT",
+                               2 * features.WINDOW_KEY_CHARGE):
+            small = HashedNgramEmbedder(dim=dim, seed=seed)
+        for text in texts + texts:  # the second pass reads the memos
+            expected = oracles.hashed_ngram_embed(text, dim, seed)
+            assert embedder.embed(text).tobytes() == expected.tobytes()
+            assert small.embed(text).tobytes() == expected.tobytes()
+        assert_memo_consistent(embedder)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(texts=_query_batches(),
+           dims=st.lists(st.integers(1, 300), min_size=2, max_size=2,
+                         unique=True),
+           seed=st.integers(0, 50))
+    @example(texts=_EDGE_QUERIES, dims=[64, 256], seed=7)
+    def test_batch_rows_bit_for_bit(self, texts, dims, seed):
+        expected = [np.array([oracles.hashed_ngram_embed(t, dim, seed)
+                              for t in texts]).reshape(len(texts), dim)
+                    for dim in dims]
+        for dim, matrix, rows in zip(
+                dims, hashed_ngram_matrices(texts, seed, dims), expected):
+            assert matrix.tobytes() == rows.tobytes()
+            assert HashedNgramEmbedder(dim=dim, seed=seed).encode_batch(
+                texts).tobytes() == rows.tobytes()
 
 
 class TestEncodedTexts:
