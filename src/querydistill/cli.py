@@ -17,13 +17,14 @@ from dataclasses import replace
 
 from . import data as data_mod
 from . import evaluation as eval_mod
-from . import prompting as prompting_mod
 from . import synth as synth_mod
-from .annotations import read_annotation_store, write_annotation_store
+from .annotations import write_annotation_store
 from .baseline import write_gazetteer
 from .errors import QueryDistillError
-from .pipeline import (STAGES, check_paths, load_gold, load_run_config,
-                       run_pipeline)
+from .personas import aggregate_ensemble, annotation_levels
+from .pipeline import (STAGES, check_paths, choose_personas, load_gold,
+                       load_run_config, run_pipeline)
+from .prompting import PromptVariant
 from .taxonomy import default_registry, load_registry, validate_label
 
 
@@ -71,71 +72,64 @@ def _print_stats(stats):
 
 
 def cmd_pipeline(args):
-    config = _config_from_args(args)
-    result = run_pipeline(config, until=args.until)
+    result = run_pipeline(_config_from_args(args), until=args.until)
     for artifact in result.manifest["artifacts"]:
         print(f"{artifact['sha256'][:12]}  {artifact['path']}")
     print(f"manifest: {result.manifest_path}")
     _print_stats(result.stats)
-    if args.until == "eval":
-        with open(os.path.join(result.output_dir, "eval.jsonl"),
-                  encoding="utf-8") as fh:
-            micro = [json.loads(line) for line in fh if '"micro"' in line]
-        for record in micro:
-            print(f"{record['system']:<32} weighted={record['weighted']} "
-                  f"P={record['precision']:.4f} R={record['recall']:.4f} "
-                  f"F1={record['f1']:.4f}")
+    for report in getattr(result.run, "reports", ()):
+        micro = report.micro
+        print(f"{report.candidate:<32} weighted={report.weighted} "
+              f"P={micro.precision:.4f} R={micro.recall:.4f} F1={micro.f1:.4f}")
     return 0
 
 
-def _ablation_arm(config, arm, until, filename, **changes):
-    """Run one ablation arm into ``<output_dir>/ablation-<arm>/`` and read
-    back the annotation store its last stage wrote."""
-    arm_config = replace(config, **changes, output_dir=os.path.join(
-        config.output_dir, f"ablation-{arm}"))
-    result = run_pipeline(arm_config, until=until)
-    return read_annotation_store(os.path.join(result.output_dir, filename))
-
-
 def cmd_ablation(args):
-    """Prompt-variant grid and persona-selection comparison on one corpus."""
+    """Prompt-variant grid and persona-selection comparison: one pass per
+    prompt variant, and one persona pass whose levels give the persona arms."""
     config = _config_from_args(args)
     check_paths(config)
     registry = load_registry(config.registry_path)
     records = data_mod.read_queries(config.queries_path)
-    gold = load_gold(config.gold_path, records)
-    frequencies = {r.id: r.frequency for r in records}
+    gold_store = load_gold(config.gold_path, records)
+    gold = annotation_levels([gold_store[r.id] for r in records], registry) > 0
+    weights = [r.frequency for r in records] if args.weighted else None
+    stats = []
 
-    def report(label, store, candidate):
-        scored = eval_mod.compute_metrics(
-            {r.id: gold[r.id] for r in records}, store,
-            frequencies=frequencies, weighted=args.weighted,
-            registry=registry, candidate=candidate)
+    def arm_run(arm, until, **changes):
+        result = run_pipeline(replace(config, **changes, output_dir=os.path.join(
+            config.output_dir, f"ablation-{arm}")), until=until)
+        stats.append(result.stats)
+        return result.run
+
+    def report(label, levels):
+        scored = eval_mod.score(gold, levels > 0, registry.ids, weights)
         print(f"{label} micro F1={scored.micro.f1:.4f} "
               f"P={scored.micro.precision:.4f} R={scored.micro.recall:.4f}")
         return scored
 
+    # The persona pass checks the persona inputs before any directory exists.
+    persona_run = arm_run("personas", "router", persona_mode="router")
+    grid = {v: arm_run(v.name.lower(), "matrix", persona_mode="none",
+                       prompt_variant=v.name.lower()).levels[:, 0]
+            for v in PromptVariant}
     print("== prompt variant grid ==")
-    variant_reports = {}
-    for variant in prompting_mod.PromptVariant:
-        arm = variant.name.lower()
-        store = _ablation_arm(config, arm, "annotate", "annotations.jsonl",
-                              persona_mode="none", prompt_variant=arm)
-        variant_reports[variant] = report(f"{variant.name:<22}", store, arm)
-    base = variant_reports[prompting_mod.PromptVariant.BASELINE]
-    for variant, scored in variant_reports.items():
-        if variant is prompting_mod.PromptVariant.BASELINE:
-            continue
-        gains = eval_mod.relative_gain(scored, base)["micro"]
+    scored = {v: report(f"{v.name:<22}", grid[v]) for v in grid}
+    base = scored.pop(PromptVariant.BASELINE)
+    for variant, candidate in scored.items():
+        gains = eval_mod.relative_gain(candidate, base)["micro"]
         shown = {k: (f"{v:+.2f}%" if v is not None else "undefined")
                  for k, v in gains.items()}
         print(f"{variant.name:<22} vs BASELINE prompt: {shown}")
 
     print("== persona selection comparison ==")
-    for mode in ("none", "random", "router"):
-        store = _ablation_arm(config, mode, "aggregate", "aggregated.jsonl",
-                              persona_mode=mode)
-        report(f"{mode:<8}", store, f"ensemble-{mode}")
+    report(f"{'none':<8}",
+           grid[PromptVariant.from_string(config.prompt_variant)])
+    for mode in ("random", "router"):
+        report(f"{mode:<8}", aggregate_ensemble(
+            persona_run.levels, choose_personas(persona_run, mode),
+            threshold=config.aggregation_threshold))
+    _print_stats({key: sum(s[key] for s in stats) for key in stats[0]})
     return 0
 
 

@@ -210,6 +210,7 @@ class PipelineResult:
     manifest_path: str
     stats: dict
     output_dir: str
+    run: "_Run"
 
 
 def _digest_file(path):
@@ -402,23 +403,28 @@ def _router(run):
               run.router_model, loss_history=loss_history)
 
 
+def choose_personas(run, mode):
+    """(N, k) persona rows per query in persona ``mode``: the router's top
+    k, a seeded sample, or None for "none"."""
+    k = run.config.persona_k
+    if mode == "router":
+        return router_mod.select_top_k(run.router_model, run.router_encoder.matrix, k)
+    if mode == "random":
+        return personas_mod.sample_personas(
+            [r.id for r in run.records], len(run.personas), k, run.config.seed)
+    return None
+
+
 def _aggregate(run):
     """Aggregate each query's chosen personas into ``run.teacher`` (N, E
     levels) and the ``run.aggregated`` store, and write the choice; without
     personas, both are the single annotation."""
     config, records = run.config, run.records
-    chosen = None
-    if config.persona_mode == "none":
+    chosen = choose_personas(run, config.persona_mode)
+    if chosen is None:
         run.teacher = run.levels[:, 0]
         run.aggregated = {r.id: run.annotations[(r.id, None)] for r in records}
     else:
-        if config.persona_mode == "router":
-            chosen = router_mod.select_top_k(
-                run.router_model, run.router_encoder.matrix, config.persona_k)
-        else:
-            chosen = personas_mod.sample_personas(
-                [r.id for r in records], len(run.personas), config.persona_k,
-                config.seed)
         run.teacher = personas_mod.aggregate_ensemble(
             run.levels, chosen, threshold=config.aggregation_threshold)
         run.aggregated = dict(zip(
@@ -481,7 +487,7 @@ def _eval(run):
             [baseline_mod.lexical_match(lexicon, r.text)
              for r in test_records], registry) > 0
     systems["classifier"] = probs >= run.model.thresholds
-    reports = []
+    reports = run.reports = []
     for weights in (None, [r.frequency for r in test_records]):
         scored = {name: eval_mod.score(reference, pred, registry.ids, weights,
                                        config.eval_reference, name)
@@ -530,8 +536,8 @@ def run_pipeline(config, until="eval"):
     with open(manifest_path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)
         fh.write("\n")
-    return PipelineResult(manifest=manifest, manifest_path=manifest_path,
-                          stats=run.stats, output_dir=config.output_dir)
+    return PipelineResult(manifest, manifest_path, run.stats,
+                          config.output_dir, run)
 
 
 def _write_labels(path, weak, registry):

@@ -7,19 +7,27 @@ prompt, one ``json.dumps`` per annotation record) reuse the library's
 section builders and record dict, because what they check is the
 splitting and joining around those parts. The former per-n-gram encoder
 reuses the library's query normalization, because what it
-checks is the window split and the bucket sums around them.
+checks is the window split and the bucket sums around them. The former
+ablation runs the library's pipeline and dict-store scorer, because what
+it checks is the arms read from one run's arrays against the stores that
+one run per arm wrote.
 """
 
 import hashlib
 import json
+import os
 import random
+from dataclasses import replace
 
 import numpy as np
 
 from querydistill import prompting
-from querydistill.annotations import annotation_to_json
-from querydistill.data import normalize_query
+from querydistill.annotations import annotation_to_json, read_annotation_store
+from querydistill.data import normalize_query, read_queries
+from querydistill.evaluation import compute_metrics, relative_gain
+from querydistill.pipeline import load_gold, run_pipeline
 from querydistill.prompting import PromptVariant
+from querydistill.taxonomy import load_registry
 
 
 def brute_force_counts(gold_sets, pred_sets, freqs, weighted, entities):
@@ -289,3 +297,45 @@ def masked_sigmoid(z):
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out
+
+
+def dict_store_ablation(config, weighted):
+    """The figure lines ``querydistill ablation`` printed when it ran one
+    ``run_pipeline`` per arm into ``<output_dir>/ablation-<arm>/``, read
+    the store that arm's last stage wrote back from disk and scored it with
+    ``compute_metrics``: four prompt variants without personas through
+    ``annotate``, then persona modes none, random and router through
+    ``aggregate``."""
+    registry = load_registry(config.registry_path)
+    records = read_queries(config.queries_path)
+    gold = load_gold(config.gold_path, records)
+    frequencies = {r.id: r.frequency for r in records}
+    lines = []
+
+    def arm(name, until, filename, label, **changes):
+        out = os.path.join(config.output_dir, f"ablation-{name}")
+        run_pipeline(replace(config, output_dir=out, **changes), until=until)
+        scored = compute_metrics(
+            {r.id: gold[r.id] for r in records},
+            read_annotation_store(os.path.join(out, filename)),
+            frequencies=frequencies, weighted=weighted, registry=registry)
+        lines.append(f"{label} micro F1={scored.micro.f1:.4f} "
+                     f"P={scored.micro.precision:.4f} "
+                     f"R={scored.micro.recall:.4f}")
+        return scored
+
+    lines.append("== prompt variant grid ==")
+    grid = {variant: arm(variant.name.lower(), "annotate", "annotations.jsonl",
+                         f"{variant.name:<22}", persona_mode="none",
+                         prompt_variant=variant.name.lower())
+            for variant in PromptVariant}
+    for variant in list(PromptVariant)[1:]:
+        gains = relative_gain(grid[variant], grid[PromptVariant.BASELINE])
+        shown = {k: (f"{v:+.2f}%" if v is not None else "undefined")
+                 for k, v in gains["micro"].items()}
+        lines.append(f"{variant.name:<22} vs BASELINE prompt: {shown}")
+    lines.append("== persona selection comparison ==")
+    for mode in ("none", "random", "router"):
+        arm(mode, "aggregate", "aggregated.jsonl", f"{mode:<8}",
+            persona_mode=mode)
+    return lines

@@ -9,6 +9,7 @@ import socket
 import numpy as np
 import pytest
 
+import oracles
 from querydistill import cli, llm_client, prompting
 from querydistill.baseline import lexical_match, load_gazetteer
 from querydistill.classifier import (ClassifierTrainConfig, apply_thresholds,
@@ -25,8 +26,8 @@ from querydistill.pipeline import (STAGES, RunConfig, load_gold,
                                    load_run_config, run_pipeline)
 from querydistill.router import RouterTrainConfig
 from querydistill.serving import ServeState, serve_tcp
-from querydistill.synth import (impoverished_gazetteer, synth_gazetteer,
-                                synth_queries, synth_registry)
+from querydistill.synth import (ambiguity_table, impoverished_gazetteer,
+                                synth_gazetteer, synth_queries, synth_registry)
 from querydistill.taxonomy import load_registry
 
 
@@ -640,10 +641,83 @@ class TestCli:
         assert "persona selection comparison" in out
         assert "CONFIDENCE_COT_ICL" in out
         assert calls
+        # The last line sums the annotator stats of every pass.
+        cold, cold_calls = out.splitlines(), len(calls)
+        assert cold[-1] == (f"annotator calls: {cold_calls}, cache hits: 0, "
+                            "failures: 0, unparseable responses: 0")
         calls.clear()
         assert cli.main(["ablation", "-c", config_path]) == 0
-        assert capsys.readouterr().out == out
+        warm = capsys.readouterr().out.splitlines()
+        assert warm[:-1] == cold[:-1]
+        assert warm[-1] == (f"annotator calls: 0, cache hits: {cold_calls}, "
+                            "failures: 0, unparseable responses: 0")
         assert calls == []
+
+    @pytest.mark.parametrize("weighted, variant", [
+        (False, "baseline"), (True, "confidence_cot_icl")])
+    def test_ablation_prints_the_dict_store_figures(self, tmp_path, capsys,
+                                                    weighted, variant):
+        """The arms scored on one run's arrays print the figures of one
+        pipeline run per arm, its store read back and scored by
+        ``compute_metrics``. Ambiguous phrases make the prompts without ICL
+        examples score lower, so the none arm must be the configured
+        variant's."""
+        config_path = build_workspace(tmp_path, count=80)
+        with open(config_path) as fh:
+            raw = json.load(fh)
+        raw["annotator"]["ambiguous"] = ambiguity_table(
+            synth_gazetteer(entities=ENTITIES), 0.3, seed=1)
+        raw["prompt_variant"] = variant
+        with open(config_path, "w") as fh:
+            json.dump(raw, fh)
+        flags = ["--weighted"] if weighted else []
+        assert cli.main(["ablation", "-c", config_path, *flags]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        expected = oracles.dict_store_ablation(load_run_config(
+            config_path, {"output_dir": str(tmp_path / "oracle")}), weighted)
+        assert printed[:-1] == expected
+        assert printed[-1].startswith("annotator calls: ")
+        # The grid is not flat, so a wrong variant in an arm shows.
+        assert len({line.split()[-3] for line in expected[1:5]}) > 1
+
+    def test_ablation_annotates_each_prompt_set_once(self, tmp_path, capsys,
+                                                     monkeypatch):
+        """A warm ablation makes five pipeline passes, trains the router
+        once and sends 4·N + P·N prompts to the annotator: one set per
+        prompt variant and one per persona."""
+        from querydistill import pipeline, router
+        config_path = build_workspace(tmp_path, count=60)
+        assert cli.main(["ablation", "-c", config_path]) == 0
+        capsys.readouterr()
+        calls = {"run_pipeline": [], "train_router": [], "annotate_batch": []}
+
+        def counting(name, real):
+            def call(*args, **kwargs):
+                calls[name].append((args, kwargs))
+                return real(*args, **kwargs)
+            return call
+
+        for module, name in ((cli, "run_pipeline"), (router, "train_router"),
+                             (pipeline, "annotate_batch")):
+            monkeypatch.setattr(module, name,
+                                counting(name, getattr(module, name)))
+        assert cli.main(["ablation", "-c", config_path]) == 0
+        assert [(os.path.basename(args[0].output_dir), kwargs["until"])
+                for args, kwargs in calls["run_pipeline"]] == [
+            ("ablation-personas", "router"), ("ablation-baseline", "matrix"),
+            ("ablation-confidence", "matrix"),
+            ("ablation-confidence_cot", "matrix"),
+            ("ablation-confidence_cot_icl", "matrix")]
+        assert len(calls["train_router"]) == 1
+        n = len(read_queries(load_run_config(config_path).queries_path))
+        prompts = sum(len(args[1]) for args, _ in calls["annotate_batch"])
+        assert prompts == 4 * n + 3 * n
+        assert capsys.readouterr().out.splitlines()[-1].startswith(
+            f"annotator calls: 0, cache hits: {prompts},")
+        assert sorted(p.name for p in tmp_path.glob("out/*")) == [
+            f"ablation-{arm}" for arm in ("baseline", "confidence",
+                                          "confidence_cot",
+                                          "confidence_cot_icl", "personas")]
 
     def test_ablation_checks_gold_before_any_arm(self, tmp_path, capsys):
         config_path = build_workspace(tmp_path, count=60)
@@ -661,6 +735,23 @@ class TestCli:
             assert cli.main(["ablation", "-c", config_path]) == 2
             assert capsys.readouterr().err.startswith(message)
             assert list(tmp_path.glob("out/ablation-*")) == []
+
+    @pytest.mark.parametrize("change, message", [
+        ({"personas_path": ""},
+         "error: persona_mode 'router' needs personas_path"),
+        ({"persona_k": 5}, "error: k must be in [1, 3], got 5")],
+        ids=["personas_path", "persona_k"])
+    def test_ablation_checks_personas_before_any_arm(self, tmp_path, capsys,
+                                                     change, message):
+        config_path = build_workspace(tmp_path, count=60)
+        with open(config_path) as fh:
+            raw = json.load(fh)
+        raw.update(change)
+        with open(config_path, "w") as fh:
+            json.dump(raw, fh)
+        assert cli.main(["ablation", "-c", config_path]) == 2
+        assert capsys.readouterr().err.startswith(message)
+        assert list(tmp_path.glob("out/ablation-*")) == []
 
     def test_ablation_checks_paths_before_any_arm(self, tmp_path, capsys):
         config_path = build_workspace(tmp_path, count=60)
