@@ -14,10 +14,10 @@ from .classifier import (ClassifierModel, ClassifierTrainConfig, WeakLabelSet,
                          save_classifier, train_classifier, tune_thresholds,
                          weak_labels_from_annotations, write_predictions_jsonl)
 from .data import (DatasetSplit, QueryRecord, ingest_queries, normalize_query,
-                   query_id, rebalance_by_entity, split_dataset)
+                   query_id, split_dataset)
 from .evaluation import (EvalReport, MetricCell, compute_metrics,
                          matched_operating_point, relative_gain)
-from .features import HashedNgramEmbedder, PrecomputedEmbedder
+from .features import HashedNgramEmbedder
 from .llm_client import (AnnotationFailure, AnnotatorHandle, HttpEndpointConfig,
                          MockConfig, ResponseCache, annotate_batch,
                          mock_annotate, mock_handle, prompt_keys)

@@ -8,11 +8,10 @@ checkpointing with early stopping, and is bit-deterministic for a fixed
 seed. Decision thresholds are tuned per entity after training: maximize F1,
 or match a reference recall/precision.
 
-The encoder comes from ``features``: the built-in ``HashedNgramEmbedder``
-gives a fully self-contained pipeline at desk scale, and
-``PrecomputedEmbedder`` plugs in real contextual embeddings computed
-offline. The heads, loss, and threshold machinery do not care which one
-produced the features; the ``backend`` arguments below take either.
+The encoder is ``features.HashedNgramEmbedder``: it embeds any query,
+seen in training or not, so the same model scores queries in real time.
+The ``backend`` arguments below take it, or an ``EncodedTexts`` of its
+matrix; a model file naming another encoder kind is refused at load time.
 
 The heads train, are stored and serve in float32: the dense AdamW update
 of the stacked first layer and the head matmuls are most of the cost of a
@@ -154,8 +153,8 @@ class ClassifierModel:
             actual = getattr(self, name).shape
             if actual != shape:
                 raise ModelError(f"{name} has shape {actual}, expected {shape}")
-        dim = self.backend_descriptor.get("dim")
-        if dim is not None and D != dim:
+        dim = encoder_from_descriptor(self.backend_descriptor).dim
+        if D != dim:
             raise ModelError(f"U1 takes {D}-dim features but the encoder gives {dim}")
         if self.thresholds.shape != (E,):
             raise ModelError("need exactly one threshold per entity")
@@ -172,16 +171,10 @@ class ClassifierModel:
 @dataclass(frozen=True)
 class ClassifierTrainConfig(TrainConfig):
     head_dim: int = 32
-    learning_rate: float = None  # resolved per backend: 1e-3 built-in, 1e-5 otherwise
     patience: int = 5
 
     def rules(self):
         return {**super().rules(), "head_dim": COUNT, "patience": COUNT}
-
-    def resolve_learning_rate(self, backend):
-        if self.learning_rate is not None:
-            return self.learning_rate
-        return 1e-3 if backend.kind == HashedNgramEmbedder.kind else 1e-5
 
 
 def stable_bce(logits, targets):
@@ -274,7 +267,6 @@ def train_classifier(train, dev, config, registry, backend=None):
 
     if backend is None:
         backend = HashedNgramEmbedder(dim=512)
-    lr = config.resolve_learning_rate(backend)
 
     # Features and labels are cast to the heads' float32 once, not per batch.
     X_train = np.asarray(backend.encode_batch(train.texts), dtype=np.float32)
@@ -291,7 +283,7 @@ def train_classifier(train, dev, config, registry, backend=None):
     for epoch, epoch_losses in minibatch_epochs(
             model.params(), len(train),
             lambda rows: classifier_loss_and_grads(model, X_train[rows], Y_train[rows]),
-            config, lr, ("U1", "U2"), "classifier"):
+            config, ("U1", "U2"), "classifier"):
         if X_dev is None:
             history.append((epoch, float(np.mean(epoch_losses)), float("nan")))
             continue

@@ -235,9 +235,9 @@ def build_parser():
     p = sub.add_parser(
         "serve", help="serve a trained model over stdio or TCP",
         description="Serve a trained classifier: one query per line in, one "
-                    "JSON object per line out. A model with a precomputed "
-                    "encoder can only score queries whose vectors are in its "
-                    "file; any other query gets an error object.")
+                    "JSON object per line out. The model's hashed n-gram "
+                    "encoder embeds any query, seen in training or not; a "
+                    "blank or over-long line gets an error object.")
     p.add_argument("--model", required=True)
     p.add_argument("--thresholds", default="")
     p.add_argument("--port", type=int, default=0)

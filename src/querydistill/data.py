@@ -1,11 +1,11 @@
-"""Query-log ingestion, deterministic splits, and entity rebalancing."""
+"""Query-log ingestion and deterministic splits."""
 
 import hashlib
 import json
 import random
 from dataclasses import dataclass
 
-from .errors import DataError, MalformedLineError, MissingAnnotationError
+from .errors import DataError, MalformedLineError
 
 
 def normalize_query(text):
@@ -124,6 +124,16 @@ def write_queries_jsonl(path, records):
                                 sort_keys=True) + "\n")
 
 
+def check_ratios(ratios, error=DataError):
+    """``error`` unless the (train, dev, test) ``ratios`` are positive and
+    sum to 1 within 1e-9; a NaN fails both."""
+    train_r, dev_r, test_r = ratios
+    if not all(r > 0 for r in ratios):
+        raise error(f"ratios must be positive, got {ratios}")
+    if not abs(train_r + dev_r + test_r - 1.0) <= 1e-9:
+        raise error(f"ratios must sum to 1, got {ratios}")
+
+
 def split_dataset(records, ratios, seed):
     """Deterministic train/dev/test partition of records.
 
@@ -132,11 +142,7 @@ def split_dataset(records, ratios, seed):
     follow the largest-remainder rule, so each part is within one record of
     its exact fraction.
     """
-    train_r, dev_r, test_r = ratios
-    if min(train_r, dev_r, test_r) <= 0:
-        raise DataError(f"ratios must be positive, got {ratios}")
-    if abs(train_r + dev_r + test_r - 1.0) > 1e-9:
-        raise DataError(f"ratios must sum to 1, got {ratios}")
+    check_ratios(ratios)
     if len(records) < 3:
         raise DataError(f"need at least 3 records to split, got {len(records)}")
 
@@ -145,7 +151,7 @@ def split_dataset(records, ratios, seed):
     rng.shuffle(ordered)
 
     n = len(ordered)
-    exact = [n * train_r, n * dev_r, n * test_r]
+    exact = [n * r for r in ratios]
     sizes = [int(x) for x in exact]
     remainders = [x - s for x, s in zip(exact, sizes)]
     for _ in range(n - sum(sizes)):
@@ -178,51 +184,3 @@ def read_split_manifest(path):
                 rec = json.loads(line)
                 assignment[rec["id"]] = rec["part"]
     return header["seed"], assignment
-
-
-def rebalance_by_entity(records, annotations, cap_fraction=0.25, seed=0):
-    """Downsample so no entity exceeds ``cap_fraction`` of entity occurrences.
-
-    Greedy: while some entity is over the cap, drop one record chosen by a
-    seeded rng from those records whose every entity is currently over the
-    cap (candidates ordered by ascending frequency, ties by id, so a given
-    seed always picks the same record). Records carrying any rare entity are
-    never dropped, and no entity's count ever increases. Records with empty
-    annotations are always kept.
-    """
-    if not 0 < cap_fraction <= 1:
-        raise DataError(f"cap_fraction must be in (0, 1], got {cap_fraction}")
-    missing = [r.id for r in records if r.id not in annotations]
-    if missing:
-        raise MissingAnnotationError(missing)
-
-    rng = random.Random(seed)
-    kept = set(r.id for r in records)
-    by_id = {r.id: r for r in records}
-    counts = {}
-    total = 0
-    for r in records:
-        for entity in annotations[r.id].label_set():
-            counts[entity] = counts.get(entity, 0) + 1
-            total += 1
-
-    while total:
-        over = {e for e, c in counts.items() if c > cap_fraction * total}
-        if not over:
-            break
-        candidates = sorted(
-            (r for rid in kept
-             for r in (by_id[rid],)
-             if annotations[rid].label_set()
-             and annotations[rid].label_set() <= over),
-            key=lambda r: (r.frequency, r.id),
-        )
-        if not candidates:
-            break
-        victim = candidates[rng.randrange(len(candidates))]
-        kept.remove(victim.id)
-        for entity in annotations[victim.id].label_set():
-            counts[entity] -= 1
-            total -= 1
-
-    return [r for r in sorted(records, key=lambda r: r.id) if r.id in kept]

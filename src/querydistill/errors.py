@@ -29,16 +29,6 @@ class MalformedLineError(DataError):
         self.line_number = line_number
 
 
-class MissingAnnotationError(DataError):
-    """Records lack required annotations; carries the offending ids."""
-
-    def __init__(self, query_ids):
-        ids = sorted(query_ids)
-        shown = ", ".join(ids[:5]) + (", ..." if len(ids) > 5 else "")
-        super().__init__(f"{len(ids)} record(s) without annotation: {shown}")
-        self.query_ids = ids
-
-
 class UnparseableResponseError(QueryDistillError):
     """An annotator response contained no usable line at all."""
 
@@ -62,10 +52,6 @@ class NanLossError(ModelError):
         super().__init__(message)
         self.epoch = epoch
         self.batch = batch
-
-
-class MissingEmbeddingError(ModelError):
-    """Precomputed embedding backend has no vector for a query."""
 
 
 class MissingPersonaError(QueryDistillError):

@@ -1,22 +1,21 @@
 """Query encoders shared by the router and the classifier.
 
-``HashedNgramEmbedder`` is the built-in encoder: character 3-5-grams of the
+``HashedNgramEmbedder`` is the one encoder: character 3-5-grams of the
 normalized query (wrapped in boundary markers) are hashed with a keyed
 digest into a fixed number of signed buckets, then L2-normalized
 (Weinberger et al., "Feature Hashing for Large Scale Multitask Learning",
 ICML 2009). Deterministic across processes and platforms: the digest is
 keyed by the seed, never by Python's per-process string hashing.
 
-``PrecomputedEmbedder`` looks up vectors computed offline, keyed by query
-id, so it can only encode queries whose vectors are in its file.
-
-Both expose ``kind``, ``dim``, ``tag``, ``descriptor()``, ``embed(text)``
-for one query and ``encode_batch(texts)`` for an ``(n, dim)`` matrix whose
-rows equal ``embed``'s; ``encoder_from_descriptor`` rebuilds either one from
-its descriptor. ``EncodedTexts`` holds one encoder's matrix for a fixed list
-of texts, and ``hashed_ngram_matrices`` builds the matrices of several
-hashed dims of one seed from one n-gram pass, so a pipeline run extracts
-each text's n-grams once for both of its encoders.
+It embeds any query, seen in training or not, so one encoder serves
+training and real-time inference. It exposes ``kind``, ``dim``, ``tag``,
+``descriptor()``, ``embed(text)`` for one query and ``encode_batch(texts)``
+for an ``(n, dim)`` matrix whose rows equal ``embed``'s;
+``encoder_from_descriptor`` rebuilds it from its descriptor.
+``EncodedTexts`` holds one encoder's matrix for a fixed list of texts, and
+``hashed_ngram_matrices`` builds the matrices of several hashed dims of one
+seed from one n-gram pass, so a pipeline run extracts each text's n-grams
+once for both of its encoders.
 
 Both hashed paths digest a query window by window (``_windows``) and keep
 each window's joined digests in a ``_WindowMemo``: the embedder's memo is
@@ -26,13 +25,12 @@ batch.
 
 import functools
 import hashlib
-import json
 import threading
 
 import numpy as np
 
-from .data import normalize_query, query_id
-from .errors import MissingEmbeddingError, ModelError
+from .data import normalize_query
+from .errors import ModelError
 
 NGRAM_SIZES = (3, 4, 5)
 _BOUNDARY_OPEN = "<"
@@ -215,63 +213,12 @@ def hashed_ngram_matrices(texts, seed, dims):
     return [_unit_rows(values, rows, len(texts), dim) for dim in dims]
 
 
-class PrecomputedEmbedder:
-    """Vectors computed offline, looked up by query id.
-
-    File format: JSON Lines {"id": ..., "vector": [...]}. Every vector must
-    be finite, 1-d and of one common dimension; the file is rejected at load
-    time otherwise. Use this to plug in a real contextual embedding service
-    run offline.
-    """
-
-    kind = "precomputed"
-
-    def __init__(self, path):
-        self._path = str(path)
-        self._vectors = {}
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                if line.strip():
-                    record = json.loads(line)
-                    vec = np.asarray(record["vector"], dtype=float)
-                    if vec.ndim != 1 or not np.isfinite(vec).all():
-                        raise ModelError(
-                            f"{path}: vector for id {record['id']!r} is not "
-                            "a finite 1-d vector")
-                    self._vectors[record["id"]] = vec
-        if not self._vectors:
-            raise MissingEmbeddingError(f"no vectors in {path}")
-        dims = {v.shape[0] for v in self._vectors.values()}
-        if len(dims) != 1:
-            raise ModelError(f"inconsistent vector dims in {path}: {sorted(dims)}")
-        self.dim = dims.pop()
-
-    @property
-    def tag(self):
-        return f"precomputed:{self._path}"
-
-    def descriptor(self):
-        return {"kind": self.kind, "dim": self.dim, "path": self._path}
-
-    def embed(self, text):
-        qid = query_id(text)
-        try:
-            return self._vectors[qid]
-        except KeyError:
-            raise MissingEmbeddingError(
-                f"no precomputed vector for query {text!r} (id {qid})") from None
-
-    def encode_batch(self, texts):
-        return np.array([self.embed(text) for text in texts],
-                        dtype=float).reshape(len(texts), self.dim)
-
-
 class EncodedTexts:
     """One encoder's ``encode_batch`` matrix for a fixed list of texts.
 
     Stands in for the encoder where only those texts are encoded, as in one
     pipeline run: ``encode_batch`` and ``embed`` return stored rows, and
-    ``kind``, ``dim``, ``tag`` and ``descriptor()`` are the encoder's. A text
+    ``dim``, ``tag`` and ``descriptor()`` are the encoder's. A text
     outside the list raises KeyError. ``matrix``, when given, is the
     encoder's ``encode_batch(texts)`` computed elsewhere, possibly cast to
     the dtype its reader computes in: a pipeline run keeps the classifier's
@@ -282,10 +229,6 @@ class EncodedTexts:
         self.encoder = encoder
         self.matrix = encoder.encode_batch(texts) if matrix is None else matrix
         self._rows = {text: row for row, text in enumerate(texts)}
-
-    @property
-    def kind(self):
-        return self.encoder.kind
 
     @property
     def dim(self):
@@ -306,9 +249,9 @@ class EncodedTexts:
 
 
 def encoder_from_descriptor(descriptor):
+    """The encoder a ``descriptor()`` describes; ModelError for a kind other
+    than ``hashed_ngram``."""
     kind = descriptor.get("kind")
     if kind == HashedNgramEmbedder.kind:
         return HashedNgramEmbedder(dim=descriptor["dim"], seed=descriptor["seed"])
-    if kind == PrecomputedEmbedder.kind:
-        return PrecomputedEmbedder(descriptor["path"])
     raise ModelError(f"unknown encoder kind: {kind!r}")

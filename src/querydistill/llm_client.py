@@ -33,6 +33,7 @@ from .annotations import Annotation, Confidence, render_annotation
 from .baseline import phrase_windows
 from .data import normalize_query
 from .errors import AnnotatorConfigError
+from .optim import COUNT, NON_NEGATIVE, check_fields
 
 RETRYABLE_STATUSES = frozenset({429, 500, 502, 503, 504})
 # The longest wait a 429 or 503 response's Retry-After header can ask for.
@@ -51,10 +52,11 @@ class HttpEndpointConfig:
     requests_per_second: float = 2.0
 
     def __post_init__(self):
-        if self.timeout <= 0:
-            raise AnnotatorConfigError(f"timeout must be > 0, got {self.timeout}")
-        if self.max_retries < 0:
-            raise AnnotatorConfigError(f"max_retries must be >= 0, got {self.max_retries}")
+        check_fields(self, {
+            "timeout": ("number", lambda v: v > 0, "> 0"),
+            "max_retries": ("integer", lambda v: v >= 0, ">= 0"),
+            "backoff": NON_NEGATIVE, "in_flight_limit": COUNT,
+            "requests_per_second": NON_NEGATIVE}, AnnotatorConfigError)
 
 
 @dataclass(frozen=True)
@@ -507,7 +509,7 @@ def annotate_batch(handle, prompts, cache=None):
             cache.put(key, response)
         return index, response
 
-    workers = max(1, handle.config.in_flight_limit)
+    workers = handle.config.in_flight_limit
     if workers == 1 or len(pending) == 1:
         outcomes = [worker(item) for item in pending]
     else:

@@ -76,8 +76,8 @@ def is_number(value):
             and math.isfinite(value))
 
 
-def check_fields(config, rules):
-    """ModelError for the first field of ``config`` that breaks its rule.
+def check_fields(config, rules, error=ModelError):
+    """``error`` for the first field of ``config`` that breaks its rule.
 
     ``rules`` maps a field name to (kind, test, what): ``kind`` is "integer"
     or "number" (finite, never a bool), ``test(value)`` is the range check
@@ -87,9 +87,9 @@ def check_fields(config, rules):
         value = getattr(config, name)
         if not (is_integer if kind == "integer" else is_number)(value):
             article = "an" if kind == "integer" else "a finite"
-            raise ModelError(f"{name} must be {article} {kind}, got {value!r}")
+            raise error(f"{name} must be {article} {kind}, got {value!r}")
         if not test(value):
-            raise ModelError(f"{name} must be {what}, got {value!r}")
+            raise error(f"{name} must be {what}, got {value!r}")
 
 
 # Rules that several train-config fields share.
@@ -101,10 +101,9 @@ FRACTION = ("number", lambda v: 0 <= v < 1, "in [0, 1)")
 @dataclass(frozen=True)
 class TrainConfig:
     """Batching and AdamW settings of both networks. Each subclass adds its
-    own fields and their rules; ``learning_rate`` None lets the network
-    resolve it."""
+    own fields and their rules."""
 
-    learning_rate: float = None
+    learning_rate: float = 1e-3
     epochs: int = 20
     batch_size: int = 32
     seed: int = 0
@@ -115,20 +114,17 @@ class TrainConfig:
 
     def rules(self):
         """{field: (kind, test, what)} for ``check_fields``."""
-        rules = {"epochs": COUNT, "batch_size": COUNT,
-                 "seed": ("integer", lambda v: v >= 0, ">= 0"),
-                 "weight_decay": NON_NEGATIVE, "beta1": FRACTION,
-                 "beta2": FRACTION, "eps": ("number", lambda v: v > 0, "> 0")}
-        if self.learning_rate is not None:
-            rules["learning_rate"] = NON_NEGATIVE
-        return rules
+        return {"epochs": COUNT, "batch_size": COUNT,
+                "seed": ("integer", lambda v: v >= 0, ">= 0"),
+                "weight_decay": NON_NEGATIVE, "beta1": FRACTION,
+                "beta2": FRACTION, "eps": ("number", lambda v: v > 0, "> 0"),
+                "learning_rate": NON_NEGATIVE}
 
     def __post_init__(self):
         check_fields(self, self.rules())
 
 
-def minibatch_epochs(params, n, loss_and_grads, config, learning_rate,
-                     decay_params, name):
+def minibatch_epochs(params, n, loss_and_grads, config, decay_params, name):
     """Train ``params`` in place with minibatch AdamW, yielding (epoch,
     batch losses) after each epoch; the caller may stop early by breaking.
 
@@ -137,7 +133,8 @@ def minibatch_epochs(params, n, loss_and_grads, config, learning_rate,
     ``default_rng(config.seed + 1)``. A non-finite loss raises NanLossError
     naming the network ``name``.
     """
-    optimizer = AdamW(params, learning_rate, weight_decay=config.weight_decay,
+    optimizer = AdamW(params, config.learning_rate,
+                      weight_decay=config.weight_decay,
                       beta1=config.beta1, beta2=config.beta2, eps=config.eps,
                       decay_params=decay_params)
     order_rng = np.random.default_rng(config.seed + 1)

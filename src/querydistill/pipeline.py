@@ -24,6 +24,7 @@ import functools
 import hashlib
 import inspect
 import json
+import math
 import os
 from dataclasses import dataclass, field, asdict
 
@@ -57,11 +58,11 @@ _INPUT_PATHS = ("registry_path", "queries_path", "gazetteer_path",
                "personas_path", "gold_path", "annotator.gazetteer")
 
 
-# The config fields that must be JSON numbers, with their exact Python types
-# (so a bool is none).
-_NUMBER_FIELDS = {"seed": (int,), "embedding_dim": (int,), "encoder_dim": (int,),
-                  "max_icl_examples": (int,), "aggregation_threshold": (int, float),
-                  "rebalance_cap": (int, float)}
+# The config fields that must be finite JSON numbers, with their exact Python
+# types (so a bool is none) and their least value (None for no bound).
+_NUMBER_FIELDS = {"seed": ((int,), 0), "embedding_dim": ((int,), 1),
+                  "encoder_dim": ((int,), 1), "max_icl_examples": ((int,), 1),
+                  "aggregation_threshold": ((int, float), None)}
 
 
 def _input_paths(raw):
@@ -102,21 +103,24 @@ class RunConfig:
     router: dict = field(default_factory=dict)
     classifier: dict = field(default_factory=dict)
     encoder_dim: int = 512
-    rebalance_cap: float = 0.0    # 0 disables rebalancing before router training
     eval_reference: str = "gold"  # "gold" or "teacher"
     max_icl_examples: int = 4
 
     def __post_init__(self):
-        for name, types in _NUMBER_FIELDS.items():
+        for name, (types, least) in _NUMBER_FIELDS.items():
             value = getattr(self, name)
-            if type(value) not in types:
+            if type(value) not in types or not -math.inf < value < math.inf:
                 what = "an integer" if types == (int,) else "a number"
                 raise PipelineConfigError(f"{name} must be {what}, got {value!r}")
+            if least is not None and value < least:
+                raise PipelineConfigError(
+                    f"{name} must be >= {least}, got {value!r}")
         if not (isinstance(self.ratios, (list, tuple)) and len(self.ratios) == 3
                 and all(type(r) in (int, float) for r in self.ratios)):
             raise PipelineConfigError(
                 f"ratios must be three numbers, got {self.ratios!r}")
         self.ratios = tuple(self.ratios)
+        data_mod.check_ratios(self.ratios, PipelineConfigError)
         if self.persona_mode not in PERSONA_MODES:
             raise PipelineConfigError(
                 f"persona_mode must be one of {PERSONA_MODES}, "
@@ -279,11 +283,6 @@ class _Run:
         self.registry = load_registry(config.registry_path)
         self.router_config = router_mod.RouterTrainConfig(
             **{"seed": config.seed, **config.router})
-        weights = self.router_config.entity_loss_weights
-        if weights and len(weights) != len(self.registry):
-            raise PipelineConfigError(
-                f"entity_loss_weights length {len(weights)} != "
-                f"{len(self.registry)} entities")
         self.classifier_config = classifier_mod.ClassifierTrainConfig(
             **{"seed": config.seed, **config.classifier})
         self.personas = (personas_mod.load_personas(config.personas_path)
@@ -388,10 +387,6 @@ def _router(run):
         return
     gold = run.gold
     train_records = list(run.split.train)
-    if config.rebalance_cap:
-        train_records = data_mod.rebalance_by_entity(
-            train_records, gold, cap_fraction=config.rebalance_cap,
-            seed=config.seed)
     rows = run.rows(train_records)
     gold_levels = personas_mod.annotation_levels(
         [gold[r.id] for r in train_records], registry)

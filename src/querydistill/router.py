@@ -19,8 +19,8 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .errors import EmptyDatasetError, ModelError
-from .optim import (COUNT, FRACTION, NON_NEGATIVE, TrainConfig, check_weights,
-                    fan_in_uniform, is_number, load_weights, minibatch_epochs,
+from .optim import (COUNT, FRACTION, TrainConfig, check_weights,
+                    fan_in_uniform, load_weights, minibatch_epochs,
                     save_weights)
 
 BCE_EPS = 1e-7
@@ -81,22 +81,10 @@ class RouterModel:
 class RouterTrainConfig(TrainConfig):
     hidden_dim: int = 64
     dropout_rate: float = 0.1
-    learning_rate: float = 1e-3
-    entity_loss_weights: tuple = ()  # optional per-entity weights in the BCE mean
 
     def rules(self):
-        # The router has no per-backend default, so learning_rate is required.
-        return {**super().rules(), "learning_rate": NON_NEGATIVE,
-                "hidden_dim": COUNT, "dropout_rate": FRACTION}
-
-    def __post_init__(self):
-        super().__post_init__()
-        weights = self.entity_loss_weights
-        if not (isinstance(weights, (list, tuple))
-                and all(is_number(w) and w >= 0 for w in weights)
-                and (not weights or sum(weights) > 0)):
-            raise ModelError("entity_loss_weights must be numbers >= 0 with a "
-                             f"positive sum, got {weights!r}")
+        return {**super().rules(), "hidden_dim": COUNT,
+                "dropout_rate": FRACTION}
 
 
 def _dropout_mask(rng, shape, rate):
@@ -147,8 +135,7 @@ def predict_entities(relevance, values):
                      np.asarray(values, dtype=float) / CONFIDENCE_SCALE)
 
 
-def router_loss_and_grads(model, X, matrices, targets, train_mode=False, seed=0,
-                          entity_weights=None):
+def router_loss_and_grads(model, X, matrices, targets, train_mode=False, seed=0):
     """Loss and analytic parameter gradients for a batch.
 
     X: (B, d) embeddings; matrices: (B, P, E) scaled-to-{0..3} integer
@@ -161,11 +148,7 @@ def router_loss_and_grads(model, X, matrices, targets, train_mode=False, seed=0,
     S = predict_entities(R, matrices)
 
     clipped = np.clip(S, BCE_EPS, 1.0 - BCE_EPS)
-    if entity_weights is None:
-        w = np.full(E, 1.0 / E)
-    else:
-        w = np.asarray(entity_weights, dtype=float)
-        w = w / w.sum()
+    w = np.full(E, 1.0 / E)
     losses = -(targets * np.log(clipped) + (1.0 - targets) * np.log1p(-clipped))
     loss = float((losses * w).sum(axis=1).mean())
 
@@ -214,13 +197,6 @@ def train_router(X, M, Y, persona_ids, config, registry):
     if not len(X):
         raise EmptyDatasetError("train_router got no examples")
     X, M, Y = (np.asarray(a, dtype=float) for a in (X, M, Y))
-    E = len(registry)
-    entity_weights = (np.asarray(config.entity_loss_weights, dtype=float)
-                      if config.entity_loss_weights else None)
-    if entity_weights is not None and entity_weights.shape != (E,):
-        raise ModelError(
-            f"entity_loss_weights length {entity_weights.shape} != {E} entities")
-
     model = _init_model(X.shape[1], len(persona_ids), config, persona_ids,
                         registry.hash)
     dropout_seed = np.random.SeedSequence(config.seed + 2)
@@ -228,12 +204,12 @@ def train_router(X, M, Y, persona_ids, config, registry):
     def batch_loss(rows):
         return router_loss_and_grads(
             model, X[rows], M[rows], Y[rows], train_mode=True,
-            seed=dropout_seed.spawn(1)[0], entity_weights=entity_weights)
+            seed=dropout_seed.spawn(1)[0])
 
     history = []
     for epoch, losses in minibatch_epochs(
-            model.params(), len(X), batch_loss, config, config.learning_rate,
-            ("W1", "W2"), "router"):
+            model.params(), len(X), batch_loss, config, ("W1", "W2"),
+            "router"):
         history += [(epoch, batch, loss) for batch, loss in enumerate(losses)]
     return model, history
 

@@ -25,10 +25,10 @@ from querydistill.classifier import (ClassifierModel, ClassifierTrainConfig,
                                      _sweep,
                                      train_classifier, tune_threshold_for_entity,
                                      tune_thresholds, weak_labels_from_annotations)
-from querydistill.errors import (EmptyDatasetError, MissingEmbeddingError,
-                                 ModelError, NanLossError)
-from querydistill.features import HashedNgramEmbedder, PrecomputedEmbedder
+from querydistill.errors import EmptyDatasetError, ModelError, NanLossError
+from querydistill.features import HashedNgramEmbedder
 from querydistill.optim import AdamW, encode_array
+from querydistill.router import RouterTrainConfig
 from querydistill.synth import synth_gazetteer, synth_queries, synth_registry
 
 
@@ -59,17 +59,6 @@ class TestEncode:
     def test_unit_norm(self):
         backend = HashedNgramEmbedder(dim=64, seed=1)
         assert abs(np.linalg.norm(backend.embed("tom hanks")) - 1.0) < 1e-12
-
-    def test_precomputed_backend_missing_vector(self, tmp_path):
-        import json
-        from querydistill.data import query_id
-        path = tmp_path / "vecs.jsonl"
-        path.write_text(json.dumps(
-            {"id": query_id("known"), "vector": [1.0, 0.0]}) + "\n")
-        backend = PrecomputedEmbedder(path)
-        assert backend.embed("known").tolist() == [1.0, 0.0]
-        with pytest.raises(MissingEmbeddingError):
-            backend.embed("unknown")
 
 
 class TestWeakLabels:
@@ -273,10 +262,10 @@ class TestTrainClassifier:
         assert 2 * tp / (2 * tp + fp + fn) == max(dev_f1)
 
     def test_learning_rate_resolution(self):
-        config = ClassifierTrainConfig()
-        assert config.resolve_learning_rate(HashedNgramEmbedder()) == 1e-3
-        explicit = ClassifierTrainConfig(learning_rate=1e-5)
-        assert explicit.resolve_learning_rate(HashedNgramEmbedder()) == 1e-5
+        # Both networks default to 1e-3; an explicit rate is kept as given.
+        assert ClassifierTrainConfig().learning_rate == 1e-3
+        assert RouterTrainConfig().learning_rate == 1e-3
+        assert ClassifierTrainConfig(learning_rate=1e-5).learning_rate == 1e-5
 
 
 class TestPredict:

@@ -4,13 +4,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import ann
-from querydistill.annotations import Annotation
 from querydistill.data import (QueryRecord, ingest_queries, normalize_query,
-                               query_id, rebalance_by_entity, render_queries,
-                               split_dataset)
-from querydistill.errors import (DataError, MalformedLineError,
-                                 MissingAnnotationError)
+                               query_id, render_queries, split_dataset)
+from querydistill.errors import DataError, MalformedLineError
 
 
 class TestIngest:
@@ -116,75 +112,6 @@ class TestSplit:
             for part, ratio in zip((split.train, split.dev, split.test),
                                    (a, b, 1.0 - a - b)):
                 assert abs(len(part) - n * ratio) <= 1.0
-
-
-class TestRebalance:
-    def make_skewed(self):
-        records, annotations = [], {}
-        for i in range(90):
-            r = QueryRecord(id=f"g{i:03d}", text=f"genre {i}", frequency=1)
-            records.append(r)
-            annotations[r.id] = ann(Genre="High")
-        for i in range(10):
-            r = QueryRecord(id=f"s{i:03d}", text=f"sport {i}", frequency=1)
-            records.append(r)
-            annotations[r.id] = ann(Sport="High")
-        return records, annotations
-
-    def count_entities(self, kept, annotations):
-        counts = {}
-        for r in kept:
-            for e in annotations[r.id].label_set():
-                counts[e] = counts.get(e, 0) + 1
-        return counts
-
-    def test_cap_enforced_and_rare_kept(self):
-        records, annotations = self.make_skewed()
-        kept = rebalance_by_entity(records, annotations, cap_fraction=0.5, seed=1)
-        counts = self.count_entities(kept, annotations)
-        assert counts["Sport"] == 10
-        assert counts["Genre"] <= 10
-
-    def test_cap_one_is_noop(self):
-        records, annotations = self.make_skewed()
-        only_genre = [r for r in records if r.id.startswith("g")]
-        kept = rebalance_by_entity(only_genre, annotations, cap_fraction=1.0)
-        assert kept == sorted(only_genre, key=lambda r: r.id)
-
-    def test_missing_annotation_listed(self):
-        records, annotations = self.make_skewed()
-        del annotations["g000"]
-        with pytest.raises(MissingAnnotationError) as err:
-            rebalance_by_entity(records, annotations)
-        assert "g000" in err.value.query_ids
-
-    def test_never_increases_counts(self):
-        rng = random.Random(8)
-        entities = ["A", "B", "C", "D"]
-        records, annotations = [], {}
-        for i in range(120):
-            r = QueryRecord(id=f"q{i:03d}", text=f"query {i}",
-                            frequency=rng.randint(1, 5))
-            records.append(r)
-            labels = rng.sample(entities, rng.randint(0, 2))
-            annotations[r.id] = Annotation(
-                entities={e: ann(Genre="High").entities["Genre"] for e in labels})
-        before = self.count_entities(records, annotations)
-        kept = rebalance_by_entity(records, annotations, cap_fraction=0.3, seed=2)
-        after = self.count_entities(kept, annotations)
-        for entity, count in after.items():
-            assert count <= before[entity]
-
-    def test_deterministic(self):
-        records, annotations = self.make_skewed()
-        a = rebalance_by_entity(records, annotations, cap_fraction=0.5, seed=4)
-        b = rebalance_by_entity(records, annotations, cap_fraction=0.5, seed=4)
-        assert a == b
-
-    def test_bad_cap_rejected(self):
-        records, annotations = self.make_skewed()
-        with pytest.raises(DataError):
-            rebalance_by_entity(records, annotations, cap_fraction=0.0)
 
 
 def test_normalize_query():

@@ -1,7 +1,4 @@
-import json
-import os
 import sys
-import tempfile
 import threading
 import tracemalloc
 from unittest import mock
@@ -12,10 +9,9 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from querydistill import features
-from querydistill.data import query_id
-from querydistill.errors import MissingEmbeddingError, ModelError
+from querydistill.errors import ModelError
 from querydistill.features import (EncodedTexts, HashedNgramEmbedder,
-                                   PrecomputedEmbedder, encoder_from_descriptor,
+                                   encoder_from_descriptor,
                                    hashed_ngram_matrices)
 
 
@@ -214,34 +210,6 @@ class TestWindowMemo:
                 text, 64, 0).tobytes()
 
 
-def write_vectors(path, rows):
-    with open(path, "w") as fh:
-        for text, vector in rows:
-            fh.write(json.dumps({"id": query_id(text), "vector": vector}) + "\n")
-
-
-class TestPrecomputedEmbedder:
-    def test_descriptor_round_trip(self, tmp_path):
-        path = tmp_path / "vectors.jsonl"
-        write_vectors(path, [("known", [1.0, 0.0])])
-        rebuilt = encoder_from_descriptor(PrecomputedEmbedder(path).descriptor())
-        assert rebuilt.embed("known").tolist() == [1.0, 0.0]
-        with pytest.raises(MissingEmbeddingError):
-            rebuilt.embed("unknown")
-
-    @pytest.mark.parametrize("rows", [
-        [("a", [1.0, float("nan")])],
-        [("a", [1.0, float("inf")])],
-        [("a", [[1.0, 0.0]])],
-        [("a", [1.0, 0.0]), ("b", [1.0, 0.0, 0.0])],
-    ])
-    def test_bad_vectors_rejected_at_load(self, tmp_path, rows):
-        path = tmp_path / "vectors.jsonl"
-        write_vectors(path, rows)
-        with pytest.raises(ModelError):
-            PrecomputedEmbedder(path)
-
-
 # Texts of 1-12 characters from ASCII, accented and CJK letters, digits and
 # whitespace; lists are drawn from a small pool, so duplicates are common.
 _TEXTS = st.text(alphabet=st.sampled_from(list("ab z9Éßé中文 \t")),
@@ -267,21 +235,6 @@ class TestEncodeBatch:
             len(texts), dim)
         assert matrix.shape == (len(texts), dim)
         assert matrix.dtype == np.float64
-        assert matrix.tobytes() == expected.tobytes()
-
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(texts=_batches(), dim=st.integers(1, 300), seed=st.integers(0, 50))
-    def test_precomputed_rows_equal_embed_bit_for_bit(self, texts, dim, seed):
-        rng = np.random.default_rng(seed)
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "vectors.jsonl")
-            write_vectors(path, [(t, rng.normal(size=dim).tolist())
-                                 for t in set(texts) or {"x"}])
-            encoder = PrecomputedEmbedder(path)
-        matrix = encoder.encode_batch(texts)
-        expected = np.array([encoder.embed(t) for t in texts]).reshape(
-            len(texts), dim)
-        assert matrix.shape == (len(texts), dim)
         assert matrix.tobytes() == expected.tobytes()
 
     def test_blank_text_raises_like_embed(self):
@@ -388,8 +341,7 @@ class TestEncodedTexts:
         encoder = HashedNgramEmbedder(dim=32, seed=3)
         texts = ["comedy movies", "sport", "Ünïcode"]
         encoded = EncodedTexts(encoder, texts)
-        assert (encoded.kind, encoded.dim, encoded.tag) == (
-            encoder.kind, encoder.dim, encoder.tag)
+        assert (encoded.dim, encoded.tag) == (encoder.dim, encoder.tag)
         assert encoded.descriptor() == encoder.descriptor()
         assert encoded.embed("sport").tobytes() == encoder.embed("sport").tobytes()
         assert (encoded.encode_batch(["Ünïcode", "comedy movies", "Ünïcode"])

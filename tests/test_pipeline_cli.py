@@ -850,6 +850,20 @@ class TestServe:
             assert err.startswith(f"error: {bad}")
             assert "Traceback" not in err
 
+    def test_precomputed_encoder_model_refused(self, served_model, tmp_path,
+                                               capsys):
+        from querydistill.errors import ModelError
+        payload = json.loads(open(served_model[0], encoding="utf-8").read())
+        payload["backend"] = {"kind": "precomputed", "dim": 256,
+                              "path": "vectors.jsonl"}
+        bad = tmp_path / "classifier.json"
+        bad.write_text(json.dumps(payload))
+        message = "unknown encoder kind: 'precomputed'"
+        with pytest.raises(ModelError, match=message):
+            load_classifier(bad)
+        assert cli.main(["serve", "--model", str(bad)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_tcp_round_trip(self, served_model):
         state = ServeState(served_model[0])
         server = serve_tcp(state, port=0)
@@ -1044,7 +1058,11 @@ class TestConfigSurfaces:
         ("annotator", "nosie_rate", "error: unknown annotator key: nosie_rate"),
         ("router", "hiden_dim", "error: unknown router key: hiden_dim"),
         ("classifier", "epoch", "error: unknown classifier key: epoch"),
-    ], ids=["top-level", "annotator", "router", "classifier"])
+        (None, "rebalance_cap", "error: unknown config key: rebalance_cap"),
+        ("router", "entity_loss_weights",
+         "error: unknown router key: entity_loss_weights"),
+    ], ids=["top-level", "annotator", "router", "classifier", "rebalance_cap",
+            "router-entity_loss_weights"])
     def test_config_typo_fails_before_any_stage(self, tmp_path, capsys,
                                                 section, key, message):
         config_path = build_workspace(tmp_path, count=60)
@@ -1092,15 +1110,42 @@ class TestConfigSurfaces:
          "error: patience must be >= 1, got -1"),
         ("router", {"epochs": "5"},
          "error: epochs must be an integer, got '5'"),
-        ("router", {"entity_loss_weights": [1.0]},
-         "error: entity_loss_weights length 1 != 5 entities"),
+        ("embedding_dim", 0, "error: embedding_dim must be >= 1, got 0"),
+        ("encoder_dim", 0, "error: encoder_dim must be >= 1, got 0"),
+        ("max_icl_examples", -1,
+         "error: max_icl_examples must be >= 1, got -1"),
+        ("max_icl_examples", 0, "error: max_icl_examples must be >= 1, got 0"),
+        ("ratios", [0.5, 0.5, 0.5],
+         "error: ratios must sum to 1, got (0.5, 0.5, 0.5)"),
+        ("ratios", [0.9, 0.2, -0.1],
+         "error: ratios must be positive, got (0.9, 0.2, -0.1)"),
+        ("ratios", [0.7, float("nan"), 0.2],
+         "error: ratios must be positive, got (0.7, nan, 0.2)"),
+        ("aggregation_threshold", float("nan"),
+         "error: aggregation_threshold must be a number, got nan"),
+        ("annotator", {"kind": "http", "url": "http://127.0.0.1:9/generate",
+                       "model": "m", "backoff": -1},
+         "error: backoff must be >= 0, got -1"),
+        ("annotator", {"kind": "http", "url": "http://127.0.0.1:9/generate",
+                       "model": "m", "in_flight_limit": 0},
+         "error: in_flight_limit must be >= 1, got 0"),
+        ("annotator", {"kind": "http", "url": "http://127.0.0.1:9/generate",
+                       "model": "m", "requests_per_second": -2.0},
+         "error: requests_per_second must be >= 0, got -2.0"),
+        ("annotator", {"kind": "http", "url": "http://127.0.0.1:9/generate",
+                       "model": "m", "max_retries": 1.5},
+         "error: max_retries must be an integer, got 1.5"),
     ], ids=["prompt_variant", "min_confidence", "persona_k", "persona_k-str",
             "http-timeout", "http-without-url", "mock-noise-rate",
             "embedding_dim-str", "aggregation_threshold-bool", "ratios-two",
             "router-epochs", "classifier-epochs", "classifier-learning_rate",
             "classifier-batch_size", "classifier-head_dim", "classifier-beta1",
             "router-dropout_rate", "classifier-patience", "router-epochs-str",
-            "router-entity_loss_weights"])
+            "embedding_dim-zero", "encoder_dim-zero", "max_icl_examples-negative",
+            "max_icl_examples-zero", "ratios-sum", "ratios-negative", "ratios-nan",
+            "aggregation_threshold-nan",
+            "http-backoff", "http-in_flight_limit", "http-requests_per_second",
+            "http-max_retries-float"])
     def test_config_value_fails_before_any_stage(self, tmp_path, capsys,
                                                  key, value, message):
         config_path = build_workspace(tmp_path, count=60)

@@ -9,9 +9,8 @@ from hypothesis import given, settings, strategies as st
 import oracles
 import synthetic_helpers as synth
 from querydistill import router as router_mod
-from querydistill.errors import (EmptyDatasetError, MissingEmbeddingError,
-                                 ModelError, NanLossError)
-from querydistill.features import HashedNgramEmbedder, PrecomputedEmbedder
+from querydistill.errors import EmptyDatasetError, ModelError, NanLossError
+from querydistill.features import HashedNgramEmbedder
 from querydistill.optim import encode_array
 from querydistill.personas import aggregate_ensemble, sample_personas
 from querydistill.router import (RouterModel, RouterTrainConfig, load_router,
@@ -40,17 +39,6 @@ class TestEmbedQuery:
         for text in ("a", "tom hanks", "a very long query about movies"):
             vec = encoder.embed(text)
             assert abs(np.linalg.norm(vec) - 1.0) < 1e-6
-
-    def test_precomputed_lookup_and_missing(self, tmp_path):
-        from querydistill.data import query_id
-        path = tmp_path / "vectors.jsonl"
-        with open(path, "w") as fh:
-            fh.write(json.dumps({"id": query_id("known query"),
-                                 "vector": [0.5, 0.5]}) + "\n")
-        encoder = PrecomputedEmbedder(path)
-        assert encoder.embed("known query").tolist() == [0.5, 0.5]
-        with pytest.raises(MissingEmbeddingError):
-            encoder.embed("unknown query")
 
 
 class TestRouterForward:
