@@ -9,6 +9,8 @@ import enum
 import json
 from dataclasses import dataclass, field
 
+from .data import read_jsonl
+
 # ``json.dumps(record, sort_keys=True)`` without building an encoder per call.
 _SORTED_JSON = json.JSONEncoder(sort_keys=True)
 
@@ -119,26 +121,19 @@ def read_annotation_store(path):
     """Read an annotation JSONL file.
 
     Returns {query_id: Annotation} when no record carries a persona, else
-    {(query_id, persona_id): Annotation}.
+    {(query_id, persona_id): Annotation}. A line that is not valid JSON,
+    lacks an ``id`` or holds an unknown confidence label raises DataError
+    naming the file and line.
     """
-    flat = {}
     keyed = {}
-    saw_persona = False
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            ann = annotation_from_json(record)
-            pid = record.get("persona")
-            if pid is not None:
-                saw_persona = True
-            flat[record["id"]] = ann
-            keyed[(record["id"], pid)] = ann
-    if saw_persona:
-        return {(q, p): a for (q, p), a in keyed.items()}
-    return flat
+
+    def add(record):
+        keyed[record["id"], record.get("persona")] = annotation_from_json(record)
+
+    read_jsonl(path, add)
+    if any(pid is not None for _, pid in keyed):
+        return keyed
+    return {qid: ann for (qid, _), ann in keyed.items()}
 
 
 def _store_key(key):

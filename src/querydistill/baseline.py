@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from .annotations import Annotation, Confidence
-from .data import normalize_query
+from .data import normalize_query, read_jsonl
 
 
 def phrase_windows(text):
@@ -60,16 +60,12 @@ class Gazetteer:
 def load_gazetteer(path):
     """Read a JSON Lines gazetteer: {"entity": ..., "phrases": [...]} per line.
 
-    Repeated entity lines merge their phrase sets.
+    Repeated entity lines merge their phrase sets. A line that is not valid
+    JSON or lacks a field raises DataError naming the file and line.
     """
     merged = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            merged.setdefault(record["entity"], []).extend(record["phrases"])
+    read_jsonl(path, lambda record: merged.setdefault(
+        record["entity"], []).extend(record["phrases"]))
     return Gazetteer(phrases=merged)
 
 

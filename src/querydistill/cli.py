@@ -109,7 +109,12 @@ def cmd_ablation(args):
         return scored
 
     # The persona pass checks the persona inputs before any directory exists.
+    # Its two arms' levels are taken at once, so the run is not kept.
     persona_run = arm_run("personas", "router", persona_mode="router")
+    persona_arms = {mode: aggregate_ensemble(
+        persona_run.levels, choose_personas(persona_run, mode),
+        threshold=config.aggregation_threshold) for mode in ("random", "router")}
+    del persona_run
     grid = {v: arm_run(v.name.lower(), "matrix", persona_mode="none",
                        prompt_variant=v.name.lower()).levels[:, 0]
             for v in PromptVariant}
@@ -125,10 +130,8 @@ def cmd_ablation(args):
     print("== persona selection comparison ==")
     report(f"{'none':<8}",
            grid[PromptVariant.from_string(config.prompt_variant)])
-    for mode in ("random", "router"):
-        report(f"{mode:<8}", aggregate_ensemble(
-            persona_run.levels, choose_personas(persona_run, mode),
-            threshold=config.aggregation_threshold))
+    for mode, levels in persona_arms.items():
+        report(f"{mode:<8}", levels)
     _print_stats({key: sum(s[key] for s in stats) for key in stats[0]})
     return 0
 

@@ -5,7 +5,7 @@ import json
 import random
 from dataclasses import dataclass
 
-from .errors import DataError, MalformedLineError
+from .errors import DataError, MalformedLineError, QueryDistillError
 
 
 def normalize_query(text):
@@ -184,3 +184,33 @@ def read_split_manifest(path):
                 rec = json.loads(line)
                 assignment[rec["id"]] = rec["part"]
     return header["seed"], assignment
+
+
+def read_jsonl(path, parse, error=DataError):
+    """``parse(record)`` of each non-blank line of the JSON Lines file at
+    ``path``, in file order. ``error`` names the file and the 1-based line
+    of a line that is not a JSON object or whose record ``parse`` refuses
+    with a KeyError, TypeError, ValueError, AttributeError or
+    QueryDistillError."""
+    items = []
+    # Read as bytes, so that a line that is not UTF-8 fails in json.loads,
+    # with its line number, and not in the file iterator.
+    with open(path, "rb") as fh:
+        for number, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+                if not isinstance(record, dict):
+                    raise TypeError("record is not a JSON object")
+                items.append(parse(record))
+            except json.JSONDecodeError as exc:
+                raise error(f"{path} line {number}: not valid JSON "
+                            f"({exc.msg})") from exc
+            except KeyError as exc:
+                raise error(f"{path} line {number}: no {exc.args[0]!r} "
+                            "field") from exc
+            except (AttributeError, TypeError, ValueError,
+                    QueryDistillError) as exc:
+                raise error(f"{path} line {number}: {exc}") from exc
+    return items

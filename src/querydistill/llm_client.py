@@ -7,8 +7,9 @@ exponential backoff (or after a 429 or 503's ``Retry-After`` seconds, up to
 aborting the batch, and every successful response is appended to an
 on-disk response log keyed by digest(model name + prompt text). Prompts come
 as (``PromptFrame``, query) pairs and the keys from each frame's hash state,
-so only an HTTP request renders a prompt's text. A completed batch re-run
-against the same cache performs zero annotator calls.
+so only an HTTP request renders a prompt's text. The log is read once into
+memory when the cache opens, so a completed batch re-run against the same
+cache performs zero annotator calls and opens no descriptor.
 
 The mock annotator is a gazetteer lookup with optional persona biases,
 seeded confidence noise, and prompt-section awareness (entries marked
@@ -22,7 +23,6 @@ import json
 import os
 import random
 import re
-import tempfile
 import threading
 import time
 import zlib
@@ -149,26 +149,32 @@ def _record(key, payload):
 
 
 def _replay(data):
-    """(index, torn) from the bytes of a response log.
-
-    Records apply in file order: a response sets its key only when the key
-    is absent, so the first one wins, and a tombstone (payload ``null``)
-    removes the key. A line whose checksum fails is skipped, and so is a
-    last line without a newline; ``torn`` says the file ends in one.
+    """(index, torn) from the bytes of a response log; ``index`` maps each
+    key to its response text. Records apply in file order: a response sets
+    its key only when the key is absent, so the first one wins, and a
+    tombstone (payload ``null``) removes the key. A line whose checksum
+    fails or whose payload is not a JSON string is skipped, and so is a
+    last line without a newline; ``torn`` says the file ends in one. Each
+    distinct payload is decoded once, so equal responses share one ``str``.
     """
-    index = {}
-    offset = 0
+    index, texts = {}, {}
     lines = data.split(b"\n")
     for line in lines[:-1]:
         key, _, rest = line.partition(b" ")
         crc, _, payload = rest.partition(b" ")
-        if crc == b"%08x" % zlib.crc32(payload, zlib.crc32(key)):
-            key = key.decode("utf-8")
-            if payload == b"null":
-                index.pop(key, None)
-            elif key not in index:
-                index[key] = (offset + len(line) - len(payload), len(payload))
-        offset += len(line) + 1
+        if crc != b"%08x" % zlib.crc32(payload, zlib.crc32(key)):
+            continue
+        key = key.decode("utf-8")
+        if payload == b"null":
+            index.pop(key, None)
+        elif key not in index and payload[:1] == b'"':
+            if payload not in texts:
+                try:
+                    texts[payload] = json.loads(payload)
+                except ValueError:  # a JSONDecodeError or UnicodeDecodeError
+                    texts[payload] = None
+            if texts[payload] is not None:
+                index[key] = texts[payload]
     return index, bool(lines[-1])
 
 
@@ -178,19 +184,16 @@ class ResponseCache:
     Each line of ``responses.log`` is one record, ``<key> <crc32> <payload>``:
     the cache key, the CRC32 of key and payload in 8 hex digits, and the
     response as a JSON string, or ``null`` for a tombstone. Opening the
-    cache reads the log once and indexes each key to the offset and length
-    of its payload (see ``_replay``); ``get`` reads one payload back with
-    ``os.pread`` on a read-only descriptor, so a warm replay needs no write
-    access. ``put`` and ``discard`` append one record with a single
-    ``write`` on an ``O_APPEND`` descriptor, so records from concurrent
-    writers never interleave, and a log that ends in a torn line gets a
-    newline first. This is the Bitcask design (Sheehy & Smith, 2010). Each
-    descriptor opens on first use; ``close``, or leaving a ``with`` block,
-    releases them.
-
-    A directory in the old layout, one ``<key>.txt`` file per response and
-    no log, is imported into the log once, in sorted key order. The old
-    files are left in place.
+    cache reads the whole log into memory once and keeps each key's response
+    text (see ``_replay``), so ``get`` is a lookup and a warm replay opens
+    no descriptor. The index keeps one text per distinct payload; for a log
+    whose payloads are all distinct, as real LLM output would be, that is
+    about one log's worth of text. ``put`` and ``discard`` append one record
+    with a single ``write`` on an ``O_APPEND`` descriptor, opened on first
+    use, so records from concurrent writers never interleave; a log that
+    ends in a torn line gets a newline first. ``close``, or leaving a
+    ``with`` block, releases the descriptor. This is the Bitcask design
+    (Sheehy & Smith, 2010) with the values held in the index.
     """
 
     def __init__(self, directory):
@@ -198,9 +201,7 @@ class ResponseCache:
         os.makedirs(self.directory, exist_ok=True)
         self.path = os.path.join(self.directory, LOG_NAME)
         self._lock = threading.Lock()
-        self._fds = {}
-        if not os.path.exists(self.path):
-            self._import_legacy()
+        self._fd = None
         try:
             with open(self.path, "rb") as fh:
                 self._index, self._torn = _replay(fh.read())
@@ -215,9 +216,9 @@ class ResponseCache:
 
     def close(self):
         with self._lock:
-            for fd in self._fds.values():
-                os.close(fd)
-            self._fds.clear()
+            if self._fd is not None:
+                os.close(self._fd)
+                self._fd = None
 
     @staticmethod
     def key(prompt_text, model_name):
@@ -225,71 +226,35 @@ class ResponseCache:
         return hashlib.sha256(data).hexdigest()
 
     def get(self, key):
-        entry = self._index.get(key)
-        if entry is None:
-            return None
-        offset, length = entry
-        with self._lock:
-            payload = os.pread(self._descriptor(os.O_RDONLY), length, offset)
-        return json.loads(payload)
+        return self._index.get(key)
 
     def put(self, key, text):
         payload = json.dumps(text).encode("ascii")
         with self._lock:
             if key not in self._index:
-                self._index[key] = self._append(key, payload)
+                self._append(key, payload)
+                self._index[key] = text
 
     def discard(self, key):
-        """Drop ``key``'s response with a tombstone, so that later runs
-        ask the annotator again."""
+        """Drop ``key``'s response with a tombstone, so later runs ask again."""
         with self._lock:
             if self._index.pop(key, None) is not None:
                 self._append(key, b"null")
 
-    def _descriptor(self, flags):
-        """The descriptor opened with ``flags``, opened on first use."""
-        if flags not in self._fds:
-            self._fds[flags] = os.open(self.path, flags, 0o666)
-        return self._fds[flags]
-
     def _append(self, key, payload):
-        """Append one record (lock held); returns its payload's (offset,
-        length)."""
+        """Append one record (lock held)."""
         record = _record(key, payload)
         if self._torn:
             record = b"\n" + record
-        fd = self._descriptor(os.O_WRONLY | os.O_APPEND | os.O_CREAT)
-        written = os.write(fd, record)
+        if self._fd is None:
+            self._fd = os.open(self.path,
+                               os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+        written = os.write(self._fd, record)
         if written != len(record):
             self._torn = True
             raise OSError(f"short write to {self.path}: "
                           f"{written} of {len(record)} bytes")
         self._torn = False
-        # After an O_APPEND write the file position is the record's end.
-        end = os.lseek(fd, 0, os.SEEK_CUR)
-        return end - 1 - len(payload), len(payload)
-
-    def _import_legacy(self):
-        keys = sorted(name[:-4] for name in os.listdir(self.directory)
-                      if name.endswith(".txt") and _KEY.fullmatch(name[:-4]))
-        records = []
-        for key in keys:
-            with open(os.path.join(self.directory, key + ".txt"),
-                      encoding="utf-8") as fh:
-                records.append(_record(key, json.dumps(fh.read()).encode("ascii")))
-        if not records:
-            return
-        # Build the log aside and link it in, so that a concurrent opener
-        # sees either no log or the whole import.
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".part")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.writelines(records)
-            os.link(tmp, self.path)
-        except FileExistsError:
-            pass  # another process imported first
-        finally:
-            os.unlink(tmp)
 
 
 class RateLimiter:

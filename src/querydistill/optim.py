@@ -225,16 +225,19 @@ def save_weights(path, kind, model, **fields):
 
 def load_weights(path, kind, build):
     """``build(payload)`` of the JSON model file of ``kind`` at ``path``, with
-    "weights" decoded to arrays; raises ModelError for a file that is not a
-    complete, well-formed model of that kind."""
+    "weights" decoded to arrays; raises ModelError, naming ``path``, for a
+    file that is not a complete, well-formed model of that kind."""
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
-        if payload.get("kind") != kind:
-            raise ModelError(f"{path} is not a {kind} model file")
-        payload["weights"] = {name: decode_array(name, entry) for name, entry
-                              in payload["weights"].items()}
-        return build(payload)
+        if payload.get("kind") == kind:
+            payload["weights"] = {name: decode_array(name, entry) for name, entry
+                                  in payload["weights"].items()}
+            return build(payload)
+    except ModelError as exc:
+        raise ModelError(f"{path} is not a valid {kind} model file: "
+                         f"{exc}") from exc
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ModelError(f"{path} is not a valid {kind} model file: "
                          f"{exc!r}") from exc
+    raise ModelError(f"{path} is not a {kind} model file")

@@ -10,7 +10,6 @@ the matrices of N queries at once, as one (N, P, E) array:
 the persona rows chosen for each query.
 """
 
-import json
 import random
 from dataclasses import dataclass
 from importlib import resources
@@ -18,6 +17,7 @@ from importlib import resources
 import numpy as np
 
 from .annotations import Annotation, Confidence
+from .data import read_jsonl
 from .errors import MissingPersonaError, ModelError, QueryDistillError
 
 PERSONA_CATEGORIES = ("Expert", "NonDomainExpert", "NicheExpert")
@@ -49,28 +49,16 @@ class Persona:
 
 def load_personas(path):
     """Load an ordered, id-unique persona list from JSON Lines."""
-    personas = []
+    personas = read_jsonl(path, lambda record: Persona(
+        id=str(record["id"]),
+        name=str(record.get("name", record["id"])),
+        category=str(record.get("category", "Expert")),
+        description=str(record.get("description", ""))))
     seen = set()
-    with open(path, encoding="utf-8") as fh:
-        for number, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise QueryDistillError(
-                    f"personas line {number}: not valid JSON ({exc.msg})") from exc
-            persona = Persona(
-                id=str(record["id"]),
-                name=str(record.get("name", record["id"])),
-                category=str(record.get("category", "Expert")),
-                description=str(record.get("description", "")),
-            )
-            if persona.id in seen:
-                raise QueryDistillError(f"duplicate persona id: {persona.id!r}")
-            seen.add(persona.id)
-            personas.append(persona)
+    for persona in personas:
+        if persona.id in seen:
+            raise QueryDistillError(f"duplicate persona id: {persona.id!r}")
+        seen.add(persona.id)
     if not personas:
         raise QueryDistillError(f"persona repository is empty: {path}")
     return personas

@@ -10,6 +10,7 @@ import json
 from dataclasses import dataclass, field, fields
 from importlib import resources
 
+from .data import read_jsonl
 from .errors import RegistryError, UnknownLabelError
 
 # Reserved sentinel: "the annotator selected no entity". Never a column.
@@ -103,23 +104,10 @@ def load_registry(path):
     One record per line: {"id": ..., "definition": ..., "icl_examples": [...]}.
     Entity order equals file order.
     """
-    entities = []
-    with open(path, encoding="utf-8") as fh:
-        for number, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise RegistryError(f"line {number}: not valid JSON ({exc.msg})") from exc
-            if not isinstance(record, dict) or "id" not in record:
-                raise RegistryError(f"line {number}: record must be an object with an 'id'")
-            entities.append(EntityDef(
-                id=str(record["id"]),
-                definition=str(record.get("definition", "")),
-                icl_examples=tuple(record.get("icl_examples", ())),
-            ))
+    entities = read_jsonl(path, lambda record: EntityDef(
+        id=str(record["id"]),
+        definition=str(record.get("definition", "")),
+        icl_examples=tuple(record.get("icl_examples", ()))), RegistryError)
     return EntityRegistry(entities=tuple(entities))
 
 

@@ -1,9 +1,11 @@
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import annotation_store_text
 from querydistill.annotations import (Annotation, Confidence,
                                       read_annotation_store,
                                       write_annotation_store)
+from querydistill.errors import DataError
 
 _ENTITIES = ("Genre", "Sport", "Holiday", "Ärger", "漢字")
 
@@ -51,3 +53,21 @@ class TestWriteAnnotationStore:
         path = tmp_path / "store.jsonl"
         write_annotation_store(path, store, annotator="m")
         assert read_annotation_store(path) == store
+
+
+class TestReadAnnotationStore:
+    @pytest.mark.parametrize("line, reason", [
+        (b'{"id": "q2", "entities": {', "not valid JSON"),
+        (b'["q2"]', "record is not a JSON object"),
+        (b'{"entities": {"Genre": "High"}}', "no 'id' field"),
+        (b'{"id": "q2", "entities": {"Genre": "Hgh"}}',
+         "not a confidence level: 'Hgh'"),
+        (b'{"id": "q\xff2", "entities": {}}', "'utf-8' codec can't decode")],
+        ids=["json", "object", "id", "confidence", "utf8"])
+    def test_bad_line_names_file_and_line(self, tmp_path, line, reason):
+        path = tmp_path / "gold.jsonl"
+        path.write_bytes(b'{"id": "q1", "entities": {"Genre": "High"}}\n\n'
+                         + line + b"\n")
+        with pytest.raises(DataError) as refused:
+            read_annotation_store(path)
+        assert str(refused.value).startswith(f"{path} line 3: {reason}")

@@ -1,6 +1,7 @@
 import pytest
 
 from querydistill.annotations import Confidence
+from querydistill.errors import DataError
 from querydistill.baseline import Gazetteer, lexical_match, load_gazetteer, write_gazetteer
 
 
@@ -60,3 +61,16 @@ def test_default_gazetteer_covers_registry(registry):
     assert set(gaz.entities) == set(registry.ids)
     assert lexical_match(gaz, "Tom Hanks movies").entities == {
         "CastAndCrew": Confidence.HIGH, "IntentMovie": Confidence.HIGH}
+
+
+@pytest.mark.parametrize("line, reason", [
+    ('{"entity": "Genre", "phrases": [', "not valid JSON"),
+    ('{"phrases": ["comedy"]}', "no 'entity' field"),
+    ('{"entity": "Genre"}', "no 'phrases' field")],
+    ids=["json", "entity", "phrases"])
+def test_bad_gazetteer_line_names_file_and_line(tmp_path, line, reason):
+    path = tmp_path / "gazetteer.jsonl"
+    path.write_text('{"entity": "Sport", "phrases": ["golf"]}\n' + line + "\n")
+    with pytest.raises(DataError) as refused:
+        load_gazetteer(path)
+    assert str(refused.value).startswith(f"{path} line 2: {reason}")

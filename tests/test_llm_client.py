@@ -428,17 +428,61 @@ class TestResponseCache:
     def test_close_releases_the_descriptors(self, tmp_path):
         import os
         with ResponseCache(tmp_path) as cache:
+            assert cache._fd is None
             cache.put("k", "v")
             assert cache.get("k") == "v"
-            fds = list(cache._fds.values())
-            assert len(fds) == 2
-            for fd in fds:
-                os.fstat(fd)
-        assert not cache._fds
-        for fd in fds:
-            with pytest.raises(OSError):
-                os.fstat(fd)
-        assert cache.get("k") == "v"  # reopens on use
+            fd = cache._fd
+            os.fstat(fd)
+        assert cache._fd is None
+        with pytest.raises(OSError):
+            os.fstat(fd)
+        with ResponseCache(tmp_path) as cache:  # a replay opens none
+            assert cache.get("k") == "v"
+            assert cache._fd is None
+        cache.put("other", "text")  # reopens on use
+        assert cache._fd is not None
+        cache.close()
+        assert cache._fd is None
+
+    def test_payload_not_a_json_string_is_a_miss(self, tmp_path):
+        with open(tmp_path / LOG_NAME, "wb") as fh:
+            fh.write(_record("k", b"123") + _record("j", b"{")
+                     + _record("i", b'"kept"'))
+        with ResponseCache(tmp_path) as cache:
+            assert cache.get("k") is None
+            assert cache.get("j") is None
+            assert cache.get("i") == "kept"
+            cache.put("k", "asked again")
+            cache.put("j", "asked too")
+        reloaded = ResponseCache(tmp_path)
+        assert reloaded.get("k") == "asked again"
+        assert reloaded.get("j") == "asked too"
+        assert reloaded.get("i") == "kept"
+
+    def test_equal_payloads_share_one_text(self, tmp_path):
+        with ResponseCache(tmp_path) as cache:
+            for key in ("a", "b", "c"):
+                cache.put(key, "".join(["Genre|", "High"]))
+            cache.put("d", "Sport|Low")
+        reloaded = ResponseCache(tmp_path)
+        assert reloaded.get("a") == "Genre|High"
+        assert reloaded.get("a") is reloaded.get("b") is reloaded.get("c")
+        assert reloaded.get("d") == "Sport|Low"
+
+    def test_get_makes_no_system_call(self, tmp_path, monkeypatch):
+        import os
+        with ResponseCache(tmp_path) as cache:
+            cache.put("k", "v")
+        cache = ResponseCache(tmp_path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("get made a system call")
+
+        for name in ("pread", "read", "open"):
+            monkeypatch.setattr(os, name, refuse)
+        assert cache.get("k") == "v"
+        assert cache.get("missing") is None
+        monkeypatch.undo()
         cache.close()
 
     def test_replay_needs_no_write_access(self, tmp_path, monkeypatch):
@@ -459,24 +503,40 @@ class TestResponseCache:
             with pytest.raises(PermissionError):
                 cache.put("other", "text")
 
-    def test_legacy_files_imported_once_in_key_order(self, tmp_path):
-        (tmp_path / ("b" * 64 + ".txt")).write_text("second", encoding="utf-8")
-        (tmp_path / ("a" * 64 + ".txt")).write_text("first", encoding="utf-8")
-        # by file name "k-.txt" sorts before "k.txt"; by key "k" comes first
-        (tmp_path / "k-.txt").write_text("dash", encoding="utf-8")
-        (tmp_path / "k.txt").write_text("plain\r\n", encoding="utf-8")
-        (tmp_path / "leftover.part").write_text("partial write")
+    def test_threads_get_and_put_concurrently(self, tmp_path):
+        import sys
         cache = ResponseCache(tmp_path)
-        assert cache.get("a" * 64) == "first"
-        assert cache.get("b" * 64) == "second"
-        assert cache.get("k") == "plain\n"  # read as the old layout read it
-        lines = (tmp_path / LOG_NAME).read_bytes().splitlines()
-        assert [line.split(b" ")[0] for line in lines] == [
-            b"a" * 64, b"b" * 64, b"k", b"k-"]
-        assert len(list(tmp_path.glob("*.txt"))) == 4
-        # once the log exists, new legacy files are not read again
-        (tmp_path / ("c" * 64 + ".txt")).write_text("late", encoding="utf-8")
-        assert ResponseCache(tmp_path).get("c" * 64) is None
+        errors = []
+
+        def worker(tag):
+            try:
+                for i in range(200):
+                    key = f"{tag}-{i}"
+                    assert cache.get(key) is None
+                    cache.put(key, f"response {i}")
+                    assert cache.get(key) == f"response {i}"
+                    assert cache.get(f"{tag}-{i // 2}") == f"response {i // 2}"
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(f"t{n}",))
+                       for n in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            cache.close()
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        reloaded = ResponseCache(tmp_path)
+        assert len(reloaded._index) == 8 * 200
+        assert all(reloaded.get(f"t{n}-{i}") == f"response {i}"
+                   for n in range(8) for i in range(200))
 
     def test_two_processes_append_concurrently(self, tmp_path):
         import os

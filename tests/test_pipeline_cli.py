@@ -464,33 +464,6 @@ class TestRunPipeline:
         assert ((tmp_path / "warm" / "manifest.json").read_bytes()
                 == (tmp_path / "out" / "manifest.json").read_bytes())
 
-    def test_legacy_cache_directory_replays_warm(self, tmp_path):
-        # A cache in the one-file-per-response layout (<key>.txt, no log)
-        # is imported once and replays the run without annotator calls.
-        assert cli.main(["synth", "--out", str(tmp_path), "--count", "200",
-                         "--seed", "7"]) == 0
-        config_path = str(tmp_path / "config.json")
-        cold = run_pipeline(load_run_config(config_path))
-        cache_dir = tmp_path / "cache"
-        legacy_dir = tmp_path / "legacy"
-        legacy_dir.mkdir()
-        cache = llm_client.ResponseCache(cache_dir)
-        with open(cache_dir / llm_client.LOG_NAME) as fh:
-            keys = [line.split(" ", 1)[0] for line in fh]
-        with cache:
-            for key in keys:
-                (legacy_dir / f"{key}.txt").write_text(cache.get(key))
-        warm = run_pipeline(load_run_config(
-            config_path, {"output_dir": str(tmp_path / "warm"),
-                          "cache_dir": str(legacy_dir)}))
-        assert cold.stats["annotator_calls"] == len(keys)
-        assert warm.stats["annotator_calls"] == 0
-        assert warm.stats["cache_hits"] == len(keys)
-        assert ((tmp_path / "warm" / "manifest.json").read_bytes()
-                == (tmp_path / "out" / "manifest.json").read_bytes())
-        assert (legacy_dir / llm_client.LOG_NAME).exists()
-        assert len(list(legacy_dir.glob("*.txt"))) == len(keys)
-
     def test_manifest_identical_across_blas_thread_counts(self, tmp_path):
         import subprocess
         import sys
@@ -736,6 +709,21 @@ class TestCli:
             assert capsys.readouterr().err.startswith(message)
             assert list(tmp_path.glob("out/ablation-*")) == []
 
+    @pytest.mark.parametrize("field, line", [
+        ("gold_path", '{"id": "0123", "entities": {"Genre": '),
+        ("gazetteer_path", '{"entity": "Genre", "phrases": ["comedy"')],
+        ids=["gold", "gazetteer"])
+    def test_bad_store_line_is_an_error(self, tmp_path, capsys, field, line):
+        config_path = build_workspace(tmp_path, count=60)
+        path = getattr(load_run_config(config_path), field)
+        with open(path, "a") as fh:
+            fh.write(line + "\n")
+        with open(path) as fh:
+            number = len(fh.readlines())
+        assert cli.main(["pipeline", "-c", config_path]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {path} line {number}: not valid JSON (")
+
     @pytest.mark.parametrize("change, message", [
         ({"personas_path": ""},
          "error: persona_mode 'router' needs personas_path"),
@@ -858,11 +846,24 @@ class TestServe:
                               "path": "vectors.jsonl"}
         bad = tmp_path / "classifier.json"
         bad.write_text(json.dumps(payload))
-        message = "unknown encoder kind: 'precomputed'"
-        with pytest.raises(ModelError, match=message):
+        message = (f"{bad} is not a valid classifier model file: "
+                   "unknown encoder kind: 'precomputed'")
+        with pytest.raises(ModelError) as refused:
             load_classifier(bad)
+        assert str(refused.value) == message
         assert cli.main(["serve", "--model", str(bad)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_encoder_dimension_mismatch_refused(self, served_model, tmp_path,
+                                                capsys):
+        payload = json.loads(open(served_model[0], encoding="utf-8").read())
+        payload["backend"]["dim"] = 128
+        bad = tmp_path / "classifier.json"
+        bad.write_text(json.dumps(payload))
+        assert cli.main(["serve", "--model", str(bad)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad} is not a valid classifier model file: "
+            "U1 takes 256-dim features but the encoder gives 128\n")
 
     def test_tcp_round_trip(self, served_model):
         state = ServeState(served_model[0])

@@ -282,6 +282,17 @@ class TestLoadTimeChecks:
         with pytest.raises(ModelError, match=name):
             load_router(path)
 
+    def test_refusal_names_the_file(self, tmp_path):
+        path = tmp_path / "router.json"
+        save_router(path, zero_model())
+        payload = json.loads(path.read_text())
+        payload["weights"]["W1"]["dtype"] = ">f8"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ModelError) as refused:
+            load_router(path)
+        assert str(refused.value).startswith(
+            f"{path} is not a valid router model file: W1 has dtype '>f8'")
+
 
 class TestSelectTopK:
     def model_with_relevance(self, logits, personas):
