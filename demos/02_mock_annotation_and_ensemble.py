@@ -29,15 +29,18 @@ handle = mock_handle(
     },
 )
 
-annotations = {}
+# one table row per persona's parsed response; the (1, P) index points the
+# query's persona cells at them (equal responses could share a row)
+table = []
 for persona in personas:
     raw = mock_annotate(handle, query, persona=persona.id)
-    annotations[(query, persona.id)] = parse_response(registry, raw)
+    table.append(parse_response(registry, raw))
     print(f"{persona.name:<16} -> {raw.replace(chr(10), '  ')}")
 print()
 
 persona_ids = [p.id for p in personas]
-values = build_confidence_matrix(annotations, [query], persona_ids, registry)
+index = np.arange(len(personas))[None, :]
+values = build_confidence_matrix(index, table, registry)
 matrix = values[0]  # one query: (P, E)
 active = [c for c in range(len(registry)) if matrix[:, c].any()]
 print("confidence matrix (columns with any signal):")

@@ -39,8 +39,9 @@ write_gazetteer(os.path.join(root, "baseline_gazetteer.jsonl"),
                 impoverished_gazetteer(gazetteer, 0.4, seed=7))
 with open(os.path.join(root, "queries.tsv"), "w") as fh:
     fh.write(render_queries(records))
-write_annotation_store(os.path.join(root, "gold.jsonl"), gold,
-                       annotator="synthetic-gold")
+write_annotation_store(
+    os.path.join(root, "gold.jsonl"), list(gold), [None],
+    range(len(gold)), list(gold.values()), annotator="synthetic-gold")
 with open(os.path.join(root, "personas.jsonl"), "w") as fh:
     for pid, category in (("generalist", "Expert"),
                           ("enthusiast", "NicheExpert"),

@@ -9,6 +9,8 @@ import enum
 import json
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .data import read_jsonl
 
 # ``json.dumps(record, sort_keys=True)`` without building an encoder per call.
@@ -70,51 +72,36 @@ def render_annotation(annotation):
     return "\n".join(lines)
 
 
-def annotation_to_json(annotation, query_id, annotator="", persona_id=None):
-    record = {
-        "id": query_id,
-        "annotator": annotator,
-        "persona": persona_id,
-        "entities": {e: c.label for e, c in sorted(annotation.entities.items())},
-    }
-    if annotation.warnings:
-        record["warnings"] = list(annotation.warnings)
-    return record
+def write_annotation_store(path, query_ids, persona_ids, index, table,
+                           annotator=""):
+    """Write the annotation of each (query, persona) cell as JSONL: cell
+    ``(i, j)`` holds ``table[index[i, j]]``, for ``query_ids[i]`` and
+    ``persona_ids[j]`` (``[None]`` for one annotation per query, where
+    ``index`` may be flat).
 
-
-def annotation_from_json(record):
-    entities = {
-        e: Confidence.from_label(c) for e, c in record.get("entities", {}).items()
-    }
-    return Annotation(entities=entities, warnings=tuple(record.get("warnings", ())))
-
-
-def write_annotation_store(path, store, annotator=""):
-    """Write {query_id: Annotation} (or {(query_id, persona_id): ...}) as JSONL.
-
-    Each line is ``json.dumps(annotation_to_json(...), sort_keys=True)``,
-    assembled from parts: the entities and warnings are encoded once per
-    distinct annotation body, since many queries share one. The parts follow
-    the sorted key order annotator, entities, id, persona, warnings.
+    Each line is the ``json.dumps(..., sort_keys=True)`` of {"annotator",
+    "entities" (entity id -> confidence label), "id", "persona"}, plus
+    "warnings" when the annotation has any. It is assembled from parts in
+    that key order, so each table row is encoded once. Lines are sorted by
+    query id, then persona id (None as "").
     """
     encode = _SORTED_JSON.encode
     head = '{"annotator": ' + encode(annotator) + ', "entities": '
-    bodies = {}
+    bodies = [(head + encode({e: c.label for e, c in a.entities.items()})
+               + ', "id": ',
+               (', "warnings": ' + encode(a.warnings) if a.warnings else "")
+               + "}\n") for a in table]
+    columns = sorted(range(len(persona_ids)),
+                     key=lambda j: persona_ids[j] or "")
+    personas = [', "persona": ' + encode(persona_ids[j]) for j in columns]
+    cells = np.reshape(index, (len(query_ids), len(persona_ids)))
+    rows = cells[:, columns].tolist()
     with open(path, "w", encoding="utf-8") as fh:
-        for key in sorted(store, key=_store_key):
-            qid, pid = key if isinstance(key, tuple) else (key, None)
-            annotation = store[key]
-            body_key = (tuple(annotation.entities.items()), annotation.warnings)
-            body = bodies.get(body_key)
-            if body is None:
-                record = annotation_to_json(annotation, qid)
-                body = bodies[body_key] = (
-                    encode(record["entities"]),
-                    ', "warnings": ' + encode(record["warnings"])
-                    if "warnings" in record else "")
-            entities, warnings = body
-            fh.write(f'{head}{entities}, "id": {encode(qid)}, '
-                     f'"persona": {encode(pid)}{warnings}}}\n')
+        for i in sorted(range(len(query_ids)), key=query_ids.__getitem__):
+            qid = encode(query_ids[i])
+            for persona, row in zip(personas, rows[i]):
+                start, end = bodies[row]
+                fh.write(f"{start}{qid}{persona}{end}")
 
 
 def read_annotation_store(path):
@@ -128,15 +115,12 @@ def read_annotation_store(path):
     keyed = {}
 
     def add(record):
-        keyed[record["id"], record.get("persona")] = annotation_from_json(record)
+        keyed[record["id"], record.get("persona")] = Annotation(
+            entities={e: Confidence.from_label(c)
+                      for e, c in record.get("entities", {}).items()},
+            warnings=tuple(record.get("warnings", ())))
 
     read_jsonl(path, add)
     if any(pid is not None for _, pid in keyed):
         return keyed
     return {qid: ann for (qid, _), ann in keyed.items()}
-
-
-def _store_key(key):
-    if isinstance(key, tuple):
-        return (key[0], key[1] or "")
-    return (key, "")

@@ -24,6 +24,15 @@ def phrase_windows(text):
             for start in range(len(tokens) - size + 1)}
 
 
+def _phrase_tokens(phrase):
+    """The normalized tokens of a gazetteer phrase; ValueError unless there
+    are 1-5 of them."""
+    tokens = tuple(normalize_query(phrase).split())
+    if not 1 <= len(tokens) <= 5:
+        raise ValueError(f"gazetteer phrase must be 1-5 tokens: {phrase!r}")
+    return tokens
+
+
 @dataclass(frozen=True)
 class Gazetteer:
     """Per-entity sets of normalized phrases (1-5 tokens each)."""
@@ -31,17 +40,9 @@ class Gazetteer:
     phrases: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        normalized = {}
-        for entity, phrase_list in self.phrases.items():
-            cleaned = set()
-            for phrase in phrase_list:
-                tokens = tuple(normalize_query(phrase).split())
-                if not 1 <= len(tokens) <= 5:
-                    raise ValueError(
-                        f"gazetteer phrase must be 1-5 tokens: {phrase!r}")
-                cleaned.add(tokens)
-            normalized[entity] = frozenset(cleaned)
-        object.__setattr__(self, "phrases", normalized)
+        object.__setattr__(self, "phrases", {
+            entity: frozenset(map(_phrase_tokens, phrase_list))
+            for entity, phrase_list in self.phrases.items()})
 
     @property
     def entities(self):
@@ -61,11 +62,13 @@ def load_gazetteer(path):
     """Read a JSON Lines gazetteer: {"entity": ..., "phrases": [...]} per line.
 
     Repeated entity lines merge their phrase sets. A line that is not valid
-    JSON or lacks a field raises DataError naming the file and line.
+    JSON, lacks a field or holds a phrase that is not 1-5 tokens raises
+    DataError naming the file and line.
     """
     merged = {}
     read_jsonl(path, lambda record: merged.setdefault(
-        record["entity"], []).extend(record["phrases"]))
+        record["entity"], []).extend(" ".join(_phrase_tokens(phrase))
+                                     for phrase in record["phrases"]))
     return Gazetteer(phrases=merged)
 
 

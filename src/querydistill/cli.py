@@ -170,8 +170,9 @@ def cmd_synth(args):
     write_gazetteer(os.path.join(args.out, "baseline_gazetteer.jsonl"), weak_baseline)
     with open(os.path.join(args.out, "queries.tsv"), "w", encoding="utf-8") as fh:
         fh.write(data_mod.render_queries(records))
-    write_annotation_store(os.path.join(args.out, "gold.jsonl"), gold,
-                           annotator="synthetic-gold")
+    write_annotation_store(
+        os.path.join(args.out, "gold.jsonl"), list(gold), [None],
+        range(len(gold)), list(gold.values()), annotator="synthetic-gold")
     with open(os.path.join(args.out, "personas.jsonl"), "w", encoding="utf-8") as fh:
         for pid, category in (("generalist", "Expert"),
                               ("enthusiast", "NicheExpert"),

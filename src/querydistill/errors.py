@@ -54,10 +54,6 @@ class NanLossError(ModelError):
         self.batch = batch
 
 
-class MissingPersonaError(QueryDistillError):
-    """A persona required by an operation is absent from the inputs."""
-
-
 class EvaluationError(QueryDistillError):
     """Gold/prediction stores disagree on coverage, or inputs are empty."""
 

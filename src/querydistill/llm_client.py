@@ -1,10 +1,11 @@
 """Uniform annotator interface: HTTP endpoints and a deterministic mock.
 
 Both annotator kinds sit behind ``annotate_batch``: responses come back
-positionally aligned with the prompts, transient failures are retried with
-exponential backoff (or after a 429 or 503's ``Retry-After`` seconds, up to
-``RETRY_AFTER_CAP``), permanent failures become failure records instead of
-aborting the batch, and every successful response is appended to an
+positionally aligned with the prompts, transient failures are retried after
+a uniform draw up to an exponential backoff (so that workers failing
+together retry apart) or after a 429 or 503's ``Retry-After`` seconds, up
+to ``RETRY_AFTER_CAP``; permanent failures become failure records instead
+of aborting the batch, and every successful response is appended to an
 on-disk response log keyed by digest(model name + prompt text). Prompts come
 as (``PromptFrame``, query) pairs and the keys from each frame's hash state,
 so only an HTTP request renders a prompt's text. The log is read once into
@@ -349,7 +350,7 @@ def _http_call(handle, prompt_text, limiter, session):
     retry_after = None
     for attempt in range(config.max_retries + 1):
         if attempt:
-            time.sleep(config.backoff * (2 ** (attempt - 1))
+            time.sleep(random.uniform(0, config.backoff * 2 ** (attempt - 1))
                        if retry_after is None else retry_after)
             retry_after = None
         limiter.wait()

@@ -6,8 +6,9 @@ yields a P x E integer matrix: confidence levels map to 1-3 and unselected
 entities to 0. The matrix is both the input to ensemble aggregation and the
 training signal for the persona-selection router. The functions here work on
 the matrices of N queries at once, as one (N, P, E) array:
-``build_confidence_matrix`` fills it and ``aggregate_ensemble`` aggregates
-the persona rows chosen for each query.
+``build_confidence_matrix`` gathers it from an (N, P) index into a table of
+distinct annotations, and ``aggregate_ensemble`` aggregates the persona rows
+chosen for each query.
 """
 
 import random
@@ -18,7 +19,7 @@ import numpy as np
 
 from .annotations import Annotation, Confidence
 from .data import read_jsonl
-from .errors import MissingPersonaError, ModelError, QueryDistillError
+from .errors import ModelError, QueryDistillError
 
 PERSONA_CATEGORIES = ("Expert", "NonDomainExpert", "NicheExpert")
 
@@ -86,19 +87,12 @@ def annotation_levels(annotations, registry):
     return levels.reshape(len(annotations), width)
 
 
-def build_confidence_matrix(annotations, query_ids, persona_ids, registry):
-    """(N, P, E) confidence levels of N queries by P personas, from
-    ``annotations`` keyed (query_id, persona_id); ``persona_ids`` is
-    ``(None,)`` for a run without personas. A missing pair raises
-    MissingPersonaError."""
-    try:
-        rows = [annotations[(qid, pid)] for qid in query_ids
-                for pid in persona_ids]
-    except KeyError as exc:
-        raise MissingPersonaError(
-            f"no annotation for (query, persona) {exc.args[0]!r}") from None
-    return annotation_levels(rows, registry).reshape(
-        len(query_ids), len(persona_ids), len(registry))
+def build_confidence_matrix(index, table, registry):
+    """(N, P, E) confidence levels of N queries by P personas: cell
+    ``(i, j)`` holds the levels of ``table[index[i, j]]``, from an (N, P)
+    integer ``index`` into a table of annotations (P = 1 for a run without
+    personas)."""
+    return annotation_levels(table, registry)[index]
 
 
 def ensemble_levels(scores, threshold=DEFAULT_SELECT_THRESHOLD):

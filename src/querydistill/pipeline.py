@@ -10,6 +10,12 @@ listed in ``manifest.json`` with a sha256 digest. With personas, the
 aggregate stage also writes ``selections.jsonl``: each ingested query's
 chosen persona ids, in record order.
 
+The teacher is held once: an (N, P) index of each (query, persona) prompt
+into a table of distinct parsed responses, from which ``annotations.jsonl``
+and the (N, P, E) levels come. ``aggregated.jsonl`` is written from the
+distinct rows of the (N, E) teacher levels, or without personas from the
+response table.
+
 Reruns are cheap: the annotate stage reads the response cache, so a
 completed pipeline re-executed with the same configuration performs zero
 annotator calls (bar responses that did not parse, which are dropped from
@@ -225,36 +231,36 @@ def _digest_file(path):
     return h.hexdigest()
 
 
-def response_annotations(registry, responses):
-    """Annotation for each annotator response or ``AnnotationFailure``, and
-    the indices of the unparseable responses.
+def response_annotations(registry, responses, width):
+    """(N, ``width``) integer index of the annotator responses (or
+    ``AnnotationFailure``s) into a table of parsed Annotations, that table,
+    and the flat positions of the unparseable responses.
 
-    Each distinct response text is parsed once, and equal texts share one
-    Annotation. A failed call or an unparseable response becomes an empty
-    annotation carrying a warning, so one bad response stays that prompt's
-    failure. The annotate stage counts the unparseable ones and drops them
-    from the response cache, so the next run asks again; failed calls are
-    already counted by the handle.
+    Each distinct response text is parsed once into one table row, and each
+    failed call is a row of its own. A failed call or an unparseable text
+    is an empty annotation carrying a warning, so one bad response stays
+    that prompt's failure. The annotate stage counts the unparseable ones
+    and drops them from the response cache, so the next run asks again;
+    failed calls are already counted by the handle.
     """
-    parsed = {}
-    annotations, unparseable = [], []
-    for index, response in enumerate(responses):
+    rows, failed, index, table = {}, set(), [], []
+    for response in responses:
         if isinstance(response, AnnotationFailure):
-            annotations.append(Annotation(
-                entities={}, warnings=(f"annotator failure: {response.error}",)))
-            continue
-        if response not in parsed:
+            row = len(table)
+            table.append(Annotation(
+                warnings=(f"annotator failure: {response.error}",)))
+        elif (row := rows.get(response)) is None:
+            row = rows[response] = len(table)
             try:
-                parsed[response] = (
-                    prompting_mod.parse_response(registry, response), False)
+                table.append(prompting_mod.parse_response(registry, response))
             except UnparseableResponseError as exc:
-                parsed[response] = (Annotation(
-                    entities={}, warnings=(f"unparseable response: {exc}",)), True)
-        annotation, failed = parsed[response]
-        annotations.append(annotation)
-        if failed:
-            unparseable.append(index)
-    return annotations, unparseable
+                table.append(Annotation(
+                    warnings=(f"unparseable response: {exc}",)))
+                failed.add(row)
+        index.append(row)
+    unparseable = [i for i, row in enumerate(index) if row in failed]
+    index = np.array(index, dtype=np.intp).reshape(-1, width)
+    return index, table, unparseable
 
 
 def load_gold(path, records):
@@ -287,6 +293,9 @@ class _Run:
             **{"seed": config.seed, **config.classifier})
         self.personas = (personas_mod.load_personas(config.personas_path)
                          if config.persona_mode != "none" else None)
+        # The baseline dictionary is checked here, before any artifact.
+        self.lexicon = (baseline_mod.load_gazetteer(config.gazetteer_path)
+                        if until == "eval" and config.gazetteer_path else None)
         self.stats = {"annotator_calls": 0, "cache_hits": 0,
                       "annotator_failures": 0, "unparseable_responses": 0}
         self.artifacts = {}
@@ -353,32 +362,30 @@ def _annotate(run):
                for frame in frames]
     model_name = run.handle.model_name
     with ResponseCache(config.cache_dir) as cache:
-        annotations, unparseable = response_annotations(
-            registry, annotate_batch(run.handle, prompts, cache=cache))
+        run.index, run.table, unparseable = response_annotations(
+            registry, annotate_batch(run.handle, prompts, cache=cache),
+            len(frames))
         for key in prompt_keys([prompts[i] for i in unparseable], model_name):
             cache.discard(key)
-    run.annotations = dict(zip(
-        ((record.id, frame.persona_id or None)
-         for record in run.records for frame in frames), annotations))
     run.stats["unparseable_responses"] = len(unparseable)
     run.stats["annotator_calls"] = run.handle.stats.calls
     run.stats["cache_hits"] = run.handle.stats.cache_hits
     run.stats["annotator_failures"] = run.handle.stats.failures
     run.write("annotations", "annotations.jsonl", write_annotation_store,
-              run.annotations, annotator=model_name)
+              [r.id for r in run.records],
+              [frame.persona_id or None for frame in frames], run.index,
+              run.table, annotator=model_name)
 
 
 def _matrix(run):
     """Fill ``run.levels``, the (N, P, E) confidence levels of every
     annotation (P = 1 without personas), and write the persona matrices."""
-    persona_ids = [p.id for p in run.personas] if run.personas else [None]
-    run.levels = personas_mod.build_confidence_matrix(
-        run.annotations, [r.id for r in run.records], persona_ids,
-        run.registry)
+    run.levels = personas_mod.build_confidence_matrix(run.index, run.table,
+                                                      run.registry)
     if run.personas:
         run.write("matrices", "matrices.csv", personas_mod.write_matrices,
-                  [r.id for r in run.records], persona_ids, run.levels,
-                  run.registry)
+                  [r.id for r in run.records], [p.id for p in run.personas],
+                  run.levels, run.registry)
 
 
 def _router(run):
@@ -412,21 +419,23 @@ def choose_personas(run, mode):
 
 def _aggregate(run):
     """Aggregate each query's chosen personas into ``run.teacher`` (N, E
-    levels) and the ``run.aggregated`` store, and write the choice; without
-    personas, both are the single annotation."""
+    levels), and write it and the choice; without personas, the teacher is
+    the single annotation, and its store the response table's."""
     config, records = run.config, run.records
     chosen = choose_personas(run, config.persona_mode)
     if chosen is None:
         run.teacher = run.levels[:, 0]
-        run.aggregated = {r.id: run.annotations[(r.id, None)] for r in records}
+        index, table = run.index, run.table
     else:
         run.teacher = personas_mod.aggregate_ensemble(
             run.levels, chosen, threshold=config.aggregation_threshold)
-        run.aggregated = dict(zip(
-            (r.id for r in records),
-            personas_mod.level_annotations(run.teacher, run.registry)))
+        distinct, index = np.unique(run.teacher, axis=0, return_inverse=True)
+        # numpy 1.24 and 2.x shape the inverse of an axis unique differently.
+        index = index.reshape(-1)
+        table = personas_mod.level_annotations(distinct, run.registry)
     run.write("aggregated", "aggregated.jsonl", write_annotation_store,
-              run.aggregated, annotator=f"ensemble-{config.persona_mode}")
+              [r.id for r in records], [None], index, table,
+              annotator=f"ensemble-{config.persona_mode}")
     if chosen is not None:
         run.write("selections", "selections.jsonl", _write_selections,
                   [r.id for r in records], [p.id for p in run.personas],
@@ -476,10 +485,9 @@ def _eval(run):
         reference = personas_mod.annotation_levels(
             [run.gold[r.id] for r in test_records], registry) > 0
     systems = {}
-    if config.gazetteer_path:
-        lexicon = baseline_mod.load_gazetteer(config.gazetteer_path)
+    if run.lexicon is not None:
         systems["baseline"] = personas_mod.annotation_levels(
-            [baseline_mod.lexical_match(lexicon, r.text)
+            [baseline_mod.lexical_match(run.lexicon, r.text)
              for r in test_records], registry) > 0
     systems["classifier"] = probs >= run.model.thresholds
     reports = run.reports = []

@@ -22,7 +22,7 @@ from dataclasses import replace
 import numpy as np
 
 from querydistill import prompting
-from querydistill.annotations import annotation_to_json, read_annotation_store
+from querydistill.annotations import read_annotation_store
 from querydistill.data import normalize_query, read_queries
 from querydistill.evaluation import compute_metrics, relative_gain
 from querydistill.pipeline import load_gold, run_pipeline
@@ -245,9 +245,23 @@ def build_prompt_text(config, registry, query, persona=None, template=None):
     return template.format(**parts)
 
 
+def annotation_to_json(annotation, query_id, annotator="", persona_id=None):
+    """One annotation store record."""
+    record = {
+        "id": query_id,
+        "annotator": annotator,
+        "persona": persona_id,
+        "entities": {e: c.label for e, c in sorted(annotation.entities.items())},
+    }
+    if annotation.warnings:
+        record["warnings"] = list(annotation.warnings)
+    return record
+
+
 def annotation_store_text(store, annotator=""):
-    """An annotation store's JSONL text with one ``json.dumps`` per record:
-    the writer before per-body encoding."""
+    """The JSONL text of a {query_id: Annotation} or {(query_id,
+    persona_id): Annotation} store, with one ``json.dumps`` per record: the
+    writer before per-body encoding."""
     def sort_key(key):
         qid, pid = key if isinstance(key, tuple) else (key, None)
         return qid, pid or ""

@@ -66,8 +66,14 @@ def test_default_gazetteer_covers_registry(registry):
 @pytest.mark.parametrize("line, reason", [
     ('{"entity": "Genre", "phrases": [', "not valid JSON"),
     ('{"phrases": ["comedy"]}', "no 'entity' field"),
-    ('{"entity": "Genre"}', "no 'phrases' field")],
-    ids=["json", "entity", "phrases"])
+    ('{"entity": "Genre"}', "no 'phrases' field"),
+    ('{"entity": "Genre", "phrases": ["a b c d e f"]}',
+     "gazetteer phrase must be 1-5 tokens: 'a b c d e f'"),
+    ('{"entity": "Genre", "phrases": [" "]}',
+     "gazetteer phrase must be 1-5 tokens: ' '"),
+    ('{"entity": "Genre", "phrases": [5]}', "'int' object has no attribute")],
+    ids=["json", "entity", "phrases", "long-phrase", "empty-phrase",
+         "phrase-type"])
 def test_bad_gazetteer_line_names_file_and_line(tmp_path, line, reason):
     path = tmp_path / "gazetteer.jsonl"
     path.write_text('{"entity": "Sport", "phrases": ["golf"]}\n' + line + "\n")

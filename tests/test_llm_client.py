@@ -319,8 +319,11 @@ class TestRetryAfter:
          [2.0, 1.0, 3.0]),
     ])
     def test_wait_before_each_retry(self, monkeypatch, script, waits):
+        # The jittered backoff drawn at the top of its range.
         slept = []
         monkeypatch.setattr(llm_client.time, "sleep", slept.append)
+        monkeypatch.setattr(llm_client.random, "uniform",
+                            lambda low, high: high)
         handle = AnnotatorHandle(HttpEndpointConfig(
             url="http://annotator.invalid/annotate", model="fake-model",
             backoff=0.5, max_retries=len(script)))
@@ -328,6 +331,40 @@ class TestRetryAfter:
                                            FakeSession(script))
         assert (text, attempts, error) == ("ok", len(script) + 1, None)
         assert slept == waits
+
+    def test_backoff_is_full_jitter_and_retry_after_exact(self, monkeypatch):
+        # Each backoff wait is a uniform draw in [0, backoff * 2 ** (n - 1)]
+        # before retry n; a Retry-After wait takes no draw.
+        slept, draws = [], []
+        monkeypatch.setattr(llm_client.time, "sleep", slept.append)
+
+        def uniform(low, high):
+            draws.append((low, high))
+            return high / 4
+
+        monkeypatch.setattr(llm_client.random, "uniform", uniform)
+        handle = AnnotatorHandle(HttpEndpointConfig(
+            url="http://annotator.invalid/annotate", model="fake-model",
+            backoff=0.5, max_retries=4))
+        script = [(500, {}), (429, {"Retry-After": "2"}), (503, {}),
+                  (500, {})]
+        assert _http_call(handle, "prompt", RateLimiter(0.0),
+                          FakeSession(script)) == ("ok", 5, None)
+        assert draws == [(0, 0.5), (0, 2.0), (0, 4.0)]
+        assert slept == [0.125, 2.0, 0.5, 1.0]
+
+    def test_jittered_waits_spread_within_the_backoff(self, monkeypatch):
+        slept = []
+        monkeypatch.setattr(llm_client.time, "sleep", slept.append)
+        handle = AnnotatorHandle(HttpEndpointConfig(
+            url="http://annotator.invalid/annotate", model="fake-model",
+            backoff=0.5, max_retries=1))
+        for _ in range(20):
+            _http_call(handle, "prompt", RateLimiter(0.0),
+                       FakeSession([(500, {})]))
+        assert len(slept) == 20
+        assert all(0 <= wait <= 0.5 for wait in slept)
+        assert len(set(slept)) > 1
 
     def test_retries_exhausted_after_retry_after(self, monkeypatch):
         slept = []

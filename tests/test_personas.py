@@ -6,7 +6,7 @@ import pytest
 
 from conftest import ann
 from querydistill.annotations import Annotation, Confidence
-from querydistill.errors import MissingPersonaError, ModelError, QueryDistillError
+from querydistill.errors import ModelError, QueryDistillError
 from querydistill.personas import (Persona, aggregate_ensemble,
                                    build_confidence_matrix, default_personas,
                                    load_personas, write_matrices)
@@ -32,14 +32,10 @@ def two_personas():
 
 
 @pytest.fixture
-def example_matrix(two_registry, two_personas):
+def example_matrix(two_registry):
     """(1, 2, 2) levels of query q1 by personas p1 and p2."""
-    annotations = {
-        ("q1", "p1"): ann(Genre="High"),
-        ("q1", "p2"): ann(Genre="Low", Sport="Medium"),
-    }
-    return build_confidence_matrix(annotations, ["q1"],
-                                   [p.id for p in two_personas], two_registry)
+    table = [ann(Genre="High"), ann(Genre="Low", Sport="Medium")]
+    return build_confidence_matrix(np.array([[0, 1]]), table, two_registry)
 
 
 def read_matrix_file(path):
@@ -99,16 +95,20 @@ class TestBuildConfidenceMatrix:
         assert example_matrix.tolist() == [[[3, 0], [1, 2]]]
 
     def test_all_empty_gives_zero_matrix(self, two_registry):
-        annotations = {("q", "p1"): Annotation(), ("q", "p2"): Annotation(),
-                       ("r", "p1"): Annotation(), ("r", "p2"): Annotation()}
-        values = build_confidence_matrix(annotations, ["q", "r"],
-                                         ["p1", "p2"], two_registry)
+        values = build_confidence_matrix(np.zeros((2, 2), dtype=np.intp),
+                                         [Annotation()], two_registry)
         assert values.tolist() == [[[0, 0], [0, 0]]] * 2
 
-    def test_missing_persona_rejected(self, two_registry):
-        with pytest.raises(MissingPersonaError):
-            build_confidence_matrix({("q", "p1"): Annotation()}, ["q"],
-                                    ["p1", "p2"], two_registry)
+    def test_cells_share_table_rows(self, two_registry):
+        # Cells that point at one row get its levels; an unused row is
+        # ignored, and no query gives an (0, P, E) array.
+        table = [ann(Sport="Low"), ann(Genre="High"), ann(Genre="Medium")]
+        values = build_confidence_matrix(np.array([[1, 1], [0, 1]]), table,
+                                         two_registry)
+        assert values.tolist() == [[[3, 0], [3, 0]], [[0, 1], [3, 0]]]
+        empty = build_confidence_matrix(np.zeros((0, 2), dtype=np.intp),
+                                        table, two_registry)
+        assert empty.shape == (0, 2, 2)
 
     def test_confidence_alphabet_bijection(self, two_registry):
         rng = random.Random(17)
@@ -122,11 +122,13 @@ class TestBuildConfidenceMatrix:
             }
             for qid in query_ids for pid in persona_ids
         }
-        # Filled in reverse, so the rows cannot follow insertion order.
-        annotations = {key: Annotation(entities=dict(chosen[key]))
-                       for key in reversed(list(chosen))}
-        values = build_confidence_matrix(annotations, query_ids, persona_ids,
-                                         two_registry)
+        # The table holds the cells in reverse, so the rows cannot follow
+        # cell order.
+        cells = list(reversed(list(chosen)))
+        table = [Annotation(entities=dict(chosen[key])) for key in cells]
+        index = np.array([[cells.index((qid, pid)) for pid in persona_ids]
+                          for qid in query_ids])
+        values = build_confidence_matrix(index, table, two_registry)
         for (qid, pid), selected in chosen.items():
             row = values[query_ids.index(qid), persona_ids.index(pid)]
             for col, entity in enumerate(two_registry.ids):
@@ -149,32 +151,28 @@ class TestAggregateEnsemble:
 
     def test_single_persona_identity(self, two_registry):
         for level in (Confidence.LOW, Confidence.MEDIUM, Confidence.HIGH):
-            annotations = {("q", "solo"): Annotation(entities={"Genre": level})}
-            values = build_confidence_matrix(annotations, ["q"], ["solo"],
-                                             two_registry)
+            values = build_confidence_matrix(
+                np.array([[0]]), [Annotation(entities={"Genre": level})],
+                two_registry)
             levels = aggregate_ensemble(values, np.array([[0]]),
                                         threshold=0.5)
             assert levels.tolist() == [[int(level), 0]]
 
     def test_row_permutation_invariance(self, two_registry):
         rng = random.Random(31)
-        persona_ids = [f"p{i}" for i in range(4)]
-        annotations = {
-            ("q", pid): Annotation(entities={
-                e: Confidence(rng.randint(1, 3))
-                for e in two_registry.ids if rng.random() < 0.6
-            })
-            for pid in persona_ids
-        }
-        values = build_confidence_matrix(annotations, ["q"], persona_ids,
+        # One table row per persona.
+        table = [Annotation(entities={
+            e: Confidence(rng.randint(1, 3))
+            for e in two_registry.ids if rng.random() < 0.6
+        }) for _ in range(4)]
+        values = build_confidence_matrix(np.array([[0, 1, 2, 3]]), table,
                                          two_registry)
         base = aggregate_ensemble(values, np.array([[0, 1, 2]]))
         for _ in range(5):
             order = list(range(4))
             rng.shuffle(order)
-            shuffled = build_confidence_matrix(
-                annotations, ["q"], [persona_ids[i] for i in order],
-                two_registry)
+            shuffled = build_confidence_matrix(np.array([order]), table,
+                                               two_registry)
             # The same three personas, at their rows in the shuffled order.
             chosen = [order.index(i) for i in (2, 0, 1)]
             permuted = aggregate_ensemble(shuffled, np.array([chosen]))
@@ -184,8 +182,8 @@ class TestAggregateEnsemble:
 class TestMatrixFile:
     def test_round_trip(self, example_matrix, two_registry, two_personas, tmp_path):
         other = build_confidence_matrix(
-            {("q2", "p1"): ann(Sport="High"), ("q2", "p2"): Annotation()},
-            ["q2"], ["p1", "p2"], two_registry)
+            np.array([[0, 1]]), [ann(Sport="High"), Annotation()],
+            two_registry)
         path = tmp_path / "matrices.csv"
         write_matrices(path, ["q1", "q2"], [p.id for p in two_personas],
                        np.concatenate([example_matrix, other]), two_registry)

@@ -57,8 +57,9 @@ def build_workspace(root, count=150, persona_mode="router", noise_rate=0.05,
                     impoverished_gazetteer(gazetteer, 0.4, seed=seed))
     with open(os.path.join(root, "queries.tsv"), "w") as fh:
         fh.write(render_queries(records))
-    write_annotation_store(os.path.join(root, "gold.jsonl"), gold,
-                           annotator="synthetic-gold")
+    write_annotation_store(
+        os.path.join(root, "gold.jsonl"), list(gold), [None],
+        range(len(gold)), list(gold.values()), annotator="synthetic-gold")
     with open(os.path.join(root, "personas.jsonl"), "w") as fh:
         for pid, category in (("generalist", "Expert"),
                               ("enthusiast", "NicheExpert"),
@@ -349,14 +350,19 @@ class TestRunPipeline:
                         and r["weighted"] == weighted] == \
                     json.loads(json.dumps(expected))
 
-    def test_unparseable_cached_response_stays_local(self, tmp_path, capsys):
+    @pytest.mark.parametrize("mode", ["router", "none"])
+    def test_unparseable_cached_response_stays_local(self, tmp_path, capsys,
+                                                     mode):
         # A cached response that does not parse is counted on the run that
         # replays it and dropped from the cache; the next run asks the
-        # annotator again, and the run after that replays its answer.
+        # annotator again, and the run after that replays its answer. Its
+        # warning stays on its own cell: one line of annotations.jsonl, and
+        # without personas that query's line of aggregated.jsonl.
         assert cli.main(["synth", "--out", str(tmp_path), "--count", "200",
                          "--seed", "7"]) == 0
         config_path = str(tmp_path / "config.json")
-        run_pipeline(load_run_config(config_path), until="annotate")
+        run_pipeline(load_run_config(config_path, {"persona_mode": mode}),
+                     until="annotate")
         cache_dir = str(tmp_path / "cache")
         with open(os.path.join(cache_dir, llm_client.LOG_NAME)) as fh:
             victim = fh.readline().split(" ", 1)[0]
@@ -366,19 +372,32 @@ class TestRunPipeline:
 
         def run(name):
             return run_pipeline(load_run_config(
-                config_path, {"output_dir": str(tmp_path / name)}))
+                config_path, {"output_dir": str(tmp_path / name),
+                              "persona_mode": mode}))
+
+        def warned(name, filename):
+            with open(tmp_path / name / filename) as fh:
+                return [json.loads(line) for line in fh
+                        if "unparseable response" in line]
 
         refused = run("out_a")
         prompts = refused.stats["cache_hits"]
         assert refused.stats["unparseable_responses"] == 1
         assert refused.stats["annotator_calls"] == 0
         assert refused.stats["annotator_failures"] == 0
-        with open(tmp_path / "out_a" / "annotations.jsonl") as fh:
-            warned = [line for line in fh if "unparseable response" in line]
-        assert len(warned) == 1
+        cell, = warned("out_a", "annotations.jsonl")
+        assert cell["entities"] == {}
+        aggregated = warned("out_a", "aggregated.jsonl")
+        if mode == "none":
+            assert [(r["id"], r["entities"], r["warnings"])
+                    for r in aggregated] == [
+                (cell["id"], {}, cell["warnings"])]
+        else:
+            assert aggregated == []
         capsys.readouterr()
-        assert cli.main(["pipeline", "-c", config_path, "--output-dir",
-                         str(tmp_path / "out_b")]) == 0
+        args = ["pipeline", "-c", config_path, "--output-dir",
+                str(tmp_path / "out_b"), "--persona-mode", mode]
+        assert cli.main(args) == 0
         assert (f"annotator calls: 1, cache hits: {prompts - 1}, failures: 0, "
                 "unparseable responses: 0") in capsys.readouterr().out
         replay = run("out_c")
@@ -388,8 +407,8 @@ class TestRunPipeline:
         manifests = [(tmp_path / name / "manifest.json").read_bytes()
                      for name in ("out_a", "out_b", "out_c")]
         assert manifests[0] != manifests[1] == manifests[2]
-        with open(tmp_path / "out_b" / "annotations.jsonl") as fh:
-            assert not any("unparseable response" in line for line in fh)
+        for filename in ("annotations.jsonl", "aggregated.jsonl"):
+            assert warned("out_b", filename) == []
 
     def test_one_unparseable_text_under_two_keys_counts_twice(
             self, tmp_path, monkeypatch):
@@ -723,6 +742,20 @@ class TestCli:
         assert cli.main(["pipeline", "-c", config_path]) == 2
         assert capsys.readouterr().err.startswith(
             f"error: {path} line {number}: not valid JSON (")
+
+    def test_bad_baseline_phrase_fails_before_any_artifact(self, tmp_path,
+                                                           capsys):
+        config_path = build_workspace(tmp_path, count=60)
+        path = load_run_config(config_path).gazetteer_path
+        with open(path, "a") as fh:
+            fh.write('{"entity": "Genre", "phrases": ["a b c d e f"]}\n')
+        with open(path) as fh:
+            number = len(fh.readlines())
+        assert cli.main(["pipeline", "-c", config_path]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {path} line {number}: gazetteer phrase must be 1-5 "
+            "tokens: 'a b c d e f'")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("change, message", [
         ({"personas_path": ""},
