@@ -21,9 +21,10 @@ from . import synth as synth_mod
 from .annotations import write_annotation_store
 from .baseline import write_gazetteer
 from .errors import QueryDistillError
-from .personas import aggregate_ensemble, annotation_levels
-from .pipeline import (STAGES, check_paths, choose_personas, load_gold,
-                       load_run_config, run_pipeline)
+from .personas import (aggregate_ensemble, annotation_levels,
+                       build_confidence_matrix)
+from .pipeline import (STAGES, annotate_records, check_paths, choose_personas,
+                       load_gold, load_run_config, run_pipeline)
 from .prompting import PromptVariant
 from .taxonomy import default_registry, load_registry, validate_label
 
@@ -85,8 +86,8 @@ def cmd_pipeline(args):
 
 
 def cmd_ablation(args):
-    """Prompt-variant grid and persona-selection comparison: one pass per
-    prompt variant, and one persona pass whose levels give the persona arms."""
+    """Prompt-variant grid and persona-selection comparison: one persona
+    pipeline pass gives the persona arms; one annotation per variant the grid."""
     config = _config_from_args(args)
     check_paths(config)
     registry = load_registry(config.registry_path)
@@ -94,13 +95,6 @@ def cmd_ablation(args):
     gold_store = load_gold(config.gold_path, records)
     gold = annotation_levels([gold_store[r.id] for r in records], registry) > 0
     weights = [r.frequency for r in records] if args.weighted else None
-    stats = []
-
-    def arm_run(arm, until, **changes):
-        result = run_pipeline(replace(config, **changes, output_dir=os.path.join(
-            config.output_dir, f"ablation-{arm}")), until=until)
-        stats.append(result.stats)
-        return result.run
 
     def report(label, levels):
         scored = eval_mod.score(gold, levels > 0, registry.ids, weights)
@@ -110,14 +104,18 @@ def cmd_ablation(args):
 
     # The persona pass checks the persona inputs before any directory exists.
     # Its two arms' levels are taken at once, so the run is not kept.
-    persona_run = arm_run("personas", "router", persona_mode="router")
+    result = run_pipeline(replace(config, persona_mode="router", output_dir=(
+        os.path.join(config.output_dir, "ablation-personas"))), until="router")
     persona_arms = {mode: aggregate_ensemble(
-        persona_run.levels, choose_personas(persona_run, mode),
+        result.run.levels, choose_personas(result.run, mode),
         threshold=config.aggregation_threshold) for mode in ("random", "router")}
-    del persona_run
-    grid = {v: arm_run(v.name.lower(), "matrix", persona_mode="none",
-                       prompt_variant=v.name.lower()).levels[:, 0]
-            for v in PromptVariant}
+    stats = result.stats
+    del result
+    grid = {}
+    for v in PromptVariant:
+        _, index, table = annotate_records(config, registry, records, v,
+                                           [None], stats)
+        grid[v] = build_confidence_matrix(index, table, registry)[:, 0]
     print("== prompt variant grid ==")
     scored = {v: report(f"{v.name:<22}", grid[v]) for v in grid}
     base = scored.pop(PromptVariant.BASELINE)
@@ -132,7 +130,7 @@ def cmd_ablation(args):
            grid[PromptVariant.from_string(config.prompt_variant)])
     for mode, levels in persona_arms.items():
         report(f"{mode:<8}", levels)
-    _print_stats({key: sum(s[key] for s in stats) for key in stats[0]})
+    _print_stats(stats)
     return 0
 
 

@@ -106,8 +106,13 @@ class _WindowMemo:
         for window, head in _windows(text):
             digests = self.windows.get(window)
             if digests is None:
-                digests = b"".join(map(self._digest,
-                                       _window_ngrams(window, head)))
+                ngrams = _window_ngrams(window, head)
+                digest = self._digest
+                if len(ngrams) + WINDOW_KEY_CHARGE > self._limit:
+                    # Too big to keep: digest each distinct n-gram once.
+                    distinct = dict.fromkeys(ngrams)
+                    digest = dict(zip(distinct, map(digest, distinct))).__getitem__
+                digests = b"".join(map(digest, ngrams))
                 self._keep(window, digests)
             parts.append(digests)
         return parts

@@ -10,11 +10,12 @@ listed in ``manifest.json`` with a sha256 digest. With personas, the
 aggregate stage also writes ``selections.jsonl``: each ingested query's
 chosen persona ids, in record order.
 
-The teacher is held once: an (N, P) index of each (query, persona) prompt
-into a table of distinct parsed responses, from which ``annotations.jsonl``
-and the (N, P, E) levels come. ``aggregated.jsonl`` is written from the
-distinct rows of the (N, E) teacher levels, or without personas from the
-response table.
+The teacher is held once: ``annotate_records``, which the annotate stage
+and each prompt-variant arm of the ablation call, gives an (N, P) index of
+each (query, persona) prompt into a table of distinct parsed responses,
+from which ``annotations.jsonl`` and the (N, P, E) levels come.
+``aggregated.jsonl`` is written from the distinct rows of the (N, E)
+teacher levels, or without personas from the response table.
 
 Reruns are cheap: the annotate stage reads the response cache, so a
 completed pipeline re-executed with the same configuration performs zero
@@ -348,33 +349,40 @@ def _split(run):
     run.write("split", "split.jsonl", data_mod.write_split_manifest, run.split)
 
 
-def _annotate(run):
-    config, registry = run.config, run.registry
-    run.handle = build_annotator(config)
+def annotate_records(config, registry, records, variant, personas, stats):
+    """(handle, (N, P) index, table of parsed responses) of ``records`` under
+    ``personas`` (None for none) in prompt ``variant``, through the response
+    cache, which unparseable responses leave. Adds the counts to ``stats``."""
+    handle = build_annotator(config)
     prompt_config = prompting_mod.PromptConfig(
-        variant=prompting_mod.PromptVariant.from_string(config.prompt_variant),
-        registry_hash=registry.hash,
-        max_icl_examples_per_entity=config.max_icl_examples,
-    )
+        variant=variant, registry_hash=registry.hash,
+        max_icl_examples_per_entity=config.max_icl_examples)
     frames = [prompting_mod.PromptFrame(prompt_config, registry, persona)
-              for persona in (run.personas or [None])]
-    prompts = [(frame, record.text) for record in run.records
-               for frame in frames]
-    model_name = run.handle.model_name
+              for persona in personas]
+    prompts = [(frame, record.text) for record in records for frame in frames]
     with ResponseCache(config.cache_dir) as cache:
-        run.index, run.table, unparseable = response_annotations(
-            registry, annotate_batch(run.handle, prompts, cache=cache),
-            len(frames))
-        for key in prompt_keys([prompts[i] for i in unparseable], model_name):
+        index, table, unparseable = response_annotations(
+            registry, annotate_batch(handle, prompts, cache=cache), len(frames))
+        for key in prompt_keys([prompts[i] for i in unparseable],
+                               handle.model_name):
             cache.discard(key)
-    run.stats["unparseable_responses"] = len(unparseable)
-    run.stats["annotator_calls"] = run.handle.stats.calls
-    run.stats["cache_hits"] = run.handle.stats.cache_hits
-    run.stats["annotator_failures"] = run.handle.stats.failures
+    stats["unparseable_responses"] += len(unparseable)
+    stats["annotator_calls"] += handle.stats.calls
+    stats["cache_hits"] += handle.stats.cache_hits
+    stats["annotator_failures"] += handle.stats.failures
+    return handle, index, table
+
+
+def _annotate(run):
+    personas = run.personas or [None]
+    run.handle, run.index, run.table = annotate_records(
+        run.config, run.registry, run.records,
+        prompting_mod.PromptVariant.from_string(run.config.prompt_variant),
+        personas, run.stats)
     run.write("annotations", "annotations.jsonl", write_annotation_store,
               [r.id for r in run.records],
-              [frame.persona_id or None for frame in frames], run.index,
-              run.table, annotator=model_name)
+              [p.id if p else None for p in personas], run.index, run.table,
+              annotator=run.handle.model_name)
 
 
 def _matrix(run):
@@ -429,25 +437,28 @@ def _aggregate(run):
     else:
         run.teacher = personas_mod.aggregate_ensemble(
             run.levels, chosen, threshold=config.aggregation_threshold)
-        distinct, index = np.unique(run.teacher, axis=0, return_inverse=True)
-        # numpy 1.24 and 2.x shape the inverse of an axis unique differently.
-        index = index.reshape(-1)
-        table = personas_mod.level_annotations(distinct, run.registry)
+        first, index = _distinct_rows(run.teacher)
+        table = personas_mod.level_annotations(run.teacher[first], run.registry)
     run.write("aggregated", "aggregated.jsonl", write_annotation_store,
               [r.id for r in records], [None], index, table,
               annotator=f"ensemble-{config.persona_mode}")
     if chosen is not None:
-        run.write("selections", "selections.jsonl", _write_selections,
-                  [r.id for r in records], [p.id for p in run.personas],
-                  chosen)
+        run.write("selections", "selections.jsonl", _write_rows,
+                  [r.id for r in records], "personas", chosen,
+                  lambda rows: [run.personas[row].id for row in rows])
 
 
 def _labels(run):
-    run.weak = classifier_mod.weak_labels(
+    weak = run.weak = classifier_mod.weak_labels(
         run.registry, [r.id for r in run.records], run.teacher,
         min_confidence=Confidence.from_label(run.config.min_confidence),
         provenance=run.handle.model_name)
-    run.write("labels", "labels.jsonl", _write_labels, run.weak, run.registry)
+    head = {"registry_hash": weak.registry_hash, "provenance": weak.provenance,
+            "min_confidence": weak.min_confidence.label}
+    run.write("labels", "labels.jsonl", _write_rows, weak.query_ids, "labels",
+              weak.indicators,
+              lambda flags: [e for e, f in zip(run.registry.ids, flags) if f],
+              head=json.dumps(head, sort_keys=True) + "\n")
 
 
 def _train(run):
@@ -543,20 +554,21 @@ def run_pipeline(config, until="eval"):
                           config.output_dir, run)
 
 
-def _write_labels(path, weak, registry):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({
-            "registry_hash": weak.registry_hash,
-            "min_confidence": weak.min_confidence.label,
-            "provenance": weak.provenance,
-        }, sort_keys=True) + "\n")
-        for qid, flags in zip(weak.query_ids, weak.indicators.tolist()):
-            labels = [e for e, flag in zip(registry.ids, flags) if flag]
-            fh.write(json.dumps({"id": qid, "labels": labels}) + "\n")
+def _distinct_rows(array):
+    """First row of each distinct row of 2-D ``array`` (compared by bytes),
+    and each row's index into those."""
+    array = np.ascontiguousarray(array)
+    rows = array.view(np.dtype((np.void, array.itemsize * array.shape[1])))
+    return np.unique(rows.ravel(), return_index=True, return_inverse=True)[1:]
 
 
-def _write_selections(path, query_ids, persona_ids, chosen):
+def _write_rows(path, query_ids, name, array, values, head=""):
+    """``head``, then the ``json.dumps`` line of {"id": query id, name:
+    values(row)} per row of 2-D ``array``, each distinct row encoded once."""
+    first, index = _distinct_rows(array)
+    ends = [f', "{name}": {json.dumps(values(array[row].tolist()))}}}\n'
+            for row in first]
     with open(path, "w", encoding="utf-8") as fh:
-        for qid, rows in zip(query_ids, chosen.tolist()):
-            fh.write(json.dumps({"id": qid, "personas": [
-                persona_ids[row] for row in rows]}) + "\n")
+        fh.write(head)
+        for qid, row in zip(query_ids, index.tolist()):
+            fh.write('{"id": ' + json.dumps(qid) + ends[row])

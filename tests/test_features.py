@@ -176,6 +176,19 @@ class TestWindowMemo:
         assert vector.tobytes() == oracles.hashed_ngram_embed(
             text, 256, 7).tobytes()
 
+    def test_repeated_letter_token_digests_each_ngram_once(self,
+                                                            monkeypatch):
+        # One window of ~180,000 n-grams, too big to keep, of 9 distinct.
+        digested = []
+        real = features._digest
+        monkeypatch.setattr(features, "_digest", lambda ngram, key: (
+            digested.append(ngram) or real(ngram, key)))
+        text = "x" * 60000
+        vector = HashedNgramEmbedder(dim=256, seed=7).embed(text)
+        assert len(digested) <= 10
+        assert vector.tobytes() == oracles.hashed_ngram_embed(
+            text, 256, 7).tobytes()
+
     def test_threads_embedding_at_once(self, former_bytes):
         rng = np.random.default_rng(3)
         letters = np.array(list("abcdefghijklmnopqrstuvwxyz"))

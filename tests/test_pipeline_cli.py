@@ -22,8 +22,8 @@ from querydistill.errors import PipelineConfigError
 from querydistill.evaluation import compute_metrics, report_records
 from querydistill.features import HashedNgramEmbedder
 from querydistill.personas import load_personas, sample_personas
-from querydistill.pipeline import (STAGES, RunConfig, load_gold,
-                                   load_run_config, run_pipeline)
+from querydistill.pipeline import (STAGES, RunConfig, choose_personas,
+                                   load_gold, load_run_config, run_pipeline)
 from querydistill.router import RouterTrainConfig
 from querydistill.serving import ServeState, serve_tcp
 from querydistill.synth import (ambiguity_table, impoverished_gazetteer,
@@ -177,6 +177,31 @@ class TestRunPipeline:
         names = [a["name"] for a in result.manifest["artifacts"]]
         assert "matrices" in names and "router" not in names
         assert names.index("selections") == names.index("aggregated") + 1
+
+    @pytest.mark.parametrize("mode", ["router", "random"])
+    def test_row_writers_match_one_json_dumps_per_line(self, tmp_path, mode):
+        """``selections.jsonl`` and ``labels.jsonl`` encode each distinct
+        row once and equal one ``json.dumps`` per line."""
+        config_path = build_workspace(tmp_path, count=80, persona_mode=mode)
+        run = run_pipeline(load_run_config(config_path), until="labels").run
+        persona_ids = [p.id for p in run.personas]
+        chosen = choose_personas(run, mode).tolist()
+        weak = run.weak
+        selections = [json.dumps({"id": r.id, "personas": [
+            persona_ids[j] for j in row]}) for r, row in zip(run.records, chosen)]
+        labels = [json.dumps({"registry_hash": weak.registry_hash,
+                              "min_confidence": weak.min_confidence.label,
+                              "provenance": weak.provenance}, sort_keys=True)]
+        labels += [json.dumps({"id": qid, "labels": [
+            e for e, flag in zip(run.registry.ids, flags) if flag]})
+            for qid, flags in zip(weak.query_ids, weak.indicators.tolist())]
+        for name, lines in (("selections.jsonl", selections),
+                            ("labels.jsonl", labels)):
+            with open(os.path.join(run.config.output_dir, name)) as fh:
+                assert fh.read() == "".join(line + "\n" for line in lines)
+        # Rows repeat, so each file shares encoded rows between lines.
+        assert len(set(map(tuple, chosen))) < len(chosen)
+        assert len(set(map(tuple, weak.indicators.tolist()))) < len(chosen)
 
     def test_until_stops_early(self, tmp_path):
         config_path = build_workspace(tmp_path)
@@ -674,9 +699,9 @@ class TestCli:
 
     def test_ablation_annotates_each_prompt_set_once(self, tmp_path, capsys,
                                                      monkeypatch):
-        """A warm ablation makes five pipeline passes, trains the router
-        once and sends 4·N + P·N prompts to the annotator: one set per
-        prompt variant and one per persona."""
+        """A warm ablation makes one pipeline pass, trains the router once
+        and sends 4·N + P·N prompts to the annotator: one set per prompt
+        variant and one per persona. Only the persona pass writes files."""
         from querydistill import pipeline, router
         config_path = build_workspace(tmp_path, count=60)
         assert cli.main(["ablation", "-c", config_path]) == 0
@@ -696,20 +721,15 @@ class TestCli:
         assert cli.main(["ablation", "-c", config_path]) == 0
         assert [(os.path.basename(args[0].output_dir), kwargs["until"])
                 for args, kwargs in calls["run_pipeline"]] == [
-            ("ablation-personas", "router"), ("ablation-baseline", "matrix"),
-            ("ablation-confidence", "matrix"),
-            ("ablation-confidence_cot", "matrix"),
-            ("ablation-confidence_cot_icl", "matrix")]
+            ("ablation-personas", "router")]
         assert len(calls["train_router"]) == 1
         n = len(read_queries(load_run_config(config_path).queries_path))
         prompts = sum(len(args[1]) for args, _ in calls["annotate_batch"])
         assert prompts == 4 * n + 3 * n
         assert capsys.readouterr().out.splitlines()[-1].startswith(
             f"annotator calls: 0, cache hits: {prompts},")
-        assert sorted(p.name for p in tmp_path.glob("out/*")) == [
-            f"ablation-{arm}" for arm in ("baseline", "confidence",
-                                          "confidence_cot",
-                                          "confidence_cot_icl", "personas")]
+        assert [p.name for p in tmp_path.glob("out/*")] == [
+            "ablation-personas"]
 
     def test_ablation_checks_gold_before_any_arm(self, tmp_path, capsys):
         config_path = build_workspace(tmp_path, count=60)
