@@ -39,25 +39,28 @@ weak = weak_labels_from_annotations(registry, weak_store,
                                     min_confidence=Confidence.HIGH)
 
 split = split_dataset(records, (0.7, 0.1, 0.2), seed=0)
-train = labeled_queries(split.train, weak)
-dev = labeled_queries(split.dev, weak)
 print(f"split: {len(split.train)} train / {len(split.dev)} dev / "
       f"{len(split.test)} test")
 
 # --- train and tune ---------------------------------------------------------
-backend = HashedNgramEmbedder(dim=256, seed=0)
+# The heads take feature rows and label rows: encode each part once.
+encoder = HashedNgramEmbedder(dim=256, seed=0)
+X_train, X_dev, X_test = (encoder.encode_batch([r.text for r in part])
+                          for part in (split.train, split.dev, split.test))
+Y_train = labeled_queries(split.train, weak, registry)
+Y_dev = labeled_queries(split.dev, weak, registry)
 config = ClassifierTrainConfig(epochs=10, seed=0, batch_size=64,
                                learning_rate=3e-3, patience=10)
-model, history = train_classifier(train, dev, config, registry, backend=backend)
+model, history = train_classifier(X_train, Y_train, X_dev, Y_dev, config,
+                                  registry, encoder)
 print(f"dev micro-F1 by epoch: "
       f"{' '.join(f'{f1:.3f}' for _, _, f1 in history[:6])} ...")
-set_thresholds(model, tune_thresholds(model, dev, MAX_F1, backend=backend))
+set_thresholds(model, tune_thresholds(model, X_dev, Y_dev, MAX_F1))
 
 # --- evaluate on test against gold ------------------------------------------
 test_records = list(split.test)
 gold_test = {r.id: gold[r.id] for r in test_records}
-probs = predict_probs_batch(model, [r.text for r in test_records],
-                            backend=backend)
+probs = predict_probs_batch(model, X_test)
 test_probs = {r.id: probs[i] for i, r in enumerate(test_records)}
 pred_store = {
     r.id: {e for e, p, t in zip(model.entity_ids, test_probs[r.id],
@@ -90,7 +93,7 @@ print(f"recall at matching precision:    {matched.micro.recall:.3f}")
 # --- the batch prediction file --------------------------------------------
 with tempfile.TemporaryDirectory(prefix="querydistill-demo-") as out_dir:
     path = os.path.join(out_dir, "predictions.jsonl")
-    write_predictions_jsonl(path, model, test_records[:50], backend=backend)
+    write_predictions_jsonl(path, model, test_records[:50])
     print(f"\nwrote {path}")
     with open(path) as fh:
         print("first line:", fh.readline()[:110], "...")

@@ -10,8 +10,11 @@ or match a reference recall/precision.
 
 The encoder is ``features.HashedNgramEmbedder``: it embeds any query,
 seen in training or not, so the same model scores queries in real time.
-The ``backend`` arguments below take it, or an ``EncodedTexts`` of its
-matrix; a model file naming another encoder kind is refused at load time.
+Training, threshold tuning and batch prediction take its ``(n, dim)``
+feature rows, as the router does, so a pipeline run encodes each query
+once; ``predict_probs`` embeds one query with the model's encoder, or the
+long-lived one a server passes. A model file naming another encoder kind
+is refused at load time.
 
 The heads train, are stored and serve in float32: the dense AdamW update
 of the stacked first layer and the head matmuls are most of the cost of a
@@ -27,7 +30,7 @@ import numpy as np
 
 from .annotations import Confidence
 from .errors import EmptyDatasetError, ModelError
-from .features import HashedNgramEmbedder, encoder_from_descriptor
+from .features import encoder_from_descriptor
 from .optim import (COUNT, TrainConfig, check_weights, fan_in_uniform,
                     load_weights, minibatch_epochs, save_weights)
 from .personas import annotation_levels
@@ -83,38 +86,17 @@ def weak_labels_from_annotations(registry, annotations, min_confidence=Confidenc
                        min_confidence=min_confidence, provenance=provenance)
 
 
-@dataclass(frozen=True)
-class LabeledQueries:
-    """Texts paired with indicator labels, aligned row by row."""
-
-    texts: tuple
-    labels: np.ndarray = field(compare=False)
-    registry_hash: str = ""
-
-    def __post_init__(self):
-        labels = np.asarray(self.labels, dtype=float)
-        if labels.ndim != 2 or labels.shape[0] != len(self.texts):
-            raise ModelError("labels shape does not match texts")
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "texts", tuple(self.texts))
-
-    def __len__(self):
-        return len(self.texts)
-
-
-def labeled_queries(records, weak_labels):
-    """Join query records with a WeakLabelSet by query id."""
+def labeled_queries(records, weak_labels, registry):
+    """The (n, E) float label rows of ``records``, in their order, from a
+    WeakLabelSet built against ``registry``. A record without a weak label
+    is a ModelError: label row i must stay record i's."""
+    if weak_labels.registry_hash != registry.hash:
+        raise ModelError("train labels were built against a different registry")
     by_id = {qid: row for row, qid in enumerate(weak_labels.query_ids)}
-    texts, rows = [], []
-    for record in records:
-        if record.id in by_id:
-            texts.append(record.text)
-            rows.append(by_id[record.id])
-    return LabeledQueries(
-        texts=tuple(texts),
-        labels=weak_labels.indicators[rows].astype(float),
-        registry_hash=weak_labels.registry_hash,
-    )
+    missing = sum(record.id not in by_id for record in records)
+    if missing:
+        raise ModelError(f"{missing} records have no weak label")
+    return weak_labels.indicators[[by_id[r.id] for r in records]].astype(float)
 
 
 # ---------------------------------------------------------------------------
@@ -224,13 +206,13 @@ def classifier_loss_and_grads(model, X, Y):
     return loss, grads
 
 
-def _init_classifier(backend, entity_ids, registry_hash, config):
+def _init_classifier(encoder, entity_ids, registry_hash, config):
     """Float32 heads from the float64 fan-in draws of ``config.seed``."""
-    D, m, E = backend.dim, config.head_dim, len(entity_ids)
+    D, m, E = encoder.dim, config.head_dim, len(entity_ids)
     U1, c1, U2, c2 = (draw.astype(np.float32) for draw in fan_in_uniform(
         config.seed, (D, (E, D, m)), (D, (E, m)), (m, (E, m)), (m, E)))
     return ClassifierModel(
-        backend_descriptor=backend.descriptor(),
+        backend_descriptor=encoder.descriptor(),
         entity_ids=tuple(entity_ids),
         U1=U1, c1=c1, U2=U2, c2=c2,
         thresholds=np.full(E, 0.5),
@@ -249,39 +231,35 @@ def _micro_f1_at_half(probs, labels):
     return 2 * tp / denom if denom else 0.0
 
 
-def train_classifier(train, dev, config, registry, backend=None):
-    """Train per-entity heads on weak labels.
+def train_classifier(X_train, Y_train, X_dev, Y_dev, config, registry, encoder):
+    """Train per-entity heads on weak labels: features ``X`` (n, D) from
+    ``encoder``, which only supplies ``dim`` and ``descriptor()``, and
+    labels ``Y`` (n, E) over the registry's entities.
 
     Checkpoints on dev micro-F1 (decisions at probability 0.5) each epoch
     and early-stops after ``config.patience`` epochs without improvement;
-    the returned model is the best checkpoint. Also returns a history of
-    (epoch, train_loss, dev_micro_f1) rows. The heads are float32.
-    Deterministic given config.seed.
+    with no dev rows it trains every epoch. The returned model is the best
+    checkpoint. Also returns a history of (epoch, train_loss, dev_micro_f1)
+    rows. The heads are float32. Deterministic given config.seed.
     """
-    if len(train) == 0:
+    if len(X_train) == 0:
         raise EmptyDatasetError("train_classifier got an empty train set")
-    if train.labels.shape[1] != len(registry):
-        raise ModelError("train labels do not cover the registry")
-    if train.registry_hash and train.registry_hash != registry.hash:
-        raise ModelError("train labels were built against a different registry")
-
-    if backend is None:
-        backend = HashedNgramEmbedder(dim=512)
-
+    if len(Y_train) != len(X_train) or len(Y_dev) != len(X_dev):
+        raise ModelError("features and labels differ in row count")
     # Features and labels are cast to the heads' float32 once, not per batch.
-    X_train = np.asarray(backend.encode_batch(train.texts), dtype=np.float32)
-    Y_train = np.asarray(train.labels, dtype=np.float32)
-    X_dev = (np.asarray(backend.encode_batch(dev.texts), dtype=np.float32)
-             if len(dev) else None)
-    Y_dev = dev.labels if len(dev) else None
+    X_train = np.asarray(X_train, dtype=np.float32)
+    Y_train = np.asarray(Y_train, dtype=np.float32)
+    X_dev = np.asarray(X_dev, dtype=np.float32) if len(X_dev) else None
+    if Y_train.shape[1] != len(registry):
+        raise ModelError("train labels do not cover the registry")
 
-    model = _init_classifier(backend, registry.ids, registry.hash, config)
+    model = _init_classifier(encoder, registry.ids, registry.hash, config)
     best = None
     best_f1 = -1.0
     stale = 0
     history = []
     for epoch, epoch_losses in minibatch_epochs(
-            model.params(), len(train),
+            model.params(), len(X_train),
             lambda rows: classifier_loss_and_grads(model, X_train[rows], Y_train[rows]),
             config, ("U1", "U2"), "classifier"):
         if X_dev is None:
@@ -319,11 +297,9 @@ def predict_probs(model, text, backend=None, registry=None):
     return _sigmoid(logits[0])
 
 
-def predict_probs_batch(model, texts, backend=None):
-    if backend is None:
-        backend = model.backend()
-    logits, _ = heads_forward(model, backend.encode_batch(texts))
-    return _sigmoid(logits)
+def predict_probs_batch(model, X):
+    """Per-entity probabilities for a feature batch: (B, D) -> (B, E)."""
+    return _sigmoid(heads_forward(model, X)[0])
 
 
 def apply_thresholds(model, probs):
@@ -418,21 +394,21 @@ def tune_threshold_for_entity(probs, labels, mode, target=None):
                            achieved=float(values[pick]), attained=attained)
 
 
-def tune_thresholds(model, dev, mode, targets=None, backend=None):
-    """Tune every entity's threshold on a labeled dev set.
+def tune_thresholds(model, X_dev, Y_dev, mode, targets=None):
+    """Tune every entity's threshold on dev features and their labels.
 
     ``targets`` maps entity id -> target value for the matching modes.
     Returns {entity: ThresholdChoice}; apply the result to the model with
     ``set_thresholds``.
     """
-    if len(dev) == 0:
+    if len(X_dev) == 0:
         raise EmptyDatasetError("tune_thresholds got an empty dev set")
-    probs = predict_probs_batch(model, dev.texts, backend=backend)
+    probs = predict_probs_batch(model, X_dev)
     choices = {}
     for col, entity in enumerate(model.entity_ids):
         target = targets.get(entity) if targets else None
         choices[entity] = tune_threshold_for_entity(
-            probs[:, col], dev.labels[:, col], mode, target=target)
+            probs[:, col], Y_dev[:, col], mode, target=target)
     return choices
 
 
@@ -454,14 +430,12 @@ def set_thresholds(model, choices):
     return model
 
 
-def write_predictions_jsonl(path, model, records, backend=None):
+def write_predictions_jsonl(path, model, records):
     """Batch prediction output: one JSON line per query with every entity's
     probability, sorted descending. Thresholded labels are the caller's
     business (``apply_thresholds``); this file keeps the full distribution."""
-    if backend is None:
-        backend = model.backend()
-    probs = predict_probs_batch(model, [r.text for r in records],
-                                backend=backend)
+    probs = predict_probs_batch(model, model.backend().encode_batch(
+        [r.text for r in records]))
     with open(path, "w", encoding="utf-8") as fh:
         for row, record in enumerate(records):
             labels = sorted(

@@ -12,10 +12,9 @@ training and real-time inference. It exposes ``kind``, ``dim``, ``tag``,
 ``descriptor()``, ``embed(text)`` for one query and ``encode_batch(texts)``
 for an ``(n, dim)`` matrix whose rows equal ``embed``'s;
 ``encoder_from_descriptor`` rebuilds it from its descriptor.
-``EncodedTexts`` holds one encoder's matrix for a fixed list of texts, and
 ``hashed_ngram_matrices`` builds the matrices of several hashed dims of one
 seed from one n-gram pass, so a pipeline run extracts each text's n-grams
-once for both of its encoders.
+once for both of its networks, which then take rows of those matrices.
 
 Both hashed paths digest a query window by window (``_windows``) and keep
 each window's joined digests in a ``_WindowMemo``: the embedder's memo is
@@ -216,41 +215,6 @@ def hashed_ngram_matrices(texts, seed, dims):
     values = np.frombuffer(b"".join(parts), dtype="<u8")
     rows = np.repeat(np.arange(len(texts)), lengths)
     return [_unit_rows(values, rows, len(texts), dim) for dim in dims]
-
-
-class EncodedTexts:
-    """One encoder's ``encode_batch`` matrix for a fixed list of texts.
-
-    Stands in for the encoder where only those texts are encoded, as in one
-    pipeline run: ``encode_batch`` and ``embed`` return stored rows, and
-    ``dim``, ``tag`` and ``descriptor()`` are the encoder's. A text
-    outside the list raises KeyError. ``matrix``, when given, is the
-    encoder's ``encode_batch(texts)`` computed elsewhere, possibly cast to
-    the dtype its reader computes in: a pipeline run keeps the classifier's
-    matrix in float32, the dtype of the heads.
-    """
-
-    def __init__(self, encoder, texts, matrix=None):
-        self.encoder = encoder
-        self.matrix = encoder.encode_batch(texts) if matrix is None else matrix
-        self._rows = {text: row for row, text in enumerate(texts)}
-
-    @property
-    def dim(self):
-        return self.encoder.dim
-
-    @property
-    def tag(self):
-        return self.encoder.tag
-
-    def descriptor(self):
-        return self.encoder.descriptor()
-
-    def embed(self, text):
-        return self.matrix[self._rows[text]]
-
-    def encode_batch(self, texts):
-        return self.matrix[[self._rows[text] for text in texts]]
 
 
 def encoder_from_descriptor(descriptor):

@@ -31,7 +31,6 @@ import functools
 import hashlib
 import inspect
 import json
-import math
 import os
 from dataclasses import dataclass, field, asdict
 
@@ -46,11 +45,11 @@ from . import prompting as prompting_mod
 from . import router as router_mod
 from .annotations import Annotation, Confidence, read_annotation_store, write_annotation_store
 from .errors import PipelineConfigError, UnparseableResponseError
-from .features import (EncodedTexts, HashedNgramEmbedder,
-                       hashed_ngram_matrices)
+from .features import HashedNgramEmbedder, hashed_ngram_matrices
 from .llm_client import (AnnotationFailure, AnnotatorHandle, HttpEndpointConfig,
                          MockConfig, ResponseCache, annotate_batch,
                          mock_handle, prompt_keys)
+from .optim import COUNT, check_fields
 from .taxonomy import load_registry
 
 PERSONA_MODES = ("none", "random", "router")
@@ -65,11 +64,12 @@ _INPUT_PATHS = ("registry_path", "queries_path", "gazetteer_path",
                "personas_path", "gold_path", "annotator.gazetteer")
 
 
-# The config fields that must be finite JSON numbers, with their exact Python
-# types (so a bool is none) and their least value (None for no bound).
-_NUMBER_FIELDS = {"seed": ((int,), 0), "embedding_dim": ((int,), 1),
-                  "encoder_dim": ((int,), 1), "max_icl_examples": ((int,), 1),
-                  "aggregation_threshold": ((int, float), None)}
+# ``optim.check_fields`` rules of the config's numeric fields; a bool is
+# no number.
+_FIELD_RULES = {"seed": ("integer", lambda v: v >= 0, ">= 0"),
+                "embedding_dim": COUNT, "encoder_dim": COUNT,
+                "max_icl_examples": COUNT, "persona_k": COUNT,
+                "aggregation_threshold": ("number", lambda v: True, "")}
 
 
 def _input_paths(raw):
@@ -114,14 +114,7 @@ class RunConfig:
     max_icl_examples: int = 4
 
     def __post_init__(self):
-        for name, (types, least) in _NUMBER_FIELDS.items():
-            value = getattr(self, name)
-            if type(value) not in types or not -math.inf < value < math.inf:
-                what = "an integer" if types == (int,) else "a number"
-                raise PipelineConfigError(f"{name} must be {what}, got {value!r}")
-            if least is not None and value < least:
-                raise PipelineConfigError(
-                    f"{name} must be >= {least}, got {value!r}")
+        check_fields(self, _FIELD_RULES, PipelineConfigError)
         if not (isinstance(self.ratios, (list, tuple)) and len(self.ratios) == 3
                 and all(type(r) in (int, float) for r in self.ratios)):
             raise PipelineConfigError(
@@ -136,9 +129,6 @@ class RunConfig:
             raise PipelineConfigError(
                 f"eval_reference must be 'gold' or 'teacher', "
                 f"got {self.eval_reference!r}")
-        if not isinstance(self.persona_k, int) or self.persona_k < 1:
-            raise PipelineConfigError(
-                f"persona_k must be an integer >= 1, got {self.persona_k!r}")
         for name, parse in (
                 ("prompt_variant", prompting_mod.PromptVariant.from_string),
                 ("min_confidence", Confidence.from_label)):
@@ -307,25 +297,22 @@ class _Run:
         return load_gold(self.config.gold_path, self.records)
 
     @functools.cached_property
-    def _encoders(self):
-        """The router's and the classifier's encoders, with every ingested
-        text encoded in one n-gram pass. The classifier's matrix is kept in
-        its heads' float32, the router's in float64."""
-        texts = [r.text for r in self.records]
-        dims = (self.config.embedding_dim, self.config.encoder_dim)
-        matrices = hashed_ngram_matrices(texts, self.config.seed, dims)
-        matrices[1] = matrices[1].astype(np.float32)
-        return [EncodedTexts(HashedNgramEmbedder(dim=dim, seed=self.config.seed),
-                             texts, matrix)
-                for dim, matrix in zip(dims, matrices)]
+    def features(self):
+        """The router's and the classifier's (N, dim) feature matrices of
+        the ingested texts, from one n-gram pass. The classifier's is kept
+        in its heads' float32, the router's in float64."""
+        router, student = hashed_ngram_matrices(
+            [r.text for r in self.records], self.config.seed,
+            (self.config.embedding_dim, self.config.encoder_dim))
+        return router, student.astype(np.float32)
 
-    router_encoder = property(lambda self: self._encoders[0])
-    backend = property(lambda self: self._encoders[1])
+    @functools.cached_property
+    def _row_of(self):
+        return {r.id: row for row, r in enumerate(self.records)}
 
     def rows(self, records):
         """Row of each of ``records`` in ingest order."""
-        index = {r.id: row for row, r in enumerate(self.records)}
-        return [index[r.id] for r in records]
+        return [self._row_of[r.id] for r in records]
 
     def write(self, name, filename, writer, *args, **kwargs):
         """Write one artifact with ``writer(path, *args, **kwargs)`` and list
@@ -406,9 +393,10 @@ def _router(run):
     gold_levels = personas_mod.annotation_levels(
         [gold[r.id] for r in train_records], registry)
     run.router_model, loss_history = router_mod.train_router(
-        run.router_encoder.matrix[rows], run.levels[rows], gold_levels > 0,
+        run.features[0][rows], run.levels[rows], gold_levels > 0,
         tuple(p.id for p in run.personas), run.router_config, registry)
-    run.router_model.embedding_provider = run.router_encoder.tag
+    run.router_model.embedding_provider = HashedNgramEmbedder(
+        config.embedding_dim, config.seed).tag
     run.write("router", "router.json", router_mod.save_router,
               run.router_model, loss_history=loss_history)
 
@@ -418,7 +406,7 @@ def choose_personas(run, mode):
     k, a seeded sample, or None for "none"."""
     k = run.config.persona_k
     if mode == "router":
-        return router_mod.select_top_k(run.router_model, run.router_encoder.matrix, k)
+        return router_mod.select_top_k(run.router_model, run.features[0], k)
     if mode == "random":
         return personas_mod.sample_personas(
             [r.id for r in run.records], len(run.personas), k, run.config.seed)
@@ -462,11 +450,16 @@ def _labels(run):
 
 
 def _train(run):
-    train_set = classifier_mod.labeled_queries(run.split.train, run.weak)
-    run.dev_set = classifier_mod.labeled_queries(run.split.dev, run.weak)
+    """Train the classifier on rows of the run's classifier features; the
+    dev rows and their labels stay in ``run.dev`` for the tune stage."""
+    config, registry, X = run.config, run.registry, run.features[1]
+    Y_train = classifier_mod.labeled_queries(run.split.train, run.weak, registry)
+    run.dev = (X[run.rows(run.split.dev)],
+               classifier_mod.labeled_queries(run.split.dev, run.weak, registry))
     run.model, run.history = classifier_mod.train_classifier(
-        train_set, run.dev_set, run.classifier_config, run.registry,
-        backend=run.backend)
+        X[run.rows(run.split.train)], Y_train, *run.dev,
+        run.classifier_config, registry,
+        HashedNgramEmbedder(config.encoder_dim, config.seed))
     # The tune stage writes the tuned model; writing the untuned one first
     # would cost a second full serialization of the weights.
     if run.until == "train":
@@ -476,9 +469,8 @@ def _train(run):
 
 
 def _tune(run):
-    choices = classifier_mod.tune_thresholds(run.model, run.dev_set,
-                                             classifier_mod.MAX_F1,
-                                             backend=run.backend)
+    choices = classifier_mod.tune_thresholds(run.model, *run.dev,
+                                             classifier_mod.MAX_F1)
     classifier_mod.set_thresholds(run.model, choices)
     run.write("classifier", "classifier.json", classifier_mod.save_classifier,
               run.model, history=run.history)
@@ -488,10 +480,10 @@ def _eval(run):
     """Score the lexical baseline and the classifier on (n, E) label arrays."""
     config, registry = run.config, run.registry
     test_records = list(run.split.test)
-    probs = classifier_mod.predict_probs_batch(
-        run.model, [r.text for r in test_records], backend=run.backend)
+    rows = run.rows(test_records)
+    probs = classifier_mod.predict_probs_batch(run.model, run.features[1][rows])
     if config.eval_reference == "teacher":
-        reference = run.teacher[run.rows(test_records)] > 0
+        reference = run.teacher[rows] > 0
     else:
         reference = personas_mod.annotation_levels(
             [run.gold[r.id] for r in test_records], registry) > 0

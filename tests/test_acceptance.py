@@ -213,18 +213,20 @@ def test_criterion_5_distillation_beats_weak_baseline():
     gains = []
     for seed in range(3):
         split = split_dataset(records, (0.7, 0.1, 0.2), seed=seed)
-        train = labeled_queries(split.train, weak)
-        dev = labeled_queries(split.dev, weak)
-        backend = HashedNgramEmbedder(dim=256, seed=0)
+        encoder = HashedNgramEmbedder(dim=256, seed=0)
         config = ClassifierTrainConfig(epochs=10, seed=seed, batch_size=64,
                                        learning_rate=3e-3, patience=10)
-        model, _ = train_classifier(train, dev, config, registry,
-                                    backend=backend)
+        model, _ = train_classifier(
+            encoder.encode_batch([r.text for r in split.train]),
+            labeled_queries(split.train, weak, registry),
+            encoder.encode_batch([r.text for r in split.dev]),
+            labeled_queries(split.dev, weak, registry),
+            config, registry, encoder)
 
         test_records = list(split.test)
         gold_test = {r.id: gold[r.id] for r in test_records}
-        probs = predict_probs_batch(model, [r.text for r in test_records],
-                                    backend=backend)
+        probs = predict_probs_batch(
+            model, encoder.encode_batch([r.text for r in test_records]))
         baseline_store = {r.id: lexical_match(baseline_gaz, r.text)
                           for r in test_records}
         base_report = compute_metrics(gold_test, baseline_store,

@@ -14,7 +14,7 @@ from conftest import ann
 from querydistill.annotations import Annotation, Confidence
 import querydistill
 from querydistill.classifier import (ClassifierModel, ClassifierTrainConfig,
-                                     LabeledQueries, MATCH_PRECISION,
+                                     MATCH_PRECISION,
                                      MATCH_RECALL, MAX_F1, ThresholdChoice,
                                      apply_thresholds,
                                      classifier_loss_and_grads, heads_forward,
@@ -29,6 +29,7 @@ from querydistill.errors import EmptyDatasetError, ModelError, NanLossError
 from querydistill.features import HashedNgramEmbedder
 from querydistill.optim import AdamW, encode_array
 from querydistill.router import RouterTrainConfig
+from querydistill.data import QueryRecord, query_id
 from querydistill.synth import synth_gazetteer, synth_queries, synth_registry
 
 
@@ -83,6 +84,31 @@ class TestWeakLabels:
             tiny_registry, {"zz": ann(Sport="High"), "aa": ann(Genre="High")})
         assert labels.query_ids == ("aa", "zz")
         assert labels.indicators.tolist() == [[1, 0, 0], [0, 1, 0]]
+
+
+def records_of(*query_ids):
+    return [QueryRecord(id=qid, text=qid, frequency=1) for qid in query_ids]
+
+
+class TestLabeledQueries:
+    def test_rows_follow_records(self, tiny_registry):
+        labels = weak_labels_from_annotations(
+            tiny_registry, {"zz": ann(Sport="High"), "aa": ann(Genre="High")})
+        rows = labeled_queries(records_of("zz", "aa", "zz"), labels,
+                               tiny_registry)
+        assert rows.tolist() == [[0, 1, 0], [1, 0, 0], [0, 1, 0]]
+
+    def test_missing_label_rejected_with_count(self, tiny_registry):
+        labels = weak_labels_from_annotations(
+            tiny_registry, {"aa": ann(Genre="High")})
+        with pytest.raises(ModelError, match="^2 records have no weak label$"):
+            labeled_queries(records_of("aa", "bb", "cc"), labels, tiny_registry)
+
+    def test_other_registry_rejected(self, tiny_registry):
+        labels = weak_labels_from_annotations(
+            tiny_registry, {"aa": ann(Genre="High")})
+        with pytest.raises(ModelError, match="different registry"):
+            labeled_queries(records_of("aa"), labels, synth_registry())
 
 
 class TestStableBce:
@@ -166,31 +192,43 @@ def make_corpus(n, seed, entities=None):
     return registry, records, labels
 
 
+def arrays(encoder, records, labels, registry):
+    """The (features, label rows) of ``records``: the array API's inputs."""
+    return (encoder.encode_batch([r.text for r in records]),
+            labeled_queries(records, labels, registry))
+
+
+def no_rows(D, E):
+    """Empty (features, labels): no dev set."""
+    return np.zeros((0, D)), np.zeros((0, E))
+
+
 class TestTrainClassifier:
     def test_separable_data_reaches_dev_f1(self):
         registry, records, labels = make_corpus(
             800, seed=10, entities=["Genre", "Sport", "Holiday", "AudioLanguage"])
         split = int(len(records) * 0.8)
-        train = labeled_queries(records[:split], labels)
-        dev = labeled_queries(records[split:], labels)
-        backend = HashedNgramEmbedder(dim=512, seed=0)
+        encoder = HashedNgramEmbedder(dim=512, seed=0)
         config = ClassifierTrainConfig(epochs=30, seed=0, patience=30,
                                        learning_rate=3e-3)
-        model, history = train_classifier(train, dev, config, registry,
-                                          backend=backend)
+        model, history = train_classifier(
+            *arrays(encoder, records[:split], labels, registry),
+            *arrays(encoder, records[split:], labels, registry),
+            config, registry, encoder)
         best_dev_f1 = max(h[2] for h in history)
         assert best_dev_f1 >= 0.95
         assert len(history) <= 30
 
     def test_zero_learning_rate_leaves_parameters_bitwise(self):
         registry, records, labels = make_corpus(40, seed=3)
-        train = labeled_queries(records[:30], labels)
-        dev = labeled_queries(records[30:], labels)
-        backend = HashedNgramEmbedder(dim=64, seed=0)
+        encoder = HashedNgramEmbedder(dim=64, seed=0)
         config = ClassifierTrainConfig(epochs=1, learning_rate=0.0, seed=5)
-        model, _ = train_classifier(train, dev, config, registry, backend=backend)
+        model, _ = train_classifier(
+            *arrays(encoder, records[:30], labels, registry),
+            *arrays(encoder, records[30:], labels, registry),
+            config, registry, encoder)
         from querydistill.classifier import _init_classifier
-        fresh = _init_classifier(backend, registry.ids, registry.hash, config)
+        fresh = _init_classifier(encoder, registry.ids, registry.hash, config)
         for key, value in model.params().items():
             assert value.tobytes() == fresh.params()[key].tobytes()
 
@@ -198,65 +236,72 @@ class TestTrainClassifier:
         registry, records, labels = make_corpus(200, seed=6)
         zeroed = labels.indicators.astype(float)
         zeroed[:, 0] = 0.0
-        train = LabeledQueries(
-            texts=tuple(r.text for r in records),
-            labels=np.stack([
-                zeroed[list(labels.query_ids).index(r.id)] for r in records
-            ]),
-            registry_hash=registry.hash)
-        backend = HashedNgramEmbedder(dim=128, seed=0)
+        Y = np.stack([
+            zeroed[list(labels.query_ids).index(r.id)] for r in records
+        ])
+        encoder = HashedNgramEmbedder(dim=128, seed=0)
+        X = encoder.encode_batch([r.text for r in records])
         config = ClassifierTrainConfig(epochs=8, seed=1)
-        model, _ = train_classifier(train, LabeledQueries((), np.zeros((0, len(registry)))),
-                                    config, registry, backend=backend)
-        probs = predict_probs_batch(model, list(train.texts), backend=backend)
+        model, _ = train_classifier(X, Y, *no_rows(128, len(registry)),
+                                    config, registry, encoder)
+        probs = predict_probs_batch(model, X)
         assert (probs[:, 0] < 0.5).all()
 
     def test_empty_train_rejected(self, tiny_registry):
-        empty = LabeledQueries((), np.zeros((0, 3)))
         with pytest.raises(EmptyDatasetError):
-            train_classifier(empty, empty, ClassifierTrainConfig(), tiny_registry)
+            train_classifier(*no_rows(8, 3), *no_rows(8, 3),
+                             ClassifierTrainConfig(), tiny_registry,
+                             HashedNgramEmbedder(dim=8))
+
+    def test_feature_and_label_rows_must_pair(self):
+        registry, records, labels = make_corpus(40, seed=3)
+        encoder = HashedNgramEmbedder(dim=64, seed=0)
+        X, Y = arrays(encoder, records, labels, registry)
+        config = ClassifierTrainConfig(epochs=1, seed=1)
+        for args in ((X, Y[1:], X, Y), (X, Y, X[1:], Y)):
+            with pytest.raises(ModelError, match="row count"):
+                train_classifier(*args, config, registry, encoder)
 
     def test_reproducible_model_files(self, tmp_path):
         registry, records, labels = make_corpus(80, seed=9)
-        train = labeled_queries(records[:60], labels)
-        dev = labeled_queries(records[60:], labels)
-        backend = HashedNgramEmbedder(dim=64, seed=0)
+        encoder = HashedNgramEmbedder(dim=64, seed=0)
+        train = arrays(encoder, records[:60], labels, registry)
+        dev = arrays(encoder, records[60:], labels, registry)
         config = ClassifierTrainConfig(epochs=3, seed=2)
         for name in ("a", "b"):
-            model, history = train_classifier(train, dev, config, registry,
-                                              backend=backend)
+            model, history = train_classifier(*train, *dev, config, registry,
+                                              encoder)
             save_classifier(tmp_path / f"{name}.json", model, history=history)
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
     def test_nan_target_raises_at_first_batch(self):
         registry, records, labels = make_corpus(40, seed=3)
-        train = labeled_queries(records[:30], labels)
-        nan_labels = train.labels.copy()
+        encoder = HashedNgramEmbedder(dim=64, seed=0)
+        X_train, nan_labels = arrays(encoder, records[:30], labels, registry)
         nan_labels[0, 0] = np.nan
-        train = LabeledQueries(train.texts, nan_labels, registry.hash)
-        config = ClassifierTrainConfig(epochs=2, batch_size=len(train), seed=1)
+        config = ClassifierTrainConfig(epochs=2, batch_size=len(X_train), seed=1)
         with pytest.raises(NanLossError, match="classifier") as info:
-            train_classifier(train, labeled_queries(records[30:], labels),
-                             config, registry,
-                             backend=HashedNgramEmbedder(dim=64, seed=0))
+            train_classifier(X_train, nan_labels,
+                             *arrays(encoder, records[30:], labels, registry),
+                             config, registry, encoder)
         assert (info.value.epoch, info.value.batch) == (0, 0)
 
     def test_early_stop_returns_best_dev_epoch(self):
         registry, records, labels = make_corpus(
             200, seed=10, entities=["Genre", "Sport", "Holiday", "AudioLanguage"])
-        train = labeled_queries(records[:160], labels)
-        dev = labeled_queries(records[160:], labels)
-        backend = HashedNgramEmbedder(dim=128, seed=0)
+        encoder = HashedNgramEmbedder(dim=128, seed=0)
+        X_dev, Y_dev = arrays(encoder, records[160:], labels, registry)
         config = ClassifierTrainConfig(epochs=40, patience=2, seed=0,
                                        learning_rate=1e-2)
-        model, history = train_classifier(train, dev, config, registry,
-                                          backend=backend)
+        model, history = train_classifier(
+            *arrays(encoder, records[:160], labels, registry), X_dev, Y_dev,
+            config, registry, encoder)
         dev_f1 = [row[2] for row in history]
         best_epoch = dev_f1.index(max(dev_f1))
         assert 0 < best_epoch and len(history) < config.epochs
         assert len(history) == best_epoch + 1 + config.patience
-        pred = predict_probs_batch(model, dev.texts, backend=backend) >= 0.5
-        gold = dev.labels > 0.5
+        pred = predict_probs_batch(model, X_dev) >= 0.5
+        gold = Y_dev > 0.5
         tp, fp, fn = ((pred & gold).sum(), (pred & ~gold).sum(),
                       (~pred & gold).sum())
         assert 2 * tp / (2 * tp + fp + fn) == max(dev_f1)
@@ -286,16 +331,15 @@ class TestPredict:
 
     def test_overfit_single_batch_ranks_gold_first(self):
         registry, records, labels = make_corpus(8, seed=12)
-        train = labeled_queries(records, labels)
-        backend = HashedNgramEmbedder(dim=128, seed=0)
+        encoder = HashedNgramEmbedder(dim=128, seed=0)
+        X, Y = arrays(encoder, records, labels, registry)
         config = ClassifierTrainConfig(epochs=120, seed=0, batch_size=8,
                                        weight_decay=0.0)
-        model, _ = train_classifier(
-            train, LabeledQueries((), np.zeros((0, len(registry)))),
-            config, registry, backend=backend)
+        model, _ = train_classifier(X, Y, *no_rows(128, len(registry)),
+                                    config, registry, encoder)
         row = 0
-        probs = predict_probs(model, train.texts[row], backend=backend)
-        gold_mask = train.labels[row] > 0.5
+        probs = predict_probs(model, records[row].text, backend=encoder)
+        gold_mask = Y[row] > 0.5
         assert gold_mask.any() and (~gold_mask).any()
         assert probs[gold_mask].min() > probs[~gold_mask].max()
 
@@ -308,11 +352,11 @@ class TestPredict:
     def test_monotone_in_output_bias(self):
         rng = np.random.default_rng(14)
         model = random_model(D=16, m=8, E=3, seed=7)
-        backend = HashedNgramEmbedder(dim=16, seed=0)
-        texts = ["comedy movies", "football games", "french films"]
-        base = predict_probs_batch(model, texts, backend=backend)
+        X = HashedNgramEmbedder(dim=16, seed=0).encode_batch(
+            ["comedy movies", "football games", "french films"])
+        base = predict_probs_batch(model, X)
         model.c2 = model.c2 + np.array([0.5, 1.0, 2.0])
-        bumped = predict_probs_batch(model, texts, backend=backend)
+        bumped = predict_probs_batch(model, X)
         assert (bumped >= base).all()
 
 
@@ -451,12 +495,13 @@ class TestTuneThresholds:
 
     def test_tune_thresholds_over_model(self, tmp_path):
         registry, records, labels = make_corpus(120, seed=15)
-        train = labeled_queries(records[:90], labels)
-        dev = labeled_queries(records[90:], labels)
-        backend = HashedNgramEmbedder(dim=128, seed=0)
+        encoder = HashedNgramEmbedder(dim=128, seed=0)
+        dev = arrays(encoder, records[90:], labels, registry)
         config = ClassifierTrainConfig(epochs=10, seed=4)
-        model, _ = train_classifier(train, dev, config, registry, backend=backend)
-        choices = tune_thresholds(model, dev, MAX_F1, backend=backend)
+        model, _ = train_classifier(
+            *arrays(encoder, records[:90], labels, registry), *dev,
+            config, registry, encoder)
+        choices = tune_thresholds(model, *dev, MAX_F1)
         assert set(choices) == set(registry.ids)
         set_thresholds(model, choices)
         assert ((model.thresholds > 0) & (model.thresholds < 1)).all()
@@ -464,7 +509,7 @@ class TestTuneThresholds:
     def test_empty_dev_rejected(self):
         model = random_model()
         with pytest.raises(EmptyDatasetError):
-            tune_thresholds(model, LabeledQueries((), np.zeros((0, 3))), MAX_F1)
+            tune_thresholds(model, *no_rows(16, 3), MAX_F1)
 
 
 def test_tune_thresholds_leaves_numpy_ma_unimported():
@@ -473,8 +518,9 @@ def test_tune_thresholds_leaves_numpy_ma_unimported():
     script = "\n".join([
         "import sys",
         "import numpy as np",
-        "from querydistill.classifier import (ClassifierModel,",
-        "    LabeledQueries, MAX_F1, tune_thresholds)",
+        "from querydistill.classifier import (ClassifierModel, MAX_F1,",
+        "    tune_thresholds)",
+        "from querydistill.features import HashedNgramEmbedder",
         "eager = 'numpy.ma' in sys.modules",
         "rng = np.random.default_rng(0)",
         "model = ClassifierModel(",
@@ -485,9 +531,10 @@ def test_tune_thresholds_leaves_numpy_ma_unimported():
         "    U2=rng.normal(size=(2, 4)).astype(np.float32),",
         "    c2=np.zeros(2, np.float32), thresholds=np.full(2, 0.5),",
         "    registry_hash='rh')",
-        "dev = LabeledQueries(('comedy movies', 'football', 'horror', 'tennis'),",
-        "                     [[1, 0], [0, 1], [1, 0], [0, 1]])",
-        "assert len(tune_thresholds(model, dev, MAX_F1)) == 2",
+        "X = HashedNgramEmbedder(16, 0).encode_batch(",
+        "    ['comedy movies', 'football', 'horror', 'tennis'])",
+        "Y = np.array([[1, 0], [0, 1], [1, 0], [0, 1]])",
+        "assert len(tune_thresholds(model, X, Y, MAX_F1)) == 2",
         "print(eager, 'numpy.ma' in sys.modules)",
     ])
     src = os.path.dirname(os.path.dirname(querydistill.__file__))
@@ -515,20 +562,20 @@ def test_classifier_file_round_trip(tmp_path):
 class TestFloat32Heads:
     def trained(self):
         registry, records, labels = make_corpus(60, seed=4)
-        train = labeled_queries(records[:45], labels)
-        dev = labeled_queries(records[45:], labels)
-        backend = HashedNgramEmbedder(dim=32, seed=0)
-        model, _ = train_classifier(train, dev, ClassifierTrainConfig(
-            epochs=2, seed=3), registry, backend=backend)
-        return model, train, backend
+        encoder = HashedNgramEmbedder(dim=32, seed=0)
+        X_train, Y_train = arrays(encoder, records[:45], labels, registry)
+        model, _ = train_classifier(
+            X_train, Y_train, *arrays(encoder, records[45:], labels, registry),
+            ClassifierTrainConfig(epochs=2, seed=3), registry, encoder)
+        return model, X_train, Y_train, records[0].text, encoder
 
     def test_training_keeps_parameters_grads_and_moments_float32(self):
-        model, train, backend = self.trained()
+        model, X_train, Y_train, text, encoder = self.trained()
         assert {v.dtype for v in model.params().values()} == {np.dtype(np.float32)}
-        X = backend.encode_batch(train.texts[:8])
+        X = X_train[:8]
         assert X.dtype == np.float64  # heads_forward casts it, not the weights
         _, grads = classifier_loss_and_grads(
-            model, X, train.labels[:8].astype(np.float32))
+            model, X, Y_train[:8].astype(np.float32))
         assert {g.dtype for g in grads.values()} == {np.dtype(np.float32)}
         optimizer = AdamW(model.params(), 1e-3, weight_decay=0.01,
                           decay_params=("U1", "U2"))
@@ -537,8 +584,7 @@ class TestFloat32Heads:
             assert param.dtype == np.float32
             assert optimizer._m[name].dtype == np.float32
             assert optimizer._v[name].dtype == np.float32
-        assert predict_probs(model, train.texts[0], backend=backend).dtype \
-            == np.float32
+        assert predict_probs(model, text, backend=encoder).dtype == np.float32
 
     def test_float64_model_stays_float64(self):
         model = random_model(D=8, m=4, E=2)
@@ -635,21 +681,19 @@ def test_tune_thresholds_matching_modes_with_targets():
     registry, records, labels = make_corpus(
         200, seed=20, entities=["Genre", "Sport"])
     split = int(len(records) * 0.8)
-    train = labeled_queries(records[:split], labels)
-    dev = labeled_queries(records[split:], labels)
-    backend = HashedNgramEmbedder(dim=128, seed=0)
-    model, _ = train_classifier(train, dev,
-                                ClassifierTrainConfig(epochs=8, seed=0),
-                                registry, backend=backend)
+    encoder = HashedNgramEmbedder(dim=128, seed=0)
+    X_dev, Y_dev = arrays(encoder, records[split:], labels, registry)
+    model, _ = train_classifier(
+        *arrays(encoder, records[:split], labels, registry), X_dev, Y_dev,
+        ClassifierTrainConfig(epochs=8, seed=0), registry, encoder)
     targets = {e: 0.8 for e in registry.ids}
     for mode, name in ((MATCH_RECALL, "recall"), (MATCH_PRECISION, "precision")):
-        choices = tune_thresholds(model, dev, mode, targets=targets,
-                                  backend=backend)
-        probs = predict_probs_batch(model, list(dev.texts), backend=backend)
+        choices = tune_thresholds(model, X_dev, Y_dev, mode, targets=targets)
+        probs = predict_probs_batch(model, X_dev)
         for col, entity in enumerate(model.entity_ids):
             choice = choices[entity]
             pred = probs[:, col] >= choice.threshold
-            gold = dev.labels[:, col] > 0.5
+            gold = Y_dev[:, col] > 0.5
             tp = (pred & gold).sum()
             value = (tp / pred.sum() if name == "precision" and pred.sum()
                      else tp / gold.sum() if name == "recall" and gold.sum()
@@ -661,13 +705,11 @@ def test_tune_thresholds_matching_modes_with_targets():
 def test_write_predictions_jsonl(tmp_path):
     import json
     from querydistill.classifier import write_predictions_jsonl
-    from querydistill.data import QueryRecord, query_id
     model = random_model(D=16, m=4, E=3, seed=2)
-    backend = HashedNgramEmbedder(dim=16, seed=0)
     records = [QueryRecord(id=query_id(t), text=t, frequency=1)
                for t in ("comedy movies", "football match")]
     path = tmp_path / "predictions.jsonl"
-    write_predictions_jsonl(path, model, records, backend=backend)
+    write_predictions_jsonl(path, model, records)
     rows = [json.loads(line) for line in path.read_text().splitlines()]
     assert [r["text"] for r in rows] == ["comedy movies", "football match"]
     for row in rows:

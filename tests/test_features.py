@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 import oracles
 from querydistill import features
 from querydistill.errors import ModelError
-from querydistill.features import (EncodedTexts, HashedNgramEmbedder,
+from querydistill.features import (HashedNgramEmbedder,
                                    encoder_from_descriptor,
                                    hashed_ngram_matrices)
 
@@ -347,19 +347,3 @@ class TestPerNgramOracle:
             assert matrix.tobytes() == rows.tobytes()
             assert HashedNgramEmbedder(dim=dim, seed=seed).encode_batch(
                 texts).tobytes() == rows.tobytes()
-
-
-class TestEncodedTexts:
-    def test_stored_rows_and_encoder_identity(self):
-        encoder = HashedNgramEmbedder(dim=32, seed=3)
-        texts = ["comedy movies", "sport", "Ünïcode"]
-        encoded = EncodedTexts(encoder, texts)
-        assert (encoded.dim, encoded.tag) == (encoder.dim, encoder.tag)
-        assert encoded.descriptor() == encoder.descriptor()
-        assert encoded.embed("sport").tobytes() == encoder.embed("sport").tobytes()
-        assert (encoded.encode_batch(["Ünïcode", "comedy movies", "Ünïcode"])
-                .tobytes() == encoder.encode_batch(
-                    ["Ünïcode", "comedy movies", "Ünïcode"]).tobytes())
-        assert encoded.encode_batch([]).shape == (0, 32)
-        with pytest.raises(KeyError):
-            encoded.embed("never encoded")

@@ -328,6 +328,37 @@ class TestRunPipeline:
         assert calls == ["build_confidence_matrix", "train_router",
                          "select_top_k", "aggregate_ensemble"]
 
+    def test_router_mode_calls_each_student_opener_once(
+            self, stage_workspace, tmp_path, monkeypatch):
+        from querydistill import classifier
+        calls, depth = [], [0]
+
+        def counting(name, real):
+            # Only calls the stages make count: tune_thresholds scores the
+            # dev rows through predict_probs_batch itself.
+            def call(*args, **kwargs):
+                if not depth[0]:
+                    calls.append(name)
+                depth[0] += 1
+                try:
+                    return real(*args, **kwargs)
+                finally:
+                    depth[0] -= 1
+            return call
+
+        for name in ("labeled_queries", "train_classifier", "tune_thresholds",
+                     "predict_probs_batch"):
+            monkeypatch.setattr(classifier, name,
+                                counting(name, getattr(classifier, name)))
+        config = load_run_config(stage_workspace, {
+            "output_dir": str(tmp_path / "out")})
+        assert config.persona_mode == "router"
+        run_pipeline(config)
+        # The train, tune and eval stages open on these calls.
+        assert calls == ["labeled_queries", "labeled_queries",
+                         "train_classifier", "tune_thresholds",
+                         "predict_probs_batch"]
+
     def test_eval_report_contents(self, tmp_path):
         config_path = build_workspace(tmp_path, count=200)
         result = run_pipeline(load_run_config(config_path))
@@ -356,7 +387,8 @@ class TestRunPipeline:
                         os.path.join(out, "aggregated.jsonl"), records)
         model = load_classifier(os.path.join(out, "classifier.json"))
         lexicon = load_gazetteer(config.gazetteer_path)
-        probs = predict_probs_batch(model, [r.text for r in test])
+        probs = predict_probs_batch(
+            model, model.backend().encode_batch([r.text for r in test]))
         stores = {
             "baseline": {r.id: lexical_match(lexicon, r.text) for r in test},
             "classifier": {r.id: apply_thresholds(model, p)
@@ -817,11 +849,13 @@ def served_model(tmp_path_factory):
     records, gold = synth_queries(gazetteer, 500, seed=4)
     labels = weak_labels_from_annotations(registry, gold)
     split = int(len(records) * 0.85)
-    train = labeled_queries(records[:split], labels)
-    dev = labeled_queries(records[split:], labels)
-    backend = HashedNgramEmbedder(dim=256, seed=0)
+    encoder = HashedNgramEmbedder(dim=256, seed=0)
+    parts = [(encoder.encode_batch([r.text for r in part]),
+              labeled_queries(part, labels, registry))
+             for part in (records[:split], records[split:])]
     config = ClassifierTrainConfig(epochs=12, seed=0, learning_rate=3e-3)
-    model, _ = train_classifier(train, dev, config, registry, backend=backend)
+    model, _ = train_classifier(*parts[0], *parts[1], config, registry,
+                                encoder)
     path = tmp / "classifier.json"
     save_classifier(path, model)
     return str(path), registry
@@ -1007,7 +1041,8 @@ class TestServe:
         model = state.model
         served = [{label["entity"] for label in
                    json.loads(state.respond(text))["labels"]} for text in texts]
-        batch = predict_probs_batch(model, texts) >= model.thresholds
+        batch = (predict_probs_batch(model, model.backend().encode_batch(texts))
+                 >= model.thresholds)
         assert served == [{e for e, on in zip(model.entity_ids, row) if on}
                           for row in batch]
         # The served labels also give the eval stage's confusion counts.
@@ -1134,9 +1169,9 @@ class TestConfigSurfaces:
          "error: prompt_variant: unknown prompt variant: 'cot'"),
         ("min_confidence", "Hgh",
          "error: min_confidence: not a confidence level: 'Hgh'"),
-        ("persona_k", 0, "error: persona_k must be an integer >= 1, got 0"),
-        ("persona_k", "2",
-         "error: persona_k must be an integer >= 1, got '2'"),
+        ("persona_k", 0, "error: persona_k must be >= 1, got 0"),
+        ("persona_k", "2", "error: persona_k must be an integer, got '2'"),
+        ("persona_k", True, "error: persona_k must be an integer, got True"),
         ("annotator", {"kind": "http", "url": "http://127.0.0.1:9/generate",
                        "model": "m", "timeout": 0},
          "error: timeout must be > 0, got 0"),
@@ -1147,7 +1182,7 @@ class TestConfigSurfaces:
         ("embedding_dim", "64",
          "error: embedding_dim must be an integer, got '64'"),
         ("aggregation_threshold", True,
-         "error: aggregation_threshold must be a number, got True"),
+         "error: aggregation_threshold must be a finite number, got True"),
         ("ratios", [0.7, 0.3], "error: ratios must be three numbers"),
         ("router", {"epochs": 0}, "error: epochs must be >= 1, got 0"),
         ("classifier", {"epochs": 0}, "error: epochs must be >= 1, got 0"),
@@ -1176,7 +1211,7 @@ class TestConfigSurfaces:
         ("ratios", [0.7, float("nan"), 0.2],
          "error: ratios must be positive, got (0.7, nan, 0.2)"),
         ("aggregation_threshold", float("nan"),
-         "error: aggregation_threshold must be a number, got nan"),
+         "error: aggregation_threshold must be a finite number, got nan"),
         ("annotator", {"kind": "http", "url": "http://127.0.0.1:9/generate",
                        "model": "m", "backoff": -1},
          "error: backoff must be >= 0, got -1"),
@@ -1190,6 +1225,7 @@ class TestConfigSurfaces:
                        "model": "m", "max_retries": 1.5},
          "error: max_retries must be an integer, got 1.5"),
     ], ids=["prompt_variant", "min_confidence", "persona_k", "persona_k-str",
+            "persona_k-bool",
             "http-timeout", "http-without-url", "mock-noise-rate",
             "embedding_dim-str", "aggregation_threshold-bool", "ratios-two",
             "router-epochs", "classifier-epochs", "classifier-learning_rate",
