@@ -15,7 +15,7 @@ from querydistill import (ClassifierTrainConfig, Confidence,
                           matched_operating_point, mock_annotate, mock_handle,
                           parse_response, relative_gain, split_dataset,
                           train_classifier, tune_thresholds,
-                          weak_labels_from_annotations, write_predictions_jsonl)
+                          write_predictions_jsonl)
 from querydistill.classifier import (MATCH_PRECISION, MAX_F1, labeled_queries,
                                      predict_probs_batch, set_thresholds)
 from querydistill.evaluation import render_table
@@ -35,8 +35,6 @@ weak_store = {}
 for record in records:
     raw = mock_annotate(handle, record.text, sections=("icl",))
     weak_store[record.id] = parse_response(registry, raw)
-weak = weak_labels_from_annotations(registry, weak_store,
-                                    min_confidence=Confidence.HIGH)
 
 split = split_dataset(records, (0.7, 0.1, 0.2), seed=0)
 print(f"split: {len(split.train)} train / {len(split.dev)} dev / "
@@ -47,8 +45,8 @@ print(f"split: {len(split.train)} train / {len(split.dev)} dev / "
 encoder = HashedNgramEmbedder(dim=256, seed=0)
 X_train, X_dev, X_test = (encoder.encode_batch([r.text for r in part])
                           for part in (split.train, split.dev, split.test))
-Y_train = labeled_queries(split.train, weak, registry)
-Y_dev = labeled_queries(split.dev, weak, registry)
+Y_train, Y_dev = (labeled_queries(part, weak_store, registry, Confidence.HIGH)
+                  for part in (split.train, split.dev))
 config = ClassifierTrainConfig(epochs=10, seed=0, batch_size=64,
                                learning_rate=3e-3, patience=10)
 model, history = train_classifier(X_train, Y_train, X_dev, Y_dev, config,

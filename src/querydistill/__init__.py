@@ -9,7 +9,7 @@ and frequency-weighted evaluation.
 from .annotations import Annotation, Confidence, render_annotation
 from .baseline import (Gazetteer, default_gazetteer, lexical_match,
                        load_gazetteer)
-from .classifier import (ClassifierModel, ClassifierTrainConfig, WeakLabelSet,
+from .classifier import (ClassifierModel, ClassifierTrainConfig,
                          apply_thresholds, load_classifier, predict_probs,
                          save_classifier, train_classifier, tune_thresholds,
                          weak_labels_from_annotations, write_predictions_jsonl)

@@ -16,6 +16,11 @@ once; ``predict_probs`` embeds one query with the model's encoder, or the
 long-lived one a server passes. A model file naming another encoder kind
 is refused at load time.
 
+Labels are ``(n, E)`` arrays in the same row order as the features. A
+pipeline run indexes its own teacher-derived label array by row;
+``weak_labels_from_annotations`` and ``labeled_queries`` build such rows
+from a {query_id: Annotation} store, for callers that hold one.
+
 The heads train, are stored and serve in float32: the dense AdamW update
 of the stacked first layer and the head matmuls are most of the cost of a
 training run, and float32 halves their memory traffic. A model built from
@@ -28,7 +33,6 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .annotations import Confidence
 from .errors import EmptyDatasetError, ModelError
 from .features import encoder_from_descriptor
 from .optim import (COUNT, TrainConfig, check_weights, fan_in_uniform,
@@ -40,63 +44,22 @@ from .personas import annotation_levels
 # Weak labels
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WeakLabelSet:
-    """Indicator matrix over registry entities for a list of queries.
-
-    Row order follows ``query_ids``. ``min_confidence`` records the filter
-    that produced the indicators; ``provenance`` names the annotator.
-    """
-
-    registry_hash: str
-    query_ids: tuple
-    indicators: np.ndarray = field(compare=False)
-    provenance: str = ""
-    min_confidence: Confidence = Confidence.HIGH
-
-    def __post_init__(self):
-        ind = np.asarray(self.indicators, dtype=np.int8)
-        if ind.ndim != 2 or ind.shape[0] != len(self.query_ids):
-            raise ModelError("indicator shape does not match query ids")
-        object.__setattr__(self, "indicators", ind)
-        object.__setattr__(self, "query_ids", tuple(self.query_ids))
+def weak_labels_from_annotations(registry, annotations, min_confidence):
+    """(n, E) bool weak labels of a {query_id: Annotation} store, in store
+    order: an entity is set iff its confidence >= ``min_confidence``. The
+    empty annotation ("None") yields an all-False row."""
+    return annotation_levels(list(annotations.values()), registry) >= min_confidence
 
 
-def weak_labels(registry, query_ids, levels, min_confidence=Confidence.HIGH,
-                provenance=""):
-    """Indicator labels from an (n, E) array of confidence levels, one row
-    per query id: entity set iff its level >= the filter. Rows are sorted by
-    query id for determinism."""
-    order = sorted(range(len(query_ids)), key=query_ids.__getitem__)
-    return WeakLabelSet(
-        registry_hash=registry.hash,
-        query_ids=[query_ids[row] for row in order],
-        indicators=np.asarray(levels)[order] >= min_confidence,
-        provenance=provenance,
-        min_confidence=min_confidence,
-    )
-
-
-def weak_labels_from_annotations(registry, annotations, min_confidence=Confidence.HIGH,
-                                 provenance=""):
-    """``weak_labels`` of a {query_id: Annotation} store. The empty
-    annotation ("None") yields an all-zero row."""
-    return weak_labels(registry, list(annotations),
-                       annotation_levels(list(annotations.values()), registry),
-                       min_confidence=min_confidence, provenance=provenance)
-
-
-def labeled_queries(records, weak_labels, registry):
-    """The (n, E) float label rows of ``records``, in their order, from a
-    WeakLabelSet built against ``registry``. A record without a weak label
-    is a ModelError: label row i must stay record i's."""
-    if weak_labels.registry_hash != registry.hash:
-        raise ModelError("train labels were built against a different registry")
-    by_id = {qid: row for row, qid in enumerate(weak_labels.query_ids)}
-    missing = sum(record.id not in by_id for record in records)
+def labeled_queries(records, annotations, registry, min_confidence):
+    """The (n, E) float32 weak-label rows of ``records``, in their order,
+    from a {query_id: Annotation} store. A record without an annotation is
+    a ModelError: label row i must stay record i's."""
+    missing = sum(record.id not in annotations for record in records)
     if missing:
         raise ModelError(f"{missing} records have no weak label")
-    return weak_labels.indicators[[by_id[r.id] for r in records]].astype(float)
+    levels = annotation_levels([annotations[r.id] for r in records], registry)
+    return (levels >= min_confidence).astype(np.float32)
 
 
 # ---------------------------------------------------------------------------

@@ -61,15 +61,21 @@ def _parse_line(line, number):
             text, frequency = record["text"], record.get("frequency", 1)
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise MalformedLineError(number, f"bad JSON record ({exc})") from exc
+        if not isinstance(text, str):
+            raise MalformedLineError(number, f"text not a string: {text!r}")
     else:
         parts = stripped.split("\t")
         if len(parts) != 2:
             raise MalformedLineError(number, "expected 'query<TAB>frequency'")
         text, frequency = parts
-    try:
-        frequency = int(frequency)
-    except (TypeError, ValueError):
-        raise MalformedLineError(number, f"frequency not an integer: {frequency!r}") from None
+        try:
+            frequency = int(frequency)
+        except ValueError:
+            pass
+    # A JSON frequency must be an integer already: int() reads 1.9 and
+    # true as 1. A bool is an int subclass, hence type() and not isinstance.
+    if type(frequency) is not int:
+        raise MalformedLineError(number, f"frequency not an integer: {frequency!r}")
     if frequency < 1:
         raise MalformedLineError(number, f"frequency must be >= 1, got {frequency}")
     return text, frequency
@@ -113,8 +119,20 @@ def render_queries(records):
 
 
 def read_queries(path):
-    with open(path, encoding="utf-8") as fh:
-        return ingest_queries(fh)
+    """``ingest_queries`` of the file at ``path``. A bad line, one that is
+    not UTF-8 included, is a DataError naming the file and the line."""
+    def lines(fh):
+        for number, line in enumerate(fh, start=1):
+            try:
+                yield line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise MalformedLineError(number, f"not UTF-8 ({exc.reason})") from None
+
+    with open(path, "rb") as fh:
+        try:
+            return ingest_queries(lines(fh))
+        except MalformedLineError as exc:
+            raise DataError(f"{path} {exc}") from exc
 
 
 def write_queries_jsonl(path, records):

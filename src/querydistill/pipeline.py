@@ -15,7 +15,11 @@ and each prompt-variant arm of the ablation call, gives an (N, P) index of
 each (query, persona) prompt into a table of distinct parsed responses,
 from which ``annotations.jsonl`` and the (N, P, E) levels come.
 ``aggregated.jsonl`` is written from the distinct rows of the (N, E)
-teacher levels, or without personas from the response table.
+teacher levels, or without personas from the response table. The weak
+labels (the teacher at ``min_confidence``) and the gold are (N, E) boolean
+arrays in the same ingest order; the router, train, tune and eval stages
+index them by record row. ``labels.jsonl`` lists the weak labels in
+query-id order.
 
 Reruns are cheap: the annotate stage reads the response cache, so a
 completed pipeline re-executed with the same configuration performs zero
@@ -162,8 +166,18 @@ class RunConfig:
 
 
 def load_run_config(path, overrides=None):
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+    """RunConfig of the JSON object at ``path`` with ``overrides`` applied;
+    a file that cannot be read or is not a JSON object is a
+    PipelineConfigError naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except OSError as exc:
+        raise PipelineConfigError(f"config {path}: {exc.strerror}") from None
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise PipelineConfigError(f"config {path}: not valid JSON ({exc})") from None
+    if not isinstance(raw, dict):
+        raise PipelineConfigError(f"config {path}: not a JSON object")
     raw.update(overrides or {})
     _reject_unknown(raw, RunConfig, "config key")
     base = os.path.dirname(os.path.abspath(path))
@@ -284,7 +298,9 @@ class _Run:
             **{"seed": config.seed, **config.classifier})
         self.personas = (personas_mod.load_personas(config.personas_path)
                          if config.persona_mode != "none" else None)
-        # The baseline dictionary is checked here, before any artifact.
+        # The queries and the baseline dictionary are read here, before the
+        # output directory exists, so a bad line in either leaves none.
+        self.records = data_mod.read_queries(config.queries_path)
         self.lexicon = (baseline_mod.load_gazetteer(config.gazetteer_path)
                         if until == "eval" and config.gazetteer_path else None)
         self.stats = {"annotator_calls": 0, "cache_hits": 0,
@@ -293,8 +309,11 @@ class _Run:
 
     @functools.cached_property
     def gold(self):
-        """The gold store, read on first use and shared by later stages."""
-        return load_gold(self.config.gold_path, self.records)
+        """The (N, E) boolean gold labels of the ingested records, read on
+        first use and shared by later stages."""
+        store = load_gold(self.config.gold_path, self.records)
+        return personas_mod.annotation_levels(
+            [store[r.id] for r in self.records], self.registry) > 0
 
     @functools.cached_property
     def features(self):
@@ -325,7 +344,6 @@ class _Run:
 
 
 def _ingest(run):
-    run.records = data_mod.read_queries(run.config.queries_path)
     run.write("queries", "queries.jsonl", data_mod.write_queries_jsonl,
               run.records)
 
@@ -387,13 +405,9 @@ def _router(run):
     config, registry = run.config, run.registry
     if config.persona_mode != "router":
         return
-    gold = run.gold
-    train_records = list(run.split.train)
-    rows = run.rows(train_records)
-    gold_levels = personas_mod.annotation_levels(
-        [gold[r.id] for r in train_records], registry)
+    rows = run.rows(run.split.train)
     run.router_model, loss_history = router_mod.train_router(
-        run.features[0][rows], run.levels[rows], gold_levels > 0,
+        run.features[0][rows], run.levels[rows], run.gold[rows],
         tuple(p.id for p in run.personas), run.router_config, registry)
     run.router_model.embedding_provider = HashedNgramEmbedder(
         config.embedding_dim, config.seed).tag
@@ -437,28 +451,30 @@ def _aggregate(run):
 
 
 def _labels(run):
-    weak = run.weak = classifier_mod.weak_labels(
-        run.registry, [r.id for r in run.records], run.teacher,
-        min_confidence=Confidence.from_label(run.config.min_confidence),
-        provenance=run.handle.model_name)
-    head = {"registry_hash": weak.registry_hash, "provenance": weak.provenance,
-            "min_confidence": weak.min_confidence.label}
-    run.write("labels", "labels.jsonl", _write_rows, weak.query_ids, "labels",
-              weak.indicators,
+    """Fill ``run.labels``, the (N, E) weak labels: an entity is set iff its
+    teacher level reaches the config's filter. ``labels.jsonl`` lists them
+    in query-id order."""
+    min_confidence = Confidence.from_label(run.config.min_confidence)
+    run.labels = run.teacher >= min_confidence
+    ids = [r.id for r in run.records]
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    head = {"registry_hash": run.registry.hash,
+            "provenance": run.handle.model_name,
+            "min_confidence": min_confidence.label}
+    run.write("labels", "labels.jsonl", _write_rows, [ids[i] for i in order],
+              "labels", run.labels[order],
               lambda flags: [e for e, f in zip(run.registry.ids, flags) if f],
               head=json.dumps(head, sort_keys=True) + "\n")
 
 
 def _train(run):
-    """Train the classifier on rows of the run's classifier features; the
-    dev rows and their labels stay in ``run.dev`` for the tune stage."""
-    config, registry, X = run.config, run.registry, run.features[1]
-    Y_train = classifier_mod.labeled_queries(run.split.train, run.weak, registry)
-    run.dev = (X[run.rows(run.split.dev)],
-               classifier_mod.labeled_queries(run.split.dev, run.weak, registry))
+    """Train the classifier on rows of the run's classifier features and
+    weak labels; the dev rows stay in ``run.dev`` for the tune stage."""
+    config, X, Y = run.config, run.features[1], run.labels
+    train, dev = run.rows(run.split.train), run.rows(run.split.dev)
+    run.dev = (X[dev], Y[dev])
     run.model, run.history = classifier_mod.train_classifier(
-        X[run.rows(run.split.train)], Y_train, *run.dev,
-        run.classifier_config, registry,
+        X[train], Y[train], *run.dev, run.classifier_config, run.registry,
         HashedNgramEmbedder(config.encoder_dim, config.seed))
     # The tune stage writes the tuned model; writing the untuned one first
     # would cost a second full serialization of the weights.
@@ -482,11 +498,8 @@ def _eval(run):
     test_records = list(run.split.test)
     rows = run.rows(test_records)
     probs = classifier_mod.predict_probs_batch(run.model, run.features[1][rows])
-    if config.eval_reference == "teacher":
-        reference = run.teacher[rows] > 0
-    else:
-        reference = personas_mod.annotation_levels(
-            [run.gold[r.id] for r in test_records], registry) > 0
+    reference = (run.teacher[rows] > 0 if config.eval_reference == "teacher"
+                 else run.gold[rows])
     systems = {}
     if run.lexicon is not None:
         systems["baseline"] = personas_mod.annotation_levels(

@@ -20,8 +20,7 @@ from querydistill.classifier import (ClassifierModel, ClassifierTrainConfig,
                                      MATCH_PRECISION, MATCH_RECALL, MAX_F1,
                                      classifier_loss_and_grads, labeled_queries,
                                      predict_probs_batch, train_classifier,
-                                     tune_threshold_for_entity,
-                                     weak_labels_from_annotations)
+                                     tune_threshold_for_entity)
 from querydistill.data import split_dataset
 from querydistill.evaluation import (compute_metrics, matched_operating_point,
                                      score)
@@ -207,8 +206,6 @@ def test_criterion_5_distillation_beats_weak_baseline():
     for record in records:
         response = mock_annotate(handle, record.text, sections=("icl",))
         weak_store[record.id] = parse_response(registry, response)
-    weak = weak_labels_from_annotations(registry, weak_store,
-                                        min_confidence=Confidence.HIGH)
 
     gains = []
     for seed in range(3):
@@ -218,9 +215,9 @@ def test_criterion_5_distillation_beats_weak_baseline():
                                        learning_rate=3e-3, patience=10)
         model, _ = train_classifier(
             encoder.encode_batch([r.text for r in split.train]),
-            labeled_queries(split.train, weak, registry),
+            labeled_queries(split.train, weak_store, registry, Confidence.HIGH),
             encoder.encode_batch([r.text for r in split.dev]),
-            labeled_queries(split.dev, weak, registry),
+            labeled_queries(split.dev, weak_store, registry, Confidence.HIGH),
             config, registry, encoder)
 
         test_records = list(split.test)

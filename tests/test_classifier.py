@@ -66,24 +66,26 @@ class TestWeakLabels:
     def test_high_filter(self, tiny_registry):
         labels = weak_labels_from_annotations(
             tiny_registry, {"q1": ann(Genre="High", Sport="Low")},
-            min_confidence=Confidence.HIGH)
-        assert labels.indicators.tolist() == [[1, 0, 0]]
+            Confidence.HIGH)
+        assert labels.dtype == bool
+        assert labels.tolist() == [[True, False, False]]
 
     def test_low_filter_includes_all(self, tiny_registry):
         labels = weak_labels_from_annotations(
             tiny_registry, {"q1": ann(Genre="High", Sport="Low")},
-            min_confidence=Confidence.LOW)
-        assert labels.indicators.tolist() == [[1, 1, 0]]
+            Confidence.LOW)
+        assert labels.tolist() == [[True, True, False]]
 
     def test_empty_annotation_is_zero_row(self, tiny_registry):
-        labels = weak_labels_from_annotations(tiny_registry, {"q1": Annotation()})
-        assert labels.indicators.tolist() == [[0, 0, 0]]
-
-    def test_rows_sorted_by_query_id(self, tiny_registry):
         labels = weak_labels_from_annotations(
-            tiny_registry, {"zz": ann(Sport="High"), "aa": ann(Genre="High")})
-        assert labels.query_ids == ("aa", "zz")
-        assert labels.indicators.tolist() == [[1, 0, 0], [0, 1, 0]]
+            tiny_registry, {"q1": Annotation()}, Confidence.LOW)
+        assert labels.tolist() == [[False, False, False]]
+
+    def test_rows_follow_store_order(self, tiny_registry):
+        labels = weak_labels_from_annotations(
+            tiny_registry, {"zz": ann(Sport="High"), "aa": ann(Genre="High")},
+            Confidence.HIGH)
+        assert labels.tolist() == [[False, True, False], [True, False, False]]
 
 
 def records_of(*query_ids):
@@ -92,23 +94,20 @@ def records_of(*query_ids):
 
 class TestLabeledQueries:
     def test_rows_follow_records(self, tiny_registry):
-        labels = weak_labels_from_annotations(
-            tiny_registry, {"zz": ann(Sport="High"), "aa": ann(Genre="High")})
-        rows = labeled_queries(records_of("zz", "aa", "zz"), labels,
-                               tiny_registry)
+        store = {"zz": ann(Sport="High"), "aa": ann(Genre="High", Sport="Low")}
+        rows = labeled_queries(records_of("zz", "aa", "zz"), store,
+                               tiny_registry, Confidence.HIGH)
+        assert rows.dtype == np.float32
         assert rows.tolist() == [[0, 1, 0], [1, 0, 0], [0, 1, 0]]
+        rows = labeled_queries(records_of("aa"), store, tiny_registry,
+                               Confidence.LOW)
+        assert rows.tolist() == [[1, 1, 0]]
 
     def test_missing_label_rejected_with_count(self, tiny_registry):
-        labels = weak_labels_from_annotations(
-            tiny_registry, {"aa": ann(Genre="High")})
         with pytest.raises(ModelError, match="^2 records have no weak label$"):
-            labeled_queries(records_of("aa", "bb", "cc"), labels, tiny_registry)
-
-    def test_other_registry_rejected(self, tiny_registry):
-        labels = weak_labels_from_annotations(
-            tiny_registry, {"aa": ann(Genre="High")})
-        with pytest.raises(ModelError, match="different registry"):
-            labeled_queries(records_of("aa"), labels, synth_registry())
+            labeled_queries(records_of("aa", "bb", "cc"),
+                            {"aa": ann(Genre="High")}, tiny_registry,
+                            Confidence.HIGH)
 
 
 class TestStableBce:
@@ -149,12 +148,16 @@ class TestSigmoid:
 
 
 class TestGradients:
-    def test_heads_match_finite_differences(self):
-        # the standing instance: D=16, m=8, E=3
+    @pytest.mark.parametrize("fractional", [False, True],
+                             ids=["indicator", "fractional"])
+    def test_heads_match_finite_differences(self, fractional):
+        # the standing instance: D=16, m=8, E=3, on 0/1 targets or on
+        # probabilistic targets strictly inside (0, 1)
         model = random_model(D=16, m=8, E=3, seed=21)
         rng = np.random.default_rng(22)
         X = rng.normal(size=(5, 16))
-        Y = (rng.random((5, 3)) < 0.5).astype(float)
+        Y = (rng.uniform(0.05, 0.95, size=(5, 3)) if fractional
+             else (rng.random((5, 3)) < 0.5).astype(float))
         _, analytic = classifier_loss_and_grads(model, X, Y)
         numeric = oracles.finite_difference_grads(
             model.params(),
@@ -184,18 +187,17 @@ class TestGradients:
 
 
 def make_corpus(n, seed, entities=None):
-    """Separable synthetic corpus with gold indicator labels."""
+    """Separable synthetic corpus with its gold {query_id: Annotation}."""
     gazetteer = synth_gazetteer(entities=entities)
     registry = synth_registry(entities=entities)
     records, gold = synth_queries(gazetteer, n, seed=seed)
-    labels = weak_labels_from_annotations(registry, gold)
-    return registry, records, labels
+    return registry, records, gold
 
 
-def arrays(encoder, records, labels, registry):
+def arrays(encoder, records, gold, registry):
     """The (features, label rows) of ``records``: the array API's inputs."""
     return (encoder.encode_batch([r.text for r in records]),
-            labeled_queries(records, labels, registry))
+            labeled_queries(records, gold, registry, Confidence.HIGH))
 
 
 def no_rows(D, E):
@@ -205,27 +207,27 @@ def no_rows(D, E):
 
 class TestTrainClassifier:
     def test_separable_data_reaches_dev_f1(self):
-        registry, records, labels = make_corpus(
+        registry, records, gold = make_corpus(
             800, seed=10, entities=["Genre", "Sport", "Holiday", "AudioLanguage"])
         split = int(len(records) * 0.8)
         encoder = HashedNgramEmbedder(dim=512, seed=0)
         config = ClassifierTrainConfig(epochs=30, seed=0, patience=30,
                                        learning_rate=3e-3)
         model, history = train_classifier(
-            *arrays(encoder, records[:split], labels, registry),
-            *arrays(encoder, records[split:], labels, registry),
+            *arrays(encoder, records[:split], gold, registry),
+            *arrays(encoder, records[split:], gold, registry),
             config, registry, encoder)
         best_dev_f1 = max(h[2] for h in history)
         assert best_dev_f1 >= 0.95
         assert len(history) <= 30
 
     def test_zero_learning_rate_leaves_parameters_bitwise(self):
-        registry, records, labels = make_corpus(40, seed=3)
+        registry, records, gold = make_corpus(40, seed=3)
         encoder = HashedNgramEmbedder(dim=64, seed=0)
         config = ClassifierTrainConfig(epochs=1, learning_rate=0.0, seed=5)
         model, _ = train_classifier(
-            *arrays(encoder, records[:30], labels, registry),
-            *arrays(encoder, records[30:], labels, registry),
+            *arrays(encoder, records[:30], gold, registry),
+            *arrays(encoder, records[30:], gold, registry),
             config, registry, encoder)
         from querydistill.classifier import _init_classifier
         fresh = _init_classifier(encoder, registry.ids, registry.hash, config)
@@ -233,14 +235,10 @@ class TestTrainClassifier:
             assert value.tobytes() == fresh.params()[key].tobytes()
 
     def test_all_zero_entity_never_predicted(self):
-        registry, records, labels = make_corpus(200, seed=6)
-        zeroed = labels.indicators.astype(float)
-        zeroed[:, 0] = 0.0
-        Y = np.stack([
-            zeroed[list(labels.query_ids).index(r.id)] for r in records
-        ])
+        registry, records, gold = make_corpus(200, seed=6)
         encoder = HashedNgramEmbedder(dim=128, seed=0)
-        X = encoder.encode_batch([r.text for r in records])
+        X, Y = arrays(encoder, records, gold, registry)
+        Y[:, 0] = 0.0
         config = ClassifierTrainConfig(epochs=8, seed=1)
         model, _ = train_classifier(X, Y, *no_rows(128, len(registry)),
                                     config, registry, encoder)
@@ -254,19 +252,19 @@ class TestTrainClassifier:
                              HashedNgramEmbedder(dim=8))
 
     def test_feature_and_label_rows_must_pair(self):
-        registry, records, labels = make_corpus(40, seed=3)
+        registry, records, gold = make_corpus(40, seed=3)
         encoder = HashedNgramEmbedder(dim=64, seed=0)
-        X, Y = arrays(encoder, records, labels, registry)
+        X, Y = arrays(encoder, records, gold, registry)
         config = ClassifierTrainConfig(epochs=1, seed=1)
         for args in ((X, Y[1:], X, Y), (X, Y, X[1:], Y)):
             with pytest.raises(ModelError, match="row count"):
                 train_classifier(*args, config, registry, encoder)
 
     def test_reproducible_model_files(self, tmp_path):
-        registry, records, labels = make_corpus(80, seed=9)
+        registry, records, gold = make_corpus(80, seed=9)
         encoder = HashedNgramEmbedder(dim=64, seed=0)
-        train = arrays(encoder, records[:60], labels, registry)
-        dev = arrays(encoder, records[60:], labels, registry)
+        train = arrays(encoder, records[:60], gold, registry)
+        dev = arrays(encoder, records[60:], gold, registry)
         config = ClassifierTrainConfig(epochs=3, seed=2)
         for name in ("a", "b"):
             model, history = train_classifier(*train, *dev, config, registry,
@@ -275,26 +273,26 @@ class TestTrainClassifier:
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
     def test_nan_target_raises_at_first_batch(self):
-        registry, records, labels = make_corpus(40, seed=3)
+        registry, records, gold = make_corpus(40, seed=3)
         encoder = HashedNgramEmbedder(dim=64, seed=0)
-        X_train, nan_labels = arrays(encoder, records[:30], labels, registry)
+        X_train, nan_labels = arrays(encoder, records[:30], gold, registry)
         nan_labels[0, 0] = np.nan
         config = ClassifierTrainConfig(epochs=2, batch_size=len(X_train), seed=1)
         with pytest.raises(NanLossError, match="classifier") as info:
             train_classifier(X_train, nan_labels,
-                             *arrays(encoder, records[30:], labels, registry),
+                             *arrays(encoder, records[30:], gold, registry),
                              config, registry, encoder)
         assert (info.value.epoch, info.value.batch) == (0, 0)
 
     def test_early_stop_returns_best_dev_epoch(self):
-        registry, records, labels = make_corpus(
+        registry, records, gold = make_corpus(
             200, seed=10, entities=["Genre", "Sport", "Holiday", "AudioLanguage"])
         encoder = HashedNgramEmbedder(dim=128, seed=0)
-        X_dev, Y_dev = arrays(encoder, records[160:], labels, registry)
+        X_dev, Y_dev = arrays(encoder, records[160:], gold, registry)
         config = ClassifierTrainConfig(epochs=40, patience=2, seed=0,
                                        learning_rate=1e-2)
         model, history = train_classifier(
-            *arrays(encoder, records[:160], labels, registry), X_dev, Y_dev,
+            *arrays(encoder, records[:160], gold, registry), X_dev, Y_dev,
             config, registry, encoder)
         dev_f1 = [row[2] for row in history]
         best_epoch = dev_f1.index(max(dev_f1))
@@ -330,9 +328,9 @@ class TestPredict:
             assert ((probs > 0) & (probs < 1)).all()
 
     def test_overfit_single_batch_ranks_gold_first(self):
-        registry, records, labels = make_corpus(8, seed=12)
+        registry, records, gold = make_corpus(8, seed=12)
         encoder = HashedNgramEmbedder(dim=128, seed=0)
-        X, Y = arrays(encoder, records, labels, registry)
+        X, Y = arrays(encoder, records, gold, registry)
         config = ClassifierTrainConfig(epochs=120, seed=0, batch_size=8,
                                        weight_decay=0.0)
         model, _ = train_classifier(X, Y, *no_rows(128, len(registry)),
@@ -494,12 +492,12 @@ class TestTuneThresholds:
         assert choice.achieved == 0.5
 
     def test_tune_thresholds_over_model(self, tmp_path):
-        registry, records, labels = make_corpus(120, seed=15)
+        registry, records, gold = make_corpus(120, seed=15)
         encoder = HashedNgramEmbedder(dim=128, seed=0)
-        dev = arrays(encoder, records[90:], labels, registry)
+        dev = arrays(encoder, records[90:], gold, registry)
         config = ClassifierTrainConfig(epochs=10, seed=4)
         model, _ = train_classifier(
-            *arrays(encoder, records[:90], labels, registry), *dev,
+            *arrays(encoder, records[:90], gold, registry), *dev,
             config, registry, encoder)
         choices = tune_thresholds(model, *dev, MAX_F1)
         assert set(choices) == set(registry.ids)
@@ -561,11 +559,11 @@ def test_classifier_file_round_trip(tmp_path):
 
 class TestFloat32Heads:
     def trained(self):
-        registry, records, labels = make_corpus(60, seed=4)
+        registry, records, gold = make_corpus(60, seed=4)
         encoder = HashedNgramEmbedder(dim=32, seed=0)
-        X_train, Y_train = arrays(encoder, records[:45], labels, registry)
+        X_train, Y_train = arrays(encoder, records[:45], gold, registry)
         model, _ = train_classifier(
-            X_train, Y_train, *arrays(encoder, records[45:], labels, registry),
+            X_train, Y_train, *arrays(encoder, records[45:], gold, registry),
             ClassifierTrainConfig(epochs=2, seed=3), registry, encoder)
         return model, X_train, Y_train, records[0].text, encoder
 
@@ -678,13 +676,13 @@ class TestLoadTimeChecks:
 
 
 def test_tune_thresholds_matching_modes_with_targets():
-    registry, records, labels = make_corpus(
+    registry, records, gold = make_corpus(
         200, seed=20, entities=["Genre", "Sport"])
     split = int(len(records) * 0.8)
     encoder = HashedNgramEmbedder(dim=128, seed=0)
-    X_dev, Y_dev = arrays(encoder, records[split:], labels, registry)
+    X_dev, Y_dev = arrays(encoder, records[split:], gold, registry)
     model, _ = train_classifier(
-        *arrays(encoder, records[:split], labels, registry), X_dev, Y_dev,
+        *arrays(encoder, records[:split], gold, registry), X_dev, Y_dev,
         ClassifierTrainConfig(epochs=8, seed=0), registry, encoder)
     targets = {e: 0.8 for e in registry.ids}
     for mode, name in ((MATCH_RECALL, "recall"), (MATCH_PRECISION, "precision")):

@@ -11,12 +11,12 @@ import pytest
 
 import oracles
 from querydistill import cli, llm_client, prompting
+from querydistill.annotations import Confidence
 from querydistill.baseline import lexical_match, load_gazetteer
 from querydistill.classifier import (ClassifierTrainConfig, apply_thresholds,
                                      labeled_queries, load_classifier,
                                      predict_probs_batch, save_classifier,
-                                     train_classifier,
-                                     weak_labels_from_annotations)
+                                     train_classifier)
 from querydistill.data import read_queries, split_dataset
 from querydistill.errors import PipelineConfigError
 from querydistill.evaluation import compute_metrics, report_records
@@ -186,22 +186,41 @@ class TestRunPipeline:
         run = run_pipeline(load_run_config(config_path), until="labels").run
         persona_ids = [p.id for p in run.personas]
         chosen = choose_personas(run, mode).tolist()
-        weak = run.weak
         selections = [json.dumps({"id": r.id, "personas": [
             persona_ids[j] for j in row]}) for r, row in zip(run.records, chosen)]
-        labels = [json.dumps({"registry_hash": weak.registry_hash,
-                              "min_confidence": weak.min_confidence.label,
-                              "provenance": weak.provenance}, sort_keys=True)]
-        labels += [json.dumps({"id": qid, "labels": [
+        labels = [json.dumps({"registry_hash": run.registry.hash,
+                              "min_confidence": "High",
+                              "provenance": run.handle.model_name},
+                             sort_keys=True)]
+        labels += [json.dumps({"id": r.id, "labels": [
             e for e, flag in zip(run.registry.ids, flags) if flag]})
-            for qid, flags in zip(weak.query_ids, weak.indicators.tolist())]
+            for r, flags in sorted(zip(run.records, run.labels.tolist()),
+                                   key=lambda pair: pair[0].id)]
         for name, lines in (("selections.jsonl", selections),
                             ("labels.jsonl", labels)):
             with open(os.path.join(run.config.output_dir, name)) as fh:
                 assert fh.read() == "".join(line + "\n" for line in lines)
         # Rows repeat, so each file shares encoded rows between lines.
         assert len(set(map(tuple, chosen))) < len(chosen)
-        assert len(set(map(tuple, weak.indicators.tolist()))) < len(chosen)
+        assert len(set(map(tuple, run.labels.tolist()))) < len(chosen)
+
+    def test_medium_filter_labels_contain_high_labels(self, tmp_path):
+        # teacher >= Medium contains teacher >= High, query by query.
+        config_path = build_workspace(tmp_path, count=150)
+        labels = {}
+        for level in ("High", "Medium"):
+            out = tmp_path / level
+            run_pipeline(load_run_config(config_path, {
+                "min_confidence": level, "output_dir": str(out)}))
+            with open(out / "labels.jsonl") as fh:
+                assert json.loads(fh.readline())["min_confidence"] == level
+                labels[level] = [json.loads(line) for line in fh]
+        assert ([r["id"] for r in labels["High"]]
+                == [r["id"] for r in labels["Medium"]])
+        for high, medium in zip(labels["High"], labels["Medium"]):
+            assert set(high["labels"]) <= set(medium["labels"])
+        # The filter matters on this corpus: some query gains a label.
+        assert labels["High"] != labels["Medium"]
 
     def test_until_stops_early(self, tmp_path):
         config_path = build_workspace(tmp_path)
@@ -346,7 +365,8 @@ class TestRunPipeline:
                     depth[0] -= 1
             return call
 
-        for name in ("labeled_queries", "train_classifier", "tune_thresholds",
+        for name in ("weak_labels_from_annotations", "labeled_queries",
+                     "train_classifier", "tune_thresholds",
                      "predict_probs_batch"):
             monkeypatch.setattr(classifier, name,
                                 counting(name, getattr(classifier, name)))
@@ -354,9 +374,9 @@ class TestRunPipeline:
             "output_dir": str(tmp_path / "out")})
         assert config.persona_mode == "router"
         run_pipeline(config)
-        # The train, tune and eval stages open on these calls.
-        assert calls == ["labeled_queries", "labeled_queries",
-                         "train_classifier", "tune_thresholds",
+        # The train, tune and eval stages open on these calls. The stages
+        # index the run's label array and build no label rows from a store.
+        assert calls == ["train_classifier", "tune_thresholds",
                          "predict_probs_batch"]
 
     def test_eval_report_contents(self, tmp_path):
@@ -795,6 +815,29 @@ class TestCli:
         assert capsys.readouterr().err.startswith(
             f"error: {path} line {number}: not valid JSON (")
 
+    @pytest.mark.parametrize("line, message", [
+        (b'{"text": 5, "frequency": 2}', "text not a string: 5"),
+        (b'{"text": "comedy movies", "frequency": 1.9}',
+         "frequency not an integer: 1.9"),
+        (b'{"text": "comedy movies", "frequency": true}',
+         "frequency not an integer: True"),
+        (b"comedy movies", "expected 'query<TAB>frequency'"),
+        (b"caf\xe9 movies\t2", "not UTF-8 (invalid continuation byte)")],
+        ids=["text-number", "frequency-fraction", "frequency-bool", "no-tab",
+             "utf8"])
+    def test_bad_queries_line_is_an_error(self, tmp_path, capsys, line,
+                                          message):
+        config_path = build_workspace(tmp_path, count=60)
+        path = load_run_config(config_path).queries_path
+        with open(path, "ab") as fh:
+            fh.write(line + b"\n")
+        with open(path, "rb") as fh:
+            number = len(fh.readlines())
+        assert cli.main(["pipeline", "-c", config_path]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {path} line {number}: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_bad_baseline_phrase_fails_before_any_artifact(self, tmp_path,
                                                            capsys):
         config_path = build_workspace(tmp_path, count=60)
@@ -847,11 +890,10 @@ def served_model(tmp_path_factory):
     gazetteer = synth_gazetteer(entities=entities)
     registry = synth_registry(entities=entities)
     records, gold = synth_queries(gazetteer, 500, seed=4)
-    labels = weak_labels_from_annotations(registry, gold)
     split = int(len(records) * 0.85)
     encoder = HashedNgramEmbedder(dim=256, seed=0)
     parts = [(encoder.encode_batch([r.text for r in part]),
-              labeled_queries(part, labels, registry))
+              labeled_queries(part, gold, registry, Confidence.HIGH))
              for part in (records[:split], records[split:])]
     config = ClassifierTrainConfig(epochs=12, seed=0, learning_rate=3e-3)
     model, _ = train_classifier(*parts[0], *parts[1], config, registry,
@@ -1246,6 +1288,22 @@ class TestConfigSurfaces:
             json.dump(raw, fh)
         assert cli.main(["pipeline", "-c", config_path]) == 2
         assert capsys.readouterr().err.startswith(message)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("content, message", [
+        (None, "No such file or directory"),
+        ('{"seed": 7', "not valid JSON ("),
+        ("[]", "not a JSON object")],
+        ids=["missing", "not-json", "not-object"])
+    def test_bad_config_file_fails_before_any_stage(self, tmp_path, capsys,
+                                                    content, message):
+        path = tmp_path / "config.json"
+        if content is not None:
+            path.write_text(content)
+        assert cli.main(["pipeline", "-c", str(path),
+                         "--output-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: config {path}: {message}")
         assert not (tmp_path / "out").exists()
 
     def test_router_persona_k_above_persona_count_fails_first(self, tmp_path,
