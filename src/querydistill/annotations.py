@@ -104,14 +104,11 @@ def write_annotation_store(path, query_ids, persona_ids, index, table,
                 fh.write(f"{start}{qid}{persona}{end}")
 
 
-def read_annotation_store(path):
-    """Read an annotation JSONL file.
-
-    Returns {query_id: Annotation} when no record carries a persona, else
-    {(query_id, persona_id): Annotation}. A line that is not valid JSON,
-    lacks an ``id`` or holds an unknown confidence label raises DataError
-    naming the file and line.
-    """
+def read_annotations(path):
+    """{(query_id, persona_id): Annotation} of each line of the annotation
+    JSONL file at ``path``, persona None for a line without one. A line
+    that is not valid JSON, lacks an ``id`` or holds an unknown confidence
+    label raises DataError naming the file and line."""
     keyed = {}
 
     def add(record):
@@ -121,6 +118,13 @@ def read_annotation_store(path):
             warnings=tuple(record.get("warnings", ())))
 
     read_jsonl(path, add)
+    return keyed
+
+
+def read_annotation_store(path):
+    """``read_annotations`` of ``path``, keyed by query id alone when no
+    line carries a persona."""
+    keyed = read_annotations(path)
     if any(pid is not None for _, pid in keyed):
         return keyed
     return {qid: ann for (qid, _), ann in keyed.items()}

@@ -21,10 +21,9 @@ from . import synth as synth_mod
 from .annotations import write_annotation_store
 from .baseline import write_gazetteer
 from .errors import QueryDistillError
-from .personas import (aggregate_ensemble, annotation_levels,
-                       build_confidence_matrix)
-from .pipeline import (STAGES, annotate_records, check_paths, choose_personas,
-                       load_gold, load_run_config, run_pipeline)
+from .personas import aggregate_ensemble, build_confidence_matrix
+from .pipeline import (STAGES, annotate_records, choose_personas,
+                       load_run_config, run_pipeline)
 from .prompting import PromptVariant
 from .taxonomy import default_registry, load_registry, validate_label
 
@@ -86,35 +85,30 @@ def cmd_pipeline(args):
 
 
 def cmd_ablation(args):
-    """Prompt-variant grid and persona-selection comparison: one persona
-    pipeline pass gives the persona arms; one annotation per variant the grid."""
+    """Prompt-variant grid and persona-selection comparison. One persona
+    pipeline pass, in router mode through the ``router`` stage, reads and
+    checks every input before any directory exists and gives the persona
+    arms. Its run's registry, records, gold and annotator serve the grid:
+    one annotation per prompt variant, without personas."""
     config = _config_from_args(args)
-    check_paths(config)
-    registry = load_registry(config.registry_path)
-    records = data_mod.read_queries(config.queries_path)
-    gold_store = load_gold(config.gold_path, records)
-    gold = annotation_levels([gold_store[r.id] for r in records], registry) > 0
+    run = run_pipeline(replace(config, persona_mode="router", output_dir=(
+        os.path.join(config.output_dir, "ablation-personas"))),
+        until="router").run
+    registry, records = run.registry, run.records
     weights = [r.frequency for r in records] if args.weighted else None
 
     def report(label, levels):
-        scored = eval_mod.score(gold, levels > 0, registry.ids, weights)
+        scored = eval_mod.score(run.gold, levels > 0, registry.ids, weights)
         print(f"{label} micro F1={scored.micro.f1:.4f} "
               f"P={scored.micro.precision:.4f} R={scored.micro.recall:.4f}")
         return scored
 
-    # The persona pass checks the persona inputs before any directory exists.
-    # Its two arms' levels are taken at once, so the run is not kept.
-    result = run_pipeline(replace(config, persona_mode="router", output_dir=(
-        os.path.join(config.output_dir, "ablation-personas"))), until="router")
     persona_arms = {mode: aggregate_ensemble(
-        result.run.levels, choose_personas(result.run, mode),
+        run.levels, choose_personas(run, mode),
         threshold=config.aggregation_threshold) for mode in ("random", "router")}
-    stats = result.stats
-    del result
     grid = {}
     for v in PromptVariant:
-        _, index, table = annotate_records(config, registry, records, v,
-                                           [None], stats)
+        _, index, table = annotate_records(run, v, [None])
         grid[v] = build_confidence_matrix(index, table, registry)[:, 0]
     print("== prompt variant grid ==")
     scored = {v: report(f"{v.name:<22}", grid[v]) for v in grid}
@@ -130,7 +124,7 @@ def cmd_ablation(args):
            grid[PromptVariant.from_string(config.prompt_variant)])
     for mode, levels in persona_arms.items():
         report(f"{mode:<8}", levels)
-    _print_stats(stats)
+    _print_stats(run.stats)
     return 0
 
 

@@ -119,8 +119,9 @@ def render_queries(records):
 
 
 def read_queries(path):
-    """``ingest_queries`` of the file at ``path``. A bad line, one that is
-    not UTF-8 included, is a DataError naming the file and the line."""
+    """``ingest_queries`` of the file at ``path``. Its every DataError names
+    the file: a bad line, one that is not UTF-8 included, as ``<path> line
+    <n>: ...``, and a file without records as ``<path>: ...``."""
     def lines(fh):
         for number, line in enumerate(fh, start=1):
             try:
@@ -131,8 +132,9 @@ def read_queries(path):
     with open(path, "rb") as fh:
         try:
             return ingest_queries(lines(fh))
-        except MalformedLineError as exc:
-            raise DataError(f"{path} {exc}") from exc
+        except DataError as exc:
+            where = "" if isinstance(exc, MalformedLineError) else ":"
+            raise DataError(f"{path}{where} {exc}") from exc
 
 
 def write_queries_jsonl(path, records):

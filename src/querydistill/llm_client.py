@@ -65,8 +65,8 @@ class MockConfig:
     """Deterministic fake annotator.
 
     ``persona_bias`` maps persona id -> {"add": {entity: level}, "remove":
-    [entity, ...]}. ``ambiguous`` maps a normalized gazetteer phrase to the
-    wrong entity the mock emits when the prompt lacks ICL examples.
+    [entity, ...]}. ``ambiguous`` maps a gazetteer phrase, normalized here,
+    to the wrong entity the mock emits when the prompt lacks ICL examples.
     """
 
     gazetteer: object = None
@@ -79,6 +79,9 @@ class MockConfig:
         if not 0 <= self.noise_rate < 1:
             raise AnnotatorConfigError(
                 f"noise_rate must be in [0, 1), got {self.noise_rate}")
+        object.__setattr__(self, "persona_bias", self.persona_bias or {})
+        object.__setattr__(self, "ambiguous", {
+            normalize_query(k): v for k, v in (self.ambiguous or {}).items()})
 
 
 @dataclass
@@ -120,13 +123,8 @@ class AnnotatorHandle:
 
 
 def mock_handle(gazetteer, seed=0, noise_rate=0.0, persona_bias=None, ambiguous=None):
-    return AnnotatorHandle(MockConfig(
-        gazetteer=gazetteer,
-        seed=seed,
-        noise_rate=noise_rate,
-        persona_bias=persona_bias or {},
-        ambiguous={normalize_query(k): v for k, v in (ambiguous or {}).items()},
-    ))
+    return AnnotatorHandle(MockConfig(gazetteer, seed, noise_rate,
+                                      persona_bias, ambiguous))
 
 
 @dataclass(frozen=True)

@@ -47,12 +47,12 @@ from . import evaluation as eval_mod
 from . import personas as personas_mod
 from . import prompting as prompting_mod
 from . import router as router_mod
-from .annotations import Annotation, Confidence, read_annotation_store, write_annotation_store
+from .annotations import (Annotation, Confidence, read_annotations,
+                          write_annotation_store)
 from .errors import PipelineConfigError, UnparseableResponseError
 from .features import HashedNgramEmbedder, hashed_ngram_matrices
 from .llm_client import (AnnotationFailure, AnnotatorHandle, HttpEndpointConfig,
-                         MockConfig, ResponseCache, annotate_batch,
-                         mock_handle, prompt_keys)
+                         MockConfig, ResponseCache, annotate_batch, prompt_keys)
 from .optim import COUNT, check_fields
 from .taxonomy import load_registry
 
@@ -140,16 +140,6 @@ class RunConfig:
                 parse(getattr(self, name))
             except (AttributeError, ValueError) as exc:
                 raise PipelineConfigError(f"{name}: {exc}") from None
-        spec = dict(self.annotator)
-        kind = spec.pop("kind", "mock")
-        annotator = {"mock": MockConfig, "http": HttpEndpointConfig}.get(kind)
-        if annotator is None:
-            raise PipelineConfigError(f"unknown annotator kind: {kind!r}")
-        _reject_unknown(spec, annotator, "annotator key")
-        try:
-            annotator(**spec)  # its value checks, such as an http timeout > 0
-        except TypeError as exc:
-            raise PipelineConfigError(f"annotator: {exc}") from None
         _reject_unknown(self.router, router_mod.RouterTrainConfig, "router key")
         _reject_unknown(self.classifier, classifier_mod.ClassifierTrainConfig,
                         "classifier key")
@@ -195,28 +185,32 @@ def load_run_config(path, overrides=None):
     return RunConfig(**raw)
 
 
-def build_annotator(config):
-    """AnnotatorHandle from the ``annotator`` section of a RunConfig."""
+def annotator_config(config):
+    """The MockConfig or HttpEndpointConfig of the ``annotator`` section of
+    RunConfig ``config``, its keys and values checked. A mock's teacher
+    gazetteer (its ``gazetteer`` path, else ``gazetteer_path``) is read
+    here."""
     spec = dict(config.annotator)
     kind = spec.pop("kind", "mock")
+    annotator = {"mock": MockConfig, "http": HttpEndpointConfig}.get(kind)
+    if annotator is None:
+        raise PipelineConfigError(f"unknown annotator kind: {kind!r}")
+    _reject_unknown(spec, annotator, "annotator key")
     if kind == "mock":
-        gazetteer_path = spec.pop("gazetteer", "") or config.gazetteer_path
-        if not gazetteer_path:
+        path = spec.pop("gazetteer", "") or config.gazetteer_path
+        if not path:
             raise PipelineConfigError("mock annotator needs a gazetteer path")
-        gazetteer = baseline_mod.load_gazetteer(gazetteer_path)
-        return mock_handle(gazetteer, **spec)
-    if kind == "http":
-        return AnnotatorHandle(HttpEndpointConfig(**spec))
-    raise PipelineConfigError(f"unknown annotator kind: {kind!r}")
+        spec["gazetteer"] = baseline_mod.load_gazetteer(path)
+    try:
+        return annotator(**spec)
+    except TypeError as exc:
+        raise PipelineConfigError(f"annotator: {exc}") from None
 
 
-def check_paths(config):
-    """PipelineConfigError for an input file that does not resolve."""
-    for name, section, key in _input_paths(asdict(config)):
-        path = section[key]
-        if (path or name in ("registry_path", "queries_path")) \
-                and not os.path.exists(path):
-            raise PipelineConfigError(f"{name} does not resolve: {path!r}")
+def build_annotator(annotator):
+    """A fresh AnnotatorHandle, with zeroed counts, of a checked annotator
+    config (see ``annotator_config``)."""
+    return AnnotatorHandle(annotator)
 
 
 @dataclass
@@ -268,29 +262,45 @@ def response_annotations(registry, responses, width):
     return index, table, unparseable
 
 
-def load_gold(path, records):
-    """The gold store at ``path``, keyed by query id. An unset or missing
-    file, or a record without gold, is a PipelineConfigError."""
+def load_gold(path, records, registry):
+    """(N, E) boolean gold labels of ``records`` from the annotation file at
+    ``path``. An unset or missing file, or a record without gold, is a
+    PipelineConfigError."""
     if not path or not os.path.exists(path):
         raise PipelineConfigError(
             f"gold annotations need an existing gold_path, got {path!r}")
-    store = read_annotation_store(path)
-    if store and isinstance(next(iter(store)), tuple):
-        store = {qid: ann for (qid, _), ann in store.items()}
+    store = {qid: ann for (qid, _), ann in read_annotations(path).items()}
     missing = [r.id for r in records if r.id not in store]
     if missing:
         raise PipelineConfigError(
             f"gold annotations missing for {len(missing)} ingested queries")
-    return store
+    return personas_mod.annotation_levels(
+        [store[r.id] for r in records], registry) > 0
 
 
 class _Run:
-    """State of one pipeline run: the config, registry, annotator stats and
-    manifest artifacts, plus what each stage stores for later stages."""
+    """State of one pipeline run: the config, its checked inputs, annotator
+    stats and manifest artifacts, plus what each stage stores for later
+    stages.
+
+    Every input the stages through ``until`` use is read and checked here,
+    before ``run_pipeline`` creates the output directory, so a bad input
+    leaves no artifact: the paths, the persona settings, the registry, the
+    personas, the annotator (a mock's teacher gazetteer too), the queries,
+    and as needed the baseline gazetteer and the (N, E) boolean gold.
+    """
 
     def __init__(self, config, until):
         self.config = config
         self.until = until
+        for name, section, key in _input_paths(asdict(config)):
+            path = section[key]
+            if (path or name in ("registry_path", "queries_path")) \
+                    and not os.path.exists(path):
+                raise PipelineConfigError(f"{name} does not resolve: {path!r}")
+        if config.persona_mode != "none" and not config.personas_path:
+            raise PipelineConfigError(
+                f"persona_mode {config.persona_mode!r} needs personas_path")
         self.registry = load_registry(config.registry_path)
         self.router_config = router_mod.RouterTrainConfig(
             **{"seed": config.seed, **config.router})
@@ -298,22 +308,23 @@ class _Run:
             **{"seed": config.seed, **config.classifier})
         self.personas = (personas_mod.load_personas(config.personas_path)
                          if config.persona_mode != "none" else None)
-        # The queries and the baseline dictionary are read here, before the
-        # output directory exists, so a bad line in either leaves none.
+        if config.persona_mode == "router" \
+                and config.persona_k > len(self.personas):
+            raise PipelineConfigError(
+                f"k must be in [1, {len(self.personas)}], got {config.persona_k}")
+        self.annotator = annotator_config(config)
         self.records = data_mod.read_queries(config.queries_path)
         self.lexicon = (baseline_mod.load_gazetteer(config.gazetteer_path)
                         if until == "eval" and config.gazetteer_path else None)
+        # The router stage trains on the gold; the eval stage may score on it.
+        trains = (config.persona_mode == "router"
+                  and STAGES.index(until) >= STAGES.index("router"))
+        scores = until == "eval" and config.eval_reference == "gold"
+        self.gold = (load_gold(config.gold_path, self.records, self.registry)
+                     if trains or scores else None)
         self.stats = {"annotator_calls": 0, "cache_hits": 0,
                       "annotator_failures": 0, "unparseable_responses": 0}
         self.artifacts = {}
-
-    @functools.cached_property
-    def gold(self):
-        """The (N, E) boolean gold labels of the ingested records, read on
-        first use and shared by later stages."""
-        store = load_gold(self.config.gold_path, self.records)
-        return personas_mod.annotation_levels(
-            [store[r.id] for r in self.records], self.registry) > 0
 
     @functools.cached_property
     def features(self):
@@ -354,17 +365,20 @@ def _split(run):
     run.write("split", "split.jsonl", data_mod.write_split_manifest, run.split)
 
 
-def annotate_records(config, registry, records, variant, personas, stats):
-    """(handle, (N, P) index, table of parsed responses) of ``records`` under
-    ``personas`` (None for none) in prompt ``variant``, through the response
-    cache, which unparseable responses leave. Adds the counts to ``stats``."""
-    handle = build_annotator(config)
+def annotate_records(run, variant, personas):
+    """(handle, (N, P) index, table of parsed responses) of the run's records
+    under ``personas`` (``[None]`` for none) in prompt ``variant``, through
+    the response cache, which unparseable responses leave. Adds the counts
+    to ``run.stats``."""
+    config, registry, stats = run.config, run.registry, run.stats
+    handle = build_annotator(run.annotator)
     prompt_config = prompting_mod.PromptConfig(
         variant=variant, registry_hash=registry.hash,
         max_icl_examples_per_entity=config.max_icl_examples)
     frames = [prompting_mod.PromptFrame(prompt_config, registry, persona)
               for persona in personas]
-    prompts = [(frame, record.text) for record in records for frame in frames]
+    prompts = [(frame, record.text) for record in run.records
+               for frame in frames]
     with ResponseCache(config.cache_dir) as cache:
         index, table, unparseable = response_annotations(
             registry, annotate_batch(handle, prompts, cache=cache), len(frames))
@@ -381,9 +395,8 @@ def annotate_records(config, registry, records, variant, personas, stats):
 def _annotate(run):
     personas = run.personas or [None]
     run.handle, run.index, run.table = annotate_records(
-        run.config, run.registry, run.records,
-        prompting_mod.PromptVariant.from_string(run.config.prompt_variant),
-        personas, run.stats)
+        run, prompting_mod.PromptVariant.from_string(run.config.prompt_variant),
+        personas)
     run.write("annotations", "annotations.jsonl", write_annotation_store,
               [r.id for r in run.records],
               [p.id if p else None for p in personas], run.index, run.table,
@@ -531,18 +544,7 @@ def run_pipeline(config, until="eval"):
     """Execute the pipeline through stage ``until``; returns PipelineResult."""
     if until not in STAGES:
         raise PipelineConfigError(f"unknown stage {until!r}")
-    check_paths(config)
-    if config.persona_mode != "none" and not config.personas_path:
-        raise PipelineConfigError(
-            f"persona_mode {config.persona_mode!r} needs personas_path")
-    if config.persona_mode == "router" and not config.gold_path:
-        raise PipelineConfigError("router mode needs gold_path for training")
-    if config.eval_reference == "gold" and not config.gold_path:
-        raise PipelineConfigError("eval_reference 'gold' needs gold_path")
     run = _Run(config, until)
-    if config.persona_mode == "router" and config.persona_k > len(run.personas):
-        raise PipelineConfigError(
-            f"k must be in [1, {len(run.personas)}], got {config.persona_k}")
     os.makedirs(config.output_dir, exist_ok=True)
     for stage in _STAGE_TABLE[:STAGES.index(until) + 1]:
         stage(run)

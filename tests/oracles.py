@@ -25,7 +25,7 @@ from querydistill import prompting
 from querydistill.annotations import read_annotation_store
 from querydistill.data import normalize_query, read_queries
 from querydistill.evaluation import compute_metrics, relative_gain
-from querydistill.pipeline import load_gold, run_pipeline
+from querydistill.pipeline import run_pipeline
 from querydistill.prompting import PromptVariant
 from querydistill.taxonomy import load_registry
 
@@ -322,7 +322,7 @@ def dict_store_ablation(config, weighted):
     ``aggregate``."""
     registry = load_registry(config.registry_path)
     records = read_queries(config.queries_path)
-    gold = load_gold(config.gold_path, records)
+    gold = read_annotation_store(config.gold_path)
     frequencies = {r.id: r.frequency for r in records}
     lines = []
 

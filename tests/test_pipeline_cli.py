@@ -11,7 +11,7 @@ import pytest
 
 import oracles
 from querydistill import cli, llm_client, prompting
-from querydistill.annotations import Confidence
+from querydistill.annotations import Confidence, read_annotation_store
 from querydistill.baseline import lexical_match, load_gazetteer
 from querydistill.classifier import (ClassifierTrainConfig, apply_thresholds,
                                      labeled_queries, load_classifier,
@@ -268,20 +268,23 @@ class TestRunPipeline:
 
     def test_router_mode_reads_gold_once(self, stage_workspace, tmp_path,
                                          monkeypatch):
-        from querydistill import pipeline
-        read_annotation_store = pipeline.read_annotation_store
+        # The router and eval stages share one read, made before the output
+        # directory exists.
+        from querydistill import annotations, pipeline
+        read_annotations = annotations.read_annotations
         paths = []
 
         def counting_read(path):
-            paths.append(path)
-            return read_annotation_store(path)
+            paths.append((path, os.path.exists(tmp_path / "out")))
+            return read_annotations(path)
 
-        monkeypatch.setattr(pipeline, "read_annotation_store", counting_read)
+        for module in (annotations, pipeline):
+            monkeypatch.setattr(module, "read_annotations", counting_read)
         config = load_run_config(stage_workspace, {
             "output_dir": str(tmp_path / "out"), "eval_reference": "gold"})
         assert config.persona_mode == "router"
         run_pipeline(config)
-        assert paths == [config.gold_path]
+        assert paths == [(config.gold_path, False)]
 
     def test_router_mode_encodes_each_text_once_per_encoder(
             self, stage_workspace, tmp_path, monkeypatch):
@@ -403,8 +406,9 @@ class TestRunPipeline:
         out = run_pipeline(config).output_dir
         records = read_queries(config.queries_path)
         test = split_dataset(records, config.ratios, config.seed).test
-        ref = load_gold(config.gold_path if reference == "gold" else
-                        os.path.join(out, "aggregated.jsonl"), records)
+        ref = read_annotation_store(
+            config.gold_path if reference == "gold" else
+            os.path.join(out, "aggregated.jsonl"))
         model = load_classifier(os.path.join(out, "classifier.json"))
         lexicon = load_gazetteer(config.gazetteer_path)
         probs = predict_probs_batch(
@@ -783,6 +787,35 @@ class TestCli:
         assert [p.name for p in tmp_path.glob("out/*")] == [
             "ablation-personas"]
 
+    def test_ablation_reads_each_input_once(self, tmp_path, capsys,
+                                            monkeypatch):
+        """The grid reuses the persona pass's inputs: one ablation reads the
+        queries, the gold and the teacher gazetteer once each, and the
+        baseline gazetteer, which no arm scores, not at all."""
+        from querydistill import annotations, baseline, data, pipeline
+        config_path = build_workspace(tmp_path, count=60)
+        config = load_run_config(config_path)
+        reads = []
+
+        def counting(name, real):
+            def call(path, *args, **kwargs):
+                reads.append((name, str(path)))
+                return real(path, *args, **kwargs)
+            return call
+
+        for module, name in ((data, "read_queries"),
+                             (annotations, "read_annotations"),
+                             (baseline, "load_gazetteer")):
+            real = getattr(module, name)
+            for holder in (module, pipeline, cli):
+                if getattr(holder, name, None) is real:
+                    monkeypatch.setattr(holder, name, counting(name, real))
+        assert cli.main(["ablation", "-c", config_path]) == 0
+        assert sorted(reads) == sorted([
+            ("read_queries", config.queries_path),
+            ("read_annotations", config.gold_path),
+            ("load_gazetteer", config.annotator["gazetteer"])])
+
     def test_ablation_checks_gold_before_any_arm(self, tmp_path, capsys):
         config_path = build_workspace(tmp_path, count=60)
         with open(config_path) as fh:
@@ -822,21 +855,50 @@ class TestCli:
         (b'{"text": "comedy movies", "frequency": true}',
          "frequency not an integer: True"),
         (b"comedy movies", "expected 'query<TAB>frequency'"),
-        (b"caf\xe9 movies\t2", "not UTF-8 (invalid continuation byte)")],
+        (b"caf\xe9 movies\t2", "not UTF-8 (invalid continuation byte)"),
+        (None, "no query records in input")],
         ids=["text-number", "frequency-fraction", "frequency-bool", "no-tab",
-             "utf8"])
+             "utf8", "empty"])
     def test_bad_queries_line_is_an_error(self, tmp_path, capsys, line,
                                           message):
+        # Every error names the file; a bad line names its number too.
         config_path = build_workspace(tmp_path, count=60)
         path = load_run_config(config_path).queries_path
-        with open(path, "ab") as fh:
-            fh.write(line + b"\n")
-        with open(path, "rb") as fh:
+        if line is None:
+            with open(path, "wb") as fh:
+                fh.write(b"\n \n")
+            where = f"{path}:"
+        else:
+            with open(path, "ab") as fh:
+                fh.write(line + b"\n")
+            with open(path, "rb") as fh:
+                where = f"{path} line {len(fh.readlines())}:"
+        assert cli.main(["pipeline", "-c", config_path]) == 2
+        assert capsys.readouterr().err == f"error: {where} {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("field, line, message", [
+        ("annotator.gazetteer", '{"entity": "Genre", "phrases": ["a b c d e f"]}',
+         "gazetteer phrase must be 1-5 tokens: 'a b c d e f'"),
+        ("gold_path", '{"id": ', "not valid JSON (")],
+        ids=["teacher-gazetteer", "gold"])
+    def test_bad_input_leaves_no_output_dir(self, tmp_path, capsys, field,
+                                            line, message):
+        # The teacher gazetteer and the gold are read with the other inputs,
+        # before the output directory exists and before any annotator call.
+        config_path = build_workspace(tmp_path, count=60)
+        config = load_run_config(config_path)
+        path = (config.annotator["gazetteer"] if field == "annotator.gazetteer"
+                else getattr(config, field))
+        with open(path, "a") as fh:
+            fh.write(line + "\n")
+        with open(path) as fh:
             number = len(fh.readlines())
         assert cli.main(["pipeline", "-c", config_path]) == 2
-        assert capsys.readouterr().err == \
-            f"error: {path} line {number}: {message}\n"
+        assert capsys.readouterr().err.startswith(
+            f"error: {path} line {number}: {message}")
         assert not (tmp_path / "out").exists()
+        assert not (tmp_path / "cache").exists()
 
     def test_bad_baseline_phrase_fails_before_any_artifact(self, tmp_path,
                                                            capsys):
@@ -1067,7 +1129,6 @@ class TestServe:
     def test_served_labels_match_the_eval_stage(self, tmp_path):
         # Serving scores one query at a time, the eval stage a batch; both
         # must pick the same labels from the float32 heads.
-        from querydistill.personas import annotation_levels
         workspace = tmp_path / "c"
         assert cli.main(["synth", "--out", str(workspace), "--count", "200"]) == 0
         assert cli.main(["pipeline", "-c", str(workspace / "config.json")]) == 0
@@ -1089,9 +1150,7 @@ class TestServe:
                           for row in batch]
         # The served labels also give the eval stage's confusion counts.
         registry = load_registry(str(workspace / "registry.jsonl"))
-        gold = load_gold(str(workspace / "gold.jsonl"), records)
-        reference = annotation_levels([gold[r.id] for r in records],
-                                      registry) > 0
+        reference = load_gold(str(workspace / "gold.jsonl"), records, registry)
         with open(out / "eval.jsonl") as fh:
             rows = {r["entity"]: r for r in map(json.loads, fh)
                     if r["system"] == "classifier" and not r["weighted"]}
@@ -1171,18 +1230,25 @@ class TestConfigSurfaces:
             PromptVariant.from_string("super_prompt")
 
     def test_build_annotator_kinds(self, tmp_path):
+        # annotator_config checks the section once; build_annotator wraps
+        # the checked config in a fresh handle.
         from querydistill.baseline import write_gazetteer
-        from querydistill.pipeline import build_annotator
+        from querydistill.pipeline import annotator_config, build_annotator
         write_gazetteer(tmp_path / "gaz.jsonl", synth_gazetteer())
         config = RunConfig(
             registry_path="r", queries_path="q", output_dir="o", cache_dir="c",
             annotator={"kind": "mock", "gazetteer": str(tmp_path / "gaz.jsonl")})
-        assert build_annotator(config).kind == "mock"
+        mock = annotator_config(config)
+        assert mock.gazetteer == synth_gazetteer()
+        first, second = build_annotator(mock), build_annotator(mock)
+        assert first.kind == "mock" and first is not second
+        assert first.stats is not second.stats
         config.annotator = {"kind": "http", "url": "http://x/y", "model": "m"}
-        assert build_annotator(config).kind == "http"
+        assert build_annotator(annotator_config(config)).kind == "http"
         config.annotator = {"kind": "carrier-pigeon"}
-        with pytest.raises(PipelineConfigError):
-            build_annotator(config)
+        with pytest.raises(PipelineConfigError,
+                           match="unknown annotator kind: 'carrier-pigeon'"):
+            annotator_config(config)
 
     @pytest.mark.parametrize("section, key, message", [
         (None, "persona_modes", "error: unknown config key: persona_modes"),
