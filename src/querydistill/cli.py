@@ -86,10 +86,10 @@ def cmd_pipeline(args):
 
 def cmd_ablation(args):
     """Prompt-variant grid and persona-selection comparison. One persona
-    pipeline pass, in router mode through the ``router`` stage, reads and
-    checks every input before any directory exists and gives the persona
-    arms. Its run's registry, records, gold and annotator serve the grid:
-    one annotation per prompt variant, without personas."""
+    pass, a router-mode run through ``router``, reads and checks every input
+    before any directory exists and gives the persona arms. The grid takes
+    that run's inputs and annotates once per prompt variant, without
+    personas."""
     config = _config_from_args(args)
     run = run_pipeline(replace(config, persona_mode="router", output_dir=(
         os.path.join(config.output_dir, "ablation-personas"))),

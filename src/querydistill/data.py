@@ -119,9 +119,8 @@ def render_queries(records):
 
 
 def read_queries(path):
-    """``ingest_queries`` of the file at ``path``. Its every DataError names
-    the file: a bad line, one that is not UTF-8 included, as ``<path> line
-    <n>: ...``, and a file without records as ``<path>: ...``."""
+    """``ingest_queries`` of the file at ``path``. Each DataError names the
+    file, and a bad line, one that is not UTF-8 included, its number."""
     def lines(fh):
         for number, line in enumerate(fh, start=1):
             try:

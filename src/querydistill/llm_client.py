@@ -108,18 +108,21 @@ class AnnotatorHandle:
             raise AnnotatorConfigError(f"unsupported annotator config: {config!r}")
         self.config = config
         self.stats = ClientStats()
-
-    @property
-    def model_name(self):
+        # The name keys the response cache: a mock's digests everything its
+        # responses depend on, its gazetteer's (entity, phrase) pairs too.
         if self.kind == "http":
-            return self.config.model
-        digest = hashlib.sha256(json.dumps({
-            "seed": self.config.seed,
-            "noise_rate": self.config.noise_rate,
-            "persona_bias": self.config.persona_bias,
-            "ambiguous": self.config.ambiguous,
-        }, sort_keys=True).encode("utf-8")).hexdigest()
-        return f"mock-{digest[:12]}"
+            self.model_name = config.model
+        else:
+            digest = hashlib.sha256(json.dumps({
+                "seed": config.seed,
+                "noise_rate": config.noise_rate,
+                "persona_bias": config.persona_bias,
+                "ambiguous": config.ambiguous,
+                "gazetteer": sorted([e, " ".join(p)] for e, phrases
+                                    in config.gazetteer.phrases.items()
+                                    for p in phrases),
+            }, sort_keys=True).encode("utf-8")).hexdigest()
+            self.model_name = f"mock-{digest[:12]}"
 
 
 def mock_handle(gazetteer, seed=0, noise_rate=0.0, persona_bias=None, ambiguous=None):

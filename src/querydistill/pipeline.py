@@ -5,7 +5,9 @@ annotator) -> confidence matrices -> router training (router mode) ->
 per-query persona selection and ensemble aggregation -> weak labels ->
 classifier training -> threshold tuning -> evaluation against the lexical
 baseline. Each stage is one function in a table that ``run_pipeline``
-walks in order, stopping after stage ``until``. Every produced file is
+walks in order, stopping after stage ``until``. Every input those stages
+use is read and checked once, before the output directory exists (``_Run``),
+so a bad input leaves no artifact and costs no call. Every produced file is
 listed in ``manifest.json`` with a sha256 digest. With personas, the
 aggregate stage also writes ``selections.jsonl``: each ingested query's
 chosen persona ids, in record order.
@@ -208,8 +210,7 @@ def annotator_config(config):
 
 
 def build_annotator(annotator):
-    """A fresh AnnotatorHandle, with zeroed counts, of a checked annotator
-    config (see ``annotator_config``)."""
+    """A fresh AnnotatorHandle of a checked ``annotator_config``."""
     return AnnotatorHandle(annotator)
 
 
@@ -279,16 +280,10 @@ def load_gold(path, records, registry):
 
 
 class _Run:
-    """State of one pipeline run: the config, its checked inputs, annotator
-    stats and manifest artifacts, plus what each stage stores for later
-    stages.
-
+    """State of one pipeline run: the config, its inputs, annotator stats
+    and manifest artifacts, plus what each stage stores for later stages.
     Every input the stages through ``until`` use is read and checked here,
-    before ``run_pipeline`` creates the output directory, so a bad input
-    leaves no artifact: the paths, the persona settings, the registry, the
-    personas, the annotator (a mock's teacher gazetteer too), the queries,
-    and as needed the baseline gazetteer and the (N, E) boolean gold.
-    """
+    before the output directory exists, so a bad one leaves no artifact."""
 
     def __init__(self, config, until):
         self.config = config
@@ -370,25 +365,24 @@ def annotate_records(run, variant, personas):
     under ``personas`` (``[None]`` for none) in prompt ``variant``, through
     the response cache, which unparseable responses leave. Adds the counts
     to ``run.stats``."""
-    config, registry, stats = run.config, run.registry, run.stats
+    config, registry, records = run.config, run.registry, run.records
     handle = build_annotator(run.annotator)
     prompt_config = prompting_mod.PromptConfig(
         variant=variant, registry_hash=registry.hash,
         max_icl_examples_per_entity=config.max_icl_examples)
     frames = [prompting_mod.PromptFrame(prompt_config, registry, persona)
               for persona in personas]
-    prompts = [(frame, record.text) for record in run.records
-               for frame in frames]
+    prompts = [(frame, record.text) for record in records for frame in frames]
     with ResponseCache(config.cache_dir) as cache:
         index, table, unparseable = response_annotations(
             registry, annotate_batch(handle, prompts, cache=cache), len(frames))
         for key in prompt_keys([prompts[i] for i in unparseable],
                                handle.model_name):
             cache.discard(key)
-    stats["unparseable_responses"] += len(unparseable)
-    stats["annotator_calls"] += handle.stats.calls
-    stats["cache_hits"] += handle.stats.cache_hits
-    stats["annotator_failures"] += handle.stats.failures
+    run.stats["unparseable_responses"] += len(unparseable)
+    run.stats["annotator_calls"] += handle.stats.calls
+    run.stats["cache_hits"] += handle.stats.cache_hits
+    run.stats["annotator_failures"] += handle.stats.failures
     return handle, index, table
 
 

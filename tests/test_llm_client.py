@@ -168,6 +168,23 @@ class TestAnnotateBatchMock:
         assert fresh.stats.cache_hits == 1
         assert second == first
 
+    def test_model_name_digests_the_gazetteer(self, tiny_gazetteer):
+        # The cache key's model name changes with any phrase the mock looks
+        # up, and not with the order the phrases were listed in.
+        from querydistill.baseline import Gazetteer
+        name = mock_handle(tiny_gazetteer).model_name
+        reordered = Gazetteer(phrases={
+            entity: sorted(" ".join(p) for p in phrases)[::-1]
+            for entity, phrases in reversed(tiny_gazetteer.phrases.items())})
+        assert mock_handle(reordered).model_name == name
+        cut = Gazetteer(phrases={"Genre": ["comedy"], "Sport": ["football"],
+                                 "IntentMovie": ["movies", "movie"]})
+        moved = Gazetteer(phrases={"Genre": ["comedy", "horror", "tennis"],
+                                   "Sport": ["football"],
+                                   "IntentMovie": ["movies", "movie"]})
+        names = {mock_handle(g).model_name for g in (cut, moved)}
+        assert len(names) == 2 and name not in names
+
     def test_empty_batch_rejected(self, tiny_gazetteer):
         with pytest.raises(ValueError):
             annotate_batch(mock_handle(tiny_gazetteer), [])

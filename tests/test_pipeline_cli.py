@@ -142,6 +142,28 @@ class TestRunPipeline:
         assert second.stats["annotator_calls"] == 0
         assert second.stats["cache_hits"] > 0
 
+    def test_teacher_gazetteer_change_misses_the_cache(self, tmp_path):
+        # The mock's cache keys digest its gazetteer, so a rerun against a
+        # cut teacher gazetteer asks the annotator again and writes the new
+        # teacher's annotations, not the cached ones.
+        config_path = build_workspace(tmp_path, count=60)
+        config = load_run_config(config_path)
+        first = run_pipeline(config, until="annotate")
+        teacher = config.annotator["gazetteer"]
+        cut = {e: sorted(" ".join(p) for p in phrases)[:1]
+               for e, phrases in load_gazetteer(teacher).phrases.items()}
+        with open(teacher, "w") as fh:
+            for entity, phrases in cut.items():
+                fh.write(json.dumps({"entity": entity,
+                                     "phrases": phrases}) + "\n")
+        second = run_pipeline(load_run_config(config_path, {
+            "output_dir": str(tmp_path / "cut")}), until="annotate")
+        assert second.stats["annotator_calls"] == \
+            first.stats["annotator_calls"] > 0
+        assert second.run.handle.model_name != first.run.handle.model_name
+        assert ((tmp_path / "cut" / "annotations.jsonl").read_bytes()
+                != (tmp_path / "out" / "annotations.jsonl").read_bytes())
+
     def test_manifest_digest_tracks_config_changes(self, tmp_path):
         config_path = build_workspace(tmp_path)
         base = run_pipeline(load_run_config(
