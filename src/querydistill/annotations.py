@@ -104,18 +104,22 @@ def write_annotation_store(path, query_ids, persona_ids, index, table,
                 fh.write(f"{start}{qid}{persona}{end}")
 
 
-def read_annotations(path):
+def read_annotations(path, registry=None):
     """{(query_id, persona_id): Annotation} of each line of the annotation
     JSONL file at ``path``, persona None for a line without one. A line
-    that is not valid JSON, lacks an ``id`` or holds an unknown confidence
-    label raises DataError naming the file and line."""
+    that is not valid JSON, lacks an ``id``, holds an unknown confidence
+    label or, given a ``registry``, an entity it does not know raises
+    DataError naming the file and line."""
     keyed = {}
 
     def add(record):
+        entities = {e: Confidence.from_label(c)
+                    for e, c in record.get("entities", {}).items()}
+        if registry is not None:
+            for entity in entities:
+                registry.column(entity)
         keyed[record["id"], record.get("persona")] = Annotation(
-            entities={e: Confidence.from_label(c)
-                      for e, c in record.get("entities", {}).items()},
-            warnings=tuple(record.get("warnings", ())))
+            entities=entities, warnings=tuple(record.get("warnings", ())))
 
     read_jsonl(path, add)
     return keyed

@@ -58,17 +58,24 @@ class Gazetteer:
         }
 
 
-def load_gazetteer(path):
+def load_gazetteer(path, registry=None):
     """Read a JSON Lines gazetteer: {"entity": ..., "phrases": [...]} per line.
 
     Repeated entity lines merge their phrase sets. A line that is not valid
-    JSON, lacks a field or holds a phrase that is not 1-5 tokens raises
-    DataError naming the file and line.
+    JSON, lacks a field, holds a phrase that is not 1-5 tokens or, given a
+    ``registry``, names an entity it does not know raises DataError naming
+    the file and line.
     """
     merged = {}
-    read_jsonl(path, lambda record: merged.setdefault(
-        record["entity"], []).extend(" ".join(_phrase_tokens(phrase))
-                                     for phrase in record["phrases"]))
+
+    def add(record):
+        entity = record["entity"]
+        if registry is not None:
+            registry.column(entity)
+        merged.setdefault(entity, []).extend(
+            " ".join(_phrase_tokens(phrase)) for phrase in record["phrases"])
+
+    read_jsonl(path, add)
     return Gazetteer(phrases=merged)
 
 

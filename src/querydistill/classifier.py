@@ -194,10 +194,14 @@ def _micro_f1_at_half(probs, labels):
     return 2 * tp / denom if denom else 0.0
 
 
-def train_classifier(X_train, Y_train, X_dev, Y_dev, config, registry, encoder):
+def train_classifier(X, Y, X_dev, Y_dev, config, registry, encoder,
+                     rows=None):
     """Train per-entity heads on weak labels: features ``X`` (n, D) from
     ``encoder``, which only supplies ``dim`` and ``descriptor()``, and
-    labels ``Y`` (n, E) over the registry's entities.
+    labels ``Y`` (n, E) over the registry's entities. The train set is
+    ``rows`` of X and Y (every row when None); each minibatch gathers its
+    rows and casts them to the heads' float32, so no copy of the train set
+    is made.
 
     Checkpoints on dev micro-F1 (decisions at probability 0.5) each epoch
     and early-stops after ``config.patience`` epochs without improvement;
@@ -205,16 +209,21 @@ def train_classifier(X_train, Y_train, X_dev, Y_dev, config, registry, encoder):
     checkpoint. Also returns a history of (epoch, train_loss, dev_micro_f1)
     rows. The heads are float32. Deterministic given config.seed.
     """
-    if len(X_train) == 0:
+    rows = np.arange(len(X)) if rows is None else np.asarray(rows, np.intp)
+    if len(rows) == 0:
         raise EmptyDatasetError("train_classifier got an empty train set")
-    if len(Y_train) != len(X_train) or len(Y_dev) != len(X_dev):
+    if len(Y) != len(X) or len(Y_dev) != len(X_dev):
         raise ModelError("features and labels differ in row count")
-    # Features and labels are cast to the heads' float32 once, not per batch.
-    X_train = np.asarray(X_train, dtype=np.float32)
-    Y_train = np.asarray(Y_train, dtype=np.float32)
+    X, Y = np.asarray(X), np.asarray(Y)
     X_dev = np.asarray(X_dev, dtype=np.float32) if len(X_dev) else None
-    if Y_train.shape[1] != len(registry):
+    if Y.shape[1] != len(registry):
         raise ModelError("train labels do not cover the registry")
+
+    def batch_loss(batch):
+        picked = rows[batch]
+        return classifier_loss_and_grads(
+            model, np.asarray(X[picked], dtype=np.float32),
+            np.asarray(Y[picked], dtype=np.float32))
 
     model = _init_classifier(encoder, registry.ids, registry.hash, config)
     best = None
@@ -222,9 +231,8 @@ def train_classifier(X_train, Y_train, X_dev, Y_dev, config, registry, encoder):
     stale = 0
     history = []
     for epoch, epoch_losses in minibatch_epochs(
-            model.params(), len(X_train),
-            lambda rows: classifier_loss_and_grads(model, X_train[rows], Y_train[rows]),
-            config, ("U1", "U2"), "classifier"):
+            model.params(), len(rows), batch_loss, config, ("U1", "U2"),
+            "classifier"):
         if X_dev is None:
             history.append((epoch, float(np.mean(epoch_losses)), float("nan")))
             continue

@@ -15,11 +15,15 @@ for an ``(n, dim)`` matrix whose rows equal ``embed``'s;
 ``hashed_ngram_matrices`` builds the matrices of several hashed dims of one
 seed from one n-gram pass, so a pipeline run extracts each text's n-grams
 once for both of its networks, which then take rows of those matrices.
+It encodes ``BLOCK_ROWS`` texts at a time straight into outputs allocated
+once in each consumer's dtype, so beyond its outputs it holds one block's
+transients and the window memo: a pipeline run keeps one float64 router
+row and one float32 classifier row per unique query.
 
 Both hashed paths digest a query window by window (``_windows``) and keep
 each window's joined digests in a ``_WindowMemo``: the embedder's memo is
-bounded and lives as long as the embedder, a batch's memo only for that
-batch.
+bounded and lives as long as the embedder, a batch call's memo spans all
+of that call's blocks and ends with the call.
 """
 
 import functools
@@ -43,6 +47,10 @@ _BOUNDARY_CLOSE = ">"
 # more than the limit is encoded but not kept.
 BUCKET_CACHE_LIMIT = 1 << 16
 WINDOW_KEY_CHARGE = 4
+# ``hashed_ngram_matrices`` encodes this many texts at a time, so its
+# float64 block matrices and per-n-gram arrays stay bounded however many
+# texts a run holds.
+BLOCK_ROWS = 256
 
 
 def _digest(ngram, key):
@@ -197,24 +205,32 @@ class _KnownDigests(dict):
         return value
 
 
-def hashed_ngram_matrices(texts, seed, dims):
+def hashed_ngram_matrices(texts, seed, dims, dtypes=None):
     """``HashedNgramEmbedder(dim, seed).encode_batch(texts)`` for each dim in
     ``dims``, from one pass: an n-gram's keyed digest depends on the seed
     only (the bucket is the digest modulo the dim, the sign its top bit), so
     each distinct window and each distinct n-gram is digested once, and
-    each dim costs one ``np.bincount``. Each row is bit-identical to
-    ``embed``'s."""
+    each dim costs one ``np.bincount`` per block of ``BLOCK_ROWS`` texts.
+    Each row is computed in float64, bit-identical to ``embed``'s, and
+    stored in its matrix's entry of ``dtypes`` (float64 by default)."""
     key = int(seed).to_bytes(8, "little")
     # This memo lives for one call only, so it keeps every window.
     memo = _WindowMemo(_KnownDigests(key).__getitem__, float("inf"))
-    parts, lengths = [], []
-    for text in texts:
-        text_parts = memo.text_digests(text)
-        parts += text_parts
-        lengths.append(sum(map(len, text_parts)) // 8)
-    values = np.frombuffer(b"".join(parts), dtype="<u8")
-    rows = np.repeat(np.arange(len(texts)), lengths)
-    return [_unit_rows(values, rows, len(texts), dim) for dim in dims]
+    matrices = [np.empty((len(texts), dim), dtype)
+                for dim, dtype in zip(dims, dtypes or [np.float64] * len(dims))]
+    for start in range(0, len(texts), BLOCK_ROWS):
+        block = texts[start:start + BLOCK_ROWS]
+        parts, lengths = [], []
+        for text in block:
+            text_parts = memo.text_digests(text)
+            parts += text_parts
+            lengths.append(sum(map(len, text_parts)) // 8)
+        values = np.frombuffer(b"".join(parts), dtype="<u8")
+        rows = np.repeat(np.arange(len(block)), lengths)
+        for dim, matrix in zip(dims, matrices):
+            matrix[start:start + len(block)] = _unit_rows(
+                values, rows, len(block), dim)
+    return matrices
 
 
 def encoder_from_descriptor(descriptor):

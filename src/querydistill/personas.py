@@ -73,7 +73,7 @@ def default_personas():
 
 
 def annotation_levels(annotations, registry):
-    """(n, E) integer array of n annotations' confidence levels (1-3), in
+    """(n, E) int8 array of n annotations' confidence levels (1-3), in
     registry column order; 0 where an annotation did not select the entity.
     """
     width = len(registry)
@@ -82,7 +82,7 @@ def annotation_levels(annotations, registry):
         for entity, conf in annotation.entities.items():
             cells.append(row * width + registry.column(entity))
             values.append(int(conf))
-    levels = np.zeros(len(annotations) * width, dtype=np.int64)
+    levels = np.zeros(len(annotations) * width, dtype=np.int8)
     levels[cells] = values
     return levels.reshape(len(annotations), width)
 

@@ -20,8 +20,10 @@ from which ``annotations.jsonl`` and the (N, P, E) levels come.
 teacher levels, or without personas from the response table. The weak
 labels (the teacher at ``min_confidence``) and the gold are (N, E) boolean
 arrays in the same ingest order; the router, train, tune and eval stages
-index them by record row. ``labels.jsonl`` lists the weak labels in
-query-id order.
+index them by record row. The router and train stages pass the whole
+arrays with the split's train rows, and the trainers gather each
+minibatch, so no stage copies the train split. ``labels.jsonl`` lists the
+weak labels in query-id order.
 
 Reruns are cheap: the annotate stage reads the response cache, so a
 completed pipeline re-executed with the same configuration performs zero
@@ -187,11 +189,11 @@ def load_run_config(path, overrides=None):
     return RunConfig(**raw)
 
 
-def annotator_config(config):
+def annotator_config(config, registry):
     """The MockConfig or HttpEndpointConfig of the ``annotator`` section of
     RunConfig ``config``, its keys and values checked. A mock's teacher
     gazetteer (its ``gazetteer`` path, else ``gazetteer_path``) is read
-    here."""
+    here, and its entities checked against ``registry``."""
     spec = dict(config.annotator)
     kind = spec.pop("kind", "mock")
     annotator = {"mock": MockConfig, "http": HttpEndpointConfig}.get(kind)
@@ -202,7 +204,7 @@ def annotator_config(config):
         path = spec.pop("gazetteer", "") or config.gazetteer_path
         if not path:
             raise PipelineConfigError("mock annotator needs a gazetteer path")
-        spec["gazetteer"] = baseline_mod.load_gazetteer(path)
+        spec["gazetteer"] = baseline_mod.load_gazetteer(path, registry)
     try:
         return annotator(**spec)
     except TypeError as exc:
@@ -270,7 +272,8 @@ def load_gold(path, records, registry):
     if not path or not os.path.exists(path):
         raise PipelineConfigError(
             f"gold annotations need an existing gold_path, got {path!r}")
-    store = {qid: ann for (qid, _), ann in read_annotations(path).items()}
+    store = {qid: ann for (qid, _), ann
+             in read_annotations(path, registry).items()}
     missing = [r.id for r in records if r.id not in store]
     if missing:
         raise PipelineConfigError(
@@ -307,9 +310,10 @@ class _Run:
                 and config.persona_k > len(self.personas):
             raise PipelineConfigError(
                 f"k must be in [1, {len(self.personas)}], got {config.persona_k}")
-        self.annotator = annotator_config(config)
+        self.annotator = annotator_config(config, self.registry)
         self.records = data_mod.read_queries(config.queries_path)
-        self.lexicon = (baseline_mod.load_gazetteer(config.gazetteer_path)
+        self.lexicon = (baseline_mod.load_gazetteer(config.gazetteer_path,
+                                                    self.registry)
                         if until == "eval" and config.gazetteer_path else None)
         # The router stage trains on the gold; the eval stage may score on it.
         trains = (config.persona_mode == "router"
@@ -326,10 +330,10 @@ class _Run:
         """The router's and the classifier's (N, dim) feature matrices of
         the ingested texts, from one n-gram pass. The classifier's is kept
         in its heads' float32, the router's in float64."""
-        router, student = hashed_ngram_matrices(
+        return hashed_ngram_matrices(
             [r.text for r in self.records], self.config.seed,
-            (self.config.embedding_dim, self.config.encoder_dim))
-        return router, student.astype(np.float32)
+            (self.config.embedding_dim, self.config.encoder_dim),
+            (np.float64, np.float32))
 
     @functools.cached_property
     def _row_of(self):
@@ -412,10 +416,10 @@ def _router(run):
     config, registry = run.config, run.registry
     if config.persona_mode != "router":
         return
-    rows = run.rows(run.split.train)
     run.router_model, loss_history = router_mod.train_router(
-        run.features[0][rows], run.levels[rows], run.gold[rows],
-        tuple(p.id for p in run.personas), run.router_config, registry)
+        run.features[0], run.levels, run.gold,
+        tuple(p.id for p in run.personas), run.router_config, registry,
+        rows=run.rows(run.split.train))
     run.router_model.embedding_provider = HashedNgramEmbedder(
         config.embedding_dim, config.seed).tag
     run.write("router", "router.json", router_mod.save_router,
@@ -475,14 +479,16 @@ def _labels(run):
 
 
 def _train(run):
-    """Train the classifier on rows of the run's classifier features and
-    weak labels; the dev rows stay in ``run.dev`` for the tune stage."""
+    """Train the classifier on the train rows of the run's classifier
+    features and weak labels, gathered batch by batch; a copy of the dev
+    rows stays in ``run.dev`` for the tune stage."""
     config, X, Y = run.config, run.features[1], run.labels
-    train, dev = run.rows(run.split.train), run.rows(run.split.dev)
+    dev = run.rows(run.split.dev)
     run.dev = (X[dev], Y[dev])
     run.model, run.history = classifier_mod.train_classifier(
-        X[train], Y[train], *run.dev, run.classifier_config, run.registry,
-        HashedNgramEmbedder(config.encoder_dim, config.seed))
+        X, Y, *run.dev, run.classifier_config, run.registry,
+        HashedNgramEmbedder(config.encoder_dim, config.seed),
+        rows=run.rows(run.split.train))
     # The tune stage writes the tuned model; writing the untuned one first
     # would cost a second full serialization of the weights.
     if run.until == "train":

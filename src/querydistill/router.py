@@ -185,30 +185,35 @@ def _init_model(d, P, config, persona_ids, registry_hash):
     )
 
 
-def train_router(X, M, Y, persona_ids, config, registry):
+def train_router(X, M, Y, persona_ids, config, registry, rows=None):
     """Train the router on X (n, d) embeddings, M (n, P, E) confidence
     matrices (rows in ``persona_ids`` order) and Y (n, E) gold indicators.
+    The train set is ``rows`` of X, M and Y (every row when None); each
+    minibatch gathers its rows and casts them to float64, so no copy of the
+    train set is made.
 
     Returns (RouterModel, loss_history) where loss_history is a list of
     (epoch, batch, loss) rows. Mini-batch AdamW; deterministic given
     config.seed. The model's ``embedding_provider`` is metadata: the caller
     records the encoder's ``tag`` there.
     """
-    if not len(X):
+    rows = np.arange(len(X)) if rows is None else np.asarray(rows, np.intp)
+    if not len(rows):
         raise EmptyDatasetError("train_router got no examples")
-    X, M, Y = (np.asarray(a, dtype=float) for a in (X, M, Y))
+    X, M, Y = (np.asarray(a) for a in (X, M, Y))
     model = _init_model(X.shape[1], len(persona_ids), config, persona_ids,
                         registry.hash)
     dropout_seed = np.random.SeedSequence(config.seed + 2)
 
-    def batch_loss(rows):
+    def batch_loss(batch):
+        picked = rows[batch]
         return router_loss_and_grads(
-            model, X[rows], M[rows], Y[rows], train_mode=True,
-            seed=dropout_seed.spawn(1)[0])
+            model, *(np.asarray(a[picked], dtype=float) for a in (X, M, Y)),
+            train_mode=True, seed=dropout_seed.spawn(1)[0])
 
     history = []
     for epoch, losses in minibatch_epochs(
-            model.params(), len(X), batch_loss, config, ("W1", "W2"),
+            model.params(), len(rows), batch_loss, config, ("W1", "W2"),
             "router"):
         history += [(epoch, batch, loss) for batch, loss in enumerate(losses)]
     return model, history

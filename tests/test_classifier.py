@@ -260,6 +260,25 @@ class TestTrainClassifier:
             with pytest.raises(ModelError, match="row count"):
                 train_classifier(*args, config, registry, encoder)
 
+    def test_train_rows_equal_training_on_the_copied_split(self):
+        # A pipeline run passes its whole float32 features and boolean
+        # labels with the split's train rows; each minibatch gathers its
+        # rows, and the model and history are those of training on copies.
+        registry, records, gold = make_corpus(120, seed=4)
+        encoder = HashedNgramEmbedder(dim=64, seed=0)
+        X, Y = arrays(encoder, records, gold, registry)
+        X, Y = X.astype(np.float32), Y > 0.5
+        order = np.random.default_rng(0).permutation(len(X))
+        train, dev = order[:90], order[90:]
+        config = ClassifierTrainConfig(epochs=4, batch_size=16, seed=3)
+        by_rows = train_classifier(X, Y, X[dev], Y[dev], config, registry,
+                                   encoder, rows=train.tolist())
+        copied = train_classifier(X[train], Y[train].astype(np.float32),
+                                  X[dev], Y[dev], config, registry, encoder)
+        assert by_rows[1] == copied[1]
+        for name, value in copied[0].params().items():
+            assert by_rows[0].params()[name].tobytes() == value.tobytes()
+
     def test_reproducible_model_files(self, tmp_path):
         registry, records, gold = make_corpus(80, seed=9)
         encoder = HashedNgramEmbedder(dim=64, seed=0)

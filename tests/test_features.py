@@ -13,6 +13,7 @@ from querydistill.errors import ModelError
 from querydistill.features import (HashedNgramEmbedder,
                                    encoder_from_descriptor,
                                    hashed_ngram_matrices)
+from querydistill.synth import synth_gazetteer, synth_queries
 
 
 class TestHashedNgramEmbedder:
@@ -279,6 +280,49 @@ class TestSharedNgramPass:
         for texts in (["  "], ["comedy", "", "sport"], ["ok", " \t\n"]):
             with pytest.raises(ValueError, match="empty text"):
                 hashed_ngram_matrices(texts, 0, (16, 64))
+
+    def test_every_block_size_gives_the_same_bytes(self, monkeypatch):
+        records, _ = synth_queries(synth_gazetteer(), 60, seed=3)
+        texts = _EDGE_QUERIES + [r.text for r in records]
+        dims, dtypes = (64, 256), (np.float64, np.float32)
+        encoded = []
+        for block_rows in (1, 7, len(texts)):
+            monkeypatch.setattr(features, "BLOCK_ROWS", block_rows)
+            encoded.append([matrix.tobytes() for matrix in
+                            hashed_ngram_matrices(texts, 7, dims, dtypes)])
+        assert encoded[0] == encoded[1] == encoded[2]
+        # A float32 matrix holds the float64 rows, each rounded once.
+        full = hashed_ngram_matrices(texts, 7, dims)
+        assert encoded[0] == [full[0].tobytes(),
+                              full[1].astype(np.float32).tobytes()]
+
+    def test_peak_memory_is_outputs_and_one_block(self):
+        # The texts of synth-2000, seed 7: 1,731 unique queries, so
+        # several blocks. The call's window memo keeps every window; beyond
+        # it and the outputs, one block's float64 rows of both dims and
+        # its per-n-gram arrays take under 6 KiB a row of these texts.
+        records, _ = synth_queries(synth_gazetteer(), 2000, seed=7)
+        texts = [r.text for r in records]
+        assert len(texts) > 4 * features.BLOCK_ROWS
+        memos = []
+
+        def fill_memo():
+            memo = features._WindowMemo(
+                features._KnownDigests(bytes(8)).__getitem__, float("inf"))
+            for text in texts:
+                memo.text_digests(text)
+            memos.append(memo)
+
+        memo_bytes = traced_growth(fill_memo)
+        tracemalloc.start()
+        try:
+            matrices = hashed_ngram_matrices(texts, 7, (64, 256),
+                                             (np.float64, np.float32))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        outputs = sum(matrix.nbytes for matrix in matrices)
+        assert peak < outputs + memo_bytes + features.BLOCK_ROWS * 6 * 1024
 
 
 # Queries of 1-5 tokens of 1-8 characters (ASCII, "<" and ">", accented

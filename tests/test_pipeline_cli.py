@@ -296,9 +296,9 @@ class TestRunPipeline:
         read_annotations = annotations.read_annotations
         paths = []
 
-        def counting_read(path):
+        def counting_read(path, registry=None):
             paths.append((path, os.path.exists(tmp_path / "out")))
-            return read_annotations(path)
+            return read_annotations(path, registry)
 
         for module in (annotations, pipeline):
             monkeypatch.setattr(module, "read_annotations", counting_read)
@@ -314,9 +314,9 @@ class TestRunPipeline:
         shared_pass = pipeline.hashed_ngram_matrices
         passes, batches, embeds = [], [], []
 
-        def counting_pass(texts, seed, dims):
+        def counting_pass(texts, seed, dims, dtypes=None):
             passes.append((sorted(dims), list(texts)))
-            return shared_pass(texts, seed, dims)
+            return shared_pass(texts, seed, dims, dtypes)
 
         monkeypatch.setattr(pipeline, "hashed_ngram_matrices", counting_pass)
         monkeypatch.setattr(HashedNgramEmbedder, "encode_batch",
@@ -902,8 +902,15 @@ class TestCli:
     @pytest.mark.parametrize("field, line, message", [
         ("annotator.gazetteer", '{"entity": "Genre", "phrases": ["a b c d e f"]}',
          "gazetteer phrase must be 1-5 tokens: 'a b c d e f'"),
-        ("gold_path", '{"id": ', "not valid JSON (")],
-        ids=["teacher-gazetteer", "gold"])
+        ("gold_path", '{"id": ', "not valid JSON ("),
+        ("annotator.gazetteer", '{"entity": "Bogus", "phrases": ["comedy"]}',
+         "unknown entity label: 'Bogus'"),
+        ("gazetteer_path", '{"entity": "Bogus", "phrases": ["comedy"]}',
+         "unknown entity label: 'Bogus'"),
+        ("gold_path", '{"id": "q-extra", "entities": {"Bogus": "High"}}',
+         "unknown entity label: 'Bogus'")],
+        ids=["teacher-gazetteer", "gold", "teacher-gazetteer-entity",
+             "baseline-gazetteer-entity", "gold-entity"])
     def test_bad_input_leaves_no_output_dir(self, tmp_path, capsys, field,
                                             line, message):
         # The teacher gazetteer and the gold are read with the other inputs,
@@ -1260,17 +1267,18 @@ class TestConfigSurfaces:
         config = RunConfig(
             registry_path="r", queries_path="q", output_dir="o", cache_dir="c",
             annotator={"kind": "mock", "gazetteer": str(tmp_path / "gaz.jsonl")})
-        mock = annotator_config(config)
+        registry = synth_registry()
+        mock = annotator_config(config, registry)
         assert mock.gazetteer == synth_gazetteer()
         first, second = build_annotator(mock), build_annotator(mock)
         assert first.kind == "mock" and first is not second
         assert first.stats is not second.stats
         config.annotator = {"kind": "http", "url": "http://x/y", "model": "m"}
-        assert build_annotator(annotator_config(config)).kind == "http"
+        assert build_annotator(annotator_config(config, registry)).kind == "http"
         config.annotator = {"kind": "carrier-pigeon"}
         with pytest.raises(PipelineConfigError,
                            match="unknown annotator kind: 'carrier-pigeon'"):
-            annotator_config(config)
+            annotator_config(config, registry)
 
     @pytest.mark.parametrize("section, key, message", [
         (None, "persona_modes", "error: unknown config key: persona_modes"),

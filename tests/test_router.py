@@ -212,6 +212,26 @@ class TestTrainRouter:
             train_router(X, M, Y, persona_ids, config, registry)
         assert (info.value.epoch, info.value.batch) == (0, 0)
 
+    def test_train_rows_equal_training_on_the_copied_split(self):
+        # A pipeline run passes its whole features, int8 levels and
+        # boolean gold with the split's train rows; each minibatch gathers
+        # its rows, and the model and history are those of training on
+        # float64 copies.
+        registry = synth.entity_registry(4)
+        (X, M, Y), persona_ids = synth.router_dataset(
+            60, registry, ("oracle", "random"), seed=8)
+        rows = np.random.default_rng(1).permutation(len(X))[:45]
+        config = RouterTrainConfig(hidden_dim=8, epochs=3, batch_size=8,
+                                   seed=5)
+        model_a, hist_a = train_router(X, M.astype(np.int8), Y, persona_ids,
+                                       config, registry, rows=rows.tolist())
+        model_b, hist_b = train_router(
+            *(np.asarray(a[rows], dtype=float) for a in (X, M, Y)),
+            persona_ids, config, registry)
+        assert hist_a == hist_b
+        for name, value in model_b.params().items():
+            assert model_a.params()[name].tobytes() == value.tobytes()
+
     def test_training_is_deterministic_and_files_identical(self, tmp_path):
         registry = synth.entity_registry(3)
         data, persona_ids = synth.router_dataset(
