@@ -48,14 +48,17 @@ class Gazetteer:
     def entities(self):
         return sorted(self.phrases)
 
+    def matches(self, text):
+        """(phrase, entity) pairs, the phrase as its space-joined tokens, of
+        each phrase that occurs as a contiguous token run in text."""
+        windows = phrase_windows(text)
+        return {(" ".join(phrase), entity)
+                for entity, phrase_set in self.phrases.items()
+                for phrase in phrase_set & windows}
+
     def match(self, text):
         """Entity ids whose phrases occur as contiguous token runs in text."""
-        windows = phrase_windows(text)
-        return {
-            entity
-            for entity, phrase_set in self.phrases.items()
-            if phrase_set & windows
-        }
+        return {entity for _, entity in self.matches(text)}
 
 
 def load_gazetteer(path, registry=None):

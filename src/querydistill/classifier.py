@@ -257,10 +257,8 @@ def train_classifier(X, Y, X_dev, Y_dev, config, registry, encoder,
 # Prediction
 # ---------------------------------------------------------------------------
 
-def predict_probs(model, text, backend=None, registry=None):
+def predict_probs(model, text, backend=None):
     """Per-entity probabilities for one query (sigmoid of each head)."""
-    if registry is not None and registry.hash != model.registry_hash:
-        raise ModelError("model was trained against a different registry")
     if backend is None:
         backend = model.backend()
     x = backend.embed(text)

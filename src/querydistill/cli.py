@@ -130,7 +130,7 @@ def cmd_ablation(args):
 
 def cmd_serve(args):
     from .serving import ServeState, serve_stdio, serve_tcp
-    state = ServeState(args.model, thresholds_path=args.thresholds)
+    state = ServeState(args.model)
     if not args.port:
         serve_stdio(state)
         return 0
@@ -230,12 +230,11 @@ def build_parser():
 
     p = sub.add_parser(
         "serve", help="serve a trained model over stdio or TCP",
-        description="Serve a trained classifier: one query per line in, one "
-                    "JSON object per line out. The model's hashed n-gram "
-                    "encoder embeds any query, seen in training or not; a "
-                    "blank or over-long line gets an error object.")
+        description="Serve a trained classifier at its file's thresholds: one "
+                    "query per line in, one JSON object per line out. Its "
+                    "hashed n-gram encoder embeds any query, seen in training "
+                    "or not; a blank or over-long line gets an error object.")
     p.add_argument("--model", required=True)
-    p.add_argument("--thresholds", default="")
     p.add_argument("--port", type=int, default=0)
     p.set_defaults(func=cmd_serve)
 

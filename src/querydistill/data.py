@@ -49,9 +49,6 @@ class DatasetSplit:
     def parts(self):
         return {"train": self.train, "dev": self.dev, "test": self.test}
 
-    def all_records(self):
-        return self.train + self.dev + self.test
-
 
 def _parse_line(line, number):
     stripped = line.strip()
@@ -191,18 +188,6 @@ def write_split_manifest(path, split):
         for part in ("train", "dev", "test"):
             for record in split.parts[part]:
                 fh.write(json.dumps({"id": record.id, "part": part}) + "\n")
-
-
-def read_split_manifest(path):
-    """Returns (seed, {id: part})."""
-    with open(path, encoding="utf-8") as fh:
-        header = json.loads(fh.readline())
-        assignment = {}
-        for line in fh:
-            if line.strip():
-                rec = json.loads(line)
-                assignment[rec["id"]] = rec["part"]
-    return header["seed"], assignment
 
 
 def read_jsonl(path, parse, error=DataError):

@@ -41,10 +41,6 @@ class EvalReport:
     candidate: str = "pred"
     operating_points: dict = field(default_factory=dict)
 
-    def metric(self, entity, name):
-        cell = self.micro if entity == MICRO else self.per_entity[entity]
-        return getattr(cell, name)
-
 
 def _label_set(annotation):
     if hasattr(annotation, "label_set"):

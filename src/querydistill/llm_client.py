@@ -31,10 +31,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .annotations import Annotation, Confidence, render_annotation
-from .baseline import phrase_windows
 from .data import normalize_query
 from .errors import AnnotatorConfigError
-from .optim import COUNT, NON_NEGATIVE, check_fields
+from .optim import COUNT, FRACTION, NON_NEGATIVE, check_fields
 
 RETRYABLE_STATUSES = frozenset({429, 500, 502, 503, 504})
 # The longest wait a 429 or 503 response's Retry-After header can ask for.
@@ -65,8 +64,10 @@ class MockConfig:
     """Deterministic fake annotator.
 
     ``persona_bias`` maps persona id -> {"add": {entity: level}, "remove":
-    [entity, ...]}. ``ambiguous`` maps a gazetteer phrase, normalized here,
-    to the wrong entity the mock emits when the prompt lacks ICL examples.
+    [entity, ...]}; ``_bias`` holds it parsed, as persona id -> ((entity,
+    Confidence) adds in entity order, removals). ``ambiguous`` maps a
+    gazetteer phrase, normalized here, to the wrong entity (or None, for
+    none) the mock emits when the prompt lacks ICL examples.
     """
 
     gazetteer: object = None
@@ -74,14 +75,45 @@ class MockConfig:
     noise_rate: float = 0.0
     persona_bias: dict = field(default_factory=dict)
     ambiguous: dict = field(default_factory=dict)
+    _bias: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not 0 <= self.noise_rate < 1:
-            raise AnnotatorConfigError(
-                f"noise_rate must be in [0, 1), got {self.noise_rate}")
-        object.__setattr__(self, "persona_bias", self.persona_bias or {})
+        check_fields(self, {"seed": ("integer", lambda v: v >= 0, ">= 0"),
+                            "noise_rate": FRACTION}, AnnotatorConfigError)
+        object.__setattr__(self, "persona_bias", _checked(
+            self.persona_bias or {}, dict, "persona_bias"))
         object.__setattr__(self, "ambiguous", {
-            normalize_query(k): v for k, v in (self.ambiguous or {}).items()})
+            normalize_query(k): v
+            for k, v in _checked(self.ambiguous or {}, dict, "ambiguous").items()})
+        object.__setattr__(self, "_bias", {})
+        for persona, spec in self.persona_bias.items():
+            where = f"persona_bias {persona!r}"
+            add = _checked(_checked(spec, dict, where).get("add", {}), dict,
+                           f"{where} add")
+            try:
+                adds = tuple((entity, Confidence.from_label(level)
+                              if isinstance(level, str) else Confidence(level))
+                             for entity, level in sorted(add.items()))
+            except (TypeError, ValueError) as exc:
+                raise AnnotatorConfigError(f"{where} add: {exc}") from None
+            self._bias[persona] = (adds, tuple(_checked(
+                spec.get("remove", ()), (list, tuple), f"{where} remove")))
+
+    def entities(self):
+        """(config key, entity) of each entity the biases and ambiguity name."""
+        for persona, (adds, removes) in self._bias.items():
+            yield from ((f"persona_bias {persona!r} add", e) for e, _ in adds)
+            yield from ((f"persona_bias {persona!r} remove", e) for e in removes)
+        yield from ((f"ambiguous {phrase!r}", e)
+                    for phrase, e in self.ambiguous.items() if e is not None)
+
+
+def _checked(value, kind, what):
+    """``value`` if a ``kind`` (dict or list), else an error naming ``what``."""
+    if not isinstance(value, kind):
+        shape = "an object" if kind is dict else "a list"
+        raise AnnotatorConfigError(f"{what} must be {shape}, got {value!r}")
+    return value
 
 
 @dataclass
@@ -100,19 +132,13 @@ class AnnotatorHandle:
     """One annotator (HTTP endpoint or mock) plus its call statistics."""
 
     def __init__(self, config):
-        if isinstance(config, HttpEndpointConfig):
-            self.kind = "http"
-        elif isinstance(config, MockConfig):
-            self.kind = "mock"
-        else:
-            raise AnnotatorConfigError(f"unsupported annotator config: {config!r}")
         self.config = config
         self.stats = ClientStats()
         # The name keys the response cache: a mock's digests everything its
         # responses depend on, its gazetteer's (entity, phrase) pairs too.
-        if self.kind == "http":
+        if isinstance(config, HttpEndpointConfig):
             self.model_name = config.model
-        else:
+        elif isinstance(config, MockConfig):
             digest = hashlib.sha256(json.dumps({
                 "seed": config.seed,
                 "noise_rate": config.noise_rate,
@@ -123,6 +149,8 @@ class AnnotatorHandle:
                                     for p in phrases),
             }, sort_keys=True).encode("utf-8")).hexdigest()
             self.model_name = f"mock-{digest[:12]}"
+        else:
+            raise AnnotatorConfigError(f"unsupported annotator config: {config!r}")
 
 
 def mock_handle(gazetteer, seed=0, noise_rate=0.0, persona_bias=None, ambiguous=None):
@@ -286,17 +314,6 @@ class RateLimiter:
 _LEVELS = (Confidence.LOW, Confidence.MEDIUM, Confidence.HIGH)
 
 
-def _matched_phrases(gazetteer, text):
-    """(phrase string, entity) pairs whose phrase occurs in the text."""
-    windows = phrase_windows(text)
-    pairs = []
-    for entity in sorted(gazetteer.phrases):
-        for phrase in gazetteer.phrases[entity]:
-            if phrase in windows:
-                pairs.append((" ".join(phrase), entity))
-    return pairs
-
-
 def mock_annotate(handle, query, persona=None, sections=()):
     """Deterministic fake response for one query; ``persona`` is a persona id.
 
@@ -312,17 +329,15 @@ def mock_annotate(handle, query, persona=None, sections=()):
     icl_present = "icl" in sections
 
     labels = {}
-    for phrase, entity in _matched_phrases(config.gazetteer, query):
+    for phrase, entity in config.gazetteer.matches(query):
         if not icl_present and phrase in config.ambiguous:
             entity = config.ambiguous[phrase]
         if entity is not None:
             labels[entity] = Confidence.HIGH
 
-    bias = config.persona_bias.get(persona_id, {})
-    for entity, level in sorted(bias.get("add", {}).items()):
-        labels[entity] = (Confidence.from_label(level)
-                          if isinstance(level, str) else Confidence(level))
-    for entity in bias.get("remove", ()):
+    adds, removes = config._bias.get(persona_id, ((), ()))
+    labels.update(adds)
+    for entity in removes:
         labels.pop(entity, None)
 
     if config.noise_rate > 0 and labels:
@@ -430,10 +445,10 @@ def annotate_batch(handle, prompts, cache=None):
     """
     if not prompts:
         raise ValueError("annotate_batch got no prompts")
-    if handle.kind == "http" and handle.config.auth_env \
-            and handle.config.auth_env not in os.environ:
-        raise AnnotatorConfigError(
-            f"auth env var {handle.config.auth_env!r} is not set")
+    config = handle.config
+    if isinstance(config, HttpEndpointConfig) and config.auth_env \
+            and config.auth_env not in os.environ:
+        raise AnnotatorConfigError(f"auth env var {config.auth_env!r} is not set")
 
     model_name = handle.model_name
     results = [None] * len(prompts)
@@ -450,7 +465,7 @@ def annotate_batch(handle, prompts, cache=None):
     if not pending:
         return results
 
-    if handle.kind == "mock":
+    if isinstance(config, MockConfig):
         for index, frame, query, key in pending:
             handle.stats.count("calls")
             response = mock_annotate(handle, query, frame.persona_id,
@@ -462,7 +477,7 @@ def annotate_batch(handle, prompts, cache=None):
 
     import requests
 
-    limiter = RateLimiter(handle.config.requests_per_second)
+    limiter = RateLimiter(config.requests_per_second)
     session = requests.Session()
 
     def worker(item):
@@ -476,12 +491,7 @@ def annotate_batch(handle, prompts, cache=None):
             cache.put(key, response)
         return index, response
 
-    workers = handle.config.in_flight_limit
-    if workers == 1 or len(pending) == 1:
-        outcomes = [worker(item) for item in pending]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(worker, pending))
-    for index, outcome in outcomes:
-        results[index] = outcome
+    with ThreadPoolExecutor(max_workers=config.in_flight_limit) as pool:
+        for index, outcome in pool.map(worker, pending):
+            results[index] = outcome
     return results

@@ -193,7 +193,8 @@ def annotator_config(config, registry):
     """The MockConfig or HttpEndpointConfig of the ``annotator`` section of
     RunConfig ``config``, its keys and values checked. A mock's teacher
     gazetteer (its ``gazetteer`` path, else ``gazetteer_path``) is read
-    here, and its entities checked against ``registry``."""
+    here; its entities, and those its persona biases and ambiguity table
+    name, are checked against ``registry``."""
     spec = dict(config.annotator)
     kind = spec.pop("kind", "mock")
     annotator = {"mock": MockConfig, "http": HttpEndpointConfig}.get(kind)
@@ -206,9 +207,15 @@ def annotator_config(config, registry):
             raise PipelineConfigError("mock annotator needs a gazetteer path")
         spec["gazetteer"] = baseline_mod.load_gazetteer(path, registry)
     try:
-        return annotator(**spec)
+        annotator = annotator(**spec)
     except TypeError as exc:
         raise PipelineConfigError(f"annotator: {exc}") from None
+    if kind == "mock":
+        for key, entity in annotator.entities():
+            if entity not in registry.ids:
+                raise PipelineConfigError(
+                    f"annotator {key}: unknown entity label: {entity!r}")
+    return annotator
 
 
 def build_annotator(annotator):

@@ -61,14 +61,10 @@ def _default_template():
     return ref.read_text(encoding="utf-8")
 
 
-# The registry-derived sections depend only on the registry (a hashable
-# frozen dataclass) and the ICL cap, so each is rendered once per registry.
-@functools.lru_cache(maxsize=16)
 def _entity_definitions(registry):
     return "\n".join(f"- {e.id}: {e.definition}" for e in registry)
 
 
-@functools.lru_cache(maxsize=16)
 def _cot_steps(registry):
     """One numbered step per entity plus the final fall-through step."""
     lines = ["Work through the query step by step, checking it against every "
@@ -83,7 +79,6 @@ def _cot_steps(registry):
     return "\n".join(lines)
 
 
-@functools.lru_cache(maxsize=16)
 def _icl_block(registry, max_per_entity):
     lines = ["Entity examples:"]
     for entity in registry:

@@ -14,9 +14,7 @@ import socketserver
 import sys
 import time
 
-from .classifier import (ThresholdChoice, apply_thresholds, load_classifier,
-                         predict_probs, set_thresholds)
-from .errors import ModelError
+from .classifier import apply_thresholds, load_classifier, predict_probs
 
 MAX_REQUEST_LINE = 64 * 1024
 _TOO_LONG = json.dumps(
@@ -24,27 +22,11 @@ _TOO_LONG = json.dumps(
 
 
 class ServeState:
-    """Loaded model plus a single shared encoder instance."""
+    """Loaded model, with the thresholds its ``tune`` stage stored, plus a
+    single shared encoder instance."""
 
-    def __init__(self, model_path, thresholds_path=None):
+    def __init__(self, model_path):
         self.model = load_classifier(model_path)
-        if thresholds_path:
-            with open(thresholds_path, encoding="utf-8") as fh:
-                try:
-                    payload = json.load(fh)
-                    registry_hash = payload.get("registry_hash")
-                    choices = {
-                        entity: ThresholdChoice(threshold=float(t),
-                                                achieved=float("nan"))
-                        for entity, t in payload["thresholds"].items()}
-                except (KeyError, AttributeError, TypeError, ValueError) as exc:
-                    raise ModelError(
-                        f"{thresholds_path} is not a JSON object with a "
-                        f"\"thresholds\" object of numbers: {exc}") from exc
-            if registry_hash != self.model.registry_hash:
-                raise ModelError(
-                    "thresholds file registry_hash does not match the model")
-            set_thresholds(self.model, choices)
         self.backend = self.model.backend()
 
     def respond(self, line):

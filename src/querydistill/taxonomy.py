@@ -2,12 +2,11 @@
 
 The registry fixes entity column order for every confidence matrix and every
 classifier output vector in a run; artifacts embed ``registry_hash`` so that
-misaligned columns are caught at load time instead of producing silent junk.
+a file's columns can be matched to the registry that produced them.
 """
 
 import hashlib
-import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from importlib import resources
 
 from .data import read_jsonl
@@ -26,6 +25,9 @@ class EntityDef:
     def __post_init__(self):
         if not self.id or any(ch.isspace() for ch in self.id):
             raise RegistryError(f"entity id must be non-empty, no whitespace: {self.id!r}")
+        # "|" ends the id in a response line and "," splits a matrix header.
+        if "|" in self.id or "," in self.id:
+            raise RegistryError(f"entity id must not contain '|' or ',': {self.id!r}")
         if self.id == NONE_LABEL:
             raise RegistryError(f"entity id {NONE_LABEL!r} is reserved")
         if not self.definition.strip():
@@ -39,7 +41,6 @@ class EntityRegistry:
     _index: dict = field(default_factory=dict, repr=False, compare=False)
     _ids: tuple = field(init=False, repr=False, compare=False)
     _hash: str = field(init=False, repr=False, compare=False)
-    _digest: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.entities:
@@ -54,20 +55,6 @@ class EntityRegistry:
         object.__setattr__(self, "_ids", ids)
         object.__setattr__(self, "_hash", hashlib.sha256(
             "\n".join(ids).encode("utf-8")).hexdigest())
-        content = [[getattr(e, f.name) for f in fields(e)] for e in self.entities]
-        object.__setattr__(self, "_digest", hashlib.sha256(
-            json.dumps(content).encode("utf-8")).hexdigest())
-
-    # Equality and hashing use a digest of every field of every entity, so
-    # the registry-keyed caches in prompting compare two strings, not the
-    # entities one by one, when a run loads an equal registry anew.
-    def __eq__(self, other):
-        if not isinstance(other, EntityRegistry):
-            return NotImplemented
-        return self._digest == other._digest
-
-    def __hash__(self):
-        return hash(self._digest)
 
     def __len__(self):
         return len(self.entities)
@@ -88,9 +75,6 @@ class EntityRegistry:
             return self._index[entity_id]
         except KeyError:
             raise UnknownLabelError(entity_id) from None
-
-    def get(self, entity_id):
-        return self.entities[self.column(entity_id)]
 
     @property
     def hash(self):

@@ -360,12 +360,6 @@ class TestPredict:
         assert gold_mask.any() and (~gold_mask).any()
         assert probs[gold_mask].min() > probs[~gold_mask].max()
 
-    def test_registry_hash_guard(self, tiny_registry):
-        model = random_model()
-        backend = HashedNgramEmbedder(dim=16, seed=0)
-        with pytest.raises(ModelError):
-            predict_probs(model, "q", backend=backend, registry=tiny_registry)
-
     def test_monotone_in_output_bias(self):
         rng = np.random.default_rng(14)
         model = random_model(D=16, m=8, E=3, seed=7)

@@ -1,4 +1,5 @@
 import io
+import json
 import random
 
 import pytest
@@ -105,7 +106,7 @@ class TestSplit:
             a = rng.uniform(0.1, 0.8)
             b = rng.uniform(0.05, min(0.9 - a, 0.5))
             split = split_dataset(records, (a, b, 1.0 - a - b), seed=trial)
-            ids = [r.id for r in split.all_records()]
+            ids = [r.id for r in split.train + split.dev + split.test]
             assert len(ids) == n
             assert len(set(ids)) == n
             assert set(ids) == {r.id for r in records}
@@ -119,15 +120,16 @@ def test_normalize_query():
 
 
 def test_split_manifest_round_trip(tmp_path):
-    from querydistill.data import (read_split_manifest, split_dataset,
-                                   write_split_manifest)
+    from querydistill.data import split_dataset, write_split_manifest
     records = [QueryRecord(id=f"{i:03d}", text=f"query {i}", frequency=1)
                for i in range(20)]
     split = split_dataset(records, (0.7, 0.1, 0.2), seed=5)
     path = tmp_path / "split.jsonl"
     write_split_manifest(path, split)
-    seed, assignment = read_split_manifest(path)
-    assert seed == 5
+    with open(path, encoding="utf-8") as fh:
+        header, *rows = [json.loads(line) for line in fh]
+    assert header == {"seed": 5}
+    assignment = {row["id"]: row["part"] for row in rows}
     for part in ("train", "dev", "test"):
         for record in split.parts[part]:
             assert assignment[record.id] == part

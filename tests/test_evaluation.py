@@ -77,8 +77,8 @@ class TestComputeMetrics:
         unweighted = compute_metrics(gold, pred, weighted=False)
         for entity in weighted.per_entity:
             for name in ("precision", "recall", "f1"):
-                assert weighted.metric(entity, name) == \
-                    unweighted.metric(entity, name)
+                assert getattr(weighted.per_entity[entity], name) == \
+                    getattr(unweighted.per_entity[entity], name)
         assert weighted.micro.tp == 4 * unweighted.micro.tp
 
     def test_micro_pools_per_entity_counts(self):

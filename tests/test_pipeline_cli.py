@@ -908,24 +908,56 @@ class TestCli:
         ("gazetteer_path", '{"entity": "Bogus", "phrases": ["comedy"]}',
          "unknown entity label: 'Bogus'"),
         ("gold_path", '{"id": "q-extra", "entities": {"Bogus": "High"}}',
-         "unknown entity label: 'Bogus'")],
+         "unknown entity label: 'Bogus'"),
+        ("registry_path", '{"id": "Genre|Kind", "definition": "d"}',
+         "entity id must not contain '|' or ',': 'Genre|Kind'"),
+        ("registry_path", '{"id": "Genre,Kind", "definition": "d"}',
+         "entity id must not contain '|' or ',': 'Genre,Kind'"),
+        ("annotator", {"persona_bias": "x"},
+         "persona_bias must be an object, got 'x'"),
+        ("annotator", {"ambiguous": "x"},
+         "ambiguous must be an object, got 'x'"),
+        ("annotator", {"seed": "abc"}, "seed must be an integer, got 'abc'"),
+        ("annotator", {"seed": -3}, "seed must be >= 0, got -3"),
+        ("annotator", {"noise_rate": "0.1"},
+         "noise_rate must be a finite number, got '0.1'"),
+        ("annotator", {"persona_bias": {"enthusiast": {"add": {"Sport": "Hgh"}}}},
+         "persona_bias 'enthusiast' add: not a confidence level: 'Hgh'"),
+        ("annotator", {"persona_bias": {"skeptic": {"remove": "Holiday"}}},
+         "persona_bias 'skeptic' remove must be a list, got 'Holiday'"),
+        ("annotator", {"persona_bias": {"skeptic": {"add": {"Bogus": "High"}}}},
+         "annotator persona_bias 'skeptic' add: unknown entity label: 'Bogus'"),
+        ("annotator", {"ambiguous": {"comedy": "Bogus"}},
+         "annotator ambiguous 'comedy': unknown entity label: 'Bogus'")],
         ids=["teacher-gazetteer", "gold", "teacher-gazetteer-entity",
-             "baseline-gazetteer-entity", "gold-entity"])
+             "baseline-gazetteer-entity", "gold-entity", "registry-bar-id",
+             "registry-comma-id", "mock-persona-bias", "mock-ambiguous",
+             "mock-seed-string", "mock-seed-negative", "mock-noise-string",
+             "mock-add-level", "mock-remove-string", "mock-add-entity",
+             "mock-ambiguous-entity"])
     def test_bad_input_leaves_no_output_dir(self, tmp_path, capsys, field,
                                             line, message):
-        # The teacher gazetteer and the gold are read with the other inputs,
-        # before the output directory exists and before any annotator call.
+        # Every input is read and checked before the output directory exists
+        # and before any annotator call. A dict ``line`` updates the mock's
+        # config section; any other is appended to the input file ``field``.
         config_path = build_workspace(tmp_path, count=60)
         config = load_run_config(config_path)
-        path = (config.annotator["gazetteer"] if field == "annotator.gazetteer"
-                else getattr(config, field))
-        with open(path, "a") as fh:
-            fh.write(line + "\n")
-        with open(path) as fh:
-            number = len(fh.readlines())
+        if field == "annotator":
+            with open(config_path) as fh:
+                raw = json.load(fh)
+            raw["annotator"].update(line)
+            with open(config_path, "w") as fh:
+                json.dump(raw, fh)
+            where = ""
+        else:
+            path = (config.annotator["gazetteer"]
+                    if field == "annotator.gazetteer" else getattr(config, field))
+            with open(path, "a") as fh:
+                fh.write(line + "\n")
+            with open(path) as fh:
+                where = f"{path} line {len(fh.readlines())}: "
         assert cli.main(["pipeline", "-c", config_path]) == 2
-        assert capsys.readouterr().err.startswith(
-            f"error: {path} line {number}: {message}")
+        assert capsys.readouterr().err.startswith(f"error: {where}{message}")
         assert not (tmp_path / "out").exists()
         assert not (tmp_path / "cache").exists()
 
@@ -1013,38 +1045,16 @@ class TestServe:
         assert len(responses) == 1000
         assert all(json.loads(r).get("labels") is not None for r in responses)
 
-    def test_thresholds_file_hash_check(self, served_model, tmp_path):
-        path, registry = served_model
-        good = {"registry_hash": registry.hash,
-                "thresholds": {"Genre": 0.9}}
+    def test_thresholds_flag_refused(self, served_model, tmp_path, capsys):
+        # The model file carries the tuned thresholds; there is no other
+        # thresholds file to serve with.
         thresholds_path = tmp_path / "thresholds.json"
-        thresholds_path.write_text(json.dumps(good))
-        state = ServeState(path, thresholds_path=str(thresholds_path))
-        genre_col = state.model.entity_ids.index("Genre")
-        assert state.model.thresholds[genre_col] == pytest.approx(0.9)
-
-        bad = {"registry_hash": "different", "thresholds": {}}
-        thresholds_path.write_text(json.dumps(bad))
-        from querydistill.errors import ModelError
-        with pytest.raises(ModelError):
-            ServeState(path, thresholds_path=str(thresholds_path))
-
-    def test_thresholds_file_bad_values_rejected(self, served_model, tmp_path):
-        from querydistill.errors import ModelError
-        path, registry = served_model
-        thresholds_path = tmp_path / "thresholds.json"
-        for thresholds in ({"Genre": float("nan"), "Nope": 0.2},
-                           {"Genre": float("nan")}, {"Nope": 0.2},
-                           {"Genre": "high"}, [0.2]):
-            thresholds_path.write_text(json.dumps(
-                {"registry_hash": registry.hash, "thresholds": thresholds}))
-            with pytest.raises(ModelError):
-                ServeState(path, thresholds_path=str(thresholds_path))
-        for text in (json.dumps({"registry_hash": registry.hash}), "[0.2]",
-                     '{"registry_hash": "'):
-            thresholds_path.write_text(text)
-            with pytest.raises(ModelError):
-                ServeState(path, thresholds_path=str(thresholds_path))
+        thresholds_path.write_text("{}")
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["serve", "--model", served_model[0],
+                      "--thresholds", str(thresholds_path)])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --thresholds" in capsys.readouterr().err
 
     def test_malformed_model_file_is_an_error_not_a_traceback(
             self, served_model, tmp_path, capsys):
@@ -1271,10 +1281,11 @@ class TestConfigSurfaces:
         mock = annotator_config(config, registry)
         assert mock.gazetteer == synth_gazetteer()
         first, second = build_annotator(mock), build_annotator(mock)
-        assert first.kind == "mock" and first is not second
+        assert isinstance(first.config, llm_client.MockConfig) and first is not second
         assert first.stats is not second.stats
         config.annotator = {"kind": "http", "url": "http://x/y", "model": "m"}
-        assert build_annotator(annotator_config(config, registry)).kind == "http"
+        assert isinstance(build_annotator(annotator_config(config, registry))
+                          .config, llm_client.HttpEndpointConfig)
         config.annotator = {"kind": "carrier-pigeon"}
         with pytest.raises(PipelineConfigError,
                            match="unknown annotator kind: 'carrier-pigeon'"):

@@ -87,9 +87,9 @@ class TestBuildPrompt:
 
     def test_registries_with_same_ids_get_their_own_sections(self,
                                                               tiny_registry):
-        # The registry-derived sections are cached by registry: registries
-        # that share ids (and so a hash) but not definitions or examples
-        # must not share them, and equal registries render equal prompts.
+        # Registries that share ids (and so a hash) but not definitions or
+        # examples get their own sections, and equal registries render
+        # equal prompts.
         genre = tiny_registry.entities[0]
         other = EntityRegistry(entities=(
             replace(genre, definition="a different genre text",

