@@ -4,7 +4,8 @@ Generates a synthetic workspace, runs ingest -> split -> persona-fan-out
 annotate -> matrices -> router -> aggregate -> weak labels -> train ->
 tune -> eval through one RunConfig, prints the manifest, re-runs to show
 the response cache makes replays free, and finally serves the trained
-classifier over the line protocol with a small latency benchmark.
+classifier over the line protocol with a small latency benchmark, for
+new queries and for repeats that the response memo answers.
 """
 
 import json
@@ -101,11 +102,14 @@ print("\nserving examples:")
 for query in ("comedy movies", "watch football tonight", "zz totally unknown"):
     print(f"  {query!r} -> {state.respond(query)}")
 
-latencies = []
-for i in range(1000):
-    response = json.loads(state.respond(f"comedy number {i}"))
-    latencies.append(response["latency_us"])
-latencies.sort()
-print(f"\nlatency over 1000 requests: p50={latencies[500]}us "
-      f"p99={latencies[989]}us (built-in encoder)")
+# A repeat of a normalized query is answered from the response memo.
+print(f"  {'Comedy   MOVIES'!r} -> {state.respond('Comedy   MOVIES')}")
+
+print()
+for label, queries in (("new", [f"comedy number {i}" for i in range(1000)]),
+                       ("repeated", ["comedy movies"] * 1000)):
+    latencies = sorted(json.loads(state.respond(q))["latency_us"]
+                       for q in queries)
+    print(f"latency over 1000 {label} queries: p50={latencies[500]}us "
+          f"p99={latencies[989]}us (built-in encoder)")
 workspace.cleanup()

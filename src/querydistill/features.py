@@ -23,7 +23,9 @@ row and one float32 classifier row per unique query.
 Both hashed paths digest a query window by window (``_windows``) and keep
 each window's joined digests in a ``_WindowMemo``: the embedder's memo is
 bounded and lives as long as the embedder, a batch call's memo spans all
-of that call's blocks and ends with the call.
+of that call's blocks and ends with the call. ``BoundedMemo`` is the
+keep/clear-at-limit policy of the embedder's memo, which the server's
+response memo shares.
 """
 
 import functools
@@ -87,21 +89,43 @@ def _window_ngrams(window, head):
             for start in range(min(head, len(window) - size + 1))]
 
 
-class _WindowMemo:
-    """Each window's n-gram digests, from ``digest(ngram)``, joined in one
-    bytes object and kept by window string.
+class BoundedMemo:
+    """A dict whose entries each count a cost, kept within ``limit``.
 
-    The memo is cleared whenever keeping a window would take its size past
-    ``limit`` (see ``BUCKET_CACHE_LIMIT``); the lock keeps the size equal
-    to the sum over the kept windows when server threads share the memo.
+    It is cleared whenever keeping an entry would take its size past
+    ``limit``, and an entry costing more than ``limit`` is not kept (its
+    caller still uses the value). Reads are plain ``entries.get`` calls;
+    the lock keeps the size equal to the sum over the kept entries when
+    server threads share the memo.
     """
 
-    def __init__(self, digest, limit):
-        self._digest = digest
-        self._limit = limit
+    def __init__(self, limit):
+        self.limit = limit
         self._lock = threading.Lock()
-        self.windows = {}
+        self.entries = {}
         self.size = 0
+
+    def keep(self, key, value, cost):
+        if cost > self.limit:
+            return
+        with self._lock:
+            if key in self.entries:
+                return
+            if self.size + cost > self.limit:
+                self.entries.clear()
+                self.size = 0
+            self.entries[key] = value
+            self.size += cost
+
+
+class _WindowMemo(BoundedMemo):
+    """Each window's n-gram digests, from ``digest(ngram)``, joined in one
+    bytes object and kept by window string, within ``limit`` (see
+    ``BUCKET_CACHE_LIMIT``)."""
+
+    def __init__(self, digest, limit):
+        super().__init__(limit)
+        self._digest = digest
 
     @staticmethod
     def cost(digests):
@@ -111,31 +135,18 @@ class _WindowMemo:
         """The joined digests of each of the text's windows, in order."""
         parts = []
         for window, head in _windows(text):
-            digests = self.windows.get(window)
+            digests = self.entries.get(window)
             if digests is None:
                 ngrams = _window_ngrams(window, head)
                 digest = self._digest
-                if len(ngrams) + WINDOW_KEY_CHARGE > self._limit:
+                if len(ngrams) + WINDOW_KEY_CHARGE > self.limit:
                     # Too big to keep: digest each distinct n-gram once.
                     distinct = dict.fromkeys(ngrams)
                     digest = dict(zip(distinct, map(digest, distinct))).__getitem__
                 digests = b"".join(map(digest, ngrams))
-                self._keep(window, digests)
+                self.keep(window, digests, self.cost(digests))
             parts.append(digests)
         return parts
-
-    def _keep(self, window, digests):
-        cost = self.cost(digests)
-        if cost > self._limit:
-            return
-        with self._lock:
-            if window in self.windows:
-                return
-            if self.size + cost > self._limit:
-                self.windows.clear()
-                self.size = 0
-            self.windows[window] = digests
-            self.size += cost
 
 
 def _unit_rows(values, rows, n, dim):

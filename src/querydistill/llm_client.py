@@ -64,8 +64,9 @@ class MockConfig:
     """Deterministic fake annotator.
 
     ``persona_bias`` maps persona id -> {"add": {entity: level}, "remove":
-    [entity, ...]}; ``_bias`` holds it parsed, as persona id -> ((entity,
-    Confidence) adds in entity order, removals). ``ambiguous`` maps a
+    [entity, ...]} and refuses any other key; ``_bias`` holds it parsed,
+    as persona id -> ((entity, Confidence) adds in entity order,
+    removals). ``ambiguous`` maps a
     gazetteer phrase, normalized here, to the wrong entity (or None, for
     none) the mock emits when the prompt lacks ICL examples.
     """
@@ -88,8 +89,10 @@ class MockConfig:
         object.__setattr__(self, "_bias", {})
         for persona, spec in self.persona_bias.items():
             where = f"persona_bias {persona!r}"
-            add = _checked(_checked(spec, dict, where).get("add", {}), dict,
-                           f"{where} add")
+            for key in _checked(spec, dict, where):
+                if key not in ("add", "remove"):
+                    raise AnnotatorConfigError(f"{where}: unknown key: {key!r}")
+            add = _checked(spec.get("add", {}), dict, f"{where} add")
             try:
                 adds = tuple((entity, Confidence.from_label(level)
                               if isinstance(level, str) else Confidence(level))

@@ -318,6 +318,14 @@ class _Run:
             raise PipelineConfigError(
                 f"k must be in [1, {len(self.personas)}], got {config.persona_k}")
         self.annotator = annotator_config(config, self.registry)
+        if self.personas is not None \
+                and isinstance(self.annotator, MockConfig):
+            ids = {persona.id for persona in self.personas}
+            for persona in self.annotator.persona_bias:
+                if persona not in ids:
+                    raise PipelineConfigError(
+                        f"annotator persona_bias {persona!r}: unknown persona "
+                        f"id, not in {config.personas_path}")
         self.records = data_mod.read_queries(config.queries_path)
         self.lexicon = (baseline_mod.load_gazetteer(config.gazetteer_path,
                                                     self.registry)

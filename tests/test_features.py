@@ -73,7 +73,7 @@ class TestHashedNgramEmbedder:
         # counts plus key charges) stays within the limit. TestWindowMemo
         # checks the memo in bytes.
         assert_memo_consistent(embedder)
-        assert len(embedder._memo.windows) < len(texts)  # it was cleared
+        assert len(embedder._memo.entries) < len(texts)  # it was cleared
         fresh = HashedNgramEmbedder(dim=64, seed=0)
         for text, vec in zip(texts, vectors):
             assert np.array_equal(vec, fresh.embed(text))
@@ -92,7 +92,7 @@ class TestHashedNgramEmbedder:
 def assert_memo_consistent(embedder):
     """The memo's size is the sum of its windows' costs, within the limit."""
     memo = embedder._memo
-    assert memo.size == sum(map(memo.cost, memo.windows.values()))
+    assert memo.size == sum(map(memo.cost, memo.entries.values()))
     assert memo.size <= features.BUCKET_CACHE_LIMIT
 
 
@@ -148,7 +148,7 @@ class TestWindowMemo:
     @staticmethod
     def measured_embedder(dim, seed):
         embedder = HashedNgramEmbedder(dim=dim, seed=seed)
-        embedder._memo.windows = MeasuredWindows()
+        embedder._memo.entries = MeasuredWindows()
         return embedder
 
     def test_one_character_tokens(self, former_bytes):
@@ -161,7 +161,7 @@ class TestWindowMemo:
         embedder = self.measured_embedder(64, 0)
         for text in texts:
             embedder.embed(text)
-        assert embedder._memo.windows.measure() <= former_bytes
+        assert embedder._memo.entries.measure() <= former_bytes
         assert_memo_consistent(embedder)
         for text in texts[-50:]:
             assert embedder.embed(text).tobytes() == oracles.hashed_ngram_embed(
@@ -172,8 +172,8 @@ class TestWindowMemo:
             np.array(list("abcdefghijklmnopqrstuvwxyz")), size=60000))
         embedder = self.measured_embedder(256, 7)
         vector = embedder.embed(text)
-        assert embedder._memo.windows.measure() <= former_bytes
-        assert embedder._memo.windows == {} and embedder._memo.size == 0
+        assert embedder._memo.entries.measure() <= former_bytes
+        assert embedder._memo.entries == {} and embedder._memo.size == 0
         assert vector.tobytes() == oracles.hashed_ngram_embed(
             text, 256, 7).tobytes()
 
@@ -217,7 +217,7 @@ class TestWindowMemo:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
-        assert embedder._memo.windows.measure() <= former_bytes
+        assert embedder._memo.entries.measure() <= former_bytes
         assert_memo_consistent(embedder)
         for text in texts[::100]:
             assert embedder.embed(text).tobytes() == oracles.hashed_ngram_embed(

@@ -2,22 +2,26 @@ import importlib.util
 import json
 import math
 import os
+import random
 import re
 import shutil
 import socket
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import oracles
-from querydistill import cli, llm_client, prompting
+from querydistill import cli, llm_client, prompting, serving
 from querydistill.annotations import Confidence, read_annotation_store
 from querydistill.baseline import lexical_match, load_gazetteer
 from querydistill.classifier import (ClassifierTrainConfig, apply_thresholds,
                                      labeled_queries, load_classifier,
-                                     predict_probs_batch, save_classifier,
-                                     train_classifier)
-from querydistill.data import read_queries, split_dataset
+                                     predict_probs, predict_probs_batch,
+                                     save_classifier, train_classifier)
+from querydistill.data import normalize_query, read_queries, split_dataset
 from querydistill.errors import PipelineConfigError
 from querydistill.evaluation import compute_metrics, report_records
 from querydistill.features import HashedNgramEmbedder
@@ -928,13 +932,17 @@ class TestCli:
         ("annotator", {"persona_bias": {"skeptic": {"add": {"Bogus": "High"}}}},
          "annotator persona_bias 'skeptic' add: unknown entity label: 'Bogus'"),
         ("annotator", {"ambiguous": {"comedy": "Bogus"}},
-         "annotator ambiguous 'comedy': unknown entity label: 'Bogus'")],
+         "annotator ambiguous 'comedy': unknown entity label: 'Bogus'"),
+        ("annotator", {"persona_bias": {"skeptic": {"remov": ["Holiday"]}}},
+         "persona_bias 'skeptic': unknown key: 'remov'"),
+        ("annotator", {"persona_bias": {"skeptik": {"remove": ["Holiday"]}}},
+         "annotator persona_bias 'skeptik': unknown persona id, not in ")],
         ids=["teacher-gazetteer", "gold", "teacher-gazetteer-entity",
              "baseline-gazetteer-entity", "gold-entity", "registry-bar-id",
              "registry-comma-id", "mock-persona-bias", "mock-ambiguous",
              "mock-seed-string", "mock-seed-negative", "mock-noise-string",
              "mock-add-level", "mock-remove-string", "mock-add-entity",
-             "mock-ambiguous-entity"])
+             "mock-ambiguous-entity", "mock-bias-key", "mock-bias-persona"])
     def test_bad_input_leaves_no_output_dir(self, tmp_path, capsys, field,
                                             line, message):
         # Every input is read and checked before the output directory exists
@@ -1024,6 +1032,47 @@ def served_model(tmp_path_factory):
     path = tmp / "classifier.json"
     save_classifier(path, model)
     return str(path), registry
+
+
+def fresh_response(model, line):
+    """``respond(line)`` computed from the model alone, as it was before the
+    response memo, with ``latency_us`` 0."""
+    query = line.strip()
+    if not query:
+        return json.dumps({"error": "empty query"})
+    probs = predict_probs(model, query)
+    selected = apply_thresholds(model, probs)
+    labels = sorted(({"entity": entity, "prob": float(prob)}
+                     for entity, prob in zip(model.entity_ids, probs)
+                     if entity in selected), key=lambda item: -item["prob"])
+    return json.dumps({"labels": labels, "latency_us": 0})
+
+
+def without_latency(response):
+    return re.sub(r'"latency_us": \d+}$', '"latency_us": 0}', response)
+
+
+def memo_requests():
+    """Queries of the served model's domain, each also upper-cased and
+    re-spaced, in a seeded order in which every one repeats."""
+    records, _ = synth_queries(synth_gazetteer(
+        entities=["Genre", "Sport", "Holiday", "AudioLanguage"]), 80, seed=9)
+    lines = [variant for r in records for variant in
+             (r.text, r.text.upper(), "  " + r.text.replace(" ", " \t ") + "\n")]
+    lines = lines * 3 + ["", "  \t"]
+    random.Random(5).shuffle(lines)
+    return lines
+
+
+def memo_cost(query, labels):
+    return sys.getsizeof(query) + sys.getsizeof(labels) + serving._MEMO_SLOT_BYTES
+
+
+def assert_response_memo_consistent(state):
+    """The memo's size is the sum of its entries' costs, within the limit."""
+    memo = state.memo
+    assert memo.size == sum(memo_cost(*item) for item in memo.entries.items())
+    assert memo.size <= memo.limit == serving.RESPONSE_MEMO_LIMIT
 
 
 class TestServe:
@@ -1257,6 +1306,124 @@ class TestServe:
         assert "error" in lines[0]
         assert "labels" in lines[1]
         assert "Genre" in {l["entity"] for l in lines[2]["labels"]}
+
+    @pytest.mark.parametrize("limit", [None, 2048], ids=["default", "small"])
+    def test_memo_answers_as_computed(self, served_model, monkeypatch, limit):
+        # Repeats, case and whitespace variants and blank lines; a limit of
+        # 2 KiB keeps about ten entries, so the memo is cleared many times.
+        if limit is not None:
+            monkeypatch.setattr(serving, "RESPONSE_MEMO_LIMIT", limit)
+        state = ServeState(served_model[0])
+        lines = memo_requests()
+        distinct = {normalize_query(line) for line in lines} - {""}
+        for line in lines:
+            assert without_latency(state.respond(line)) == fresh_response(
+                state.model, line)
+            assert_response_memo_consistent(state)
+        assert 0 < len(state.memo.entries) <= len(distinct)
+        if limit is None:
+            assert set(state.memo.entries) == distinct
+        else:
+            assert len(state.memo.entries) < len(distinct) / 4
+
+    def test_memo_bytes_within_its_accounted_size(self, served_model,
+                                                  monkeypatch):
+        # What tracemalloc counts for copies of the kept strings is no more
+        # than the accounted size, so the limit bounds the memo in bytes.
+        monkeypatch.setattr(serving, "RESPONSE_MEMO_LIMIT", 64 * 1024)
+        state = ServeState(served_model[0])
+        for i in range(600):
+            state.respond(f"comedy film {i} " + "中" * (i % 3))
+        assert_response_memo_consistent(state)
+        assert state.memo.size > 48 * 1024  # near full
+        kept = []
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            kept.append({query.encode().decode(): labels.encode().decode()
+                         for query, labels in state.memo.entries.items()})
+            copied = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert copied <= state.memo.size
+
+    def test_memo_answers_an_over_limit_entry_without_keeping_it(
+            self, served_model, monkeypatch):
+        monkeypatch.setattr(serving, "RESPONSE_MEMO_LIMIT", 400)
+        state = ServeState(served_model[0])
+        state.respond("comedy movies")
+        kept = dict(state.memo.entries)
+        assert list(kept) == ["comedy movies"]
+        line = "comedy movies " * 20
+        assert memo_cost(normalize_query(line), "[]") > 400
+        for _ in range(2):
+            assert without_latency(state.respond(line)) == fresh_response(
+                state.model, line)
+            assert state.memo.entries == kept
+            assert_response_memo_consistent(state)
+
+    def test_memo_never_keeps_an_error(self, served_model, monkeypatch):
+        state = ServeState(served_model[0])
+        assert json.loads(state.respond(" \t ")) == {"error": "empty query"}
+
+        def fail(*args, **kwargs):
+            raise ValueError("heads unavailable")
+
+        monkeypatch.setattr(serving, "predict_probs", fail)
+        for _ in range(2):
+            assert json.loads(state.respond("comedy movies")) == {
+                "error": "heads unavailable"}
+        assert state.memo.entries == {} and state.memo.size == 0
+        monkeypatch.undo()
+        assert without_latency(state.respond("comedy movies")) == \
+            fresh_response(state.model, "comedy movies")
+        assert list(state.memo.entries) == ["comedy movies"]
+
+    def test_tcp_clients_share_the_memo(self, served_model, monkeypatch):
+        # Four clients send the same requests in different orders at once;
+        # a 4 KiB limit makes them clear the shared memo as they go.
+        monkeypatch.setattr(serving, "RESPONSE_MEMO_LIMIT", 4096)
+        state = ServeState(served_model[0])
+        lines = [line.strip() or "?" for line in memo_requests()]
+        expected = {line: fresh_response(state.model, line) for line in lines}
+        server = serve_tcp(state, port=0)
+        server_thread = threading.Thread(target=server.serve_forever,
+                                         daemon=True)
+        server_thread.start()
+        results, errors = {}, []
+
+        def client(seed):
+            order = lines[:]
+            random.Random(seed).shuffle(order)
+            try:
+                with socket.create_connection(server.server_address,
+                                              timeout=30) as conn, \
+                        conn.makefile("rb") as reader:
+                    for line in order:
+                        conn.sendall(line.encode("utf-8") + b"\n")
+                        reply = reader.readline().decode("utf-8").rstrip("\n")
+                        results[seed, line] = without_latency(reply)
+            except Exception as exc:  # reported below
+                errors.append(exc)
+
+        clients = [threading.Thread(target=client, args=(seed,))
+                   for seed in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in clients:
+                thread.start()
+            for thread in clients:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+            server.shutdown()
+            server.server_close()
+        assert not any(thread.is_alive() for thread in clients)
+        assert errors == []
+        assert results == {(seed, line): expected[line]
+                           for seed in range(4) for line in lines}
+        assert_response_memo_consistent(state)
 
 
 class TestConfigSurfaces:
