@@ -12,7 +12,11 @@ The encoder is ``features.HashedNgramEmbedder``: it embeds any query,
 seen in training or not, so the same model scores queries in real time.
 Training, threshold tuning and batch prediction take its ``(n, dim)``
 feature rows, as the router does, so a pipeline run encodes each query
-once; ``predict_probs`` embeds one query with the model's encoder, or the
+once. Training and batch prediction take a ``rows`` index into the run's
+whole matrix, and batch prediction (which the per-epoch dev checkpoint and
+threshold tuning call) scores ``features.row_blocks`` at a time, so no
+scoring pass holds the hidden layers of more than one block;
+``predict_probs`` embeds one query with the model's encoder, or the
 long-lived one a server passes. A model file naming another encoder kind
 is refused at load time.
 
@@ -34,7 +38,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .errors import EmptyDatasetError, ModelError
-from .features import encoder_from_descriptor
+from .features import encoder_from_descriptor, row_blocks
 from .optim import (COUNT, TrainConfig, check_weights, fan_in_uniform,
                     load_weights, minibatch_epochs, save_weights)
 from .personas import annotation_levels
@@ -236,7 +240,7 @@ def train_classifier(X, Y, X_dev, Y_dev, config, registry, encoder,
         if X_dev is None:
             history.append((epoch, float(np.mean(epoch_losses)), float("nan")))
             continue
-        dev_f1 = _micro_f1_at_half(_sigmoid(heads_forward(model, X_dev)[0]), Y_dev)
+        dev_f1 = _micro_f1_at_half(predict_probs_batch(model, X_dev), Y_dev)
         history.append((epoch, float(np.mean(epoch_losses)), dev_f1))
         if dev_f1 > best_f1:
             best_f1 = dev_f1
@@ -266,9 +270,24 @@ def predict_probs(model, text, backend=None):
     return _sigmoid(logits[0])
 
 
-def predict_probs_batch(model, X):
-    """Per-entity probabilities for a feature batch: (B, D) -> (B, E)."""
-    return _sigmoid(heads_forward(model, X)[0])
+def predict_probs_batch(model, X, rows=None):
+    """Per-entity probabilities of ``rows`` of the features ``X`` (n, D)
+    (every row when None): an (n, E) array in the weights' dtype.
+
+    The rows are scored ``features.row_blocks`` at a time, each block
+    gathered and cast to the weights' dtype, so beyond the output only one
+    block's hidden layers are held; every row's probabilities are the bits
+    one ``heads_forward`` over all the rows gives.
+    """
+    if rows is not None:
+        rows = np.asarray(rows, np.intp)
+    n = len(X) if rows is None else len(rows)
+    probs = np.empty((n, len(model.entity_ids)),
+                     np.result_type(*model.params().values()))
+    for block in row_blocks(n):
+        picked = X[block] if rows is None else X[rows[block]]
+        probs[block] = _sigmoid(heads_forward(model, picked)[0])
+    return probs
 
 
 def apply_thresholds(model, probs):

@@ -150,23 +150,14 @@ def check_ratios(ratios, error=DataError):
         raise error(f"ratios must sum to 1, got {ratios}")
 
 
-def split_dataset(records, ratios, seed):
-    """Deterministic train/dev/test partition of records.
-
-    ``ratios`` is (train, dev, test), positive, summing to 1 within 1e-9.
-    Records are shuffled by a seeded permutation of ids and sliced; sizes
-    follow the largest-remainder rule, so each part is within one record of
-    its exact fraction.
-    """
+def split_sizes(n, ratios):
+    """The (train, dev, test) part sizes of ``n`` records split by
+    ``ratios`` (see ``check_ratios``), by the largest-remainder rule, so
+    each part is within one record of its exact fraction; a part may be
+    empty. DataError for fewer than 3 records."""
     check_ratios(ratios)
-    if len(records) < 3:
-        raise DataError(f"need at least 3 records to split, got {len(records)}")
-
-    ordered = sorted(records, key=lambda r: r.id)
-    rng = random.Random(seed)
-    rng.shuffle(ordered)
-
-    n = len(ordered)
+    if n < 3:
+        raise DataError(f"need at least 3 records to split, got {n}")
     exact = [n * r for r in ratios]
     sizes = [int(x) for x in exact]
     remainders = [x - s for x, s in zip(exact, sizes)]
@@ -174,6 +165,20 @@ def split_dataset(records, ratios, seed):
         best = max(range(3), key=lambda i: (remainders[i], -i))
         sizes[best] += 1
         remainders[best] = -1.0
+    return sizes
+
+
+def split_dataset(records, ratios, seed):
+    """Deterministic train/dev/test partition of records.
+
+    ``ratios`` is (train, dev, test), positive, summing to 1 within 1e-9.
+    Records are shuffled by a seeded permutation of ids and sliced into
+    parts of ``split_sizes``.
+    """
+    sizes = split_sizes(len(records), ratios)
+    ordered = sorted(records, key=lambda r: r.id)
+    rng = random.Random(seed)
+    rng.shuffle(ordered)
 
     train = tuple(ordered[: sizes[0]])
     dev = tuple(ordered[sizes[0]: sizes[0] + sizes[1]])

@@ -15,10 +15,13 @@ for an ``(n, dim)`` matrix whose rows equal ``embed``'s;
 ``hashed_ngram_matrices`` builds the matrices of several hashed dims of one
 seed from one n-gram pass, so a pipeline run extracts each text's n-grams
 once for both of its networks, which then take rows of those matrices.
-It encodes ``BLOCK_ROWS`` texts at a time straight into outputs allocated
+It encodes a block of texts at a time straight into outputs allocated
 once in each consumer's dtype, so beyond its outputs it holds one block's
-transients and the window memo: a pipeline run keeps one float64 router
-row and one float32 classifier row per unique query.
+transients and the window memo: a pipeline run keeps one float32
+classifier row per unique query and, in router mode until its aggregate
+stage, one float64 router row. ``row_blocks`` is the one block policy of
+every whole-corpus pass: this encode, the classifier's batch scoring and
+the router's selection, each bit for bit as one pass over every row.
 
 Both hashed paths digest a query window by window (``_windows``) and keep
 each window's joined digests in a ``_WindowMemo``: the embedder's memo is
@@ -49,10 +52,32 @@ _BOUNDARY_CLOSE = ">"
 # more than the limit is encoded but not kept.
 BUCKET_CACHE_LIMIT = 1 << 16
 WINDOW_KEY_CHARGE = 4
-# ``hashed_ngram_matrices`` encodes this many texts at a time, so its
-# float64 block matrices and per-n-gram arrays stay bounded however many
-# texts a run holds.
+# Every whole-corpus pass (``hashed_ngram_matrices``, the classifier's
+# batch scoring, the router's selection) takes at most this many rows at a
+# time (``row_blocks``), so its transients stay bounded however many
+# queries a run holds.
 BLOCK_ROWS = 256
+
+
+def row_blocks(n):
+    """Slices of ``range(n)``, in order, of at most ``BLOCK_ROWS`` rows:
+    whole blocks from row 0, then the rest, where a rest of one row
+    (``n > 1``) is taken with the block before it as ``BLOCK_ROWS // 2``
+    and ``BLOCK_ROWS // 2 + 1`` rows.
+
+    So a product over each block gives every row the bits that one product
+    over all ``n`` rows gives it. OpenBLAS takes rows in small groups
+    (4 in its Haswell kernels) and a short last group through other code:
+    here every block but the last ends on a multiple of ``BLOCK_ROWS //
+    2``, so a short group is where it is in the whole matrix, at its end.
+    And numpy sends a one-row product to the matrix-vector kernel, so no
+    block has one row unless ``n`` is 1.
+    """
+    starts = list(range(0, n, BLOCK_ROWS))
+    if n > 1 and n % BLOCK_ROWS == 1:
+        starts[-1] -= BLOCK_ROWS // 2
+    for start, stop in zip(starts, starts[1:] + [n]):
+        yield slice(start, stop)
 
 
 def _digest(ngram, key):
@@ -221,7 +246,7 @@ def hashed_ngram_matrices(texts, seed, dims, dtypes=None):
     ``dims``, from one pass: an n-gram's keyed digest depends on the seed
     only (the bucket is the digest modulo the dim, the sign its top bit), so
     each distinct window and each distinct n-gram is digested once, and
-    each dim costs one ``np.bincount`` per block of ``BLOCK_ROWS`` texts.
+    each dim costs one ``np.bincount`` per block of ``row_blocks``.
     Each row is computed in float64, bit-identical to ``embed``'s, and
     stored in its matrix's entry of ``dtypes`` (float64 by default)."""
     key = int(seed).to_bytes(8, "little")
@@ -229,18 +254,17 @@ def hashed_ngram_matrices(texts, seed, dims, dtypes=None):
     memo = _WindowMemo(_KnownDigests(key).__getitem__, float("inf"))
     matrices = [np.empty((len(texts), dim), dtype)
                 for dim, dtype in zip(dims, dtypes or [np.float64] * len(dims))]
-    for start in range(0, len(texts), BLOCK_ROWS):
-        block = texts[start:start + BLOCK_ROWS]
+    for rows in row_blocks(len(texts)):
+        block = texts[rows]
         parts, lengths = [], []
         for text in block:
             text_parts = memo.text_digests(text)
             parts += text_parts
             lengths.append(sum(map(len, text_parts)) // 8)
         values = np.frombuffer(b"".join(parts), dtype="<u8")
-        rows = np.repeat(np.arange(len(block)), lengths)
+        cells = np.repeat(np.arange(len(block)), lengths)
         for dim, matrix in zip(dims, matrices):
-            matrix[start:start + len(block)] = _unit_rows(
-                values, rows, len(block), dim)
+            matrix[rows] = _unit_rows(values, cells, len(block), dim)
     return matrices
 
 

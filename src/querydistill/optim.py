@@ -226,7 +226,8 @@ def save_weights(path, kind, model, **fields):
 def load_weights(path, kind, build):
     """``build(payload)`` of the JSON model file of ``kind`` at ``path``, with
     "weights" decoded to arrays; raises ModelError, naming ``path``, for a
-    file that is not a complete, well-formed model of that kind."""
+    file that cannot be read or is not a complete, well-formed model of
+    that kind."""
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -234,6 +235,9 @@ def load_weights(path, kind, build):
             payload["weights"] = {name: decode_array(name, entry) for name, entry
                                   in payload["weights"].items()}
             return build(payload)
+    except OSError as exc:
+        raise ModelError(f"{path}: cannot read {kind} model file: "
+                         f"{exc.strerror}") from None
     except ModelError as exc:
         raise ModelError(f"{path} is not a valid {kind} model file: "
                          f"{exc}") from exc

@@ -7,10 +7,11 @@ classifier training -> threshold tuning -> evaluation against the lexical
 baseline. Each stage is one function in a table that ``run_pipeline``
 walks in order, stopping after stage ``until``. Every input those stages
 use is read and checked once, before the output directory exists (``_Run``),
-so a bad input leaves no artifact and costs no call. Every produced file is
-listed in ``manifest.json`` with a sha256 digest. With personas, the
-aggregate stage also writes ``selections.jsonl``: each ingested query's
-chosen persona ids, in record order.
+so a bad input leaves no artifact and costs no call; so are the split's
+part sizes, which must not leave a part empty that such a stage needs.
+Every produced file is listed in ``manifest.json`` with a sha256 digest.
+With personas, the aggregate stage also writes ``selections.jsonl``: each
+ingested query's chosen persona ids, in record order.
 
 The teacher is held once: ``annotate_records``, which the annotate stage
 and each prompt-variant arm of the ablation call, gives an (N, P) index of
@@ -22,8 +23,15 @@ labels (the teacher at ``min_confidence``) and the gold are (N, E) boolean
 arrays in the same ingest order; the router, train, tune and eval stages
 index them by record row. The router and train stages pass the whole
 arrays with the split's train rows, and the trainers gather each
-minibatch, so no stage copies the train split. ``labels.jsonl`` lists the
-weak labels in query-id order.
+minibatch, so no stage copies the train split; the eval stage scores the
+test rows of the classifier's features in row blocks, without a copy.
+``labels.jsonl`` lists the weak labels in query-id order.
+
+One n-gram pass encodes the queries for the classifier (float32) and, in
+router mode only, for the router (float64). The router's matrix lives
+until the aggregate stage has chosen each query's personas, which it
+keeps as ``run.chosen``, (N, k) persona rows; a run stopped at ``router``,
+as the ablation's persona pass is, still holds it.
 
 Reruns are cheap: the annotate stage reads the response cache, so a
 completed pipeline re-executed with the same configuration performs zero
@@ -327,6 +335,7 @@ class _Run:
                         f"annotator persona_bias {persona!r}: unknown persona "
                         f"id, not in {config.personas_path}")
         self.records = data_mod.read_queries(config.queries_path)
+        self._check_split(until)
         self.lexicon = (baseline_mod.load_gazetteer(config.gazetteer_path,
                                                     self.registry)
                         if until == "eval" and config.gazetteer_path else None)
@@ -340,15 +349,37 @@ class _Run:
                       "annotator_failures": 0, "unparseable_responses": 0}
         self.artifacts = {}
 
+    def _check_split(self, until):
+        """PipelineConfigError for an empty split part that a stage through
+        ``until`` needs: train for the router and train stages, dev for
+        tune, test for eval."""
+        ran = STAGES[:STAGES.index(until) + 1]
+        if "split" not in ran:
+            return
+        config = self.config
+        sizes = data_mod.split_sizes(len(self.records), config.ratios)
+        users = {"train": "router" if config.persona_mode == "router"
+                 else "train", "dev": "tune", "test": "eval"}
+        for (part, stage), size in zip(users.items(), sizes):
+            if not size and stage in ran:
+                raise PipelineConfigError(
+                    f"ratios {list(config.ratios)} leave the {part} part of "
+                    f"the split of {len(self.records)} queries empty, and "
+                    f"the {stage} stage needs it")
+
     @functools.cached_property
     def features(self):
-        """The router's and the classifier's (N, dim) feature matrices of
-        the ingested texts, from one n-gram pass. The classifier's is kept
-        in its heads' float32, the router's in float64."""
-        return hashed_ngram_matrices(
-            [r.text for r in self.records], self.config.seed,
-            (self.config.embedding_dim, self.config.encoder_dim),
-            (np.float64, np.float32))
+        """The (N, dim) feature matrices of the ingested texts by network,
+        from one n-gram pass: "classifier" in its heads' float32 and, in
+        router mode only, "router" in float64. The aggregate stage drops
+        the router's, whose last reader it is."""
+        config = self.config
+        nets = {"classifier": (config.encoder_dim, np.float32)}
+        if config.persona_mode == "router":
+            nets["router"] = (config.embedding_dim, np.float64)
+        dims, dtypes = zip(*nets.values())
+        return dict(zip(nets, hashed_ngram_matrices(
+            [r.text for r in self.records], config.seed, dims, dtypes)))
 
     @functools.cached_property
     def _row_of(self):
@@ -432,7 +463,7 @@ def _router(run):
     if config.persona_mode != "router":
         return
     run.router_model, loss_history = router_mod.train_router(
-        run.features[0], run.levels, run.gold,
+        run.features["router"], run.levels, run.gold,
         tuple(p.id for p in run.personas), run.router_config, registry,
         rows=run.rows(run.split.train))
     run.router_model.embedding_provider = HashedNgramEmbedder(
@@ -446,7 +477,8 @@ def choose_personas(run, mode):
     k, a seeded sample, or None for "none"."""
     k = run.config.persona_k
     if mode == "router":
-        return router_mod.select_top_k(run.router_model, run.features[0], k)
+        return router_mod.select_top_k(run.router_model,
+                                       run.features["router"], k)
     if mode == "random":
         return personas_mod.sample_personas(
             [r.id for r in run.records], len(run.personas), k, run.config.seed)
@@ -454,11 +486,14 @@ def choose_personas(run, mode):
 
 
 def _aggregate(run):
-    """Aggregate each query's chosen personas into ``run.teacher`` (N, E
-    levels), and write it and the choice; without personas, the teacher is
-    the single annotation, and its store the response table's."""
+    """Aggregate each query's chosen personas (``run.chosen``, (N, k) rows)
+    into ``run.teacher`` (N, E levels), and write it and the choice; without
+    personas, the teacher is the single annotation, and its store the
+    response table's. The router's feature matrix is dropped once read."""
     config, records = run.config, run.records
-    chosen = choose_personas(run, config.persona_mode)
+    chosen = run.chosen = choose_personas(run, config.persona_mode)
+    if config.persona_mode == "router":
+        del run.features["router"]
     if chosen is None:
         run.teacher = run.levels[:, 0]
         index, table = run.index, run.table
@@ -497,7 +532,7 @@ def _train(run):
     """Train the classifier on the train rows of the run's classifier
     features and weak labels, gathered batch by batch; a copy of the dev
     rows stays in ``run.dev`` for the tune stage."""
-    config, X, Y = run.config, run.features[1], run.labels
+    config, X, Y = run.config, run.features["classifier"], run.labels
     dev = run.rows(run.split.dev)
     run.dev = (X[dev], Y[dev])
     run.model, run.history = classifier_mod.train_classifier(
@@ -525,7 +560,8 @@ def _eval(run):
     config, registry = run.config, run.registry
     test_records = list(run.split.test)
     rows = run.rows(test_records)
-    probs = classifier_mod.predict_probs_batch(run.model, run.features[1][rows])
+    probs = classifier_mod.predict_probs_batch(
+        run.model, run.features["classifier"], rows)
     reference = (run.teacher[rows] > 0 if config.eval_reference == "teacher"
                  else run.gold[rows])
     systems = {}

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .errors import EmptyDatasetError, ModelError
+from .features import row_blocks
 from .optim import (COUNT, FRACTION, TrainConfig, check_weights,
                     fan_in_uniform, load_weights, minibatch_epochs,
                     save_weights)
@@ -222,11 +223,16 @@ def train_router(X, M, Y, persona_ids, config, registry, rows=None):
 def select_top_k(model, X, k):
     """(n, k) persona row indices of each embedding in X (n, d): its k most
     relevant personas by ``router_forward``, by descending relevance; exact
-    ties go to the lexicographically smaller persona id."""
+    ties go to the lexicographically smaller persona id. The relevance is
+    computed ``features.row_blocks`` at a time, bit for bit as one forward
+    over every row."""
     if not 1 <= k <= model.persona_count:
         raise ModelError(
             f"k must be in [1, {model.persona_count}], got {k}")
-    relevance = router_forward(model, X)
+    X = np.asarray(X, dtype=float)
+    relevance = np.empty((len(X), model.persona_count))
+    for block in row_blocks(len(X)):
+        relevance[block] = router_forward(model, X[block])
     id_rank = np.argsort(np.argsort(model.persona_ids))
     ranked = np.lexsort((np.broadcast_to(id_rank, relevance.shape),
                          -relevance), axis=-1)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from querydistill.classifier import (ClassifierModel, ClassifierTrainConfig,
                                      train_classifier, tune_threshold_for_entity,
                                      tune_thresholds, weak_labels_from_annotations)
 from querydistill.errors import EmptyDatasetError, ModelError, NanLossError
-from querydistill.features import HashedNgramEmbedder
+from querydistill.features import BLOCK_ROWS, HashedNgramEmbedder
 from querydistill.optim import AdamW, encode_array
 from querydistill.router import RouterTrainConfig
 from querydistill.data import QueryRecord, query_id
@@ -369,6 +370,53 @@ class TestPredict:
         model.c2 = model.c2 + np.array([0.5, 1.0, 2.0])
         bumped = predict_probs_batch(model, X)
         assert (bumped >= base).all()
+
+
+def production_model(dtype=np.float32, E=22, D=256, m=32, seed=0):
+    """``random_model`` with 22 entities, 256 features and 32 hidden units,
+    in ``dtype``."""
+    model = random_model(D=D, m=m, E=E, seed=seed)
+    return dataclasses.replace(model, **{
+        name: value.astype(dtype) for name, value in model.params().items()})
+
+
+class TestBlockedScoring:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [1, 2, 3, 255, 256, 257, 259, 513, 2049])
+    def test_blocks_equal_one_forward_bit_for_bit(self, n, dtype):
+        model = production_model(dtype)
+        rng = np.random.default_rng(n)
+        X = rng.normal(size=(n + 40, 256)).astype(np.float32)
+        rows = rng.permutation(len(X))[:n]
+        for probs, oracle in ((predict_probs_batch(model, X[:n]), X[:n]),
+                              (predict_probs_batch(model, X, rows), X[rows]),
+                              (predict_probs_batch(model, X, list(rows)),
+                               X[rows])):
+            expected = _sigmoid(heads_forward(model, oracle)[0])
+            assert probs.dtype == expected.dtype == dtype
+            assert probs.tobytes() == expected.tobytes()
+
+    def test_no_rows_give_an_empty_array(self):
+        model = production_model()
+        X = np.ones((3, 256), np.float32)
+        assert predict_probs_batch(model, X, []).shape == (0, 22)
+        assert predict_probs_batch(model, X[:0]).shape == (0, 22)
+
+    def test_peak_memory_is_output_and_one_block(self):
+        # One block's (E, rows, m) pre-activations and ReLU outputs are
+        # held at a time; one forward over all 2,049 rows would hold 5.8 MB
+        # of each.
+        model = production_model()
+        X = np.random.default_rng(0).normal(size=(2049, 256)).astype(np.float32)
+        hidden = model.U1.shape[0] * BLOCK_ROWS * model.U1.shape[2] * 4
+        for rows in (None, np.arange(len(X))[::-1]):
+            tracemalloc.start()
+            try:
+                probs = predict_probs_batch(model, X, rows)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < probs.nbytes + 3 * hidden
 
 
 class TestApplyThresholds:

@@ -325,6 +325,28 @@ class TestSharedNgramPass:
         assert peak < outputs + memo_bytes + features.BLOCK_ROWS * 6 * 1024
 
 
+class TestRowBlocks:
+    # Even bounds of 4 rows and more, as BLOCK_ROWS is: with blocks of at
+    # most 2 rows, 3 rows need a block of 1.
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(n=st.integers(0, 3000),
+           block_rows=st.integers(2, 150).map(lambda half: 2 * half))
+    @example(n=2049, block_rows=256)
+    @example(n=257, block_rows=256)
+    def test_aligned_blocks_of_more_than_one_row(self, n, block_rows):
+        with mock.patch.object(features, "BLOCK_ROWS", block_rows):
+            blocks = list(features.row_blocks(n))
+        assert [row for block in blocks for row in range(n)[block]] \
+            == list(range(n))
+        lengths = [block.stop - block.start for block in blocks]
+        assert all(2 <= length <= block_rows for length in lengths) \
+            or lengths == [1] == [n]
+        # As few blocks as the bound allows, each starting on a multiple of
+        # half of it, so only the last can end off such a multiple.
+        assert len(blocks) == -(-n // block_rows)
+        assert all(block.start % (block_rows // 2) == 0 for block in blocks)
+
+
 # Queries of 1-5 tokens of 1-8 characters (ASCII, "<" and ">", accented
 # letters, "ß" and "İ", whose case folds are longer, and CJK), between and
 # around runs of spaces and tabs.

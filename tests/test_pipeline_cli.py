@@ -1,3 +1,4 @@
+import errno
 import importlib.util
 import json
 import math
@@ -9,12 +10,13 @@ import socket
 import sys
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 import oracles
-from querydistill import cli, llm_client, prompting, serving
+from querydistill import cli, llm_client, pipeline, prompting, serving
 from querydistill.annotations import Confidence, read_annotation_store
 from querydistill.baseline import lexical_match, load_gazetteer
 from querydistill.classifier import (ClassifierTrainConfig, apply_thresholds,
@@ -24,10 +26,10 @@ from querydistill.classifier import (ClassifierTrainConfig, apply_thresholds,
 from querydistill.data import normalize_query, read_queries, split_dataset
 from querydistill.errors import PipelineConfigError
 from querydistill.evaluation import compute_metrics, report_records
-from querydistill.features import HashedNgramEmbedder
+from querydistill.features import HashedNgramEmbedder, hashed_ngram_matrices
 from querydistill.personas import load_personas, sample_personas
-from querydistill.pipeline import (STAGES, RunConfig, choose_personas,
-                                   load_gold, load_run_config, run_pipeline)
+from querydistill.pipeline import (STAGES, RunConfig, load_gold,
+                                   load_run_config, run_pipeline)
 from querydistill.router import RouterTrainConfig
 from querydistill.serving import ServeState, serve_tcp
 from querydistill.synth import (ambiguity_table, impoverished_gazetteer,
@@ -204,6 +206,37 @@ class TestRunPipeline:
         assert "matrices" in names and "router" not in names
         assert names.index("selections") == names.index("aggregated") + 1
 
+    @pytest.mark.parametrize("mode", ["router", "random", "none"])
+    def test_router_features_live_until_aggregate(self, tmp_path, mode,
+                                                  monkeypatch):
+        # One n-gram pass encodes the router's dim in router mode only, and
+        # nothing holds the router's matrix once the aggregate stage ran.
+        passes = []
+
+        def recording(texts, seed, dims, dtypes):
+            matrices = hashed_ngram_matrices(texts, seed, dims, dtypes)
+            passes.append((dims, [weakref.ref(m) for m in matrices]))
+            return matrices
+
+        monkeypatch.setattr(pipeline, "hashed_ngram_matrices", recording)
+        config = load_run_config(build_workspace(tmp_path, count=80,
+                                                 persona_mode=mode))
+        dims = {"router": (config.encoder_dim, config.embedding_dim)}.get(
+            mode, (config.encoder_dim,))
+        run = run_pipeline(config, until="router").run
+        if mode == "router":
+            assert run.features["router"].shape == (len(run.records),
+                                                    config.embedding_dim)
+        run = run_pipeline(config).run
+        assert [d for d, _ in passes] == [dims] * (2 if mode == "router" else 1)
+        refs = passes[-1][1]
+        assert list(run.features) == ["classifier"]
+        assert refs[0]() is run.features["classifier"]
+        assert all(ref() is None for ref in refs[1:])
+        assert not [name for name, value in vars(run).items()
+                    if getattr(value, "shape", None)
+                    == (len(run.records), config.embedding_dim)]
+
     @pytest.mark.parametrize("mode", ["router", "random"])
     def test_row_writers_match_one_json_dumps_per_line(self, tmp_path, mode):
         """``selections.jsonl`` and ``labels.jsonl`` encode each distinct
@@ -211,7 +244,7 @@ class TestRunPipeline:
         config_path = build_workspace(tmp_path, count=80, persona_mode=mode)
         run = run_pipeline(load_run_config(config_path), until="labels").run
         persona_ids = [p.id for p in run.personas]
-        chosen = choose_personas(run, mode).tolist()
+        chosen = run.chosen.tolist()
         selections = [json.dumps({"id": r.id, "personas": [
             persona_ids[j] for j in row]}) for r, row in zip(run.records, chosen)]
         labels = [json.dumps({"registry_hash": run.registry.hash,
@@ -594,7 +627,9 @@ class TestRunPipeline:
         import subprocess
         import sys
         import querydistill
-        assert cli.main(["synth", "--out", str(tmp_path), "--count", "200",
+        # synth-2000 scores its 346 test rows in 2 blocks and selects the
+        # personas of its 1,731 queries in 7.
+        assert cli.main(["synth", "--out", str(tmp_path), "--count", "2000",
                          "--seed", "7"]) == 0
         src = os.path.dirname(os.path.dirname(querydistill.__file__))
         manifests = []
@@ -936,24 +971,42 @@ class TestCli:
         ("annotator", {"persona_bias": {"skeptic": {"remov": ["Holiday"]}}},
          "persona_bias 'skeptic': unknown key: 'remov'"),
         ("annotator", {"persona_bias": {"skeptik": {"remove": ["Holiday"]}}},
-         "annotator persona_bias 'skeptik': unknown persona id, not in ")],
+         "annotator persona_bias 'skeptik': unknown persona id, not in "),
+        ("queries_path", (2, {}), "need at least 3 records to split, got 2"),
+        ("queries_path", (4, {}),
+         "ratios [0.7, 0.1, 0.2] leave the dev part of the split of 4 "
+         "queries empty, and the tune stage needs it"),
+        ("queries_path", (24, {"ratios": [0.8, 0.19, 0.01]}),
+         "ratios [0.8, 0.19, 0.01] leave the test part of the split of 24 "
+         "queries empty, and the eval stage needs it")],
         ids=["teacher-gazetteer", "gold", "teacher-gazetteer-entity",
              "baseline-gazetteer-entity", "gold-entity", "registry-bar-id",
              "registry-comma-id", "mock-persona-bias", "mock-ambiguous",
              "mock-seed-string", "mock-seed-negative", "mock-noise-string",
              "mock-add-level", "mock-remove-string", "mock-add-entity",
-             "mock-ambiguous-entity", "mock-bias-key", "mock-bias-persona"])
+             "mock-ambiguous-entity", "mock-bias-key", "mock-bias-persona",
+             "split-two-queries", "split-empty-dev", "split-empty-test"])
     def test_bad_input_leaves_no_output_dir(self, tmp_path, capsys, field,
                                             line, message):
         # Every input is read and checked before the output directory exists
         # and before any annotator call. A dict ``line`` updates the mock's
-        # config section; any other is appended to the input file ``field``.
+        # config section; a (count, change) pair keeps the first ``count``
+        # queries and updates the config with ``change``; any other ``line``
+        # is appended to the input file ``field``.
         config_path = build_workspace(tmp_path, count=60)
         config = load_run_config(config_path)
-        if field == "annotator":
-            with open(config_path) as fh:
-                raw = json.load(fh)
-            raw["annotator"].update(line)
+        with open(config_path) as fh:
+            raw = json.load(fh)
+        if field == "annotator" or isinstance(line, tuple):
+            if isinstance(line, tuple):
+                count, change = line
+                with open(config.queries_path) as fh:
+                    kept = fh.readlines()[:count]
+                with open(config.queries_path, "w") as fh:
+                    fh.writelines(kept)
+                raw.update(change)
+            else:
+                raw["annotator"].update(line)
             with open(config_path, "w") as fh:
                 json.dump(raw, fh)
             where = ""
@@ -1116,6 +1169,21 @@ class TestServe:
             err = capsys.readouterr().err
             assert err.startswith(f"error: {bad}")
             assert "Traceback" not in err
+
+    def test_unreadable_model_file_is_an_error_not_a_traceback(
+            self, tmp_path, capsys):
+        from querydistill.errors import ModelError
+        from querydistill.router import load_router
+        for path, code in ((tmp_path / "missing.json", errno.ENOENT),
+                           (tmp_path, errno.EISDIR)):
+            assert cli.main(["serve", "--model", str(path)]) == 2
+            assert capsys.readouterr().err == (
+                f"error: {path}: cannot read classifier model file: "
+                f"{os.strerror(code)}\n")
+            with pytest.raises(ModelError) as refused:
+                load_router(path)
+            assert str(refused.value) == (
+                f"{path}: cannot read router model file: {os.strerror(code)}")
 
     def test_precomputed_encoder_model_refused(self, served_model, tmp_path,
                                                capsys):

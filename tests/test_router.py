@@ -358,6 +358,36 @@ class TestSelectTopK:
                 assert self.top_ids(base, k) == self.top_ids(transformed, k)
 
 
+class TestBlockedSelection:
+    @pytest.mark.parametrize("n", [1, 2, 3, 255, 256, 257, 259, 513, 2049])
+    def test_blocks_equal_one_forward_bit_for_bit(self, n, monkeypatch):
+        # The router of the ``synth`` config: 64 features, 32 hidden units.
+        rng = np.random.default_rng(n)
+        model = RouterModel(
+            W1=rng.normal(size=(64, 32)), b1=rng.normal(size=32),
+            W2=rng.normal(size=(32, 3)), b2=rng.normal(size=3),
+            dropout_rate=0.1, persona_ids=("skeptic", "generalist", "enthusiast"),
+            registry_hash="rh")
+        X = rng.normal(size=(n + 40, 64))
+        rows = rng.permutation(len(X))[:n]
+        id_rank = np.argsort(np.argsort(model.persona_ids))
+        blocks = []
+
+        def recording(model, X):
+            blocks.append(router_forward(model, X))
+            return blocks[-1]
+
+        monkeypatch.setattr(router_mod, "router_forward", recording)
+        for embeddings in (X[:n], X[rows]):
+            blocks.clear()
+            chosen = select_top_k(model, embeddings, 2)
+            relevance = router_forward(model, embeddings)
+            assert np.concatenate(blocks).tobytes() == relevance.tobytes()
+            expected = np.lexsort((np.broadcast_to(id_rank, relevance.shape),
+                                   -relevance), axis=-1)[:, :2]
+            assert chosen.tobytes() == expected.tobytes()
+
+
 # Persona ids whose sorted order differs from their column order.
 _PERSONA_IDS = ("zeta", "alpha", "mu", "beta", "omega")
 
