@@ -48,7 +48,7 @@ X_train, X_dev, X_test = (encoder.encode_batch([r.text for r in part])
 Y_train, Y_dev = (labeled_queries(part, weak_store, registry, Confidence.HIGH)
                   for part in (split.train, split.dev))
 config = ClassifierTrainConfig(epochs=10, seed=0, batch_size=64,
-                               learning_rate=3e-3, patience=10)
+                               patience=10)
 model, history = train_classifier(X_train, Y_train, X_dev, Y_dev, config,
                                   registry, encoder)
 print(f"dev micro-F1 by epoch: "

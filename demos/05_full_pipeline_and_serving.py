@@ -68,9 +68,8 @@ config = {
     "persona_k": 2,
     "seed": 7,
     "embedding_dim": 64,
-    "encoder_dim": 256,
     "router": {"hidden_dim": 32, "epochs": 8},
-    "classifier": {"epochs": 8, "learning_rate": 3e-3},
+    "classifier": {"epochs": 8},
 }
 config_path = os.path.join(root, "config.json")
 with open(config_path, "w") as fh:

@@ -191,9 +191,8 @@ def cmd_synth(args):
         "persona_k": 2,
         "seed": args.seed,
         "embedding_dim": 64,
-        "encoder_dim": 256,
         "router": {"hidden_dim": 32, "epochs": 8},
-        "classifier": {"epochs": 8, "learning_rate": 3e-3},
+        "classifier": {"epochs": 8},
     }
     with open(os.path.join(args.out, "config.json"), "w", encoding="utf-8") as fh:
         json.dump(config, fh, indent=2)

@@ -23,8 +23,9 @@ labels (the teacher at ``min_confidence``) and the gold are (N, E) boolean
 arrays in the same ingest order; the router, train, tune and eval stages
 index them by record row. The router and train stages pass the whole
 arrays with the split's train rows, and the trainers gather each
-minibatch, so no stage copies the train split; the eval stage scores the
-test rows of the classifier's features in row blocks, without a copy.
+minibatch; the train stage's dev checkpoint, the tune stage and the eval
+stage score the dev and test rows of the classifier's features in row
+blocks. So no stage copies a part of the split.
 ``labels.jsonl`` lists the weak labels in query-id order.
 
 One n-gram pass encodes the queries for the classifier (float32) and, in
@@ -61,7 +62,7 @@ from . import prompting as prompting_mod
 from . import router as router_mod
 from .annotations import (Annotation, Confidence, read_annotations,
                           write_annotation_store)
-from .errors import PipelineConfigError, UnparseableResponseError
+from .errors import DataError, PipelineConfigError, UnparseableResponseError
 from .features import HashedNgramEmbedder, hashed_ngram_matrices
 from .llm_client import (AnnotationFailure, AnnotatorHandle, HttpEndpointConfig,
                          MockConfig, ResponseCache, annotate_batch, prompt_keys)
@@ -350,14 +351,18 @@ class _Run:
         self.artifacts = {}
 
     def _check_split(self, until):
-        """PipelineConfigError for an empty split part that a stage through
-        ``until`` needs: train for the router and train stages, dev for
-        tune, test for eval."""
+        """DataError naming the queries file for fewer than 3 records to
+        split, and PipelineConfigError for an empty split part that a stage
+        through ``until`` needs: train for the router and train stages, dev
+        for tune, test for eval."""
         ran = STAGES[:STAGES.index(until) + 1]
         if "split" not in ran:
             return
         config = self.config
-        sizes = data_mod.split_sizes(len(self.records), config.ratios)
+        try:
+            sizes = data_mod.split_sizes(len(self.records), config.ratios)
+        except DataError as exc:
+            raise DataError(f"{config.queries_path}: {exc}") from None
         users = {"train": "router" if config.persona_mode == "router"
                  else "train", "dev": "tune", "test": "eval"}
         for (part, stage), size in zip(users.items(), sizes):
@@ -530,15 +535,13 @@ def _labels(run):
 
 def _train(run):
     """Train the classifier on the train rows of the run's classifier
-    features and weak labels, gathered batch by batch; a copy of the dev
-    rows stays in ``run.dev`` for the tune stage."""
+    features and weak labels, gathered batch by batch, checkpointing on
+    its dev rows, scored in place."""
     config, X, Y = run.config, run.features["classifier"], run.labels
-    dev = run.rows(run.split.dev)
-    run.dev = (X[dev], Y[dev])
     run.model, run.history = classifier_mod.train_classifier(
-        X, Y, *run.dev, run.classifier_config, run.registry,
+        X, Y, X, Y, run.classifier_config, run.registry,
         HashedNgramEmbedder(config.encoder_dim, config.seed),
-        rows=run.rows(run.split.train))
+        rows=run.rows(run.split.train), dev_rows=run.rows(run.split.dev))
     # The tune stage writes the tuned model; writing the untuned one first
     # would cost a second full serialization of the weights.
     if run.until == "train":
@@ -548,8 +551,9 @@ def _train(run):
 
 
 def _tune(run):
-    choices = classifier_mod.tune_thresholds(run.model, *run.dev,
-                                             classifier_mod.MAX_F1)
+    choices = classifier_mod.tune_thresholds(
+        run.model, run.features["classifier"], run.labels,
+        classifier_mod.MAX_F1, rows=run.rows(run.split.dev))
     classifier_mod.set_thresholds(run.model, choices)
     run.write("classifier", "classifier.json", classifier_mod.save_classifier,
               run.model, history=run.history)

@@ -133,28 +133,18 @@ def max_relative_error(analytic, numeric):
 
 
 def einsum_heads_forward(params, X):
-    """Per-entity head logits (B, E), written as einsums over the stacked
-    parameters U1 (E, D, m), c1 (E, m), U2 (E, m), c2 (E,)."""
-    A = np.einsum("bd,edm->bem", X, params["U1"]) + params["c1"]
-    G = np.maximum(A, 0.0)
-    return np.einsum("bem,em->be", G, params["U2"]) + params["c2"]
+    """Per-entity logistic head logits (B, E), written as an einsum over the
+    weight matrix W (D, E) plus the bias b (E,)."""
+    return np.einsum("bd,de->be", X, params["W"]) + params["b"]
 
 
 def einsum_heads_grads(params, X, Y):
     """Gradients of the mean logistic BCE over (query, entity) cells with
-    respect to every head parameter, by the same einsum formulation."""
+    respect to W and b, by the same einsum formulation."""
     B, E = Y.shape
-    A = np.einsum("bd,edm->bem", X, params["U1"]) + params["c1"]
-    G = np.maximum(A, 0.0)
-    Z = np.einsum("bem,em->be", G, params["U2"]) + params["c2"]
+    Z = einsum_heads_forward(params, X)
     dZ = (1.0 / (1.0 + np.exp(-Z)) - Y) / (B * E)
-    dA = np.einsum("be,em->bem", dZ, params["U2"]) * (A > 0)
-    return {
-        "U1": np.einsum("bd,bem->edm", X, dA),
-        "c1": dA.sum(axis=0),
-        "U2": np.einsum("bem,be->em", G, dZ),
-        "c2": dZ.sum(axis=0),
-    }
+    return {"W": np.einsum("bd,be->de", X, dZ), "b": dZ.sum(axis=0)}
 
 
 def allocating_adamw_step(state, params, grads, learning_rate, weight_decay,

@@ -135,15 +135,13 @@ def test_criterion_3_gradient_checks():
     router_err = oracles.max_relative_error(analytic, numeric)
     assert router_err <= 1e-3
 
-    # classifier heads instance: D=16, m=8, E=3
+    # classifier heads instance: D=16, E=3
     rng = np.random.default_rng(21)
     heads = ClassifierModel(
         backend_descriptor={"kind": "hashed_ngram", "dim": 16, "seed": 0},
         entity_ids=("E0", "E1", "E2"),
-        U1=rng.normal(scale=0.4, size=(3, 16, 8)),
-        c1=rng.normal(scale=0.4, size=(3, 8)),
-        U2=rng.normal(scale=0.4, size=(3, 8)),
-        c2=rng.normal(scale=0.4, size=3),
+        W=rng.normal(scale=0.4, size=(16, 3)),
+        b=rng.normal(scale=0.4, size=3),
         thresholds=np.full(3, 0.5), registry_hash="rh")
     X = rng.normal(size=(5, 16))
     Y = (rng.random((5, 3)) < 0.5).astype(float)
@@ -212,7 +210,7 @@ def test_criterion_5_distillation_beats_weak_baseline():
         split = split_dataset(records, (0.7, 0.1, 0.2), seed=seed)
         encoder = HashedNgramEmbedder(dim=256, seed=0)
         config = ClassifierTrainConfig(epochs=10, seed=seed, batch_size=64,
-                                       learning_rate=3e-3, patience=10)
+                                       patience=10)
         model, _ = train_classifier(
             encoder.encode_batch([r.text for r in split.train]),
             labeled_queries(split.train, weak_store, registry, Confidence.HIGH),

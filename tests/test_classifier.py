@@ -34,15 +34,13 @@ from querydistill.data import QueryRecord, query_id
 from querydistill.synth import synth_gazetteer, synth_queries, synth_registry
 
 
-def random_model(D=16, m=8, E=3, seed=0, backend_seed=0):
+def random_model(D=16, E=3, seed=0, backend_seed=0):
     rng = np.random.default_rng(seed)
     return ClassifierModel(
         backend_descriptor={"kind": "hashed_ngram", "dim": D, "seed": backend_seed},
         entity_ids=tuple(f"E{i}" for i in range(E)),
-        U1=rng.normal(scale=0.4, size=(E, D, m)),
-        c1=rng.normal(scale=0.4, size=(E, m)),
-        U2=rng.normal(scale=0.4, size=(E, m)),
-        c2=rng.normal(scale=0.4, size=E),
+        W=rng.normal(scale=0.4, size=(D, E)),
+        b=rng.normal(scale=0.4, size=E),
         thresholds=np.full(E, 0.5),
         registry_hash="rh")
 
@@ -152,9 +150,9 @@ class TestGradients:
     @pytest.mark.parametrize("fractional", [False, True],
                              ids=["indicator", "fractional"])
     def test_heads_match_finite_differences(self, fractional):
-        # the standing instance: D=16, m=8, E=3, on 0/1 targets or on
+        # the standing instance: D=16, E=3, on 0/1 targets or on
         # probabilistic targets strictly inside (0, 1)
-        model = random_model(D=16, m=8, E=3, seed=21)
+        model = random_model(D=16, E=3, seed=21)
         rng = np.random.default_rng(22)
         X = rng.normal(size=(5, 16))
         Y = (rng.uniform(0.05, 0.95, size=(5, 3)) if fractional
@@ -168,13 +166,13 @@ class TestGradients:
 
     @settings(derandomize=True, deadline=None)
     @given(B=st.integers(1, 40), E=st.integers(1, 12), D=st.integers(1, 12),
-           m=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
-    def test_heads_match_einsum_oracle(self, B, E, D, m, seed):
-        model = random_model(D=D, m=m, E=E, seed=seed)
+           seed=st.integers(0, 2**32 - 1))
+    def test_heads_match_einsum_oracle(self, B, E, D, seed):
+        model = random_model(D=D, E=E, seed=seed)
         rng = np.random.default_rng(seed + 1)
         X = rng.normal(size=(B, D))
         Y = (rng.random((B, E)) < 0.5).astype(float)
-        logits, _ = heads_forward(model, X)
+        logits = heads_forward(model, X)
         np.testing.assert_allclose(
             logits, oracles.einsum_heads_forward(model.params(), X),
             rtol=1e-12, atol=1e-15)
@@ -212,8 +210,7 @@ class TestTrainClassifier:
             800, seed=10, entities=["Genre", "Sport", "Holiday", "AudioLanguage"])
         split = int(len(records) * 0.8)
         encoder = HashedNgramEmbedder(dim=512, seed=0)
-        config = ClassifierTrainConfig(epochs=30, seed=0, patience=30,
-                                       learning_rate=3e-3)
+        config = ClassifierTrainConfig(epochs=30, seed=0, patience=30)
         model, history = train_classifier(
             *arrays(encoder, records[:split], gold, registry),
             *arrays(encoder, records[split:], gold, registry),
@@ -309,8 +306,7 @@ class TestTrainClassifier:
             200, seed=10, entities=["Genre", "Sport", "Holiday", "AudioLanguage"])
         encoder = HashedNgramEmbedder(dim=128, seed=0)
         X_dev, Y_dev = arrays(encoder, records[160:], gold, registry)
-        config = ClassifierTrainConfig(epochs=40, patience=2, seed=0,
-                                       learning_rate=1e-2)
+        config = ClassifierTrainConfig(epochs=40, patience=2, seed=0)
         model, history = train_classifier(
             *arrays(encoder, records[:160], gold, registry), X_dev, Y_dev,
             config, registry, encoder)
@@ -325,15 +321,16 @@ class TestTrainClassifier:
         assert 2 * tp / (2 * tp + fp + fn) == max(dev_f1)
 
     def test_learning_rate_resolution(self):
-        # Both networks default to 1e-3; an explicit rate is kept as given.
-        assert ClassifierTrainConfig().learning_rate == 1e-3
+        # The linear student defaults to 0.1 and the router to 1e-3; an
+        # explicit rate is kept as given.
+        assert ClassifierTrainConfig().learning_rate == 0.1
         assert RouterTrainConfig().learning_rate == 1e-3
         assert ClassifierTrainConfig(learning_rate=1e-5).learning_rate == 1e-5
 
 
 class TestPredict:
     def test_zero_weights_give_half(self):
-        model = random_model(D=8, m=4, E=3, seed=0)
+        model = random_model(D=8, E=3, seed=0)
         for key, value in model.params().items():
             value[...] = 0.0
         backend = HashedNgramEmbedder(dim=8, seed=0)
@@ -341,7 +338,7 @@ class TestPredict:
         assert np.allclose(probs, 0.5)
 
     def test_probabilities_in_unit_interval(self):
-        model = random_model(D=16, m=8, E=4, seed=3)
+        model = random_model(D=16, E=4, seed=3)
         backend = HashedNgramEmbedder(dim=16, seed=0)
         for text in ("comedy", "french movies", "a"):
             probs = predict_probs(model, text, backend=backend)
@@ -363,19 +360,18 @@ class TestPredict:
 
     def test_monotone_in_output_bias(self):
         rng = np.random.default_rng(14)
-        model = random_model(D=16, m=8, E=3, seed=7)
+        model = random_model(D=16, E=3, seed=7)
         X = HashedNgramEmbedder(dim=16, seed=0).encode_batch(
             ["comedy movies", "football games", "french films"])
         base = predict_probs_batch(model, X)
-        model.c2 = model.c2 + np.array([0.5, 1.0, 2.0])
+        model.b = model.b + np.array([0.5, 1.0, 2.0])
         bumped = predict_probs_batch(model, X)
         assert (bumped >= base).all()
 
 
-def production_model(dtype=np.float32, E=22, D=256, m=32, seed=0):
-    """``random_model`` with 22 entities, 256 features and 32 hidden units,
-    in ``dtype``."""
-    model = random_model(D=D, m=m, E=E, seed=seed)
+def production_model(dtype=np.float32, E=22, D=512, seed=0):
+    """``random_model`` with 22 entities and 512 features, in ``dtype``."""
+    model = random_model(D=D, E=E, seed=seed)
     return dataclasses.replace(model, **{
         name: value.astype(dtype) for name, value in model.params().items()})
 
@@ -386,29 +382,28 @@ class TestBlockedScoring:
     def test_blocks_equal_one_forward_bit_for_bit(self, n, dtype):
         model = production_model(dtype)
         rng = np.random.default_rng(n)
-        X = rng.normal(size=(n + 40, 256)).astype(np.float32)
+        X = rng.normal(size=(n + 40, 512)).astype(np.float32)
         rows = rng.permutation(len(X))[:n]
         for probs, oracle in ((predict_probs_batch(model, X[:n]), X[:n]),
                               (predict_probs_batch(model, X, rows), X[rows]),
                               (predict_probs_batch(model, X, list(rows)),
                                X[rows])):
-            expected = _sigmoid(heads_forward(model, oracle)[0])
+            expected = _sigmoid(heads_forward(model, oracle))
             assert probs.dtype == expected.dtype == dtype
             assert probs.tobytes() == expected.tobytes()
 
     def test_no_rows_give_an_empty_array(self):
         model = production_model()
-        X = np.ones((3, 256), np.float32)
+        X = np.ones((3, 512), np.float32)
         assert predict_probs_batch(model, X, []).shape == (0, 22)
         assert predict_probs_batch(model, X[:0]).shape == (0, 22)
 
     def test_peak_memory_is_output_and_one_block(self):
-        # One block's (E, rows, m) pre-activations and ReLU outputs are
-        # held at a time; one forward over all 2,049 rows would hold 5.8 MB
-        # of each.
+        # One block's gathered (rows, D) features are held at a time; one
+        # forward over all 2,049 shuffled rows would gather 4.2 MB of them.
         model = production_model()
-        X = np.random.default_rng(0).normal(size=(2049, 256)).astype(np.float32)
-        hidden = model.U1.shape[0] * BLOCK_ROWS * model.U1.shape[2] * 4
+        X = np.random.default_rng(0).normal(size=(2049, 512)).astype(np.float32)
+        block = BLOCK_ROWS * X.shape[1] * 4
         for rows in (None, np.arange(len(X))[::-1]):
             tracemalloc.start()
             try:
@@ -416,7 +411,7 @@ class TestBlockedScoring:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < probs.nbytes + 3 * hidden
+            assert peak < probs.nbytes + 3 * block
 
 
 class TestApplyThresholds:
@@ -585,10 +580,8 @@ def test_tune_thresholds_leaves_numpy_ma_unimported():
         "model = ClassifierModel(",
         "    backend_descriptor={'kind': 'hashed_ngram', 'dim': 16, 'seed': 0},",
         "    entity_ids=('A', 'B'),",
-        "    U1=rng.normal(size=(2, 16, 4)).astype(np.float32),",
-        "    c1=np.zeros((2, 4), np.float32),",
-        "    U2=rng.normal(size=(2, 4)).astype(np.float32),",
-        "    c2=np.zeros(2, np.float32), thresholds=np.full(2, 0.5),",
+        "    W=rng.normal(size=(16, 2)).astype(np.float32),",
+        "    b=np.zeros(2, np.float32), thresholds=np.full(2, 0.5),",
         "    registry_hash='rh')",
         "X = HashedNgramEmbedder(16, 0).encode_batch(",
         "    ['comedy movies', 'football', 'horror', 'tennis'])",
@@ -608,10 +601,10 @@ def test_tune_thresholds_leaves_numpy_ma_unimported():
 
 
 def test_classifier_file_round_trip(tmp_path):
-    model = random_model(D=8, m=4, E=2, seed=30)
+    model = random_model(D=8, E=2, seed=30)
     save_classifier(tmp_path / "clf.json", model)
     loaded = load_classifier(tmp_path / "clf.json")
-    assert np.array_equal(loaded.U1, model.U1)
+    assert np.array_equal(loaded.W, model.W)
     assert loaded.entity_ids == model.entity_ids
     backend = HashedNgramEmbedder(dim=8, seed=0)
     assert np.array_equal(predict_probs(loaded, "q", backend=backend),
@@ -637,7 +630,7 @@ class TestFloat32Heads:
             model, X, Y_train[:8].astype(np.float32))
         assert {g.dtype for g in grads.values()} == {np.dtype(np.float32)}
         optimizer = AdamW(model.params(), 1e-3, weight_decay=0.01,
-                          decay_params=("U1", "U2"))
+                          decay_params=("W",))
         optimizer.step(grads)
         for name, param in model.params().items():
             assert param.dtype == np.float32
@@ -646,15 +639,15 @@ class TestFloat32Heads:
         assert predict_probs(model, text, backend=encoder).dtype == np.float32
 
     def test_float64_model_stays_float64(self):
-        model = random_model(D=8, m=4, E=2)
+        model = random_model(D=8, E=2)
         X = np.random.default_rng(0).normal(size=(3, 8)).astype(np.float32)
-        logits, _ = heads_forward(model, X)
+        logits = heads_forward(model, X)
         assert logits.dtype == np.float64
-        assert model.U1.dtype == np.float64
+        assert model.W.dtype == np.float64
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_file_round_trip_is_bit_identical(self, tmp_path, dtype):
-        model = random_model(D=8, m=4, E=2, seed=31)
+        model = random_model(D=8, E=2, seed=31)
         model = dataclasses.replace(model, **{
             name: value.astype(dtype) for name, value in model.params().items()})
         save_classifier(tmp_path / "clf.json", model)
@@ -667,26 +660,27 @@ class TestFloat32Heads:
 
 class TestLoadTimeChecks:
     def test_head_shapes_must_match_exactly(self):
-        model = random_model(D=8, m=4, E=2)
-        for name, bad in (("c1", model.c1[:1]), ("U2", model.U2[:, :3]),
-                          ("c2", model.c2[:, None]), ("U1", model.U1[0])):
+        model = random_model(D=8, E=2)
+        for name, bad in (("W", model.W[:, :1]), ("W", model.W.T),
+                          ("W", model.W[None]), ("b", model.b[:1]),
+                          ("b", model.b[:, None])):
             with pytest.raises(ModelError, match=name):
                 dataclasses.replace(model, **{name: bad})
 
     def test_feature_dim_must_match_encoder(self, tmp_path):
         path = tmp_path / "clf.json"
-        save_classifier(path, random_model(D=8, m=4, E=2))
+        save_classifier(path, random_model(D=8, E=2))
         payload = json.loads(path.read_text())
         payload["backend"]["dim"] = 9
         path.write_text(json.dumps(payload))
         with pytest.raises(ModelError, match="9"):
             load_classifier(path)
 
-    @pytest.mark.parametrize("name", ["U1", "c1", "U2", "c2"])
+    @pytest.mark.parametrize("name", ["W", "b"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"),
                                        float("-inf")])
     def test_non_finite_weight_rejected(self, tmp_path, name, value):
-        model = random_model(D=8, m=4, E=2)
+        model = random_model(D=8, E=2)
         bad = getattr(model, name).copy()
         bad.flat[-1] = value
         with pytest.raises(ModelError, match=name):
@@ -701,23 +695,23 @@ class TestLoadTimeChecks:
 
     def test_malformed_file_raises_model_error(self, tmp_path):
         path = tmp_path / "clf.json"
-        save_classifier(path, random_model(D=8, m=4, E=2))
+        save_classifier(path, random_model(D=8, E=2))
         text = path.read_text()
         payload = json.loads(text)
-        c1 = payload["weights"]["c1"]
+        b = payload["weights"]["b"]
 
-        def with_c1(**entry):
+        def with_b(**entry):
             return json.dumps(dict(payload, weights=dict(
-                payload["weights"], c1=dict(c1, **entry))))
+                payload["weights"], b=dict(b, **entry))))
 
         for content in (text[:len(text) // 2], "", "[1, 2]",
                         json.dumps({"kind": "classifier"}),
                         json.dumps(dict(payload, weights=[])),
                         json.dumps(dict(payload, backend=[])),
                         json.dumps(dict(payload, thresholds="high")),
-                        with_c1(data="not base64!"),
-                        with_c1(data=c1["data"][:-8]),
-                        with_c1(dtype="|O")):
+                        with_b(data="not base64!"),
+                        with_b(data=b["data"][:-4]),
+                        with_b(dtype="|O")):
             path.write_text(content)
             with pytest.raises(ModelError):
                 load_classifier(path)
@@ -764,7 +758,7 @@ def test_tune_thresholds_matching_modes_with_targets():
 def test_write_predictions_jsonl(tmp_path):
     import json
     from querydistill.classifier import write_predictions_jsonl
-    model = random_model(D=16, m=4, E=3, seed=2)
+    model = random_model(D=16, E=3, seed=2)
     records = [QueryRecord(id=query_id(t), text=t, frequency=1)
                for t in ("comedy movies", "football match")]
     path = tmp_path / "predictions.jsonl"

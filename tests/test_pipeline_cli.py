@@ -96,7 +96,7 @@ def build_workspace(root, count=150, persona_mode="router", noise_rate=0.05,
         "embedding_dim": 32,
         "encoder_dim": 128,
         "router": {"hidden_dim": 16, "epochs": 4},
-        "classifier": {"epochs": 4, "head_dim": 16},
+        "classifier": {"epochs": 4},
     }
     config_path = os.path.join(root, "config.json")
     with open(config_path, "w") as fh:
@@ -972,7 +972,8 @@ class TestCli:
          "persona_bias 'skeptic': unknown key: 'remov'"),
         ("annotator", {"persona_bias": {"skeptik": {"remove": ["Holiday"]}}},
          "annotator persona_bias 'skeptik': unknown persona id, not in "),
-        ("queries_path", (2, {}), "need at least 3 records to split, got 2"),
+        ("queries_path", (2, {}),
+         "{queries}: need at least 3 records to split, got 2"),
         ("queries_path", (4, {}),
          "ratios [0.7, 0.1, 0.2] leave the dev part of the split of 4 "
          "queries empty, and the tune stage needs it"),
@@ -991,8 +992,9 @@ class TestCli:
         # Every input is read and checked before the output directory exists
         # and before any annotator call. A dict ``line`` updates the mock's
         # config section; a (count, change) pair keeps the first ``count``
-        # queries and updates the config with ``change``; any other ``line``
-        # is appended to the input file ``field``.
+        # queries and updates the config with ``change``, and ``{queries}``
+        # in its message is the queries file; any other ``line`` is appended
+        # to the input file ``field``.
         config_path = build_workspace(tmp_path, count=60)
         config = load_run_config(config_path)
         with open(config_path) as fh:
@@ -1005,6 +1007,7 @@ class TestCli:
                 with open(config.queries_path, "w") as fh:
                     fh.writelines(kept)
                 raw.update(change)
+                message = message.format(queries=config.queries_path)
             else:
                 raw["annotator"].update(line)
             with open(config_path, "w") as fh:
@@ -1079,7 +1082,7 @@ def served_model(tmp_path_factory):
     parts = [(encoder.encode_batch([r.text for r in part]),
               labeled_queries(part, gold, registry, Confidence.HIGH))
              for part in (records[:split], records[split:])]
-    config = ClassifierTrainConfig(epochs=12, seed=0, learning_rate=3e-3)
+    config = ClassifierTrainConfig(epochs=12, seed=0)
     model, _ = train_classifier(*parts[0], *parts[1], config, registry,
                                 encoder)
     path = tmp / "classifier.json"
@@ -1210,7 +1213,46 @@ class TestServe:
         assert cli.main(["serve", "--model", str(bad)]) == 2
         assert capsys.readouterr().err == (
             f"error: {bad} is not a valid classifier model file: "
-            "U1 takes 256-dim features but the encoder gives 128\n")
+            "W has shape (256, 4), expected (128, 4) for 128-dim features "
+            "and 4 entities\n")
+
+    def test_stacked_head_model_refused(self, served_model, tmp_path, capsys):
+        # A classifier.json of the two-layer heads that the linear heads
+        # replaced: U1 (E, D, m), c1 (E, m), U2 (E, m), c2 (E,).
+        from querydistill.errors import ModelError
+        from querydistill.optim import encode_array
+        payload = json.loads(open(served_model[0], encoding="utf-8").read())
+        E, D, m = 4, 256, 32
+        payload["weights"] = {
+            name: encode_array(np.zeros(shape, np.float32)) for name, shape
+            in (("U1", (E, D, m)), ("c1", (E, m)), ("U2", (E, m)),
+                ("c2", (E,)))}
+        bad = tmp_path / "classifier.json"
+        bad.write_text(json.dumps(payload))
+        message = (f"{bad} is not a valid classifier model file: it holds the "
+                   "two-layer heads (U1, c1, U2, c2) of an earlier version; "
+                   "train a new model")
+        with pytest.raises(ModelError) as refused:
+            load_classifier(bad)
+        assert str(refused.value) == message
+        assert cli.main(["serve", "--model", str(bad)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_served_probabilities_equal_batch_scoring_bit_for_bit(
+            self, served_model):
+        # A served query and the same query in a row block of a batch take
+        # the same matrix-vector product, so their probabilities agree in
+        # every bit, not only in the labels they select.
+        model = load_classifier(served_model[0])
+        records, _ = synth_queries(synth_gazetteer(
+            entities=["Genre", "Sport", "Holiday", "AudioLanguage"]), 300,
+            seed=11)
+        texts = [r.text for r in records]
+        batch = predict_probs_batch(model, model.backend().encode_batch(texts))
+        served = np.array([predict_probs(model, text) for text in texts])
+        assert len(texts) > 256
+        assert served.dtype == batch.dtype == np.float32
+        assert served.tobytes() == batch.tobytes()
 
     def test_tcp_round_trip(self, served_model):
         state = ServeState(served_model[0])
@@ -1574,7 +1616,7 @@ class TestConfigSurfaces:
          "error: learning_rate must be >= 0, got -0.001"),
         ("classifier", {"batch_size": 0},
          "error: batch_size must be >= 1, got 0"),
-        ("classifier", {"head_dim": 0}, "error: head_dim must be >= 1, got 0"),
+        ("classifier", {"head_dim": 16}, "error: unknown classifier key: head_dim"),
         ("classifier", {"beta1": 1.0},
          "error: beta1 must be in [0, 1), got 1.0"),
         ("router", {"dropout_rate": 1.0},
