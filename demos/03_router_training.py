@@ -1,10 +1,11 @@
-"""Training the persona-selection router on a scripted persona pool.
+"""Training the persona-selection gate on a scripted persona pool.
 
 Three scripted personas: an oracle that always agrees with gold labels, an
-adversary that answers exactly inverted, and a coin-flipper. The router
-never sees which is which; it only optimizes entity-prediction BCE through
-the batched relevance x matrix product, yet it learns to route essentially
-all relevance to the oracle.
+adversary that answers exactly inverted, and a coin-flipper. The gate, one
+linear softmax layer over the query's hashed n-gram features, never sees
+which is which: it fits a listwise target that favours, per query, the
+personas whose rows best match the gold labels, and it learns to route
+most relevance to the oracle.
 """
 
 import random

@@ -67,8 +67,7 @@ config = {
     "persona_mode": "router",
     "persona_k": 2,
     "seed": 7,
-    "embedding_dim": 64,
-    "router": {"hidden_dim": 32, "epochs": 8},
+    "router": {"epochs": 8},
     "classifier": {"epochs": 8},
 }
 config_path = os.path.join(root, "config.json")

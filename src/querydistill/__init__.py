@@ -27,8 +27,7 @@ from .pipeline import RunConfig, load_run_config, run_pipeline
 from .prompting import (PromptConfig, PromptFrame, PromptText, PromptVariant,
                         build_prompt, parse_response)
 from .router import (RouterModel, RouterTrainConfig, load_router,
-                     predict_entities, router_forward, save_router,
-                     select_top_k, train_router)
+                     router_forward, save_router, select_top_k, train_router)
 from .taxonomy import (EntityDef, EntityRegistry, NONE_LABEL, default_registry,
                        load_registry, validate_label)
 

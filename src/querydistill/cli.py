@@ -190,8 +190,7 @@ def cmd_synth(args):
         "persona_mode": "router",
         "persona_k": 2,
         "seed": args.seed,
-        "embedding_dim": 64,
-        "router": {"hidden_dim": 32, "epochs": 8},
+        "router": {"epochs": 8},
         "classifier": {"epochs": 8},
     }
     with open(os.path.join(args.out, "config.json"), "w", encoding="utf-8") as fh:

@@ -1,4 +1,4 @@
-"""Query encoders shared by the router and the classifier.
+"""The query encoder that the classifier and the persona gate share.
 
 ``HashedNgramEmbedder`` is the one encoder: character 3-5-grams of the
 normalized query (wrapped in boundary markers) are hashed with a keyed
@@ -12,16 +12,14 @@ training and real-time inference. It exposes ``kind``, ``dim``, ``tag``,
 ``descriptor()``, ``embed(text)`` for one query and ``encode_batch(texts)``
 for an ``(n, dim)`` matrix whose rows equal ``embed``'s;
 ``encoder_from_descriptor`` rebuilds it from its descriptor.
-``hashed_ngram_matrices`` builds the matrices of several hashed dims of one
-seed from one n-gram pass, so a pipeline run extracts each text's n-grams
-once for both of its networks, which then take rows of those matrices.
-It encodes a block of texts at a time straight into outputs allocated
-once in each consumer's dtype, so beyond its outputs it holds one block's
-transients and the window memo: a pipeline run keeps one float32
-classifier row per unique query and, in router mode until its aggregate
-stage, one float64 router row. ``row_blocks`` is the one block policy of
-every whole-corpus pass: this encode, the classifier's batch scoring and
-the router's selection, each bit for bit as one pass over every row.
+``hashed_ngram_matrix`` is ``encode_batch`` in one n-gram pass, stored in
+its consumer's dtype: a pipeline run encodes each query once, in float32,
+and both the classifier and the persona gate take rows of that one
+matrix. It encodes a block of texts at a time straight into an output
+allocated once, so beyond its output it holds one block's transients and
+the window memo. ``row_blocks`` is the one block policy of every
+whole-corpus pass: this encode, the classifier's batch scoring and the
+gate's selection, each bit for bit as one pass over every row.
 
 Both hashed paths digest a query window by window (``_windows``) and keep
 each window's joined digests in a ``_WindowMemo``: the embedder's memo is
@@ -52,7 +50,7 @@ _BOUNDARY_CLOSE = ">"
 # more than the limit is encoded but not kept.
 BUCKET_CACHE_LIMIT = 1 << 16
 WINDOW_KEY_CHARGE = 4
-# Every whole-corpus pass (``hashed_ngram_matrices``, the classifier's
+# Every whole-corpus pass (``hashed_ngram_matrix``, the classifier's
 # batch scoring, the router's selection) takes at most this many rows at a
 # time (``row_blocks``), so its transients stay bounded however many
 # queries a run holds.
@@ -225,8 +223,8 @@ class HashedNgramEmbedder:
         return _unit_rows(values, None, 1, self.dim)[0]
 
     def encode_batch(self, texts):
-        """One ``embed(text)`` row per text; see ``hashed_ngram_matrices``."""
-        return hashed_ngram_matrices(texts, self.seed, (self.dim,))[0]
+        """One ``embed(text)`` row per text; see ``hashed_ngram_matrix``."""
+        return hashed_ngram_matrix(texts, self.seed, self.dim)
 
 
 class _KnownDigests(dict):
@@ -241,19 +239,15 @@ class _KnownDigests(dict):
         return value
 
 
-def hashed_ngram_matrices(texts, seed, dims, dtypes=None):
-    """``HashedNgramEmbedder(dim, seed).encode_batch(texts)`` for each dim in
-    ``dims``, from one pass: an n-gram's keyed digest depends on the seed
-    only (the bucket is the digest modulo the dim, the sign its top bit), so
-    each distinct window and each distinct n-gram is digested once, and
-    each dim costs one ``np.bincount`` per block of ``row_blocks``.
-    Each row is computed in float64, bit-identical to ``embed``'s, and
-    stored in its matrix's entry of ``dtypes`` (float64 by default)."""
+def hashed_ngram_matrix(texts, seed, dim, dtype=np.float64):
+    """``HashedNgramEmbedder(dim, seed).encode_batch(texts)``, stored in
+    ``dtype``: each distinct window and each distinct n-gram is digested
+    once, and each block of ``row_blocks`` costs one ``np.bincount``. Each
+    row is computed in float64, bit-identical to ``embed``'s, then stored."""
     key = int(seed).to_bytes(8, "little")
     # This memo lives for one call only, so it keeps every window.
     memo = _WindowMemo(_KnownDigests(key).__getitem__, float("inf"))
-    matrices = [np.empty((len(texts), dim), dtype)
-                for dim, dtype in zip(dims, dtypes or [np.float64] * len(dims))]
+    matrix = np.empty((len(texts), dim), dtype)
     for rows in row_blocks(len(texts)):
         block = texts[rows]
         parts, lengths = [], []
@@ -263,9 +257,8 @@ def hashed_ngram_matrices(texts, seed, dims, dtypes=None):
             lengths.append(sum(map(len, text_parts)) // 8)
         values = np.frombuffer(b"".join(parts), dtype="<u8")
         cells = np.repeat(np.arange(len(block)), lengths)
-        for dim, matrix in zip(dims, matrices):
-            matrix[rows] = _unit_rows(values, cells, len(block), dim)
-    return matrices
+        matrix[rows] = _unit_rows(values, cells, len(block), dim)
+    return matrix
 
 
 def encoder_from_descriptor(descriptor):

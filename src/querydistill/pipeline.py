@@ -28,11 +28,11 @@ stage score the dev and test rows of the classifier's features in row
 blocks. So no stage copies a part of the split.
 ``labels.jsonl`` lists the weak labels in query-id order.
 
-One n-gram pass encodes the queries for the classifier (float32) and, in
-router mode only, for the router (float64). The router's matrix lives
-until the aggregate stage has chosen each query's personas, which it
-keeps as ``run.chosen``, (N, k) persona rows; a run stopped at ``router``,
-as the ablation's persona pass is, still holds it.
+One n-gram pass encodes the queries once, in float32 (``run.features``,
+(N, encoder_dim)). The classifier and, in router mode, the persona gate
+both read that matrix, gathering their rows and casting them to float64
+a minibatch or a block at a time. The aggregate stage keeps each query's
+chosen personas as ``run.chosen``, (N, k) persona rows.
 
 Reruns are cheap: the annotate stage reads the response cache, so a
 completed pipeline re-executed with the same configuration performs zero
@@ -63,7 +63,7 @@ from . import router as router_mod
 from .annotations import (Annotation, Confidence, read_annotations,
                           write_annotation_store)
 from .errors import DataError, PipelineConfigError, UnparseableResponseError
-from .features import HashedNgramEmbedder, hashed_ngram_matrices
+from .features import HashedNgramEmbedder, hashed_ngram_matrix
 from .llm_client import (AnnotationFailure, AnnotatorHandle, HttpEndpointConfig,
                          MockConfig, ResponseCache, annotate_batch, prompt_keys)
 from .optim import COUNT, check_fields
@@ -84,7 +84,7 @@ _INPUT_PATHS = ("registry_path", "queries_path", "gazetteer_path",
 # ``optim.check_fields`` rules of the config's numeric fields; a bool is
 # no number.
 _FIELD_RULES = {"seed": ("integer", lambda v: v >= 0, ">= 0"),
-                "embedding_dim": COUNT, "encoder_dim": COUNT,
+                "encoder_dim": COUNT,
                 "max_icl_examples": COUNT, "persona_k": COUNT,
                 "aggregation_threshold": ("number", lambda v: True, "")}
 
@@ -123,7 +123,6 @@ class RunConfig:
     ratios: tuple = (0.7, 0.1, 0.2)
     aggregation_threshold: float = personas_mod.DEFAULT_SELECT_THRESHOLD
     min_confidence: str = "High"
-    embedding_dim: int = 64
     router: dict = field(default_factory=dict)
     classifier: dict = field(default_factory=dict)
     encoder_dim: int = 512
@@ -374,17 +373,11 @@ class _Run:
 
     @functools.cached_property
     def features(self):
-        """The (N, dim) feature matrices of the ingested texts by network,
-        from one n-gram pass: "classifier" in its heads' float32 and, in
-        router mode only, "router" in float64. The aggregate stage drops
-        the router's, whose last reader it is."""
-        config = self.config
-        nets = {"classifier": (config.encoder_dim, np.float32)}
-        if config.persona_mode == "router":
-            nets["router"] = (config.embedding_dim, np.float64)
-        dims, dtypes = zip(*nets.values())
-        return dict(zip(nets, hashed_ngram_matrices(
-            [r.text for r in self.records], config.seed, dims, dtypes)))
+        """The (N, encoder_dim) float32 feature matrix of the ingested
+        texts, which the persona gate and the classifier both read."""
+        return hashed_ngram_matrix([r.text for r in self.records],
+                                   self.config.seed, self.config.encoder_dim,
+                                   np.float32)
 
     @functools.cached_property
     def _row_of(self):
@@ -468,11 +461,11 @@ def _router(run):
     if config.persona_mode != "router":
         return
     run.router_model, loss_history = router_mod.train_router(
-        run.features["router"], run.levels, run.gold,
+        run.features, run.levels, run.gold,
         tuple(p.id for p in run.personas), run.router_config, registry,
         rows=run.rows(run.split.train))
     run.router_model.embedding_provider = HashedNgramEmbedder(
-        config.embedding_dim, config.seed).tag
+        config.encoder_dim, config.seed).tag
     run.write("router", "router.json", router_mod.save_router,
               run.router_model, loss_history=loss_history)
 
@@ -482,8 +475,7 @@ def choose_personas(run, mode):
     k, a seeded sample, or None for "none"."""
     k = run.config.persona_k
     if mode == "router":
-        return router_mod.select_top_k(run.router_model,
-                                       run.features["router"], k)
+        return router_mod.select_top_k(run.router_model, run.features, k)
     if mode == "random":
         return personas_mod.sample_personas(
             [r.id for r in run.records], len(run.personas), k, run.config.seed)
@@ -494,11 +486,9 @@ def _aggregate(run):
     """Aggregate each query's chosen personas (``run.chosen``, (N, k) rows)
     into ``run.teacher`` (N, E levels), and write it and the choice; without
     personas, the teacher is the single annotation, and its store the
-    response table's. The router's feature matrix is dropped once read."""
+    response table's."""
     config, records = run.config, run.records
     chosen = run.chosen = choose_personas(run, config.persona_mode)
-    if config.persona_mode == "router":
-        del run.features["router"]
     if chosen is None:
         run.teacher = run.levels[:, 0]
         index, table = run.index, run.table
@@ -534,10 +524,10 @@ def _labels(run):
 
 
 def _train(run):
-    """Train the classifier on the train rows of the run's classifier
-    features and weak labels, gathered batch by batch, checkpointing on
-    its dev rows, scored in place."""
-    config, X, Y = run.config, run.features["classifier"], run.labels
+    """Train the classifier on the train rows of the run's features and
+    weak labels, gathered batch by batch, checkpointing on its dev rows,
+    scored in place."""
+    config, X, Y = run.config, run.features, run.labels
     run.model, run.history = classifier_mod.train_classifier(
         X, Y, X, Y, run.classifier_config, run.registry,
         HashedNgramEmbedder(config.encoder_dim, config.seed),
@@ -552,7 +542,7 @@ def _train(run):
 
 def _tune(run):
     choices = classifier_mod.tune_thresholds(
-        run.model, run.features["classifier"], run.labels,
+        run.model, run.features, run.labels,
         classifier_mod.MAX_F1, rows=run.rows(run.split.dev))
     classifier_mod.set_thresholds(run.model, choices)
     run.write("classifier", "classifier.json", classifier_mod.save_classifier,
@@ -564,8 +554,7 @@ def _eval(run):
     config, registry = run.config, run.registry
     test_records = list(run.split.test)
     rows = run.rows(test_records)
-    probs = classifier_mod.predict_probs_batch(
-        run.model, run.features["classifier"], rows)
+    probs = classifier_mod.predict_probs_batch(run.model, run.features, rows)
     reference = (run.teacher[rows] > 0 if config.eval_reference == "teacher"
                  else run.gold[rows])
     systems = {}

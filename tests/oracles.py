@@ -182,14 +182,13 @@ def ensemble_levels(values, rows, threshold):
 
 
 def per_query_router_ensemble(model, embeddings, values, k, threshold):
-    """Per query: a forward pass of its own embedding (logits only, which
-    softmax ranks alike), its k top personas by descending logit then
-    ascending id, and the mean of their rows. Returns the chosen id lists
-    and the (N, E) ensemble levels."""
+    """Per query: the gate's logits of its own feature row (which softmax
+    ranks alike), its k top personas by descending logit then ascending
+    id, and the mean of their rows. Returns the chosen id lists and the
+    (N, E) ensemble levels."""
     chosen, levels = [], []
     for emb, matrix in zip(embeddings, values):
-        hidden = np.maximum(emb @ model.W1 + model.b1, 0.0)
-        logits = hidden @ model.W2 + model.b2
+        logits = emb @ model.W + model.b
         rows = sorted(range(len(logits)),
                       key=lambda j: (-logits[j], model.persona_ids[j]))[:k]
         chosen.append([model.persona_ids[j] for j in rows])

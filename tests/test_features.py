@@ -12,7 +12,7 @@ from querydistill import features
 from querydistill.errors import ModelError
 from querydistill.features import (HashedNgramEmbedder,
                                    encoder_from_descriptor,
-                                   hashed_ngram_matrices)
+                                   hashed_ngram_matrix)
 from querydistill.synth import synth_gazetteer, synth_queries
 
 
@@ -266,9 +266,8 @@ class TestSharedNgramPass:
     @example(texts=["a", "é", "a", "中文", "Ünïcode ß", "ab", "a"],
              dims=[64, 256], seed=7)
     def test_each_dim_equals_its_encoder_bit_for_bit(self, texts, dims, seed):
-        matrices = hashed_ngram_matrices(texts, seed, dims)
-        assert len(matrices) == len(dims)
-        for dim, matrix in zip(dims, matrices):
+        for dim in dims:
+            matrix = hashed_ngram_matrix(texts, seed, dim)
             encoder = HashedNgramEmbedder(dim=dim, seed=seed)
             expected = np.array([encoder.embed(t) for t in texts]).reshape(
                 len(texts), dim)
@@ -279,7 +278,7 @@ class TestSharedNgramPass:
     def test_blank_text_raises_like_embed(self):
         for texts in (["  "], ["comedy", "", "sport"], ["ok", " \t\n"]):
             with pytest.raises(ValueError, match="empty text"):
-                hashed_ngram_matrices(texts, 0, (16, 64))
+                hashed_ngram_matrix(texts, 0, 16)
 
     def test_every_block_size_gives_the_same_bytes(self, monkeypatch):
         records, _ = synth_queries(synth_gazetteer(), 60, seed=3)
@@ -288,19 +287,19 @@ class TestSharedNgramPass:
         encoded = []
         for block_rows in (1, 7, len(texts)):
             monkeypatch.setattr(features, "BLOCK_ROWS", block_rows)
-            encoded.append([matrix.tobytes() for matrix in
-                            hashed_ngram_matrices(texts, 7, dims, dtypes)])
+            encoded.append([hashed_ngram_matrix(texts, 7, dim, dtype).tobytes()
+                            for dim, dtype in zip(dims, dtypes)])
         assert encoded[0] == encoded[1] == encoded[2]
         # A float32 matrix holds the float64 rows, each rounded once.
-        full = hashed_ngram_matrices(texts, 7, dims)
+        full = [hashed_ngram_matrix(texts, 7, dim) for dim in dims]
         assert encoded[0] == [full[0].tobytes(),
                               full[1].astype(np.float32).tobytes()]
 
     def test_peak_memory_is_outputs_and_one_block(self):
         # The texts of synth-2000, seed 7: 1,731 unique queries, so
         # several blocks. The call's window memo keeps every window; beyond
-        # it and the outputs, one block's float64 rows of both dims and
-        # its per-n-gram arrays take under 6 KiB a row of these texts.
+        # it and the output, one block's float64 rows and its per-n-gram
+        # arrays take under 6 KiB a row of these texts at 256 columns.
         records, _ = synth_queries(synth_gazetteer(), 2000, seed=7)
         texts = [r.text for r in records]
         assert len(texts) > 4 * features.BLOCK_ROWS
@@ -316,13 +315,12 @@ class TestSharedNgramPass:
         memo_bytes = traced_growth(fill_memo)
         tracemalloc.start()
         try:
-            matrices = hashed_ngram_matrices(texts, 7, (64, 256),
-                                             (np.float64, np.float32))
+            matrix = hashed_ngram_matrix(texts, 7, 256, np.float32)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        outputs = sum(matrix.nbytes for matrix in matrices)
-        assert peak < outputs + memo_bytes + features.BLOCK_ROWS * 6 * 1024
+        assert peak < (matrix.nbytes + memo_bytes
+                       + features.BLOCK_ROWS * 6 * 1024)
 
 
 class TestRowBlocks:
@@ -408,8 +406,8 @@ class TestPerNgramOracle:
         expected = [np.array([oracles.hashed_ngram_embed(t, dim, seed)
                               for t in texts]).reshape(len(texts), dim)
                     for dim in dims]
-        for dim, matrix, rows in zip(
-                dims, hashed_ngram_matrices(texts, seed, dims), expected):
-            assert matrix.tobytes() == rows.tobytes()
+        for dim, rows in zip(dims, expected):
+            assert hashed_ngram_matrix(texts, seed, dim).tobytes() \
+                == rows.tobytes()
             assert HashedNgramEmbedder(dim=dim, seed=seed).encode_batch(
                 texts).tobytes() == rows.tobytes()

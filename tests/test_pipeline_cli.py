@@ -26,7 +26,7 @@ from querydistill.classifier import (ClassifierTrainConfig, apply_thresholds,
 from querydistill.data import normalize_query, read_queries, split_dataset
 from querydistill.errors import PipelineConfigError
 from querydistill.evaluation import compute_metrics, report_records
-from querydistill.features import HashedNgramEmbedder, hashed_ngram_matrices
+from querydistill.features import HashedNgramEmbedder, hashed_ngram_matrix
 from querydistill.personas import load_personas, sample_personas
 from querydistill.pipeline import (STAGES, RunConfig, load_gold,
                                    load_run_config, run_pipeline)
@@ -93,9 +93,8 @@ def build_workspace(root, count=150, persona_mode="router", noise_rate=0.05,
         "persona_mode": persona_mode,
         "persona_k": 2,
         "seed": seed,
-        "embedding_dim": 32,
         "encoder_dim": 128,
-        "router": {"hidden_dim": 16, "epochs": 4},
+        "router": {"epochs": 4},
         "classifier": {"epochs": 4},
     }
     config_path = os.path.join(root, "config.json")
@@ -207,35 +206,28 @@ class TestRunPipeline:
         assert names.index("selections") == names.index("aggregated") + 1
 
     @pytest.mark.parametrize("mode", ["router", "random", "none"])
-    def test_router_features_live_until_aggregate(self, tmp_path, mode,
-                                                  monkeypatch):
-        # One n-gram pass encodes the router's dim in router mode only, and
-        # nothing holds the router's matrix once the aggregate stage ran.
+    def test_one_feature_matrix_per_run(self, tmp_path, mode, monkeypatch):
+        # In every persona mode, one n-gram pass encodes the classifier's
+        # float32 features, and the gate reads that same matrix: the run
+        # holds no other feature matrix.
         passes = []
 
-        def recording(texts, seed, dims, dtypes):
-            matrices = hashed_ngram_matrices(texts, seed, dims, dtypes)
-            passes.append((dims, [weakref.ref(m) for m in matrices]))
-            return matrices
+        def recording(texts, seed, dim, dtype):
+            matrix = hashed_ngram_matrix(texts, seed, dim, dtype)
+            passes.append((dim, dtype, weakref.ref(matrix)))
+            return matrix
 
-        monkeypatch.setattr(pipeline, "hashed_ngram_matrices", recording)
+        monkeypatch.setattr(pipeline, "hashed_ngram_matrix", recording)
         config = load_run_config(build_workspace(tmp_path, count=80,
                                                  persona_mode=mode))
-        dims = {"router": (config.encoder_dim, config.embedding_dim)}.get(
-            mode, (config.encoder_dim,))
-        run = run_pipeline(config, until="router").run
-        if mode == "router":
-            assert run.features["router"].shape == (len(run.records),
-                                                    config.embedding_dim)
         run = run_pipeline(config).run
-        assert [d for d, _ in passes] == [dims] * (2 if mode == "router" else 1)
-        refs = passes[-1][1]
-        assert list(run.features) == ["classifier"]
-        assert refs[0]() is run.features["classifier"]
-        assert all(ref() is None for ref in refs[1:])
-        assert not [name for name, value in vars(run).items()
-                    if getattr(value, "shape", None)
-                    == (len(run.records), config.embedding_dim)]
+        assert [(dim, dtype) for dim, dtype, _ in passes] == [
+            (config.encoder_dim, np.float32)]
+        assert passes[0][2]() is run.features
+        assert run.features.shape == (len(run.records), config.encoder_dim)
+        assert [name for name, value in vars(run).items()
+                if isinstance(value, np.ndarray) and value.dtype.kind == "f"
+                and value.shape[0] == len(run.records)] == ["features"]
 
     @pytest.mark.parametrize("mode", ["router", "random"])
     def test_row_writers_match_one_json_dumps_per_line(self, tmp_path, mode):
@@ -348,14 +340,14 @@ class TestRunPipeline:
     def test_router_mode_encodes_each_text_once_per_encoder(
             self, stage_workspace, tmp_path, monkeypatch):
         from querydistill import pipeline
-        shared_pass = pipeline.hashed_ngram_matrices
+        shared_pass = pipeline.hashed_ngram_matrix
         passes, batches, embeds = [], [], []
 
-        def counting_pass(texts, seed, dims, dtypes=None):
-            passes.append((sorted(dims), list(texts)))
-            return shared_pass(texts, seed, dims, dtypes)
+        def counting_pass(texts, seed, dim, dtype=np.float64):
+            passes.append((dim, list(texts)))
+            return shared_pass(texts, seed, dim, dtype)
 
-        monkeypatch.setattr(pipeline, "hashed_ngram_matrices", counting_pass)
+        monkeypatch.setattr(pipeline, "hashed_ngram_matrix", counting_pass)
         monkeypatch.setattr(HashedNgramEmbedder, "encode_batch",
                             lambda self, texts: batches.append(texts))
         monkeypatch.setattr(HashedNgramEmbedder, "embed",
@@ -365,9 +357,8 @@ class TestRunPipeline:
         assert config.persona_mode == "router"
         run_pipeline(config)
         texts = [r.text for r in read_queries(config.queries_path)]
-        # Both encoders come from one n-gram pass over every text.
-        assert passes == [(sorted([config.embedding_dim, config.encoder_dim]),
-                           texts)]
+        # The gate and the classifier read one n-gram pass over every text.
+        assert passes == [(config.encoder_dim, texts)]
         assert batches == []
         assert embeds == []
 
@@ -753,15 +744,30 @@ class TestCli:
         records = read_queries(config.queries_path)
         assert [r["id"] for r in rows] == [r.id for r in records]
         assert all(len(r["personas"]) == config.persona_k == 2 for r in rows)
-        # The rows are the top-k of a fresh encoding through the saved router.
+        # The rows are the top-k of a fresh encoding, stored in float32 as
+        # the run's features are, through the saved router.
         model = load_router(os.path.join(config.output_dir, "router.json"))
-        encoder = HashedNgramEmbedder(dim=config.embedding_dim,
-                                      seed=config.seed)
+        encoder = HashedNgramEmbedder(dim=config.encoder_dim, seed=config.seed)
+        assert model.embedding_provider == encoder.tag
         chosen = select_top_k(
-            model, encoder.encode_batch([r.text for r in records]),
-            config.persona_k)
+            model, encoder.encode_batch([r.text for r in records]).astype(
+                np.float32), config.persona_k)
         assert [r["personas"] for r in rows] == [
             [model.persona_ids[i] for i in row] for row in chosen.tolist()]
+
+    def test_synth_router_chooses_more_than_one_persona_set(self, tmp_path,
+                                                            capsys):
+        # The gate ranks personas per query: on the synth corpus, whose
+        # skeptic drops every Holiday label, it does not give every query
+        # the same top-2 set.
+        assert cli.main(["synth", "--out", str(tmp_path), "--count", "200",
+                         "--seed", "7"]) == 0
+        config_path = str(tmp_path / "config.json")
+        assert cli.main(["pipeline", "-c", config_path,
+                         "--until", "aggregate"]) == 0
+        with open(tmp_path / "out" / "selections.jsonl") as fh:
+            sets = {tuple(json.loads(line)["personas"]) for line in fh}
+        assert len(sets) > 1
 
     def test_ablation_command(self, tmp_path, capsys, monkeypatch):
         calls = []
@@ -1605,8 +1611,7 @@ class TestConfigSurfaces:
          "error: annotator: "),
         ("annotator", {"kind": "mock", "noise_rate": 1.5},
          "error: noise_rate must be in [0, 1), got 1.5"),
-        ("embedding_dim", "64",
-         "error: embedding_dim must be an integer, got '64'"),
+        ("embedding_dim", "64", "error: unknown config key: embedding_dim"),
         ("aggregation_threshold", True,
          "error: aggregation_threshold must be a finite number, got True"),
         ("ratios", [0.7, 0.3], "error: ratios must be three numbers"),
@@ -1620,12 +1625,13 @@ class TestConfigSurfaces:
         ("classifier", {"beta1": 1.0},
          "error: beta1 must be in [0, 1), got 1.0"),
         ("router", {"dropout_rate": 1.0},
-         "error: dropout_rate must be in [0, 1), got 1.0"),
+         "error: unknown router key: dropout_rate"),
+        ("router", {"hidden_dim": 32}, "error: unknown router key: hidden_dim"),
         ("classifier", {"patience": -1},
          "error: patience must be >= 1, got -1"),
         ("router", {"epochs": "5"},
          "error: epochs must be an integer, got '5'"),
-        ("embedding_dim", 0, "error: embedding_dim must be >= 1, got 0"),
+        ("embedding_dim", 0, "error: unknown config key: embedding_dim"),
         ("encoder_dim", 0, "error: encoder_dim must be >= 1, got 0"),
         ("max_icl_examples", -1,
          "error: max_icl_examples must be >= 1, got -1"),
@@ -1656,7 +1662,8 @@ class TestConfigSurfaces:
             "embedding_dim-str", "aggregation_threshold-bool", "ratios-two",
             "router-epochs", "classifier-epochs", "classifier-learning_rate",
             "classifier-batch_size", "classifier-head_dim", "classifier-beta1",
-            "router-dropout_rate", "classifier-patience", "router-epochs-str",
+            "router-dropout_rate", "router-hidden_dim", "classifier-patience",
+            "router-epochs-str",
             "embedding_dim-zero", "encoder_dim-zero", "max_icl_examples-negative",
             "max_icl_examples-zero", "ratios-sum", "ratios-negative", "ratios-nan",
             "aggregation_threshold-nan",

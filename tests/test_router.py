@@ -13,32 +13,17 @@ from querydistill.errors import EmptyDatasetError, ModelError, NanLossError
 from querydistill.features import HashedNgramEmbedder
 from querydistill.optim import encode_array
 from querydistill.personas import aggregate_ensemble, sample_personas
-from querydistill.router import (RouterModel, RouterTrainConfig, load_router,
-                                 predict_entities, router_forward,
+from querydistill.router import (BCE_EPS, TEMPERATURE, RouterModel,
+                                 RouterTrainConfig, listwise_target,
+                                 load_router, router_forward,
                                  router_loss_and_grads, save_router,
                                  select_top_k, train_router)
 
 
-def zero_model(d=4, h=3, personas=("a", "b"), dropout=0.0, registry_hash="rh"):
+def zero_model(d=4, personas=("a", "b"), registry_hash="rh"):
     P = len(personas)
-    return RouterModel(
-        W1=np.zeros((d, h)), b1=np.zeros(h),
-        W2=np.zeros((h, P)), b2=np.zeros(P),
-        dropout_rate=dropout, persona_ids=personas, registry_hash=registry_hash)
-
-
-class TestEmbedQuery:
-    def test_builtin_deterministic(self):
-        encoder = HashedNgramEmbedder(dim=64, seed=3)
-        a = encoder.embed("french comedy movies")
-        b = encoder.embed("french comedy movies")
-        assert np.array_equal(a, b)
-
-    def test_builtin_unit_norm(self):
-        encoder = HashedNgramEmbedder(dim=64, seed=0)
-        for text in ("a", "tom hanks", "a very long query about movies"):
-            vec = encoder.embed(text)
-            assert abs(np.linalg.norm(vec) - 1.0) < 1e-6
+    return RouterModel(W=np.zeros((d, P)), b=np.zeros(P),
+                       persona_ids=personas, registry_hash=registry_hash)
 
 
 class TestRouterForward:
@@ -49,33 +34,18 @@ class TestRouterForward:
 
     def test_softmax_simplex(self):
         rng = np.random.default_rng(0)
-        model = RouterModel(
-            W1=rng.normal(size=(6, 5)), b1=rng.normal(size=5),
-            W2=rng.normal(size=(5, 3)), b2=rng.normal(size=3),
-            dropout_rate=0.0, persona_ids=("a", "b", "c"), registry_hash="rh")
+        model = RouterModel(W=rng.normal(size=(6, 3)), b=rng.normal(size=3),
+                            persona_ids=("a", "b", "c"), registry_hash="rh")
         relevance = router_forward(model, rng.normal(size=(5, 6)))
         assert np.allclose(relevance.sum(axis=1), 1.0, atol=1e-12)
         assert ((relevance > 0) & (relevance < 1)).all()
 
     def test_hand_evaluated_softmax(self):
-        # logits forced to (ln 3, 0) via b2; e^ln3/(e^ln3+1) = 3/4
+        # logits forced to (ln 3, 0) via b; e^ln3/(e^ln3+1) = 3/4
         model = zero_model(personas=("a", "b"))
-        model.b2 = np.array([math.log(3.0), 0.0])
+        model.b = np.array([math.log(3.0), 0.0])
         relevance = router_forward(model, np.zeros((1, 4)))
         assert np.allclose(relevance, [[0.75, 0.25]], atol=1e-12)
-
-    def test_inference_ignores_seed_and_dropout(self):
-        rng = np.random.default_rng(1)
-        model = RouterModel(
-            W1=rng.normal(size=(6, 5)), b1=rng.normal(size=5),
-            W2=rng.normal(size=(5, 3)), b2=rng.normal(size=3),
-            dropout_rate=0.5, persona_ids=("a", "b", "c"), registry_hash="rh")
-        emb = rng.normal(size=(3, 6))
-        a = router_forward(model, emb, train_mode=False, seed=1)
-        b = router_forward(model, emb, train_mode=False, seed=99)
-        assert np.array_equal(a, b)
-        trained = router_forward(model, emb, train_mode=True, seed=1)
-        assert not np.array_equal(a, trained)
 
     def test_shape_mismatch(self):
         model = zero_model(d=4)
@@ -83,73 +53,66 @@ class TestRouterForward:
             with pytest.raises(ModelError):
                 router_forward(model, X)
 
+    def test_rows_score_alike_in_any_batch(self):
+        # Each row is its own matrix-vector product, so a row's relevance
+        # has the same bits alone, in a block or in the whole matrix.
+        rng = np.random.default_rng(3)
+        model = RouterModel(W=rng.normal(size=(512, 3)), b=rng.normal(size=3),
+                            persona_ids=("a", "b", "c"), registry_hash="rh")
+        X = rng.normal(size=(300, 512)).astype(np.float32)
+        whole = router_forward(model, X)
+        for rows in (slice(0, 1), slice(7, 8), slice(0, 257), slice(44, 300)):
+            assert router_forward(model, X[rows]).tobytes() \
+                == whole[rows].tobytes()
 
-class TestPredictEntities:
-    def test_hand_arithmetic(self):
-        scores = predict_entities([[0.5, 0.5]], [[[3, 0], [1, 2]]])
-        assert np.allclose(scores, [[2 / 3, 1 / 3]])
+    def test_weight_shapes_checked(self):
+        for W, b in ((np.zeros((4, 3)), np.zeros(2)),
+                     (np.zeros((4, 2)), np.zeros(3)),
+                     (np.zeros(4), np.zeros(2))):
+            with pytest.raises(ModelError, match="do not match 2 personas"):
+                RouterModel(W=W, b=b, persona_ids=("a", "b"),
+                            registry_hash="rh")
 
-    def test_one_hot_selects_row(self):
-        values = np.array([[[3, 0], [1, 2]], [[3, 0], [1, 2]]])
-        scores = predict_entities([[0.0, 1.0], [1.0, 0.0]], values)
-        assert np.allclose(scores, np.array([[1, 2], [3, 0]]) / 3.0)
 
-    def test_zero_matrix_zero_scores(self):
-        scores = predict_entities([[0.3, 0.7]], np.zeros((1, 2, 2)))
-        assert np.array_equal(scores, [[0.0, 0.0]])
+class TestListwiseTarget:
+    def test_hand_evaluated_target(self):
+        # Persona a copies the gold at High, b inverts it: a's cost is
+        # -log(1 - eps), b's is -log(eps), each the mean of two equal BCEs.
+        target = listwise_target([[[3, 0], [0, 3]]], [[1.0, 0.0]])
+        costs = np.array([-math.log1p(-BCE_EPS), -math.log(BCE_EPS)])
+        weights = np.exp(-TEMPERATURE * (costs - costs.min()))
+        assert np.allclose(target, [weights / weights.sum()], atol=1e-15)
 
-    def test_linearity(self):
-        rng = np.random.default_rng(7)
-        values = rng.integers(0, 4, size=(25, 2, 3))
-        r1 = rng.dirichlet(np.ones(2), size=25)
-        r2 = rng.dirichlet(np.ones(2), size=25)
-        alpha = rng.random((25, 1))
-        mixed = predict_entities(alpha * r1 + (1 - alpha) * r2, values)
-        parts = (alpha * predict_entities(r1, values)
-                 + (1 - alpha) * predict_entities(r2, values))
-        assert np.allclose(mixed, parts, atol=1e-12)
-
-    def test_shape_and_hash_guards(self):
-        values = np.array([[[3, 0], [1, 2]]])
-        for relevance in ([[1.0]], [0.5, 0.5], [[0.5, 0.5]] * 2):
-            with pytest.raises(ModelError):
-                predict_entities(relevance, values)
-
-    def test_scores_stay_in_unit_interval(self):
-        rng = np.random.default_rng(11)
-        values = rng.integers(0, 4, size=(25, 2, 4))
-        scores = predict_entities(rng.dirichlet(np.ones(2), size=25), values)
-        assert (scores >= -1e-12).all() and (scores <= 1 + 1e-12).all()
-
-    def test_loss_scores_go_through_predict_entities(self, monkeypatch):
-        # router_loss_and_grads routes its entity scores through this
-        # function, so the checks above cover the scores training uses.
-        model = zero_model(d=4, personas=("a", "b"))
-        values = np.arange(12).reshape(2, 2, 3) % 4
-        calls = []
-        real = router_mod.predict_entities
-        monkeypatch.setattr(router_mod, "predict_entities",
-                            lambda *args: calls.append(args) or real(*args))
-        router_loss_and_grads(model, np.ones((2, 4)), values,
-                              np.zeros((2, 3)))
-        assert len(calls) == 1 and calls[0][1] is values
+    def test_equal_rows_give_uniform(self):
+        target = listwise_target(np.full((2, 4, 3), 2), np.ones((2, 3)))
+        assert np.allclose(target, 0.25, atol=1e-15)
 
 
 class TestGradients:
-    def fixed_instance(self, train_mode=False):
-        # the standing gradient-check instance: d=8, h=4, P=3, E=5
+    def fixed_instance(self):
+        # the standing gradient-check instance: d=8, P=3, E=5, 6 rows
         rng = np.random.default_rng(42)
         model = RouterModel(
-            W1=rng.normal(scale=0.5, size=(8, 4)),
-            b1=rng.normal(scale=0.5, size=4),
-            W2=rng.normal(scale=0.5, size=(4, 3)),
-            b2=rng.normal(scale=0.5, size=3),
-            dropout_rate=0.25 if train_mode else 0.0,
+            W=rng.normal(scale=0.5, size=(8, 3)),
+            b=rng.normal(scale=0.5, size=3),
             persona_ids=("a", "b", "c"), registry_hash="rh")
         X = rng.normal(size=(6, 8))
         M = rng.integers(0, 4, size=(6, 3, 5)).astype(float)
         Y = (rng.random(size=(6, 5)) < 0.4).astype(float)
         return model, X, M, Y
+
+    def test_no_gradient_when_relevance_is_the_target(self):
+        # With zero features the relevance is softmax(b); setting b to the
+        # log of the target makes R = T, so dZ = (R - T) / B vanishes.
+        M = np.array([[[3, 0, 2], [0, 3, 1], [1, 1, 1]]])
+        Y = np.array([[1.0, 0.0, 1.0]])
+        target = listwise_target(M, Y)
+        model = zero_model(d=4, personas=("a", "b", "c"))
+        model.b = np.log(target[0])
+        loss, grads = router_loss_and_grads(model, np.zeros((1, 4)), M, Y)
+        assert np.allclose(grads["b"], 0.0, atol=1e-12)
+        assert np.array_equal(grads["W"], np.zeros((4, 3)))
+        assert np.isclose(loss, -(target * np.log(target)).sum())
 
     def test_analytic_matches_finite_differences(self):
         model, X, M, Y = self.fixed_instance()
@@ -160,25 +123,13 @@ class TestGradients:
             step=1e-4)
         assert oracles.max_relative_error(analytic, numeric) <= 1e-3
 
-    def test_gradients_through_fixed_dropout_mask(self):
-        model, X, M, Y = self.fixed_instance(train_mode=True)
-        _, analytic = router_loss_and_grads(model, X, M, Y,
-                                            train_mode=True, seed=5)
-        numeric = oracles.finite_difference_grads(
-            model.params(),
-            lambda: router_loss_and_grads(model, X, M, Y,
-                                          train_mode=True, seed=5)[0],
-            step=1e-4)
-        assert oracles.max_relative_error(analytic, numeric) <= 1e-3
-
 
 class TestTrainRouter:
     def test_oracle_persona_wins_relevance(self):
         registry = synth.entity_registry(4)
         (X, M, Y), persona_ids = synth.router_dataset(
             240, registry, ("oracle", "random"), seed=13)
-        config = RouterTrainConfig(hidden_dim=16, epochs=12, seed=7,
-                                   dropout_rate=0.1)
+        config = RouterTrainConfig(epochs=12, seed=7)
         model, history = train_router(X[:200], M[:200], Y[:200], persona_ids,
                                       config, registry)
         mean = router_forward(model, X[200:]).mean(axis=0)
@@ -189,10 +140,40 @@ class TestTrainRouter:
         (X, M, Y), persona_ids = synth.router_dataset(
             1, registry, ("oracle", "random"), seed=3)
         repeated = [np.repeat(a, 8, axis=0) for a in (X, M, Y)]
-        config = RouterTrainConfig(hidden_dim=8, epochs=10, seed=0,
-                                   learning_rate=1e-3, dropout_rate=0.0)
+        config = RouterTrainConfig(epochs=10, seed=0, learning_rate=1e-3)
         _, history = train_router(*repeated, persona_ids, config, registry)
         assert history[-1][2] < history[0][2]
+
+    def test_persona_wrong_for_one_entity_ranks_last(self):
+        # Entity e is gold iff the query holds its cue word. "exact" copies
+        # the gold at High, "medium" at Medium, and "blind" at High but
+        # never marks entity 0. On the held-out queries that carry entity
+        # 0, "blind" is the worst persona, and the gate ranks it last.
+        registry = synth.entity_registry(3)
+        rng = np.random.default_rng(5)
+        cues = ["christmas", "comedy", "football"]
+        filler = ["movies", "show", "tonight", "best", "new", "watch",
+                  "series", "free"]
+        texts, Y = [], []
+        for _ in range(300):
+            gold = rng.random(3) < 0.4
+            words = ([cue for cue, g in zip(cues, gold) if g]
+                     + rng.choice(filler, 2).tolist())
+            rng.shuffle(words)
+            texts.append(" ".join(words))
+            Y.append(gold)
+        Y = np.array(Y)
+        X = HashedNgramEmbedder(dim=128, seed=0).encode_batch(texts)
+        blind = 3 * Y
+        blind[:, 0] = 0
+        M = np.stack([3 * Y, 2 * Y, blind], axis=1)
+        config = RouterTrainConfig(epochs=20, learning_rate=0.01, seed=3)
+        model, _ = train_router(X[:200], M[:200], Y[:200],
+                                ("exact", "medium", "blind"), config, registry)
+        carry = Y[200:, 0]
+        assert carry.sum() >= 20
+        last = select_top_k(model, X[200:], 3)[:, -1]
+        assert (last[carry] == 2).all()
 
     def test_empty_dataset_rejected(self):
         registry = synth.entity_registry(3)
@@ -207,7 +188,7 @@ class TestTrainRouter:
             20, registry, ("oracle", "random"), seed=4)
         Y = Y.astype(float)
         Y[0, 0] = np.nan
-        config = RouterTrainConfig(hidden_dim=8, epochs=2, batch_size=20)
+        config = RouterTrainConfig(epochs=2, batch_size=20)
         with pytest.raises(NanLossError, match="router") as info:
             train_router(X, M, Y, persona_ids, config, registry)
         assert (info.value.epoch, info.value.batch) == (0, 0)
@@ -221,8 +202,7 @@ class TestTrainRouter:
         (X, M, Y), persona_ids = synth.router_dataset(
             60, registry, ("oracle", "random"), seed=8)
         rows = np.random.default_rng(1).permutation(len(X))[:45]
-        config = RouterTrainConfig(hidden_dim=8, epochs=3, batch_size=8,
-                                   seed=5)
+        config = RouterTrainConfig(epochs=3, batch_size=8, seed=5)
         model_a, hist_a = train_router(X, M.astype(np.int8), Y, persona_ids,
                                        config, registry, rows=rows.tolist())
         model_b, hist_b = train_router(
@@ -236,7 +216,7 @@ class TestTrainRouter:
         registry = synth.entity_registry(3)
         data, persona_ids = synth.router_dataset(
             40, registry, ("oracle", "random"), seed=2)
-        config = RouterTrainConfig(hidden_dim=8, epochs=3, seed=11)
+        config = RouterTrainConfig(epochs=3, seed=11)
         model_a, hist_a = train_router(*data, persona_ids, config, registry)
         model_b, hist_b = train_router(*data, persona_ids, config, registry)
         assert hist_a == hist_b
@@ -248,11 +228,11 @@ class TestTrainRouter:
         registry = synth.entity_registry(3)
         data, persona_ids = synth.router_dataset(
             20, registry, ("oracle", "random"), seed=5)
-        config = RouterTrainConfig(hidden_dim=8, epochs=2, seed=1)
+        config = RouterTrainConfig(epochs=2, seed=1)
         model, _ = train_router(*data, persona_ids, config, registry)
         save_router(tmp_path / "router.json", model)
         loaded = load_router(tmp_path / "router.json")
-        assert np.array_equal(loaded.W1, model.W1)
+        assert np.array_equal(loaded.W, model.W)
         assert loaded.persona_ids == model.persona_ids
         X = data[0]
         assert np.array_equal(router_forward(loaded, X),
@@ -263,29 +243,29 @@ class TestTrainRouter:
         save_router(path, zero_model())
         text = path.read_text()
         payload = json.loads(text)
-        W1 = payload["weights"]["W1"]
+        W = payload["weights"]["W"]
 
-        def with_W1(value):
+        def with_W(value):
             return json.dumps(dict(payload, weights=dict(payload["weights"],
-                                                         W1=value)))
+                                                         W=value)))
 
         for content in (text[:len(text) // 2], "", "[1, 2]",
                         json.dumps({"kind": "router"}),
                         json.dumps(dict(payload, weights=[])),
-                        with_W1([[0.0], []]),  # the list form is not read
-                        with_W1(dict(W1, data="not base64!")),
-                        with_W1(dict(W1, data=W1["data"][:-8])),
-                        with_W1(dict(W1, dtype="|O")),
-                        with_W1(dict(W1, dtype=">f8")),
-                        with_W1(dict(W1, shape=[4, -3])),
-                        with_W1(dict(W1, data=None))):
+                        with_W([[0.0], []]),  # the list form is not read
+                        with_W(dict(W, data="not base64!")),
+                        with_W(dict(W, data=W["data"][:-8])),
+                        with_W(dict(W, dtype="|O")),
+                        with_W(dict(W, dtype=">f8")),
+                        with_W(dict(W, shape=[4, -3])),
+                        with_W(dict(W, data=None))):
             path.write_text(content)
             with pytest.raises(ModelError):
                 load_router(path)
 
 
 class TestLoadTimeChecks:
-    @pytest.mark.parametrize("name", ["W1", "b1", "W2", "b2"])
+    @pytest.mark.parametrize("name", ["W", "b"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"),
                                        float("-inf")])
     def test_non_finite_weight_rejected(self, tmp_path, name, value):
@@ -306,18 +286,34 @@ class TestLoadTimeChecks:
         path = tmp_path / "router.json"
         save_router(path, zero_model())
         payload = json.loads(path.read_text())
-        payload["weights"]["W1"]["dtype"] = ">f8"
+        payload["weights"]["W"]["dtype"] = ">f8"
         path.write_text(json.dumps(payload))
         with pytest.raises(ModelError) as refused:
             load_router(path)
         assert str(refused.value).startswith(
-            f"{path} is not a valid router model file: W1 has dtype '>f8'")
+            f"{path} is not a valid router model file: W has dtype '>f8'")
+
+    def test_two_layer_router_file_refused_naming_the_file(self, tmp_path):
+        # A router.json of the two-layer network that the gate replaced.
+        path = tmp_path / "router.json"
+        save_router(path, zero_model())
+        payload = json.loads(path.read_text())
+        payload["weights"] = {
+            "W1": encode_array(np.zeros((4, 3))), "b1": encode_array(np.zeros(3)),
+            "W2": encode_array(np.zeros((3, 2))), "b2": encode_array(np.zeros(2))}
+        payload.update(h=3, dropout_rate=0.1)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ModelError) as refused:
+            load_router(path)
+        assert str(refused.value).startswith(
+            f"{path} is not a valid router model file: it holds the two-layer "
+            f"router")
 
 
 class TestSelectTopK:
     def model_with_relevance(self, logits, personas):
         model = zero_model(personas=personas)
-        model.b2 = np.array(logits, dtype=float)
+        model.b = np.array(logits, dtype=float)
         return model
 
     def top_ids(self, model, k):
@@ -361,14 +357,14 @@ class TestSelectTopK:
 class TestBlockedSelection:
     @pytest.mark.parametrize("n", [1, 2, 3, 255, 256, 257, 259, 513, 2049])
     def test_blocks_equal_one_forward_bit_for_bit(self, n, monkeypatch):
-        # The router of the ``synth`` config: 64 features, 32 hidden units.
+        # The gate of the ``synth`` config over its float32 features: 512
+        # columns, 3 personas.
         rng = np.random.default_rng(n)
         model = RouterModel(
-            W1=rng.normal(size=(64, 32)), b1=rng.normal(size=32),
-            W2=rng.normal(size=(32, 3)), b2=rng.normal(size=3),
-            dropout_rate=0.1, persona_ids=("skeptic", "generalist", "enthusiast"),
+            W=rng.normal(size=(512, 3)), b=rng.normal(size=3),
+            persona_ids=("skeptic", "generalist", "enthusiast"),
             registry_hash="rh")
-        X = rng.normal(size=(n + 40, 64))
+        X = rng.normal(size=(n + 40, 512)).astype(np.float32)
         rows = rng.permutation(len(X))[:n]
         id_rank = np.argsort(np.argsort(model.persona_ids))
         blocks = []
@@ -394,30 +390,29 @@ _PERSONA_IDS = ("zeta", "alpha", "mu", "beta", "omega")
 
 @st.composite
 def _routed_batches(draw):
-    """A router, embeddings and (N, P, E) matrices. Weights are quarters and
-    embeddings small integers, so every relevance logit is exact and exact
+    """A gate, features and (N, P, E) matrices. Weights are quarters and
+    features small integers, so every relevance logit is exact and exact
     ties survive both the batched and the per-row forward pass. ``ties``
-    zeroes the output layer (every persona ties) or copies one persona's
-    output column onto another."""
+    zeroes the weights (every persona ties) or copies one persona's
+    column onto another."""
     P = draw(st.integers(1, len(_PERSONA_IDS)))
     N, E = draw(st.integers(1, 8)), draw(st.integers(1, 4))
-    d, h = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    d = draw(st.integers(1, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
 
     def quarters(*shape):
         return rng.integers(-4, 5, size=shape) / 4.0
 
-    W2, b2 = quarters(h, P), quarters(P)
+    W, b = quarters(d, P), quarters(P)
     ties = draw(st.sampled_from(["none", "all", "copy"]))
     if ties == "all":
-        W2[:], b2[:] = 0.0, 0.0
+        W[:], b[:] = 0.0, 0.0
     elif ties == "copy" and P > 1:
         src, dst = draw(st.lists(st.integers(0, P - 1), min_size=2,
                                  max_size=2, unique=True))
-        W2[:, dst], b2[dst] = W2[:, src], b2[src]
+        W[:, dst], b[dst] = W[:, src], b[src]
     registry = synth.entity_registry(E)
-    model = RouterModel(W1=quarters(d, h), b1=quarters(h), W2=W2, b2=b2,
-                        dropout_rate=0.0, persona_ids=_PERSONA_IDS[:P],
+    model = RouterModel(W=W, b=b, persona_ids=_PERSONA_IDS[:P],
                         registry_hash=registry.hash)
     values = rng.integers(0, 4, size=(N, P, E))
     if draw(st.booleans()):
