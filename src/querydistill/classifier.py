@@ -15,10 +15,12 @@ recall/precision.
 The encoder is ``features.HashedNgramEmbedder``: it embeds any query,
 seen in training or not, so the same model scores queries in real time.
 Training, threshold tuning and batch prediction take its ``(n, dim)``
-feature rows and a row index into them, so a pipeline run encodes each
-query once and copies no split; batch prediction (which the dev
-checkpoint and threshold tuning call) scores ``features.row_blocks`` at a
-time. ``predict_probs`` embeds one query with the model's encoder, or the
+feature rows, an array or a run's ``features.CountRows``, and a row index
+into them: they gather rows by index and never read the whole of it, so a
+pipeline run encodes each query once, holds its features as integer
+counts and copies no split. Batch prediction (which the dev checkpoint
+and threshold tuning call) scores ``features.row_blocks`` at a time.
+``predict_probs`` embeds one query with the model's encoder, or the
 long-lived one a server passes. A model file naming another encoder kind,
 or holding the two-layer heads of earlier versions, is refused at load.
 
@@ -195,7 +197,9 @@ def train_classifier(X, Y, X_dev, Y_dev, config, registry, encoder,
     labels ``Y`` (n, E) over the registry's entities. The train set is
     ``rows`` of X and Y, and the dev set ``dev_rows`` of X_dev and Y_dev
     (every row when None); each minibatch gathers its rows and casts them
-    to the heads' float32, so neither set is copied.
+    to the heads' float32, so neither set is copied. X and X_dev are only
+    indexed by rows, so a ``features.CountRows`` serves as well as an
+    array.
 
     Checkpoints on dev micro-F1 (decisions at probability 0.5) each epoch
     and early-stops after ``config.patience`` epochs without improvement;
@@ -208,7 +212,7 @@ def train_classifier(X, Y, X_dev, Y_dev, config, registry, encoder,
         raise EmptyDatasetError("train_classifier got an empty train set")
     if len(Y) != len(X) or len(Y_dev) != len(X_dev):
         raise ModelError("features and labels differ in row count")
-    X, Y, X_dev = np.asarray(X), np.asarray(Y), np.asarray(X_dev)
+    Y = np.asarray(Y)
     Y_dev = _pick(Y_dev, dev_rows)
     if Y.shape[1] != len(registry):
         raise ModelError("train labels do not cover the registry")

@@ -12,14 +12,18 @@ training and real-time inference. It exposes ``kind``, ``dim``, ``tag``,
 ``descriptor()``, ``embed(text)`` for one query and ``encode_batch(texts)``
 for an ``(n, dim)`` matrix whose rows equal ``embed``'s;
 ``encoder_from_descriptor`` rebuilds it from its descriptor.
-``hashed_ngram_matrix`` is ``encode_batch`` in one n-gram pass, stored in
-its consumer's dtype: a pipeline run encodes each query once, in float32,
-and both the classifier and the persona gate take rows of that one
-matrix. It encodes a block of texts at a time straight into an output
-allocated once, so beyond its output it holds one block's transients and
-the window memo. ``row_blocks`` is the one block policy of every
-whole-corpus pass: this encode, the classifier's batch scoring and the
-gate's selection, each bit for bit as one pass over every row.
+``hashed_ngram_counts`` is ``encode_batch`` in one n-gram pass, held as
+``CountRows``: each row's integer bucket counts, int8 at most widths, and
+one float64 divisor per row, gathered into float rows of its consumer's
+dtype by row index. A pipeline run encodes each query once, and both the
+classifier and the persona gate gather their float32 rows from those
+counts, so no float matrix of every row is held. The pass encodes a block
+of texts at a time straight into counts allocated once, so beyond them
+it holds one block's transients and the window memo.
+``hashed_ngram_matrix`` is that pass made dense. ``row_blocks`` is the
+one block policy of every whole-corpus pass: this encode, the classifier's
+batch scoring and the gate's selection; each scores a row alone, so its
+bits do not depend on the blocks.
 
 Both hashed paths digest a query window by window (``_windows``) and keep
 each window's joined digests in a ``_WindowMemo``: the embedder's memo is
@@ -50,7 +54,7 @@ _BOUNDARY_CLOSE = ">"
 # more than the limit is encoded but not kept.
 BUCKET_CACHE_LIMIT = 1 << 16
 WINDOW_KEY_CHARGE = 4
-# Every whole-corpus pass (``hashed_ngram_matrix``, the classifier's
+# Every whole-corpus pass (``hashed_ngram_counts``, the classifier's
 # batch scoring, the router's selection) takes at most this many rows at a
 # time (``row_blocks``), so its transients stay bounded however many
 # queries a run holds.
@@ -58,24 +62,9 @@ BLOCK_ROWS = 256
 
 
 def row_blocks(n):
-    """Slices of ``range(n)``, in order, of at most ``BLOCK_ROWS`` rows:
-    whole blocks from row 0, then the rest, where a rest of one row
-    (``n > 1``) is taken with the block before it as ``BLOCK_ROWS // 2``
-    and ``BLOCK_ROWS // 2 + 1`` rows.
-
-    So a product over each block gives every row the bits that one product
-    over all ``n`` rows gives it. OpenBLAS takes rows in small groups
-    (4 in its Haswell kernels) and a short last group through other code:
-    here every block but the last ends on a multiple of ``BLOCK_ROWS //
-    2``, so a short group is where it is in the whole matrix, at its end.
-    And numpy sends a one-row product to the matrix-vector kernel, so no
-    block has one row unless ``n`` is 1.
-    """
-    starts = list(range(0, n, BLOCK_ROWS))
-    if n > 1 and n % BLOCK_ROWS == 1:
-        starts[-1] -= BLOCK_ROWS // 2
-    for start, stop in zip(starts, starts[1:] + [n]):
-        yield slice(start, stop)
+    """Slices of ``range(n)``, in order, of at most ``BLOCK_ROWS`` rows."""
+    for start in range(0, n, BLOCK_ROWS):
+        yield slice(start, min(start + BLOCK_ROWS, n))
 
 
 def _digest(ngram, key):
@@ -172,12 +161,14 @@ class _WindowMemo(BoundedMemo):
         return parts
 
 
-def _unit_rows(values, rows, n, dim):
+def _bucket_counts(values, rows, n, dim):
     """The ``(n, dim)`` float64 matrix in which each digest value adds
     +1.0 (top bit clear) or -1.0 (set) to bucket ``value % dim`` of its
-    row (``rows``, or row 0 when None), each row then scaled to unit L2
-    norm. Every entry is a sum of +-1.0, so the sums and norms are exact
-    whatever the order of the values."""
+    row (``rows``, or row 0 when None), and each row's scale, its L2 norm
+    or 1 if that is larger. Every entry is a sum of +-1.0, so the sums and
+    norms are exact whatever the order of the values. A row of integers is
+    zero or has a norm >= 1, so a row divided by its scale has unit norm
+    and a zero row stays zero."""
     # As an int64 a value is negative iff its top bit is set, and then its
     # arithmetic shift by 63 is -1, else 0.
     signs = (values.view(np.int64) >> 63) | 1
@@ -188,9 +179,34 @@ def _unit_rows(values, rows, n, dim):
     matrix = np.bincount(cells, weights=signs, minlength=n * dim)
     matrix = matrix.astype(float, copy=False).reshape(n, dim)
     norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
-    # A row of integers is zero or has a norm >= 1: a zero row stays zero.
-    matrix /= np.maximum(norms, 1.0, out=norms)[:, None]
-    return matrix
+    return matrix, np.maximum(norms, 1.0, out=norms)
+
+
+class CountRows:
+    """Feature rows held as their n-gram counts and one divisor per row.
+
+    ``counts`` (n, dim) holds each row's signed bucket counts as int8, or
+    as the narrowest of int16 and int32 that holds a larger count, and
+    ``scale`` (n,) each row's float64 divisor, its L2 norm or 1 if that is
+    larger. ``rows[idx]``, for row indices or a slice, is
+    ``(counts[idx] / scale[idx, None]).astype(dtype)``: the float64 quotient
+    that ``embed`` returns, stored in ``dtype``. At int8 the counts take a
+    quarter of the bytes of a float32 matrix.
+    """
+
+    def __init__(self, counts, scale, dtype):
+        self.counts, self.scale, self.dtype = counts, scale, np.dtype(dtype)
+
+    @property
+    def shape(self):
+        return self.counts.shape
+
+    def __len__(self):
+        return len(self.counts)
+
+    def __getitem__(self, rows):
+        return (self.counts[rows] / self.scale[rows, None]).astype(
+            self.dtype, copy=False)
 
 
 class HashedNgramEmbedder:
@@ -220,7 +236,8 @@ class HashedNgramEmbedder:
         """Signed bucket counts of the text's n-grams, L2-normalized."""
         values = np.frombuffer(b"".join(self._memo.text_digests(text)),
                                dtype="<u8")
-        return _unit_rows(values, None, 1, self.dim)[0]
+        counts, scale = _bucket_counts(values, None, 1, self.dim)
+        return counts[0] / scale[0]
 
     def encode_batch(self, texts):
         """One ``embed(text)`` row per text; see ``hashed_ngram_matrix``."""
@@ -239,15 +256,17 @@ class _KnownDigests(dict):
         return value
 
 
-def hashed_ngram_matrix(texts, seed, dim, dtype=np.float64):
-    """``HashedNgramEmbedder(dim, seed).encode_batch(texts)``, stored in
-    ``dtype``: each distinct window and each distinct n-gram is digested
-    once, and each block of ``row_blocks`` costs one ``np.bincount``. Each
-    row is computed in float64, bit-identical to ``embed``'s, then stored."""
+def hashed_ngram_counts(texts, seed, dim, dtype=np.float64):
+    """The ``CountRows`` of ``HashedNgramEmbedder(dim, seed).encode_batch(
+    texts)``, whose rows come out in ``dtype``: each distinct window and
+    each distinct n-gram is digested once, and each block of ``row_blocks``
+    costs one ``np.bincount``. The counts start as int8 and are widened
+    once a block holds a count that int8 cannot."""
     key = int(seed).to_bytes(8, "little")
     # This memo lives for one call only, so it keeps every window.
     memo = _WindowMemo(_KnownDigests(key).__getitem__, float("inf"))
-    matrix = np.empty((len(texts), dim), dtype)
+    counts = np.empty((len(texts), dim), np.int8)
+    scale = np.empty(len(texts))
     for rows in row_blocks(len(texts)):
         block = texts[rows]
         parts, lengths = [], []
@@ -257,8 +276,24 @@ def hashed_ngram_matrix(texts, seed, dim, dtype=np.float64):
             lengths.append(sum(map(len, text_parts)) // 8)
         values = np.frombuffer(b"".join(parts), dtype="<u8")
         cells = np.repeat(np.arange(len(block)), lengths)
-        matrix[rows] = _unit_rows(values, cells, len(block), dim)
-    return matrix
+        block_counts, scale[rows] = _bucket_counts(values, cells, len(block),
+                                                   dim)
+        # A signed type's max is -1 - its min, so the narrowest type that
+        # holds the block's min and -1 - its max holds every count.
+        low = min(int(block_counts.min()), -1 - int(block_counts.max()))
+        fits = np.promote_types(counts.dtype, np.min_scalar_type(low))
+        if fits != counts.dtype:
+            counts = counts.astype(fits)
+        counts[rows] = block_counts
+        del block_counts  # before the next block's are counted
+    return CountRows(counts, scale, dtype)
+
+
+def hashed_ngram_matrix(texts, seed, dim, dtype=np.float64):
+    """``hashed_ngram_counts`` made dense: the ``(n, dim)`` matrix of
+    ``HashedNgramEmbedder(dim, seed).encode_batch(texts)``, stored in
+    ``dtype``; its float64 rows equal ``embed``'s bit for bit."""
+    return hashed_ngram_counts(texts, seed, dim, dtype)[:]
 
 
 def encoder_from_descriptor(descriptor):

@@ -28,11 +28,13 @@ stage score the dev and test rows of the classifier's features in row
 blocks. So no stage copies a part of the split.
 ``labels.jsonl`` lists the weak labels in query-id order.
 
-One n-gram pass encodes the queries once, in float32 (``run.features``,
-(N, encoder_dim)). The classifier and, in router mode, the persona gate
-both read that matrix, gathering their rows and casting them to float64
-a minibatch or a block at a time. The aggregate stage keeps each query's
-chosen personas as ``run.chosen``, (N, k) persona rows.
+One n-gram pass encodes the queries once (``run.features``, a
+``features.CountRows`` of (N, encoder_dim) int8 counts and (N,) float64
+row scales). The classifier and, in router mode, the persona gate both
+gather their float32 rows from it a minibatch or a block at a time, the
+gate casting them to float64, so the run holds no float matrix of every
+query. The aggregate stage keeps each query's chosen personas as
+``run.chosen``, (N, k) persona rows.
 
 Reruns are cheap: the annotate stage reads the response cache, so a
 completed pipeline re-executed with the same configuration performs zero
@@ -63,7 +65,7 @@ from . import router as router_mod
 from .annotations import (Annotation, Confidence, read_annotations,
                           write_annotation_store)
 from .errors import DataError, PipelineConfigError, UnparseableResponseError
-from .features import HashedNgramEmbedder, hashed_ngram_matrix
+from .features import HashedNgramEmbedder, hashed_ngram_counts
 from .llm_client import (AnnotationFailure, AnnotatorHandle, HttpEndpointConfig,
                          MockConfig, ResponseCache, annotate_batch, prompt_keys)
 from .optim import COUNT, check_fields
@@ -373,9 +375,9 @@ class _Run:
 
     @functools.cached_property
     def features(self):
-        """The (N, encoder_dim) float32 feature matrix of the ingested
-        texts, which the persona gate and the classifier both read."""
-        return hashed_ngram_matrix([r.text for r in self.records],
+        """The ``CountRows`` of the ingested texts, whose float32 rows the
+        persona gate and the classifier both gather."""
+        return hashed_ngram_counts([r.text for r in self.records],
                                    self.config.seed, self.config.encoder_dim,
                                    np.float32)
 

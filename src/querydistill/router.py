@@ -3,7 +3,9 @@
 A linear softmax gate, the gating network of Shazeer et al. (ICLR 2017,
 sparsely-gated mixture of experts), maps a query's feature row ``x`` to a
 relevance distribution over personas, ``softmax(x @ W + b)``. It reads the
-classifier's own hashed n-gram features, so a run holds one feature matrix.
+classifier's own hashed n-gram features, so a run encodes its queries once:
+the gate gathers its rows from the run's ``features.CountRows`` and casts
+them to float64.
 
 The pipeline ranks personas by relevance (``select_top_k``), so the gate
 trains for a ranking, with the listwise loss of ListNet (Cao et al., ICML
@@ -96,13 +98,12 @@ def listwise_target(matrices, targets):
     return np.exp(_log_softmax(-TEMPERATURE * cost))
 
 
-def router_loss_and_grads(model, X, matrices, targets):
-    """Loss and parameter gradients of a batch: X (B, d) features, (B, P, E)
-    matrices of values in {0..3} and (B, E) gold indicators. The loss is the
-    batch mean of the cross-entropy of the relevance R against the
-    ``listwise_target`` T; its gradient in the logits is ``(R - T) / B``."""
+def router_loss_and_grads(model, X, T):
+    """Loss and parameter gradients of a batch: X (B, d) features and T
+    (B, P) their ``listwise_target``. The loss is the batch mean of the
+    cross-entropy of the relevance R against T; its gradient in the logits
+    is ``(R - T) / B``."""
     log_relevance = _log_softmax(X @ model.W + model.b)
-    T = listwise_target(matrices, targets)
     loss = float(-(T * log_relevance).sum(axis=1).mean())
     dZ = (np.exp(log_relevance) - T) / len(X)
     return loss, {"W": X.T @ dZ, "b": dZ.sum(axis=0)}
@@ -112,9 +113,11 @@ def train_router(X, M, Y, persona_ids, config, registry, rows=None):
     """(RouterModel, [(epoch, batch, loss)]) of minibatch AdamW on X (n, d)
     features, M (n, P, E) confidence matrices (rows in ``persona_ids``
     order) and Y (n, E) gold indicators. The train set is ``rows`` of them
-    (every row when None); each minibatch gathers its rows and casts them
-    to float64, so no copy of it is made. The caller records the encoder's
-    ``tag`` in the model's ``embedding_provider``."""
+    (every row when None). The train rows' listwise targets are computed
+    once, ``features.row_blocks`` at a time; each minibatch gathers its
+    feature rows and casts them to float64, so no copy of the features is
+    made. The caller records the encoder's ``tag`` in the model's
+    ``embedding_provider``."""
     rows = np.arange(len(X)) if rows is None else np.asarray(rows, np.intp)
     if not len(rows):
         raise EmptyDatasetError("train_router got no examples")
@@ -123,11 +126,13 @@ def train_router(X, M, Y, persona_ids, config, registry, rows=None):
     model = RouterModel(W=W, b=b, persona_ids=persona_ids,
                         registry_hash=registry.hash,
                         train_config=asdict(config))
+    T = np.empty((len(rows), P))
+    for block in row_blocks(len(rows)):
+        T[block] = listwise_target(M[rows[block]], Y[rows[block]])
 
     def batch_loss(batch):
-        picked = rows[batch]
         return router_loss_and_grads(
-            model, *(np.asarray(a[picked], dtype=float) for a in (X, M, Y)))
+            model, np.asarray(X[rows[batch]], dtype=float), T[batch])
 
     history = []
     for epoch, losses in minibatch_epochs(model.params(), len(rows),
@@ -141,7 +146,8 @@ def select_top_k(model, X, k):
     most relevant personas by ``router_forward``, by descending relevance;
     exact ties go to the lexicographically smaller persona id. The
     relevance is computed ``features.row_blocks`` at a time, each block
-    cast to float64, bit for bit as one forward over every row."""
+    gathered and cast to float64, bit for bit as one forward over every
+    row."""
     if not 1 <= k <= model.persona_count:
         raise ModelError(
             f"k must be in [1, {model.persona_count}], got {k}")

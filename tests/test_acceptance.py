@@ -127,9 +127,10 @@ def test_criterion_3_gradient_checks():
     X = rng.normal(size=(6, 8))
     M = rng.integers(0, 4, size=(6, 3, 5)).astype(float)
     Y = (rng.random(size=(6, 5)) < 0.4).astype(float)
-    _, analytic = router_loss_and_grads(router, X, M, Y)
+    T = listwise_target(M, Y)
+    _, analytic = router_loss_and_grads(router, X, T)
     numeric = oracles.finite_difference_grads(
-        router.params(), lambda: router_loss_and_grads(router, X, M, Y)[0],
+        router.params(), lambda: router_loss_and_grads(router, X, T)[0],
         step=1e-4)
     router_err = oracles.max_relative_error(analytic, numeric)
     assert router_err <= 1e-3

@@ -45,22 +45,6 @@ def random_model(D=16, E=3, seed=0, backend_seed=0):
         registry_hash="rh")
 
 
-class TestEncode:
-    def test_deterministic(self):
-        backend = HashedNgramEmbedder(dim=128, seed=0)
-        assert np.array_equal(backend.embed("comedy movies"),
-                              backend.embed("comedy movies"))
-
-    def test_empty_text_rejected(self):
-        backend = HashedNgramEmbedder(dim=32, seed=0)
-        with pytest.raises(ValueError):
-            backend.embed("   ")
-
-    def test_unit_norm(self):
-        backend = HashedNgramEmbedder(dim=64, seed=1)
-        assert abs(np.linalg.norm(backend.embed("tom hanks")) - 1.0) < 1e-12
-
-
 class TestWeakLabels:
     def test_high_filter(self, tiny_registry):
         labels = weak_labels_from_annotations(

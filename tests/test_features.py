@@ -12,7 +12,7 @@ from querydistill import features
 from querydistill.errors import ModelError
 from querydistill.features import (HashedNgramEmbedder,
                                    encoder_from_descriptor,
-                                   hashed_ngram_matrix)
+                                   hashed_ngram_counts, hashed_ngram_matrix)
 from querydistill.synth import synth_gazetteer, synth_queries
 
 
@@ -298,8 +298,9 @@ class TestSharedNgramPass:
     def test_peak_memory_is_outputs_and_one_block(self):
         # The texts of synth-2000, seed 7: 1,731 unique queries, so
         # several blocks. The call's window memo keeps every window; beyond
-        # it and the output, one block's float64 rows and its per-n-gram
-        # arrays take under 6 KiB a row of these texts at 256 columns.
+        # it and the output (int8 counts and float64 scales, 264 bytes a
+        # row), one block's float64 rows and its per-n-gram arrays take
+        # under 6 KiB a row of these texts at 256 columns.
         records, _ = synth_queries(synth_gazetteer(), 2000, seed=7)
         texts = [r.text for r in records]
         assert len(texts) > 4 * features.BLOCK_ROWS
@@ -315,34 +316,81 @@ class TestSharedNgramPass:
         memo_bytes = traced_growth(fill_memo)
         tracemalloc.start()
         try:
-            matrix = hashed_ngram_matrix(texts, 7, 256, np.float32)
+            rows = hashed_ngram_counts(texts, 7, 256, np.float32)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < (matrix.nbytes + memo_bytes
+        assert rows.counts.dtype == np.int8
+        assert peak < (rows.counts.nbytes + rows.scale.nbytes + memo_bytes
                        + features.BLOCK_ROWS * 6 * 1024)
 
 
+class TestCountRows:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(texts=_batches().filter(len), dim=st.integers(1, 300),
+           seed=st.integers(0, 50), block_rows=st.integers(1, 8),
+           data=st.data())
+    def test_rows_equal_dense_and_embed_bit_for_bit(self, texts, dim, seed,
+                                                    block_rows, data):
+        # Any encode block size, any index order (repeats included) and any
+        # block of rows: float64 rows are embed's, float32 rows are embed's
+        # rounded once, and both are the dense matrix's.
+        n = len(texts)
+        order = np.asarray(data.draw(st.lists(st.integers(0, n - 1),
+                                              max_size=20)), np.intp)
+        start = data.draw(st.integers(0, n))
+        block = slice(start, data.draw(st.integers(start, n)))
+        encoder = HashedNgramEmbedder(dim=dim, seed=seed)
+        embedded = np.array([encoder.embed(t) for t in texts])
+        with mock.patch.object(features, "BLOCK_ROWS", block_rows):
+            for dtype in (np.float64, np.float32):
+                rows = hashed_ngram_counts(texts, seed, dim, dtype)
+                dense = hashed_ngram_matrix(texts, seed, dim, dtype)
+                expected = embedded.astype(dtype)
+                assert rows.shape == dense.shape == (n, dim)
+                assert dense.dtype == dtype
+                assert dense.tobytes() == expected.tobytes()
+                for index in (order, block):
+                    picked = rows[index]
+                    assert picked.dtype == dtype
+                    assert picked.tobytes() == expected[index].tobytes()
+
+    @pytest.mark.parametrize("length, wide", [(120, np.int8),
+                                              (400, np.int16),
+                                              (33000, np.int32)])
+    def test_counts_take_the_narrowest_type_that_holds_them(
+            self, length, wide, monkeypatch):
+        # A token of n letters "a" adds n - 2 "aaa" 3-grams to one bucket:
+        # 118 fit int8, 398 pass it and 32,998 pass int16. Blocks of 2
+        # rows store the first block as int8 before the second one widens
+        # the counts.
+        monkeypatch.setattr(features, "BLOCK_ROWS", 2)
+        texts = ["comedy movies", "tom hanks", "a" * length, "football"]
+        encoder = HashedNgramEmbedder(dim=512, seed=7)
+        embedded = np.array([encoder.embed(t) for t in texts])
+        for dtype in (np.float64, np.float32):
+            rows = hashed_ngram_counts(texts, 7, 512, dtype)
+            assert rows.counts.dtype == wide
+            assert np.abs(rows.counts[2]).max() >= length - 2
+            assert rows[:].tobytes() == embedded.astype(dtype).tobytes()
+            assert rows[[3, 2, 0]].tobytes() \
+                == embedded[[3, 2, 0]].astype(dtype).tobytes()
+
+
 class TestRowBlocks:
-    # Even bounds of 4 rows and more, as BLOCK_ROWS is: with blocks of at
-    # most 2 rows, 3 rows need a block of 1.
     @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(n=st.integers(0, 3000),
-           block_rows=st.integers(2, 150).map(lambda half: 2 * half))
+    @given(n=st.integers(0, 3000), block_rows=st.integers(1, 300))
     @example(n=2049, block_rows=256)
     @example(n=257, block_rows=256)
-    def test_aligned_blocks_of_more_than_one_row(self, n, block_rows):
+    def test_blocks_cover_the_rows_within_the_bound(self, n, block_rows):
         with mock.patch.object(features, "BLOCK_ROWS", block_rows):
             blocks = list(features.row_blocks(n))
         assert [row for block in blocks for row in range(n)[block]] \
             == list(range(n))
         lengths = [block.stop - block.start for block in blocks]
-        assert all(2 <= length <= block_rows for length in lengths) \
-            or lengths == [1] == [n]
-        # As few blocks as the bound allows, each starting on a multiple of
-        # half of it, so only the last can end off such a multiple.
+        assert all(1 <= length <= block_rows for length in lengths)
+        # As few blocks as the bound allows.
         assert len(blocks) == -(-n // block_rows)
-        assert all(block.start % (block_rows // 2) == 0 for block in blocks)
 
 
 # Queries of 1-5 tokens of 1-8 characters (ASCII, "<" and ">", accented

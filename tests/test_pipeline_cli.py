@@ -26,7 +26,8 @@ from querydistill.classifier import (ClassifierTrainConfig, apply_thresholds,
 from querydistill.data import normalize_query, read_queries, split_dataset
 from querydistill.errors import PipelineConfigError
 from querydistill.evaluation import compute_metrics, report_records
-from querydistill.features import HashedNgramEmbedder, hashed_ngram_matrix
+from querydistill.features import (CountRows, HashedNgramEmbedder,
+                                   hashed_ngram_counts)
 from querydistill.personas import load_personas, sample_personas
 from querydistill.pipeline import (STAGES, RunConfig, load_gold,
                                    load_run_config, run_pipeline)
@@ -208,26 +209,31 @@ class TestRunPipeline:
     @pytest.mark.parametrize("mode", ["router", "random", "none"])
     def test_one_feature_matrix_per_run(self, tmp_path, mode, monkeypatch):
         # In every persona mode, one n-gram pass encodes the classifier's
-        # float32 features, and the gate reads that same matrix: the run
-        # holds no other feature matrix.
+        # features as integer counts and row scales, and the gate reads
+        # those same counts: the run holds no float feature matrix.
         passes = []
 
         def recording(texts, seed, dim, dtype):
-            matrix = hashed_ngram_matrix(texts, seed, dim, dtype)
-            passes.append((dim, dtype, weakref.ref(matrix)))
-            return matrix
+            rows = hashed_ngram_counts(texts, seed, dim, dtype)
+            passes.append((dim, dtype, weakref.ref(rows)))
+            return rows
 
-        monkeypatch.setattr(pipeline, "hashed_ngram_matrix", recording)
+        monkeypatch.setattr(pipeline, "hashed_ngram_counts", recording)
         config = load_run_config(build_workspace(tmp_path, count=80,
                                                  persona_mode=mode))
         run = run_pipeline(config).run
         assert [(dim, dtype) for dim, dtype, _ in passes] == [
             (config.encoder_dim, np.float32)]
         assert passes[0][2]() is run.features
-        assert run.features.shape == (len(run.records), config.encoder_dim)
+        N = len(run.records)
+        assert isinstance(run.features, CountRows)
+        assert run.features.counts.shape == (N, config.encoder_dim)
+        assert run.features.counts.dtype.kind == "i"
+        assert run.features.scale.shape == (N,)
+        assert run.features.scale.dtype == np.float64
         assert [name for name, value in vars(run).items()
                 if isinstance(value, np.ndarray) and value.dtype.kind == "f"
-                and value.shape[0] == len(run.records)] == ["features"]
+                and value.shape[0] == N] == []
 
     @pytest.mark.parametrize("mode", ["router", "random"])
     def test_row_writers_match_one_json_dumps_per_line(self, tmp_path, mode):
@@ -340,14 +346,14 @@ class TestRunPipeline:
     def test_router_mode_encodes_each_text_once_per_encoder(
             self, stage_workspace, tmp_path, monkeypatch):
         from querydistill import pipeline
-        shared_pass = pipeline.hashed_ngram_matrix
+        shared_pass = pipeline.hashed_ngram_counts
         passes, batches, embeds = [], [], []
 
         def counting_pass(texts, seed, dim, dtype=np.float64):
             passes.append((dim, list(texts)))
             return shared_pass(texts, seed, dim, dtype)
 
-        monkeypatch.setattr(pipeline, "hashed_ngram_matrix", counting_pass)
+        monkeypatch.setattr(pipeline, "hashed_ngram_counts", counting_pass)
         monkeypatch.setattr(HashedNgramEmbedder, "encode_batch",
                             lambda self, texts: batches.append(texts))
         monkeypatch.setattr(HashedNgramEmbedder, "embed",
