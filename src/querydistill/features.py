@@ -55,10 +55,12 @@ _BOUNDARY_CLOSE = ">"
 BUCKET_CACHE_LIMIT = 1 << 16
 WINDOW_KEY_CHARGE = 4
 # Every whole-corpus pass (``hashed_ngram_counts``, the classifier's
-# batch scoring, the router's selection) takes at most this many rows at a
-# time (``row_blocks``), so its transients stay bounded however many
-# queries a run holds.
-BLOCK_ROWS = 256
+# batch scoring, the router's selection, the matrix file's writer) takes
+# at most this many rows at a time (``row_blocks``), so its transients stay
+# bounded however many queries a run holds. Each pass treats a row alone,
+# so no output depends on this size; 64 rows keep a block's float64
+# transients near a quarter of a megabyte at 512 columns.
+BLOCK_ROWS = 64
 
 
 def row_blocks(n):

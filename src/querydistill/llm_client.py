@@ -8,9 +8,11 @@ to ``RETRY_AFTER_CAP``; permanent failures become failure records instead
 of aborting the batch, and every successful response is appended to an
 on-disk response log keyed by digest(model name + prompt text). Prompts come
 as (``PromptFrame``, query) pairs and the keys from each frame's hash state,
-so only an HTTP request renders a prompt's text. The log is read once into
-memory when the cache opens, so a completed batch re-run against the same
-cache performs zero annotator calls and opens no descriptor.
+so only an HTTP request renders a prompt's text. The log is replayed a line
+at a time into an in-memory index when the cache opens, so a completed
+batch re-run against the same cache performs zero annotator calls and opens
+no descriptor. Only the HTTP path imports ``requests`` and the thread pool,
+so a mock run never loads them.
 
 The mock annotator is a gazetteer lookup with optional persona biases,
 seeded confidence noise, and prompt-section awareness (entries marked
@@ -27,12 +29,12 @@ import re
 import threading
 import time
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .annotations import Annotation, Confidence, render_annotation
 from .data import normalize_query
 from .errors import AnnotatorConfigError
+from .features import BoundedMemo
 from .optim import COUNT, FRACTION, NON_NEGATIVE, check_fields
 
 RETRYABLE_STATUSES = frozenset({429, 500, 502, 503, 504})
@@ -170,6 +172,13 @@ class AnnotationFailure:
 
 # The response log's file name inside a cache directory.
 LOG_NAME = "responses.log"
+# Replaying a log keeps each payload's text in a memo cleared when its
+# size would pass this many bytes; a payload counts its length plus
+# _PAYLOAD_CHARGE for its bytes header and dict slot. The log of a warm
+# synth-100000 run holds 515 distinct payloads, 85 KB so counted, so
+# each of its texts is decoded once.
+REPLAY_MEMO_LIMIT = 1 << 17
+_PAYLOAD_CHARGE = 128
 _KEY = re.compile(r"\S+")
 
 
@@ -181,19 +190,26 @@ def _record(key, payload):
     return b"%s %08x %s\n" % (key, zlib.crc32(payload, zlib.crc32(key)), payload)
 
 
-def _replay(data):
-    """(index, torn) from the bytes of a response log; ``index`` maps each
-    key to its response text. Records apply in file order: a response sets
-    its key only when the key is absent, so the first one wins, and a
-    tombstone (payload ``null``) removes the key. A line whose checksum
-    fails or whose payload is not a JSON string is skipped, and so is a
-    last line without a newline; ``torn`` says the file ends in one. Each
-    distinct payload is decoded once, so equal responses share one ``str``.
+def _replay(lines):
+    """(index, torn) from the lines of a response log, read one at a time
+    from ``lines`` (a binary file or any iterable of bytes lines, each
+    ending in a newline but the last); ``index`` maps each key to its
+    response text. Records apply in file order: a response sets its key
+    only when the key is absent, so the first one wins, and a tombstone
+    (payload ``null``) removes the key. A line whose checksum fails or
+    whose payload is not a JSON string is skipped, and so is a last line
+    without a newline; ``torn`` says the file ends in one. A payload's
+    text is kept in a memo bounded by ``REPLAY_MEMO_LIMIT``, so equal
+    responses share one ``str`` while their payload is kept, and the replay
+    holds one line and that memo beyond the index.
     """
-    index, texts = {}, {}
-    lines = data.split(b"\n")
-    for line in lines[:-1]:
-        key, _, rest = line.partition(b" ")
+    index, texts = {}, BoundedMemo(REPLAY_MEMO_LIMIT)
+    torn = False
+    for line in lines:
+        if line[-1:] != b"\n":
+            torn = True
+            break
+        key, _, rest = line[:-1].partition(b" ")
         crc, _, payload = rest.partition(b" ")
         if crc != b"%08x" % zlib.crc32(payload, zlib.crc32(key)):
             continue
@@ -201,14 +217,15 @@ def _replay(data):
         if payload == b"null":
             index.pop(key, None)
         elif key not in index and payload[:1] == b'"':
-            if payload not in texts:
+            text = texts.entries.get(payload)
+            if text is None:
                 try:
-                    texts[payload] = json.loads(payload)
+                    text = json.loads(payload)
                 except ValueError:  # a JSONDecodeError or UnicodeDecodeError
-                    texts[payload] = None
-            if texts[payload] is not None:
-                index[key] = texts[payload]
-    return index, bool(lines[-1])
+                    continue
+                texts.keep(payload, text, len(payload) + _PAYLOAD_CHARGE)
+            index[key] = text
+    return index, torn
 
 
 class ResponseCache:
@@ -217,15 +234,17 @@ class ResponseCache:
     Each line of ``responses.log`` is one record, ``<key> <crc32> <payload>``:
     the cache key, the CRC32 of key and payload in 8 hex digits, and the
     response as a JSON string, or ``null`` for a tombstone. Opening the
-    cache reads the whole log into memory once and keeps each key's response
-    text (see ``_replay``), so ``get`` is a lookup and a warm replay opens
-    no descriptor. The index keeps one text per distinct payload; for a log
-    whose payloads are all distinct, as real LLM output would be, that is
-    about one log's worth of text. ``put`` and ``discard`` append one record
-    with a single ``write`` on an ``O_APPEND`` descriptor, opened on first
-    use, so records from concurrent writers never interleave; a log that
-    ends in a torn line gets a newline first. ``close``, or leaving a
-    ``with`` block, releases the descriptor. This is the Bitcask design
+    cache replays the log a line at a time and keeps each key's response
+    text (see ``_replay``), so it holds the index, one line and a bounded
+    memo, never the whole file; ``get`` is a lookup and a warm replay opens
+    no descriptor. Equal responses share one text, so a log of repeated
+    responses, like the mock's, costs the index little beyond its keys; for
+    a log whose payloads are all distinct, as real LLM output would be, the
+    index holds about one log's worth of text. ``put`` and ``discard``
+    append one record with a single ``write`` on an ``O_APPEND``
+    descriptor, opened on first use, so records from concurrent writers
+    never interleave; a log that ends in a torn line gets a newline first.
+    ``close``, or leaving a ``with`` block, releases the descriptor. This is the Bitcask design
     (Sheehy & Smith, 2010) with the values held in the index.
     """
 
@@ -237,7 +256,7 @@ class ResponseCache:
         self._fd = None
         try:
             with open(self.path, "rb") as fh:
-                self._index, self._torn = _replay(fh.read())
+                self._index, self._torn = _replay(fh)
         except FileNotFoundError:
             self._index, self._torn = {}, False
 
@@ -479,6 +498,7 @@ def annotate_batch(handle, prompts, cache=None):
         return results
 
     import requests
+    from concurrent.futures import ThreadPoolExecutor
 
     limiter = RateLimiter(config.requests_per_second)
     session = requests.Session()

@@ -20,6 +20,7 @@ import numpy as np
 from .annotations import Annotation, Confidence
 from .data import read_jsonl
 from .errors import ModelError, QueryDistillError
+from .features import row_blocks
 
 PERSONA_CATEGORIES = ("Expert", "NonDomainExpert", "NicheExpert")
 
@@ -96,11 +97,12 @@ def build_confidence_matrix(index, table, registry):
 
 
 def ensemble_levels(scores, threshold=DEFAULT_SELECT_THRESHOLD):
-    """Level of each ensemble score: 0 (not selected) below ``threshold``,
-    else 3 (High) from 2.5, 2 (Medium) from 1.5 and 1 (Low) below that."""
-    levels = (1 + (scores >= MEDIUM_CUTOFF).astype(np.int64)
+    """Level of each ensemble score, as int8: 0 (not selected) below
+    ``threshold``, else 3 (High) from 2.5, 2 (Medium) from 1.5 and 1 (Low)
+    below that."""
+    levels = (1 + (scores >= MEDIUM_CUTOFF).astype(np.int8)
               + (scores >= HIGH_CUTOFF))
-    return np.where(scores >= threshold, levels, 0)
+    return np.where(scores >= threshold, levels, np.int8(0))
 
 
 def level_annotations(levels, registry):
@@ -137,24 +139,31 @@ def aggregate_ensemble(values, chosen, threshold=DEFAULT_SELECT_THRESHOLD):
 def write_matrices(path, query_ids, persona_ids, values, registry):
     """Matrix file of the (N, P, E) ``values`` of N queries: per query, a
     header row "query_id,registry_hash,entity ids...", then one CSV row per
-    persona; blank line between matrices."""
+    persona; blank line between matrices. The text is made and written one
+    ``row_blocks`` block of queries at a time, never for the whole file."""
     width = 2 * len(registry)
     if values.shape[1:] != (len(persona_ids), len(registry)) or (
             values.size and (values.min() < 0 or values.max() > 3)):
         raise ModelError("matrix values must be {0, 1, 2, 3}, one row per "
                          "persona and one column per registry entity")
-    # ",v,v,...,v" of every persona row back to back, one ASCII digit a value.
-    cells = np.full((len(values) * len(persona_ids), width), ord(","),
-                    dtype=np.uint8)
-    cells[:, 1::2] = values.reshape(len(cells), len(registry)) + ord("0")
-    rows = cells.tobytes().decode("ascii")
     header = f",{registry.hash},{','.join(registry.ids)}"
-    blocks, start = [], 0
-    for query_id in query_ids:
-        lines = [query_id + header]
-        for pid in persona_ids:
-            lines.append(pid + rows[start:start + width])
-            start += width
-        blocks.append("\n".join(lines))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n\n".join(blocks) + "\n")
+        separator = ""
+        for block in row_blocks(len(query_ids)):
+            # ",v,v,...,v" of the block's persona rows back to back, one
+            # ASCII digit a value.
+            cells = np.full(((block.stop - block.start) * len(persona_ids),
+                             width), ord(","), dtype=np.uint8)
+            cells[:, 1::2] = values[block].reshape(len(cells),
+                                                   len(registry)) + ord("0")
+            rows = cells.tobytes().decode("ascii")
+            blocks, start = [], 0
+            for query_id in query_ids[block]:
+                lines = [query_id + header]
+                for pid in persona_ids:
+                    lines.append(pid + rows[start:start + width])
+                    start += width
+                blocks.append("\n".join(lines))
+            fh.write(separator + "\n\n".join(blocks))
+            separator = "\n\n"
+        fh.write("\n")

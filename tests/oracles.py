@@ -10,13 +10,17 @@ reuses the library's query normalization, because what it
 checks is the window split and the bucket sums around them. The former
 ablation runs the library's pipeline and dict-store scorer, because what
 it checks is the arms read from one run's arrays against the stores that
-one run per arm wrote.
+one run per arm wrote. The former whole-bytes response log replay and a
+matrix file writer that joins the whole text before writing check that
+reading and writing those files a line or a block at a time changed no
+result.
 """
 
 import hashlib
 import json
 import os
 import random
+import zlib
 from dataclasses import replace
 
 import numpy as np
@@ -342,3 +346,42 @@ def dict_store_ablation(config, weighted):
         arm(mode, "aggregate", "aggregated.jsonl", f"{mode:<8}",
             persona_mode=mode)
     return lines
+
+
+def whole_log_replay(data):
+    """(index, torn) of a response log from all of its bytes at once: split
+    on newlines, the last piece is the torn tail (empty when the log ends
+    in a newline); a checksummed record whose payload decodes as a JSON
+    string sets its key unless set, and a ``null`` one removes it."""
+    index = {}
+    lines = data.split(b"\n")
+    for line in lines[:-1]:
+        key, _, rest = line.partition(b" ")
+        crc, _, payload = rest.partition(b" ")
+        if crc != b"%08x" % zlib.crc32(payload, zlib.crc32(key)):
+            continue
+        key = key.decode("utf-8")
+        if payload == b"null":
+            index.pop(key, None)
+        elif key not in index and payload[:1] == b'"':
+            try:
+                index[key] = json.loads(payload)
+            except ValueError:
+                pass
+    return index, bool(lines[-1])
+
+
+def whole_file_matrices(path, query_ids, persona_ids, values, registry):
+    """The matrix file of (N, P, E) ``values``, its text joined whole
+    before one write: per query a header row "query_id,registry_hash,
+    entity ids...", then a "persona_id,v,...,v" row per persona; a blank
+    line between matrices and a newline at the end."""
+    header = f",{registry.hash},{','.join(registry.ids)}"
+    blocks = []
+    for query_id, matrix in zip(query_ids, values):
+        lines = [query_id + header]
+        for pid, row in zip(persona_ids, matrix):
+            lines.append(pid + "".join(f",{int(v)}" for v in row))
+        blocks.append("\n".join(lines))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n\n".join(blocks) + "\n")

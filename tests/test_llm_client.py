@@ -1,9 +1,14 @@
+import io
 import json
 import threading
+import tracemalloc
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import oracles
 
 from querydistill.annotations import Confidence
 from querydistill.errors import AnnotatorConfigError
@@ -12,7 +17,8 @@ from querydistill.llm_client import (LOG_NAME, RETRY_AFTER_CAP,
                                      AnnotationFailure, AnnotatorHandle,
                                      HttpEndpointConfig, RateLimiter,
                                      ResponseCache, _http_call, _record,
-                                     annotate_batch, mock_annotate, mock_handle)
+                                     _replay, annotate_batch, mock_annotate,
+                                     mock_handle)
 from querydistill.prompting import PromptConfig, PromptFrame, parse_response
 from querydistill.taxonomy import default_registry
 
@@ -523,6 +529,59 @@ class TestResponseCache:
         assert reloaded.get("a") is reloaded.get("b") is reloaded.get("c")
         assert reloaded.get("d") == "Sport|Low"
 
+    def test_replay_holds_the_index_and_little_more(self, tmp_path):
+        # 20,000 records with distinct payloads, about 2 MB of log: the
+        # replay reads it a line at a time, so beyond what the index keeps
+        # it holds one line and its bounded payload memo, never the file.
+        with open(tmp_path / LOG_NAME, "wb") as fh:
+            for i in range(20000):
+                fh.write(_record(f"{i:064x}", json.dumps(
+                    f"Genre|High\nSport|Low\nresponse {i}").encode("ascii")))
+        assert (tmp_path / LOG_NAME).stat().st_size > 1 << 20
+        tracemalloc.start()
+        try:
+            cache = ResponseCache(tmp_path)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(cache._index) == 20000
+        assert cache.get(f"{19999:064x}").endswith("response 19999")
+        assert peak - kept < 256 << 10
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(records=st.lists(st.tuples(
+               st.sampled_from(["put", "tombstone", "bad crc", "number",
+                                "broken string", "bad utf-8"]),
+               st.sampled_from(["a", "b", "c", "d" * 64]),
+               st.sampled_from(["Genre|High", "Sport|Low", "", "caf\u00e9"])),
+               max_size=12),
+           tail=st.one_of(st.none(), st.tuples(
+               st.sampled_from(["a", "e"]), st.sampled_from(["x", "null"]),
+               st.integers(1, 40))))
+    def test_replay_equals_the_whole_log_replay(self, records, tail):
+        # Puts, tombstones, a bad checksum, payloads that are no JSON
+        # string, and a torn tail cut at any length: the line-at-a-time
+        # replay gives the index and torn flag of a replay of all the
+        # bytes at once, and equal texts share one str.
+        payloads = {"tombstone": b"null", "number": b"123",
+                    "broken string": b'"open', "bad utf-8": b'"\xff"'}
+        data = b""
+        for kind, key, text in records:
+            record = _record(key, payloads.get(kind, json.dumps(text).encode()))
+            if kind == "bad crc":
+                head, crc, rest = record.split(b" ", 2)
+                record = b"%s %08x %s" % (head, int(crc, 16) ^ 1, rest)
+            data += record
+        if tail is not None:
+            key, text, cut = tail
+            record = _record(key, json.dumps(text).encode()
+                             if text != "null" else b"null")
+            data += record[:min(cut, len(record) - 1)]
+        index, torn = _replay(io.BytesIO(data))
+        assert (index, torn) == oracles.whole_log_replay(data)
+        assert len({id(text) for text in index.values()}) == len(
+            set(index.values()))
+
     def test_get_makes_no_system_call(self, tmp_path, monkeypatch):
         import os
         with ResponseCache(tmp_path) as cache:
@@ -631,16 +690,29 @@ class TestResponseCache:
 
 
 def test_requests_is_imported_only_on_the_http_path():
+    # The CLI, the server and the pipeline import no requests, thread pool
+    # or logging, and neither does a mock annotate_batch; only the HTTP
+    # path does (the HTTP tests above run it).
     import os
     import subprocess
     import sys
     import querydistill
     src = os.path.dirname(os.path.dirname(querydistill.__file__))
+    script = (
+        "import sys\n"
+        "import querydistill.cli, querydistill.serving, querydistill.pipeline\n"
+        "from querydistill.baseline import Gazetteer\n"
+        "from querydistill.llm_client import annotate_batch, mock_handle\n"
+        "from querydistill.prompting import PromptConfig, PromptFrame\n"
+        "from querydistill.taxonomy import default_registry\n"
+        "frame = PromptFrame(PromptConfig(), default_registry())\n"
+        "handle = mock_handle(Gazetteer(phrases={'Genre': ['comedy']}))\n"
+        "assert annotate_batch(handle, [(frame, 'comedy')]) == ['Genre|High']\n"
+        "print(sorted(m for m in ('concurrent.futures', 'logging', 'requests')"
+        " if m in sys.modules))\n")
     proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, querydistill, querydistill.cli, querydistill.serving; "
-         "print('requests' in sys.modules)"],
+        [sys.executable, "-c", script],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
         timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"

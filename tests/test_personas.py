@@ -1,16 +1,19 @@
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import oracles
 from conftest import ann
+from querydistill import features
 from querydistill.annotations import Annotation, Confidence
 from querydistill.errors import ModelError, QueryDistillError
 from querydistill.personas import (Persona, aggregate_ensemble,
                                    build_confidence_matrix, default_personas,
                                    load_personas, write_matrices)
-from querydistill.taxonomy import EntityDef, EntityRegistry
+from querydistill.taxonomy import EntityDef, EntityRegistry, default_registry
 
 
 @pytest.fixture
@@ -194,3 +197,43 @@ class TestMatrixFile:
         assert entities == list(two_registry.ids)
         assert persona_ids == ["p1", "p2"]
         assert levels == example_matrix.tolist() + other.tolist()
+
+    @pytest.mark.parametrize("block_rows", [1, 2, 3, 64])
+    @pytest.mark.parametrize("n", [0, 1, 64, 65, 130])
+    def test_blocks_write_the_whole_file_bytes(self, two_personas, tmp_path,
+                                               monkeypatch, block_rows, n):
+        # Written a block of queries at a time, the file has the bytes of
+        # its text joined whole, zero queries ("\n") included.
+        registry = default_registry()
+        values = np.random.default_rng(n).integers(
+            0, 4, size=(n, 2, len(registry)), dtype=np.int8)
+        query_ids = [f"q{i}" for i in range(n)]
+        persona_ids = [p.id for p in two_personas]
+        oracles.whole_file_matrices(tmp_path / "whole.csv", query_ids,
+                                    persona_ids, values, registry)
+        monkeypatch.setattr(features, "BLOCK_ROWS", block_rows)
+        write_matrices(tmp_path / "blocks.csv", query_ids, persona_ids,
+                       values, registry)
+        assert ((tmp_path / "blocks.csv").read_bytes()
+                == (tmp_path / "whole.csv").read_bytes())
+
+    def test_peak_memory_is_a_few_blocks_of_text(self, two_personas,
+                                                 tmp_path):
+        # 2,000 queries, 32 blocks: the writer holds a few blocks' text
+        # (the digit array, its string, the lines, their join and its
+        # encoding), not the file's.
+        registry = default_registry()
+        values = np.random.default_rng(0).integers(
+            0, 4, size=(2000, 2, len(registry)), dtype=np.int8)
+        query_ids = [f"q{i:05d}" for i in range(2000)]
+        path = tmp_path / "matrices.csv"
+        tracemalloc.start()
+        try:
+            write_matrices(path, query_ids, [p.id for p in two_personas],
+                           values, registry)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = path.stat().st_size / len(query_ids) * features.BLOCK_ROWS
+        assert path.stat().st_size > 24 * block
+        assert peak < 8 * block

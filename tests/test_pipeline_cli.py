@@ -231,6 +231,8 @@ class TestRunPipeline:
         assert run.features.counts.dtype.kind == "i"
         assert run.features.scale.shape == (N,)
         assert run.features.scale.dtype == np.float64
+        assert run.teacher.shape == (N, len(run.registry))
+        assert run.teacher.dtype == np.int8
         assert [name for name, value in vars(run).items()
                 if isinstance(value, np.ndarray) and value.dtype.kind == "f"
                 and value.shape[0] == N] == []
